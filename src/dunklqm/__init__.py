@@ -27,37 +27,35 @@ from .opalg import (
     DegenerateSpectrumError,
     DegreeOverflowError,
     Diff,
+    FamilyReport,
+    Moments,
     MulPoly,
     OddOverY,
+    OrthogonalFamily,
     Poly,
     Reflect,
     ReflOp,
     compose,
-    dunkl,
-    matrix_on_basis,
-)
-from .jacobi import (
-    FamilyReport,
-    Jacobi1Params,
-    MomentFunctional,
-    construct_explicit,
+    construct_eigen,
     construct_gram,
-    construct_oracle,
-    eigenvalue,
+    dunkl,
     inner,
-    lop,
-    norm_sq_closed,
+    matrix_on_basis,
     verify_family,
 )
+from .jacobi import (
+    Jacobi1Params,
+    construct_explicit,
+    eigenvalue,
+    lop,
+    norm_sq_closed,
+)
 from .gegenbauer import (
-    GegMoments,
     GegParams,
-    construct_geg,
     csm_two_particle_check,
     eigenvalue_geg,
     geg_potentials,
     lop_geg,
-    verify_family_geg,
 )
 from .susyqm import (
     FockVector,

@@ -40,6 +40,18 @@ def _grid_list(text: str) -> list:
     return out
 
 
+def _degree_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return parse
+
+
 def _write_atomic(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-dunklqm-")
@@ -67,33 +79,31 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_family(args) -> int:
-    from . import gegenbauer as geg
-    from . import jacobi as jac
+    from .gegenbauer import GegParams
+    from .jacobi import Jacobi1Params
+    from .opalg import eigenvalue_collision, verify_family
 
     try:
         if args.kind == "jacobi-m1":
-            params = jac.Jacobi1Params(args.alpha, args.beta)
+            params = Jacobi1Params(args.alpha, args.beta)
         else:
-            params = geg.GegParams(args.mu, args.alpha)
+            params = GegParams(args.mu, args.alpha)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    rows = []
-    if args.kind == "jacobi-m1":
-        moments = jac.MomentFunctional(params)
-        for n in range(args.degree + 1):
-            p = jac.construct_oracle(n, params)
-            rows.append((n, p.pretty(), str(jac.eigenvalue(n, params)),
-                         str(jac.inner(p, p, moments))))
-        report = jac.verify_family(params, max(args.degree, 2)).as_json_dict()
-    else:
-        gm = geg.GegMoments(params)
-        for n in range(args.degree + 1):
-            p = geg.construct_geg(n, params)
-            rows.append((n, p.pretty(), str(geg.eigenvalue_geg(n, params)),
-                         str(geg.inner_geg(p, p, gm))))
-        report = geg.verify_family_geg(params, max(args.degree, 2)).as_json_dict()
+    result = verify_family(params, max(args.degree, 2))
+    degenerate = [n for n in result.skipped_degenerate if n <= args.degree]
+    if degenerate:
+        n = degenerate[0]
+        m = eigenvalue_collision(n, params)
+        print(f"error: degenerate spectrum at {params.label()}: degrees {m} "
+              f"and {n} share the eigenvalue {params.eigenvalue(n)}, so P_{n} "
+              f"is not uniquely defined", file=sys.stderr)
+        return EXIT_USAGE
+    rows = [(r.n, r.polynomial.pretty(), str(r.eigenvalue), str(r.norm_sq))
+            for r in result.records[:args.degree + 1]]
+    report = result.as_json_dict()
 
     if args.format == "json":
         payload = {"kind": args.kind, "params": report["params"],
@@ -155,35 +165,34 @@ def _suite_exact(log) -> tuple[bool, int]:
     return True, 0
 
 
-def _suite_jacobi(log, degree: int) -> tuple[bool, int]:
-    from .jacobi import FUZZ_PARAMS, Jacobi1Params, verify_family
+def _suite_family(log, kind: str, degree: int) -> tuple[bool, int]:
+    """The exact battery on each fuzz parameter pair of one family."""
+    from .opalg import verify_family
 
+    if kind == "jacobi":
+        from .jacobi import FUZZ_PARAMS as fuzz, Jacobi1Params as family
+    else:
+        from .gegenbauer import GEG_FUZZ_PARAMS as fuzz, GegParams as family
     ok, findings = True, 0
-    for a, b in FUZZ_PARAMS:
-        rep = verify_family(Jacobi1Params(a, b), degree)
-        findings += rep.discrepancy_count()
+    for a, b in fuzz:
+        rep = verify_family(family(a, b), degree)
         ok = ok and rep.all_oracle_checks_passed
-        log(f"jacobi ({a},{b}): oracle checks "
-            f"{'pass' if rep.all_oracle_checks_passed else 'FAIL'}, "
-            f"{rep.discrepancy_count()} printed-form discrepancies")
+        findings += rep.discrepancy_count()
+        line = (f"{kind} ({a},{b}): oracle checks "
+                f"{'pass' if rep.all_oracle_checks_passed else 'FAIL'}")
+        if kind == "jacobi":    # the family with printed closed forms
+            line += f", {rep.discrepancy_count()} printed-form discrepancies"
+        log(line)
     return ok, findings
 
 
-def _suite_gegenbauer(log, degree: int) -> tuple[bool, int]:
-    from .gegenbauer import (GEG_FUZZ_PARAMS, GegParams,
-                             csm_two_particle_check, verify_family_geg)
+def _suite_csm(log) -> bool:
+    from .gegenbauer import csm_two_particle_check
 
-    ok = True
-    for mu, al in GEG_FUZZ_PARAMS:
-        rep = verify_family_geg(GegParams(mu, al), degree)
-        ok = ok and rep.all_oracle_checks_passed
-        log(f"gegenbauer ({mu},{al}): oracle checks "
-            f"{'pass' if rep.all_oracle_checks_passed else 'FAIL'}")
     res = max(csm_two_particle_check(Fraction(1), 0.9, 0.1),
               csm_two_particle_check(Fraction(1, 2), 1.0, -0.3))
-    ok = ok and res < 1e-12
     log(f"gegenbauer: two-particle CSM reduction residual {res:.3e}")
-    return ok, 0
+    return res < 1e-12
 
 
 def _suite_oscillator(log) -> tuple[bool, int]:
@@ -272,9 +281,10 @@ def cmd_verify(args) -> int:
         if s == "exact":
             ok, f = _suite_exact(log)
         elif s == "jacobi":
-            ok, f = _suite_jacobi(log, args.degree)
+            ok, f = _suite_family(log, s, args.degree)
         elif s == "gegenbauer":
-            ok, f = _suite_gegenbauer(log, min(args.degree, 16))
+            ok, f = _suite_family(log, s, min(args.degree, 16))
+            ok = _suite_csm(log) and ok
         elif s == "oscillator":
             ok, f = _suite_oscillator(log)
         elif s == "intertwiners":
@@ -354,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--alpha", type=_rat, default=Fraction(0))
     fam.add_argument("--beta", type=_rat, default=Fraction(0))
     fam.add_argument("--mu", type=_rat, default=Fraction(1, 2))
-    fam.add_argument("--degree", type=int, default=6)
+    fam.add_argument("--degree", type=_degree_at_least(0), default=6)
     fam.add_argument("--format", choices=["text", "json", "csv"],
                      default="text")
     fam.add_argument("--out")
@@ -366,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "oscillator", "intertwiners", "relations"])
     ver.add_argument("--variant", default="both",
                      choices=["printed", "corrected", "both"])
-    ver.add_argument("--degree", type=int, default=12)
+    ver.add_argument("--degree", type=_degree_at_least(2), default=12)
     ver.add_argument("--out")
     ver.set_defaults(fn=cmd_verify)
 

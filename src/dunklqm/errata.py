@@ -14,12 +14,8 @@ import numpy as np
 
 from . import grid as gridmod
 from .gegenbauer import GegParams, eigenvalue_geg, geg_potentials
-from .jacobi import (
-    Jacobi1Params,
-    MomentFunctional,
-    construct_explicit,
-    construct_oracle,
-)
+from .jacobi import Jacobi1Params, construct_explicit
+from .opalg import Moments, construct_eigen
 from .spectra import gegenbauer_problem
 from .susyqm import (
     ScarfParams,
@@ -56,15 +52,15 @@ def _entry(eid, label, printed, oracle, evidence, verdict) -> dict:
 def _odd_explicit_prefactor() -> dict:
     p = Jacobi1Params(F(0), F(0))
     printed = construct_explicit(1, p, "printed")
-    oracle = construct_oracle(1, p)
+    oracle = construct_eigen(1, p)
     monicized = printed.scale(1 / printed.coeffs[-1])
     mismatches = []
     for a, b in [(F(0), F(0)), (F(1, 2), F(3, 2)), (F(1), F(1))]:
         pr = Jacobi1Params(a, b)
         bad = [n for n in range(1, 10, 2)
-               if construct_explicit(n, pr, "printed") != construct_oracle(n, pr)]
+               if construct_explicit(n, pr, "printed") != construct_eigen(n, pr)]
         good = [n for n in range(1, 10, 2)
-                if construct_explicit(n, pr, "corrected") == construct_oracle(n, pr)]
+                if construct_explicit(n, pr, "corrected") == construct_eigen(n, pr)]
         mismatches.append({"params": f"({a},{b})", "printed_fails_at": bad,
                            "corrected_matches_at": good})
     return _entry(
@@ -111,7 +107,7 @@ def _weight_exponent() -> dict:
         mom = gridmod.quadrature(lambda y: w(y) * y**n, g)
         return mom / total
 
-    exact_c1 = MomentFunctional(Jacobi1Params(a, b)).moment(1)
+    exact_c1 = Moments(Jacobi1Params(a, b)).moment(1)
     printed_c1 = moment_with_exponent((bf + 1) / 2, 1)
     derived_c1 = moment_with_exponent((bf - 1) / 2, 1)
     return _entry(

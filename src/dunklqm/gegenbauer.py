@@ -16,39 +16,27 @@ with the opposite sign); the ``derived`` variant fixes them and reproduces
 the Poeschl-Teller (mu = 0) and two-particle Calogero-Sutherland-Moser
 (alpha = -1/2) special cases exactly. Both variants are exposed so that the
 discrepancy can be measured rather than hidden.
+
+``GegParams`` supplies the family's math to the generic battery of
+``opalg``; being symmetric, the family is also checked for parity.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, rat
-from .opalg import (
-    DegenerateSpectrumError,
-    MulPoly,
-    Poly,
-    ReflOp,
-    compose,
-    dunkl,
-    matrix_on_basis,
-    solve_monic_eigenvector,
-)
+from .opalg import MulPoly, OrthogonalFamily, Poly, ReflOp, compose, dunkl
 
 __all__ = [
     "GegParams",
-    "GegMoments",
     "lop_geg",
     "eigenvalue_geg",
-    "construct_geg",
-    "construct_geg_gram",
-    "inner_geg",
     "geg_potentials",
     "ground_factor",
     "csm_two_particle_check",
-    "verify_family_geg",
     "GEG_FUZZ_PARAMS",
 ]
 
@@ -61,9 +49,12 @@ GEG_FUZZ_PARAMS = (
 
 
 @dataclass(frozen=True)
-class GegParams:
+class GegParams(OrthogonalFamily):
     mu: Fraction
     alpha: Fraction
+
+    family_name = "generalized-gegenbauer"
+    symmetric = True
 
     def __post_init__(self):
         object.__setattr__(self, "mu", rat(self.mu))
@@ -71,44 +62,25 @@ class GegParams:
         if self.mu <= Fraction(-1, 2) or self.alpha <= -1:
             raise ValueError("integrable weight requires mu > -1/2, alpha > -1")
 
-    def label(self) -> str:
-        return f"mu={self.mu}, alpha={self.alpha}"
+    def operator(self) -> ReflOp:
+        return lop_geg(self)
 
+    def eigenvalue(self, n: int) -> Fraction:
+        return eigenvalue_geg(n, self)
 
-class GegMoments:
-    """Even moments of |y|^(2mu) (1-y^2)^alpha, normalized to m_0 = 1.
+    def next_moment(self, lower: list) -> Fraction:
+        """Moments of |y|^(2mu) (1-y^2)^alpha, normalized to m_0 = 1.
 
-    Successive ratios come from Beta-integral recursion:
-    m_{2n}/m_{2n-2} = (mu + n - 1/2)/(mu + n + alpha + 1/2); odd moments
-    vanish by symmetry.
-    """
-
-    def __init__(self, params: GegParams):
-        self.params = params
-        self._even = [Fraction(1)]
-
-    def moment(self, n: int) -> Fraction:
-        if n % 2 == 1:
+        Odd moments vanish by symmetry; the even ones follow the
+        Beta-integral recursion m_{2n}/m_{2n-2} =
+        (mu + n - 1/2)/(mu + n + alpha + 1/2).
+        """
+        if len(lower) % 2 == 1:
             return Fraction(0)
-        k = n // 2
-        while len(self._even) <= k:
-            j = len(self._even)
-            mu, al = self.params.mu, self.params.alpha
-            ratio = (mu + j - Fraction(1, 2)) / (mu + j + al + Fraction(1, 2))
-            self._even.append(self._even[-1] * ratio)
-        return self._even[k]
-
-
-def inner_geg(p: Poly, q: Poly, m: GegMoments) -> Fraction:
-    total = Fraction(0)
-    for i, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            if b == 0:
-                continue
-            total += a * b * m.moment(i + j)
-    return total
+        n = len(lower) // 2
+        ratio = ((self.mu + n - Fraction(1, 2))
+                 / (self.mu + n + self.alpha + Fraction(1, 2)))
+        return lower[-2] * ratio
 
 
 def lop_geg(params: GegParams) -> ReflOp:
@@ -125,33 +97,6 @@ def eigenvalue_geg(n: int, params: GegParams) -> Fraction:
     if n % 2 == 0:
         return Fraction(-n) * (n + 1 + 2 * al + 2 * mu)
     return -(2 * mu + n) * (2 * al + n + 1)
-
-
-def construct_geg(n: int, params: GegParams) -> Poly:
-    """Monic symmetric eigenpolynomial from the eigenvalue equation."""
-    lam = eigenvalue_geg(n, params)
-    for m in range(n):
-        if eigenvalue_geg(m, params) == lam:
-            raise DegenerateSpectrumError(
-                f"lambda_{n} = lambda_{m} = {lam} at {params.label()}")
-    mat = matrix_on_basis(lop_geg(params), n)
-    return solve_monic_eigenvector(mat, lam, n)
-
-
-def construct_geg_gram(n: int, params: GegParams,
-                       moments: GegMoments | None = None) -> Poly:
-    """Monic orthogonal polynomial from Gram elimination over GegMoments."""
-    m = moments if moments is not None else GegMoments(params)
-    prev: list[tuple[Poly, Fraction]] = []
-    p = Poly.one()
-    for k in range(n + 1):
-        p = Poly.monomial(k)
-        for q, qq in prev:
-            r = inner_geg(p, q, m) / qq
-            p = p - q.scale(r)
-        if k < n:
-            prev.append((p, inner_geg(p, p, m)))
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -214,68 +159,3 @@ def csm_two_particle_check(mu, x1: float, x2: float) -> float:
     scalar_rel = mu**2 / math.sin(x) ** 2
     exchange_rel = -mu / math.sin(x) ** 2
     return max(abs(scalar_pair - scalar_rel), abs(exchange_pair - exchange_rel))
-
-
-def verify_family_geg(params: GegParams, max_degree: int) -> "GegFamilyReport":
-    """Exact battery: eigen residuals, oracle agreement, parity, orthogonality."""
-    if max_degree < 2:
-        raise ValueError("max_degree must be at least 2")
-    operator = lop_geg(params)
-    moments = GegMoments(params)
-    records = []
-    all_ok = True
-    constructed: list[Poly] = []
-    skipped: list[int] = []
-    for n in range(max_degree + 1):
-        lam = eigenvalue_geg(n, params)
-        try:
-            pn = construct_geg(n, params)
-        except DegenerateSpectrumError:
-            skipped.append(n)
-            continue
-        res_zero = operator.apply(pn) == pn.scale(lam)
-        gram_ok = construct_geg_gram(n, params, moments) == pn
-        parity_ok = pn.reflect() == (pn if n % 2 == 0 else pn.scale(-1))
-        orth_ok = all(inner_geg(pn, q, moments) == 0 for q in constructed)
-        ok = res_zero and gram_ok and parity_ok and orth_ok
-        all_ok = all_ok and ok
-        records.append({
-            "n": n,
-            "eigenvalue": str(lam),
-            "eigen_residual_zero": res_zero,
-            "gram_matches_eigen": gram_ok,
-            "parity_ok": parity_ok,
-            "orthogonal": orth_ok,
-        })
-        constructed.append(pn)
-    return GegFamilyReport(
-        family="generalized-gegenbauer",
-        params={"mu": str(params.mu), "alpha": str(params.alpha)},
-        max_degree=max_degree,
-        records=records,
-        all_oracle_checks_passed=all_ok,
-        skipped_degenerate=skipped,
-    )
-
-
-@dataclass
-class GegFamilyReport:
-    family: str
-    params: dict
-    max_degree: int
-    records: list
-    all_oracle_checks_passed: bool
-    skipped_degenerate: list = field(default_factory=list)
-
-    def as_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "max_degree": self.max_degree,
-            "all_oracle_checks_passed": self.all_oracle_checks_passed,
-            "skipped_degenerate": list(self.skipped_degenerate),
-            "records": list(self.records),
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_json_dict(), indent=indent)

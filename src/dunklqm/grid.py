@@ -458,7 +458,9 @@ def convergence_study(problem: Problem, n_list: Sequence[int],
                       k: int) -> SpectrumReport:
     """Eigenvalue ladder over ascending grids, extrapolated and compared
     against closed-form targets. Order estimates outside [1, 3] flag a level
-    as non-convergent (extrapolation still reported)."""
+    as non-convergent (extrapolation still reported); a level whose order
+    cannot be estimated (e.g. a non-monotone ladder) has ``converged`` None,
+    unknown."""
     n_list = list(n_list)
     if len(n_list) < 3:
         raise ValueError("need at least three grid sizes")
@@ -478,7 +480,7 @@ def convergence_study(problem: Problem, n_list: Sequence[int],
             "target": target,
             "abs_error": abs(limit - target),
             "order": order,
-            "converged": (1.0 <= order <= 3.0) if math.isfinite(order) else True,
+            "converged": (1.0 <= order <= 3.0) if math.isfinite(order) else None,
         })
     return report
 

@@ -15,41 +15,34 @@ treated as claims and compared against the oracles; the odd-degree printed
 variant is known to disagree (wrong second-block prefactor and kappa base),
 so both a ``printed`` and a ``corrected`` assembly are provided and the
 difference is reported, never silently patched.
+
+``Jacobi1Params`` supplies this family's math to the generic battery of
+``opalg``; its extra checks are the closed-form norms and explicit forms.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import pochhammer, rat
 from .opalg import (
-    DegenerateSpectrumError,
     Diff,
     MulPoly,
     OddOverY,
+    OrthogonalFamily,
     Poly,
     Reflect,
     ReflOp,
-    matrix_on_basis,
-    solve_monic_eigenvector,
 )
 
 __all__ = [
     "Jacobi1Params",
-    "MomentFunctional",
-    "FamilyReport",
     "lop",
     "eigenvalue",
-    "construct_oracle",
-    "construct_eigen_raw",
-    "construct_gram",
     "construct_explicit",
-    "inner",
     "norm_sq_closed",
     "norm_sq_from_normalization",
-    "verify_family",
     "FUZZ_PARAMS",
 ]
 
@@ -64,9 +57,11 @@ FUZZ_PARAMS = (
 
 
 @dataclass(frozen=True)
-class Jacobi1Params:
+class Jacobi1Params(OrthogonalFamily):
     alpha: Fraction
     beta: Fraction
+
+    family_name = "little-m1-jacobi"
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", rat(self.alpha))
@@ -74,45 +69,44 @@ class Jacobi1Params:
         if self.alpha <= -1 or self.beta <= -1:
             raise ValueError("little -1 Jacobi parameters require alpha, beta > -1")
 
-    def shifted(self, dbeta: int) -> "Jacobi1Params":
-        return Jacobi1Params(self.alpha, self.beta + dbeta)
+    def operator(self) -> ReflOp:
+        return lop(self)
 
-    def label(self) -> str:
-        return f"alpha={self.alpha}, beta={self.beta}"
+    def eigenvalue(self, n: int) -> Fraction:
+        return eigenvalue(n, self)
 
+    def next_moment(self, lower: list) -> Fraction:
+        """c_{2m} = c_{2m-1} = (a/2+1/2)_m / (a/2+b/2+1)_m."""
+        m = (len(lower) + 1) // 2
+        a, b = self.alpha, self.beta
+        return pochhammer(a/2 + Fraction(1, 2), m) / pochhammer(a/2 + b/2 + 1, m)
 
-class MomentFunctional:
-    """Normalized moments of the orthogonality functional, c_0 = 1."""
-
-    def __init__(self, params: Jacobi1Params):
-        self.params = params
-        self._cache = [Fraction(1)]
-
-    def moment(self, n: int) -> Fraction:
-        while len(self._cache) <= n:
-            k = len(self._cache)
-            m = (k + 1) // 2
-            a, b = self.params.alpha, self.params.beta
-            self._cache.append(
-                pochhammer(a/2 + Fraction(1, 2), m) / pochhammer(a/2 + b/2 + 1, m))
-        return self._cache[n]
-
-    def extend(self, n: int) -> None:
-        """Precompute moments up to index n (for sharing across threads)."""
-        self.moment(n)
-
-
-def inner(p: Poly, q: Poly, m: MomentFunctional) -> Fraction:
-    """Exact bilinear form sum_ij p_i q_j c_{i+j}."""
-    total = Fraction(0)
-    for i, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(q.coeffs):
-            if b == 0:
-                continue
-            total += a*b*m.moment(i + j)
-    return total
+    def family_checks(self, n: int, pn: Poly,
+                      norm_sq: Fraction) -> tuple[dict, bool]:
+        """Closed-form norm (an oracle check), and the printed and corrected
+        explicit assemblies compared to the oracle (findings)."""
+        norm_ok = norm_sq == norm_sq_closed(n, self)
+        explicit_matches = {}
+        discrepancies = []
+        for variant in ("printed", "corrected"):
+            try:
+                ex = construct_explicit(n, self, variant)
+                match = ex == pn
+            except ValueError as exc:
+                ex, match = None, False
+                discrepancies.append(f"explicit[{variant}] not assemblable: {exc}")
+            explicit_matches[variant] = match
+            if ex is not None and not match:
+                discrepancies.append(
+                    f"explicit[{variant}] = {ex.pretty()} differs from oracle "
+                    f"{pn.pretty()}")
+        consistent = norm_sq_from_normalization(n, self) == norm_sq_closed(n, self)
+        if not consistent:
+            discrepancies.append("normalization-constant rearrangement mismatch")
+        fields = {"norm_matches_closed": norm_ok,
+                  "explicit_matches": explicit_matches,
+                  "discrepancies": discrepancies}
+        return fields, norm_ok and consistent
 
 
 def lop(params: Jacobi1Params) -> ReflOp:
@@ -136,69 +130,6 @@ def eigenvalue(n: int, params: Jacobi1Params) -> Fraction:
     if n % 2 == 0:
         return Fraction(-2*n)
     return 2*(n + params.alpha + params.beta + 1)
-
-
-def _lop_raw(alpha: Fraction, beta: Fraction) -> ReflOp:
-    a, b = rat(alpha), rat(beta)
-    s = a + b + 1
-    return ReflOp([
-        (1, (MulPoly(Poly((2, -2))), Diff, Reflect)),
-        (s, ()),
-        (-s, (Reflect,)),
-        (-a, (OddOverY,)),
-    ])
-
-
-def _eigenvalue_raw(n: int, alpha: Fraction, beta: Fraction) -> Fraction:
-    if n % 2 == 0:
-        return Fraction(-2*n)
-    return 2*(n + rat(alpha) + rat(beta) + 1)
-
-
-def construct_eigen_raw(n: int, alpha, beta) -> Poly:
-    """Monic degree-n eigenvector of the defining operator at raw parameters.
-
-    Analytic continuation of the family in (alpha, beta): weight positivity
-    is not required, only a nondegenerate spectrum below degree n. Used for
-    the beta -> beta-2 shifted targets of the lowering/raising maps.
-    """
-    alpha, beta = rat(alpha), rat(beta)
-    lam = _eigenvalue_raw(n, alpha, beta)
-    for m in range(n):
-        if _eigenvalue_raw(m, alpha, beta) == lam:
-            raise DegenerateSpectrumError(
-                f"lambda_{n} = lambda_{m} = {lam} at alpha={alpha}, beta={beta}")
-    mat = matrix_on_basis(_lop_raw(alpha, beta), n)
-    return solve_monic_eigenvector(mat, lam, n)
-
-
-def construct_oracle(n: int, params: Jacobi1Params) -> Poly:
-    """Monic degree-n eigenvector of lop, found by exact linear algebra.
-
-    Refuses degenerate spectra: if lambda_n collides with a lower eigenvalue
-    the family member is not uniquely defined and we report rather than pick.
-    """
-    return construct_eigen_raw(n, params.alpha, params.beta)
-
-
-def construct_gram(n: int, params: Jacobi1Params,
-                   moments: MomentFunctional | None = None) -> Poly:
-    """Monic degree-n polynomial from Gram elimination over the moments.
-
-    Independent of the eigenvalue equation; the two constructions agreeing is
-    itself one of the module's checks.
-    """
-    m = moments if moments is not None else MomentFunctional(params)
-    prev: list[tuple[Poly, Fraction]] = []
-    p = Poly.one()
-    for k in range(n + 1):
-        p = Poly.monomial(k)
-        for q, qq in prev:
-            r = inner(p, q, m) / qq
-            p = p - q.scale(r)
-        if k < n:
-            prev.append((p, inner(p, p, m)))
-    return p
 
 
 def _kappa(n: int, params: Jacobi1Params, variant: str) -> Fraction:
@@ -298,117 +229,3 @@ def norm_sq_from_normalization(n: int, params: Jacobi1Params) -> Fraction:
                * pochhammer(a/2 + Fraction(1, 2), k + 1)
                * pochhammer(b/2 + Fraction(1, 2), k + 1))
     return den / pochhammer(a/2 + b/2 + 1, n)**2
-
-
-@dataclass
-class FamilyRecord:
-    n: int
-    eigenvalue: Fraction
-    eigen_residual_zero: bool
-    gram_matches_eigen: bool
-    orthogonal: bool
-    norm_matches_closed: bool
-    explicit_matches: dict
-    discrepancies: list = field(default_factory=list)
-
-    def as_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "eigenvalue": str(self.eigenvalue),
-            "eigen_residual_zero": self.eigen_residual_zero,
-            "gram_matches_eigen": self.gram_matches_eigen,
-            "orthogonal": self.orthogonal,
-            "norm_matches_closed": self.norm_matches_closed,
-            "explicit_matches": dict(self.explicit_matches),
-            "discrepancies": list(self.discrepancies),
-        }
-
-
-@dataclass
-class FamilyReport:
-    family: str
-    params: dict
-    max_degree: int
-    records: list
-    all_oracle_checks_passed: bool
-    skipped_degenerate: list = field(default_factory=list)
-
-    def as_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "max_degree": self.max_degree,
-            "all_oracle_checks_passed": self.all_oracle_checks_passed,
-            "skipped_degenerate": list(self.skipped_degenerate),
-            "records": [r.as_json_dict() for r in self.records],
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_json_dict(), indent=indent)
-
-    def discrepancy_count(self) -> int:
-        return sum(len(r.discrepancies) for r in self.records)
-
-
-def verify_family(params: Jacobi1Params, max_degree: int) -> FamilyReport:
-    """Run the full exact verification battery up to the given degree.
-
-    Per degree: zero residual in the eigenvalue equation, agreement of the
-    two oracles, orthogonality against all lower members, closed-form norm,
-    and the printed/corrected explicit assemblies compared to the oracle.
-    Closed-form mismatches are recorded as findings, not failures; only
-    internal oracle inconsistencies mark the report failed.
-    """
-    if max_degree < 2:
-        raise ValueError("max_degree must be at least 2")
-    moments = MomentFunctional(params)
-    moments.extend(2*max_degree)
-    operator = lop(params)
-    records: list[FamilyRecord] = []
-    skipped: list[int] = []
-    oracle_ok = True
-    constructed: list[Poly] = []
-    for n in range(max_degree + 1):
-        lam = eigenvalue(n, params)
-        try:
-            pn = construct_oracle(n, params)
-        except DegenerateSpectrumError:
-            skipped.append(n)
-            continue
-        residual = operator.apply(pn) - pn.scale(lam)
-        res_zero = residual == Poly.zero()
-        gram = construct_gram(n, params, moments)
-        gram_ok = gram == pn
-        orth_ok = all(inner(pn, q, moments) == 0 for q in constructed)
-        norm_ok = inner(pn, pn, moments) == norm_sq_closed(n, params)
-        explicit_matches = {}
-        discrepancies = []
-        for variant in ("printed", "corrected"):
-            try:
-                ex = construct_explicit(n, params, variant)
-                match = ex == pn
-            except ValueError as exc:
-                ex, match = None, False
-                discrepancies.append(f"explicit[{variant}] not assemblable: {exc}")
-            explicit_matches[variant] = match
-            if ex is not None and not match:
-                discrepancies.append(
-                    f"explicit[{variant}] = {ex.pretty()} differs from oracle "
-                    f"{pn.pretty()}")
-        if norm_sq_from_normalization(n, params) != norm_sq_closed(n, params):
-            oracle_ok = False
-            discrepancies.append("normalization-constant rearrangement mismatch")
-        rec = FamilyRecord(n, lam, res_zero, gram_ok, orth_ok, norm_ok,
-                           explicit_matches, discrepancies)
-        records.append(rec)
-        if not (res_zero and gram_ok and orth_ok and norm_ok):
-            oracle_ok = False
-        constructed.append(pn)
-    return FamilyReport(
-        family="little-m1-jacobi",
-        params={"alpha": str(params.alpha), "beta": str(params.beta)},
-        max_degree=max_degree,
-        records=records,
-        all_oracle_checks_passed=oracle_ok,
-        skipped_degenerate=skipped,
-    )

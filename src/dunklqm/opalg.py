@@ -13,12 +13,22 @@ OddOverY is the closure trick: the quotient is always polynomial because the
 numerator is odd, so operators like (1/y)(1 - R) never leave the polynomial
 ring. Chains are stored explicitly (not as closures) so operators can be
 composed, printed, and converted to matrices on the monomial basis.
+
+On top of the algebra sits the one verification battery shared by every
+orthogonal family. A family (``OrthogonalFamily``) supplies only its own
+math: validated parameters, its operator and eigenvalue formula, and its
+moment formula. The generic code builds the monic family twice, from the
+eigenvalue equation (``construct_eigen``) and by Gram elimination against
+the moments (``gram_sequence``), and ``verify_family`` checks that the two
+constructions agree.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import rat
@@ -36,6 +46,17 @@ __all__ = [
     "mat_mul",
     "solve_monic_eigenvector",
     "DegenerateSpectrumError",
+    "OrthogonalFamily",
+    "unchecked",
+    "Moments",
+    "inner",
+    "gram_sequence",
+    "construct_gram",
+    "eigenvalue_collision",
+    "construct_eigen",
+    "FamilyRecord",
+    "FamilyReport",
+    "verify_family",
 ]
 
 
@@ -356,3 +377,209 @@ def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
     for row, col in piv_rows:
         coeffs[col] = aug[row][n] / aug[row][col]
     return Poly(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# orthogonal families and their verification battery
+# ---------------------------------------------------------------------------
+
+class OrthogonalFamily:
+    """Validated parameters of a monic orthogonal family P_0, P_1, ...
+
+    Subclasses are frozen dataclasses whose fields are the parameters. They
+    supply the family's own math; everything else here is generic.
+    """
+
+    family_name = ""     # the "family" label of the report
+    symmetric = False    # even weight: P_n has the parity of n
+
+    def operator(self) -> ReflOp:
+        """The degree-preserving operator with L P_n = eigenvalue(n) P_n."""
+        raise NotImplementedError
+
+    def eigenvalue(self, n: int) -> Fraction:
+        raise NotImplementedError
+
+    def next_moment(self, lower: list) -> Fraction:
+        """Moment c_n for n = len(lower), given c_0 = 1, ..., c_{n-1}."""
+        raise NotImplementedError
+
+    def family_checks(self, n: int, pn: Poly,
+                      norm_sq: Fraction) -> tuple[dict, bool]:
+        """Extra report fields for P_n, and whether its extra oracle checks
+        passed. Printed closed forms that disagree are fields, not failures."""
+        return {}, True
+
+    def params_json(self) -> dict:
+        return {f.name: str(getattr(self, f.name))
+                for f in dataclasses.fields(self)}
+
+    def label(self) -> str:
+        return ", ".join(f"{k}={v}" for k, v in self.params_json().items())
+
+
+def unchecked(cls, *values):
+    """``cls(*values)`` with the values made exact, skipping validation.
+
+    For the analytic continuation of a family in its parameters past the
+    domain where its weight is integrable, e.g. the beta - 2 targets of the
+    Scarf raising map.
+    """
+    obj = object.__new__(cls)
+    for f, v in zip(dataclasses.fields(cls), values, strict=True):
+        object.__setattr__(obj, f.name, rat(v))
+    return obj
+
+
+class Moments:
+    """Normalized moments c_0 = 1, c_1, ... of a family's functional, cached."""
+
+    def __init__(self, family: OrthogonalFamily):
+        self.family = family
+        self._cache = [Fraction(1)]
+
+    def moment(self, n: int) -> Fraction:
+        while len(self._cache) <= n:
+            self._cache.append(self.family.next_moment(self._cache))
+        return self._cache[n]
+
+
+def inner(p: Poly, q: Poly, moments: Moments) -> Fraction:
+    """Exact bilinear form sum_ij p_i q_j c_{i+j}."""
+    total = Fraction(0)
+    for i, a in enumerate(p.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(q.coeffs):
+            if b == 0:
+                continue
+            total += a*b*moments.moment(i + j)
+    return total
+
+
+def gram_sequence(moments: Moments, degree: int) -> list:
+    """[(P_k, inner(P_k, P_k)) for k = 0..degree] by Gram elimination.
+
+    Each P_k is y^k minus its projections on P_0..P_{k-1}, built once and
+    incrementally. Independent of the eigenvalue equation; the two
+    constructions agreeing is one of the battery's checks.
+    """
+    seq: list[tuple[Poly, Fraction]] = []
+    for k in range(degree + 1):
+        p = Poly.monomial(k)
+        for q, qq in seq:
+            p = p - q.scale(inner(p, q, moments) / qq)
+        seq.append((p, inner(p, p, moments)))
+    return seq
+
+
+def construct_gram(n: int, moments: Moments) -> Poly:
+    """Monic degree-n polynomial from Gram elimination over the moments."""
+    return gram_sequence(moments, n)[n][0]
+
+
+def eigenvalue_collision(n: int, family: OrthogonalFamily) -> int | None:
+    """Lowest degree m < n with lambda_m = lambda_n, or None."""
+    lam = family.eigenvalue(n)
+    return next((m for m in range(n) if family.eigenvalue(m) == lam), None)
+
+
+def construct_eigen(n: int, family: OrthogonalFamily) -> Poly:
+    """Monic degree-n eigenvector of the family's operator, by exact
+    linear algebra.
+
+    Refuses degenerate spectra: if lambda_n collides with a lower eigenvalue
+    the family member is not uniquely defined and we report rather than pick.
+    """
+    lam = family.eigenvalue(n)
+    m = eigenvalue_collision(n, family)
+    if m is not None:
+        raise DegenerateSpectrumError(
+            f"lambda_{n} = lambda_{m} = {lam} at {family.label()}")
+    mat = matrix_on_basis(family.operator(), n)
+    return solve_monic_eigenvector(mat, lam, n)
+
+
+@dataclass
+class FamilyRecord:
+    """One degree of the battery: P_n from the eigenvalue equation, its
+    squared norm, and the report fields (checks, then findings) in order."""
+
+    n: int
+    eigenvalue: Fraction
+    polynomial: Poly
+    norm_sq: Fraction
+    results: dict
+
+    def as_json_dict(self) -> dict:
+        return {"n": self.n, "eigenvalue": str(self.eigenvalue), **self.results}
+
+
+@dataclass
+class FamilyReport:
+    family: str
+    params: dict
+    max_degree: int
+    records: list
+    all_oracle_checks_passed: bool
+    skipped_degenerate: list = field(default_factory=list)
+
+    def as_json_dict(self) -> dict:
+        return {
+            "family": self.family,
+            "params": self.params,
+            "max_degree": self.max_degree,
+            "all_oracle_checks_passed": self.all_oracle_checks_passed,
+            "skipped_degenerate": list(self.skipped_degenerate),
+            "records": [r.as_json_dict() for r in self.records],
+        }
+
+    def to_json(self, indent: int | None = 2) -> str:
+        return json.dumps(self.as_json_dict(), indent=indent)
+
+    def discrepancy_count(self) -> int:
+        return sum(len(r.results.get("discrepancies", ())) for r in self.records)
+
+
+def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
+    """Run the exact verification battery up to the given degree.
+
+    Per degree: zero residual in the eigenvalue equation, agreement with
+    Gram elimination, parity (symmetric families), orthogonality against
+    all lower members, then the family's own checks. Degrees whose
+    eigenvalue collides with a lower one are skipped and listed. Only
+    internal oracle inconsistencies mark the report failed.
+    """
+    if max_degree < 2:
+        raise ValueError("max_degree must be at least 2")
+    moments = Moments(family)
+    operator = family.operator()
+    gram = gram_sequence(moments, max_degree)
+    records: list[FamilyRecord] = []
+    skipped: list[int] = []
+    oracle_ok = True
+    for n in range(max_degree + 1):
+        lam = family.eigenvalue(n)
+        try:
+            pn = construct_eigen(n, family)
+        except DegenerateSpectrumError:
+            skipped.append(n)
+            continue
+        norm_sq = inner(pn, pn, moments)
+        results = {"eigen_residual_zero": operator.apply(pn) == pn.scale(lam),
+                   "gram_matches_eigen": gram[n][0] == pn}
+        if family.symmetric:
+            results["parity_ok"] = pn.reflect() == pn.scale((-1)**n)
+        results["orthogonal"] = all(inner(pn, r.polynomial, moments) == 0
+                                    for r in records)
+        extra, extra_ok = family.family_checks(n, pn, norm_sq)
+        oracle_ok = oracle_ok and all(results.values()) and extra_ok
+        records.append(FamilyRecord(n, lam, pn, norm_sq, {**results, **extra}))
+    return FamilyReport(
+        family=family.family_name,
+        params=family.params_json(),
+        max_degree=max_degree,
+        records=records,
+        all_oracle_checks_passed=oracle_ok,
+        skipped_degenerate=skipped,
+    )

@@ -41,12 +41,7 @@ from numpy.polynomial import hermite as nph
 from . import grid as gridmod
 from . import refcalc as refc
 from .exact import DomainError, beta_num, pochhammer, rat
-from .jacobi import (
-    Jacobi1Params,
-    construct_eigen_raw,
-    construct_oracle,
-    norm_sq_closed,
-)
+from .jacobi import Jacobi1Params, norm_sq_closed
 from .opalg import (
     DegenerateSpectrumError,
     Diff,
@@ -55,7 +50,9 @@ from .opalg import (
     Poly,
     Reflect,
     ReflOp,
+    construct_eigen,
     dunkl,
+    unchecked,
 )
 
 __all__ = [
@@ -216,7 +213,7 @@ def _norm_ratio(n: int, params: ScarfParams) -> float:
 
 @lru_cache(maxsize=None)
 def _oracle_poly(n: int, alpha: Fraction, beta: Fraction) -> Poly:
-    return construct_eigen_raw(n, alpha, beta)
+    return construct_eigen(n, unchecked(Jacobi1Params, alpha, beta))
 
 
 def ground_state_fn(params: ScarfParams) -> Callable:
@@ -328,15 +325,17 @@ def verify_lowering(params: ScarfParams, max_n: int) -> list:
     Returns per-n booleans; all True for every valid parameter pair.
     """
     a, b = params.alpha, params.beta
+    family = unchecked(Jacobi1Params, a, b)
+    family_b2 = unchecked(Jacobi1Params, a, b + 2)
     t = dunkl(a / 2)
     out = []
     for n in range(max_n + 1):
-        pn = construct_eigen_raw(n, a, b)
+        pn = construct_eigen(n, family)
         img = t.apply(pn)
         if n == 0:
             out.append(img == Poly.zero())
             continue
-        target = construct_eigen_raw(n - 1, a, b + 2).scale(bracket_n(n, a))
+        target = construct_eigen(n - 1, family_b2).scale(bracket_n(n, a))
         out.append(img == target)
     return out
 
@@ -350,13 +349,15 @@ def verify_raising(params: ScarfParams, max_n: int,
     (possible since the map lands at b - 2) are reported as skips (None).
     """
     a, b = params.alpha, params.beta
+    family = unchecked(Jacobi1Params, a, b)
+    family_bm2 = unchecked(Jacobi1Params, a, b - 2)
     y = _gauged_y_corrected(params)
     out = []
     for n in range(max_n + 1):
-        pn = construct_eigen_raw(n, a, b)
+        pn = construct_eigen(n, family)
         img = y.apply(pn)
         try:
-            target = construct_eigen_raw(n + 1, a, b - 2)
+            target = construct_eigen(n + 1, family_bm2)
         except DegenerateSpectrumError:
             out.append(None)
             continue
@@ -438,14 +439,6 @@ def _apply_h(u: np.ndarray, g: gridmod.Grid, params: ScarfParams) -> np.ndarray:
     return gridmod.apply_hamiltonian(u, g, scalar(g.nodes), refl(g.nodes))
 
 
-def _shift(params: ScarfParams, db: int) -> ScarfParams:
-    # relation targets may leave the b > -1 sector; bypass validation there
-    obj = ScarfParams.__new__(ScarfParams)
-    object.__setattr__(obj, "alpha", params.alpha)
-    object.__setattr__(obj, "beta", params.beta + db)
-    return obj
-
-
 def _test_functions(params: ScarfParams, g: gridmod.Grid) -> dict:
     x = g.nodes
     fns = {
@@ -453,7 +446,7 @@ def _test_functions(params: ScarfParams, g: gridmod.Grid) -> dict:
         "trig-mix": np.cos(x) ** 2 * (1.0 + 0.5 * np.sin(3 * x)),
     }
     # an eigenfunction of the system itself (smooth on the open interval)
-    pn = construct_oracle(2, params.jacobi())
+    pn = construct_eigen(2, params.jacobi())
     psi0 = np.array([ground_state(float(t), params) for t in x])
     fns["eigenfunction-2"] = psi0 * np.array([pn(float(math.sin(t))) for t in x])
     return fns
@@ -523,21 +516,23 @@ def verify_operator_relations(params: ScarfParams,
     the printed X at b+1 IS the corrected X at b — an off-by-one in b).
     """
     a = params.alpha
+    # the reflected and shifted parameters may leave the b > -1 sector
+    mirrored = unchecked(ScarfParams, a, -params.beta)
     q_ab = _q_first_order(params)
-    q_mb = _q_first_order(_mk_raw(params.alpha, -params.beta))
+    q_mb = _q_first_order(mirrored)
     h_ab = _h_second_order(params)
-    h_mb = _h_second_order(_mk_raw(params.alpha, -params.beta))
+    h_mb = _h_second_order(mirrored)
 
     def rel_q_squared(f, g):
         return _apply_q(_apply_q(f, g, params), g, params) - _apply_h(f, g, params)
 
     def rel_parity_q(f, g):
         rq = _apply_q(f[::-1], g, params)[::-1]       # R Q R f
-        return rq + _apply_q(f, g, _mk_raw(params.alpha, -params.beta))
+        return rq + _apply_q(f, g, mirrored)
 
     def rel_parity_h(f, g):
         rh = _apply_h(f[::-1], g, params)[::-1]
-        return rh - _apply_h(f, g, _mk_raw(params.alpha, -params.beta))
+        return rh - _apply_h(f, g, mirrored)
 
     results = []
     base = [
@@ -562,11 +557,12 @@ def verify_operator_relations(params: ScarfParams,
     for variant in variants:
         x_op = intertwiner(params, "X", variant)
         y_op = intertwiner(params, "Y", variant)
-        yb2 = intertwiner(_shift(params, +2), "Y", variant)
-        yb1 = intertwiner(_shift(params, +1), "Y", variant)
-        xb1 = intertwiner(_shift(params, +1), "X", variant)
-        pb2 = _shift(params, +2)
-        pm2 = _shift(params, -2)
+        pb1 = unchecked(ScarfParams, a, params.beta + 1)
+        pb2 = unchecked(ScarfParams, a, params.beta + 2)
+        pm2 = unchecked(ScarfParams, a, params.beta - 2)
+        yb2 = intertwiner(pb2, "Y", variant)
+        yb1 = intertwiner(pb1, "Y", variant)
+        xb1 = intertwiner(pb1, "X", variant)
         x1 = _intertwiner_first_order(x_op)
         y1 = _intertwiner_first_order(y_op)
         x1b1 = _intertwiner_first_order(xb1)
@@ -625,13 +621,6 @@ def verify_operator_relations(params: ScarfParams,
                 "verdict": "identity" if resid < 1e-8 else "defect",
             })
     return results
-
-
-def _mk_raw(alpha, beta) -> ScarfParams:
-    obj = ScarfParams.__new__(ScarfParams)
-    object.__setattr__(obj, "alpha", rat(alpha))
-    object.__setattr__(obj, "beta", rat(beta))
-    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,12 @@ from dunklqm.gegenbauer import GegParams
 from dunklqm.jacobi import (
     FUZZ_PARAMS,
     Jacobi1Params,
-    MomentFunctional,
-    construct_oracle,
     eigenvalue,
-    inner,
     lop,
     norm_sq_closed,
     norm_sq_from_normalization,
 )
+from dunklqm.opalg import Moments, construct_eigen, inner
 from dunklqm.spectra import gegenbauer_problem, oscillator_problem, scarf_problem
 from dunklqm.susyqm import (
     FockVector,
@@ -53,7 +51,7 @@ def test_criterion_1_exact_eigen_equation_suite():
         p = Jacobi1Params(a, b)
         op = lop(p)
         for n in range(21):
-            pn = construct_oracle(n, p)
+            pn = construct_eigen(n, p)
             residual = op.apply(pn) - pn.scale(eigenvalue(n, p))
             assert not residual, (a, b, n)
     dt = time.time() - t0
@@ -65,8 +63,8 @@ def test_criterion_2_orthogonality_and_norms():
     worst = True
     for a, b in FUZZ_PARAMS:
         p = Jacobi1Params(a, b)
-        m = MomentFunctional(p)
-        ps = [construct_oracle(n, p) for n in range(21)]
+        m = Moments(p)
+        ps = [construct_eigen(n, p) for n in range(21)]
         for n in range(21):
             if inner(ps[n], ps[n], m) != norm_sq_closed(n, p):
                 worst = False
@@ -85,7 +83,7 @@ def test_criterion_3_supercharge_spectrum():
         p = ScarfParams(a, b)
         q = gauged_supercharge(p)
         for n in range(21):
-            pn = construct_oracle(n, p.jacobi())
+            pn = construct_eigen(n, p.jacobi())
             s = supercharge_eigenvalue_scaled(n, p)
             if q.apply(pn) != pn.scale(s):
                 ok = False

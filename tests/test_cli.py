@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from dunklqm.cli import main
 
 
@@ -29,6 +31,42 @@ def test_family_invalid_params_usage_error(capsys):
     code, _, err = run(["family", "--kind", "jacobi-m1", "--alpha", "-2",
                         "--beta", "0"], capsys)
     assert code == 2
+
+
+def test_family_degenerate_spectrum_usage_error(capsys):
+    # lambda_1 = lambda_2 = -18 at (mu, alpha) = (1, 2)
+    code, out, err = run(["family", "--kind", "gegenbauer", "--mu", "1",
+                          "--alpha", "2", "--degree", "12"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "degrees 1 and 2" in err
+    assert "Traceback" not in err
+
+
+def test_family_degeneracy_above_table_degree_is_reported(capsys):
+    # the table stops below the collision; the report lists it as skipped
+    code, out, _ = run(["family", "--kind", "gegenbauer", "--mu", "1",
+                        "--alpha", "2", "--degree", "1", "--format", "json"],
+                       capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert [row["n"] for row in data["table"]] == [0, 1]
+    assert data["report"]["skipped_degenerate"] == [2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "exact", "--degree", "1"],
+    ["verify", "--suite", "jacobi", "--degree", "-1"],
+    ["verify", "--degree", "two"],
+    ["family", "--kind", "jacobi-m1", "--degree", "-3"],
+    ["family", "--kind", "gegenbauer", "--degree", "1.5"],
+])
+def test_bad_degree_usage_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "--degree" in err
 
 
 def test_family_bad_rational_usage_error(capsys):

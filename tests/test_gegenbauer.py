@@ -8,19 +8,21 @@ import pytest
 from dunklqm.exact import DomainError, beta_num
 from dunklqm.gegenbauer import (
     GEG_FUZZ_PARAMS,
-    GegMoments,
     GegParams,
-    construct_geg,
-    construct_geg_gram,
     csm_two_particle_check,
     eigenvalue_geg,
     geg_potentials,
     ground_factor,
-    inner_geg,
     lop_geg,
-    verify_family_geg,
 )
-from dunklqm.opalg import Poly
+from dunklqm.opalg import (
+    Moments,
+    Poly,
+    construct_eigen,
+    construct_gram,
+    inner,
+    verify_family,
+)
 
 
 def params(mu, al):
@@ -39,7 +41,7 @@ def test_moment_ratio_against_beta_integral():
     # the numeric Beta function (the ratio equals B(mu+n+1/2, alpha+1) /
     # B(mu+n-1/2, alpha+1))
     pr = params("1/2", 1)
-    m = GegMoments(pr)
+    m = Moments(pr)
     mu, al = float(pr.mu), float(pr.alpha)
     for n in range(1, 6):
         num = beta_num(mu + n + 0.5, al + 1)
@@ -69,18 +71,18 @@ def test_eigenvalues():
 
 def test_construct_small():
     pr = params("1/2", 1)
-    assert construct_geg(0, pr) == Poly.one()
-    assert construct_geg(1, pr) == Poly.monomial(1)
-    assert construct_geg(2, pr) == Poly((F(-1, 3), 0, 1))
+    assert construct_eigen(0, pr) == Poly.one()
+    assert construct_eigen(1, pr) == Poly.monomial(1)
+    assert construct_eigen(2, pr) == Poly((F(-1, 3), 0, 1))
 
 
 def test_oracle_agreement_and_parity():
     for mu, al in GEG_FUZZ_PARAMS:
         pr = GegParams(mu, al)
-        m = GegMoments(pr)
+        m = Moments(pr)
         for n in range(13):
-            p = construct_geg(n, pr)
-            assert construct_geg_gram(n, pr, m) == p
+            p = construct_eigen(n, pr)
+            assert construct_gram(n, m) == p
             assert p.reflect() == (p if n % 2 == 0 else p.scale(-1))
 
 
@@ -89,18 +91,18 @@ def test_exact_eigen_residuals_to_24():
         pr = GegParams(mu, al)
         op = lop_geg(pr)
         for n in range(25):
-            p = construct_geg(n, pr)
+            p = construct_eigen(n, pr)
             assert op.apply(p) == p.scale(eigenvalue_geg(n, pr))
 
 
 def test_orthogonality_to_16():
     for mu, al in GEG_FUZZ_PARAMS:
         pr = GegParams(mu, al)
-        m = GegMoments(pr)
-        ps = [construct_geg(n, pr) for n in range(17)]
+        m = Moments(pr)
+        ps = [construct_eigen(n, pr) for n in range(17)]
         for n in range(17):
             for k in range(n):
-                assert inner_geg(ps[k], ps[n], m) == 0
+                assert inner(ps[k], ps[n], m) == 0
 
 
 def test_potentials_mu_zero_poschl_teller():
@@ -164,7 +166,7 @@ def test_csm_check():
 
 
 def test_verify_family_report():
-    rep = verify_family_geg(params("1/2", 1), 10)
+    rep = verify_family(params("1/2", 1), 10)
     assert rep.all_oracle_checks_passed
     assert len(rep.records) == 11
     blob = rep.to_json()

@@ -1,0 +1,44 @@
+"""Byte-for-byte regression of exact CLI outputs against recorded files.
+
+The files under ``tests/golden`` hold the outputs of ``family --format json``
+(two parameter sets per kind, degree 10) and of ``verify --out`` for the
+jacobi and intertwiners suites. Any change to the exact layer must leave
+them identical.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from dunklqm.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "family-jacobi-m1-a1_2-b3_2.json":
+        ["family", "--kind", "jacobi-m1", "--alpha", "1/2", "--beta", "3/2",
+         "--degree", "10", "--format", "json"],
+    "family-jacobi-m1-a2-b1_5.json":
+        ["family", "--kind", "jacobi-m1", "--alpha", "2", "--beta", "1/5",
+         "--degree", "10", "--format", "json"],
+    "family-gegenbauer-mu1_2-a1.json":
+        ["family", "--kind", "gegenbauer", "--mu", "1/2", "--alpha", "1",
+         "--degree", "10", "--format", "json"],
+    "family-gegenbauer-mu3_2-a1_5.json":
+        ["family", "--kind", "gegenbauer", "--mu", "3/2", "--alpha", "1/5",
+         "--degree", "10", "--format", "json"],
+    "verify-jacobi-d10.txt": ["verify", "--suite", "jacobi", "--degree", "10"],
+    "verify-intertwiners.txt": ["verify", "--suite", "intertwiners"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / name
+    assert main(CASES[name] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_every_golden_file_is_checked():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)

@@ -1,5 +1,6 @@
 """Tests for the finite-difference backend."""
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -240,6 +241,27 @@ def test_convergence_study_reports():
         "level,N512,N1024,N2048,extrapolated,target,abs_error,order"
     blob = rep.as_json_dict()
     assert blob["system"] == "oscillator"
+
+
+@pytest.mark.parametrize("ladder, order, converged", [
+    ((1.0, 1.25, 1.3125), 2.0, True),
+    ((1.0, 1.5, 1.515625), 5.0, False),
+    ((1.0, 1.1, 1.05), None, None),     # non-monotone: order unknown
+])
+def test_convergence_flag_true_false_or_unknown(ladder, order, converged):
+    values = dict(zip((8, 16, 32), ladder))
+    prob = gridmod.Problem(name="stub", params={}, halfwidth=1.0,
+                           targets=(ladder[-1],),
+                           compute=lambda n, k: np.array([values[n]]),
+                           tolerance=1e-6)
+    rep = convergence_study(prob, [8, 16, 32], 1)
+    level = rep.levels[0]
+    if order is None:
+        assert math.isnan(level["order"])
+    else:
+        assert level["order"] == pytest.approx(order)
+    assert level["converged"] is converged
+    assert json.loads(rep.to_json())["levels"][0]["converged"] is converged
 
 
 def test_scarf_convergence_smooth_order_window():

@@ -8,19 +8,22 @@ from dunklqm.exact import pochhammer
 from dunklqm.jacobi import (
     FUZZ_PARAMS,
     Jacobi1Params,
-    MomentFunctional,
-    construct_eigen_raw,
     construct_explicit,
-    construct_gram,
-    construct_oracle,
     eigenvalue,
-    inner,
     lop,
     norm_sq_closed,
     norm_sq_from_normalization,
+)
+from dunklqm.opalg import (
+    DegenerateSpectrumError,
+    Moments,
+    Poly,
+    construct_eigen,
+    construct_gram,
+    inner,
+    unchecked,
     verify_family,
 )
-from dunklqm.opalg import DegenerateSpectrumError, Poly
 
 
 def params(a, b):
@@ -35,11 +38,11 @@ def test_params_invariant():
 
 
 def test_moments_parity_and_values():
-    m = MomentFunctional(params(0, 0))
+    m = Moments(params(0, 0))
     assert m.moment(0) == 1
     assert m.moment(1) == m.moment(2) == F(1, 2)
     assert m.moment(3) == m.moment(4) == F(3, 8)
-    m11 = MomentFunctional(params(1, 1))
+    m11 = Moments(params(1, 1))
     for n in range(1, 10):
         assert m11.moment(2*n) == m11.moment(2*n - 1)
 
@@ -65,23 +68,23 @@ def test_eigenvalues():
 
 
 def test_oracle_small_cases():
-    assert construct_oracle(0, params(0, 0)) == Poly.one()
-    assert construct_oracle(1, params(0, 0)) == Poly((F(-1, 2), 1))
-    assert construct_oracle(2, params(0, 0)) == Poly((F(-1, 4), F(-1, 2), 1))
+    assert construct_eigen(0, params(0, 0)) == Poly.one()
+    assert construct_eigen(1, params(0, 0)) == Poly((F(-1, 2), 1))
+    assert construct_eigen(2, params(0, 0)) == Poly((F(-1, 4), F(-1, 2), 1))
 
 
 def test_gram_agrees_with_oracle():
     for a, b in FUZZ_PARAMS:
         pr = Jacobi1Params(a, b)
-        m = MomentFunctional(pr)
+        m = Moments(pr)
         for n in range(9):
-            assert construct_gram(n, pr, m) == construct_oracle(n, pr)
+            assert construct_gram(n, m) == construct_eigen(n, pr)
 
 
 def test_explicit_even_matches():
     pr = params(1, 1)
     assert construct_explicit(2, pr, "printed") == Poly((F(-1, 3), F(-1, 3), 1))
-    assert construct_explicit(2, pr, "printed") == construct_oracle(2, pr)
+    assert construct_explicit(2, pr, "printed") == construct_eigen(2, pr)
     assert construct_explicit(0, pr, "printed") == Poly.one()
 
 
@@ -90,7 +93,7 @@ def test_explicit_odd_printed_discrepancy():
     # monic-normalized printed constant term is -(a+1)/(a+b+1) vs oracle -1/2
     pr = params(0, 0)
     printed = construct_explicit(1, pr, "printed")
-    oracle = construct_oracle(1, pr)
+    oracle = construct_eigen(1, pr)
     assert printed != oracle
     lead = printed.coeffs[-1]
     monicized = printed.scale(1/lead)
@@ -102,16 +105,16 @@ def test_explicit_corrected_matches_oracle():
     for a, b in FUZZ_PARAMS:
         pr = Jacobi1Params(a, b)
         for n in range(11):
-            assert construct_explicit(n, pr, "corrected") == construct_oracle(n, pr)
+            assert construct_explicit(n, pr, "corrected") == construct_eigen(n, pr)
 
 
 def test_inner_examples():
     pr = params(0, 0)
-    m = MomentFunctional(pr)
+    m = Moments(pr)
     assert inner(Poly.one(), Poly.one(), m) == 1
-    p1 = construct_oracle(1, pr)
+    p1 = construct_eigen(1, pr)
     assert inner(p1, Poly.one(), m) == 0
-    p2 = construct_oracle(2, pr)
+    p2 = construct_eigen(2, pr)
     assert inner(p2, p2, m) == F(1, 16)
 
 
@@ -134,15 +137,15 @@ def test_eigen_residual_zero_to_degree_30():
         pr = Jacobi1Params(a, b)
         op = lop(pr)
         for n in range(31):
-            p = construct_oracle(n, pr)
+            p = construct_eigen(n, pr)
             assert op.apply(p) == p.scale(eigenvalue(n, pr))
 
 
 def test_orthogonality_and_norms_to_20():
     for a, b in FUZZ_PARAMS:
         pr = Jacobi1Params(a, b)
-        m = MomentFunctional(pr)
-        ps = [construct_oracle(n, pr) for n in range(21)]
+        m = Moments(pr)
+        ps = [construct_eigen(n, pr) for n in range(21)]
         for n in range(21):
             assert inner(ps[n], ps[n], m) == norm_sq_closed(n, pr)
             for k in range(n):
@@ -155,20 +158,22 @@ def test_degenerate_spectrum_detected():
     # by the beta -> beta-2 raising map can degenerate: at (0, -2) the first
     # odd eigenvalue collides with lambda_0 = 0.
     with pytest.raises(DegenerateSpectrumError):
-        construct_eigen_raw(1, F(0), F(-2))
+        construct_eigen(1, unchecked(Jacobi1Params, 0, -2))
     # nearby nondegenerate continuation still constructs fine
-    p = construct_eigen_raw(1, F(0), F(-1, 2))
+    p = construct_eigen(1, unchecked(Jacobi1Params, 0, F(-1, 2)))
     assert p.degree == 1
 
 
 def test_verify_family_reports():
     rep = verify_family(params("1/2", "3/2"), 10)
     assert rep.all_oracle_checks_passed
-    assert all(r.eigen_residual_zero for r in rep.records)
-    assert all(r.explicit_matches["corrected"] for r in rep.records)
-    odd_printed = [r.explicit_matches["printed"] for r in rep.records if r.n % 2]
+    assert all(r.results["eigen_residual_zero"] for r in rep.records)
+    assert all(r.results["explicit_matches"]["corrected"] for r in rep.records)
+    odd_printed = [r.results["explicit_matches"]["printed"]
+                   for r in rep.records if r.n % 2]
     assert not any(odd_printed)
-    even_printed = [r.explicit_matches["printed"] for r in rep.records if not r.n % 2]
+    even_printed = [r.results["explicit_matches"]["printed"]
+                    for r in rep.records if not r.n % 2]
     assert all(even_printed)
     assert rep.discrepancy_count() > 0
 

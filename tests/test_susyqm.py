@@ -11,10 +11,9 @@ from dunklqm import grid as gridmod
 from dunklqm.exact import DomainError
 from dunklqm.jacobi import (
     FUZZ_PARAMS,
-    construct_oracle,
     eigenvalue,
 )
-from dunklqm.opalg import Poly, matrix_on_basis
+from dunklqm.opalg import Poly, construct_eigen, matrix_on_basis
 from dunklqm.susyqm import (
     FockVector,
     ScarfParams,
@@ -95,7 +94,7 @@ def test_gauged_supercharge_spectrum_exact():
         p = ScarfParams(a, b)
         q = gauged_supercharge(p)
         for n in range(21):
-            pn = construct_oracle(n, p.jacobi())
+            pn = construct_eigen(n, p.jacobi())
             s = supercharge_eigenvalue_scaled(n, p)
             assert q.apply(pn) == pn.scale(s)
             assert s * s / 8 == scarf_energy(n, p)
