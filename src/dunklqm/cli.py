@@ -35,12 +35,15 @@ def _grid_list(text: str) -> list:
         out = [int(t) for t in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid list: {text!r}")
-    if len(out) < 3 or sorted(out) != out:
-        raise argparse.ArgumentTypeError("need >= 3 ascending grid sizes")
+    if len(out) < 3 or any(b <= a for a, b in zip(out, out[1:])):
+        raise argparse.ArgumentTypeError(
+            "need >= 3 strictly ascending grid sizes")
+    if any(n <= 0 or n % 2 for n in out):
+        raise argparse.ArgumentTypeError("grid sizes must be even and positive")
     return out
 
 
-def _degree_at_least(low: int):
+def _int_at_least(low: int):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -323,7 +326,11 @@ def cmd_spectrum(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    rep = gridmod.convergence_study(prob, args.grids, args.levels)
+    try:
+        rep = gridmod.convergence_study(prob, args.grids, args.levels)
+    except gridmod.MethodLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     tol = args.tol if args.tol is not None else SYSTEM_TOLERANCES[args.system]
     for lv in rep.levels:
         print(f"level {lv['level']}: extrapolated {lv['extrapolated']:.12g} "
@@ -364,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--alpha", type=_rat, default=Fraction(0))
     fam.add_argument("--beta", type=_rat, default=Fraction(0))
     fam.add_argument("--mu", type=_rat, default=Fraction(1, 2))
-    fam.add_argument("--degree", type=_degree_at_least(0), default=6)
+    fam.add_argument("--degree", type=_int_at_least(0), default=6)
     fam.add_argument("--format", choices=["text", "json", "csv"],
                      default="text")
     fam.add_argument("--out")
@@ -376,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "oscillator", "intertwiners", "relations"])
     ver.add_argument("--variant", default="both",
                      choices=["printed", "corrected", "both"])
-    ver.add_argument("--degree", type=_degree_at_least(2), default=12)
+    ver.add_argument("--degree", type=_int_at_least(2), default=12)
     ver.add_argument("--out")
     ver.set_defaults(fn=cmd_verify)
 
@@ -386,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--alpha", type=_rat, default=Fraction(0))
     spec.add_argument("--beta", type=_rat, default=Fraction(2))
     spec.add_argument("--mu", type=_rat, default=Fraction(1, 2))
-    spec.add_argument("--levels", type=int, default=3)
+    spec.add_argument("--levels", type=_int_at_least(1), default=3)
     spec.add_argument("--grids", type=_grid_list, default=[1024, 2048, 4096])
     spec.add_argument("--tol", type=float, default=None)
     spec.add_argument("--format", choices=["json", "csv"], default="json")

@@ -5,7 +5,10 @@ convergence studies.
 Grids are uniform with a half-cell offset so that no node falls on x = 0 or
 on the endpoints; reflection is then the exact index reversal i -> N-1-i.
 Dirichlet walls are imposed through ghost values u(ghost) = -u(edge), which
-places the hard wall exactly at the domain boundary.
+places the hard wall exactly at the domain boundary. In the mirror-pair
+ordering 0, N-1, 1, N-2, ... the reflection couples adjacent unknowns, so
+every grid operator is held once, in O(N) memory, as LAPACK banded storage in
+that ordering; a dense view is built only on request.
 
 Operators whose scalar potential carries an attractive ~ -c/x^2 core (the
 reflection families at alpha > 0) cannot be diagonalized from the directly
@@ -26,16 +29,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh, eigh_tridiagonal
+from scipy.linalg import eig_banded, eigh, eigh_tridiagonal, solve_banded
 
 __all__ = [
     "Grid",
     "GridOperator",
     "SingularPotentialError",
     "ConvergenceFailureError",
+    "MethodLimitError",
     "assemble",
     "reflection_matrix",
-    "first_derivative_matrix",
     "supercharge_matrix",
     "parity_blocks",
     "eigen_lowest",
@@ -61,6 +64,10 @@ class ConvergenceFailureError(RuntimeError):
     """The underlying eigensolver reported non-convergence."""
 
 
+class MethodLimitError(ValueError):
+    """The grid method cannot deliver the requested levels at this size."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """Symmetric midpoint grid: x_i = -b + (i + 1/2) h, h = 2b/N."""
@@ -81,19 +88,74 @@ class Grid:
         return -self.halfwidth + (np.arange(self.n) + 0.5) * self.h
 
 
+def _pair_permutation(n: int) -> np.ndarray:
+    """Ordering 0, N-1, 1, N-2, ...: mirror pairs become adjacent."""
+    i = np.arange(n)
+    p = np.minimum(i, n - 1 - i)
+    pos = 2 * p + (i >= n // 2)
+    perm = np.empty(n, dtype=int)
+    perm[pos] = i
+    return perm
+
+
+def _pair_band(entry: Callable, n: int, bandwidth: int) -> np.ndarray:
+    """Upper-banded storage, in pair ordering, of the matrix whose element at
+    nodes (i, j) is ``entry(i, j)`` (index arrays in, values out).
+
+    Every element outside pair bandwidth ``bandwidth`` must be zero. Leading
+    superdiagonals that are entirely zero are dropped, so the storage has the
+    operator's true bandwidth.
+    """
+    perm = _pair_permutation(n)
+    bw = min(bandwidth, n - 1)
+    band = np.zeros((bw + 1, n))
+    for d in range(bw + 1):
+        band[bw - d, d:] = entry(perm[:n - d], perm[d:])
+    top = 0
+    while top < bw and not band[top].any():
+        top += 1
+    return band[top:]
+
+
 @dataclass(frozen=True)
 class GridOperator:
-    """Dense real symmetric matrix tied to its grid."""
+    """Real symmetric grid operator, held once as LAPACK upper-banded storage
+    in the mirror-pair ordering 0, N-1, 1, N-2, ...
 
-    matrix: np.ndarray
+    With reflection as index reversal, a mirror pair is two adjacent
+    unknowns, so stencil operators with reflection terms are narrow-banded:
+    ``band[bw - d, j]`` is the (j - d, j) element in pair ordering.
+    """
+
+    band: np.ndarray
     grid: Grid
+
+    @classmethod
+    def from_dense(cls, m: np.ndarray, grid: Grid, bandwidth: int) -> "GridOperator":
+        """Symmetric part (M + M^T)/2 of a dense node-ordered matrix whose
+        pair-ordered bandwidth is at most ``bandwidth``."""
+        return cls(_pair_band(lambda i, j: 0.5 * (m[i, j] + m[j, i]),
+                              grid.n, bandwidth), grid)
 
     @property
     def n(self) -> int:
         return self.grid.n
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense N x N view in node ordering, built on each access."""
+        n, bw = self.n, self.band.shape[0] - 1
+        perm = _pair_permutation(n)
+        m = np.zeros((n, n))
+        for d in range(bw + 1):
+            rows, cols = perm[:n - d], perm[d:]
+            m[rows, cols] = self.band[bw - d, d:]
+            m[cols, rows] = self.band[bw - d, d:]
+        return m
+
     def symmetry_defect(self) -> float:
-        return float(np.abs(self.matrix - self.matrix.T).max())
+        m = self.matrix
+        return float(np.abs(m - m.T).max())
 
 
 def _checked(values: np.ndarray, what: str) -> np.ndarray:
@@ -108,113 +170,101 @@ def assemble(scalar: Callable, refl_coeff: Callable, grid: Grid) -> GridOperator
     s = _checked(np.asarray(scalar(x), dtype=float) + np.zeros(n), "scalar potential")
     r = _checked(np.asarray(refl_coeff(x), dtype=float) + np.zeros(n),
                  "reflection coefficient")
-    m = np.zeros((n, n))
+    diag = 1.0 / h**2 + s
+    diag[0] += 0.5 / h**2
+    diag[-1] += 0.5 / h**2
+
+    def entry(i, j):
+        stencil = np.where(i == j, diag[i], np.where(np.abs(i - j) == 1,
+                                                     -0.5 / h**2, 0.0))
+        return np.where(i + j == n - 1, stencil + r[i], stencil)
+
+    band = _pair_band(entry, n, 2)
+    # only the antidiagonal R term can break symmetry
     idx = np.arange(n)
-    m[idx, idx] = 1.0 / h**2 + s
-    m[0, 0] += 0.5 / h**2
-    m[-1, -1] += 0.5 / h**2
-    m[idx[:-1], idx[:-1] + 1] = -0.5 / h**2
-    m[idx[:-1] + 1, idx[:-1]] = -0.5 / h**2
-    m[idx, n - 1 - idx] += r
-    op = GridOperator(m, grid)
-    if op.symmetry_defect() > 1e-12 * max(1.0, np.abs(m).max()):
+    anti = entry(idx, idx[::-1])
+    scale = max(1.0, float(np.abs(band).max()), float(np.abs(anti).max()))
+    if np.abs(anti - anti[::-1]).max() > 1e-12 * scale:
         raise ValueError("assembled operator is not symmetric; "
                          "reflection coefficient must be even")
-    return op
+    return GridOperator(band, grid)
 
 
 def reflection_matrix(n: int) -> np.ndarray:
     return np.eye(n)[::-1].copy()
 
 
-def first_derivative_matrix(grid: Grid) -> np.ndarray:
-    """Central first derivative with Dirichlet ghost cells at the walls."""
-    n, h = grid.n, grid.h
-    d = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    d[idx, idx + 1] = 1.0 / (2*h)
-    d[idx + 1, idx] = -1.0 / (2*h)
-    d[0, 0] += 1.0 / (2*h)      # ghost u_{-1} = -u_0
-    d[-1, -1] -= 1.0 / (2*h)    # ghost u_N = -u_{N-1}
-    return d
-
-
 def supercharge_matrix(u_fn: Callable, v_fn: Callable, grid: Grid) -> GridOperator:
     """Symmetric discretization of Q = [(d/dx + U) R + V] / sqrt(2).
 
-    The raw corner entries from the ghost cells break symmetry at the walls
-    by O(1/h) on two matrix elements; the operator is symmetrized, which
-    perturbs only the wall cells where bound states vanish.
+    The derivative is central, with Dirichlet ghost cells u(ghost) = -u(edge)
+    at the walls. The raw corner entries from the ghost cells break symmetry
+    at the walls by O(1/h) on two matrix elements; the operator is
+    symmetrized, which perturbs only the wall cells where bound states
+    vanish. Each element is computed with the floating-point operations of
+    the dense product ((D + diag U) R + diag V) / sqrt(2), symmetrized.
     """
     x, n = grid.nodes, grid.n
     u = _checked(np.asarray(u_fn(x), dtype=float) + np.zeros(n), "U")
     v = _checked(np.asarray(v_fn(x), dtype=float) + np.zeros(n), "V")
-    d = first_derivative_matrix(grid)
-    r = reflection_matrix(n)
-    q = ((d + np.diag(u)) @ r + np.diag(v)) / math.sqrt(2.0)
-    q = 0.5 * (q + q.T)
-    return GridOperator(q, grid)
+    c = 1.0 / (2 * grid.h)
+
+    def d_plus_u(i, k):
+        d = np.where(k == i + 1, c, np.where(k == i - 1, -c, 0.0))
+        d = np.where((i == k) & (i == 0), c,
+                     np.where((i == k) & (i == n - 1), -c, d))
+        return d + np.where(i == k, u[i], 0.0)
+
+    def raw(i, j):
+        return ((d_plus_u(i, n - 1 - j) + np.where(i == j, v[i], 0.0))
+                / math.sqrt(2.0))
+
+    return GridOperator(_pair_band(lambda i, j: 0.5 * (raw(i, j) + raw(j, i)),
+                                   n, 3), grid)
 
 
 # ---------------------------------------------------------------------------
-# eigen solvers (pair-reordered banded fast path)
+# eigen solvers (pair-ordered banded storage)
 # ---------------------------------------------------------------------------
 
-def _pair_permutation(n: int) -> np.ndarray:
-    """Ordering 0, N-1, 1, N-2, ...: mirror pairs become adjacent."""
-    i = np.arange(n)
-    p = np.minimum(i, n - 1 - i)
-    pos = 2 * p + (i >= n // 2)
-    perm = np.empty(n, dtype=int)
-    perm[pos] = i
-    return perm
-
-
-def _to_banded(m: np.ndarray, max_bw: int = 8):
-    """Upper-banded storage if the bandwidth is small, else None."""
-    n = m.shape[0]
-    nz = np.nonzero(m)
-    if len(nz[0]) == 0:
-        return np.zeros((1, n)), 0
-    bw = int(np.abs(nz[0] - nz[1]).max())
-    if bw > max_bw:
-        return None
-    a = np.zeros((bw + 1, n))
-    for d in range(bw + 1):
-        a[bw - d, d:] = np.diagonal(m, offset=d)
-    return a, bw
-
-
-def _reorder(m: np.ndarray) -> np.ndarray:
-    perm = _pair_permutation(m.shape[0])
-    return m[np.ix_(perm, perm)]
+def _node_tridiagonal(op: GridOperator):
+    """(diagonal, superdiagonal) in node ordering if the operator is
+    tridiagonal there (no reflection term off the center pair), else None."""
+    n, bw = op.n, op.band.shape[0] - 1
+    perm = _pair_permutation(n)
+    diag = np.empty(n)
+    diag[perm] = op.band[bw]
+    sup = np.zeros(n - 1)
+    for d in range(1, bw + 1):
+        i, j, vals = perm[:n - d], perm[d:], op.band[bw - d, d:]
+        gap = np.abs(i - j)
+        if np.any(vals[gap > 1]):
+            return None
+        sup[np.minimum(i, j)[gap == 1]] = vals[gap == 1]
+    return diag, sup
 
 
 def eigen_lowest(op: GridOperator | np.ndarray, k: int) -> np.ndarray:
     """k smallest eigenvalues of a symmetric operator, deterministic.
 
-    Uses tridiagonal or banded LAPACK paths when the (possibly pair-reordered)
-    matrix is narrow-banded, otherwise a dense solve.
+    A grid operator that is tridiagonal in node ordering takes the
+    tridiagonal LAPACK path, any other the banded one on its pair-ordered
+    storage. A plain array is solved dense.
     """
-    m = op.matrix if isinstance(op, GridOperator) else np.asarray(op, dtype=float)
-    n = m.shape[0]
+    n = op.n if isinstance(op, GridOperator) else len(op)
     if k > n:
-        raise ValueError("k exceeds matrix dimension")
+        raise MethodLimitError(f"method limit: {k} levels requested from an "
+                               f"operator of dimension {n}")
     try:
-        banded = _to_banded(m)
-        if banded is not None and banded[1] <= 1:
-            if banded[1] == 0:
-                return np.sort(np.diagonal(m))[:k]
-            return eigh_tridiagonal(np.diagonal(m).copy(),
-                                    np.diagonal(m, offset=1).copy(),
-                                    select="i", select_range=(0, k - 1),
-                                    eigvals_only=True)
-        m2 = _reorder(m)
-        banded = _to_banded(m2)
-        if banded is not None:
-            return eig_banded(banded[0], lower=False, eigvals_only=True,
+        if not isinstance(op, GridOperator):
+            return eigh(np.asarray(op, dtype=float), eigvals_only=True,
+                        subset_by_index=(0, k - 1))
+        tri = _node_tridiagonal(op)
+        if tri is None:
+            return eig_banded(op.band, lower=False, eigvals_only=True,
                               select="i", select_range=(0, k - 1))
-        return eigh(m, eigvals_only=True, subset_by_index=(0, k - 1))
+        return eigh_tridiagonal(*tri, select="i",
+                                select_range=(0, k - 1), eigvals_only=True)
     except Exception as exc:
         if "converge" in str(exc).lower() or isinstance(exc, np.linalg.LinAlgError):
             raise ConvergenceFailureError(
@@ -222,13 +272,9 @@ def eigen_lowest(op: GridOperator | np.ndarray, k: int) -> np.ndarray:
         raise
 
 
-def eigvals_all(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, using the banded path if possible."""
-    m2 = _reorder(np.asarray(m, dtype=float))
-    banded = _to_banded(m2)
-    if banded is not None:
-        return eig_banded(banded[0], lower=False, eigvals_only=True)
-    return np.linalg.eigvalsh(m)
+def eigvals_all(op: GridOperator) -> np.ndarray:
+    """All eigenvalues of a grid operator, from its banded storage."""
+    return eig_banded(op.band, lower=False, eigvals_only=True)
 
 
 def parity_blocks(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -254,10 +300,15 @@ def susy_squared_spectrum(u_fn: Callable, v_fn: Callable, grid: Grid,
     """Lowest k energies of H = Q^2 via the discrete supercharge.
 
     The symmetric centered Q anticommutes exactly with R (-1)^i, so its
-    spectrum comes in exact +-q pairs; squares are deduplicated pairwise.
+    spectrum comes in exact +-q pairs; squares are deduplicated pairwise,
+    which leaves N/2 levels.
     """
+    if 2 * k > grid.n:
+        raise MethodLimitError(
+            f"method limit: the squared supercharge on N={grid.n} points "
+            f"has {grid.n // 2} distinct levels, {k} requested")
     q = supercharge_matrix(u_fn, v_fn, grid)
-    w = eigvals_all(q.matrix)
+    w = eigvals_all(q)
     e = np.sort(w * w)
     return e[0:2*k:2]
 
@@ -274,28 +325,65 @@ def checkerboard_fraction(v: np.ndarray) -> float:
     return float(np.linalg.norm(v - av) / (2.0 * np.linalg.norm(v)))
 
 
-def composite_spectrum(matrix: np.ndarray, k: int, n_scan: int = 0) -> np.ndarray:
+def _inverse_iteration(band: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Eigenvectors (columns, pair ordering) of an upper-banded symmetric
+    matrix for its ascending eigenvalues ``w``, accurate as LAPACK returns
+    them.
+
+    Each vector takes three banded solves with (A - w_j I) from one fixed
+    start vector. As in LAPACK's dstein, eigenvalues closer than
+    1e-3 ||A||_1 form a cluster, and every iterate is orthogonalized against
+    the cluster's earlier vectors, so (near-)degenerate levels get
+    independent vectors.
+    """
+    bw, n = band.shape[0] - 1, band.shape[1]
+    full = np.zeros((2 * bw + 1, n))
+    full[:bw + 1] = band
+    for d in range(1, bw + 1):
+        full[bw + d, :n - d] = band[bw - d, d:]
+    ortol = 1e-3 * np.abs(full).sum(axis=0).max()
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    vecs = np.empty((n, len(w)))
+    first = 0
+    for j, lam in enumerate(w):
+        if j and w[j] - w[j - 1] > ortol:
+            first = j
+        shifted = full.copy()
+        shifted[bw] -= lam
+        x = start
+        for _ in range(3):
+            x = solve_banded((bw, bw), shifted, x)
+            cluster = vecs[:, first:j]
+            x -= cluster @ (cluster.T @ x)
+            x /= np.linalg.norm(x)
+        vecs[:, j] = x
+    return vecs
+
+
+def composite_spectrum(op: GridOperator, k: int, n_scan: int = 0) -> np.ndarray:
     """Lowest k smooth eigenvalues, discarding checkerboard artifacts.
 
-    Scans the lowest ``n_scan`` (default 4k+8) eigenpairs and keeps those
-    whose eigenvectors are grid-smooth.
+    Scans the lowest ``n_scan`` (default 4k+8) eigenvalues and keeps those
+    whose eigenvectors are grid-smooth. LAPACK computes eigenvalues only;
+    the vectors come from banded inverse iteration, since LAPACK's banded
+    eigenvector path forms a dense N x N transformation at O(N^3) cost.
     """
     n_scan = n_scan or (4 * k + 8)
-    n = matrix.shape[0]
+    n = op.n
+    w = eig_banded(op.band, lower=False, eigvals_only=True,
+                   select="i", select_range=(0, min(n_scan, n) - 1))
     perm = _pair_permutation(n)
-    m2 = matrix[np.ix_(perm, perm)]
-    banded = _to_banded(m2)
-    if banded is not None:
-        w, vecs_p = eig_banded(banded[0], lower=False,
-                               select="i", select_range=(0, min(n_scan, n) - 1))
-        vecs = np.empty_like(vecs_p)
-        vecs[perm, :] = vecs_p  # back to spatial node ordering
-    else:
-        w, vecs = eigh(matrix, subset_by_index=(0, min(n_scan, n) - 1))
-    out = [float(w[j]) for j in range(len(w))
-           if checkerboard_fraction(np.ascontiguousarray(vecs[:, j])) < 0.5]
+    vec = np.empty(n)
+    out = []
+    for lam, vec_p in zip(w, _inverse_iteration(op.band, w).T):
+        vec[perm] = vec_p  # back to node ordering
+        if checkerboard_fraction(vec) < 0.5:
+            out.append(float(lam))
     if len(out) < k:
-        raise RuntimeError("not enough smooth eigenvalues found; raise n_scan")
+        raise MethodLimitError(
+            f"method limit: only {len(out)} of the lowest {len(w)} "
+            f"eigenvalues on N={n} have grid-smooth eigenvectors, "
+            f"{k} requested")
     return np.asarray(out[:k])
 
 

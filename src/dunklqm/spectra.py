@@ -100,15 +100,17 @@ def gegenbauer_problem(params: GegParams, k: int = 3) -> gridmod.Problem:
 
     def compute(n, kk):
         g = gridmod.Grid(n, math.pi / 2)
-        q = gridmod.supercharge_matrix(pot.u, pot.v, g)
-        h = 2.0 * (q.matrix @ q.matrix)
-        x = g.nodes
-        h += np.diag((al**2 - 0.25) / np.cos(x) ** 2
-                     - (mu + al + 0.5) ** 2 + (2 * al + 1) * mu)
-        coeff = -mu * (1.0 / (1.0 + np.cos(x)) + (2 * al + 1))
-        h += coeff[:, None] * gridmod.reflection_matrix(g.n)
-        h = 0.5 * (h + h.T)
-        return gridmod.composite_spectrum(h, kk)
+        q = gridmod.supercharge_matrix(pot.u, pot.v, g).matrix
+        # one dense BLAS product: a banded Q^2 rounds differently and
+        # moves the levels by ~1e-10
+        h = 2.0 * (q @ q)
+        x, i = g.nodes, np.arange(n)
+        h[i, i] += ((al**2 - 0.25) / np.cos(x) ** 2
+                    - (mu + al + 0.5) ** 2 + (2 * al + 1) * mu)
+        h[i, i[::-1]] += -mu * (1.0 / (1.0 + np.cos(x)) + (2 * al + 1))
+        # Q has pair bandwidth 3 and Q^2 bandwidth 4
+        return gridmod.composite_spectrum(
+            gridmod.GridOperator.from_dense(h, g, 4), kk)
 
     return gridmod.Problem(
         name="gegenbauer",

@@ -142,6 +142,37 @@ def test_spectrum_usage_error_on_bad_grids(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--levels", "0"], "--levels"),
+    (["--levels", "-1"], "--levels"),
+    (["--grids", "63,128,256"], "even"),
+    (["--grids", "0,64,128"], "positive"),
+    (["--grids=-64,64,128"], "positive"),
+    (["--grids", "64,64,128"], "strictly ascending"),
+])
+def test_spectrum_bad_levels_or_grids_usage_error(flags, named, capsys):
+    code, out, err = run(["spectrum", "--system", "oscillator",
+                          "--grids", "64,128,256", *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and named in err
+
+
+@pytest.mark.parametrize("argv", [
+    # the pairwise-deduplicated Q spectrum has N/2 levels
+    ["--system", "scarf", "--alpha", "1", "--beta", "3", "--levels", "200"],
+    # fewer grid-smooth eigenvectors than requested levels
+    ["--system", "gegenbauer", "--mu", "1/2", "--alpha", "1",
+     "--levels", "40"],
+    ["--system", "oscillator", "--levels", "100"],
+])
+def test_spectrum_method_limit_usage_error(argv, capsys):
+    code, out, err = run(["spectrum", *argv, "--grids", "64,128,256"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: method limit" in err
+
+
 def test_spectrum_scarf_negative_alpha_rejected(capsys):
     code, _, _ = run(["spectrum", "--system", "scarf", "--alpha", "-1/2",
                       "--beta", "2"], capsys)

@@ -1,9 +1,11 @@
 """Byte-for-byte regression of exact CLI outputs against recorded files.
 
 The files under ``tests/golden`` hold the outputs of ``family --format json``
-(two parameter sets per kind, degree 10) and of ``verify --out`` for the
-jacobi and intertwiners suites. Any change to the exact layer must leave
-them identical.
+(two parameter sets per kind, degree 10), of ``verify --out`` for the
+jacobi and intertwiners suites, and of ``spectrum`` for five grid systems on
+the 256,512,1024 ladder. Any change to the exact layer must leave them
+identical. Spectrum files print each level's order estimate at full
+precision, so they also pin the grid layer's eigenvalues to the last bit.
 """
 
 from pathlib import Path
@@ -31,6 +33,23 @@ CASES = {
     "verify-intertwiners.txt": ["verify", "--suite", "intertwiners"],
 }
 
+LADDER = ["--grids", "256,512,1024"]
+SPECTRUM_CASES = {
+    "spectrum-scarf-a0-b2.json":
+        (["--system", "scarf", "--alpha", "0", "--beta", "2"], 0),
+    "spectrum-scarf-a1-b3.json":
+        (["--system", "scarf", "--alpha", "1", "--beta", "3"], 0),
+    # error ~ h^(2 alpha) = h: this ladder misses 1e-6, a method limit
+    "spectrum-scarf-a1_2-b3_2.json":
+        (["--system", "scarf", "--alpha", "1/2", "--beta", "3/2"], 1),
+    "spectrum-oscillator.json": (["--system", "oscillator"], 0),
+    "spectrum-gegenbauer-mu1_2-a1.json":
+        (["--system", "gegenbauer", "--mu", "1/2", "--alpha", "1"], 0),
+    "spectrum-scarf-a1-b3.csv":
+        (["--system", "scarf", "--alpha", "1", "--beta", "3",
+          "--format", "csv"], 0),
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path, capsys):
@@ -40,5 +59,15 @@ def test_output_matches_golden(name, tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(SPECTRUM_CASES))
+def test_spectrum_matches_golden(name, tmp_path, capsys):
+    argv, code = SPECTRUM_CASES[name]
+    out = tmp_path / name
+    assert main(["spectrum"] + argv + LADDER + ["--out", str(out)]) == code
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_every_golden_file_is_checked():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+    assert (sorted(p.name for p in GOLDEN.iterdir())
+            == sorted([*CASES, *SPECTRUM_CASES]))

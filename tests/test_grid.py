@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.linalg import eig_banded
 
 from dunklqm import grid as gridmod
 from dunklqm.grid import (
@@ -107,7 +109,7 @@ def test_parity_blocks_requires_commuting_operator():
     pars0 = ScarfParams(F(1), F(0))
     pot0 = scarf_potential(pars0)
     op0 = gridmod.supercharge_matrix(pot0.u, pot0.v, g)
-    h0 = gridmod.GridOperator(op0.matrix @ op0.matrix, g)
+    h0 = gridmod.GridOperator.from_dense(op0.matrix @ op0.matrix, g, 4)
     even, odd = parity_blocks(h0)
     merged = np.sort(np.concatenate([np.linalg.eigvalsh(even),
                                      np.linalg.eigvalsh(odd)]))
@@ -159,7 +161,7 @@ def test_eigen_lowest_banded_matches_dense():
     g = Grid(128, math.pi / 2)
     q = supercharge_matrix(pot.u, pot.v, g)
     dense = np.sort(np.linalg.eigvalsh(q.matrix))
-    banded = np.sort(eigvals_all(q.matrix))
+    banded = np.sort(eigvals_all(q))
     assert np.abs(dense - banded).max() < 1e-9 * max(1, np.abs(dense).max())
     low = eigen_lowest(q, 4)
     assert np.abs(low - dense[:4]).max() < 1e-9 * max(1, np.abs(dense).max())
@@ -191,7 +193,7 @@ def test_supercharge_spectrum_exact_pairing():
     pot = scarf_potential(pars)
     g = Grid(256, math.pi / 2)
     q = supercharge_matrix(pot.u, pot.v, g)
-    w = np.sort(eigvals_all(q.matrix))
+    w = np.sort(eigvals_all(q))
     scale = np.abs(w).max()
     assert np.abs(np.sort(w) + np.sort(-w)[::-1]).max() < 1e-11 * scale
     e = np.sort(w * w)
@@ -279,3 +281,159 @@ def test_gegenbauer_composite_checkerboard_filtered():
     targets = sorted(-float(v) for v in
                      [0, -8, -12, -24, -32, -48])[:6]
     assert np.abs(np.asarray(vals) - np.asarray(sorted(targets))).max() < 0.1
+
+
+# ---------------------------------------------------------------------------
+# banded storage against the dense constructions it replaces
+# ---------------------------------------------------------------------------
+
+def _dense_assemble(scalar, refl, g):
+    """The three-point stencil with ghost walls, plus refl(x) on the
+    antidiagonal, built as a dense matrix."""
+    x, h, n = g.nodes, g.h, g.n
+    m = np.zeros((n, n))
+    idx = np.arange(n)
+    m[idx, idx] = 1.0 / h**2 + (np.asarray(scalar(x), dtype=float) + np.zeros(n))
+    m[0, 0] += 0.5 / h**2
+    m[-1, -1] += 0.5 / h**2
+    m[idx[:-1], idx[:-1] + 1] = -0.5 / h**2
+    m[idx[:-1] + 1, idx[:-1]] = -0.5 / h**2
+    m[idx, n - 1 - idx] += np.asarray(refl(x), dtype=float) + np.zeros(n)
+    return m
+
+
+def _dense_supercharge(pot, g):
+    """((D + diag U) R + diag V) / sqrt(2), symmetrized, built densely."""
+    x, h, n = g.nodes, g.h, g.n
+    d = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    d[idx, idx + 1] = 1.0 / (2*h)
+    d[idx + 1, idx] = -1.0 / (2*h)
+    d[0, 0] += 1.0 / (2*h)
+    d[-1, -1] -= 1.0 / (2*h)
+    r = np.eye(n)[::-1].copy()
+    q = ((d + np.diag(pot.u(x) + np.zeros(n))) @ r
+         + np.diag(pot.v(x) + np.zeros(n))) / math.sqrt(2.0)
+    return 0.5 * (q + q.T)
+
+
+def _dense_band(m):
+    """Upper-banded storage of m in the ordering 0, N-1, 1, N-2, ..., at the
+    bandwidth of its nonzero elements."""
+    n = len(m)
+    order = [i for p in range(n // 2) for i in (p, n - 1 - p)]
+    m2 = m[np.ix_(order, order)]
+    bw = max(d for d in range(n) if np.any(np.diagonal(m2, d)))
+    band = np.zeros((bw + 1, n))
+    for d in range(bw + 1):
+        band[bw - d, d:] = np.diagonal(m2, d)
+    return band
+
+
+def _oscillator_parts():
+    return lambda x: 0.5 * x**2, lambda x: -0.5 + 0.0 * x
+
+
+def _scarf_scalar_parts(pot):
+    return (lambda x: 0.5 * pot.u(x) ** 2 + 0.5 * pot.du(x),
+            lambda x: 0.0 * x)
+
+
+def _scarf_direct_parts(pot):
+    return (lambda x: 0.5 * (pot.u(x) ** 2 + pot.v(x) ** 2) + 0.5 * pot.du(x),
+            lambda x: -0.5 * pot.dv(x))
+
+
+SCARF_SETS = [(F(1), F(3)), (F(1, 2), F(3, 2)), (F(1, 4), F(2)), (F(1), F(1, 2))]
+
+
+@pytest.mark.parametrize("n", [4, 64, 256])
+@pytest.mark.parametrize("system", ["oscillator", "scarf-0-2"])
+def test_assemble_equals_dense_stencil(system, n):
+    if system == "oscillator":
+        g, parts = Grid(n, 10.0), _oscillator_parts()
+    else:
+        g = Grid(n, math.pi / 2)
+        parts = _scarf_scalar_parts(scarf_potential(ScarfParams(F(0), F(2))))
+    op = assemble(*parts, g)
+    dense = _dense_assemble(*parts, g)
+    assert np.array_equal(op.matrix, dense)
+    assert np.array_equal(op.band, _dense_band(dense))
+
+
+@pytest.mark.parametrize("n", [4, 64, 256])
+@pytest.mark.parametrize("ab", SCARF_SETS)
+def test_supercharge_equals_dense_product(ab, n):
+    pot = scarf_potential(ScarfParams(*ab))
+    g = Grid(n, math.pi / 2)
+    q = supercharge_matrix(pot.u, pot.v, g)
+    dense = _dense_supercharge(pot, g)
+    assert np.array_equal(q.matrix, dense)
+    assert np.array_equal(q.band, _dense_band(dense))
+    # direct sampling: R-term mirror images may differ in the last bit, and
+    # the band keeps the pair-ordered upper triangle
+    op = assemble(*_scarf_direct_parts(pot), g)
+    assert np.array_equal(op.band, _dense_band(
+        _dense_assemble(*_scarf_direct_parts(pot), g)))
+
+
+def _gegenbauer_operator(monkeypatch, mu, alpha, n, k):
+    """The operator gegenbauer_problem hands to composite_spectrum."""
+    seen = []
+    real = gridmod.composite_spectrum
+    monkeypatch.setattr(gridmod, "composite_spectrum",
+                        lambda op, kk: seen.append(op) or real(op, kk))
+    gegenbauer_problem(GegParams(mu, alpha), k).compute(n, k)
+    monkeypatch.setattr(gridmod, "composite_spectrum", real)
+    return seen[0]
+
+
+def test_gegenbauer_band_equals_dense_construction(monkeypatch):
+    mu, al, n = F(1, 2), F(1), 256
+    op = _gegenbauer_operator(monkeypatch, mu, al, n, 3)
+    g = Grid(n, math.pi / 2)
+    q = _dense_supercharge(scarf_potential(ScarfParams(2 * mu, F(0))), g)
+    x, m, a = g.nodes, float(mu), float(al)
+    h = 2.0 * (q @ q)
+    h += np.diag((a**2 - 0.25) / np.cos(x) ** 2 - (m + a + 0.5) ** 2
+                 + (2 * a + 1) * m)
+    coeff = -m * (1.0 / (1.0 + np.cos(x)) + (2 * a + 1))
+    h += coeff[:, None] * reflection_matrix(n)
+    assert np.array_equal(op.band, _dense_band(0.5 * (h + h.T)))
+
+
+@pytest.mark.parametrize("mu, alpha", [(F(1, 2), F(1)), (F(1), F(1, 4)),
+                                       (F(3, 2), F(2))])
+def test_composite_filter_matches_dense_eigenvectors(mu, alpha, monkeypatch):
+    k = 6
+    op = _gegenbauer_operator(monkeypatch, mu, alpha, 512, k)
+    fractions = []
+    real = gridmod.checkerboard_fraction
+    monkeypatch.setattr(gridmod, "checkerboard_fraction",
+                        lambda v: fractions.append(real(v)) or fractions[-1])
+    vals = gridmod.composite_spectrum(op, k)
+    n_scan = 4 * k + 8
+    _, vecs = np.linalg.eigh(op.matrix)
+    dense = [real(vecs[:, j]) for j in range(n_scan)]
+    assert [f < 0.5 for f in fractions] == [f < 0.5 for f in dense]
+    assert np.abs(np.asarray(fractions) - dense).max() < 1e-8
+    w, _ = eig_banded(op.band, lower=False, select="i",
+                      select_range=(0, n_scan - 1))
+    assert np.array_equal(vals, w[np.asarray(dense) < 0.5][:k])
+
+
+def test_non_gegenbauer_paths_hold_no_dense_matrix():
+    # one 8192 x 8192 float64 matrix is 512 MB
+    tracemalloc.start()
+    try:
+        g = Grid(8192, 10.0)
+        osc = eigen_lowest(assemble(*_oscillator_parts(), g), 5)
+        pot = scarf_potential(ScarfParams(F(1), F(3)))
+        scarf = gridmod.susy_squared_spectrum(pot.u, pot.v,
+                                              Grid(8192, math.pi / 2), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.abs(osc - [0.0, 2.0, 2.0, 4.0, 4.0]).max() < 1e-4
+    assert np.abs(scarf - [25 / 8, 49 / 8, 81 / 8]).max() < 1e-4
