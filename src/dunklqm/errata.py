@@ -15,7 +15,7 @@ import numpy as np
 from . import grid as gridmod
 from .gegenbauer import GegParams, eigenvalue_geg, geg_potentials
 from .jacobi import Jacobi1Params, construct_explicit
-from .opalg import Moments, construct_eigen
+from .opalg import Moments, construct_eigen, eigen_sequence
 from .spectra import gegenbauer_problem
 from .susyqm import (
     ScarfParams,
@@ -57,10 +57,11 @@ def _odd_explicit_prefactor() -> dict:
     mismatches = []
     for a, b in [(F(0), F(0)), (F(1, 2), F(3, 2)), (F(1), F(1))]:
         pr = Jacobi1Params(a, b)
+        eigen = eigen_sequence(pr, 9)
         bad = [n for n in range(1, 10, 2)
-               if construct_explicit(n, pr, "printed") != construct_eigen(n, pr)]
+               if construct_explicit(n, pr, "printed") != eigen[n]]
         good = [n for n in range(1, 10, 2)
-                if construct_explicit(n, pr, "corrected") == construct_eigen(n, pr)]
+                if construct_explicit(n, pr, "corrected") == eigen[n]]
         mismatches.append({"params": f"({a},{b})", "printed_fails_at": bad,
                            "corrected_matches_at": good})
     return _entry(

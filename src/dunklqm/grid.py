@@ -464,7 +464,7 @@ def extrapolate_sequence(values: Sequence[float],
     p_est = estimate_order(v)
     if len(v) < 2:
         return v[-1], p_est
-    if len(v) == 2:
+    if len(v) == 2 and exponents is None:
         return (4*v[1] - v[0]) / 3.0, p_est
     if math.isnan(p_est) and exponents is None:
         return v[-1], p_est

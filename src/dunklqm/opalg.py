@@ -18,7 +18,8 @@ On top of the algebra sits the one verification battery shared by every
 orthogonal family. A family (``OrthogonalFamily``) supplies only its own
 math: validated parameters, its operator and eigenvalue formula, and its
 moment formula. The generic code builds the monic family twice, from the
-eigenvalue equation (``construct_eigen``) and by Gram elimination against
+eigenvalue equation (``eigen_sequence``: one upper-triangular operator
+matrix, one back-substitution per degree) and by Gram elimination against
 the moments (``gram_sequence``), and ``verify_family`` checks that the two
 constructions agree.
 """
@@ -54,6 +55,7 @@ __all__ = [
     "construct_gram",
     "eigenvalue_collision",
     "construct_eigen",
+    "eigen_sequence",
     "FamilyRecord",
     "FamilyReport",
     "verify_family",
@@ -340,42 +342,26 @@ def mat_mul(a, b):
 def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
     """Monic degree-n polynomial P with (M - lam) P = 0, solved exactly.
 
-    ``mat`` is the operator matrix on the basis 1..y^n (so (n+1)x(n+1)).
-    Gaussian elimination over Fractions; raises DegenerateSpectrumError when
-    the shifted system is singular (eigenvalue collision) or inconsistent.
+    ``mat`` is an operator matrix on 1..y^D, D >= n. A degree-preserving
+    operator makes it upper triangular, so P is a back-substitution from
+    c_n = 1 over the leading (n+1) block. Raises DegreeOverflowError if some
+    y^j, j <= n, maps above degree j, and DegenerateSpectrumError if lam is
+    a diagonal entry below degree n (collision) or not the one at degree n.
     """
     lam = rat(lam)
-    size = n + 1
-    # unknowns c_0..c_{n-1}; c_n = 1 moves the last column to the rhs
-    rows = [[mat[i][j] - (lam if i == j else 0) for j in range(n)]
-            for i in range(size)]
-    rhs = [-(mat[i][n] - (lam if i == n else 0)) for i in range(size)]
-    # eliminate (size equations, n unknowns; overdetermined by one)
-    aug = [rows[i] + [rhs[i]] for i in range(size)]
-    piv_rows = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, size) if aug[i][col] != 0), None)
-        if piv is None:
-            raise DegenerateSpectrumError(
-                f"eigenvalue {lam} is degenerate below degree {n}")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][col]
-        for i in range(size):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col] / pv
-                aug[i] = [x - f*y for x, y in zip(aug[i], aug[r])]
-        piv_rows.append((r, col))
-        r += 1
-    # consistency of the remaining equations
-    for i in range(r, size):
-        if aug[i][n] != 0:
-            raise DegenerateSpectrumError(
-                f"no monic eigenvector at eigenvalue {lam} (inconsistent system)")
-    coeffs = [Fraction(0)]*size
-    coeffs[n] = Fraction(1)
-    for row, col in piv_rows:
-        coeffs[col] = aug[row][n] / aug[row][col]
+    if any(mat[i][j] for j in range(n + 1) for i in range(j + 1, len(mat))):
+        raise DegreeOverflowError(f"operator raises the degree of y^0..y^{n}")
+    if any(mat[k][k] == lam for k in range(n)):
+        raise DegenerateSpectrumError(
+            f"eigenvalue {lam} is degenerate below degree {n}")
+    if mat[n][n] != lam:
+        raise DegenerateSpectrumError(
+            f"no monic eigenvector at eigenvalue {lam} (inconsistent system)")
+    coeffs = [Fraction(0)]*n + [Fraction(1)]
+    for k in range(n - 1, -1, -1):
+        row = mat[k]
+        acc = sum(row[j]*coeffs[j] for j in range(k + 1, n + 1) if row[j])
+        coeffs[k] = -acc / (row[k] - lam)
     return Poly(coeffs)
 
 
@@ -500,6 +486,16 @@ def construct_eigen(n: int, family: OrthogonalFamily) -> Poly:
     return solve_monic_eigenvector(mat, lam, n)
 
 
+def eigen_sequence(family: OrthogonalFamily, degree: int) -> list:
+    """[P_0, ..., P_degree] by back-substitution over one operator matrix,
+    with None at degrees whose eigenvalue collides with a lower one. The
+    sibling of ``gram_sequence``."""
+    mat = matrix_on_basis(family.operator(), degree)
+    lams = [family.eigenvalue(n) for n in range(degree + 1)]
+    return [None if lam in lams[:n] else solve_monic_eigenvector(mat, lam, n)
+            for n, lam in enumerate(lams)]
+
+
 @dataclass
 class FamilyRecord:
     """One degree of the battery: P_n from the eigenvalue equation, its
@@ -558,13 +554,11 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
     records: list[FamilyRecord] = []
     skipped: list[int] = []
     oracle_ok = True
-    for n in range(max_degree + 1):
-        lam = family.eigenvalue(n)
-        try:
-            pn = construct_eigen(n, family)
-        except DegenerateSpectrumError:
+    for n, pn in enumerate(eigen_sequence(family, max_degree)):
+        if pn is None:
             skipped.append(n)
             continue
+        lam = family.eigenvalue(n)
         norm_sq = inner(pn, pn, moments)
         results = {"eigen_residual_zero": operator.apply(pn) == pn.scale(lam),
                    "gram_matches_eigen": gram[n][0] == pn}

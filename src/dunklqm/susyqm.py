@@ -52,6 +52,7 @@ from .opalg import (
     ReflOp,
     construct_eigen,
     dunkl,
+    eigen_sequence,
     unchecked,
 )
 
@@ -319,24 +320,29 @@ def intertwiner(params: ScarfParams, which: str,
     return Intertwiner(which, variant, params, -1, tan_coeff, -1, gauged)
 
 
+def _nondegenerate_sequence(family: Jacobi1Params, degree: int) -> list:
+    """``eigen_sequence`` of a family whose every member must exist."""
+    seq = eigen_sequence(family, degree)
+    if None in seq:
+        raise DegenerateSpectrumError(
+            f"degree {seq.index(None)} is degenerate at {family.label()}")
+    return seq
+
+
 def verify_lowering(params: ScarfParams, max_n: int) -> list:
     """Exact check of T_{a/2} P_n^{(a,b)} = [n]_a P_{n-1}^{(a,b+2)}.
 
     Returns per-n booleans; all True for every valid parameter pair.
     """
     a, b = params.alpha, params.beta
-    family = unchecked(Jacobi1Params, a, b)
-    family_b2 = unchecked(Jacobi1Params, a, b + 2)
+    ps = _nondegenerate_sequence(unchecked(Jacobi1Params, a, b), max_n)
+    targets = _nondegenerate_sequence(unchecked(Jacobi1Params, a, b + 2),
+                                      max_n - 1)
     t = dunkl(a / 2)
     out = []
     for n in range(max_n + 1):
-        pn = construct_eigen(n, family)
-        img = t.apply(pn)
-        if n == 0:
-            out.append(img == Poly.zero())
-            continue
-        target = construct_eigen(n - 1, family_b2).scale(bracket_n(n, a))
-        out.append(img == target)
+        target = targets[n - 1].scale(bracket_n(n, a)) if n else Poly.zero()
+        out.append(t.apply(ps[n]) == target)
     return out
 
 
@@ -349,23 +355,17 @@ def verify_raising(params: ScarfParams, max_n: int,
     (possible since the map lands at b - 2) are reported as skips (None).
     """
     a, b = params.alpha, params.beta
-    family = unchecked(Jacobi1Params, a, b)
-    family_bm2 = unchecked(Jacobi1Params, a, b - 2)
+    ps = _nondegenerate_sequence(unchecked(Jacobi1Params, a, b), max_n)
+    targets = eigen_sequence(unchecked(Jacobi1Params, a, b - 2), max_n + 1)
     y = _gauged_y_corrected(params)
     out = []
     for n in range(max_n + 1):
-        pn = construct_eigen(n, family)
-        img = y.apply(pn)
-        try:
-            target = construct_eigen(n + 1, family_bm2)
-        except DegenerateSpectrumError:
+        target = targets[n + 1]
+        if target is None:
             out.append(None)
             continue
-        if scalar_variant == "corrected":
-            scal = b - 1 + bracket_n(n + 1, a)
-        else:
-            scal = b - 1 + bracket_n(n, a)
-        out.append(img == target.scale(scal))
+        bracket = bracket_n(n + 1 if scalar_variant == "corrected" else n, a)
+        out.append(y.apply(ps[n]) == target.scale(b - 1 + bracket))
     return out
 
 
@@ -457,13 +457,17 @@ def _interior_mask(g: gridmod.Grid, exclude: float = 0.06) -> np.ndarray:
     return (np.abs(x) > exclude) & (np.abs(np.abs(x) - g.halfwidth) > exclude)
 
 
-def _residual_norms(relation: Callable, grids: list, params: ScarfParams) -> list:
+def _probes(params: ScarfParams, grids: tuple) -> list:
+    """(grid, interior mask, test functions) for each N of the ladder."""
+    return [(g, _interior_mask(g), _test_functions(params, g))
+            for g in (gridmod.Grid(n, math.pi / 2) for n in grids)]
+
+
+def _residual_norms(relation: Callable, probes: list) -> list:
     norms = []
-    for n in grids:
-        g = gridmod.Grid(n, math.pi / 2)
-        mask = _interior_mask(g)
+    for g, mask, fns in probes:
         worst = 0.0
-        for name, f in _test_functions(params, g).items():
+        for f in fns.values():
             res = relation(f, g)
             worst = max(worst, float(np.abs(res[mask]).max()))
         norms.append(worst)
@@ -522,6 +526,7 @@ def verify_operator_relations(params: ScarfParams,
     q_mb = _q_first_order(mirrored)
     h_ab = _h_second_order(params)
     h_mb = _h_second_order(mirrored)
+    probes = _probes(params, grids)
 
     def rel_q_squared(f, g):
         return _apply_q(_apply_q(f, g, params), g, params) - _apply_h(f, g, params)
@@ -544,7 +549,7 @@ def verify_operator_relations(params: ScarfParams,
          h_ab.conjugated_by_reflection() - h_mb),
     ]
     for name, rel, comp in base:
-        norms = _residual_norms(rel, list(grids), params)
+        norms = _residual_norms(rel, probes)
         fd_limit, order = _extrapolate_residual(norms)
         resid = _analytic_residual(comp, grids)
         results.append({
@@ -611,7 +616,7 @@ def verify_operator_relations(params: ScarfParams,
             ("product_repaired_indices", rel_product_repaired),
             ("product_typeset_indices", rel_product_typeset),
         ]:
-            norms = _residual_norms(rel, list(grids), params)
+            norms = _residual_norms(rel, probes)
             fd_limit, order = _extrapolate_residual(norms)
             resid = _analytic_residual(compositions[name], grids)
             results.append({

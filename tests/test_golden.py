@@ -1,9 +1,10 @@
 """Byte-for-byte regression of exact CLI outputs against recorded files.
 
 The files under ``tests/golden`` hold the outputs of ``family --format json``
-(two parameter sets per kind, degree 10), of ``verify --out`` for the
-jacobi and intertwiners suites, and of ``spectrum`` for five grid systems on
-the 256,512,1024 ladder. Any change to the exact layer must leave them
+(two parameter sets per kind at degree 10, one per kind at degree 20 or 24),
+of ``verify --out`` for the jacobi and intertwiners suites, of ``errata``
+(which runs the lowering and raising maps), and of ``spectrum`` for five
+grid systems on the 256,512,1024 ladder. Any change to the exact layer must leave them
 identical. Spectrum files print each level's order estimate at full
 precision, so they also pin the grid layer's eigenvalues to the last bit.
 """
@@ -29,6 +30,13 @@ CASES = {
     "family-gegenbauer-mu3_2-a1_5.json":
         ["family", "--kind", "gegenbauer", "--mu", "3/2", "--alpha", "1/5",
          "--degree", "10", "--format", "json"],
+    "family-jacobi-m1-a1_3-b2-d24.json":
+        ["family", "--kind", "jacobi-m1", "--alpha", "1/3", "--beta", "2",
+         "--degree", "24", "--format", "json"],
+    "family-gegenbauer-mu1-a1_2-d20.json":
+        ["family", "--kind", "gegenbauer", "--mu", "1", "--alpha", "1/2",
+         "--degree", "20", "--format", "json"],
+    "errata.json": ["errata"],
     "verify-jacobi-d10.txt": ["verify", "--suite", "jacobi", "--degree", "10"],
     "verify-intertwiners.txt": ["verify", "--suite", "intertwiners"],
 }

@@ -437,3 +437,12 @@ def test_non_gegenbauer_paths_hold_no_dense_matrix():
     assert peak < 16 * 2**20
     assert np.abs(osc - [0.0, 2.0, 2.0, 4.0, 4.0]).max() < 1e-4
     assert np.abs(scarf - [25 / 8, 49 / 8, 81 / 8]).max() < 1e-4
+
+
+def test_extrapolate_two_values_applies_exponents():
+    # error c*h: the first-order elimination recovers the limit exactly
+    limit, _ = extrapolate_sequence([1.5, 1.25], (1.0,))
+    assert limit == 1.0
+    # without exponents a two-value ladder keeps the second-order default
+    limit, _ = extrapolate_sequence([1.5, 1.25])
+    assert limit == (4*1.25 - 1.5) / 3.0

@@ -20,6 +20,7 @@ from dunklqm.opalg import (
     Poly,
     construct_eigen,
     construct_gram,
+    eigen_sequence,
     inner,
     unchecked,
     verify_family,
@@ -159,6 +160,11 @@ def test_degenerate_spectrum_detected():
     # odd eigenvalue collides with lambda_0 = 0.
     with pytest.raises(DegenerateSpectrumError):
         construct_eigen(1, unchecked(Jacobi1Params, 0, -2))
+    # the sequence marks the collision and solves every other degree
+    family = unchecked(Jacobi1Params, 0, -2)
+    seq = eigen_sequence(family, 4)
+    assert seq[1] is None
+    assert [seq[0], *seq[2:]] == [construct_eigen(n, family) for n in (0, 2, 3, 4)]
     # nearby nondegenerate continuation still constructs fine
     p = construct_eigen(1, unchecked(Jacobi1Params, 0, F(-1, 2)))
     assert p.degree == 1

@@ -6,19 +6,29 @@ from fractions import Fraction as F
 
 import pytest
 
+from dunklqm import opalg
+from dunklqm.gegenbauer import GEG_FUZZ_PARAMS, GegParams
+from dunklqm.jacobi import FUZZ_PARAMS, Jacobi1Params
 from dunklqm.opalg import (
+    DegenerateSpectrumError,
     DegreeOverflowError,
     Diff,
     MulPoly,
     OddOverY,
+    OrthogonalFamily,
     Poly,
     Reflect,
     ReflOp,
     compose,
+    construct_eigen,
     dunkl,
+    eigen_sequence,
     mat_mul,
     matrix_on_basis,
+    solve_monic_eigenvector,
+    verify_family,
 )
+from dunklqm.susyqm import ScarfParams, verify_lowering, verify_raising
 
 
 def P(*coeffs):
@@ -165,3 +175,78 @@ def test_pretty_printer():
     op = ReflOp([(2, (MulPoly(P(1, -1)), Diff, Reflect)), (F(-1, 3), (OddOverY,))])
     text = op.pretty()
     assert "d/dy" in text and "R" in text and "y^-1(1-R)" in text
+
+
+# ---------------------------------------------------------------------------
+# the triangular eigen oracle
+# ---------------------------------------------------------------------------
+
+EULER = ReflOp([(1, (MulPoly(P(0, 1)), Diff))])     # y d/dy: y^j -> j y^j
+
+
+class _StubFamily(OrthogonalFamily):
+    """Operator y d/dy (+ ``extra``) with a prescribed eigenvalue list."""
+
+    def __init__(self, eigenvalues, extra=ReflOp()):
+        self.eigenvalues = [F(v) for v in eigenvalues]
+        self.extra = extra
+
+    def operator(self):
+        return EULER + self.extra
+
+    def eigenvalue(self, n):
+        return self.eigenvalues[n]
+
+
+@pytest.mark.parametrize("family", [Jacobi1Params(a, b) for a, b in FUZZ_PARAMS]
+                         + [GegParams(mu, al) for mu, al in GEG_FUZZ_PARAMS])
+def test_eigen_sequence_matches_construct_eigen(family):
+    assert eigen_sequence(family, 16) == [construct_eigen(n, family)
+                                          for n in range(17)]
+
+
+def test_eigen_sequence_marks_collisions_with_none():
+    # eigenvalues 0, 1, 1, 3: degree 2 collides with degree 1
+    assert eigen_sequence(_StubFamily([0, 1, 1, 3]), 3) == [
+        Poly.one(), Poly.monomial(1), None, Poly.monomial(3)]
+
+
+def test_eigenvalue_formula_disagreeing_with_diagonal_is_refused():
+    # y d/dy has eigenvalue 1 on y, not 2
+    with pytest.raises(DegenerateSpectrumError, match="inconsistent"):
+        eigen_sequence(_StubFamily([0, 2]), 1)
+    # 1 is the diagonal entry at degree 1: no monic eigenvector of degree 2
+    with pytest.raises(DegenerateSpectrumError, match="degenerate below degree 2"):
+        solve_monic_eigenvector(matrix_on_basis(EULER, 2), 1, 2)
+
+
+def test_degree_raising_operator_is_refused():
+    # y^2 y^-1(1-R) maps odd y^j to 2 y^(j+1), inside the bound
+    raising = ReflOp([(1, (MulPoly(P(0, 0, 1)), OddOverY))])
+    stub = _StubFamily(range(5), raising)
+    mat = matrix_on_basis(stub.operator(), 4)
+    assert solve_monic_eigenvector(mat, 0, 0) == Poly.one()
+    with pytest.raises(DegreeOverflowError):
+        solve_monic_eigenvector(mat, 1, 1)
+    with pytest.raises(DegreeOverflowError):
+        eigen_sequence(stub, 4)
+    with pytest.raises(DegreeOverflowError):
+        construct_eigen(2, stub)
+
+
+def test_operator_matrix_built_once_per_family(monkeypatch):
+    calls = []
+
+    def counting(op, bound):
+        calls.append(bound)
+        return matrix_on_basis(op, bound)
+
+    monkeypatch.setattr(opalg, "matrix_on_basis", counting)
+    verify_family(Jacobi1Params(F(1, 2), F(3, 2)), 12)
+    assert calls == [12]
+    calls.clear()
+    verify_lowering(ScarfParams(F(1, 2), F(3, 2)), 12)
+    assert calls == [12, 11]
+    calls.clear()
+    verify_raising(ScarfParams(F(1, 2), F(3, 2)), 12)
+    assert calls == [12, 13]

@@ -13,7 +13,13 @@ from dunklqm.jacobi import (
     FUZZ_PARAMS,
     eigenvalue,
 )
-from dunklqm.opalg import Poly, construct_eigen, matrix_on_basis
+from dunklqm.opalg import (
+    DegenerateSpectrumError,
+    Poly,
+    construct_eigen,
+    matrix_on_basis,
+    unchecked,
+)
 from dunklqm.susyqm import (
     FockVector,
     ScarfParams,
@@ -175,6 +181,15 @@ def test_raising_map_corrected_scalar():
         res = verify_raising(ScarfParams(a, b), 12, "corrected")
         checked = [r for r in res if r is not None]
         assert checked and all(checked)
+
+
+def test_maps_refuse_a_degenerate_source_family():
+    # at (0, -2) lambda_1 = lambda_0 = 0, so P_1 of the source is undefined
+    p = unchecked(ScarfParams, 0, -2)
+    with pytest.raises(DegenerateSpectrumError, match="degree 1 "):
+        verify_lowering(p, 4)
+    with pytest.raises(DegenerateSpectrumError, match="degree 1 "):
+        verify_raising(p, 4)
 
 
 def test_raising_map_printed_scalar_fails():
