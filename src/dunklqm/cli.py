@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -41,6 +42,16 @@ def _grid_list(text: str) -> list:
     if any(n <= 0 or n % 2 for n in out):
         raise argparse.ArgumentTypeError("grid sizes must be even and positive")
     return out
+
+
+def _positive_finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a positive finite number")
+    return value
 
 
 def _int_at_least(low: int):
@@ -148,7 +159,6 @@ def _suite_exact(log) -> tuple[bool, int]:
         if pochhammer(b, m + k) != pochhammer(b, k) * pochhammer(b + k, m):
             log("exact: Pochhammer splitting FAILED")
             return False, 0
-    import math as _m
     for _ in range(60):
         k = rng.randint(1, 8)
         b = Fraction(rng.randint(-10, 10), rng.randint(1, 5))
@@ -159,7 +169,7 @@ def _suite_exact(log) -> tuple[bool, int]:
             continue
         lhs = hyp3f2(1 - k, b, c + k, b + 1, c, 1)
         rhs = (pochhammer(1, k - 1) / pochhammer(b + 1, k - 1)) * sum(
-            pochhammer(b, l) / _m.factorial(l) * hyp2f1(-l, c + k, c, 1)
+            pochhammer(b, l) / math.factorial(l) * hyp2f1(-l, c + k, c, 1)
             for l in range(k))
         if lhs != rhs:
             log(f"exact: 3F2 summation FAILED at k={k}, b={b}, c={c}")
@@ -199,8 +209,6 @@ def _suite_csm(log) -> bool:
 
 
 def _suite_oscillator(log) -> tuple[bool, int]:
-    import math as _m
-
     from .susyqm import (FockVector, osc_energy, osc_h_apply, osc_mixed_state,
                          osc_q_apply)
 
@@ -217,7 +225,7 @@ def _suite_oscillator(log) -> tuple[bool, int]:
         for eps in (1, -1):
             st = osc_mixed_state(n, eps)
             if osc_q_apply(st).distance(
-                    st.scale(eps * _m.sqrt(2 * n + 2))) > 1e-12:
+                    st.scale(eps * math.sqrt(2 * n + 2))) > 1e-12:
                 ok = False
     log("oscillator: mixed states are Q-eigenvectors with eigenvalue "
         "eps sqrt(2n+2): " + ("pass" if ok else "FAIL"))
@@ -233,11 +241,10 @@ def _suite_intertwiners(log, variant: str) -> tuple[bool, int]:
         p = ScarfParams(a, b)
         low = verify_lowering(p, 12)
         ok = ok and all(low)
-        raised = [r for r in verify_raising(p, 12, "corrected") if r is not None]
-        ok = ok and all(raised)
+        corrected, printed = verify_raising(p, 12)
+        ok = ok and all(r for r in corrected if r is not None)
         if variant in ("printed", "both"):
-            bad = [r for r in verify_raising(p, 6, "printed") if r is False]
-            findings += len(bad)
+            findings += sum(r is False for r in printed[:7])
     log(f"intertwiners: corrected lowering/raising maps exact on all pairs: "
         f"{'pass' if ok else 'FAIL'}"
         + (f"; printed-scalar mismatches recorded: {findings}"
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--mu", type=_rat, default=Fraction(1, 2))
     spec.add_argument("--levels", type=_int_at_least(1), default=3)
     spec.add_argument("--grids", type=_grid_list, default=[1024, 2048, 4096])
-    spec.add_argument("--tol", type=float, default=None)
+    spec.add_argument("--tol", type=_positive_finite, default=None)
     spec.add_argument("--format", choices=["json", "csv"], default="json")
     spec.add_argument("--out")
     spec.set_defaults(fn=cmd_spectrum)

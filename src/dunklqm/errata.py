@@ -33,6 +33,10 @@ from .susyqm import (
 
 __all__ = ["build_errata", "errata_json"]
 
+# parameter sets shared by two entries each, whose oracle runs once per report
+_RAISING_PARAMS = ScarfParams(F(1, 2), F(3, 2))
+_GEG_PARAMS = GegParams(F(1, 2), F(1))
+
 
 def _f17(x: float) -> float:
     return float(f"{x:.17g}")
@@ -185,9 +189,8 @@ def _x_tangent_coefficient() -> dict:
     )
 
 
-def _y_tangent_coefficient() -> dict:
-    p = ScarfParams(F(1, 2), F(3, 2))
-    raised = verify_raising(p, 12, "corrected")
+def _y_tangent_coefficient(raised: list) -> dict:
+    """``raised``: corrected-scalar verdicts of the raising map, n <= 12."""
     return _entry(
         "scarf-y-intertwiner-tangent-coefficient",
         "extended-scarf/raising-intertwiner/tangent-coefficient",
@@ -204,13 +207,13 @@ def _y_tangent_coefficient() -> dict:
     )
 
 
-def _y_mapping_scalar() -> dict:
-    p = ScarfParams(F(1, 2), F(3, 2))
-    a, b = p.alpha, p.beta
+def _y_mapping_scalar(corrected: list, printed: list) -> dict:
+    """Raising-map verdicts with the corrected and the printed scalar."""
+    a, b = _RAISING_PARAMS.alpha, _RAISING_PARAMS.beta
     printed_n0 = b - 1 + bracket_n(0, a)
     actual_n0 = a + b
-    ok_corrected = [r for r in verify_raising(p, 8, "corrected") if r is not None]
-    ok_printed = [r for r in verify_raising(p, 8, "printed") if r is not None]
+    ok_corrected = [r for r in corrected[:9] if r is not None]
+    ok_printed = [r for r in printed[:9] if r is not None]
     return _entry(
         "scarf-y-mapping-scalar",
         "extended-scarf/raising-intertwiner/mapping-scalar",
@@ -262,14 +265,12 @@ def _product_relation_placement() -> dict:
     )
 
 
-def _gegenbauer_potential_constants() -> dict:
-    mu, al = F(1, 2), F(1)
-    p = GegParams(mu, al)
-    muf, alf = float(mu), float(al)
+def _gegenbauer_potential_constants(derived_spec: list) -> dict:
+    """``derived_spec``: lowest three grid energies with the derived
+    potentials (the production route)."""
+    p = _GEG_PARAMS
+    muf, alf = float(p.mu), float(p.alpha)
     shift = muf**2 + 4 * alf * muf + 2 * muf + 0.25
-    # spectrum with derived potentials (production route)
-    prob = gegenbauer_problem(p)
-    derived_spec = [float(v) for v in prob.compute(1024, 3)]
     targets = sorted(-float(eigenvalue_geg(n, p)) for n in range(5))[:3]
     # printed potentials sampled away from the core: constant offsets
     x0 = 0.8
@@ -296,11 +297,8 @@ def _gegenbauer_potential_constants() -> dict:
     )
 
 
-def _gegenbauer_eigenvalue_sign() -> dict:
-    p = GegParams(F(1, 2), F(1))
-    lam = [str(eigenvalue_geg(n, p)) for n in range(3)]
-    prob = gegenbauer_problem(p)
-    spec = [float(v) for v in prob.compute(1024, 3)]
+def _gegenbauer_eigenvalue_sign(spec: list) -> dict:
+    lam = [str(eigenvalue_geg(n, _GEG_PARAMS)) for n in range(3)]
     return _entry(
         "gegenbauer-eigenvalue-sign",
         "gegenbauer-hamiltonian/eigenvalue-sign-convention",
@@ -378,22 +376,25 @@ def _mixed_state_prefactor() -> dict:
 
 def build_errata() -> list:
     """Compute all errata entries with live evidence."""
+    corrected, printed = verify_raising(_RAISING_PARAMS, 12)
+    geg_spectrum = [float(v) for v in
+                    gegenbauer_problem(_GEG_PARAMS).compute(1024, 3)]
     return [
         _odd_explicit_prefactor(),
         _odd_kappa_base(),
         _weight_exponent(),
         _ground_state_normalization(),
         _x_tangent_coefficient(),
-        _y_tangent_coefficient(),
-        _y_mapping_scalar(),
+        _y_tangent_coefficient(corrected),
+        _y_mapping_scalar(corrected, printed),
         _product_relation_placement(),
-        _gegenbauer_potential_constants(),
-        _gegenbauer_eigenvalue_sign(),
+        _gegenbauer_potential_constants(geg_spectrum),
+        _gegenbauer_eigenvalue_sign(geg_spectrum),
         _oscillator_laguerre_weight(),
         _oscillator_hermite_normalization(),
         _mixed_state_prefactor(),
     ]
 
 
-def errata_json(indent: int | None = 2) -> str:
-    return json.dumps(build_errata(), indent=indent)
+def errata_json() -> str:
+    return json.dumps(build_errata(), indent=2)

@@ -9,7 +9,7 @@ float routine built on log-gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -34,7 +34,7 @@ class DomainError(ValueError):
 
 
 class NonTerminatingError(ValueError):
-    """Hypergeometric series does not terminate and no truncation was given."""
+    """Hypergeometric series does not terminate."""
 
 
 class SeriesDivisionByZero(ZeroDivisionError):
@@ -78,14 +78,13 @@ def _is_nonpositive_int(q: Fraction) -> bool:
 class HypSeries:
     """A (generalized) hypergeometric series rFs(a_1..a_r; b_1..b_s; z).
 
-    The series must terminate (some numerator parameter a nonpositive
-    integer) unless ``max_terms`` supplies an explicit truncation order.
+    The series must terminate: some numerator parameter a is a nonpositive
+    integer.
     """
 
     numerator_params: tuple
     denominator_params: tuple
     argument: Fraction
-    max_terms: int | None = field(default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "numerator_params",
@@ -107,18 +106,15 @@ def hyp_eval(series: HypSeries) -> Fraction:
     """Exact value of a terminating hypergeometric series.
 
     Sums term by term with exact rationals. Raises NonTerminatingError when
-    no numerator parameter is a nonpositive integer and no explicit
-    truncation was requested, and SeriesDivisionByZero when a denominator
-    Pochhammer vanishes before the series has terminated.
+    no numerator parameter is a nonpositive integer, and
+    SeriesDivisionByZero when a denominator Pochhammer vanishes before the
+    series has terminated.
     """
     stop = series.termination_order()
     if stop is None:
-        if series.max_terms is None:
-            raise NonTerminatingError(
-                "series does not terminate; supply max_terms explicitly")
-        stop = series.max_terms - 1
-    elif series.max_terms is not None:
-        stop = min(stop, series.max_terms - 1)
+        raise NonTerminatingError(
+            "series does not terminate: no numerator parameter is a "
+            "nonpositive integer")
 
     total = Fraction(0)
     term = Fraction(1)

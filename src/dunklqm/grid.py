@@ -360,15 +360,15 @@ def _inverse_iteration(band: np.ndarray, w: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def composite_spectrum(op: GridOperator, k: int, n_scan: int = 0) -> np.ndarray:
+def composite_spectrum(op: GridOperator, k: int) -> np.ndarray:
     """Lowest k smooth eigenvalues, discarding checkerboard artifacts.
 
-    Scans the lowest ``n_scan`` (default 4k+8) eigenvalues and keeps those
-    whose eigenvectors are grid-smooth. LAPACK computes eigenvalues only;
-    the vectors come from banded inverse iteration, since LAPACK's banded
-    eigenvector path forms a dense N x N transformation at O(N^3) cost.
+    Scans the lowest 4k+8 eigenvalues and keeps those whose eigenvectors
+    are grid-smooth. LAPACK computes eigenvalues only; the vectors come from
+    banded inverse iteration, since LAPACK's banded eigenvector path forms a
+    dense N x N transformation at O(N^3) cost.
     """
-    n_scan = n_scan or (4 * k + 8)
+    n_scan = 4 * k + 8
     n = op.n
     w = eig_banded(op.band, lower=False, eigvals_only=True,
                    select="i", select_range=(0, min(n_scan, n) - 1))
@@ -391,24 +391,31 @@ def composite_spectrum(op: GridOperator, k: int, n_scan: int = 0) -> np.ndarray:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def quadrature(f: Callable, grid: Grid, max_levels: int = 15,
-               rtol: float = 1e-12) -> float:
+def _richardson_step(values: Sequence[float], p: float) -> list:
+    """Eliminate the error power h^p from a doubling ladder: one value fewer."""
+    f = 2.0 ** float(p)
+    return [(f * values[i + 1] - values[i]) / (f - 1.0)
+            for i in range(len(values) - 1)]
+
+
+def quadrature(f: Callable, grid: Grid) -> float:
     """Integral of f over the grid domain: midpoint ladder, Richardson-refined.
 
-    The midpoint family is refined by doubling from the grid's resolution and
-    accelerated with iterated Richardson extrapolation whose orders are
-    estimated from the data, so endpoint or |x|^a cusps (integrable) are
-    handled without knowing their exponents in advance.
+    The midpoint family is refined by doubling from the grid's resolution
+    (at most 15 levels, up to 2^21 points, stopping once two levels agree to
+    1e-12) and accelerated with iterated Richardson extrapolation whose
+    orders are estimated from the data, so endpoint or |x|^a cusps
+    (integrable) are handled without knowing their exponents in advance.
     """
     a, b = -grid.halfwidth, grid.halfwidth
     n0 = min(grid.n, 1024)
     vals = []
     n = n0
-    for _ in range(max_levels):
+    for _ in range(15):
         h = (b - a) / n
         x = a + (np.arange(n) + 0.5) * h
         vals.append(h * float(np.sum(f(x))))
-        if len(vals) >= 4 and abs(vals[-1] - vals[-2]) < rtol * max(1.0, abs(vals[-1])):
+        if len(vals) >= 4 and abs(vals[-1] - vals[-2]) < 1e-12 * max(1.0, abs(vals[-1])):
             break
         n *= 2
         if n > (1 << 21):
@@ -428,8 +435,7 @@ def quadrature(f: Callable, grid: Grid, max_levels: int = 15,
         p = float(np.median(ps[-3:]))
         if not (0.5 <= p <= 8.0):
             break
-        fac = 2.0 ** p
-        cur = [(fac * cur[i+1] - cur[i]) / (fac - 1.0) for i in range(len(cur) - 1)]
+        cur = _richardson_step(cur, p)
     return float(cur[-1])
 
 
@@ -449,47 +455,26 @@ def estimate_order(values: Sequence[float]) -> float:
 
 
 def extrapolate_sequence(values: Sequence[float],
-                         exponents: Sequence[float] | None = None
-                         ) -> tuple[float, float]:
+                         exponents: Sequence[float]) -> tuple[float, float]:
     """(limit, estimated order) from eigenvalues on a doubling N ladder.
 
-    With ``exponents`` given, Richardson eliminates those error powers in
-    order (the right schedule is usually known from the eigenfunction's
-    behavior at the coordinate singularities). Otherwise the first order is
-    estimated from the data and a second elimination at max(2, p+1) removes
-    the next correction; that heuristic is only reliable when the error is
-    dominated by a single power.
+    Richardson eliminates the error powers ``exponents`` in order; the
+    schedule is known from the eigenfunction's behavior at the coordinate
+    singularities. The order is estimated from the data for the report only.
     """
-    v = [float(x) for x in values]
-    p_est = estimate_order(v)
-    if len(v) < 2:
-        return v[-1], p_est
-    if len(v) == 2 and exponents is None:
-        return (4*v[1] - v[0]) / 3.0, p_est
-    if math.isnan(p_est) and exponents is None:
-        return v[-1], p_est
-    if exponents is not None:
-        cur = v
-        for p in exponents:
-            if len(cur) < 2:
-                break
-            f = 2.0 ** float(p)
-            cur = [(f*cur[i+1] - cur[i]) / (f - 1.0) for i in range(len(cur) - 1)]
-        return cur[-1], p_est
-    p_used = min(max(p_est, 0.25), 6.0)
-    f1 = 2.0 ** p_used
-    r = [(f1*v[i+1] - v[i]) / (f1 - 1.0) for i in range(len(v) - 1)]
-    f2 = 2.0 ** max(2.0, p_used + 1.0)
-    r2 = [(f2*r[i+1] - r[i]) / (f2 - 1.0) for i in range(len(r) - 1)]
-    return r2[-1], p_est
+    cur = [float(x) for x in values]
+    for p in exponents:
+        if len(cur) < 2:
+            break
+        cur = _richardson_step(cur, p)
+    return cur[-1], estimate_order(values)
 
 
 @dataclass(frozen=True)
 class Problem:
     """A spectrum computation: grids -> lowest-k levels, with targets.
 
-    ``exponents``: known error-power schedule for Richardson elimination
-    (None lets the order be estimated from the data).
+    ``exponents``: known error-power schedule for Richardson elimination.
     """
 
     name: str
@@ -498,7 +483,7 @@ class Problem:
     targets: tuple
     compute: Callable  # (N, k) -> np.ndarray of k lowest levels
     tolerance: float
-    exponents: tuple | None = None
+    exponents: tuple
 
 
 @dataclass
@@ -518,8 +503,8 @@ class SpectrumReport:
             "levels": [dict(lv) for lv in self.levels],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.as_json_dict(), indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -90,8 +90,8 @@ class Poly:
         return Poly((1,))
 
     @staticmethod
-    def monomial(n: int, c=1) -> "Poly":
-        return Poly((0,)*n + (c,))
+    def monomial(n: int) -> "Poly":
+        return Poly((0,)*n + (1,))
 
     @property
     def degree(self):
@@ -165,7 +165,7 @@ class Poly:
     def __repr__(self):
         return f"Poly({self.pretty()})"
 
-    def pretty(self, var: str = "y") -> str:
+    def pretty(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -177,7 +177,7 @@ class Poly:
             if k == 0:
                 body = str(mag)
             else:
-                yk = var if k == 1 else f"{var}^{k}"
+                yk = "y" if k == 1 else f"y^{k}"
                 body = yk if mag == 1 else f"{mag}*{yk}"
             sign = "-" if c < 0 else "+"
             parts.append((sign, body))
@@ -255,12 +255,8 @@ class ReflOp:
 
     # -- constructors -------------------------------------------------------
     @staticmethod
-    def identity(scale=1) -> "ReflOp":
-        return ReflOp([(scale, ())])
-
-    @staticmethod
-    def from_primitive(prim, scale=1) -> "ReflOp":
-        return ReflOp([(scale, (prim,))])
+    def from_primitive(prim) -> "ReflOp":
+        return ReflOp([(1, (prim,))])
 
     # -- algebra -------------------------------------------------------------
     def __add__(self, other: "ReflOp") -> "ReflOp":
@@ -530,8 +526,8 @@ class FamilyReport:
             "records": [r.as_json_dict() for r in self.records],
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.as_json_dict(), indent=2)
 
     def discrepancy_count(self) -> int:
         return sum(len(r.results.get("discrepancies", ())) for r in self.records)

@@ -62,8 +62,10 @@ def scarf_problem(params: ScarfParams, k: int = 3) -> gridmod.Problem:
     )
 
 
-def oscillator_problem(k: int = 5, halfwidth: float = 10.0) -> gridmod.Problem:
-    """Lowest-k oscillator-with-reflection levels: 0, 2, 2, 4, 4, ..."""
+def oscillator_problem(k: int = 5) -> gridmod.Problem:
+    """Lowest-k oscillator-with-reflection levels: 0, 2, 2, 4, 4, ..., on the
+    box [-10, 10]."""
+    halfwidth = 10.0
     targets = tuple(sorted(float(osc_energy(n)) for n in range(k + 2))[:k])
 
     def compute(n, kk):

@@ -279,17 +279,16 @@ class Intertwiner:
     gauged: ReflOp | None
 
     def coefficient_arrays(self, x: np.ndarray):
-        """(d, s, r, dr) coefficient arrays for grid application."""
+        """(d, s, r) coefficient arrays for grid application."""
         a = self.params.af
         d = self.sign_d * np.ones_like(x)
         s = float(self.tan_coeff) * np.tan(x) - 0.5 / np.cos(x)
         r = -(a / 2) * (1 + self.csc_sign / np.sin(x))
-        return d, s, r, None
+        return d, s, r
 
     def apply_grid(self, u: np.ndarray, g: gridmod.Grid) -> np.ndarray:
-        d, s, r, dr = self.coefficient_arrays(g.nodes)
-        return gridmod.apply_first_order(u, g, d_coeff=d, s_coeff=s, r_coeff=r,
-                                         dr_coeff=dr)
+        d, s, r = self.coefficient_arrays(g.nodes)
+        return gridmod.apply_first_order(u, g, d_coeff=d, s_coeff=s, r_coeff=r)
 
 
 def _gauged_y_corrected(params: ScarfParams) -> ReflOp:
@@ -346,27 +345,30 @@ def verify_lowering(params: ScarfParams, max_n: int) -> list:
     return out
 
 
-def verify_raising(params: ScarfParams, max_n: int,
-                   scalar_variant: str = "corrected") -> list:
+def verify_raising(params: ScarfParams, max_n: int) -> tuple[list, list]:
     """Exact check of the gauged corrected Y against its mapping rule.
 
-    corrected scalar: (b - 1 + [n+1]_a); the printed claim uses [n]_a and
-    fails already at n = 0 (actual scalar a + b). Degenerate target families
-    (possible since the map lands at b - 2) are reported as skips (None).
+    Returns per-n verdicts for the corrected scalar (b - 1 + [n+1]_a) and
+    for the printed one (b - 1 + [n]_a), which fails already at n = 0
+    (actual scalar a + b), from one pass over the same images. Degenerate
+    target families (possible since the map lands at b - 2) are reported as
+    skips (None) in both lists.
     """
     a, b = params.alpha, params.beta
     ps = _nondegenerate_sequence(unchecked(Jacobi1Params, a, b), max_n)
     targets = eigen_sequence(unchecked(Jacobi1Params, a, b - 2), max_n + 1)
     y = _gauged_y_corrected(params)
-    out = []
+    corrected, printed = [], []
     for n in range(max_n + 1):
         target = targets[n + 1]
         if target is None:
-            out.append(None)
+            corrected.append(None)
+            printed.append(None)
             continue
-        bracket = bracket_n(n + 1 if scalar_variant == "corrected" else n, a)
-        out.append(y.apply(ps[n]) == target.scale(b - 1 + bracket))
-    return out
+        image = y.apply(ps[n])
+        corrected.append(image == target.scale(b - 1 + bracket_n(n + 1, a)))
+        printed.append(image == target.scale(b - 1 + bracket_n(n, a)))
+    return corrected, printed
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +423,13 @@ _TEST_FNS = {
 }
 
 
-def _q_arrays(params: ScarfParams, x: np.ndarray):
-    """(d, s, r, dr) for Q = [ (d/dx + U) R + V ] / sqrt(2)."""
-    pot = scarf_potential(params)
-    s2 = math.sqrt(2.0)
-    return (None, pot.v(x) / s2, pot.u(x) / s2, np.ones_like(x) / s2)
-
-
 def _apply_q(u: np.ndarray, g: gridmod.Grid, params: ScarfParams) -> np.ndarray:
-    d, s, r, dr = _q_arrays(params, g.nodes)
-    return gridmod.apply_first_order(u, g, d_coeff=d, s_coeff=s, r_coeff=r,
-                                     dr_coeff=dr)
+    """Q = [ (d/dx + U) R + V ] / sqrt(2) by central differences."""
+    pot = scarf_potential(params)
+    s2, x = math.sqrt(2.0), g.nodes
+    return gridmod.apply_first_order(u, g, s_coeff=pot.v(x) / s2,
+                                     r_coeff=pot.u(x) / s2,
+                                     dr_coeff=np.ones_like(x) / s2)
 
 
 def _apply_h(u: np.ndarray, g: gridmod.Grid, params: ScarfParams) -> np.ndarray:
@@ -452,9 +450,9 @@ def _test_functions(params: ScarfParams, g: gridmod.Grid) -> dict:
     return fns
 
 
-def _interior_mask(g: gridmod.Grid, exclude: float = 0.06) -> np.ndarray:
+def _interior_mask(g: gridmod.Grid) -> np.ndarray:
     x = g.nodes
-    return (np.abs(x) > exclude) & (np.abs(np.abs(x) - g.halfwidth) > exclude)
+    return (np.abs(x) > 0.06) & (np.abs(np.abs(x) - g.halfwidth) > 0.06)
 
 
 def _probes(params: ScarfParams, grids: tuple) -> list:
@@ -486,20 +484,55 @@ def _extrapolate_residual(norms: list) -> tuple[float, float]:
     return max(limit, 0.0), p
 
 
-def _analytic_residual(op: "refc.SecondOrderRefOp", grids: tuple,
-                       halfwidth: float = math.pi / 2) -> float:
-    """Max |op u| over interior nodes of the finest grid, all test functions.
+def _analytic_residual(op: "refc.SecondOrderRefOp", g: gridmod.Grid,
+                       mask: np.ndarray) -> float:
+    """Max |op u| over the masked nodes of ``g``, all test functions.
 
     The operator is an exactly composed residual; the value measures the
     true defect of the identity (plus rounding), not discretization error.
     """
-    g = gridmod.Grid(max(grids), halfwidth)
-    mask = _interior_mask(g)
     x = g.nodes[mask]
     worst = 0.0
     for u in _TEST_FNS.values():
         worst = max(worst, float(np.abs(op.apply(u, x)).max()))
     return worst
+
+
+def _anticommutator(op: Intertwiner, target: ScarfParams,
+                    source: ScarfParams) -> tuple[Callable, refc.SecondOrderRefOp]:
+    """Q_target op + op Q_source, which vanishes when ``op`` intertwines the
+    two supercharges: (finite-difference residual, exact composition)."""
+    def grid_residual(f, g):
+        lhs = _apply_q(op.apply_grid(f, g), g, target)
+        rhs = -op.apply_grid(_apply_q(f, g, source), g)
+        return lhs - rhs
+
+    o1 = _intertwiner_first_order(op)
+    return (grid_residual,
+            _q_first_order(target).compose(o1) + o1.compose(_q_first_order(source)))
+
+
+def _product(y_op: Intertwiner, x_op: Intertwiner,
+             params: ScarfParams) -> tuple[Callable, refc.SecondOrderRefOp]:
+    """Y X - (2H + sqrt(2) a Q + (a+b+1)(a-b-1)/4) at ``params``:
+    (finite-difference residual, exact composition)."""
+    a = float(params.alpha)
+    const = float((params.alpha + params.beta + 1)
+                  * (params.alpha - params.beta - 1)) / 4.0
+
+    def grid_residual(f, g):
+        lhs = y_op.apply_grid(x_op.apply_grid(f, g), g)
+        rhs = 2 * _apply_h(f, g, params) \
+            + math.sqrt(2) * a * _apply_q(f, g, params) + const * f
+        return lhs - rhs
+
+    rhs_comp = _h_second_order(params).scale(2.0) \
+        + _q_first_order(params).as_second_order().scale(math.sqrt(2) * a) \
+        + refc.FirstOrderRefOp.build(
+            q=refc.CoeffFn.const(const)).as_second_order()
+    exact = _intertwiner_first_order(y_op).compose(
+        _intertwiner_first_order(x_op)) - rhs_comp
+    return grid_residual, exact
 
 
 def verify_operator_relations(params: ScarfParams,
@@ -519,112 +552,55 @@ def verify_operator_relations(params: ScarfParams,
     typeset placement Y_{a,b+1} X_{a,b+1} (satisfied by the printed maps:
     the printed X at b+1 IS the corrected X at b — an off-by-one in b).
     """
-    a = params.alpha
     # the reflected and shifted parameters may leave the b > -1 sector
-    mirrored = unchecked(ScarfParams, a, -params.beta)
-    q_ab = _q_first_order(params)
-    q_mb = _q_first_order(mirrored)
-    h_ab = _h_second_order(params)
-    h_mb = _h_second_order(mirrored)
-    probes = _probes(params, grids)
+    def shifted(beta):
+        return unchecked(ScarfParams, params.alpha, beta)
 
-    def rel_q_squared(f, g):
-        return _apply_q(_apply_q(f, g, params), g, params) - _apply_h(f, g, params)
-
-    def rel_parity_q(f, g):
-        rq = _apply_q(f[::-1], g, params)[::-1]       # R Q R f
-        return rq + _apply_q(f, g, mirrored)
-
-    def rel_parity_h(f, g):
-        rh = _apply_h(f[::-1], g, params)[::-1]
-        return rh - _apply_h(f, g, mirrored)
-
-    results = []
-    base = [
-        ("q_squared_equals_h", rel_q_squared,
+    mirrored = shifted(-params.beta)
+    q_ab, h_ab = _q_first_order(params), _h_second_order(params)
+    relations = [
+        ("q_squared_equals_h", "n/a",
+         lambda f, g: _apply_q(_apply_q(f, g, params), g, params)
+         - _apply_h(f, g, params),
          q_ab.compose(q_ab) - h_ab),
-        ("reflection_conjugation_Q", rel_parity_q,
-         (q_ab.conjugated_by_reflection() + q_mb).as_second_order()),
-        ("reflection_conjugation_H", rel_parity_h,
-         h_ab.conjugated_by_reflection() - h_mb),
+        ("reflection_conjugation_Q", "n/a",      # R Q R + Q at -b
+         lambda f, g: _apply_q(f[::-1], g, params)[::-1]
+         + _apply_q(f, g, mirrored),
+         (q_ab.conjugated_by_reflection()
+          + _q_first_order(mirrored)).as_second_order()),
+        ("reflection_conjugation_H", "n/a",
+         lambda f, g: _apply_h(f[::-1], g, params)[::-1]
+         - _apply_h(f, g, mirrored),
+         h_ab.conjugated_by_reflection() - _h_second_order(mirrored)),
     ]
-    for name, rel, comp in base:
-        norms = _residual_norms(rel, probes)
+    b1, b2 = shifted(params.beta + 1), shifted(params.beta + 2)
+    for variant in variants:
+        x_op = intertwiner(params, "X", variant)
+        relations += [
+            ("intertwine_X", variant, *_anticommutator(x_op, b2, params)),
+            ("intertwine_Y", variant,
+             *_anticommutator(intertwiner(params, "Y", variant),
+                              shifted(params.beta - 2), params)),
+            ("product_repaired_indices", variant,
+             *_product(intertwiner(b2, "Y", variant), x_op, params)),
+            ("product_typeset_indices", variant,
+             *_product(intertwiner(b1, "Y", variant),
+                       intertwiner(b1, "X", variant), params)),
+        ]
+
+    probes = _probes(params, grids)
+    finest, finest_mask, _ = max(probes, key=lambda probe: probe[0].n)
+    results = []
+    for name, variant, relation, composition in relations:
+        norms = _residual_norms(relation, probes)
         fd_limit, order = _extrapolate_residual(norms)
-        resid = _analytic_residual(comp, grids)
+        resid = _analytic_residual(composition, finest, finest_mask)
         results.append({
-            "relation": name, "variant": "n/a", "params": params.label(),
+            "relation": name, "variant": variant, "params": params.label(),
             "grids": list(grids), "fd_norms": norms, "fd_residual": fd_limit,
             "order": order, "residual": resid,
             "verdict": "identity" if resid < 1e-8 else "defect",
         })
-
-    for variant in variants:
-        x_op = intertwiner(params, "X", variant)
-        y_op = intertwiner(params, "Y", variant)
-        pb1 = unchecked(ScarfParams, a, params.beta + 1)
-        pb2 = unchecked(ScarfParams, a, params.beta + 2)
-        pm2 = unchecked(ScarfParams, a, params.beta - 2)
-        yb2 = intertwiner(pb2, "Y", variant)
-        yb1 = intertwiner(pb1, "Y", variant)
-        xb1 = intertwiner(pb1, "X", variant)
-        x1 = _intertwiner_first_order(x_op)
-        y1 = _intertwiner_first_order(y_op)
-        x1b1 = _intertwiner_first_order(xb1)
-        y1b1 = _intertwiner_first_order(yb1)
-        y1b2 = _intertwiner_first_order(yb2)
-        q_b2 = _q_first_order(pb2)
-        q_m2 = _q_first_order(pm2)
-
-        def rel_intertwine_x(f, g, x_op=x_op, pb2=pb2):
-            lhs = _apply_q(x_op.apply_grid(f, g), g, pb2)
-            rhs = -x_op.apply_grid(_apply_q(f, g, params), g)
-            return lhs - rhs
-
-        def rel_intertwine_y(f, g, y_op=y_op, pm2=pm2):
-            lhs = _apply_q(y_op.apply_grid(f, g), g, pm2)
-            rhs = -y_op.apply_grid(_apply_q(f, g, params), g)
-            return lhs - rhs
-
-        const = float((a + params.beta + 1) * (a - params.beta - 1)) / 4.0
-
-        def rel_product_repaired(f, g, x_op=x_op, yb2=yb2):
-            lhs = yb2.apply_grid(x_op.apply_grid(f, g), g)
-            rhs = 2 * _apply_h(f, g, params) \
-                + math.sqrt(2) * float(a) * _apply_q(f, g, params) + const * f
-            return lhs - rhs
-
-        def rel_product_typeset(f, g, xb1=xb1, yb1=yb1):
-            lhs = yb1.apply_grid(xb1.apply_grid(f, g), g)
-            rhs = 2 * _apply_h(f, g, params) \
-                + math.sqrt(2) * float(a) * _apply_q(f, g, params) + const * f
-            return lhs - rhs
-
-        rhs_comp = h_ab.scale(2.0) \
-            + q_ab.as_second_order().scale(math.sqrt(2) * float(a)) \
-            + refc.FirstOrderRefOp.build(
-                q=refc.CoeffFn.const(const)).as_second_order()
-        compositions = {
-            "intertwine_X": q_b2.compose(x1) + x1.compose(q_ab),
-            "intertwine_Y": q_m2.compose(y1) + y1.compose(q_ab),
-            "product_repaired_indices": y1b2.compose(x1) - rhs_comp,
-            "product_typeset_indices": y1b1.compose(x1b1) - rhs_comp,
-        }
-        for name, rel in [
-            ("intertwine_X", rel_intertwine_x),
-            ("intertwine_Y", rel_intertwine_y),
-            ("product_repaired_indices", rel_product_repaired),
-            ("product_typeset_indices", rel_product_typeset),
-        ]:
-            norms = _residual_norms(rel, probes)
-            fd_limit, order = _extrapolate_residual(norms)
-            resid = _analytic_residual(compositions[name], grids)
-            results.append({
-                "relation": name, "variant": variant, "params": params.label(),
-                "grids": list(grids), "fd_norms": norms,
-                "fd_residual": fd_limit, "order": order, "residual": resid,
-                "verdict": "identity" if resid < 1e-8 else "defect",
-            })
     return results
 
 
@@ -712,6 +688,13 @@ def osc_mixed_state(n: int, eps: int) -> FockVector:
     return FockVector({2 * n + 1: 0.5, 2 * n + 2: 0.5 * eps})
 
 
+@lru_cache(maxsize=None)
+def _osc_prefactor(n: int) -> float:
+    """(-1)^n pi^(-1/4) sqrt(n! / (n+1)_(n+1)), from the exact ratio."""
+    return (-1) ** n / math.pi ** 0.25 * math.sqrt(
+        float(Fraction(math.factorial(n)) / pochhammer(n + 1, n + 1)))
+
+
 def osc_wavefunction(n: int, eps: int, x: float,
                      variant: str = "printed") -> float:
     """Coordinate form of |n, eps> through the Laguerre expression.
@@ -723,8 +706,7 @@ def osc_wavefunction(n: int, eps: int, x: float,
     """
     if eps not in (+1, -1):
         raise ValueError("eps must be +-1")
-    pref = (-1) ** n / math.pi ** 0.25 * math.sqrt(
-        float(Fraction(math.factorial(n)) / pochhammer(n + 1, n + 1)))
+    pref = _osc_prefactor(n)
     weight = float(n + 1) if variant == "printed" else math.sqrt(n + 1.0)
     t = x * x
     return pref * math.exp(-t / 2) * (

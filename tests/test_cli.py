@@ -149,6 +149,10 @@ def test_spectrum_usage_error_on_bad_grids(capsys):
     (["--grids", "0,64,128"], "positive"),
     (["--grids=-64,64,128"], "positive"),
     (["--grids", "64,64,128"], "strictly ascending"),
+    (["--tol", "-1"], "--tol"),
+    (["--tol", "0"], "--tol"),
+    (["--tol", "nan"], "--tol"),
+    (["--tol", "inf"], "--tol"),
 ])
 def test_spectrum_bad_levels_or_grids_usage_error(flags, named, capsys):
     code, out, err = run(["spectrum", "--system", "oscillator",

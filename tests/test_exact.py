@@ -74,12 +74,6 @@ def test_hyp_nonterminating_rejected():
         hyp_eval(HypSeries((F(1, 2), F(1, 3)), (F(5, 2),), 1))
 
 
-def test_hyp_explicit_truncation():
-    # 2F1(1/2, 1; 1; z) truncated to 3 terms = 1 + z/2 + 3z^2/8
-    s = HypSeries((F(1, 2), 1), (1,), F(1, 4), max_terms=3)
-    assert hyp_eval(s) == 1 + F(1, 8) + F(3, 8) * F(1, 16)
-
-
 def test_hyp_denominator_pole_detected():
     with pytest.raises(SeriesDivisionByZero):
         hyp2f1(-3, 1, -1, 1)

@@ -2,7 +2,8 @@
 
 The files under ``tests/golden`` hold the outputs of ``family --format json``
 (two parameter sets per kind at degree 10, one per kind at degree 20 or 24),
-of ``verify --out`` for the jacobi and intertwiners suites, of ``errata``
+of ``verify --out`` for the jacobi, intertwiners and relations suites
+(relations pins every residual and fd order as printed), of ``errata``
 (which runs the lowering and raising maps), and of ``spectrum`` for five
 grid systems on the 256,512,1024 ladder. Any change to the exact layer must leave them
 identical. Spectrum files print each level's order estimate at full
@@ -39,6 +40,7 @@ CASES = {
     "errata.json": ["errata"],
     "verify-jacobi-d10.txt": ["verify", "--suite", "jacobi", "--degree", "10"],
     "verify-intertwiners.txt": ["verify", "--suite", "intertwiners"],
+    "verify-relations.txt": ["verify", "--suite", "relations"],
 }
 
 LADDER = ["--grids", "256,512,1024"]

@@ -255,7 +255,7 @@ def test_convergence_flag_true_false_or_unknown(ladder, order, converged):
     prob = gridmod.Problem(name="stub", params={}, halfwidth=1.0,
                            targets=(ladder[-1],),
                            compute=lambda n, k: np.array([values[n]]),
-                           tolerance=1e-6)
+                           tolerance=1e-6, exponents=(2.0, 2.0))
     rep = convergence_study(prob, [8, 16, 32], 1)
     level = rep.levels[0]
     if order is None:
@@ -443,6 +443,3 @@ def test_extrapolate_two_values_applies_exponents():
     # error c*h: the first-order elimination recovers the limit exactly
     limit, _ = extrapolate_sequence([1.5, 1.25], (1.0,))
     assert limit == 1.0
-    # without exponents a two-value ladder keeps the second-order default
-    limit, _ = extrapolate_sequence([1.5, 1.25])
-    assert limit == (4*1.25 - 1.5) / 3.0

@@ -178,7 +178,7 @@ def test_bracket_values():
 
 def test_raising_map_corrected_scalar():
     for a, b in FUZZ_PARAMS:
-        res = verify_raising(ScarfParams(a, b), 12, "corrected")
+        res, _ = verify_raising(ScarfParams(a, b), 12)
         checked = [r for r in res if r is not None]
         assert checked and all(checked)
 
@@ -193,9 +193,27 @@ def test_maps_refuse_a_degenerate_source_family():
 
 
 def test_raising_map_printed_scalar_fails():
-    res = verify_raising(pars("1/2", "3/2"), 4, "printed")
+    _, res = verify_raising(pars("1/2", "3/2"), 4)
     checked = [r for r in res if r is not None]
     assert not any(checked)
+
+
+def test_raising_map_runs_once_per_parameter_set(monkeypatch):
+    from dunklqm import cli, errata, susyqm
+
+    calls = []
+
+    def counting(params, max_n):
+        calls.append((params.alpha, params.beta, max_n))
+        return verify_raising(params, max_n)
+
+    monkeypatch.setattr(susyqm, "verify_raising", counting)
+    assert cli._suite_intertwiners(lambda msg: None, "both") == (True, 31)
+    assert calls == [(a, b, 12) for a, b in FUZZ_PARAMS]
+    calls.clear()
+    monkeypatch.setattr(errata, "verify_raising", counting)
+    errata.build_errata()
+    assert calls == [(F(1, 2), F(3, 2), 12)]
 
 
 def test_printed_x_fails_to_annihilate_ground_state():
