@@ -1,0 +1,6 @@
+"""``python -m dunklqm``: the command-line interface."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

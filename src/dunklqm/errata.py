@@ -322,9 +322,7 @@ def _oscillator_laguerre_weight() -> dict:
     g = gridmod.Grid(512, 10.0)
     norms = []
     for n in range(3):
-        val = gridmod.quadrature(
-            lambda x: np.asarray([osc_wavefunction(n, 1, float(t))
-                                  for t in np.atleast_1d(x)]) ** 2, g)
+        val = gridmod.quadrature(lambda x: osc_wavefunction(n, 1, x) ** 2, g)
         norms.append(_f17(val))
     return _entry(
         "oscillator-laguerre-weight",

@@ -19,9 +19,9 @@ orthogonal family. A family (``OrthogonalFamily``) supplies only its own
 math: validated parameters, its operator and eigenvalue formula, and its
 moment formula. The generic code builds the monic family twice, from the
 eigenvalue equation (``eigen_sequence``: one upper-triangular operator
-matrix, one back-substitution per degree) and by Gram elimination against
-the moments (``gram_sequence``), and ``verify_family`` checks that the two
-constructions agree.
+matrix, one back-substitution per degree) and from the moments alone
+(``gram_sequence``: the three-term recurrence by the Chebyshev algorithm),
+and ``verify_family`` checks that the two constructions agree.
 """
 
 from __future__ import annotations
@@ -68,6 +68,39 @@ class DegreeOverflowError(ValueError):
 
 class DegenerateSpectrumError(ValueError):
     """Requested eigenvalue collides with a lower one; construction refused."""
+
+
+# Coefficient-list kernels (index k holds the y^k coefficient; trailing zeros
+# allowed). ``Poly`` and the operator primitives share them. They do no
+# arithmetic on zero coefficients, which fill the monomial columns of
+# ``matrix_on_basis``.
+
+def _mul_coeffs(a, b) -> list:
+    if not a or not b:
+        return []
+    out = [Fraction(0)]*(len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, z in enumerate(b):
+            if z:
+                out[i+j] += x*z
+    return out
+
+
+def _deriv_coeffs(cs) -> list:
+    return [k*c if c else c for k, c in enumerate(cs)][1:]
+
+
+def _reflect_coeffs(cs) -> list:
+    return [-c if k % 2 and c else c for k, c in enumerate(cs)]
+
+
+def _odd_over_y_coeffs(cs) -> list:
+    out = [Fraction(0)]*max(len(cs) - 1, 0)
+    for k in range(1, len(cs), 2):
+        out[k-1] = 2*cs[k]
+    return out
 
 
 class Poly:
@@ -128,29 +161,18 @@ class Poly:
         return Poly([s*c for c in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero()
-        out = [Fraction(0)]*(len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i+j] += a*b
-        return Poly(out)
+        return Poly(_mul_coeffs(self.coeffs, other.coeffs))
 
     def deriv(self) -> "Poly":
-        return Poly([k*c for k, c in enumerate(self.coeffs)][1:])
+        return Poly(_deriv_coeffs(self.coeffs))
 
     def reflect(self) -> "Poly":
         """p(y) -> p(-y)."""
-        return Poly([c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)])
+        return Poly(_reflect_coeffs(self.coeffs))
 
     def odd_over_y(self) -> "Poly":
         """(p(y) - p(-y)) / y: twice the odd part, divided by y. Always exact."""
-        out = [Fraction(0)]*max(len(self.coeffs) - 1, 0)
-        for k in range(1, len(self.coeffs), 2):
-            out[k-1] = 2*self.coeffs[k]
-        return Poly(out)
+        return Poly(_odd_over_y_coeffs(self.coeffs))
 
     def __call__(self, t):
         """Evaluate at t (Fraction stays exact, float goes numeric)."""
@@ -192,20 +214,21 @@ class Poly:
 # primitives and operators
 # ---------------------------------------------------------------------------
 
+# Each primitive maps a coefficient list to a coefficient list (``step``).
+
 @dataclass(frozen=True)
 class MulPoly:
     poly: Poly
 
-    def apply(self, p: Poly) -> Poly:
-        return self.poly * p
+    def step(self, cs) -> list:
+        return _mul_coeffs(self.poly.coeffs, cs)
 
     def symbol(self) -> str:
         return f"({self.poly.pretty()})"
 
 
 class _Diff:
-    def apply(self, p: Poly) -> Poly:
-        return p.deriv()
+    step = staticmethod(_deriv_coeffs)
 
     def symbol(self) -> str:
         return "d/dy"
@@ -215,8 +238,7 @@ class _Diff:
 
 
 class _Reflect:
-    def apply(self, p: Poly) -> Poly:
-        return p.reflect()
+    step = staticmethod(_reflect_coeffs)
 
     def symbol(self) -> str:
         return "R"
@@ -226,8 +248,7 @@ class _Reflect:
 
 
 class _OddOverY:
-    def apply(self, p: Poly) -> Poly:
-        return p.odd_over_y()
+    step = staticmethod(_odd_over_y_coeffs)
 
     def symbol(self) -> str:
         return "y^-1(1-R)"
@@ -270,13 +291,19 @@ class ReflOp:
         return ReflOp([(s*c, chain) for c, chain in self.terms])
 
     def apply(self, p: Poly) -> Poly:
-        out = Poly.zero()
+        """Each chain runs on p's coefficient list, one list step per
+        primitive; the weighted images are summed into a single Poly."""
+        out = []
         for s, chain in self.terms:
-            q = p
+            q = p.coeffs
             for prim in reversed(chain):
-                q = prim.apply(q)
-            out = out + q.scale(s)
-        return out
+                q = prim.step(q)
+            if len(q) > len(out):
+                out += [Fraction(0)]*(len(q) - len(out))
+            for k, c in enumerate(q):
+                if c:
+                    out[k] += s*c
+        return Poly(out)
 
     def pretty(self) -> str:
         if not self.terms:
@@ -335,6 +362,14 @@ def mat_mul(a, b):
             for i in range(n)]
 
 
+def _triangular_columns(mat) -> int:
+    """Number of leading columns of ``mat`` with no entry below the diagonal:
+    y^j maps into degree <= j exactly for j below it."""
+    size = len(mat)
+    return next((j for j in range(size)
+                 if any(mat[i][j] for i in range(j + 1, size))), size)
+
+
 def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
     """Monic degree-n polynomial P with (M - lam) P = 0, solved exactly.
 
@@ -344,8 +379,13 @@ def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
     y^j, j <= n, maps above degree j, and DegenerateSpectrumError if lam is
     a diagonal entry below degree n (collision) or not the one at degree n.
     """
-    lam = rat(lam)
-    if any(mat[i][j] for j in range(n + 1) for i in range(j + 1, len(mat))):
+    return _back_substitute(mat, rat(lam), n, _triangular_columns(mat))
+
+
+def _back_substitute(mat, lam: Fraction, n: int, triangular: int) -> Poly:
+    """``solve_monic_eigenvector`` given ``_triangular_columns(mat)``, which
+    a caller solving many degrees of one matrix computes once."""
+    if n >= triangular:
         raise DegreeOverflowError(f"operator raises the degree of y^0..y^{n}")
     if any(mat[k][k] == lam for k in range(n)):
         raise DegenerateSpectrumError(
@@ -440,23 +480,44 @@ def inner(p: Poly, q: Poly, moments: Moments) -> Fraction:
 
 
 def gram_sequence(moments: Moments, degree: int) -> list:
-    """[(P_k, inner(P_k, P_k)) for k = 0..degree] by Gram elimination.
+    """[(P_k, inner(P_k, P_k)) for k = 0..degree] from the moments alone.
 
-    Each P_k is y^k minus its projections on P_0..P_{k-1}, built once and
-    incrementally. Independent of the eigenvalue equation; the two
-    constructions agreeing is one of the battery's checks.
+    The Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation
+    and Approximation*, 2004, sec. 2.1.7) reads the three-term recurrence
+    P_{k+1} = (y - a_k) P_k - b_k P_{k-1} off the mixed moments
+    s_{k,l} = inner(P_k, y^l), which obey the same recurrence in k:
+    a_k = s_{k,k+1}/s_{k,k} - s_{k-1,k}/s_{k-1,k-1},
+    b_k = s_{k,k}/s_{k-1,k-1}, and inner(P_k, P_k) = s_{k,k} = b_0...b_k.
+    O(degree^2) exact operations on c_0..c_{2 degree}. Independent of the
+    eigenvalue equation; the two constructions agreeing is one of the
+    battery's checks.
     """
-    seq: list[tuple[Poly, Fraction]] = []
-    for k in range(degree + 1):
-        p = Poly.monomial(k)
-        for q, qq in seq:
-            p = p - q.scale(inner(p, q, moments) / qq)
-        seq.append((p, inner(p, p, moments)))
+    sigma = [moments.moment(m) for m in range(2*degree + 1)]
+    prev_sigma = [Fraction(0)]*len(sigma)     # s_{-1,l} = 0
+    prev_p: list[Fraction] = []               # P_{-1} = 0
+    p = [Fraction(1)]
+    prev_ratio = Fraction(0)          # s_{k-1,k}/s_{k-1,k-1}
+    seq = [(Poly(p), sigma[0])]
+    for k in range(degree):
+        ratio = sigma[k+1] / sigma[k]
+        a = ratio - prev_ratio
+        b = sigma[k] / prev_sigma[k-1] if k else Fraction(0)
+        nxt = [Fraction(0)]*len(sigma)
+        for m in range(k + 1, 2*degree - k):
+            nxt[m] = sigma[m+1] - a*sigma[m] - b*prev_sigma[m]
+        new_p = [Fraction(0)] + p
+        for i, c in enumerate(p):
+            new_p[i] -= a*c
+        for i, c in enumerate(prev_p):
+            new_p[i] -= b*c
+        prev_sigma, sigma, prev_ratio = sigma, nxt, ratio
+        prev_p, p = p, new_p
+        seq.append((Poly(p), sigma[k+1]))
     return seq
 
 
 def construct_gram(n: int, moments: Moments) -> Poly:
-    """Monic degree-n polynomial from Gram elimination over the moments."""
+    """Monic degree-n orthogonal polynomial of the moments (``gram_sequence``)."""
     return gram_sequence(moments, n)[n][0]
 
 
@@ -487,8 +548,10 @@ def eigen_sequence(family: OrthogonalFamily, degree: int) -> list:
     with None at degrees whose eigenvalue collides with a lower one. The
     sibling of ``gram_sequence``."""
     mat = matrix_on_basis(family.operator(), degree)
+    triangular = _triangular_columns(mat)
     lams = [family.eigenvalue(n) for n in range(degree + 1)]
-    return [None if lam in lams[:n] else solve_monic_eigenvector(mat, lam, n)
+    return [None if lam in lams[:n] else
+            _back_substitute(mat, lam, n, triangular)
             for n, lam in enumerate(lams)]
 
 
@@ -537,14 +600,22 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
     """Run the exact verification battery up to the given degree.
 
     Per degree: zero residual in the eigenvalue equation, agreement with
-    Gram elimination, parity (symmetric families), orthogonality against
-    all lower members, then the family's own checks. Degrees whose
+    the moment-side recurrence, parity (symmetric families), orthogonality
+    against all lower members, then the family's own checks. Degrees whose
     eigenvalue collides with a lower one are skipped and listed. Only
     internal oracle inconsistencies mark the report failed.
+
+    Orthogonality and the norm come from one Hankel vector per degree,
+    h_m = sum_i p_i c_{m+i} = inner(P_n, y^m): the monic P_0..P_{n-1} span
+    every polynomial of degree < n, so P_n is orthogonal to all of them
+    exactly when h_0..h_{n-1} vanish, and inner(P_n, P_n) = sum_j p_j h_j.
+    Above a skipped degree the lower members do not span, and each one is
+    checked with ``inner``.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
     moments = Moments(family)
+    c = [moments.moment(m) for m in range(2*max_degree + 1)]
     operator = family.operator()
     gram = gram_sequence(moments, max_degree)
     records: list[FamilyRecord] = []
@@ -555,13 +626,21 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
             skipped.append(n)
             continue
         lam = family.eigenvalue(n)
-        norm_sq = inner(pn, pn, moments)
+        # Hankel vector h_m = inner(P_n, y^m), m <= n, in one pass
+        terms = [(i, a) for i, a in enumerate(pn.coeffs) if a]
+        h = [sum(a*c[m+i] for i, a in terms) for m in range(n + 1)]
+        norm_sq = sum(a*h[i] for i, a in terms)
         results = {"eigen_residual_zero": operator.apply(pn) == pn.scale(lam),
                    "gram_matches_eigen": gram[n][0] == pn}
         if family.symmetric:
             results["parity_ok"] = pn.reflect() == pn.scale((-1)**n)
-        results["orthogonal"] = all(inner(pn, r.polynomial, moments) == 0
-                                    for r in records)
+        if skipped:
+            # the lower members miss a degree, so they no longer span
+            # degree < n: check against each of them
+            results["orthogonal"] = all(inner(pn, r.polynomial, moments) == 0
+                                        for r in records)
+        else:
+            results["orthogonal"] = not any(h[:n])
         extra, extra_ok = family.family_checks(n, pn, norm_sq)
         oracle_ok = oracle_ok and all(results.values()) and extra_ok
         records.append(FamilyRecord(n, lam, pn, norm_sq, {**results, **extra}))

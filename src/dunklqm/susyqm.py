@@ -200,10 +200,14 @@ def ground_state(x: float, params: ScarfParams) -> float:
     """N_0 |sin x|^(a/2) cos^(b/2) x (1 + sin x)^(1/2) on (-pi/2, pi/2)."""
     if not -math.pi / 2 < x < math.pi / 2:
         raise DomainError(f"x={x} outside (-pi/2, pi/2)")
-    a, b = params.af, params.bf
-    n0 = math.sqrt(ground_state_norm_sq(params))
-    return n0 * abs(math.sin(x)) ** (a / 2) * math.cos(x) ** (b / 2) \
-        * math.sqrt(1 + math.sin(x))
+    return _ground_state_at(x, params.af, params.bf,
+                            math.sqrt(ground_state_norm_sq(params)))
+
+
+def _ground_state_at(x: float, a: float, b: float, n0: float) -> float:
+    """``ground_state`` given N_0, without the domain check."""
+    s = math.sin(x)
+    return n0 * abs(s) ** (a / 2) * math.cos(x) ** (b / 2) * math.sqrt(1 + s)
 
 
 def _norm_ratio(n: int, params: ScarfParams) -> float:
@@ -443,10 +447,20 @@ def _test_functions(params: ScarfParams, g: gridmod.Grid) -> dict:
         "gauss-poly": np.exp(-x**2) * (1 + x + x**2 / 3),
         "trig-mix": np.cos(x) ** 2 * (1.0 + 0.5 * np.sin(3 * x)),
     }
-    # an eigenfunction of the system itself (smooth on the open interval)
-    pn = construct_eigen(2, params.jacobi())
-    psi0 = np.array([ground_state(float(t), params) for t in x])
-    fns["eigenfunction-2"] = psi0 * np.array([pn(float(math.sin(t))) for t in x])
+    # an eigenfunction of the system itself (smooth on the open interval):
+    # ground_state times P_2(sin x) per node, with N_0 and P_2's float
+    # coefficients taken once
+    coeffs = construct_eigen(2, params.jacobi()).as_float_coeffs()[::-1]
+    n0 = math.sqrt(ground_state_norm_sq(params))
+    a, b = params.af, params.bf
+    values = []
+    for t in x.tolist():
+        s = math.sin(t)
+        p2 = 0
+        for c in coeffs:
+            p2 = p2*s + c
+        values.append(_ground_state_at(t, a, b, n0) * p2)
+    fns["eigenfunction-2"] = np.array(values)
     return fns
 
 
@@ -703,13 +717,19 @@ def osc_wavefunction(n: int, eps: int, x: float,
     Laguerre blocks; ``corrected`` uses sqrt(n+1), which is the weight that
     actually matches the Hermite superposition (exactly, with global factor
     2^(1/2 - n) under the epsilon pairing recorded by the oscillator report).
+
+    ``x`` is a float or a float array. An array is evaluated bit for bit as
+    the floats one by one: the Laguerre polynomials take the whole array,
+    and the Gaussian stays ``math.exp`` per point.
     """
     if eps not in (+1, -1):
         raise ValueError("eps must be +-1")
     pref = _osc_prefactor(n)
     weight = float(n + 1) if variant == "printed" else math.sqrt(n + 1.0)
     t = x * x
-    return pref * math.exp(-t / 2) * (
+    gauss = (np.array([math.exp(-v / 2) for v in t.tolist()]) if np.ndim(t)
+             else math.exp(-t / 2))
+    return pref * gauss * (
         x * eval_genlaguerre(n, 0.5, t) + eps * weight * eval_genlaguerre(n + 1, -0.5, t))
 
 

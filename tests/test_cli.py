@@ -1,9 +1,14 @@
 """CLI contract tests: exit codes, formats, determinism, errata schema."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dunklqm
 from dunklqm.cli import main
 
 
@@ -205,3 +210,14 @@ def test_errata_schema_and_determinism(tmp_path, capsys):
     assert "scarf-ground-state-normalization" in ids
     assert "gegenbauer-potential-constants" in ids
     capsys.readouterr()
+
+
+def test_python_m_dunklqm_runs_the_cli():
+    src = str(Path(dunklqm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dunklqm", "verify", "--suite", "exact"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "oracle checks: pass" in proc.stdout

@@ -1,7 +1,8 @@
 """Byte-for-byte regression of exact CLI outputs against recorded files.
 
 The files under ``tests/golden`` hold the outputs of ``family --format json``
-(two parameter sets per kind at degree 10, one per kind at degree 20 or 24),
+(two parameter sets per kind at degree 10, one per kind at degree 20 or 24,
+and jacobi-m1 (1/2, 3/2) at degree 60),
 of ``verify --out`` for the jacobi, intertwiners and relations suites
 (relations pins every residual and fd order as printed), of ``errata``
 (which runs the lowering and raising maps), and of ``spectrum`` for five
@@ -34,6 +35,9 @@ CASES = {
     "family-jacobi-m1-a1_3-b2-d24.json":
         ["family", "--kind", "jacobi-m1", "--alpha", "1/3", "--beta", "2",
          "--degree", "24", "--format", "json"],
+    "family-jacobi-m1-a1_2-b3_2-d60.json":
+        ["family", "--kind", "jacobi-m1", "--alpha", "1/2", "--beta", "3/2",
+         "--degree", "60", "--format", "json"],
     "family-gegenbauer-mu1-a1_2-d20.json":
         ["family", "--kind", "gegenbauer", "--mu", "1", "--alpha", "1/2",
          "--degree", "20", "--format", "json"],

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from dunklqm.opalg import (
     DegenerateSpectrumError,
     DegreeOverflowError,
     Diff,
+    Moments,
     MulPoly,
     OddOverY,
     OrthogonalFamily,
@@ -23,6 +25,8 @@ from dunklqm.opalg import (
     construct_eigen,
     dunkl,
     eigen_sequence,
+    gram_sequence,
+    inner,
     mat_mul,
     matrix_on_basis,
     solve_monic_eigenvector,
@@ -171,6 +175,35 @@ def test_matrix_functoriality():
         assert mab == mat_mul(ma, mb)
 
 
+def _apply_by_poly_arithmetic(op, p):
+    """ReflOp.apply as a sum of Poly-level primitive images, one Poly per
+    primitive: the reference for the coefficient-list pass."""
+    out = Poly.zero()
+    for s, chain in op.terms:
+        q = p
+        for prim in reversed(chain):
+            if isinstance(prim, MulPoly):
+                q = prim.poly * q
+            else:
+                q = {Diff: q.deriv, Reflect: q.reflect,
+                     OddOverY: q.odd_over_y}[prim]()
+        out = out + q.scale(s)
+    return out
+
+
+def test_apply_matches_poly_level_chains():
+    rng = random.Random(31)
+    for _ in range(200):
+        op = _random_chain(rng) + _random_chain(rng)
+        p = _random_poly(rng, rng.randint(0, 10))
+        assert op.apply(p) == _apply_by_poly_arithmetic(op, p)
+    for family in FAMILIES:
+        op = family.operator()
+        for j in range(13):
+            y_j = Poly.monomial(j)
+            assert op.apply(y_j) == _apply_by_poly_arithmetic(op, y_j)
+
+
 def test_pretty_printer():
     op = ReflOp([(2, (MulPoly(P(1, -1)), Diff, Reflect)), (F(-1, 3), (OddOverY,))])
     text = op.pretty()
@@ -198,8 +231,11 @@ class _StubFamily(OrthogonalFamily):
         return self.eigenvalues[n]
 
 
-@pytest.mark.parametrize("family", [Jacobi1Params(a, b) for a, b in FUZZ_PARAMS]
-                         + [GegParams(mu, al) for mu, al in GEG_FUZZ_PARAMS])
+FAMILIES = ([Jacobi1Params(a, b) for a, b in FUZZ_PARAMS]
+            + [GegParams(mu, al) for mu, al in GEG_FUZZ_PARAMS])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_eigen_sequence_matches_construct_eigen(family):
     assert eigen_sequence(family, 16) == [construct_eigen(n, family)
                                           for n in range(17)]
@@ -250,3 +286,73 @@ def test_operator_matrix_built_once_per_family(monkeypatch):
     calls.clear()
     verify_raising(ScarfParams(F(1, 2), F(3, 2)), 12)
     assert calls == [12, 13]
+
+
+# ---------------------------------------------------------------------------
+# the moment side: Chebyshev recurrence and Hankel orthogonality
+# ---------------------------------------------------------------------------
+
+def _gram_elimination(moments, degree):
+    """Gram elimination, the construction ``gram_sequence`` replaced: each
+    P_k is y^k minus its projections on P_0..P_{k-1}."""
+    seq = []
+    for k in range(degree + 1):
+        p = Poly.monomial(k)
+        for q, qq in seq:
+            p = p - q.scale(inner(p, q, moments) / qq)
+        seq.append((p, inner(p, p, moments)))
+    return seq
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gram_sequence_matches_gram_elimination(family):
+    assert gram_sequence(Moments(family), 24) == _gram_elimination(
+        Moments(family), 24)
+
+
+@dataclass(frozen=True)
+class _PerturbedJacobi(Jacobi1Params):
+    """Little -1 Jacobi with the moment c_7 off by one."""
+
+    def next_moment(self, lower):
+        c = super().next_moment(lower)
+        return c + 1 if len(lower) == 7 else c
+
+
+def _count_calls(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(opalg, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(opalg, name, counting)
+    return counts
+
+
+def test_perturbed_moment_breaks_hankel_orthogonality(monkeypatch):
+    counts = _count_calls(monkeypatch, "inner")
+    report = verify_family(_PerturbedJacobi(F(1, 2), F(3, 2)), 7)
+    assert counts["inner"] == 0 and not report.skipped_degenerate
+    # h_{7-n} of P_n reads c_7 through the monic coefficient once 7 - n < n
+    assert [r.results["orthogonal"] for r in report.records] == (
+        [True]*4 + [False]*4)
+    assert not report.all_oracle_checks_passed
+
+
+def test_orthogonality_above_a_skipped_degree():
+    family = GegParams(1, 2)          # lambda_1 = lambda_2
+    report = verify_family(family, 12)
+    assert report.skipped_degenerate == [2]
+    moments = Moments(family)
+    above = [r for r in report.records if r.n > 2]
+    assert len(above) == 10
+    assert all(r.results["orthogonal"] for r in above)
+    assert all(r.norm_sq == inner(r.polynomial, r.polynomial, moments)
+               for r in report.records)
+
+
+def test_verify_family_without_inner_calls(monkeypatch):
+    counts = _count_calls(monkeypatch, "inner", "matrix_on_basis")
+    report = verify_family(Jacobi1Params(F(1, 2), F(3, 2)), 24)
+    assert report.all_oracle_checks_passed
+    assert counts == {"inner": 0, "matrix_on_basis": 1}

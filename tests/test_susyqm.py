@@ -288,6 +288,18 @@ def test_parity_conjugation_pointwise_example():
     assert _pick(rep, "reflection_conjugation_Q", "n/a")["residual"] < 1e-10
 
 
+def test_eigenfunction_probe_is_ground_state_times_p2():
+    from dunklqm.susyqm import _test_functions
+    for p in (pars("1/2", "3/2"), pars(2, "1/5")):
+        g = gridmod.Grid(256, math.pi / 2)
+        p2 = construct_eigen(2, p.jacobi())
+        xs = g.nodes.tolist()
+        ref = (np.array([ground_state(t, p) for t in xs])
+               * np.array([p2(math.sin(t)) for t in xs]))
+        probe = _test_functions(p, g)["eigenfunction-2"]
+        assert probe.tobytes() == ref.tobytes()
+
+
 def _qq_vs_h_orders(pot, halfwidth, grids):
     scalar, refl = generic_H_parts(pot)
     errs = []
@@ -382,6 +394,17 @@ def test_osc_wavefunction_printed_weight_breaks_for_n_ge_1():
     vals = [osc_wavefunction(1, 1, x) / hermite_superposition(1, -1, x)
             for x in (0.4, 0.9)]
     assert abs(vals[0] - vals[1]) > 1e-3
+
+
+def test_osc_wavefunction_array_matches_scalar_calls():
+    xs = gridmod.Grid(512, 10.0).nodes
+    for n in range(3):
+        for eps in (1, -1):
+            for variant in ("printed", "corrected"):
+                ref = np.array([osc_wavefunction(n, eps, t, variant)
+                                for t in xs.tolist()])
+                got = osc_wavefunction(n, eps, xs, variant)
+                assert got.tobytes() == ref.tobytes()
 
 
 def test_osc_wavefunction_measured_norm():
