@@ -362,14 +362,6 @@ def mat_mul(a, b):
             for i in range(n)]
 
 
-def _triangular_columns(mat) -> int:
-    """Number of leading columns of ``mat`` with no entry below the diagonal:
-    y^j maps into degree <= j exactly for j below it."""
-    size = len(mat)
-    return next((j for j in range(size)
-                 if any(mat[i][j] for i in range(j + 1, size))), size)
-
-
 def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
     """Monic degree-n polynomial P with (M - lam) P = 0, solved exactly.
 
@@ -379,13 +371,8 @@ def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
     y^j, j <= n, maps above degree j, and DegenerateSpectrumError if lam is
     a diagonal entry below degree n (collision) or not the one at degree n.
     """
-    return _back_substitute(mat, rat(lam), n, _triangular_columns(mat))
-
-
-def _back_substitute(mat, lam: Fraction, n: int, triangular: int) -> Poly:
-    """``solve_monic_eigenvector`` given ``_triangular_columns(mat)``, which
-    a caller solving many degrees of one matrix computes once."""
-    if n >= triangular:
+    lam = rat(lam)
+    if any(mat[i][j] for j in range(n + 1) for i in range(j + 1, len(mat))):
         raise DegreeOverflowError(f"operator raises the degree of y^0..y^{n}")
     if any(mat[k][k] == lam for k in range(n)):
         raise DegenerateSpectrumError(
@@ -548,10 +535,8 @@ def eigen_sequence(family: OrthogonalFamily, degree: int) -> list:
     with None at degrees whose eigenvalue collides with a lower one. The
     sibling of ``gram_sequence``."""
     mat = matrix_on_basis(family.operator(), degree)
-    triangular = _triangular_columns(mat)
     lams = [family.eigenvalue(n) for n in range(degree + 1)]
-    return [None if lam in lams[:n] else
-            _back_substitute(mat, lam, n, triangular)
+    return [None if lam in lams[:n] else solve_monic_eigenvector(mat, lam, n)
             for n, lam in enumerate(lams)]
 
 
@@ -606,11 +591,12 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
     internal oracle inconsistencies mark the report failed.
 
     Orthogonality and the norm come from one Hankel vector per degree,
-    h_m = sum_i p_i c_{m+i} = inner(P_n, y^m): the monic P_0..P_{n-1} span
-    every polynomial of degree < n, so P_n is orthogonal to all of them
-    exactly when h_0..h_{n-1} vanish, and inner(P_n, P_n) = sum_j p_j h_j.
-    Above a skipped degree the lower members do not span, and each one is
-    checked with ``inner``.
+    h_m = sum_i p_i c_{m+i} = inner(P_n, y^m), m <= n: a lower member r has
+    degree < n, so inner(P_n, r) = sum_j r_j h_j, which reads only the
+    nonzero h_j, and inner(P_n, P_n) = sum_j p_j h_j. Without a skipped
+    degree the monic P_0..P_{n-1} span every polynomial of degree < n, so
+    P_n passes exactly when h_0..h_{n-1} all vanish, and then the check
+    does no arithmetic.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
@@ -634,13 +620,10 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
                    "gram_matches_eigen": gram[n][0] == pn}
         if family.symmetric:
             results["parity_ok"] = pn.reflect() == pn.scale((-1)**n)
-        if skipped:
-            # the lower members miss a degree, so they no longer span
-            # degree < n: check against each of them
-            results["orthogonal"] = all(inner(pn, r.polynomial, moments) == 0
-                                        for r in records)
-        else:
-            results["orthogonal"] = not any(h[:n])
+        nonzero = [(j, x) for j, x in enumerate(h[:n]) if x]
+        results["orthogonal"] = all(
+            sum(r.polynomial.coeff(j)*x for j, x in nonzero) == 0
+            for r in records)
         extra, extra_ok = family.family_checks(n, pn, norm_sq)
         oracle_ok = oracle_ok and all(results.values()) and extra_ok
         records.append(FamilyRecord(n, lam, pn, norm_sq, {**results, **extra}))

@@ -68,6 +68,23 @@ def test_apply_primitives():
     assert refl.apply(P(0, 1, 1)) == P(0, -1, 1)
     diff = ReflOp.from_primitive(Diff)
     assert diff.apply(P(0, 0, 0, 1)) == P(0, 0, 3)
+    # zero coefficients inside and at the ends of the list
+    assert diff.apply(P(5, 0, F(1, 2), 0, -1)) == P(0, 1, 0, -4)
+    assert diff.apply(P(7)) == Poly.zero()
+    odd = ReflOp.from_primitive(OddOverY)
+    assert odd.apply(P(1, 0, 0, F(3, 2), 2)) == P(0, 0, 3)
+    assert odd.apply(Poly.zero()) == Poly.zero()
+    mul = ReflOp.from_primitive(MulPoly(P(0, 0, 1)))
+    assert mul.apply(P(1, 0, -1)) == P(0, 0, 1, 0, -1)
+    assert ReflOp.from_primitive(MulPoly(Poly.zero())).apply(P(1, 1)) == (
+        Poly.zero())
+    # an empty chain is the identity; cancelling terms leave the zero Poly
+    ident = ReflOp([(F(2, 3), ())])
+    assert ident.apply(P(3, 0, 6)) == P(2, 0, 4)
+    assert (ident - ident).apply(P(1, 2, 3)) == Poly.zero()
+    # 3y^2 R + d/dy on 1 - y + y^3: 3y^2(1 + y - y^3) + (-1 + 3y^2)
+    op = ReflOp([(3, (MulPoly(P(0, 0, 1)), Reflect)), (1, (Diff,))])
+    assert op.apply(P(1, -1, 0, 1)) == P(-1, 0, 6, 3, 0, -3)
 
 
 def test_compose_order():
@@ -175,20 +192,29 @@ def test_matrix_functoriality():
         assert mab == mat_mul(ma, mb)
 
 
-def _apply_by_poly_arithmetic(op, p):
-    """ReflOp.apply as a sum of Poly-level primitive images, one Poly per
-    primitive: the reference for the coefficient-list pass."""
-    out = Poly.zero()
+def _apply_by_power_dicts(op, p):
+    """ReflOp.apply written independently of opalg's coefficient-list
+    kernels: each image is a {power: coefficient} dict, and every primitive
+    acts term by term on it. The reference for the coefficient-list pass."""
+    out = {}
     for s, chain in op.terms:
-        q = p
+        q = {k: c for k, c in enumerate(p.coeffs) if c}
         for prim in reversed(chain):
+            nxt = {}
             if isinstance(prim, MulPoly):
-                q = prim.poly * q
-            else:
-                q = {Diff: q.deriv, Reflect: q.reflect,
-                     OddOverY: q.odd_over_y}[prim]()
-        out = out + q.scale(s)
-    return out
+                for i, a in enumerate(prim.poly.coeffs):
+                    for k, c in q.items():
+                        nxt[i + k] = nxt.get(i + k, 0) + a*c
+            elif prim is Diff:
+                nxt = {k - 1: k*c for k, c in q.items() if k}
+            elif prim is Reflect:
+                nxt = {k: (-1)**k*c for k, c in q.items()}
+            else:                           # OddOverY keeps the odd powers
+                nxt = {k - 1: 2*c for k, c in q.items() if k % 2}
+            q = nxt
+        for k, c in q.items():
+            out[k] = out.get(k, 0) + s*c
+    return Poly([out.get(k, 0) for k in range(max(out, default=-1) + 1)])
 
 
 def test_apply_matches_poly_level_chains():
@@ -196,12 +222,12 @@ def test_apply_matches_poly_level_chains():
     for _ in range(200):
         op = _random_chain(rng) + _random_chain(rng)
         p = _random_poly(rng, rng.randint(0, 10))
-        assert op.apply(p) == _apply_by_poly_arithmetic(op, p)
+        assert op.apply(p) == _apply_by_power_dicts(op, p)
     for family in FAMILIES:
         op = family.operator()
         for j in range(13):
             y_j = Poly.monomial(j)
-            assert op.apply(y_j) == _apply_by_poly_arithmetic(op, y_j)
+            assert op.apply(y_j) == _apply_by_power_dicts(op, y_j)
 
 
 def test_pretty_printer():
@@ -329,26 +355,56 @@ def _count_calls(monkeypatch, *names):
     return counts
 
 
+def _orthogonal_by_members(report, family):
+    """The per-member check: each P_n against every lower reported member."""
+    moments = Moments(family)
+    return [all(inner(r.polynomial, q.polynomial, moments) == 0
+                for q in report.records[:k])
+            for k, r in enumerate(report.records)]
+
+
 def test_perturbed_moment_breaks_hankel_orthogonality(monkeypatch):
     counts = _count_calls(monkeypatch, "inner")
-    report = verify_family(_PerturbedJacobi(F(1, 2), F(3, 2)), 7)
+    family = _PerturbedJacobi(F(1, 2), F(3, 2))
+    report = verify_family(family, 7)
     assert counts["inner"] == 0 and not report.skipped_degenerate
     # h_{7-n} of P_n reads c_7 through the monic coefficient once 7 - n < n
-    assert [r.results["orthogonal"] for r in report.records] == (
-        [True]*4 + [False]*4)
+    orthogonal = [r.results["orthogonal"] for r in report.records]
+    assert orthogonal == [True]*4 + [False]*4
+    assert orthogonal == _orthogonal_by_members(report, family)
     assert not report.all_oracle_checks_passed
 
 
-def test_orthogonality_above_a_skipped_degree():
+@dataclass(frozen=True)
+class _PerturbedGegenbauer(GegParams):
+    """Gegenbauer with the moment c_8 off by one."""
+
+    def next_moment(self, lower):
+        c = super().next_moment(lower)
+        return c + 1 if len(lower) == 8 else c
+
+
+def test_orthogonality_above_a_skipped_degree(monkeypatch):
+    counts = _count_calls(monkeypatch, "inner")
     family = GegParams(1, 2)          # lambda_1 = lambda_2
     report = verify_family(family, 12)
     assert report.skipped_degenerate == [2]
+    assert counts["inner"] == 0
     moments = Moments(family)
     above = [r for r in report.records if r.n > 2]
     assert len(above) == 10
     assert all(r.results["orthogonal"] for r in above)
     assert all(r.norm_sq == inner(r.polynomial, r.polynomial, moments)
                for r in report.records)
+
+
+def test_perturbed_moment_above_a_skipped_degree():
+    family = _PerturbedGegenbauer(1, 2)
+    report = verify_family(family, 12)
+    assert report.skipped_degenerate == [2]
+    orthogonal = [r.results["orthogonal"] for r in report.records]
+    assert orthogonal == _orthogonal_by_members(report, family)
+    assert not all(orthogonal[2:]) and all(orthogonal[:2])
 
 
 def test_verify_family_without_inner_calls(monkeypatch):
