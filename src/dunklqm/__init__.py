@@ -28,7 +28,6 @@ from .opalg import (
     DegreeOverflowError,
     Diff,
     FamilyReport,
-    Moments,
     MulPoly,
     OddOverY,
     OrthogonalFamily,
@@ -37,8 +36,8 @@ from .opalg import (
     ReflOp,
     compose,
     construct_eigen,
-    construct_gram,
     dunkl,
+    gram_sequence,
     inner,
     matrix_on_basis,
     verify_family,
@@ -80,7 +79,6 @@ from .grid import (
     assemble,
     convergence_study,
     eigen_lowest,
-    parity_blocks,
     quadrature,
 )
 from .errata import build_errata, errata_json

@@ -2,8 +2,9 @@
 and the errata report.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error. Rational
-parameters are passed as exact "p/q" strings. All output is deterministic
-for a fixed invocation; floats print at 17 significant digits.
+parameters are passed as exact "p/q" strings, negative ones too ("--alpha
+-1/2"). All output is deterministic for a fixed invocation; floats print at
+17 significant digits.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -66,8 +68,18 @@ def _int_at_least(low: int):
     return parse
 
 
+def _out_path(text: str) -> str:
+    """An --out path whose directory exists and that is not a directory, so
+    that a command never finishes its work and then fails to write it."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(text))):
+        raise argparse.ArgumentTypeError(f"no directory to write {text!r} into")
+    return text
+
+
 def _write_atomic(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
+    d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-dunklqm-")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -314,31 +326,33 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    from . import grid as gridmod
-    from .spectra import (SYSTEM_TOLERANCES, gegenbauer_problem,
-                          oscillator_problem, scarf_problem)
+    import numpy as np
 
+    from . import grid as gridmod
+    from .spectra import gegenbauer_problem, oscillator_problem, scarf_problem
+
+    # parameters the problem refuses, method limits, and values that leave
+    # float range in the targets or on the grid all exit 2
     try:
-        if args.system == "scarf":
-            from .susyqm import ScarfParams
-            if args.alpha < 0:
-                raise ValueError("grid spectra require alpha >= 0")
-            prob = scarf_problem(ScarfParams(args.alpha, args.beta), args.levels)
-        elif args.system == "oscillator":
-            prob = oscillator_problem(args.levels)
-        else:
-            from .gegenbauer import GegParams
-            prob = gegenbauer_problem(GegParams(args.mu, args.alpha), args.levels)
+        with np.errstate(over="raise"):
+            if args.system == "scarf":
+                from .susyqm import ScarfParams
+                prob = scarf_problem(ScarfParams(args.alpha, args.beta),
+                                     args.levels)
+            elif args.system == "oscillator":
+                prob = oscillator_problem(args.levels)
+            else:
+                from .gegenbauer import GegParams
+                prob = gegenbauer_problem(GegParams(args.mu, args.alpha),
+                                          args.levels)
+            rep = gridmod.convergence_study(prob, args.grids)
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"error: parameters beyond float range ({exc})", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    try:
-        rep = gridmod.convergence_study(prob, args.grids, args.levels)
-    except gridmod.MethodLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    tol = args.tol if args.tol is not None else SYSTEM_TOLERANCES[args.system]
+    tol = args.tol if args.tol is not None else prob.tolerance
     for lv in rep.levels:
         print(f"level {lv['level']}: extrapolated {lv['extrapolated']:.12g} "
               f"target {lv['target']:.12g} abs_error {lv['abs_error']:.3e}")
@@ -381,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--degree", type=_int_at_least(0), default=6)
     fam.add_argument("--format", choices=["text", "json", "csv"],
                      default="text")
-    fam.add_argument("--out")
+    fam.add_argument("--out", type=_out_path)
     fam.set_defaults(fn=cmd_family)
 
     ver = sub.add_parser("verify", help="run verification suites")
@@ -391,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--variant", default="both",
                      choices=["printed", "corrected", "both"])
     ver.add_argument("--degree", type=_int_at_least(2), default=12)
-    ver.add_argument("--out")
+    ver.add_argument("--out", type=_out_path)
     ver.set_defaults(fn=cmd_verify)
 
     spec = sub.add_parser("spectrum", help="grid spectra vs closed forms")
@@ -404,17 +418,32 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--grids", type=_grid_list, default=[1024, 2048, 4096])
     spec.add_argument("--tol", type=_positive_finite, default=None)
     spec.add_argument("--format", choices=["json", "csv"], default="json")
-    spec.add_argument("--out")
+    spec.add_argument("--out", type=_out_path)
     spec.set_defaults(fn=cmd_spectrum)
 
     err = sub.add_parser("errata", help="emit the consolidated errata report")
-    err.add_argument("--out")
+    err.add_argument("--out", type=_out_path)
     err.set_defaults(fn=cmd_errata)
     return ap
 
 
+def _attach_negative_values(argv: list) -> list:
+    """argparse takes a token such as "-1/2" or "-1e300" for an option name,
+    so "--alpha -1/2" would lack its value; attach each such token to the
+    option before it, as "--alpha=-1/2"."""
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-\.?\d", tok)):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

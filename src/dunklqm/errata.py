@@ -15,7 +15,7 @@ import numpy as np
 from . import grid as gridmod
 from .gegenbauer import GegParams, eigenvalue_geg, geg_potentials
 from .jacobi import Jacobi1Params, construct_explicit
-from .opalg import Moments, construct_eigen, eigen_sequence
+from .opalg import construct_eigen, eigen_sequence
 from .spectra import gegenbauer_problem
 from .susyqm import (
     ScarfParams,
@@ -112,7 +112,7 @@ def _weight_exponent() -> dict:
         mom = gridmod.quadrature(lambda y: w(y) * y**n, g)
         return mom / total
 
-    exact_c1 = Moments(Jacobi1Params(a, b)).moment(1)
+    exact_c1 = Jacobi1Params(a, b).moments(2)[1]
     printed_c1 = moment_with_exponent((bf + 1) / 2, 1)
     derived_c1 = moment_with_exponent((bf - 1) / 2, 1)
     return _entry(
@@ -376,7 +376,7 @@ def build_errata() -> list:
     """Compute all errata entries with live evidence."""
     corrected, printed = verify_raising(_RAISING_PARAMS, 12)
     geg_spectrum = [float(v) for v in
-                    gegenbauer_problem(_GEG_PARAMS).compute(1024, 3)]
+                    gegenbauer_problem(_GEG_PARAMS, 3).compute(1024)]
     return [
         _odd_explicit_prefactor(),
         _odd_kappa_base(),

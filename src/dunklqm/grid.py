@@ -1,6 +1,5 @@
 """Finite-difference backend: discretization of Hamiltonians with a
-reflection term, parity reduction, symmetric eigensolvers, quadrature and
-convergence studies.
+reflection term, symmetric eigensolvers, quadrature and convergence studies.
 
 Grids are uniform with a half-cell offset so that no node falls on x = 0 or
 on the endpoints; reflection is then the exact index reversal i -> N-1-i.
@@ -38,9 +37,7 @@ __all__ = [
     "ConvergenceFailureError",
     "MethodLimitError",
     "assemble",
-    "reflection_matrix",
     "supercharge_matrix",
-    "parity_blocks",
     "eigen_lowest",
     "eigvals_all",
     "susy_squared_spectrum",
@@ -153,10 +150,6 @@ class GridOperator:
             m[cols, rows] = self.band[bw - d, d:]
         return m
 
-    def symmetry_defect(self) -> float:
-        m = self.matrix
-        return float(np.abs(m - m.T).max())
-
 
 def _checked(values: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
@@ -188,10 +181,6 @@ def assemble(scalar: Callable, refl_coeff: Callable, grid: Grid) -> GridOperator
         raise ValueError("assembled operator is not symmetric; "
                          "reflection coefficient must be even")
     return GridOperator(band, grid)
-
-
-def reflection_matrix(n: int) -> np.ndarray:
-    return np.eye(n)[::-1].copy()
 
 
 def supercharge_matrix(u_fn: Callable, v_fn: Callable, grid: Grid) -> GridOperator:
@@ -275,24 +264,6 @@ def eigen_lowest(op: GridOperator | np.ndarray, k: int) -> np.ndarray:
 def eigvals_all(op: GridOperator) -> np.ndarray:
     """All eigenvalues of a grid operator, from its banded storage."""
     return eig_banded(op.band, lower=False, eigvals_only=True)
-
-
-def parity_blocks(op: GridOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Even/odd half-grid blocks of a reflection-commuting operator.
-
-    Requires [H, R] = 0 on the grid (mirror symmetry of the matrix); raised
-    otherwise, since the blocks would silently drop the parity coupling.
-    """
-    m, n = op.matrix, op.n
-    mirrored = m[::-1, ::-1]
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - mirrored).max() > 1e-12 * scale:
-        raise ValueError("operator does not commute with reflection; "
-                         "parity blocks are not defined")
-    half = n // 2
-    tl = m[:half, :half]
-    tr = m[:half, half:][:, ::-1]
-    return tl + tr, tl - tr
 
 
 def susy_squared_spectrum(u_fn: Callable, v_fn: Callable, grid: Grid,
@@ -472,16 +443,16 @@ def extrapolate_sequence(values: Sequence[float],
 
 @dataclass(frozen=True)
 class Problem:
-    """A spectrum computation: grids -> lowest-k levels, with targets.
+    """A spectrum computation: grid size -> its lowest levels, one per target.
 
+    ``tolerance``: the largest accepted error of an extrapolated level.
     ``exponents``: known error-power schedule for Richardson elimination.
     """
 
     name: str
     params: dict
-    halfwidth: float
     targets: tuple
-    compute: Callable  # (N, k) -> np.ndarray of k lowest levels
+    compute: Callable  # N -> np.ndarray of the len(targets) lowest levels
     tolerance: float
     exponents: tuple
 
@@ -527,22 +498,21 @@ class SpectrumReport:
         return max(lv["abs_error"] for lv in self.levels)
 
 
-def convergence_study(problem: Problem, n_list: Sequence[int],
-                      k: int) -> SpectrumReport:
-    """Eigenvalue ladder over ascending grids, extrapolated and compared
-    against closed-form targets. Order estimates outside [1, 3] flag a level
-    as non-convergent (extrapolation still reported); a level whose order
-    cannot be estimated (e.g. a non-monotone ladder) has ``converged`` None,
-    unknown."""
+def convergence_study(problem: Problem, n_list: Sequence[int]) -> SpectrumReport:
+    """Eigenvalue ladder over ascending grids, one level per closed-form
+    target, extrapolated and compared against the targets. Order estimates
+    outside [1, 3] flag a level as non-convergent (extrapolation still
+    reported); a level whose order cannot be estimated (e.g. a non-monotone
+    ladder) has ``converged`` None, unknown."""
     n_list = list(n_list)
     if len(n_list) < 3:
         raise ValueError("need at least three grid sizes")
     if sorted(n_list) != n_list:
         raise ValueError("grid list must be ascending")
-    values = np.asarray([problem.compute(n, k) for n in n_list])
+    values = np.asarray([problem.compute(n) for n in n_list])
     report = SpectrumReport(system=problem.name, params=dict(problem.params),
                             grids=n_list)
-    for lv in range(k):
+    for lv in range(len(problem.targets)):
         seq = values[:, lv]
         limit, order = extrapolate_sequence(seq, problem.exponents)
         target = float(problem.targets[lv])

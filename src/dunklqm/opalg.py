@@ -49,10 +49,8 @@ __all__ = [
     "DegenerateSpectrumError",
     "OrthogonalFamily",
     "unchecked",
-    "Moments",
     "inner",
     "gram_sequence",
-    "construct_gram",
     "eigenvalue_collision",
     "construct_eigen",
     "eigen_sequence",
@@ -413,6 +411,13 @@ class OrthogonalFamily:
         """Moment c_n for n = len(lower), given c_0 = 1, ..., c_{n-1}."""
         raise NotImplementedError
 
+    def moments(self, count: int) -> list:
+        """The normalized moments [c_0 = 1, c_1, ..., c_{count-1}]."""
+        c = [Fraction(1)]
+        while len(c) < count:
+            c.append(self.next_moment(c))
+        return c[:count]
+
     def family_checks(self, n: int, pn: Poly,
                       norm_sq: Fraction) -> tuple[dict, bool]:
         """Extra report fields for P_n, and whether its extra oracle checks
@@ -440,21 +445,8 @@ def unchecked(cls, *values):
     return obj
 
 
-class Moments:
-    """Normalized moments c_0 = 1, c_1, ... of a family's functional, cached."""
-
-    def __init__(self, family: OrthogonalFamily):
-        self.family = family
-        self._cache = [Fraction(1)]
-
-    def moment(self, n: int) -> Fraction:
-        while len(self._cache) <= n:
-            self._cache.append(self.family.next_moment(self._cache))
-        return self._cache[n]
-
-
-def inner(p: Poly, q: Poly, moments: Moments) -> Fraction:
-    """Exact bilinear form sum_ij p_i q_j c_{i+j}."""
+def inner(p: Poly, q: Poly, c: list) -> Fraction:
+    """Exact bilinear form sum_ij p_i q_j c_{i+j} on the moments ``c``."""
     total = Fraction(0)
     for i, a in enumerate(p.coeffs):
         if a == 0:
@@ -462,12 +454,13 @@ def inner(p: Poly, q: Poly, moments: Moments) -> Fraction:
         for j, b in enumerate(q.coeffs):
             if b == 0:
                 continue
-            total += a*b*moments.moment(i + j)
+            total += a*b*c[i + j]
     return total
 
 
-def gram_sequence(moments: Moments, degree: int) -> list:
-    """[(P_k, inner(P_k, P_k)) for k = 0..degree] from the moments alone.
+def gram_sequence(c: list, degree: int) -> list:
+    """[(P_k, inner(P_k, P_k)) for k = 0..degree] from the moments
+    c_0..c_{2 degree} alone.
 
     The Chebyshev algorithm (Gautschi, *Orthogonal Polynomials: Computation
     and Approximation*, 2004, sec. 2.1.7) reads the three-term recurrence
@@ -479,7 +472,7 @@ def gram_sequence(moments: Moments, degree: int) -> list:
     eigenvalue equation; the two constructions agreeing is one of the
     battery's checks.
     """
-    sigma = [moments.moment(m) for m in range(2*degree + 1)]
+    sigma = c[:2*degree + 1]
     prev_sigma = [Fraction(0)]*len(sigma)     # s_{-1,l} = 0
     prev_p: list[Fraction] = []               # P_{-1} = 0
     p = [Fraction(1)]
@@ -493,19 +486,14 @@ def gram_sequence(moments: Moments, degree: int) -> list:
         for m in range(k + 1, 2*degree - k):
             nxt[m] = sigma[m+1] - a*sigma[m] - b*prev_sigma[m]
         new_p = [Fraction(0)] + p
-        for i, c in enumerate(p):
-            new_p[i] -= a*c
-        for i, c in enumerate(prev_p):
-            new_p[i] -= b*c
+        for i, x in enumerate(p):
+            new_p[i] -= a*x
+        for i, x in enumerate(prev_p):
+            new_p[i] -= b*x
         prev_sigma, sigma, prev_ratio = sigma, nxt, ratio
         prev_p, p = p, new_p
         seq.append((Poly(p), sigma[k+1]))
     return seq
-
-
-def construct_gram(n: int, moments: Moments) -> Poly:
-    """Monic degree-n orthogonal polynomial of the moments (``gram_sequence``)."""
-    return gram_sequence(moments, n)[n][0]
 
 
 def eigenvalue_collision(n: int, family: OrthogonalFamily) -> int | None:
@@ -600,10 +588,9 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
-    moments = Moments(family)
-    c = [moments.moment(m) for m in range(2*max_degree + 1)]
+    c = family.moments(2*max_degree + 1)
     operator = family.operator()
-    gram = gram_sequence(moments, max_degree)
+    gram = gram_sequence(c, max_degree)
     records: list[FamilyRecord] = []
     skipped: list[int] = []
     oracle_ok = True

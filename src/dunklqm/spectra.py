@@ -22,15 +22,10 @@ __all__ = [
     "scarf_problem",
     "oscillator_problem",
     "gegenbauer_problem",
-    "DEFAULT_GRIDS",
-    "SYSTEM_TOLERANCES",
 ]
 
-DEFAULT_GRIDS = (1024, 2048, 4096)
-SYSTEM_TOLERANCES = {"scarf": 1e-6, "oscillator": 1e-6, "gegenbauer": 1e-5}
 
-
-def scarf_problem(params: ScarfParams, k: int = 3) -> gridmod.Problem:
+def scarf_problem(params: ScarfParams, k: int) -> gridmod.Problem:
     """Lowest-k Scarf levels against (2n+a+b+1)^2/8."""
     if params.alpha < 0:
         raise ValueError("grid spectra are restricted to alpha >= 0")
@@ -38,15 +33,15 @@ def scarf_problem(params: ScarfParams, k: int = 3) -> gridmod.Problem:
     targets = tuple(float(scarf_energy(n, params)) for n in range(k))
 
     if params.alpha == 0:
-        def compute(n, kk):
+        def compute(n):
             g = gridmod.Grid(n, math.pi / 2)
             op = gridmod.assemble(lambda x: 0.5 * (pot.u(x) ** 2) + 0.5 * pot.du(x),
                                   lambda x: np.zeros_like(x), g)
-            return gridmod.eigen_lowest(op, kk)
+            return gridmod.eigen_lowest(op, k)
     else:
-        def compute(n, kk):
+        def compute(n):
             g = gridmod.Grid(n, math.pi / 2)
-            return gridmod.susy_squared_spectrum(pot.u, pot.v, g, kk)
+            return gridmod.susy_squared_spectrum(pot.u, pot.v, g, k)
 
     # leading eigenvalue-error power: the even-reflection sector behaves as
     # |x|^(alpha/2) at the origin, giving h^(2 alpha) up to the smooth h^2 term
@@ -54,38 +49,36 @@ def scarf_problem(params: ScarfParams, k: int = 3) -> gridmod.Problem:
     return gridmod.Problem(
         name="scarf",
         params={"alpha": str(params.alpha), "beta": str(params.beta)},
-        halfwidth=math.pi / 2,
         targets=targets,
         compute=compute,
-        tolerance=SYSTEM_TOLERANCES["scarf"],
+        tolerance=1e-6,
         exponents=(lead, 2.0),
     )
 
 
-def oscillator_problem(k: int = 5) -> gridmod.Problem:
+def oscillator_problem(k: int) -> gridmod.Problem:
     """Lowest-k oscillator-with-reflection levels: 0, 2, 2, 4, 4, ..., on the
     box [-10, 10]."""
     halfwidth = 10.0
     targets = tuple(sorted(float(osc_energy(n)) for n in range(k + 2))[:k])
 
-    def compute(n, kk):
+    def compute(n):
         g = gridmod.Grid(n, halfwidth)
         op = gridmod.assemble(lambda x: 0.5 * x**2,
                               lambda x: -0.5 * np.ones_like(x), g)
-        return gridmod.eigen_lowest(op, kk)
+        return gridmod.eigen_lowest(op, k)
 
     return gridmod.Problem(
         name="oscillator",
         params={},
-        halfwidth=halfwidth,
         targets=targets,
         compute=compute,
-        tolerance=SYSTEM_TOLERANCES["oscillator"],
+        tolerance=1e-6,
         exponents=(2.0, 2.0),
     )
 
 
-def gegenbauer_problem(params: GegParams, k: int = 3) -> gridmod.Problem:
+def gegenbauer_problem(params: GegParams, k: int) -> gridmod.Problem:
     """Lowest-k generalized Gegenbauer energies, -lambda_n in increasing order.
 
     Assembled as 2 Q^2 at Scarf parameters (2 mu, 0) plus the bounded exact
@@ -100,7 +93,7 @@ def gegenbauer_problem(params: GegParams, k: int = 3) -> gridmod.Problem:
     scarf = ScarfParams(2 * params.mu, Fraction(0))
     pot = scarf_potential(scarf)
 
-    def compute(n, kk):
+    def compute(n):
         g = gridmod.Grid(n, math.pi / 2)
         q = gridmod.supercharge_matrix(pot.u, pot.v, g).matrix
         # one dense BLAS product: a banded Q^2 rounds differently and
@@ -112,14 +105,13 @@ def gegenbauer_problem(params: GegParams, k: int = 3) -> gridmod.Problem:
         h[i, i[::-1]] += -mu * (1.0 / (1.0 + np.cos(x)) + (2 * al + 1))
         # Q has pair bandwidth 3 and Q^2 bandwidth 4
         return gridmod.composite_spectrum(
-            gridmod.GridOperator.from_dense(h, g, 4), kk)
+            gridmod.GridOperator.from_dense(h, g, 4), k)
 
     return gridmod.Problem(
         name="gegenbauer",
         params={"mu": str(params.mu), "alpha": str(params.alpha)},
-        halfwidth=math.pi / 2,
         targets=targets,
         compute=compute,
-        tolerance=SYSTEM_TOLERANCES["gegenbauer"],
+        tolerance=1e-5,
         exponents=(2.0, 2.0),
     )

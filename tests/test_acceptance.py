@@ -19,7 +19,7 @@ from dunklqm.jacobi import (
     norm_sq_closed,
     norm_sq_from_normalization,
 )
-from dunklqm.opalg import Moments, construct_eigen, inner
+from dunklqm.opalg import construct_eigen, inner
 from dunklqm.spectra import gegenbauer_problem, oscillator_problem, scarf_problem
 from dunklqm.susyqm import (
     FockVector,
@@ -63,7 +63,7 @@ def test_criterion_2_orthogonality_and_norms():
     worst = True
     for a, b in FUZZ_PARAMS:
         p = Jacobi1Params(a, b)
-        m = Moments(p)
+        m = p.moments(41)
         ps = [construct_eigen(n, p) for n in range(21)]
         for n in range(21):
             if inner(ps[n], ps[n], m) != norm_sq_closed(n, p):
@@ -117,18 +117,18 @@ def test_criterion_5_grid_spectra():
     ok = True
     details = []
     for a, b in [(F(0), F(2)), (F(1), F(3)), (F(1, 2), F(3, 2))]:
-        prob = scarf_problem(ScarfParams(a, b))
-        rep = gridmod.convergence_study(prob, [1024, 2048, 4096], 3)
+        prob = scarf_problem(ScarfParams(a, b), 3)
+        rep = gridmod.convergence_study(prob, [1024, 2048, 4096])
         err = rep.max_error()
         details.append(f"scarf({a},{b}) {err:.1e}")
         ok = ok and err < 1e-6
     scarf_dt = time.time() - t0
     ok = ok and scarf_dt < 120.0
-    rep = gridmod.convergence_study(oscillator_problem(), [1024, 2048, 4096], 5)
+    rep = gridmod.convergence_study(oscillator_problem(5), [1024, 2048, 4096])
     details.append(f"osc {rep.max_error():.1e}")
     ok = ok and rep.max_error() < 1e-6
-    rep = gridmod.convergence_study(gegenbauer_problem(GegParams(F(1, 2), F(1))),
-                                    [1024, 2048, 4096], 3)
+    rep = gridmod.convergence_study(gegenbauer_problem(GegParams(F(1, 2), F(1)), 3),
+                                    [1024, 2048, 4096])
     details.append(f"geg {rep.max_error():.1e}")
     ok = ok and rep.max_error() < 1e-5
     _report(5, ok, f"{'; '.join(details)}; scarf block {scarf_dt:.0f}s (<120s)")

@@ -1,0 +1,30 @@
+"""Every public name of the package resolves: each name in a module's
+``__all__``, and each name that ``dunklqm/__init__.py`` imports."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import dunklqm
+
+MODULES = [m.name for m in pkgutil.iter_modules(dunklqm.__path__)
+           if hasattr(importlib.import_module(f"dunklqm.{m.name}"), "__all__")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"dunklqm.{name}")
+    assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(dunklqm.__file__).read_text())
+    imported = [(node.module, alias.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imported) > 50
+    for module_name, name in imported:
+        module = importlib.import_module(f"dunklqm.{module_name}")
+        assert getattr(dunklqm, name) is getattr(module, name, None), name

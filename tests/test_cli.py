@@ -183,15 +183,62 @@ def test_spectrum_method_limit_usage_error(argv, capsys):
 
 
 def test_spectrum_scarf_negative_alpha_rejected(capsys):
-    code, _, _ = run(["spectrum", "--system", "scarf", "--alpha", "-1/2",
-                      "--beta", "2"], capsys)
+    # ScarfParams accepts alpha > -1; scarf_problem refuses alpha < 0
+    code, out, err = run(["spectrum", "--system", "scarf", "--alpha", "-1/2",
+                          "--beta", "2"], capsys)
     assert code == 2
+    assert out == ""
+    assert err == "error: grid spectra are restricted to alpha >= 0\n"
 
 
 def test_spectrum_gegenbauer_negative_mu_rejected(capsys):
-    code, _, _ = run(["spectrum", "--system", "gegenbauer", "--mu", "-1/4",
-                      "--alpha", "1"], capsys)
+    # GegParams accepts mu > -1/2; gegenbauer_problem refuses mu < 0
+    code, out, err = run(["spectrum", "--system", "gegenbauer", "--mu", "-1/4",
+                          "--alpha", "1"], capsys)
     assert code == 2
+    assert out == ""
+    assert err == "error: grid spectra are restricted to mu >= 0\n"
+
+
+def test_negative_rational_as_separate_or_attached_value(capsys):
+    argv = ["family", "--kind", "jacobi-m1", "--beta", "0", "--degree", "3"]
+    separate = run(argv + ["--alpha", "-1/2"], capsys)
+    attached = run(argv + ["--alpha=-1/2"], capsys)
+    assert separate == attached
+    assert separate[0] == 0
+    assert "'alpha': '-1/2'" in separate[1]
+
+
+@pytest.mark.parametrize("params", [
+    ["--system", "scarf", "--alpha", "1e300", "--beta", "2"],
+    ["--system", "scarf", "--alpha", "1", "--beta", "1e300"],
+    ["--system", "gegenbauer", "--mu", "1e300", "--alpha", "1"],
+    ["--system", "gegenbauer", "--mu", "1/2", "--alpha", "1e300"],
+])
+def test_spectrum_parameters_beyond_float_range_usage_error(params, capsys):
+    code, out, err = run(["spectrum", *params, "--grids", "64,128,256"],
+                         capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: parameters beyond float range")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--kind", "jacobi-m1"],
+    ["verify", "--suite", "exact"],
+    ["spectrum", "--system", "oscillator", "--grids", "64,128,256"],
+    ["errata"],
+])
+def test_out_into_missing_directory_or_onto_directory_usage_error(
+        argv, tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run([*argv, "--out", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "argument --out: " in err
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_errata_schema_and_determinism(tmp_path, capsys):

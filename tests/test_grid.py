@@ -18,9 +18,7 @@ from dunklqm.grid import (
     eigen_lowest,
     eigvals_all,
     extrapolate_sequence,
-    parity_blocks,
     quadrature,
-    reflection_matrix,
     supercharge_matrix,
 )
 from dunklqm.gegenbauer import GegParams
@@ -42,7 +40,6 @@ def test_grid_nodes_symmetric():
 def test_assemble_free_particle_box():
     g = Grid(512, math.pi / 2)
     op = assemble(lambda x: 0.0 * x, lambda x: 0.0 * x, g)
-    assert op.symmetry_defect() < 1e-12
     w = eigen_lowest(op, 3)
     # particle in a box of width pi: E_k = k^2/2
     assert abs(w[0] - 0.5) < 1e-4
@@ -70,51 +67,17 @@ def test_assemble_singular_potential_rejected():
         assemble(lambda x: 1.0 / (x - x[0]), lambda x: 0.0 * x, g)
 
 
-def test_parity_blocks_oscillator():
+def test_oscillator_parity_sectors():
+    # the reflection term splits the levels by parity: each eigenvector is
+    # even or odd under x -> -x, the sign of v . Rv
     g = Grid(600, 10.0)
     op = assemble(lambda x: 0.5 * x**2, lambda x: -0.5 + 0.0 * x, g)
-    even, odd = parity_blocks(op)
-    we = np.sort(np.linalg.eigvalsh(even))
-    wo = np.sort(np.linalg.eigvalsh(odd))
+    w, v = np.linalg.eigh(op.matrix)
+    parity = np.einsum("ij,ij->j", v, v[::-1])
+    assert np.abs(np.abs(parity) - 1.0).max() < 1e-10
     # lowest even level 0, lowest odd level 2
-    assert abs(we[0] - 0.0) < 1e-4
-    assert abs(wo[0] - 2.0) < 1e-3
-    merged = np.sort(np.concatenate([we, wo]))
-    full = np.sort(np.linalg.eigvalsh(op.matrix))
-    assert np.abs(merged - full).max() < 1e-10
-
-
-def test_parity_blocks_scalar_reduction():
-    # zero reflection coefficient: blocks are the classic even/odd reductions
-    g = Grid(128, 3.0)
-    op = assemble(lambda x: x**2, lambda x: 0.0 * x, g)
-    even, odd = parity_blocks(op)
-    merged = np.sort(np.concatenate([np.linalg.eigvalsh(even),
-                                     np.linalg.eigvalsh(odd)]))
-    full = np.sort(np.linalg.eigvalsh(op.matrix))
-    assert np.abs(merged - full).max() < 1e-10
-
-
-def test_parity_blocks_requires_commuting_operator():
-    # Scarf at beta != 0 has an odd scalar component: [H, R] != 0, and the
-    # even/odd blocks would silently drop the parity coupling
-    pars = ScarfParams(F(0), F(2))
-    pot = scarf_potential(pars)
-    g = Grid(128, math.pi / 2)
-    op = assemble(lambda x: 0.5 * pot.u(x) ** 2 + 0.5 * pot.du(x),
-                  lambda x: 0.0 * x, g)
-    with pytest.raises(ValueError):
-        parity_blocks(op)
-    # beta = 0 (with alpha > 0) does commute: U = 0 kills the odd part
-    pars0 = ScarfParams(F(1), F(0))
-    pot0 = scarf_potential(pars0)
-    op0 = gridmod.supercharge_matrix(pot0.u, pot0.v, g)
-    h0 = gridmod.GridOperator.from_dense(op0.matrix @ op0.matrix, g, 4)
-    even, odd = parity_blocks(h0)
-    merged = np.sort(np.concatenate([np.linalg.eigvalsh(even),
-                                     np.linalg.eigvalsh(odd)]))
-    full = np.sort(np.linalg.eigvalsh(h0.matrix))
-    assert np.abs(merged - full).max() < 1e-9 * max(1, np.abs(full).max())
+    assert abs(w[parity > 0][0] - 0.0) < 1e-4
+    assert abs(w[parity < 0][0] - 2.0) < 1e-3
 
 
 def test_scarf_alpha0_equals_scalar_hamiltonian():
@@ -143,7 +106,7 @@ def test_mirror_symmetry_beta_flip():
     hm = assemble(lambda x: 0.5 * (potm.u(x) ** 2 + potm.v(x) ** 2)
                   + 0.5 * potm.du(x),
                   lambda x: -0.5 * potm.dv(x), g).matrix
-    r = reflection_matrix(64)
+    r = np.eye(64)[::-1]
     assert np.abs(r @ h @ r - hm).max() < 1e-12 * max(1, np.abs(h).max())
 
 
@@ -230,8 +193,8 @@ def test_quadrature_excited_norm_and_orthogonality():
 
 
 def test_convergence_study_reports():
-    prob = oscillator_problem(k=5)
-    rep = convergence_study(prob, [512, 1024, 2048], 5)
+    prob = oscillator_problem(5)
+    rep = convergence_study(prob, [512, 1024, 2048])
     errs = [lv["abs_error"] for lv in rep.levels]
     assert max(errs) < 1e-6
     # errors decrease monotonically with N for every level
@@ -252,11 +215,10 @@ def test_convergence_study_reports():
 ])
 def test_convergence_flag_true_false_or_unknown(ladder, order, converged):
     values = dict(zip((8, 16, 32), ladder))
-    prob = gridmod.Problem(name="stub", params={}, halfwidth=1.0,
-                           targets=(ladder[-1],),
-                           compute=lambda n, k: np.array([values[n]]),
+    prob = gridmod.Problem(name="stub", params={}, targets=(ladder[-1],),
+                           compute=lambda n: np.array([values[n]]),
                            tolerance=1e-6, exponents=(2.0, 2.0))
-    rep = convergence_study(prob, [8, 16, 32], 1)
+    rep = convergence_study(prob, [8, 16, 32])
     level = rep.levels[0]
     if order is None:
         assert math.isnan(level["order"])
@@ -267,16 +229,15 @@ def test_convergence_flag_true_false_or_unknown(ladder, order, converged):
 
 
 def test_scarf_convergence_smooth_order_window():
-    prob = scarf_problem(ScarfParams(F(0), F(2)))
-    rep = convergence_study(prob, [512, 1024, 2048], 3)
+    prob = scarf_problem(ScarfParams(F(0), F(2)), 3)
+    rep = convergence_study(prob, [512, 1024, 2048])
     assert rep.all_within_tolerance(1e-6)
     for lv in rep.levels:
         assert 1.7 <= lv["order"] <= 2.3
 
 
 def test_gegenbauer_composite_checkerboard_filtered():
-    prob = gegenbauer_problem(GegParams(F(1, 2), F(1)))
-    vals = prob.compute(512, 6)
+    vals = gegenbauer_problem(GegParams(F(1, 2), F(1)), 6).compute(512)
     # all six smooth levels are physical: -lambda_n sorted
     targets = sorted(-float(v) for v in
                      [0, -8, -12, -24, -32, -48])[:6]
@@ -383,7 +344,7 @@ def _gegenbauer_operator(monkeypatch, mu, alpha, n, k):
     real = gridmod.composite_spectrum
     monkeypatch.setattr(gridmod, "composite_spectrum",
                         lambda op, kk: seen.append(op) or real(op, kk))
-    gegenbauer_problem(GegParams(mu, alpha), k).compute(n, k)
+    gegenbauer_problem(GegParams(mu, alpha), k).compute(n)
     monkeypatch.setattr(gridmod, "composite_spectrum", real)
     return seen[0]
 
@@ -398,7 +359,7 @@ def test_gegenbauer_band_equals_dense_construction(monkeypatch):
     h += np.diag((a**2 - 0.25) / np.cos(x) ** 2 - (m + a + 0.5) ** 2
                  + (2 * a + 1) * m)
     coeff = -m * (1.0 / (1.0 + np.cos(x)) + (2 * a + 1))
-    h += coeff[:, None] * reflection_matrix(n)
+    h += coeff[:, None] * np.eye(n)[::-1]
     assert np.array_equal(op.band, _dense_band(0.5 * (h + h.T)))
 
 

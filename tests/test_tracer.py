@@ -17,6 +17,8 @@ TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 COMMANDS = (
     ["verify", "--suite", "oscillator"],
     ["spectrum", "--system", "oscillator", "--grids", "64,128,256"],
+    ["spectrum", "--system", "gegenbauer", "--mu", "1/2", "--alpha", "1",
+     "--grids", "128,256,512"],
 )
 
 
@@ -55,7 +57,7 @@ def test_traced_run_matches_untraced_and_uninstall_restores(capsys):
         tracer.uninstall()
     assert traced == untraced
     assert tracer.calls["grid.lapack"] > 0
-    assert tracer.calls["spectra.compute"] == 3
+    assert tracer.calls["spectra.compute"] == 6
     after = _bindings(tracer_mod)
     changed = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for (owner, attr), value in before.items()
