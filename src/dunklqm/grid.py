@@ -48,8 +48,6 @@ __all__ = [
     "SpectrumReport",
     "Problem",
     "convergence_study",
-    "apply_first_order",
-    "apply_hamiltonian",
 ]
 
 
@@ -526,47 +524,3 @@ def convergence_study(problem: Problem, n_list: Sequence[int]) -> SpectrumReport
             "converged": (1.0 <= order <= 3.0) if math.isfinite(order) else None,
         })
     return report
-
-
-# ---------------------------------------------------------------------------
-# pointwise stencil application (for operator-relation residuals)
-# ---------------------------------------------------------------------------
-
-def apply_first_order(u: np.ndarray, grid: Grid, d_coeff=None, s_coeff=None,
-                      r_coeff=None, dr_coeff=None) -> np.ndarray:
-    """Apply a*u' + s*u + r*(Ru) + c*(Ru)' with central differences.
-
-    Edge rows use one-sided differences and are only meaningful away from
-    the walls; callers restrict norms to the interior.
-    """
-    h = grid.h
-    out = np.zeros_like(u)
-
-    def deriv(w):
-        dw = np.empty_like(w)
-        dw[1:-1] = (w[2:] - w[:-2]) / (2*h)
-        dw[0] = (w[1] - w[0]) / h
-        dw[-1] = (w[-1] - w[-2]) / h
-        return dw
-
-    if d_coeff is not None:
-        out += d_coeff * deriv(u)
-    if s_coeff is not None:
-        out += s_coeff * u
-    ru = u[::-1]
-    if r_coeff is not None:
-        out += r_coeff * ru
-    if dr_coeff is not None:
-        out += dr_coeff * deriv(ru)
-    return out
-
-
-def apply_hamiltonian(u: np.ndarray, grid: Grid, scalar: np.ndarray,
-                      refl: np.ndarray) -> np.ndarray:
-    """Apply -1/2 u'' + scalar*u + refl*(Ru) with the 3-point Laplacian."""
-    h = grid.h
-    lap = np.zeros_like(u)
-    lap[1:-1] = (u[2:] - 2*u[1:-1] + u[:-2]) / h**2
-    lap[0] = lap[1]
-    lap[-1] = lap[-2]
-    return -0.5*lap + scalar*u + refl*u[::-1]

@@ -43,8 +43,8 @@ __all__ = [
     "OddOverY",
     "DegreeOverflowError",
     "dunkl",
+    "compose",
     "matrix_on_basis",
-    "mat_mul",
     "solve_monic_eigenvector",
     "DegenerateSpectrumError",
     "OrthogonalFamily",
@@ -351,13 +351,6 @@ def matrix_on_basis(op: ReflOp, degree_bound: int):
         for i, c in enumerate(img.coeffs):
             mat[i][j] = c
     return mat
-
-
-def mat_mul(a, b):
-    """Exact product of two square Fraction matrices (lists of rows)."""
-    n = len(a)
-    return [[sum(a[i][k]*b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
 
 
 def solve_monic_eigenvector(mat, lam, n: int) -> Poly:

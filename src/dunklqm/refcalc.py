@@ -10,16 +10,25 @@ carry their own derivatives, so composition is exact; applying a composed
 operator to a test function with known derivatives costs only rounding.
 This is what lets operator identities be verified to 1e-10 on a grid where
 raw finite-difference compositions are O(h^2).
+
+One representation, two evaluations: ``apply`` evaluates an operator
+exactly on a test function, ``stencil`` by finite differences on a midpoint
+grid (R is index reversal). An identity is one ``Relation`` between sums of
+operator ``Chain``s, composed exactly by ``residual`` and run operator by
+operator on grid values by ``stencil``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["CoeffFn", "FirstOrderRefOp", "SecondOrderRefOp", "ProbeFn"]
+__all__ = ["CoeffFn", "FirstOrderRefOp", "SecondOrderRefOp", "ProbeFn", "Chain",
+           "Relation"]
 
 
 @dataclass(frozen=True)
@@ -101,10 +110,6 @@ class FirstOrderRefOp:
         z = CoeffFn.zero()
         return FirstOrderRefOp(p or z, q or z, r or z, s or z)
 
-    def __add__(self, other: "FirstOrderRefOp") -> "FirstOrderRefOp":
-        return FirstOrderRefOp(self.p + other.p, self.q + other.q,
-                               self.r + other.r, self.s + other.s)
-
     def compose(self, other: "FirstOrderRefOp") -> "SecondOrderRefOp":
         """self о other in canonical second-order form (other applied first)."""
         pB, qB, rB, sB = self.p, self.q, self.r, self.s
@@ -158,6 +163,9 @@ class FirstOrderRefOp:
 
     def apply(self, u: ProbeFn, x: np.ndarray) -> np.ndarray:
         return self.as_second_order().apply(u, x)
+
+    def stencil(self, grid) -> Callable[[np.ndarray], np.ndarray]:
+        return self.as_second_order().stencil(grid)
 
 
 def _df(self: CoeffFn) -> CoeffFn:
@@ -213,3 +221,93 @@ class SecondOrderRefOp:
         refl = self.d2.f(x) * u.d2(-x) - self.d1.f(x) * u.d1(-x) \
             + self.d0.f(x) * u.f(-x)
         return direct + refl
+
+    def as_second_order(self) -> "SecondOrderRefOp":
+        return self
+
+    def stencil(self, grid) -> Callable[[np.ndarray], np.ndarray]:
+        """Evaluate by central differences and the 3-point Laplacian on
+        ``grid``; edge rows (one-sided, or copied from the neighbour) are
+        only meaningful away from the walls. Coefficient arrays are taken
+        once, here; terms are added in the order D^2, D, 1, R, DR, D^2 R,
+        leaving out those whose coefficient vanishes on every node."""
+        x, h = grid.nodes, grid.h
+        terms = [(c.f(x), term) for c, term in (
+            (self.c2, lambda u: _second_difference(u, h)),
+            (self.c1, lambda u: _first_difference(u, h)),
+            (self.c0, lambda u: u),
+            (self.d0, lambda u: u[::-1]),
+            (self.d1, lambda u: _first_difference(u[::-1], h)),
+            (self.d2, lambda u: _second_difference(u[::-1], h)))]
+        terms = [(c, term) for c, term in terms if c.any()]
+        return lambda u: sum((c * term(u) for c, term in terms), np.zeros_like(u))
+
+
+def _first_difference(w: np.ndarray, h: float) -> np.ndarray:
+    dw = np.empty_like(w)
+    dw[1:-1] = (w[2:] - w[:-2]) / (2*h)
+    dw[0] = (w[1] - w[0]) / h
+    dw[-1] = (w[-1] - w[-2]) / h
+    return dw
+
+
+def _second_difference(w: np.ndarray, h: float) -> np.ndarray:
+    lap = np.empty_like(w)
+    lap[1:-1] = (w[2:] - 2*w[1:-1] + w[:-2]) / h**2
+    lap[0] = lap[1]
+    lap[-1] = lap[-2]
+    return lap
+
+
+@dataclass(frozen=True)
+class Chain:
+    """``scale`` times the product of ``ops`` (the last acts first; none is
+    the identity, two are first order), conjugated by R if ``by_reflection``."""
+
+    scale: float
+    ops: tuple
+    by_reflection: bool
+
+    def composed(self) -> SecondOrderRefOp:
+        """The chain in canonical second-order form, by exact composition;
+        R (A B) R is composed as (R A R)(R B R)."""
+        ops = ([op.conjugated_by_reflection() for op in self.ops]
+               if self.by_reflection else self.ops)
+        first, *rest = ops or (FirstOrderRefOp.build(q=CoeffFn.const(1.0)),)
+        op = first.compose(*rest) if rest else first.as_second_order()
+        return op if self.scale == 1 else op.scale(self.scale)
+
+    def stencil(self, stencils: dict) -> Callable[[np.ndarray], np.ndarray]:
+        """The chain run one operator at a time on grid values; ``stencils``
+        maps each operator to its ``stencil`` on that grid."""
+        flip = [lambda u: u[::-1]] if self.by_reflection else []
+        steps = flip + [stencils[op] for op in reversed(self.ops)] + flip
+
+        def apply(u: np.ndarray) -> np.ndarray:
+            for step in steps:
+                u = step(u)
+            return u if self.scale == 1 else self.scale * u
+
+        return apply
+
+
+@dataclass(frozen=True)
+class Relation:
+    """The operator identity sum(lhs) = sum(rhs) between tuples of chains."""
+
+    lhs: tuple
+    rhs: tuple
+
+    def residual(self) -> SecondOrderRefOp:
+        """sum(lhs) - sum(rhs) composed exactly: zero iff the identity holds."""
+        def total(side):
+            return reduce(add, (chain.composed() for chain in side))
+
+        return total(self.lhs) - total(self.rhs)
+
+    def stencil(self, stencils: dict) -> Callable[[np.ndarray], np.ndarray]:
+        """sum(lhs) - sum(rhs) by finite differences (see ``Chain.stencil``):
+        O(h^2) on smooth functions where the identity holds."""
+        lhs = [chain.stencil(stencils) for chain in self.lhs]
+        rhs = [chain.stencil(stencils) for chain in self.rhs]
+        return lambda u: sum(s(u) for s in lhs) - sum(s(u) for s in rhs)

@@ -10,11 +10,12 @@ becomes the all-rational operator
 whose eigenvalues on the little -1 Jacobi polynomials are -(2n+a+b+1) for
 even n and +(2n+a+b+1) for odd n; energies are their squares over eight.
 Analytic-form identities (parity conjugations, intertwining and product
-relations, Q^2 = H) are checked two ways on the grid: raw finite-difference
-compositions, whose residual norms must vanish at second order in the
-spacing, and exact symbolic composition of the first-order reflection
-operators (refcalc), whose pointwise residual measures the true defect of
-an identity down to rounding.
+relations, Q^2 = H) have one representation and two evaluations. Q, H, X
+and Y are each held once as a refcalc operator, and each identity is one
+refcalc Relation between chains of them. Its exact symbolic composition
+gives a pointwise residual that measures the true defect of the identity
+down to rounding; the same chains run as finite-difference stencils give
+residual norms that must vanish at second order in the grid spacing.
 
 The X and Y intertwiners come in a ``printed`` and a ``corrected`` variant.
 The corrected X (tangent coefficient (b+1)/2 instead of b/2) is exactly the
@@ -268,31 +269,21 @@ def bracket_n(n: int, alpha) -> Fraction:
 class Intertwiner:
     """One of the b -> b+-2 maps, in analytic and (if available) gauged form.
 
-    Analytic action: sign_d * d/dx + tan_coeff tan x - sec x / 2
-                     - (a/2)(1 + csc_sign csc x) R.
-    ``gauged`` is the exact polynomial-picture operator, None for the
-    printed variants (their gauged form leaves the polynomial ring).
+    ``op`` is the analytic action
+        sign d/dx + t tan x - sec x / 2 - (a/2)(1 + sign csc x) R,
+    with sign +1 for X and -1 for Y, and t = b/2 printed, (b + sign)/2
+    corrected. ``gauged`` is the exact polynomial-picture operator, None for
+    the printed variants (their gauged form leaves the polynomial ring).
     """
 
     which: str            # "X" or "Y"
     variant: str          # "printed" or "corrected"
     params: ScarfParams
-    sign_d: int
-    tan_coeff: Fraction
-    csc_sign: int
+    op: refc.FirstOrderRefOp
     gauged: ReflOp | None
 
-    def coefficient_arrays(self, x: np.ndarray):
-        """(d, s, r) coefficient arrays for grid application."""
-        a = self.params.af
-        d = self.sign_d * np.ones_like(x)
-        s = float(self.tan_coeff) * np.tan(x) - 0.5 / np.cos(x)
-        r = -(a / 2) * (1 + self.csc_sign / np.sin(x))
-        return d, s, r
-
     def apply_grid(self, u: np.ndarray, g: gridmod.Grid) -> np.ndarray:
-        d, s, r = self.coefficient_arrays(g.nodes)
-        return gridmod.apply_first_order(u, g, d_coeff=d, s_coeff=s, r_coeff=r)
+        return self.op.stencil(g)(u)
 
 
 def _gauged_y_corrected(params: ScarfParams) -> ReflOp:
@@ -313,14 +304,18 @@ def intertwiner(params: ScarfParams, which: str,
         raise ValueError("which must be 'X' or 'Y'")
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
+    sign = 1 if which == "X" else -1
     b = params.beta
-    if which == "X":
-        tan_coeff = b / 2 if variant == "printed" else (b + 1) / 2
-        gauged = dunkl(params.alpha / 2) if variant == "corrected" else None
-        return Intertwiner(which, variant, params, +1, tan_coeff, +1, gauged)
-    tan_coeff = b / 2 if variant == "printed" else (b - 1) / 2
-    gauged = _gauged_y_corrected(params) if variant == "corrected" else None
-    return Intertwiner(which, variant, params, -1, tan_coeff, -1, gauged)
+    tan_coeff = b / 2 if variant == "printed" else (b + sign) / 2
+    op = refc.FirstOrderRefOp.build(
+        p=refc.CoeffFn.const(sign),
+        q=refc.CoeffFn.tan().scale(float(tan_coeff))
+        - refc.CoeffFn.sec().scale(0.5),
+        r=(refc.CoeffFn.const(1.0)
+           + refc.CoeffFn.csc().scale(float(sign))).scale(-params.af / 2))
+    gauged = None if variant == "printed" else (
+        dunkl(params.alpha / 2) if which == "X" else _gauged_y_corrected(params))
+    return Intertwiner(which, variant, params, op, gauged)
 
 
 def _nondegenerate_sequence(family: Jacobi1Params, degree: int) -> list:
@@ -400,15 +395,6 @@ def _h_second_order(params: ScarfParams) -> refc.SecondOrderRefOp:
     return refc.SecondOrderRefOp(refc.CoeffFn.const(-0.5), z, w0, z, z, w1)
 
 
-def _intertwiner_first_order(op: "Intertwiner") -> refc.FirstOrderRefOp:
-    a = op.params.af
-    q = refc.CoeffFn.tan().scale(float(op.tan_coeff)) \
-        - refc.CoeffFn.sec().scale(0.5)
-    r = (refc.CoeffFn.const(1.0)
-         + refc.CoeffFn.csc().scale(float(op.csc_sign))).scale(-a / 2)
-    return refc.FirstOrderRefOp.build(p=refc.CoeffFn.const(op.sign_d), q=q, r=r)
-
-
 _TEST_FNS = {
     "gauss-poly": refc.ProbeFn(
         lambda x: np.exp(-x**2) * (1 + x + x**2 / 3),
@@ -427,26 +413,9 @@ _TEST_FNS = {
 }
 
 
-def _apply_q(u: np.ndarray, g: gridmod.Grid, params: ScarfParams) -> np.ndarray:
-    """Q = [ (d/dx + U) R + V ] / sqrt(2) by central differences."""
-    pot = scarf_potential(params)
-    s2, x = math.sqrt(2.0), g.nodes
-    return gridmod.apply_first_order(u, g, s_coeff=pot.v(x) / s2,
-                                     r_coeff=pot.u(x) / s2,
-                                     dr_coeff=np.ones_like(x) / s2)
-
-
-def _apply_h(u: np.ndarray, g: gridmod.Grid, params: ScarfParams) -> np.ndarray:
-    scalar, refl = generic_H_parts(scarf_potential(params))
-    return gridmod.apply_hamiltonian(u, g, scalar(g.nodes), refl(g.nodes))
-
-
 def _test_functions(params: ScarfParams, g: gridmod.Grid) -> dict:
     x = g.nodes
-    fns = {
-        "gauss-poly": np.exp(-x**2) * (1 + x + x**2 / 3),
-        "trig-mix": np.cos(x) ** 2 * (1.0 + 0.5 * np.sin(3 * x)),
-    }
+    fns = {name: u.f(x) for name, u in _TEST_FNS.items()}
     # an eigenfunction of the system itself (smooth on the open interval):
     # ground_state times P_2(sin x) per node, with N_0 and P_2's float
     # coefficients taken once
@@ -469,19 +438,20 @@ def _interior_mask(g: gridmod.Grid) -> np.ndarray:
     return (np.abs(x) > 0.06) & (np.abs(np.abs(x) - g.halfwidth) > 0.06)
 
 
-def _probes(params: ScarfParams, grids: tuple) -> list:
-    """(grid, interior mask, test functions) for each N of the ladder."""
-    return [(g, _interior_mask(g), _test_functions(params, g))
+def _probes(params: ScarfParams, grids: tuple, operators: dict) -> list:
+    """(grid, interior mask, test functions, operator stencils) per N."""
+    return [(g, _interior_mask(g), _test_functions(params, g),
+             {op: op.stencil(g) for op in operators})
             for g in (gridmod.Grid(n, math.pi / 2) for n in grids)]
 
 
-def _residual_norms(relation: Callable, probes: list) -> list:
+def _residual_norms(relation: refc.Relation, probes: list) -> list:
     norms = []
-    for g, mask, fns in probes:
+    for _, mask, fns, stencils in probes:
+        residual = relation.stencil(stencils)
         worst = 0.0
         for f in fns.values():
-            res = relation(f, g)
-            worst = max(worst, float(np.abs(res[mask]).max()))
+            worst = max(worst, float(np.abs(residual(f)[mask]).max()))
         norms.append(worst)
     return norms
 
@@ -512,41 +482,25 @@ def _analytic_residual(op: "refc.SecondOrderRefOp", g: gridmod.Grid,
     return worst
 
 
-def _anticommutator(op: Intertwiner, target: ScarfParams,
-                    source: ScarfParams) -> tuple[Callable, refc.SecondOrderRefOp]:
-    """Q_target op + op Q_source, which vanishes when ``op`` intertwines the
-    two supercharges: (finite-difference residual, exact composition)."""
-    def grid_residual(f, g):
-        lhs = _apply_q(op.apply_grid(f, g), g, target)
-        rhs = -op.apply_grid(_apply_q(f, g, source), g)
-        return lhs - rhs
-
-    o1 = _intertwiner_first_order(op)
-    return (grid_residual,
-            _q_first_order(target).compose(o1) + o1.compose(_q_first_order(source)))
+def _chain(scale: float, *ops) -> refc.Chain:
+    return refc.Chain(scale, ops, False)
 
 
-def _product(y_op: Intertwiner, x_op: Intertwiner,
-             params: ScarfParams) -> tuple[Callable, refc.SecondOrderRefOp]:
-    """Y X - (2H + sqrt(2) a Q + (a+b+1)(a-b-1)/4) at ``params``:
-    (finite-difference residual, exact composition)."""
-    a = float(params.alpha)
+def _anticommutator(op: refc.FirstOrderRefOp, q_target: refc.FirstOrderRefOp,
+                    q_source: refc.FirstOrderRefOp) -> refc.Relation:
+    """Q_target op = -op Q_source: ``op`` intertwines the two supercharges."""
+    return refc.Relation((_chain(1, q_target, op),), (_chain(-1, op, q_source),))
+
+
+def _product(y: refc.FirstOrderRefOp, x: refc.FirstOrderRefOp,
+             q: refc.FirstOrderRefOp, h: refc.SecondOrderRefOp,
+             params: ScarfParams) -> refc.Relation:
+    """Y X = 2H + sqrt(2) a Q + (a+b+1)(a-b-1)/4, with Q and H at ``params``."""
     const = float((params.alpha + params.beta + 1)
                   * (params.alpha - params.beta - 1)) / 4.0
-
-    def grid_residual(f, g):
-        lhs = y_op.apply_grid(x_op.apply_grid(f, g), g)
-        rhs = 2 * _apply_h(f, g, params) \
-            + math.sqrt(2) * a * _apply_q(f, g, params) + const * f
-        return lhs - rhs
-
-    rhs_comp = _h_second_order(params).scale(2.0) \
-        + _q_first_order(params).as_second_order().scale(math.sqrt(2) * a) \
-        + refc.FirstOrderRefOp.build(
-            q=refc.CoeffFn.const(const)).as_second_order()
-    exact = _intertwiner_first_order(y_op).compose(
-        _intertwiner_first_order(x_op)) - rhs_comp
-    return grid_residual, exact
+    return refc.Relation((_chain(1, y, x),),
+                         (_chain(2, h), _chain(math.sqrt(2) * params.af, q),
+                          _chain(const)))
 
 
 def verify_operator_relations(params: ScarfParams,
@@ -554,12 +508,13 @@ def verify_operator_relations(params: ScarfParams,
                               variants: tuple = ("corrected", "printed")) -> list:
     """Residuals of the operator identities, per variant, two ways.
 
-    ``residual``: the identity's defect measured by exact symbolic
-    composition of the first-order reflection operators, evaluated pointwise
-    on the finest grid (zero up to rounding for true identities).
-    ``fd_norms``/``order``: the same relation through raw finite-difference
-    stencils over the grid ladder, whose norms must shrink at second order
-    when the identity holds; their extrapolated limit is ``fd_residual``.
+    Each identity is one ``refcalc.Relation`` between chains of the
+    analytic Q, H, X and Y operators, evaluated twice. ``residual``: its
+    defect by exact symbolic composition, evaluated pointwise on the finest
+    grid (zero up to rounding for true identities). ``fd_norms``/``order``:
+    the same chains run as finite-difference stencils over the grid ladder,
+    whose norms must shrink at second order when the identity holds; their
+    extrapolated limit is ``fd_residual``.
 
     The product relation is checked at the repaired parameter placement
     Y_{a,b+2} X_{a,b} (satisfied exactly by the corrected maps) and at the
@@ -571,44 +526,40 @@ def verify_operator_relations(params: ScarfParams,
         return unchecked(ScarfParams, params.alpha, beta)
 
     mirrored = shifted(-params.beta)
-    q_ab, h_ab = _q_first_order(params), _h_second_order(params)
+    q, h = _q_first_order(params), _h_second_order(params)
     relations = [
         ("q_squared_equals_h", "n/a",
-         lambda f, g: _apply_q(_apply_q(f, g, params), g, params)
-         - _apply_h(f, g, params),
-         q_ab.compose(q_ab) - h_ab),
-        ("reflection_conjugation_Q", "n/a",      # R Q R + Q at -b
-         lambda f, g: _apply_q(f[::-1], g, params)[::-1]
-         + _apply_q(f, g, mirrored),
-         (q_ab.conjugated_by_reflection()
-          + _q_first_order(mirrored)).as_second_order()),
-        ("reflection_conjugation_H", "n/a",
-         lambda f, g: _apply_h(f[::-1], g, params)[::-1]
-         - _apply_h(f, g, mirrored),
-         h_ab.conjugated_by_reflection() - _h_second_order(mirrored)),
+         refc.Relation((_chain(1, q, q),), (_chain(1, h),))),
+        ("reflection_conjugation_Q", "n/a",      # R Q R = -Q at -b
+         refc.Relation((refc.Chain(1, (q,), True),),
+                       (_chain(-1, _q_first_order(mirrored)),))),
+        ("reflection_conjugation_H", "n/a",      # R H R = H at -b
+         refc.Relation((refc.Chain(1, (h,), True),),
+                       (_chain(1, _h_second_order(mirrored)),))),
     ]
     b1, b2 = shifted(params.beta + 1), shifted(params.beta + 2)
+    q_up, q_down = _q_first_order(b2), _q_first_order(shifted(params.beta - 2))
     for variant in variants:
-        x_op = intertwiner(params, "X", variant)
+        x, y = (intertwiner(params, which, variant).op for which in "XY")
         relations += [
-            ("intertwine_X", variant, *_anticommutator(x_op, b2, params)),
-            ("intertwine_Y", variant,
-             *_anticommutator(intertwiner(params, "Y", variant),
-                              shifted(params.beta - 2), params)),
+            ("intertwine_X", variant, _anticommutator(x, q_up, q)),
+            ("intertwine_Y", variant, _anticommutator(y, q_down, q)),
             ("product_repaired_indices", variant,
-             *_product(intertwiner(b2, "Y", variant), x_op, params)),
+             _product(intertwiner(b2, "Y", variant).op, x, q, h, params)),
             ("product_typeset_indices", variant,
-             *_product(intertwiner(b1, "Y", variant),
-                       intertwiner(b1, "X", variant), params)),
+             _product(intertwiner(b1, "Y", variant).op,
+                      intertwiner(b1, "X", variant).op, q, h, params)),
         ]
 
-    probes = _probes(params, grids)
-    finest, finest_mask, _ = max(probes, key=lambda probe: probe[0].n)
+    operators = dict.fromkeys(op for *_, rel in relations
+                              for chain in rel.lhs + rel.rhs for op in chain.ops)
+    probes = _probes(params, grids, operators)
+    finest, finest_mask, *_ = max(probes, key=lambda probe: probe[0].n)
     results = []
-    for name, variant, relation, composition in relations:
+    for name, variant, relation in relations:
         norms = _residual_norms(relation, probes)
         fd_limit, order = _extrapolate_residual(norms)
-        resid = _analytic_residual(composition, finest, finest_mask)
+        resid = _analytic_residual(relation.residual(), finest, finest_mask)
         results.append({
             "relation": name, "variant": variant, "params": params.label(),
             "grids": list(grids), "fd_norms": norms, "fd_residual": fd_limit,

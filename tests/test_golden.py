@@ -9,13 +9,23 @@ of ``verify --out`` for the jacobi, intertwiners and relations suites
 grid systems on the 256,512,1024 ladder. Any change to the exact layer must leave them
 identical. Spectrum files print each level's order estimate at full
 precision, so they also pin the grid layer's eigenvalues to the last bit.
+
+``relations-fd.json`` holds the finite-difference side of both operator
+relation sets (those of ``verify --suite relations`` and of ``errata``):
+every ``fd_norms`` ladder and the full-precision ``order``, as
+``verify_operator_relations`` returned them. Norms of 1e-10 and above must
+agree to 1e-9 relative; orders must print the same to two decimals, which is
+how noise-level norms (rounding only) are checked.
 """
 
+import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from dunklqm.cli import main
+from dunklqm.susyqm import ScarfParams, verify_operator_relations
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -82,6 +92,27 @@ def test_spectrum_matches_golden(name, tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+FD_GOLDEN = "relations-fd.json"
+FD_SETS = {"verify": (ScarfParams(F(0), F(1)), (512, 1024, 2048)),
+           "errata": (ScarfParams(F(1), F(1, 2)), (256, 512, 1024))}
+
+
+@pytest.mark.parametrize("name", sorted(FD_SETS))
+def test_relation_fd_norms_match_golden(name):
+    golden = json.loads((GOLDEN / FD_GOLDEN).read_text())[name]
+    params, grids = FD_SETS[name]
+    assert (golden["params"], golden["grids"]) == (params.label(), list(grids))
+    report = verify_operator_relations(params, grids=grids)
+    assert ([(r["relation"], r["variant"]) for r in report]
+            == [(g["relation"], g["variant"]) for g in golden["relations"]])
+    for r, g in zip(report, golden["relations"]):
+        assert f"{r['order']:.2f}" == f"{g['order']:.2f}", r["relation"]
+        assert len(r["fd_norms"]) == len(g["fd_norms"])
+        for new, old in zip(r["fd_norms"], g["fd_norms"]):
+            if old >= 1e-10:
+                assert new == pytest.approx(old, rel=1e-9, abs=0), r["relation"]
+
+
 def test_every_golden_file_is_checked():
     assert (sorted(p.name for p in GOLDEN.iterdir())
-            == sorted([*CASES, *SPECTRUM_CASES]))
+            == sorted([*CASES, *SPECTRUM_CASES, FD_GOLDEN]))

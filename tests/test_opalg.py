@@ -26,7 +26,6 @@ from dunklqm.opalg import (
     eigen_sequence,
     gram_sequence,
     inner,
-    mat_mul,
     matrix_on_basis,
     solve_monic_eigenvector,
     verify_family,
@@ -188,7 +187,14 @@ def test_matrix_functoriality():
             continue
         # functoriality holds when b's images stay within the bound (they do,
         # since mb existed) and a is evaluated on that range
-        assert mab == mat_mul(ma, mb)
+        assert mab == _mat_mul(ma, mb)
+
+
+def _mat_mul(a, b):
+    """Exact product of two square Fraction matrices (lists of rows)."""
+    n = len(a)
+    return [[sum(a[i][k]*b[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
 
 
 def _apply_by_power_dicts(op, p):

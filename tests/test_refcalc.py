@@ -1,8 +1,15 @@
-"""Tests for the exact composition calculus of reflection operators."""
+"""Tests for the exact composition calculus of reflection operators and its
+finite-difference evaluation."""
+
+import math
+from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
-from dunklqm.refcalc import CoeffFn, FirstOrderRefOp, ProbeFn
+from dunklqm.grid import Grid
+from dunklqm.refcalc import Chain, CoeffFn, FirstOrderRefOp, ProbeFn
+from dunklqm.susyqm import _TEST_FNS, ScarfParams, _h_second_order
 
 U = ProbeFn(
     lambda x: np.exp(-x**2) * (1 + x),
@@ -76,3 +83,57 @@ def test_coeff_reflection_derivative():
     xs = np.linspace(-0.9, 0.9, 11)
     assert np.allclose(cref.f(xs), np.tan(-xs))
     assert np.allclose(cref.df(xs), -1.0 / np.cos(xs) ** 2)
+
+
+# -- finite-difference evaluation on a grid -----------------------------------
+
+LADDER = (256, 512, 1024)
+SCARF = ScarfParams(F(1), F(3))
+
+
+def _fd_orders(op, u, halfwidth, keep):
+    """Observed orders of max |stencil - exact apply| over the kept nodes."""
+    errs = []
+    for n in LADDER:
+        g = Grid(n, halfwidth)
+        x = g.nodes
+        mask = keep(x, g)
+        errs.append(np.abs(op.stencil(g)(u.f(x)) - op.apply(u, x))[mask].max())
+    return [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
+
+
+def _all_but_edges(x, g):
+    keep = np.ones(g.n, dtype=bool)
+    keep[[0, -1]] = False
+    return keep
+
+
+def _away_from_singularities(x, g):
+    return (np.abs(x) > 0.06) & (np.abs(np.abs(x) - g.halfwidth) > 0.06)
+
+
+@pytest.mark.parametrize("probe", sorted(_TEST_FNS))
+def test_first_order_stencil_converges_to_apply(probe):
+    op = FirstOrderRefOp.build(p=CoeffFn.const(2.0), q=CoeffFn.tan().scale(0.5),
+                               r=CoeffFn.sec().scale(-1.5), s=CoeffFn.const(0.7))
+    assert min(_fd_orders(op, _TEST_FNS[probe], 1.2, _all_but_edges)) >= 1.7
+
+
+@pytest.mark.parametrize("probe", sorted(_TEST_FNS))
+def test_scarf_hamiltonian_stencil_converges_to_apply(probe):
+    h = _h_second_order(SCARF)
+    orders = _fd_orders(h, _TEST_FNS[probe], math.pi / 2, _away_from_singularities)
+    assert min(orders) >= 1.7
+
+
+def test_reflected_chain_stencil_reverses_input_and_output():
+    a = FirstOrderRefOp.build(p=CoeffFn.const(1.0), q=CoeffFn.sec().scale(-0.3),
+                              r=CoeffFn.tan().scale(0.4), s=CoeffFn.const(0.2))
+    h = _h_second_order(SCARF)
+    g = Grid(512, math.pi / 2)
+    stencils = {op: op.stencil(g) for op in (a, h)}
+    u = _TEST_FNS["trig-mix"].f(g.nodes)
+    for scale, ops in ((1, (a,)), (1, (h,)), (-2.5, (a, a))):
+        plain = Chain(scale, ops, False).stencil(stencils)
+        reflected = Chain(scale, ops, True).stencil(stencils)
+        assert reflected(u).tobytes() == plain(u[::-1])[::-1].tobytes()

@@ -233,6 +233,38 @@ def test_printed_x_fails_to_annihilate_ground_state():
     assert np.abs(out_p[mask]).max() > 0.05
 
 
+def _reference_intertwiner_grid(u, g, which, variant, params):
+    """The intertwiner by central differences, written out from its printed
+    coefficients: sign u' + (t tan x - sec x/2) u - (a/2)(1 + sign csc x) Ru,
+    added in that order onto zeros."""
+    sign = 1 if which == "X" else -1
+    b = params.beta
+    t = float(b / 2 if variant == "printed" else (b + sign) / 2)
+    x, h = g.nodes, g.h
+    du = np.empty_like(u)
+    du[1:-1] = (u[2:] - u[:-2]) / (2*h)
+    du[0] = (u[1] - u[0]) / h
+    du[-1] = (u[-1] - u[-2]) / h
+    out = np.zeros_like(u)
+    out += sign * np.ones_like(x) * du
+    out += (t * np.tan(x) - 0.5 / np.cos(x)) * u
+    out += -(params.af / 2) * (1 + sign / np.sin(x)) * u[::-1]
+    return out
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (0, 1), ("1/2", "3/2"), (2, "1/5")])
+def test_intertwiner_stencil_matches_reference_bitwise(a, b):
+    p = pars(a, b)
+    for n in (1024, 2048):
+        g = gridmod.Grid(n, math.pi / 2)
+        for u in (ground_state_fn(p)(g.nodes), np.exp(-g.nodes**2) * (1 + g.nodes)):
+            for which in "XY":
+                for variant in ("printed", "corrected"):
+                    out = intertwiner(p, which, variant).apply_grid(u, g)
+                    ref = _reference_intertwiner_grid(u, g, which, variant, p)
+                    assert out.tobytes() == ref.tobytes(), (which, variant, n)
+
+
 def test_intertwiner_variant_validation():
     with pytest.raises(ValueError):
         intertwiner(pars(0, 0), "Z")
