@@ -14,7 +14,6 @@ from .exact import (
     DomainError,
     HypSeries,
     NonTerminatingError,
-    Rational,
     SeriesDivisionByZero,
     beta_num,
     hyp2f1,
@@ -61,16 +60,16 @@ from .susyqm import (
     ScarfParams,
     SusyPotential,
     gauged_supercharge,
-    generic_H_parts,
     ground_state,
     intertwiner,
     osc_energy,
     osc_mixed_state,
     osc_q_apply,
     osc_wavefunction,
+    oscillator_potential,
     scarf_energy,
+    scarf_potential,
     verify_operator_relations,
-    wavefunction,
 )
 from .grid import (
     Grid,

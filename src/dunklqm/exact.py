@@ -16,7 +16,6 @@ __all__ = [
     "DomainError",
     "NonTerminatingError",
     "SeriesDivisionByZero",
-    "Rational",
     "rat",
     "pochhammer",
     "HypSeries",
@@ -25,8 +24,6 @@ __all__ = [
     "hyp3f2",
     "beta_num",
 ]
-
-Rational = Fraction
 
 
 class DomainError(ValueError):

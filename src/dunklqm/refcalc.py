@@ -47,6 +47,29 @@ class CoeffFn:
     def zero() -> "CoeffFn":
         return CoeffFn.const(0.0)
 
+    @staticmethod
+    def tan() -> "CoeffFn":
+        return CoeffFn(np.tan, lambda x: 1.0 / np.cos(x) ** 2)
+
+    @staticmethod
+    def sec() -> "CoeffFn":
+        return CoeffFn(lambda x: 1.0 / np.cos(x),
+                       lambda x: np.sin(x) / np.cos(x) ** 2)
+
+    @staticmethod
+    def csc() -> "CoeffFn":
+        return CoeffFn(lambda x: 1.0 / np.sin(x),
+                       lambda x: -np.cos(x) / np.sin(x) ** 2)
+
+    def df_coeff(self) -> "CoeffFn":
+        """Derivative as a CoeffFn; second derivatives are never needed, so the
+        derivative-of-derivative slot evaluates to an error guard."""
+
+        def poison(x):
+            raise RuntimeError("second derivative of a coefficient requested")
+
+        return CoeffFn(self.df, poison)
+
     def reflected(self) -> "CoeffFn":
         """x -> f(-x), with derivative -f'(-x)."""
         return CoeffFn(lambda x: self.f(-x), lambda x: -self.df(-x))
@@ -68,25 +91,6 @@ class CoeffFn:
     def scale(self, c: float) -> "CoeffFn":
         c = float(c)
         return CoeffFn(lambda x: c * self.f(x), lambda x: c * self.df(x))
-
-
-def _tan() -> CoeffFn:
-    return CoeffFn(np.tan, lambda x: 1.0 / np.cos(x) ** 2)
-
-
-def _sec() -> CoeffFn:
-    return CoeffFn(lambda x: 1.0 / np.cos(x),
-                   lambda x: np.sin(x) / np.cos(x) ** 2)
-
-
-def _csc() -> CoeffFn:
-    return CoeffFn(lambda x: 1.0 / np.sin(x),
-                   lambda x: -np.cos(x) / np.sin(x) ** 2)
-
-
-CoeffFn.tan = staticmethod(_tan)
-CoeffFn.sec = staticmethod(_sec)
-CoeffFn.csc = staticmethod(_csc)
 
 
 @dataclass(frozen=True)
@@ -166,19 +170,6 @@ class FirstOrderRefOp:
 
     def stencil(self, grid) -> Callable[[np.ndarray], np.ndarray]:
         return self.as_second_order().stencil(grid)
-
-
-def _df(self: CoeffFn) -> CoeffFn:
-    """Derivative as a CoeffFn; second derivatives are never needed, so the
-    derivative-of-derivative slot evaluates to an error guard."""
-
-    def poison(x):
-        raise RuntimeError("second derivative of a coefficient requested")
-
-    return CoeffFn(self.df, poison)
-
-
-CoeffFn.df_coeff = _df
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Spectrum problems for the grid oracle: the extended Scarf I system, the
 supersymmetric oscillator, and the generalized Gegenbauer Hamiltonian.
 
-Scarf spectra at alpha > 0 and the Gegenbauer composite are computed through
-the squared discrete supercharge (see grid module notes on the fall-to-center
-artifact of the directly sampled potential); the oscillator and alpha = 0
-Scarf go through the direct assembly.
+Each system's operators come from its one ``SusyPotential``. The oscillator
+and alpha = 0 Scarf (no reflection core) assemble the coefficients of that
+potential's ``hamiltonian`` directly. Scarf spectra at alpha > 0 and the
+Gegenbauer composite are computed through the squared discrete supercharge
+built from U and V (see grid module notes on the fall-to-center artifact of
+the directly sampled potential).
 """
 
 from __future__ import annotations
@@ -16,13 +18,24 @@ import numpy as np
 
 from . import grid as gridmod
 from .gegenbauer import GegParams, eigenvalue_geg
-from .susyqm import ScarfParams, scarf_energy, scarf_potential, osc_energy
+from .refcalc import SecondOrderRefOp
+from .susyqm import (ScarfParams, oscillator_potential, osc_energy,
+                     scarf_energy, scarf_potential)
 
 __all__ = [
     "scarf_problem",
     "oscillator_problem",
     "gegenbauer_problem",
 ]
+
+
+def _assembled(h: SecondOrderRefOp, halfwidth: float, k: int):
+    """N -> lowest k levels of H = -1/2 D^2 + c0 + d0 R, assembled directly."""
+    def compute(n):
+        g = gridmod.Grid(n, halfwidth)
+        return gridmod.eigen_lowest(gridmod.assemble(h.c0.f, h.d0.f, g), k)
+
+    return compute
 
 
 def scarf_problem(params: ScarfParams, k: int) -> gridmod.Problem:
@@ -33,18 +46,17 @@ def scarf_problem(params: ScarfParams, k: int) -> gridmod.Problem:
     targets = tuple(float(scarf_energy(n, params)) for n in range(k))
 
     if params.alpha == 0:
-        def compute(n):
-            g = gridmod.Grid(n, math.pi / 2)
-            op = gridmod.assemble(lambda x: 0.5 * (pot.u(x) ** 2) + 0.5 * pot.du(x),
-                                  lambda x: np.zeros_like(x), g)
-            return gridmod.eigen_lowest(op, k)
+        compute = _assembled(pot.hamiltonian(), math.pi / 2, k)
     else:
         def compute(n):
             g = gridmod.Grid(n, math.pi / 2)
-            return gridmod.susy_squared_spectrum(pot.u, pot.v, g, k)
+            return gridmod.susy_squared_spectrum(pot.u.f, pot.v.f, g, k)
 
     # leading eigenvalue-error power: the even-reflection sector behaves as
-    # |x|^(alpha/2) at the origin, giving h^(2 alpha) up to the smooth h^2 term
+    # |x|^(alpha/2) at the origin, which adds an h^(2 alpha) term to the
+    # smooth h^2 one. The schedule clamps 2 alpha to [1, 2], so for
+    # alpha < 1/2 the true exponent 2 alpha < 1 is not eliminated (ROADMAP
+    # item 1).
     lead = min(2.0, max(1.0, 2.0 * float(params.alpha)))
     return gridmod.Problem(
         name="scarf",
@@ -59,20 +71,12 @@ def scarf_problem(params: ScarfParams, k: int) -> gridmod.Problem:
 def oscillator_problem(k: int) -> gridmod.Problem:
     """Lowest-k oscillator-with-reflection levels: 0, 2, 2, 4, 4, ..., on the
     box [-10, 10]."""
-    halfwidth = 10.0
     targets = tuple(sorted(float(osc_energy(n)) for n in range(k + 2))[:k])
-
-    def compute(n):
-        g = gridmod.Grid(n, halfwidth)
-        op = gridmod.assemble(lambda x: 0.5 * x**2,
-                              lambda x: -0.5 * np.ones_like(x), g)
-        return gridmod.eigen_lowest(op, k)
-
     return gridmod.Problem(
         name="oscillator",
         params={},
         targets=targets,
-        compute=compute,
+        compute=_assembled(oscillator_potential().hamiltonian(), 10.0, k),
         tolerance=1e-6,
         exponents=(2.0, 2.0),
     )
@@ -90,12 +94,11 @@ def gegenbauer_problem(params: GegParams, k: int) -> gridmod.Problem:
     mu, al = float(params.mu), float(params.alpha)
     targets = tuple(sorted(-float(eigenvalue_geg(n, params)) + 0.0
                            for n in range(k + 3))[:k])
-    scarf = ScarfParams(2 * params.mu, Fraction(0))
-    pot = scarf_potential(scarf)
+    pot = scarf_potential(ScarfParams(2 * params.mu, Fraction(0)))
 
     def compute(n):
         g = gridmod.Grid(n, math.pi / 2)
-        q = gridmod.supercharge_matrix(pot.u, pot.v, g).matrix
+        q = gridmod.supercharge_matrix(pot.u.f, pot.v.f, g).matrix
         # one dense BLAS product: a banded Q^2 rounds differently and
         # moves the levels by ~1e-10
         h = 2.0 * (q @ q)

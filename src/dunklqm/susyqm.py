@@ -2,6 +2,12 @@
 extended Scarf I system, its gauged polynomial picture, intertwining maps,
 and the supersymmetric oscillator.
 
+Each system is stated once, as a ``SusyPotential``: an even U and an odd V,
+each a refcalc coefficient function carrying its derivative. Its
+``supercharge`` Q = [(d/dx + U) R + V]/sqrt(2) and ``hamiltonian`` H = Q^2
+are the only statements of Q and H; the operator relations compose them,
+and the grid spectra assemble H's coefficients or discretize Q from U and V.
+
 Exact checks run in the gauged picture y = sin x, where the supercharge
 becomes the all-rational operator
 
@@ -60,8 +66,8 @@ from .opalg import (
 __all__ = [
     "ScarfParams",
     "SusyPotential",
-    "generic_H_parts",
     "scarf_potential",
+    "oscillator_potential",
     "scarf_H_parts_explicit",
     "gauged_supercharge",
     "supercharge_eigenvalue_scaled",
@@ -69,7 +75,6 @@ __all__ = [
     "ground_state_norm_sq",
     "ground_state",
     "ground_state_fn",
-    "wavefunction",
     "wavefunction_fn",
     "bracket_n",
     "Intertwiner",
@@ -116,43 +121,46 @@ class ScarfParams:
 
 @dataclass(frozen=True)
 class SusyPotential:
-    """Even U and odd V with their derivatives, defining Q and H = Q^2."""
+    """Even U and odd V, each with its derivative: one system, from which
+    the supercharge Q and the Hamiltonian H = Q^2 derive."""
 
-    u: Callable
-    v: Callable
-    du: Callable
-    dv: Callable
-    params: dict
+    u: refc.CoeffFn
+    v: refc.CoeffFn
 
     def check_parity(self, xs) -> float:
         xs = np.asarray(xs, dtype=float)
-        du = np.abs(self.u(xs) - self.u(-xs)).max()
-        dv = np.abs(self.v(xs) + self.v(-xs)).max()
+        du = np.abs(self.u.f(xs) - self.u.f(-xs)).max()
+        dv = np.abs(self.v.f(xs) + self.v.f(-xs)).max()
         return float(max(du, dv))
 
+    def supercharge(self) -> refc.FirstOrderRefOp:
+        """Q = [(d/dx + U) R + V]/sqrt(2) in canonical first-order form."""
+        c = 1 / math.sqrt(2.0)
+        return refc.FirstOrderRefOp.build(q=self.v.scale(c), r=self.u.scale(c),
+                                          s=refc.CoeffFn.const(c))
 
-def generic_H_parts(p: SusyPotential):
-    """Scalar part 1/2(U^2+V^2) + 1/2 U' and reflection coefficient -1/2 V'."""
-
-    def scalar(x):
-        return 0.5 * (p.u(x) ** 2 + p.v(x) ** 2) + 0.5 * p.du(x)
-
-    def refl(x):
-        return -0.5 * p.dv(x)
-
-    return scalar, refl
+    def hamiltonian(self) -> refc.SecondOrderRefOp:
+        """H = Q^2 = -1/2 D^2 + 1/2(U^2+V^2) + 1/2 U' - 1/2 V' R."""
+        u, v, z = self.u, self.v, refc.CoeffFn.zero()
+        c0 = (u * u + v * v).scale(0.5) + u.df_coeff().scale(0.5)
+        d0 = v.df_coeff().scale(-0.5)
+        return refc.SecondOrderRefOp(refc.CoeffFn.const(-0.5), z, c0, z, z, d0)
 
 
 def scarf_potential(params: ScarfParams) -> SusyPotential:
     """U = -b/(2 cos x), V = -a/(2 sin x) on (-pi/2, pi/2)."""
     a, b = params.af, params.bf
     return SusyPotential(
-        u=lambda x: -b / (2 * np.cos(x)),
-        v=lambda x: -a / (2 * np.sin(x)),
-        du=lambda x: -b * np.sin(x) / (2 * np.cos(x) ** 2),
-        dv=lambda x: a * np.cos(x) / (2 * np.sin(x) ** 2),
-        params={"alpha": str(params.alpha), "beta": str(params.beta)},
-    )
+        u=refc.CoeffFn(lambda x: -b / (2 * np.cos(x)),
+                       lambda x: -b * np.sin(x) / (2 * np.cos(x) ** 2)),
+        v=refc.CoeffFn(lambda x: -a / (2 * np.sin(x)),
+                       lambda x: a * np.cos(x) / (2 * np.sin(x) ** 2)))
+
+
+def oscillator_potential() -> SusyPotential:
+    """U = 0, V = x: the supersymmetric oscillator on the line."""
+    return SusyPotential(u=refc.CoeffFn.zero(),
+                         v=refc.CoeffFn(lambda x: x, lambda x: 1.0 + 0.0 * x))
 
 
 def scarf_H_parts_explicit(params: ScarfParams):
@@ -236,7 +244,8 @@ def ground_state_fn(params: ScarfParams) -> Callable:
 
 
 def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
-    """Vectorized normalized n-th wavefunction evaluator."""
+    """Vectorized normalized n-th wavefunction evaluator:
+    (N_n/N_0) Psi_0(x) P_n(sin x) with the oracle monic polynomial."""
     pn = _oracle_poly(n, params.alpha, params.beta)
     coeffs = np.asarray(pn.as_float_coeffs()[::-1])
     ratio = _norm_ratio(n, params)
@@ -247,12 +256,6 @@ def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
         return ratio * g0(x) * np.polyval(coeffs, np.sin(x))
 
     return f
-
-
-def wavefunction(n: int, params: ScarfParams, x: float) -> float:
-    """(N_n/N_0) Psi_0(x) P_n(sin x) with the oracle monic polynomial."""
-    pn = _oracle_poly(n, params.alpha, params.beta)
-    return _norm_ratio(n, params) * ground_state(x, params) * pn(math.sin(x))
 
 
 def bracket_n(n: int, alpha) -> Fraction:
@@ -374,27 +377,6 @@ def verify_raising(params: ScarfParams, max_n: int) -> tuple[list, list]:
 # analytic-form relations on the grid
 # ---------------------------------------------------------------------------
 
-def _q_first_order(params: ScarfParams) -> refc.FirstOrderRefOp:
-    """Q = [(d/dx + U) R + V]/sqrt(2) in canonical first-order form."""
-    a, b = params.af, params.bf
-    s2 = math.sqrt(2.0)
-    u = refc.CoeffFn.sec().scale(-b / 2)
-    v = refc.CoeffFn.csc().scale(-a / 2)
-    return refc.FirstOrderRefOp.build(q=v.scale(1 / s2), r=u.scale(1 / s2),
-                                      s=refc.CoeffFn.const(1 / s2))
-
-
-def _h_second_order(params: ScarfParams) -> refc.SecondOrderRefOp:
-    """H = -1/2 D^2 + 1/2(U^2+V^2) + 1/2 U' - 1/2 V' R."""
-    a, b = params.af, params.bf
-    u = refc.CoeffFn.sec().scale(-b / 2)
-    v = refc.CoeffFn.csc().scale(-a / 2)
-    z = refc.CoeffFn.zero()
-    w0 = (u * u + v * v).scale(0.5) + u.df_coeff().scale(0.5)
-    w1 = v.df_coeff().scale(-0.5)
-    return refc.SecondOrderRefOp(refc.CoeffFn.const(-0.5), z, w0, z, z, w1)
-
-
 _TEST_FNS = {
     "gauss-poly": refc.ProbeFn(
         lambda x: np.exp(-x**2) * (1 + x + x**2 / 3),
@@ -503,8 +485,7 @@ def _product(y: refc.FirstOrderRefOp, x: refc.FirstOrderRefOp,
                           _chain(const)))
 
 
-def verify_operator_relations(params: ScarfParams,
-                              grids: tuple = (512, 1024, 2048),
+def verify_operator_relations(params: ScarfParams, grids: tuple,
                               variants: tuple = ("corrected", "printed")) -> list:
     """Residuals of the operator identities, per variant, two ways.
 
@@ -514,39 +495,46 @@ def verify_operator_relations(params: ScarfParams,
     grid (zero up to rounding for true identities). ``fd_norms``/``order``:
     the same chains run as finite-difference stencils over the grid ladder,
     whose norms must shrink at second order when the identity holds; their
-    extrapolated limit is ``fd_residual``.
+    extrapolated limit is ``fd_residual``. Q and H, also at the mirrored and
+    shifted b, are those of ``scarf_potential``.
 
-    The product relation is checked at the repaired parameter placement
-    Y_{a,b+2} X_{a,b} (satisfied exactly by the corrected maps) and at the
-    typeset placement Y_{a,b+1} X_{a,b+1} (satisfied by the printed maps:
-    the printed X at b+1 IS the corrected X at b — an off-by-one in b).
+    ``verdict`` is "identity" for a residual below 1e-8, else "defect";
+    ``expected`` is the verdict the analysis predicts. The corrected maps
+    satisfy the intertwining relations and the product relation at the
+    repaired parameter placement Y_{a,b+2} X_{a,b}; the printed maps fail
+    those and satisfy the product relation at the typeset placement
+    Y_{a,b+1} X_{a,b+1} (the printed X at b+1 IS the corrected X at b — an
+    off-by-one in b).
     """
     # the reflected and shifted parameters may leave the b > -1 sector
     def shifted(beta):
         return unchecked(ScarfParams, params.alpha, beta)
 
-    mirrored = shifted(-params.beta)
-    q, h = _q_first_order(params), _h_second_order(params)
+    pot, mirrored = scarf_potential(params), scarf_potential(shifted(-params.beta))
+    q, h = pot.supercharge(), pot.hamiltonian()
     relations = [
-        ("q_squared_equals_h", "n/a",
+        ("q_squared_equals_h", "n/a", "identity",
          refc.Relation((_chain(1, q, q),), (_chain(1, h),))),
-        ("reflection_conjugation_Q", "n/a",      # R Q R = -Q at -b
+        ("reflection_conjugation_Q", "n/a", "identity",    # R Q R = -Q at -b
          refc.Relation((refc.Chain(1, (q,), True),),
-                       (_chain(-1, _q_first_order(mirrored)),))),
-        ("reflection_conjugation_H", "n/a",      # R H R = H at -b
+                       (_chain(-1, mirrored.supercharge()),))),
+        ("reflection_conjugation_H", "n/a", "identity",    # R H R = H at -b
          refc.Relation((refc.Chain(1, (h,), True),),
-                       (_chain(1, _h_second_order(mirrored)),))),
+                       (_chain(1, mirrored.hamiltonian()),))),
     ]
     b1, b2 = shifted(params.beta + 1), shifted(params.beta + 2)
-    q_up, q_down = _q_first_order(b2), _q_first_order(shifted(params.beta - 2))
+    q_up = scarf_potential(b2).supercharge()
+    q_down = scarf_potential(shifted(params.beta - 2)).supercharge()
     for variant in variants:
+        holds, fails = (("identity", "defect") if variant == "corrected"
+                        else ("defect", "identity"))
         x, y = (intertwiner(params, which, variant).op for which in "XY")
         relations += [
-            ("intertwine_X", variant, _anticommutator(x, q_up, q)),
-            ("intertwine_Y", variant, _anticommutator(y, q_down, q)),
-            ("product_repaired_indices", variant,
+            ("intertwine_X", variant, holds, _anticommutator(x, q_up, q)),
+            ("intertwine_Y", variant, holds, _anticommutator(y, q_down, q)),
+            ("product_repaired_indices", variant, holds,
              _product(intertwiner(b2, "Y", variant).op, x, q, h, params)),
-            ("product_typeset_indices", variant,
+            ("product_typeset_indices", variant, fails,
              _product(intertwiner(b1, "Y", variant).op,
                       intertwiner(b1, "X", variant).op, q, h, params)),
         ]
@@ -556,7 +544,7 @@ def verify_operator_relations(params: ScarfParams,
     probes = _probes(params, grids, operators)
     finest, finest_mask, *_ = max(probes, key=lambda probe: probe[0].n)
     results = []
-    for name, variant, relation in relations:
+    for name, variant, expected, relation in relations:
         norms = _residual_norms(relation, probes)
         fd_limit, order = _extrapolate_residual(norms)
         resid = _analytic_residual(relation.residual(), finest, finest_mask)
@@ -565,6 +553,7 @@ def verify_operator_relations(params: ScarfParams,
             "grids": list(grids), "fd_norms": norms, "fd_residual": fd_limit,
             "order": order, "residual": resid,
             "verdict": "identity" if resid < 1e-8 else "defect",
+            "expected": expected,
         })
     return results
 

@@ -182,6 +182,66 @@ def test_spectrum_method_limit_usage_error(argv, capsys):
     assert "error: method limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--system", "scarf", "--alpha", "1", "--beta", "3"],
+    ["--system", "gegenbauer", "--mu", "1/2", "--alpha", "1"],
+    ["--system", "oscillator"],
+])
+def test_spectrum_levels_beyond_coarsest_grid_refused_first(argv, monkeypatch,
+                                                            capsys):
+    # each problem builds one closed-form target per level, so a level count
+    # no grid can deliver is refused before any target is built
+    from dunklqm import spectra
+
+    calls = []
+    for name in ("scarf_energy", "osc_energy", "eigenvalue_geg"):
+        def counted(*args, real=getattr(spectra, name)):
+            calls.append(args)
+            assert len(calls) <= 100, "targets built for a refused level count"
+            return real(*args)
+        monkeypatch.setattr(spectra, name, counted)
+    code, out, err = run(["spectrum", *argv, "--levels", "100000",
+                          "--grids", "8,16,32"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == ("error: method limit: 100000 levels requested, the "
+                   "coarsest grid has 8 points\n")
+
+
+def test_spectrum_squared_supercharge_limit_below_grid_size(capsys):
+    # 40 levels fit 64 grid points, but the squared supercharge has 32
+    code, out, err = run(["spectrum", "--system", "scarf", "--alpha", "1",
+                          "--beta", "3", "--levels", "40",
+                          "--grids", "64,128,256"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error: method limit: the squared supercharge on N=64" in err
+
+
+def test_relations_suite_fails_only_on_an_expected_identity(monkeypatch):
+    from dunklqm import cli, susyqm
+
+    real = susyqm.verify_operator_relations
+    assert cli._suite_relations(lambda msg: None, "both") == (True, 4)
+
+    def flipped(name, variant):
+        def report(params, grids, variants):
+            rep = real(params, grids, variants)
+            for r in rep:
+                if (r["relation"], r["variant"]) == (name, variant):
+                    r["verdict"] = {"identity": "defect",
+                                    "defect": "identity"}[r["verdict"]]
+            return rep
+        return report
+
+    monkeypatch.setattr(susyqm, "verify_operator_relations",
+                        flipped("q_squared_equals_h", "n/a"))
+    assert cli._suite_relations(lambda msg: None, "both") == (False, 4)
+    monkeypatch.setattr(susyqm, "verify_operator_relations",
+                        flipped("intertwine_X", "printed"))
+    assert cli._suite_relations(lambda msg: None, "both") == (True, 3)
+
+
 def test_spectrum_scarf_negative_alpha_rejected(capsys):
     # ScarfParams accepts alpha > -1; scarf_problem refuses alpha < 0
     code, out, err = run(["spectrum", "--system", "scarf", "--alpha", "-1/2",

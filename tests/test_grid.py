@@ -23,8 +23,8 @@ from dunklqm.grid import (
 )
 from dunklqm.gegenbauer import GegParams
 from dunklqm.spectra import gegenbauer_problem, oscillator_problem, scarf_problem
-from dunklqm.susyqm import (ScarfParams, ground_state_fn, scarf_potential,
-                            wavefunction_fn)
+from dunklqm.susyqm import (ScarfParams, ground_state_fn, oscillator_potential,
+                            scarf_potential, wavefunction_fn)
 
 
 def test_grid_nodes_symmetric():
@@ -83,10 +83,9 @@ def test_oscillator_parity_sectors():
 def test_scarf_alpha0_equals_scalar_hamiltonian():
     # the reflection construction at alpha = 0 is the scalar Scarf operator
     pars = ScarfParams(F(0), F(2))
-    pot = scarf_potential(pars)
+    h = scarf_potential(pars).hamiltonian()
     g = Grid(64, math.pi / 2)
-    via_susy = assemble(lambda x: 0.5 * pot.u(x) ** 2 + 0.5 * pot.du(x),
-                        lambda x: 0.0 * x, g)
+    via_susy = assemble(h.c0.f, h.d0.f, g)
     b = 2.0
     scalar = assemble(lambda x: b * (b / 2 - np.sin(x)) / (4 * np.cos(x) ** 2),
                       lambda x: 0.0 * x, g)
@@ -95,17 +94,13 @@ def test_scarf_alpha0_equals_scalar_hamiltonian():
 
 def test_mirror_symmetry_beta_flip():
     # R H_{a,b} R = H_{a,-b} as an exact matrix identity on the grid
-    pars = ScarfParams(F(1), F(1, 2))
-    pot = scarf_potential(pars)
     g = Grid(64, math.pi / 2)
-    scalar, refl = (lambda x: 0.5 * (pot.u(x) ** 2 + pot.v(x) ** 2)
-                    + 0.5 * pot.du(x),
-                    lambda x: -0.5 * pot.dv(x))
-    h = assemble(scalar, refl, g).matrix
-    potm = scarf_potential(ScarfParams(F(1), F(-1, 2)))
-    hm = assemble(lambda x: 0.5 * (potm.u(x) ** 2 + potm.v(x) ** 2)
-                  + 0.5 * potm.du(x),
-                  lambda x: -0.5 * potm.dv(x), g).matrix
+
+    def h_matrix(beta):
+        h = scarf_potential(ScarfParams(F(1), beta)).hamiltonian()
+        return assemble(h.c0.f, h.d0.f, g).matrix
+
+    h, hm = h_matrix(F(1, 2)), h_matrix(F(-1, 2))
     r = np.eye(64)[::-1]
     assert np.abs(r @ h @ r - hm).max() < 1e-12 * max(1, np.abs(h).max())
 
@@ -122,7 +117,7 @@ def test_eigen_lowest_banded_matches_dense():
     pars = ScarfParams(F(1, 2), F(3, 2))
     pot = scarf_potential(pars)
     g = Grid(128, math.pi / 2)
-    q = supercharge_matrix(pot.u, pot.v, g)
+    q = supercharge_matrix(pot.u.f, pot.v.f, g)
     dense = np.sort(np.linalg.eigvalsh(q.matrix))
     banded = np.sort(eigvals_all(q))
     assert np.abs(dense - banded).max() < 1e-9 * max(1, np.abs(dense).max())
@@ -136,14 +131,13 @@ def test_direct_sampling_collapses_for_positive_alpha():
     # clean and positive
     pars = ScarfParams(F(1), F(3))
     pot = scarf_potential(pars)
-    scalar = lambda x: 0.5 * (pot.u(x) ** 2 + pot.v(x) ** 2) + 0.5 * pot.du(x)
-    refl = lambda x: -0.5 * pot.dv(x)
+    h = pot.hamiltonian()
     for n in (256, 512):
         g = Grid(n, math.pi / 2)
-        direct = eigen_lowest(assemble(scalar, refl, g), 1)[0]
+        direct = eigen_lowest(assemble(h.c0.f, h.d0.f, g), 1)[0]
         assert direct < -100.0  # collapse grows like -C/h^2
     g = Grid(512, math.pi / 2)
-    susy = gridmod.susy_squared_spectrum(pot.u, pot.v, g, 1)[0]
+    susy = gridmod.susy_squared_spectrum(pot.u.f, pot.v.f, g, 1)[0]
     assert susy > 0.0
     assert abs(susy - 25.0 / 8.0) < 1e-2
 
@@ -155,7 +149,7 @@ def test_supercharge_spectrum_exact_pairing():
     pars = ScarfParams(F(1), F(3))
     pot = scarf_potential(pars)
     g = Grid(256, math.pi / 2)
-    q = supercharge_matrix(pot.u, pot.v, g)
+    q = supercharge_matrix(pot.u.f, pot.v.f, g)
     w = np.sort(eigvals_all(q))
     scale = np.abs(w).max()
     assert np.abs(np.sort(w) + np.sort(-w)[::-1]).max() < 1e-11 * scale
@@ -273,8 +267,8 @@ def _dense_supercharge(pot, g):
     d[0, 0] += 1.0 / (2*h)
     d[-1, -1] -= 1.0 / (2*h)
     r = np.eye(n)[::-1].copy()
-    q = ((d + np.diag(pot.u(x) + np.zeros(n))) @ r
-         + np.diag(pot.v(x) + np.zeros(n))) / math.sqrt(2.0)
+    q = ((d + np.diag(pot.u.f(x) + np.zeros(n))) @ r
+         + np.diag(pot.v.f(x) + np.zeros(n))) / math.sqrt(2.0)
     return 0.5 * (q + q.T)
 
 
@@ -296,13 +290,13 @@ def _oscillator_parts():
 
 
 def _scarf_scalar_parts(pot):
-    return (lambda x: 0.5 * pot.u(x) ** 2 + 0.5 * pot.du(x),
+    return (lambda x: 0.5 * pot.u.f(x) ** 2 + 0.5 * pot.u.df(x),
             lambda x: 0.0 * x)
 
 
 def _scarf_direct_parts(pot):
-    return (lambda x: 0.5 * (pot.u(x) ** 2 + pot.v(x) ** 2) + 0.5 * pot.du(x),
-            lambda x: -0.5 * pot.dv(x))
+    return (lambda x: 0.5 * (pot.u.f(x) ** 2 + pot.v.f(x) ** 2) + 0.5 * pot.u.df(x),
+            lambda x: -0.5 * pot.v.df(x))
 
 
 SCARF_SETS = [(F(1), F(3)), (F(1, 2), F(3, 2)), (F(1, 4), F(2)), (F(1), F(1, 2))]
@@ -327,7 +321,7 @@ def test_assemble_equals_dense_stencil(system, n):
 def test_supercharge_equals_dense_product(ab, n):
     pot = scarf_potential(ScarfParams(*ab))
     g = Grid(n, math.pi / 2)
-    q = supercharge_matrix(pot.u, pot.v, g)
+    q = supercharge_matrix(pot.u.f, pot.v.f, g)
     dense = _dense_supercharge(pot, g)
     assert np.array_equal(q.matrix, dense)
     assert np.array_equal(q.band, _dense_band(dense))
@@ -336,6 +330,23 @@ def test_supercharge_equals_dense_product(ab, n):
     op = assemble(*_scarf_direct_parts(pot), g)
     assert np.array_equal(op.band, _dense_band(
         _dense_assemble(*_scarf_direct_parts(pot), g)))
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("system", ["oscillator", *(
+    f"scarf {a} {b}" for a, b in [(0, 2), (0, "1/5"), (0, 3), *SCARF_SETS])])
+def test_hamiltonian_band_equals_hand_typed(system, n):
+    # the spectra assemble the potential's hamiltonian(); its band is the one
+    # the hand-typed parts give, byte for byte (at alpha = 0, V V is +0)
+    if system == "oscillator":
+        pot, g, parts = oscillator_potential(), Grid(n, 10.0), _oscillator_parts()
+    else:
+        a, b = (F(t) for t in system.split()[1:])
+        pot, g = scarf_potential(ScarfParams(a, b)), Grid(n, math.pi / 2)
+        parts = (_scarf_scalar_parts if a == 0 else _scarf_direct_parts)(pot)
+    h = pot.hamiltonian()
+    assert (assemble(h.c0.f, h.d0.f, g).band.tobytes()
+            == assemble(*parts, g).band.tobytes())
 
 
 def _gegenbauer_operator(monkeypatch, mu, alpha, n, k):
@@ -390,7 +401,7 @@ def test_non_gegenbauer_paths_hold_no_dense_matrix():
         g = Grid(8192, 10.0)
         osc = eigen_lowest(assemble(*_oscillator_parts(), g), 5)
         pot = scarf_potential(ScarfParams(F(1), F(3)))
-        scarf = gridmod.susy_squared_spectrum(pot.u, pot.v,
+        scarf = gridmod.susy_squared_spectrum(pot.u.f, pot.v.f,
                                               Grid(8192, math.pi / 2), 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -9,7 +9,7 @@ import pytest
 
 from dunklqm.grid import Grid
 from dunklqm.refcalc import Chain, CoeffFn, FirstOrderRefOp, ProbeFn
-from dunklqm.susyqm import _TEST_FNS, ScarfParams, _h_second_order
+from dunklqm.susyqm import _TEST_FNS, ScarfParams, scarf_potential
 
 U = ProbeFn(
     lambda x: np.exp(-x**2) * (1 + x),
@@ -121,7 +121,7 @@ def test_first_order_stencil_converges_to_apply(probe):
 
 @pytest.mark.parametrize("probe", sorted(_TEST_FNS))
 def test_scarf_hamiltonian_stencil_converges_to_apply(probe):
-    h = _h_second_order(SCARF)
+    h = scarf_potential(SCARF).hamiltonian()
     orders = _fd_orders(h, _TEST_FNS[probe], math.pi / 2, _away_from_singularities)
     assert min(orders) >= 1.7
 
@@ -129,7 +129,7 @@ def test_scarf_hamiltonian_stencil_converges_to_apply(probe):
 def test_reflected_chain_stencil_reverses_input_and_output():
     a = FirstOrderRefOp.build(p=CoeffFn.const(1.0), q=CoeffFn.sec().scale(-0.3),
                               r=CoeffFn.tan().scale(0.4), s=CoeffFn.const(0.2))
-    h = _h_second_order(SCARF)
+    h = scarf_potential(SCARF).hamiltonian()
     g = Grid(512, math.pi / 2)
     stencils = {op: op.stencil(g) for op in (a, h)}
     u = _TEST_FNS["trig-mix"].f(g.nodes)

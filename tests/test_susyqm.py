@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dunklqm import grid as gridmod
+from dunklqm import refcalc as refc
 from dunklqm.exact import DomainError
 from dunklqm.jacobi import (
     FUZZ_PARAMS,
@@ -23,9 +24,10 @@ from dunklqm.opalg import (
 from dunklqm.susyqm import (
     FockVector,
     ScarfParams,
+    SusyPotential,
+    _TEST_FNS,
     bracket_n,
     gauged_supercharge,
-    generic_H_parts,
     ground_state,
     ground_state_fn,
     ground_state_norm_sq,
@@ -37,6 +39,7 @@ from dunklqm.susyqm import (
     osc_q_apply,
     osc_r_apply,
     osc_wavefunction,
+    oscillator_potential,
     scarf_H_parts_explicit,
     scarf_energy,
     scarf_potential,
@@ -44,7 +47,7 @@ from dunklqm.susyqm import (
     verify_lowering,
     verify_operator_relations,
     verify_raising,
-    wavefunction,
+    wavefunction_fn,
 )
 from dunklqm.opalg import dunkl
 
@@ -56,35 +59,39 @@ def pars(a, b):
 # -- generic construction ----------------------------------------------------
 
 def test_generic_h_parts_oscillator():
-    from dunklqm.susyqm import SusyPotential
-
-    p = SusyPotential(u=lambda x: 0.0 * x, v=lambda x: x,
-                      du=lambda x: 0.0 * x, dv=lambda x: 1.0 + 0.0 * x,
-                      params={})
-    scalar, refl = generic_H_parts(p)
+    h = oscillator_potential().hamiltonian()
     x = np.linspace(-1, 1, 11)
-    assert np.allclose(scalar(x), 0.5 * x**2)
-    assert np.allclose(refl(x), -0.5)
+    assert np.allclose(h.c0.f(x), 0.5 * x**2)
+    assert np.allclose(h.d0.f(x), -0.5)
 
 
 def test_generic_h_parts_constant_u():
-    from dunklqm.susyqm import SusyPotential
-
-    p = SusyPotential(u=lambda x: 3.0 + 0.0 * x, v=lambda x: 0.0 * x,
-                      du=lambda x: 0.0 * x, dv=lambda x: 0.0 * x, params={})
-    scalar, refl = generic_H_parts(p)
+    p = SusyPotential(u=refc.CoeffFn.const(3.0), v=refc.CoeffFn.zero())
+    h = p.hamiltonian()
     x = np.linspace(-1, 1, 5)
-    assert np.allclose(scalar(x), 4.5)
-    assert np.allclose(refl(x), 0.0)
+    assert np.allclose(h.c0.f(x), 4.5)
+    assert np.allclose(h.d0.f(x), 0.0)
 
 
 def test_generic_h_parts_match_bracketed_scarf_form():
     p = pars(1, 2)
-    scalar_g, refl_g = generic_H_parts(scarf_potential(p))
+    h = scarf_potential(p).hamiltonian()
     scalar_e, refl_e = scarf_H_parts_explicit(p)
     x = np.array([0.5, -0.9, 1.2])
-    assert np.allclose(scalar_g(x), scalar_e(x), atol=1e-13)
-    assert np.allclose(refl_g(x), refl_e(x), atol=1e-13)
+    assert np.allclose(h.c0.f(x), scalar_e(x), atol=1e-13)
+    assert np.allclose(h.d0.f(x), refl_e(x), atol=1e-13)
+
+
+@pytest.mark.parametrize("probe", sorted(_TEST_FNS))
+def test_oscillator_q_squared_equals_h_exactly(probe):
+    # Q = (DR + x)/sqrt(2) squares to H = -D^2/2 + x^2/2 - R/2 by exact
+    # composition, so the residual is rounding only
+    pot = oscillator_potential()
+    q = pot.supercharge()
+    relation = refc.Relation((refc.Chain(1, (q, q), False),),
+                             (refc.Chain(1, (pot.hamiltonian(),), False),))
+    x = np.linspace(-5, 5, 401)
+    assert np.abs(relation.residual().apply(_TEST_FNS[probe], x)).max() < 1e-12
 
 
 def test_susy_potential_parity():
@@ -147,7 +154,7 @@ def test_ground_state_values_and_domain():
 def test_wavefunction_zero_is_ground_state():
     p = pars("1/2", "3/2")
     for x in (0.3, -0.8):
-        assert abs(wavefunction(0, p, x) - ground_state(x, p)) < 1e-14
+        assert abs(wavefunction_fn(0, p)(x) - ground_state(x, p)) < 1e-14
 
 
 # -- intertwiners -------------------------------------------------------------
@@ -294,6 +301,12 @@ def test_relations_corrected_all_pass(relations_report):
         assert _pick(relations_report, rel, "corrected")["residual"] < 1e-8
 
 
+def test_relations_verdicts_are_the_expected_ones(relations_report):
+    assert [(r["relation"], r["variant"]) for r in relations_report
+            if r["verdict"] != r["expected"]] == []
+    assert {r["expected"] for r in relations_report} == {"identity", "defect"}
+
+
 def test_relations_fd_convergence_order(relations_report):
     r = _pick(relations_report, "q_squared_equals_h", "n/a")
     assert r["order"] >= 1.7
@@ -333,12 +346,12 @@ def test_eigenfunction_probe_is_ground_state_times_p2():
 
 
 def _qq_vs_h_orders(pot, halfwidth, grids):
-    scalar, refl = generic_H_parts(pot)
+    hamiltonian = pot.hamiltonian()
     errs = []
     for n in grids:
         g = gridmod.Grid(n, halfwidth)
-        q = gridmod.supercharge_matrix(pot.u, pot.v, g)
-        h = gridmod.assemble(scalar, refl, g)
+        q = gridmod.supercharge_matrix(pot.u.f, pot.v.f, g)
+        h = gridmod.assemble(hamiltonian.c0.f, hamiltonian.d0.f, g)
         f = np.exp(-g.nodes**2) * np.cos(g.nodes * math.pi / (2 * halfwidth)) ** 2
         mask = (np.abs(g.nodes) > 0.06) \
             & (np.abs(np.abs(g.nodes) - g.halfwidth) > 0.06 * halfwidth)
@@ -353,12 +366,7 @@ def test_q_matrix_squared_matches_h_matrix_order():
     order = _qq_vs_h_orders(scarf_potential(pars(0, 2)), math.pi / 2,
                             (256, 512, 1024))
     assert min(order) >= 1.7
-    from dunklqm.susyqm import SusyPotential
-
-    osc = SusyPotential(u=lambda x: 0.0 * x, v=lambda x: x,
-                        du=lambda x: 0.0 * x, dv=lambda x: 1.0 + 0.0 * x,
-                        params={})
-    order = _qq_vs_h_orders(osc, 10.0, (256, 512, 1024))
+    order = _qq_vs_h_orders(oscillator_potential(), 10.0, (256, 512, 1024))
     assert min(order) >= 1.7
 
 
