@@ -43,6 +43,10 @@ def _grid_list(text: str) -> list:
             "need >= 3 strictly ascending grid sizes")
     if any(n <= 0 or n % 2 for n in out):
         raise argparse.ArgumentTypeError("grid sizes must be even and positive")
+    if any(b != 2 * a for a, b in zip(out, out[1:])):
+        raise argparse.ArgumentTypeError(
+            "grid sizes must double (N, 2N, 4N, ...): the extrapolation "
+            "assumes a ratio of 2")
     return out
 
 

@@ -82,6 +82,16 @@ def oscillator_problem(k: int) -> gridmod.Problem:
     )
 
 
+def _gegenbauer_corrections(params: GegParams, x: np.ndarray):
+    """(scalar, reflection) coefficients that turn 2 H at Scarf (2 mu, 0)
+    into the generalized Gegenbauer Hamiltonian -D^2 + U0 + U1 R with the
+    derived potentials: U0 - 2 c0 and U1 - 2 d0, both bounded at x = 0."""
+    mu, al = float(params.mu), float(params.alpha)
+    return ((al**2 - 0.25) / np.cos(x) ** 2
+            - (mu + al + 0.5) ** 2 + (2 * al + 1) * mu,
+            -mu * (1.0 / (1.0 + np.cos(x)) + (2 * al + 1)))
+
+
 def gegenbauer_problem(params: GegParams, k: int) -> gridmod.Problem:
     """Lowest-k generalized Gegenbauer energies, -lambda_n in increasing order.
 
@@ -91,7 +101,6 @@ def gegenbauer_problem(params: GegParams, k: int) -> gridmod.Problem:
     """
     if params.mu < 0:
         raise ValueError("grid spectra are restricted to mu >= 0")
-    mu, al = float(params.mu), float(params.alpha)
     targets = tuple(sorted(-float(eigenvalue_geg(n, params)) + 0.0
                            for n in range(k + 3))[:k])
     pot = scarf_potential(ScarfParams(2 * params.mu, Fraction(0)))
@@ -102,10 +111,10 @@ def gegenbauer_problem(params: GegParams, k: int) -> gridmod.Problem:
         # one dense BLAS product: a banded Q^2 rounds differently and
         # moves the levels by ~1e-10
         h = 2.0 * (q @ q)
-        x, i = g.nodes, np.arange(n)
-        h[i, i] += ((al**2 - 0.25) / np.cos(x) ** 2
-                    - (mu + al + 0.5) ** 2 + (2 * al + 1) * mu)
-        h[i, i[::-1]] += -mu * (1.0 / (1.0 + np.cos(x)) + (2 * al + 1))
+        i = np.arange(n)
+        diag, refl = _gegenbauer_corrections(params, g.nodes)
+        h[i, i] += diag
+        h[i, i[::-1]] += refl
         # Q has pair bandwidth 3 and Q^2 bandwidth 4
         return gridmod.composite_spectrum(
             gridmod.GridOperator.from_dense(h, g, 4), k)

@@ -158,6 +158,9 @@ def test_spectrum_usage_error_on_bad_grids(capsys):
     (["--tol", "0"], "--tol"),
     (["--tol", "nan"], "--tol"),
     (["--tol", "inf"], "--tol"),
+    (["--grids", "256,768,2304"], "must double"),
+    (["--grids", "100,300,900"], "must double"),
+    (["--grids", "64,128,512"], "must double"),
 ])
 def test_spectrum_bad_levels_or_grids_usage_error(flags, named, capsys):
     code, out, err = run(["spectrum", "--system", "oscillator",

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from scipy.linalg import eig_banded
 
+from dunklqm import errata
 from dunklqm import grid as gridmod
 from dunklqm.grid import (
     Grid,
+    MethodLimitError,
     SingularPotentialError,
     assemble,
     convergence_study,
@@ -21,8 +23,9 @@ from dunklqm.grid import (
     quadrature,
     supercharge_matrix,
 )
-from dunklqm.gegenbauer import GegParams
-from dunklqm.spectra import gegenbauer_problem, oscillator_problem, scarf_problem
+from dunklqm.gegenbauer import GegParams, geg_potentials
+from dunklqm.spectra import (_gegenbauer_corrections, gegenbauer_problem,
+                             oscillator_problem, scarf_problem)
 from dunklqm.susyqm import (ScarfParams, ground_state_fn, oscillator_potential,
                             scarf_potential, wavefunction_fn)
 
@@ -186,6 +189,66 @@ def test_quadrature_excited_norm_and_orthogonality():
     assert abs(cross) < 1e-8
 
 
+@pytest.mark.parametrize("a, b", [(-0.1, 0.5), (1 / 3, 2.0), (1.0, 0.0),
+                                  (2.5, -0.1)])
+def test_quadrature_cusps_without_their_exponents(a, b):
+    # |x|^a (1 - x^2)^b over [-1, 1] is the Beta integral B((a + 1)/2, b + 1)
+    exact = (math.gamma((a + 1) / 2) * math.gamma(b + 1)
+             / math.gamma((a + 1) / 2 + b + 1))
+    val = quadrature(lambda x: np.abs(x) ** a * (1 - x**2) ** b, Grid(64, 1.0))
+    assert abs(val - exact) <= 1e-14 * exact
+
+
+def test_errata_quadrature_converges_within_point_budget(monkeypatch):
+    # entry -> its quadrature calls: two per moment ratio, one norm, three
+    # oscillator norms
+    entries = {errata._weight_exponent: 4,
+               errata._ground_state_normalization: 1,
+               errata._oscillator_laguerre_weight: 3}
+    real = gridmod.quadrature
+    points = []
+
+    def counted(f, grid):
+        sizes = []
+
+        def g(x):
+            sizes.append(np.size(x))
+            return f(x)
+
+        value = real(g, grid)
+        points.append(sum(sizes))
+        return value
+
+    monkeypatch.setattr(gridmod, "quadrature", counted)
+    for entry, calls in entries.items():
+        del points[:]
+        entry()
+        assert len(points) == calls, entry.__name__
+        assert max(points) <= 4096, (entry.__name__, points)
+
+
+def test_errata_quadrature_evidence_matches_closed_forms():
+    moments = errata._weight_exponent()["evidence"]
+    assert abs(moments["printed_exponent_first_moment"] - 1 / 3) <= 1e-15
+    assert abs(moments["derived_exponent_first_moment"] - 1 / 2) <= 1e-15
+    norm = errata._ground_state_normalization()["evidence"]
+    assert abs(norm["quadrature_norm_with_oracle"] - 1.0) <= 1e-15
+    osc = errata._oscillator_laguerre_weight()["evidence"]
+    for n, val in enumerate(osc["measured_norm_of_printed_form"]):
+        assert abs(val - (n + 2) / 2.0 ** (2 * n + 1)) <= 1e-15
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: 1.0 / np.abs(x),                # not integrable at the origin
+    lambda x: np.full_like(x, np.nan),
+    lambda x: np.abs(x) ** -0.5,              # levels never agree to 1e-14
+    lambda x: np.abs(x) ** -0.2,              # unsampled sliver holds 4e-14
+], ids=["inverse-abs", "nan", "inverse-sqrt", "tail"])
+def test_quadrature_refuses_with_method_limit(f):
+    with pytest.raises(MethodLimitError):
+        quadrature(f, Grid(64, 1.0))
+
+
 def test_convergence_study_reports():
     prob = oscillator_problem(5)
     rep = convergence_study(prob, [512, 1024, 2048])
@@ -222,6 +285,16 @@ def test_convergence_flag_true_false_or_unknown(ladder, order, converged):
     assert json.loads(rep.to_json())["levels"][0]["converged"] is converged
 
 
+@pytest.mark.parametrize("ladder", [(256, 768, 2304), (100, 300, 900),
+                                    (8, 16, 64), (32, 16, 8)])
+def test_convergence_study_refuses_non_doubling_ladder(ladder):
+    prob = gridmod.Problem(name="stub", params={}, targets=(1.0,),
+                           compute=lambda n: np.array([1.0]),
+                           tolerance=1e-6, exponents=(2.0, 2.0))
+    with pytest.raises(ValueError, match="double"):
+        convergence_study(prob, ladder)
+
+
 def test_scarf_convergence_smooth_order_window():
     prob = scarf_problem(ScarfParams(F(0), F(2)), 3)
     rep = convergence_study(prob, [512, 1024, 2048])
@@ -236,6 +309,22 @@ def test_gegenbauer_composite_checkerboard_filtered():
     targets = sorted(-float(v) for v in
                      [0, -8, -12, -24, -32, -48])[:6]
     assert np.abs(np.asarray(vals) - np.asarray(sorted(targets))).max() < 0.1
+
+
+@pytest.mark.parametrize("mu, alpha", [(F(1, 2), F(1)), (F(1), F(1, 4)),
+                                       (F(3, 2), F(2))])
+def test_gegenbauer_corrections_give_derived_potentials(mu, alpha):
+    # 2 H at Scarf (2 mu, 0) plus the corrections is -D^2 + U0 + U1 R
+    params = GegParams(mu, alpha)
+    h = scarf_potential(ScarfParams(2 * mu, F(0))).hamiltonian()
+    x = np.linspace(0.05, 1.5, 29) * np.resize([1.0, -1.0], 29)
+    scalar, refl = _gegenbauer_corrections(params, x)
+    derived = np.array([geg_potentials(params, t, "derived")[:2]
+                        for t in x.tolist()])
+    np.testing.assert_allclose(2 * h.c0.f(x) + scalar, derived[:, 0],
+                               rtol=1e-13, atol=0)
+    np.testing.assert_allclose(2 * h.d0.f(x) + refl, derived[:, 1],
+                               rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------
