@@ -38,10 +38,6 @@ _RAISING_PARAMS = ScarfParams(F(1, 2), F(3, 2))
 _GEG_PARAMS = GegParams(F(1, 2), F(1))
 
 
-def _f17(x: float) -> float:
-    return float(f"{x:.17g}")
-
-
 def _entry(eid, label, printed, oracle, evidence, verdict) -> dict:
     return {
         "id": eid,
@@ -104,12 +100,11 @@ def _odd_kappa_base() -> dict:
 def _weight_exponent() -> dict:
     a, b = F(1), F(1)
     af, bf = float(a), float(b)
-    g = gridmod.Grid(1024, 1.0)
 
     def moment_with_exponent(expo: float, n: int) -> float:
         w = lambda y: np.abs(y) ** af * (1 - y**2) ** expo * (1 + y)
-        total = gridmod.quadrature(w, g)
-        mom = gridmod.quadrature(lambda y: w(y) * y**n, g)
+        total = gridmod.quadrature(w, 1.0)
+        mom = gridmod.quadrature(lambda y: w(y) * y**n, 1.0)
         return mom / total
 
     exact_c1 = Jacobi1Params(a, b).moments(2)[1]
@@ -123,8 +118,8 @@ def _weight_exponent() -> dict:
         {
             "example_params": "alpha=1, beta=1",
             "exact_first_moment": str(exact_c1),
-            "printed_exponent_first_moment": _f17(printed_c1),
-            "derived_exponent_first_moment": _f17(derived_c1),
+            "printed_exponent_first_moment": printed_c1,
+            "derived_exponent_first_moment": derived_c1,
         },
         "moments force exponent (beta-1)/2 (substitution y = sin x); "
         "printed exponent is off by one",
@@ -139,9 +134,8 @@ def _ground_state_normalization() -> dict:
     form_b = math.gamma(af / 2 + bf / 2 + 0.5) / (
         math.gamma(af / 2 + 0.5) * math.gamma(bf / 2 + 0.5))
     oracle = ground_state_norm_sq(p)
-    g = gridmod.Grid(1024, math.pi / 2)
     psi0 = ground_state_fn(p)
-    norm = gridmod.quadrature(lambda x: psi0(x) ** 2, g)
+    norm = gridmod.quadrature(lambda x: psi0(x) ** 2, math.pi / 2)
     return _entry(
         "scarf-ground-state-normalization",
         "extended-scarf/ground-state-normalization-constant",
@@ -150,10 +144,10 @@ def _ground_state_normalization() -> dict:
         "1/B((a+1)/2, (b+1)/2) = Gamma(a/2+b/2+1)/(Gamma(a/2+1/2) Gamma(b/2+1/2))",
         {
             "example_params": "alpha=1, beta=1",
-            "form_a_value": _f17(form_a),
-            "form_b_value": _f17(form_b),
-            "oracle_value": _f17(oracle),
-            "quadrature_norm_with_oracle": _f17(norm),
+            "form_a_value": form_a,
+            "form_b_value": form_b,
+            "oracle_value": oracle,
+            "quadrature_norm_with_oracle": norm,
             "note": "form A = 4/pi, form B = sqrt(pi)/2, oracle = 1",
         },
         "both displayed forms disagree with the beta-integral oracle; the "
@@ -178,9 +172,9 @@ def _x_tangent_coefficient() -> dict:
         "(beta+1)/2",
         {
             "example_params": "alpha=1, beta=1",
-            "printed_X_on_ground_state_max": _f17(float(np.abs(out_p[mask]).max())),
-            "printed_X_equals_minus_half_tan_times_psi0_residual": _f17(float(tan_match)),
-            "corrected_X_on_ground_state_max": _f17(float(np.abs(out_c[mask]).max())),
+            "printed_X_on_ground_state_max": float(np.abs(out_p[mask]).max()),
+            "printed_X_equals_minus_half_tan_times_psi0_residual": float(tan_match),
+            "corrected_X_on_ground_state_max": float(np.abs(out_c[mask]).max()),
             "corrected_gauged_X_is_dunkl_lowering_n_le_12": all(lowering),
             "corrected_gauged_operator": gauged_text,
         },
@@ -238,7 +232,7 @@ def _product_relation_placement() -> dict:
     def pick(rel, var):
         for r in rep:
             if r["relation"] == rel and r["variant"] == var:
-                return _f17(r["residual"])
+                return r["residual"]
         return None
 
     return _entry(
@@ -284,11 +278,11 @@ def _gegenbauer_potential_constants(derived_spec: list) -> dict:
         "U1 = -mu/sin^2 x - (2 alpha + 1) mu",
         {
             "example_params": "mu=1/2, alpha=1",
-            "U0_printed_minus_derived_at_x0.8": _f17(u0p - u0d),
-            "U1_printed_minus_derived_at_x0.8": _f17(u1p - u1d),
-            "predicted_ground_level_shift_of_printed": _f17(shift),
-            "derived_potentials_lowest3": [_f17(v) for v in derived_spec],
-            "targets_minus_lambda": [_f17(t) for t in targets],
+            "U0_printed_minus_derived_at_x0.8": u0p - u0d,
+            "U1_printed_minus_derived_at_x0.8": u1p - u1d,
+            "predicted_ground_level_shift_of_printed": shift,
+            "derived_potentials_lowest3": derived_spec,
+            "targets_minus_lambda": targets,
             "special_cases": "mu=0 Poeschl-Teller and alpha=-1/2 "
             "Calogero-Sutherland forms match the derived constants exactly",
         },
@@ -308,22 +302,19 @@ def _gegenbauer_eigenvalue_sign(spec: list) -> dict:
         {
             "example_params": "mu=1/2, alpha=1",
             "lambda_n": lam,
-            "grid_energies_lowest3": [_f17(v) for v in spec],
+            "grid_energies_lowest3": spec,
         },
         "grid oracle resolves the sign: energies equal -lambda_n",
     )
 
 
 def _oscillator_laguerre_weight() -> dict:
-    ratios_printed = [osc_wavefunction(1, 1, x) / hermite_superposition(1, -1, x)
-                      for x in (0.4, 0.9)]
-    ratios_corr = [osc_wavefunction(n, 1, 0.7, "corrected")
-                   / hermite_superposition(n, -1, 0.7) for n in range(3)]
-    g = gridmod.Grid(512, 10.0)
-    norms = []
-    for n in range(3):
-        val = gridmod.quadrature(lambda x: osc_wavefunction(n, 1, x) ** 2, g)
-        norms.append(_f17(val))
+    ratios_printed = [float(osc_wavefunction(1, 1, x)
+                            / hermite_superposition(1, -1, x)) for x in (0.4, 0.9)]
+    ratios_corr = [float(osc_wavefunction(n, 1, 0.7, "corrected")
+                         / hermite_superposition(n, -1, 0.7)) for n in range(3)]
+    norms = [gridmod.quadrature(lambda x: osc_wavefunction(n, 1, x) ** 2, 10.0)
+             for n in range(3)]
     return _entry(
         "oscillator-laguerre-weight",
         "oscillator/mixed-state-coordinate-form/relative-block-weight",
@@ -331,10 +322,9 @@ def _oscillator_laguerre_weight() -> dict:
         "sqrt(n+1) (then the form equals 2^(1/2-n) times the Hermite "
         "superposition under the epsilon pairing eps -> -eps)",
         {
-            "printed_ratio_vs_hermite_at_n1_two_points": [_f17(r) for r in
-                                                          ratios_printed],
-            "corrected_ratio_constants": [_f17(r) for r in ratios_corr],
-            "expected_constants": [_f17(2.0 ** (0.5 - n)) for n in range(3)],
+            "printed_ratio_vs_hermite_at_n1_two_points": ratios_printed,
+            "corrected_ratio_constants": ratios_corr,
+            "expected_constants": [2.0 ** (0.5 - n) for n in range(3)],
             "measured_norm_of_printed_form": norms,
             "norm_formula": "(n+2)/2^(2n+1)",
         },
@@ -366,7 +356,7 @@ def _mixed_state_prefactor() -> dict:
         "1/sqrt(2) would normalize; the displayed coordinate form is "
         "separately normalized to (n+2)/2^(2n+1)",
         {
-            "measured_norm_of_half_prefactor_state": _f17(st.norm()),
+            "measured_norm_of_half_prefactor_state": st.norm(),
         },
         "recorded: prefactor and coordinate form use different normalizations",
     )

@@ -380,8 +380,8 @@ def _tanh_sinh_half(t: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(x, np.nextafter(c, 0.0)), w
 
 
-def quadrature(f: Callable, grid: Grid) -> float:
-    """Integral of f over the grid domain [-c, c], c = ``grid.halfwidth``:
+def quadrature(f: Callable, halfwidth: float) -> float:
+    """Integral of f over [-c, c], c = ``halfwidth``:
     tanh-sinh, split at the reflection point, stops when two levels agree;
     typed error otherwise.
 
@@ -400,7 +400,7 @@ def quadrature(f: Callable, grid: Grid) -> float:
     negligible by the same measure (an endpoint too singular to integrate in
     double precision).
     """
-    c = grid.halfwidth
+    c = halfwidth
     value, points = 0.0, 0
     for level in range(_TS_LEVELS):
         m = 8 << level  # nodes t = j * 3.2 / m, |j| <= m

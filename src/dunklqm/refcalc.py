@@ -1,15 +1,23 @@
 """Pointwise calculus for first-order differential-reflection operators.
 
-Operators of the form  p(x) D + q(x) + r(x) R + s(x) DR  (D = d/dx, R the
-reflection) are composed symbolically into second-order canonical form
+An operator is held as a map of words: each word is c(x) D^k R^j (D = d/dx,
+R the reflection), keyed (k, j). A first-order operator is
 
-    c2 D^2 + c1 D + c0 + (d2 D^2 + d1 D + d0) R,
+    p D + q + r R + s DR,
 
-using RD = -DR, R^2 = I, R f = fbar R and the product rule. Coefficients
-carry their own derivatives, so composition is exact; applying a composed
-operator to a test function with known derivatives costs only rounding.
-This is what lets operator identities be verified to 1e-10 on a grid where
-raw finite-difference compositions are O(h^2).
+a second-order one  c2 D^2 + c1 D + c0 + (d2 D^2 + d1 D + d0) R.  The whole
+calculus follows from four rules,
+
+    R f = fbar R,   R D = -D R,   R^2 = 1,   D f = f' + f D,
+
+(fbar(x) = f(-x)), applied word by word: composition moves the R of each
+left word to the right, R (c D^k R^j) R = (-1)^k cbar D^k R^j conjugates,
+and sums and scalings act on the coefficient of each word. A word that is
+absent is zero and is never evaluated. Coefficients carry their own
+derivatives, so composition is exact; applying a composed operator to a
+test function with known derivatives costs only rounding. This is what lets
+operator identities be verified to 1e-10 on a grid where raw
+finite-difference compositions are O(h^2).
 
 One representation, two evaluations: ``apply`` evaluates an operator
 exactly on a test function, ``stencil`` by finite differences on a midpoint
@@ -100,138 +108,122 @@ class ProbeFn:
     d2: Callable
 
 
-@dataclass(frozen=True)
-class FirstOrderRefOp:
-    """p D + q + r R + s DR with CoeffFn coefficients."""
-
-    p: CoeffFn
-    q: CoeffFn
-    r: CoeffFn
-    s: CoeffFn
-
-    @staticmethod
-    def build(p=None, q=None, r=None, s=None) -> "FirstOrderRefOp":
-        z = CoeffFn.zero()
-        return FirstOrderRefOp(p or z, q or z, r or z, s or z)
-
-    def compose(self, other: "FirstOrderRefOp") -> "SecondOrderRefOp":
-        """self о other in canonical second-order form (other applied first)."""
-        pB, qB, rB, sB = self.p, self.q, self.r, self.s
-        pA, qA, rA, sA = other.p, other.q, other.r, other.s
-        pa_, qa_, ra_, sa_ = (c.reflected() for c in (pA, qA, rA, sA))
-        z = CoeffFn.zero()
-        c2, c1, c0 = z, z, z
-        d2, d1, d0 = z, z, z
-        # (pB D) о A
-        c2 = c2 + pB * pA
-        c1 = c1 + pB * pA.df_coeff() + pB * qA
-        c0 = c0 + pB * qA.df_coeff()
-        d2 = d2 + pB * sA
-        d1 = d1 + pB * (rA + sA.df_coeff())
-        d0 = d0 + pB * rA.df_coeff()
-        # qB о A
-        c1 = c1 + qB * pA
-        c0 = c0 + qB * qA
-        d1 = d1 + qB * sA
-        d0 = d0 + qB * rA
-        # (rB R) о A:   R(pA D) = -pa DR;  R qA = qa R;  R(rA R) = ra;
-        #               R(sA DR) = -sa D
-        d1 = d1 - rB * pa_
-        d0 = d0 + rB * qa_
-        c0 = c0 + rB * ra_
-        c1 = c1 - rB * sa_
-        # (sB DR) о A:  DR(pA D) = -(pa' DR + pa D^2 R) ... derived via
-        #               D о (R о A): R о A = -pa DR + qa R + ra + sa(-D)
-        #   D о (-pa DR) = -(pa' DR + pa D^2 R)
-        #   D о (qa R)   = qa' R + qa DR
-        #   D о (ra)     = ra' + ra D
-        #   D о (-sa D)  = -(sa' D + sa D^2)
-        d2 = d2 - sB * pa_
-        d1 = d1 + sB * (qa_ - pa_.df_coeff())
-        d0 = d0 + sB * qa_.df_coeff()
-        c0 = c0 + sB * ra_.df_coeff()
-        c1 = c1 + sB * (ra_ - sa_.df_coeff())
-        c2 = c2 - sB * sa_
-        return SecondOrderRefOp(c2, c1, c0, d2, d1, d0)
-
-    def as_second_order(self) -> "SecondOrderRefOp":
-        z = CoeffFn.zero()
-        # the apply() convention below already encodes (DR u)(x) = -u'(-x),
-        # so s DR lands in the d1 slot unchanged
-        return SecondOrderRefOp(z, self.p, self.q, z, self.s, self.r)
-
-    def conjugated_by_reflection(self) -> "FirstOrderRefOp":
-        """R o self o R = -pbar D + qbar + rbar R - sbar DR."""
-        return FirstOrderRefOp(-self.p.reflected(), self.q.reflected(),
-                               self.r.reflected(), -self.s.reflected())
-
-    def apply(self, u: ProbeFn, x: np.ndarray) -> np.ndarray:
-        return self.as_second_order().apply(u, x)
-
-    def stencil(self, grid) -> Callable[[np.ndarray], np.ndarray]:
-        return self.as_second_order().stencil(grid)
+# The words D^k R^j, keyed (k, j), in the order in which the terms of a
+# product and of a stencil are summed: D^2, D, 1, R, DR, D^2 R.
+_WORDS = ((2, 0), (1, 0), (0, 0), (0, 1), (1, 1), (2, 1))
 
 
-@dataclass(frozen=True)
-class SecondOrderRefOp:
-    """c2 D^2 + c1 D + c0 + (d2 D^2 + d1 D + d0) R."""
+def _summed(terms) -> dict:
+    """{word: the sum of its coefficients in ``terms``, in the order given}."""
+    out = {}
+    for word, c in terms:
+        out[word] = out[word] + c if word in out else c
+    return out
 
-    c2: CoeffFn
-    c1: CoeffFn
-    c0: CoeffFn
-    d2: CoeffFn
-    d1: CoeffFn
-    d0: CoeffFn
 
-    def __add__(self, other: "SecondOrderRefOp") -> "SecondOrderRefOp":
-        return SecondOrderRefOp(self.c2 + other.c2, self.c1 + other.c1,
-                                self.c0 + other.c0, self.d2 + other.d2,
-                                self.d1 + other.d1, self.d0 + other.d0)
+@dataclass(frozen=True, eq=False)
+class _WordOp:
+    """The sum of c D^k R^j over ``words``, a {(k, j): c} map with k at most
+    ``order``. Operators compare and hash by identity."""
 
-    def __sub__(self, other: "SecondOrderRefOp") -> "SecondOrderRefOp":
-        return self + other.scale(-1.0)
+    words: dict
+    order = 2
 
-    def scale(self, c: float) -> "SecondOrderRefOp":
-        return SecondOrderRefOp(self.c2.scale(c), self.c1.scale(c),
-                                self.c0.scale(c), self.d2.scale(c),
-                                self.d1.scale(c), self.d0.scale(c))
+    def __post_init__(self):
+        if any(w not in _WORDS or w[0] > self.order for w in self.words):
+            raise ValueError(f"words {sorted(self.words)} beyond order {self.order}")
 
-    def conjugated_by_reflection(self) -> "SecondOrderRefOp":
-        """R o self o R: even-derivative coefficients reflect, odd ones flip."""
-        return SecondOrderRefOp(self.c2.reflected(), -self.c1.reflected(),
-                                self.c0.reflected(), self.d2.reflected(),
-                                -self.d1.reflected(), self.d0.reflected())
+    def __getitem__(self, word: tuple) -> CoeffFn:
+        """The coefficient of D^k R^j for ``word`` = (k, j); zero if absent."""
+        return self.words.get(word, CoeffFn.zero())
 
-    def apply(self, u: ProbeFn, x: np.ndarray) -> np.ndarray:
-        """Evaluate on a test function with known derivatives.
+    def _present(self) -> list:
+        """(word, coefficient) of each present word, in ``_WORDS`` order."""
+        return [(w, self.words[w]) for w in _WORDS if w in self.words]
 
-        (D^2 R u)(x) = u''(-x), (D R u)(x) = -u'(-x), (R u)(x) = u(-x).
-        """
-        direct = self.c2.f(x) * u.d2(x) + self.c1.f(x) * u.d1(x) \
-            + self.c0.f(x) * u.f(x)
-        refl = self.d2.f(x) * u.d2(-x) - self.d1.f(x) * u.d1(-x) \
-            + self.d0.f(x) * u.f(-x)
-        return direct + refl
+    def scale(self, c: float):
+        return type(self)({w: coeff.scale(c) for w, coeff in self._present()})
 
-    def as_second_order(self) -> "SecondOrderRefOp":
-        return self
+    def conjugated_by_reflection(self):
+        """R o self o R, word by word: R (c D^k R^j) R = (-1)^k cbar D^k R^j."""
+        return type(self)({(k, j): -c.reflected() if k % 2 else c.reflected()
+                           for (k, j), c in self._present()})
 
     def stencil(self, grid) -> Callable[[np.ndarray], np.ndarray]:
         """Evaluate by central differences and the 3-point Laplacian on
         ``grid``; edge rows (one-sided, or copied from the neighbour) are
         only meaningful away from the walls. Coefficient arrays are taken
-        once, here; terms are added in the order D^2, D, 1, R, DR, D^2 R,
-        leaving out those whose coefficient vanishes on every node."""
+        once, here; terms are added in ``_WORDS`` order, leaving out those
+        whose coefficient vanishes on every node."""
         x, h = grid.nodes, grid.h
-        terms = [(c.f(x), term) for c, term in (
-            (self.c2, lambda u: _second_difference(u, h)),
-            (self.c1, lambda u: _first_difference(u, h)),
-            (self.c0, lambda u: u),
-            (self.d0, lambda u: u[::-1]),
-            (self.d1, lambda u: _first_difference(u[::-1], h)),
-            (self.d2, lambda u: _second_difference(u[::-1], h)))]
-        terms = [(c, term) for c, term in terms if c.any()]
-        return lambda u: sum((c * term(u) for c, term in terms), np.zeros_like(u))
+        differences = (lambda w: w, lambda w: _first_difference(w, h),
+                       lambda w: _second_difference(w, h))
+        terms = [(c.f(x), differences[k], j) for (k, j), c in self._present()]
+        terms = [(c, diff, j) for c, diff, j in terms if c.any()]
+        return lambda u: sum((c * diff(u[::-1] if j else u) for c, diff, j in terms),
+                             np.zeros_like(u))
+
+
+class FirstOrderRefOp(_WordOp):
+    """p D + q + r R + s DR: the words (1, 0), (0, 0), (0, 1), (1, 1)."""
+
+    order = 1
+
+    @staticmethod
+    def build(p=None, q=None, r=None, s=None) -> "FirstOrderRefOp":
+        """The operator with the given coefficients; one left out is absent."""
+        return FirstOrderRefOp({w: c for w, c in zip(_WORDS[1:5], (p, q, r, s))
+                                if c is not None})
+
+    def compose(self, other: "FirstOrderRefOp") -> "SecondOrderRefOp":
+        """self o other in canonical second-order form (other applied first).
+
+        Each pair of words multiplies as
+            b D^i R^j o a D^k R^l = (-1)^(jk) b D^i abar D^k R^(j xor l),
+        abar the reflected a if j = 1, and D a = a' + a D expands D^i.
+        """
+        def products():
+            for (i, j), b in self._present():
+                for (k, l), a in other._present():
+                    if j:
+                        a = -a.reflected() if k else a.reflected()
+                    if i:
+                        yield (k, j ^ l), b * a.df_coeff()
+                    yield (k + i, j ^ l), b * a
+
+        return SecondOrderRefOp(_summed(products()))
+
+    def as_second_order(self) -> "SecondOrderRefOp":
+        return SecondOrderRefOp(self.words)
+
+    def apply(self, u: ProbeFn, x: np.ndarray) -> np.ndarray:
+        return self.as_second_order().apply(u, x)
+
+
+class SecondOrderRefOp(_WordOp):
+    """c2 D^2 + c1 D + c0 + (d2 D^2 + d1 D + d0) R."""
+
+    def __add__(self, other: "SecondOrderRefOp") -> "SecondOrderRefOp":
+        return SecondOrderRefOp(_summed([*self._present(), *other._present()]))
+
+    def __sub__(self, other: "SecondOrderRefOp") -> "SecondOrderRefOp":
+        return self + other.scale(-1.0)
+
+    def apply(self, u: ProbeFn, x: np.ndarray) -> np.ndarray:
+        """Evaluate on a test function with known derivatives:
+        (D^k R^j u)(x) = (-1)^(jk) u^(k)((-1)^j x). The direct and the
+        reflected words are each summed from D^2 down, then added."""
+        derivatives = (u.f, u.d1, u.d2)
+        sides = []
+        for j, y in ((0, x), (1, -x)):
+            terms = [self.words[k, j].f(x) * (-derivatives[k](y) if j * k == 1
+                                              else derivatives[k](y))
+                     for k in (2, 1, 0) if (k, j) in self.words]
+            sides += [reduce(add, terms)] if terms else []
+        return reduce(add, sides) if sides else np.zeros_like(x)
+
+    def as_second_order(self) -> "SecondOrderRefOp":
+        return self
 
 
 def _first_difference(w: np.ndarray, h: float) -> np.ndarray:

@@ -33,7 +33,7 @@ def _assembled(h: SecondOrderRefOp, halfwidth: float, k: int):
     """N -> lowest k levels of H = -1/2 D^2 + c0 + d0 R, assembled directly."""
     def compute(n):
         g = gridmod.Grid(n, halfwidth)
-        return gridmod.eigen_lowest(gridmod.assemble(h.c0.f, h.d0.f, g), k)
+        return gridmod.eigen_lowest(gridmod.assemble(h[0, 0].f, h[0, 1].f, g), k)
 
     return compute
 
@@ -56,7 +56,7 @@ def scarf_problem(params: ScarfParams, k: int) -> gridmod.Problem:
     # |x|^(alpha/2) at the origin, which adds an h^(2 alpha) term to the
     # smooth h^2 one. The schedule clamps 2 alpha to [1, 2], so for
     # alpha < 1/2 the true exponent 2 alpha < 1 is not eliminated (ROADMAP
-    # item 1).
+    # item 2).
     lead = min(2.0, max(1.0, 2.0 * float(params.alpha)))
     return gridmod.Problem(
         name="scarf",
@@ -101,8 +101,10 @@ def gegenbauer_problem(params: GegParams, k: int) -> gridmod.Problem:
     """
     if params.mu < 0:
         raise ValueError("grid spectra are restricted to mu >= 0")
+    # -lambda_n rises with n within each parity (alpha > -1, mu >= 0), so
+    # the k lowest levels have n < 2k
     targets = tuple(sorted(-float(eigenvalue_geg(n, params)) + 0.0
-                           for n in range(k + 3))[:k])
+                           for n in range(2 * k))[:k])
     pot = scarf_potential(ScarfParams(2 * params.mu, Fraction(0)))
 
     def compute(n):

@@ -141,10 +141,11 @@ class SusyPotential:
 
     def hamiltonian(self) -> refc.SecondOrderRefOp:
         """H = Q^2 = -1/2 D^2 + 1/2(U^2+V^2) + 1/2 U' - 1/2 V' R."""
-        u, v, z = self.u, self.v, refc.CoeffFn.zero()
+        u, v = self.u, self.v
         c0 = (u * u + v * v).scale(0.5) + u.df_coeff().scale(0.5)
         d0 = v.df_coeff().scale(-0.5)
-        return refc.SecondOrderRefOp(refc.CoeffFn.const(-0.5), z, c0, z, z, d0)
+        return refc.SecondOrderRefOp({(2, 0): refc.CoeffFn.const(-0.5),
+                                      (0, 0): c0, (0, 1): d0})
 
 
 def scarf_potential(params: ScarfParams) -> SusyPotential:

@@ -23,7 +23,7 @@ from dunklqm.grid import (
     quadrature,
     supercharge_matrix,
 )
-from dunklqm.gegenbauer import GegParams, geg_potentials
+from dunklqm.gegenbauer import GegParams, eigenvalue_geg, geg_potentials
 from dunklqm.spectra import (_gegenbauer_corrections, gegenbauer_problem,
                              oscillator_problem, scarf_problem)
 from dunklqm.susyqm import (ScarfParams, ground_state_fn, oscillator_potential,
@@ -88,7 +88,7 @@ def test_scarf_alpha0_equals_scalar_hamiltonian():
     pars = ScarfParams(F(0), F(2))
     h = scarf_potential(pars).hamiltonian()
     g = Grid(64, math.pi / 2)
-    via_susy = assemble(h.c0.f, h.d0.f, g)
+    via_susy = assemble(h[0, 0].f, h[0, 1].f, g)
     b = 2.0
     scalar = assemble(lambda x: b * (b / 2 - np.sin(x)) / (4 * np.cos(x) ** 2),
                       lambda x: 0.0 * x, g)
@@ -101,7 +101,7 @@ def test_mirror_symmetry_beta_flip():
 
     def h_matrix(beta):
         h = scarf_potential(ScarfParams(F(1), beta)).hamiltonian()
-        return assemble(h.c0.f, h.d0.f, g).matrix
+        return assemble(h[0, 0].f, h[0, 1].f, g).matrix
 
     h, hm = h_matrix(F(1, 2)), h_matrix(F(-1, 2))
     r = np.eye(64)[::-1]
@@ -137,7 +137,7 @@ def test_direct_sampling_collapses_for_positive_alpha():
     h = pot.hamiltonian()
     for n in (256, 512):
         g = Grid(n, math.pi / 2)
-        direct = eigen_lowest(assemble(h.c0.f, h.d0.f, g), 1)[0]
+        direct = eigen_lowest(assemble(h[0, 0].f, h[0, 1].f, g), 1)[0]
         assert direct < -100.0  # collapse grows like -C/h^2
     g = Grid(512, math.pi / 2)
     susy = gridmod.susy_squared_spectrum(pot.u.f, pot.v.f, g, 1)[0]
@@ -161,8 +161,7 @@ def test_supercharge_spectrum_exact_pairing():
 
 
 def test_quadrature_cos_squared():
-    g = Grid(256, math.pi / 2)
-    val = quadrature(lambda x: np.cos(x) ** 2, g)
+    val = quadrature(lambda x: np.cos(x) ** 2, math.pi / 2)
     assert abs(val - math.pi / 2) < 1e-10
 
 
@@ -171,21 +170,19 @@ def test_quadrature_cos_squared():
 def test_quadrature_ground_state_normalization(a_b):
     a, b = (F(v) for v in a_b)
     pars = ScarfParams(a, b)
-    g = Grid(1024, math.pi / 2)
     psi0 = ground_state_fn(pars)
-    val = quadrature(lambda x: psi0(x) ** 2, g)
+    val = quadrature(lambda x: psi0(x) ** 2, math.pi / 2)
     assert abs(val - 1.0) < 1e-8
 
 
 def test_quadrature_excited_norm_and_orthogonality():
     pars = ScarfParams(F(1, 2), F(3, 2))
-    g = Grid(1024, math.pi / 2)
     psi1 = wavefunction_fn(1, pars)
-    n1 = quadrature(lambda x: psi1(x) ** 2, g)
+    n1 = quadrature(lambda x: psi1(x) ** 2, math.pi / 2)
     assert abs(n1 - 1.0) < 1e-8
     psi2 = wavefunction_fn(2, pars)
     psi0 = ground_state_fn(pars)
-    cross = quadrature(lambda x: psi2(x) * psi0(x), g)
+    cross = quadrature(lambda x: psi2(x) * psi0(x), math.pi / 2)
     assert abs(cross) < 1e-8
 
 
@@ -195,7 +192,7 @@ def test_quadrature_cusps_without_their_exponents(a, b):
     # |x|^a (1 - x^2)^b over [-1, 1] is the Beta integral B((a + 1)/2, b + 1)
     exact = (math.gamma((a + 1) / 2) * math.gamma(b + 1)
              / math.gamma((a + 1) / 2 + b + 1))
-    val = quadrature(lambda x: np.abs(x) ** a * (1 - x**2) ** b, Grid(64, 1.0))
+    val = quadrature(lambda x: np.abs(x) ** a * (1 - x**2) ** b, 1.0)
     assert abs(val - exact) <= 1e-14 * exact
 
 
@@ -208,14 +205,14 @@ def test_errata_quadrature_converges_within_point_budget(monkeypatch):
     real = gridmod.quadrature
     points = []
 
-    def counted(f, grid):
+    def counted(f, halfwidth):
         sizes = []
 
         def g(x):
             sizes.append(np.size(x))
             return f(x)
 
-        value = real(g, grid)
+        value = real(g, halfwidth)
         points.append(sum(sizes))
         return value
 
@@ -246,7 +243,7 @@ def test_errata_quadrature_evidence_matches_closed_forms():
 ], ids=["inverse-abs", "nan", "inverse-sqrt", "tail"])
 def test_quadrature_refuses_with_method_limit(f):
     with pytest.raises(MethodLimitError):
-        quadrature(f, Grid(64, 1.0))
+        quadrature(f, 1.0)
 
 
 def test_convergence_study_reports():
@@ -321,10 +318,26 @@ def test_gegenbauer_corrections_give_derived_potentials(mu, alpha):
     scalar, refl = _gegenbauer_corrections(params, x)
     derived = np.array([geg_potentials(params, t, "derived")[:2]
                         for t in x.tolist()])
-    np.testing.assert_allclose(2 * h.c0.f(x) + scalar, derived[:, 0],
+    np.testing.assert_allclose(2 * h[0, 0].f(x) + scalar, derived[:, 0],
                                rtol=1e-13, atol=0)
-    np.testing.assert_allclose(2 * h.d0.f(x) + refl, derived[:, 1],
+    np.testing.assert_allclose(2 * h[0, 1].f(x) + refl, derived[:, 1],
                                rtol=1e-13, atol=0)
+
+
+def test_gegenbauer_targets_at_mu_alpha_20_include_n_14_and_16():
+    # the ten lowest levels run to n = 17; the grid finds 1329.95 and
+    # 1551.92 on 256-1024
+    targets = gegenbauer_problem(GegParams(F(20), F(20)), 10).targets
+    assert targets[7:] == (1330.0, 1552.0, 1722.0)
+
+
+@pytest.mark.parametrize("mu, alpha, k", [
+    (F(20), F(20), 10), (F(10), F(10), 5), (F(30), F(5), 5), (F(8), F(20), 7),
+    (F(0), F(0), 7), (F(1, 2), F(-1, 2), 8), (F(3), F(-9, 10), 12)])
+def test_gegenbauer_targets_are_the_k_lowest_levels(mu, alpha, k):
+    params = GegParams(mu, alpha)
+    levels = sorted(-float(eigenvalue_geg(n, params)) for n in range(4 * k))
+    assert gegenbauer_problem(params, k).targets == tuple(levels[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +447,7 @@ def test_hamiltonian_band_equals_hand_typed(system, n):
         pot, g = scarf_potential(ScarfParams(a, b)), Grid(n, math.pi / 2)
         parts = (_scarf_scalar_parts if a == 0 else _scarf_direct_parts)(pot)
     h = pot.hamiltonian()
-    assert (assemble(h.c0.f, h.d0.f, g).band.tobytes()
+    assert (assemble(h[0, 0].f, h[0, 1].f, g).band.tobytes()
             == assemble(*parts, g).band.tobytes())
 
 

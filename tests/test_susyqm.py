@@ -61,16 +61,16 @@ def pars(a, b):
 def test_generic_h_parts_oscillator():
     h = oscillator_potential().hamiltonian()
     x = np.linspace(-1, 1, 11)
-    assert np.allclose(h.c0.f(x), 0.5 * x**2)
-    assert np.allclose(h.d0.f(x), -0.5)
+    assert np.allclose(h[0, 0].f(x), 0.5 * x**2)
+    assert np.allclose(h[0, 1].f(x), -0.5)
 
 
 def test_generic_h_parts_constant_u():
     p = SusyPotential(u=refc.CoeffFn.const(3.0), v=refc.CoeffFn.zero())
     h = p.hamiltonian()
     x = np.linspace(-1, 1, 5)
-    assert np.allclose(h.c0.f(x), 4.5)
-    assert np.allclose(h.d0.f(x), 0.0)
+    assert np.allclose(h[0, 0].f(x), 4.5)
+    assert np.allclose(h[0, 1].f(x), 0.0)
 
 
 def test_generic_h_parts_match_bracketed_scarf_form():
@@ -78,8 +78,8 @@ def test_generic_h_parts_match_bracketed_scarf_form():
     h = scarf_potential(p).hamiltonian()
     scalar_e, refl_e = scarf_H_parts_explicit(p)
     x = np.array([0.5, -0.9, 1.2])
-    assert np.allclose(h.c0.f(x), scalar_e(x), atol=1e-13)
-    assert np.allclose(h.d0.f(x), refl_e(x), atol=1e-13)
+    assert np.allclose(h[0, 0].f(x), scalar_e(x), atol=1e-13)
+    assert np.allclose(h[0, 1].f(x), refl_e(x), atol=1e-13)
 
 
 @pytest.mark.parametrize("probe", sorted(_TEST_FNS))
@@ -351,7 +351,7 @@ def _qq_vs_h_orders(pot, halfwidth, grids):
     for n in grids:
         g = gridmod.Grid(n, halfwidth)
         q = gridmod.supercharge_matrix(pot.u.f, pot.v.f, g)
-        h = gridmod.assemble(hamiltonian.c0.f, hamiltonian.d0.f, g)
+        h = gridmod.assemble(hamiltonian[0, 0].f, hamiltonian[0, 1].f, g)
         f = np.exp(-g.nodes**2) * np.cos(g.nodes * math.pi / (2 * halfwidth)) ** 2
         mask = (np.abs(g.nodes) > 0.06) \
             & (np.abs(np.abs(g.nodes) - g.halfwidth) > 0.06 * halfwidth)
@@ -449,9 +449,8 @@ def test_osc_wavefunction_array_matches_scalar_calls():
 
 def test_osc_wavefunction_measured_norm():
     # quadrature norm of the printed form: (n+2)/2^(2n+1), recorded not assumed
-    g = gridmod.Grid(512, 10.0)
     for n in range(3):
         val = gridmod.quadrature(
             lambda x: np.asarray([osc_wavefunction(n, 1, float(t)) for t in
-                                  np.atleast_1d(x)]) ** 2, g)
+                                  np.atleast_1d(x)]) ** 2, 10.0)
         assert abs(val - (n + 2) / 2.0 ** (2 * n + 1)) < 1e-8

@@ -19,6 +19,8 @@ COMMANDS = (
     ["spectrum", "--system", "oscillator", "--grids", "64,128,256"],
     ["spectrum", "--system", "gegenbauer", "--mu", "1/2", "--alpha", "1",
      "--grids", "128,256,512"],
+    # the only command here that composes and applies refcalc operators
+    ["verify", "--suite", "relations"],
 )
 
 
@@ -58,6 +60,7 @@ def test_traced_run_matches_untraced_and_uninstall_restores(capsys):
     assert traced == untraced
     assert tracer.calls["grid.lapack"] > 0
     assert tracer.calls["spectra.compute"] == 6
+    assert tracer.calls["refcalc"] > 0
     after = _bindings(tracer_mod)
     changed = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for (owner, attr), value in before.items()
