@@ -123,15 +123,10 @@ def _summed(terms) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class _WordOp:
-    """The sum of c D^k R^j over ``words``, a {(k, j): c} map with k at most
-    ``order``. Operators compare and hash by identity."""
+    """The sum of c D^k R^j over ``words``, a {(k, j): c} map. Operators
+    compare and hash by identity."""
 
     words: dict
-    order = 2
-
-    def __post_init__(self):
-        if any(w not in _WORDS or w[0] > self.order for w in self.words):
-            raise ValueError(f"words {sorted(self.words)} beyond order {self.order}")
 
     def __getitem__(self, word: tuple) -> CoeffFn:
         """The coefficient of D^k R^j for ``word`` = (k, j); zero if absent."""
@@ -166,8 +161,6 @@ class _WordOp:
 
 class FirstOrderRefOp(_WordOp):
     """p D + q + r R + s DR: the words (1, 0), (0, 0), (0, 1), (1, 1)."""
-
-    order = 1
 
     @staticmethod
     def build(p=None, q=None, r=None, s=None) -> "FirstOrderRefOp":
