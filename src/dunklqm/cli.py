@@ -74,10 +74,14 @@ def _int_at_least(low: int):
 
 def _out_path(text: str) -> str:
     """An --out path whose directory exists and that is not a directory, so
-    that a command never finishes its work and then fails to write it."""
+    that a command never finishes its work and then fails to write it. The
+    directory is the path's own, as written: "dir/missing/" names the
+    directory "dir/missing", and "file/x" the directory "file"."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
-    if not os.path.isdir(os.path.dirname(os.path.abspath(text))):
+    if not os.path.isdir(os.path.dirname(text) or os.curdir):
         raise argparse.ArgumentTypeError(f"no directory to write {text!r} into")
     return text
 
@@ -96,7 +100,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         _write_atomic(out, text)
     else:
         sys.stdout.write(text)
@@ -286,6 +290,10 @@ def _suite_relations(log, variant: str) -> tuple[bool, int]:
     return ok, findings
 
 
+VERIFY_SUITES = ("exact", "jacobi", "gegenbauer", "oscillator", "intertwiners",
+                 "relations")
+
+
 def cmd_verify(args) -> int:
     lines = []
 
@@ -293,8 +301,7 @@ def cmd_verify(args) -> int:
         lines.append(msg)
         print(msg)
 
-    suites = (["exact", "jacobi", "gegenbauer", "oscillator", "intertwiners",
-               "relations"] if args.suite == "all" else [args.suite])
+    suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     all_ok, findings = True, 0
     for s in suites:
         if s == "exact":
@@ -313,7 +320,7 @@ def cmd_verify(args) -> int:
         all_ok, findings = all_ok and ok, findings + f
     print(f"oracle checks: {'pass' if all_ok else 'FAIL'}; "
           f"printed-formula discrepancies: {findings} found")
-    if args.out:
+    if args.out is not None:
         _write_atomic(args.out, "\n".join(lines) + "\n")
     return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
 
@@ -403,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("--suite", default="all",
-                     choices=["all", "exact", "jacobi", "gegenbauer",
-                              "oscillator", "intertwiners", "relations"])
+                     choices=["all", *VERIFY_SUITES])
     ver.add_argument("--variant", default="both",
                      choices=["printed", "corrected", "both"])
     ver.add_argument("--degree", type=_int_at_least(2), default=12)

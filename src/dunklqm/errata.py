@@ -128,7 +128,7 @@ def _weight_exponent() -> dict:
 
 def _ground_state_normalization() -> dict:
     p = ScarfParams(F(1), F(1))
-    af, bf = p.af, p.bf
+    af, bf = float(p.alpha), float(p.beta)
     form_a = math.gamma(af / 2 + bf / 2 + 1) / (
         math.gamma(af / 2 + 1) * math.gamma(bf / 2 + 1))
     form_b = math.gamma(af / 2 + bf / 2 + 0.5) / (

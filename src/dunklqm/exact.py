@@ -19,6 +19,7 @@ __all__ = [
     "rat",
     "pochhammer",
     "HypSeries",
+    "hyp_terms",
     "hyp_eval",
     "hyp2f1",
     "hyp3f2",
@@ -99,13 +100,13 @@ class HypSeries:
         return min(stops)
 
 
-def hyp_eval(series: HypSeries) -> Fraction:
-    """Exact value of a terminating hypergeometric series.
+def hyp_terms(series: HypSeries) -> list:
+    """The exact terms t_0 .. t_stop of a terminating hypergeometric series,
+    t_0 = 1 and t_(n+1) = t_n z prod(a_i + n) / ((n + 1) prod(b_j + n)).
 
-    Sums term by term with exact rationals. Raises NonTerminatingError when
-    no numerator parameter is a nonpositive integer, and
-    SeriesDivisionByZero when a denominator Pochhammer vanishes before the
-    series has terminated.
+    Raises NonTerminatingError when no numerator parameter is a nonpositive
+    integer, and SeriesDivisionByZero when a denominator Pochhammer vanishes
+    before the series has terminated.
     """
     stop = series.termination_order()
     if stop is None:
@@ -113,13 +114,9 @@ def hyp_eval(series: HypSeries) -> Fraction:
             "series does not terminate: no numerator parameter is a "
             "nonpositive integer")
 
-    total = Fraction(0)
-    term = Fraction(1)
+    terms = [Fraction(1)]
     z = series.argument
-    for n in range(stop + 1):
-        total += term
-        if n == stop:
-            break
+    for n in range(stop):
         for b in series.denominator_params:
             if b + n == 0:
                 raise SeriesDivisionByZero(
@@ -130,8 +127,14 @@ def hyp_eval(series: HypSeries) -> Fraction:
         den = Fraction(n + 1)
         for b in series.denominator_params:
             den *= b + n
-        term = term * num * z / den
-    return total
+        terms.append(terms[-1] * num * z / den)
+    return terms
+
+
+def hyp_eval(series: HypSeries) -> Fraction:
+    """Exact value of a terminating hypergeometric series: the sum of its
+    ``hyp_terms``, which raise for a series that does not terminate."""
+    return sum(hyp_terms(series), Fraction(0))
 
 
 def hyp2f1(a, b, c, z) -> Fraction:

@@ -18,6 +18,9 @@ difference is reported, never silently patched.
 
 ``Jacobi1Params`` supplies this family's math to the generic battery of
 ``opalg``; its extra checks are the closed-form norms and explicit forms.
+It is also the parameter object of the extended Scarf I system
+(``susyqm.ScarfParams``), whose eigenfunctions at (a, b) are this family at
+the same (a, b).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import pochhammer, rat
+from .exact import HypSeries, hyp_terms, pochhammer, rat
 from .opalg import (
     Diff,
     MulPoly,
@@ -67,7 +70,8 @@ class Jacobi1Params(OrthogonalFamily):
         object.__setattr__(self, "alpha", rat(self.alpha))
         object.__setattr__(self, "beta", rat(self.beta))
         if self.alpha <= -1 or self.beta <= -1:
-            raise ValueError("little -1 Jacobi parameters require alpha, beta > -1")
+            raise ValueError("little -1 Jacobi and extended Scarf I parameters "
+                             "require alpha, beta > -1")
 
     def operator(self) -> ReflOp:
         return lop(self)
@@ -146,19 +150,11 @@ def _kappa(n: int, params: Jacobi1Params, variant: str) -> Fraction:
     return Fraction(-1)**k * pochhammer((a + 1)/2, k) / pochhammer(base, k)
 
 
-def _hyp_poly_in_ysq(num, den, terms: int) -> Poly:
+def _hyp_poly_in_ysq(num, den) -> Poly:
     """Terminating 2F1(num; den; y^2) expanded as an exact Poly in y."""
-    coeffs = [Fraction(0)]*(2*terms - 1) if terms > 0 else [Fraction(1)]
-    term = Fraction(1)
-    for k in range(terms):
-        if 2*k >= len(coeffs):
-            coeffs.extend([Fraction(0)]*(2*k + 1 - len(coeffs)))
-        coeffs[2*k] = term
-        num_f = (num[0] + k)*(num[1] + k)
-        den_f = (den[0] + k)*(k + 1)
-        if den_f == 0:
-            raise ValueError("denominator parameter collision in explicit form")
-        term = term * num_f / den_f
+    coeffs = []
+    for term in hyp_terms(HypSeries(num, den, 1)):
+        coeffs += [term, 0]
     return Poly(coeffs)
 
 
@@ -179,17 +175,17 @@ def construct_explicit(n: int, params: Jacobi1Params,
     kap = _kappa(n, params, variant)
     if n % 2 == 0:
         k = n // 2
-        blk1 = _hyp_poly_in_ysq((Fraction(-k), (n + a + b + 2)/Fraction(2)),
-                                ((a + 1)/2,), k + 1)
-        blk2 = _hyp_poly_in_ysq((Fraction(1 - k), (n + a + b + 2)/Fraction(2)),
-                                ((a + 3)/2,), max(k, 1))
-        bracket = blk1 + (Poly.monomial(1) * blk2).scale(Fraction(n, 1)/(a + 1))
+        bracket = _hyp_poly_in_ysq((Fraction(-k), (n + a + b + 2)/Fraction(2)),
+                                   ((a + 1)/2,))
+        if n:   # at n = 0 the second block does not terminate, and has weight 0
+            blk2 = _hyp_poly_in_ysq((Fraction(1 - k), (n + a + b + 2)/Fraction(2)),
+                                    ((a + 3)/2,))
+            bracket += (Poly.monomial(1) * blk2).scale(Fraction(n, 1)/(a + 1))
     else:
-        k = (n - 1) // 2
         blk1 = _hyp_poly_in_ysq(((1 - n)/Fraction(2), (n + a + b + 1)/Fraction(2)),
-                                ((a + 1)/2,), k + 1)
+                                ((a + 1)/2,))
         blk2 = _hyp_poly_in_ysq(((1 - n)/Fraction(2), (n + a + b + 3)/Fraction(2)),
-                                ((a + 3)/2,), k + 1)
+                                ((a + 3)/2,))
         pref = (a + b + 1) if variant == "printed" else (n + a + b + 1)
         bracket = blk1 - (Poly.monomial(1) * blk2).scale(pref/(a + 1))
     return bracket.scale(kap)

@@ -8,6 +8,11 @@ each a refcalc coefficient function carrying its derivative. Its
 are the only statements of Q and H; the operator relations compose them,
 and the grid spectra assemble H's coefficients or discretize Q from U and V.
 
+The Scarf system's parameters are its family's parameter object:
+``ScarfParams`` is ``jacobi.Jacobi1Params``, since the eigenfunctions at
+(a, b) are the little -1 Jacobi polynomials at the same (a, b), just as the
+generalized Gegenbauer system takes ``gegenbauer.GegParams``.
+
 Exact checks run in the gauged picture y = sin x, where the supercharge
 becomes the all-rational operator
 
@@ -93,30 +98,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScarfParams:
-    alpha: Fraction
-    beta: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", rat(self.alpha))
-        object.__setattr__(self, "beta", rat(self.beta))
-        if self.alpha <= -1 or self.beta <= -1:
-            raise ValueError("Scarf parameters require alpha, beta > -1")
-
-    @property
-    def af(self) -> float:
-        return float(self.alpha)
-
-    @property
-    def bf(self) -> float:
-        return float(self.beta)
-
-    def jacobi(self) -> Jacobi1Params:
-        return Jacobi1Params(self.alpha, self.beta)
-
-    def label(self) -> str:
-        return f"alpha={self.alpha}, beta={self.beta}"
+# one parameter object for the system and its eigenfunction family
+ScarfParams = Jacobi1Params
 
 
 @dataclass(frozen=True)
@@ -150,7 +133,7 @@ class SusyPotential:
 
 def scarf_potential(params: ScarfParams) -> SusyPotential:
     """U = -b/(2 cos x), V = -a/(2 sin x) on (-pi/2, pi/2)."""
-    a, b = params.af, params.bf
+    a, b = float(params.alpha), float(params.beta)
     return SusyPotential(
         u=refc.CoeffFn(lambda x: -b / (2 * np.cos(x)),
                        lambda x: -b * np.sin(x) / (2 * np.cos(x) ** 2)),
@@ -166,7 +149,7 @@ def oscillator_potential() -> SusyPotential:
 
 def scarf_H_parts_explicit(params: ScarfParams):
     """The bracketed potential form: a/4 (a/2 - cos x R)/sin^2 + b/4 (b/2 - sin x)/cos^2."""
-    a, b = params.af, params.bf
+    a, b = float(params.alpha), float(params.beta)
 
     def scalar(x):
         return (a / 4) * (a / 2) / np.sin(x) ** 2 \
@@ -203,14 +186,15 @@ def scarf_energy(n: int, params: ScarfParams) -> Fraction:
 
 def ground_state_norm_sq(params: ScarfParams) -> float:
     """N_0^2 = 1 / B((a+1)/2, (b+1)/2), from the Beta integral directly."""
-    return 1.0 / beta_num((params.af + 1) / 2, (params.bf + 1) / 2)
+    return 1.0 / beta_num((float(params.alpha) + 1) / 2,
+                          (float(params.beta) + 1) / 2)
 
 
 def ground_state(x: float, params: ScarfParams) -> float:
     """N_0 |sin x|^(a/2) cos^(b/2) x (1 + sin x)^(1/2) on (-pi/2, pi/2)."""
     if not -math.pi / 2 < x < math.pi / 2:
         raise DomainError(f"x={x} outside (-pi/2, pi/2)")
-    return _ground_state_at(x, params.af, params.bf,
+    return _ground_state_at(x, float(params.alpha), float(params.beta),
                             math.sqrt(ground_state_norm_sq(params)))
 
 
@@ -222,18 +206,18 @@ def _ground_state_at(x: float, a: float, b: float, n0: float) -> float:
 
 def _norm_ratio(n: int, params: ScarfParams) -> float:
     """N_n / N_0 = (N_0^2/N_n^2)^(-1/2), exact ratio evaluated as float."""
-    r = norm_sq_closed(n, params.jacobi())
+    r = norm_sq_closed(n, params)
     return 1.0 / math.sqrt(float(r))
 
 
 @lru_cache(maxsize=None)
-def _oracle_poly(n: int, alpha: Fraction, beta: Fraction) -> Poly:
-    return construct_eigen(n, unchecked(Jacobi1Params, alpha, beta))
+def _oracle_poly(n: int, params: ScarfParams) -> Poly:
+    return construct_eigen(n, params)
 
 
 def ground_state_fn(params: ScarfParams) -> Callable:
     """Vectorized ground-state evaluator (no domain check; caller's grid)."""
-    a, b = params.af, params.bf
+    a, b = float(params.alpha), float(params.beta)
     n0 = math.sqrt(ground_state_norm_sq(params))
 
     def f(x):
@@ -247,7 +231,7 @@ def ground_state_fn(params: ScarfParams) -> Callable:
 def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
     """Vectorized normalized n-th wavefunction evaluator:
     (N_n/N_0) Psi_0(x) P_n(sin x) with the oracle monic polynomial."""
-    pn = _oracle_poly(n, params.alpha, params.beta)
+    pn = _oracle_poly(n, params)
     coeffs = np.asarray(pn.as_float_coeffs()[::-1])
     ratio = _norm_ratio(n, params)
     g0 = ground_state_fn(params)
@@ -311,12 +295,12 @@ def intertwiner(params: ScarfParams, which: str,
     sign = 1 if which == "X" else -1
     b = params.beta
     tan_coeff = b / 2 if variant == "printed" else (b + sign) / 2
+    refl = refc.CoeffFn.const(1.0) + refc.CoeffFn.csc().scale(float(sign))
     op = refc.FirstOrderRefOp.build(
         p=refc.CoeffFn.const(sign),
         q=refc.CoeffFn.tan().scale(float(tan_coeff))
         - refc.CoeffFn.sec().scale(0.5),
-        r=(refc.CoeffFn.const(1.0)
-           + refc.CoeffFn.csc().scale(float(sign))).scale(-params.af / 2))
+        r=refl.scale(-float(params.alpha) / 2))
     gauged = None if variant == "printed" else (
         dunkl(params.alpha / 2) if which == "X" else _gauged_y_corrected(params))
     return Intertwiner(which, variant, params, op, gauged)
@@ -337,7 +321,7 @@ def verify_lowering(params: ScarfParams, max_n: int) -> list:
     Returns per-n booleans; all True for every valid parameter pair.
     """
     a, b = params.alpha, params.beta
-    ps = _nondegenerate_sequence(unchecked(Jacobi1Params, a, b), max_n)
+    ps = _nondegenerate_sequence(params, max_n)
     targets = _nondegenerate_sequence(unchecked(Jacobi1Params, a, b + 2),
                                       max_n - 1)
     t = dunkl(a / 2)
@@ -358,7 +342,7 @@ def verify_raising(params: ScarfParams, max_n: int) -> tuple[list, list]:
     skips (None) in both lists.
     """
     a, b = params.alpha, params.beta
-    ps = _nondegenerate_sequence(unchecked(Jacobi1Params, a, b), max_n)
+    ps = _nondegenerate_sequence(params, max_n)
     targets = eigen_sequence(unchecked(Jacobi1Params, a, b - 2), max_n + 1)
     y = _gauged_y_corrected(params)
     corrected, printed = [], []
@@ -402,9 +386,9 @@ def _test_functions(params: ScarfParams, g: gridmod.Grid) -> dict:
     # an eigenfunction of the system itself (smooth on the open interval):
     # ground_state times P_2(sin x) per node, with N_0 and P_2's float
     # coefficients taken once
-    coeffs = construct_eigen(2, params.jacobi()).as_float_coeffs()[::-1]
+    coeffs = construct_eigen(2, params).as_float_coeffs()[::-1]
     n0 = math.sqrt(ground_state_norm_sq(params))
-    a, b = params.af, params.bf
+    a, b = float(params.alpha), float(params.beta)
     values = []
     for t in x.tolist():
         s = math.sin(t)
@@ -440,14 +424,16 @@ def _residual_norms(relation: refc.Relation, probes: list) -> list:
 
 
 def _extrapolate_residual(norms: list) -> tuple[float, float]:
-    """Limit of a residual-norm ladder (nonzero limits allowed), and order."""
-    r1, r2, r3 = norms[-3:]
-    d1, d2 = r1 - r2, r2 - r3
-    if abs(d2) < 1e-14 or d1 * d2 <= 0:
-        return r3, float("nan")
-    p = math.log2(d1 / d2)
+    """Limit of a residual-norm ladder (nonzero limits allowed), and order.
+
+    The order is ``grid.estimate_order`` clamped to [0.25, 6]; the limit is
+    one Richardson step at that order on the last pair, clipped at 0.
+    """
+    p = gridmod.estimate_order(norms)
+    if math.isnan(p):
+        return norms[-1], p
     p = min(max(p, 0.25), 6.0)
-    limit = r3 - d2 / (2.0 ** p - 1.0)
+    limit, = gridmod._richardson_step(norms[-2:], p)
     return max(limit, 0.0), p
 
 
@@ -482,7 +468,8 @@ def _product(y: refc.FirstOrderRefOp, x: refc.FirstOrderRefOp,
     const = float((params.alpha + params.beta + 1)
                   * (params.alpha - params.beta - 1)) / 4.0
     return refc.Relation((_chain(1, y, x),),
-                         (_chain(2, h), _chain(math.sqrt(2) * params.af, q),
+                         (_chain(2, h),
+                          _chain(math.sqrt(2) * float(params.alpha), q),
                           _chain(const)))
 
 

@@ -83,7 +83,7 @@ def test_criterion_3_supercharge_spectrum():
         p = ScarfParams(a, b)
         q = gauged_supercharge(p)
         for n in range(21):
-            pn = construct_eigen(n, p.jacobi())
+            pn = construct_eigen(n, p)
             s = supercharge_eigenvalue_scaled(n, p)
             if q.apply(pn) != pn.scale(s):
                 ok = False

@@ -42,3 +42,12 @@ def test_package_imports_are_in_module_all():
     missing = [f"{module_name}.{name}" for module_name, name in _package_imports()
                if name not in importlib.import_module(f"dunklqm.{module_name}").__all__]
     assert missing == []
+
+
+def test_scarf_params_is_the_jacobi_family_parameter_object():
+    """The extended Scarf I system at (alpha, beta) has the little -1 Jacobi
+    polynomials at the same (alpha, beta) as eigenfunctions: one class."""
+    from dunklqm import jacobi, susyqm
+
+    assert susyqm.ScarfParams is jacobi.Jacobi1Params
+    assert dunklqm.ScarfParams is dunklqm.Jacobi1Params

@@ -1,0 +1,48 @@
+"""The benchmark's correctness gate, run as a test.
+
+Each ``verify-errata`` job, and each ``grid-spectra`` job on its smallest
+ladder, runs through ``bench/worker.py``'s ``run_job`` and must agree with
+its recorded reference in ``bench/refs/<workload>.json`` under
+``bench/refcheck.py``'s rule: the exact skeleton of every output byte for
+byte, every float to 1e-12 relative. Jobs listed as known defects are left
+out, as the benchmark counts them apart. The bench modules load by path, as
+``tests/test_tracer.py`` loads the tracer.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from dunklqm import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    """Load ``bench/<name>.py`` by path; sys.path is left as it was."""
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                      BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
+
+
+worker, refcheck, jobs = _load("worker"), _load("refcheck"), _load("jobs")
+REFS = {w: json.loads((BENCH / "refs" / f"{w}.json").read_text())["jobs"]
+        for w in ("verify-errata", "grid-spectra")}
+GATED = [pytest.param(w, job, id=job) for w in REFS
+         for job in sorted(jobs.JobStream(w, seed=0, smoke=True).next_round())
+         if job not in jobs.KNOWN_DEFECTS]
+
+
+@pytest.mark.parametrize("workload, job", GATED)
+def test_benchmark_job_matches_its_reference(workload, job, tmp_path):
+    result = worker.run_job(cli, job, tmp_path / "out.txt")
+    assert refcheck.differences(result, REFS[workload][job]) == []

@@ -254,6 +254,20 @@ def test_spectrum_scarf_negative_alpha_rejected(capsys):
     assert err == "error: grid spectra are restricted to alpha >= 0\n"
 
 
+@pytest.mark.parametrize("alpha, beta", [("-1", "2"), ("1", "-1"),
+                                         ("-3/2", "0")])
+def test_scarf_and_jacobi_refuse_the_same_parameters_alike(alpha, beta, capsys):
+    """One parameter object for the Scarf system and its family: the same
+    refusal, exit 2, from both commands."""
+    params = ["--alpha", alpha, "--beta", beta]
+    spectrum = run(["spectrum", "--system", "scarf", *params,
+                    "--grids", "64,128,256"], capsys)
+    family = run(["family", "--kind", "jacobi-m1", *params], capsys)
+    assert spectrum == family
+    assert spectrum == (2, "", "error: little -1 Jacobi and extended Scarf I "
+                               "parameters require alpha, beta > -1\n")
+
+
 def test_spectrum_gegenbauer_negative_mu_rejected(capsys):
     # GegParams accepts mu > -1/2; gegenbauer_problem refuses mu < 0
     code, out, err = run(["spectrum", "--system", "gegenbauer", "--mu", "-1/4",
@@ -302,6 +316,33 @@ def test_out_into_missing_directory_or_onto_directory_usage_error(
         assert "argument --out: " in err
         assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--kind", "jacobi-m1"],
+    ["verify", "--suite", "exact"],
+    ["spectrum", "--system", "oscillator", "--grids", "64,128,256"],
+    ["errata"],
+])
+@pytest.mark.parametrize("target", ["", "missing/", "existing-file/x"])
+def test_out_path_that_cannot_be_written_is_refused_before_work(
+        argv, target, tmp_path, capsys, monkeypatch):
+    from dunklqm import cli, errata, grid, opalg
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was refused")
+
+    for module, name in ((opalg, "verify_family"), (cli, "_suite_exact"),
+                         (grid, "convergence_study"), (errata, "errata_json")):
+        monkeypatch.setattr(module, name, no_work)
+    (tmp_path / "existing-file").write_text("")
+    path = "" if not target else str(tmp_path) + os.sep + target
+    code, out, err = run([*argv, "--out", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert "argument --out: " in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing-file"]
 
 
 def test_errata_schema_and_determinism(tmp_path, capsys):

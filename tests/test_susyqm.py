@@ -107,7 +107,7 @@ def test_gauged_supercharge_spectrum_exact():
         p = ScarfParams(a, b)
         q = gauged_supercharge(p)
         for n in range(21):
-            pn = construct_eigen(n, p.jacobi())
+            pn = construct_eigen(n, p)
             s = supercharge_eigenvalue_scaled(n, p)
             assert q.apply(pn) == pn.scale(s)
             assert s * s / 8 == scarf_energy(n, p)
@@ -118,7 +118,7 @@ def test_supercharge_consistency_with_eigenvalue_equation():
     for a, b in FUZZ_PARAMS:
         p = ScarfParams(a, b)
         for n in range(21):
-            assert eigenvalue(n, p.jacobi()) == \
+            assert eigenvalue(n, p) == \
                 supercharge_eigenvalue_scaled(n, p) + (a + b + 1)
 
 
@@ -199,6 +199,23 @@ def test_maps_refuse_a_degenerate_source_family():
         verify_raising(p, 4)
 
 
+def test_unchecked_scarf_params_continue_the_family_past_its_domain():
+    # the b - 2 targets of the raising map leave beta > -1; the unchecked
+    # object is the family's own, with its operator and eigenvalues
+    with pytest.raises(ValueError, match="alpha, beta > -1"):
+        ScarfParams(0, -2)
+    p = unchecked(ScarfParams, 1, F(-3, 2))
+    assert type(p) is ScarfParams
+    assert (p.alpha, p.beta) == (F(1), F(-3, 2))
+    assert p.label() == "alpha=1, beta=-3/2"
+    for n in range(8):
+        pn = construct_eigen(n, p)
+        assert pn.degree == n
+        assert p.operator().apply(pn) == pn.scale(eigenvalue(n, p))
+    res, _ = verify_raising(pars(1, "1/2"), 6)
+    assert all(res)
+
+
 def test_raising_map_printed_scalar_fails():
     _, res = verify_raising(pars("1/2", "3/2"), 4)
     checked = [r for r in res if r is not None]
@@ -255,7 +272,7 @@ def _reference_intertwiner_grid(u, g, which, variant, params):
     out = np.zeros_like(u)
     out += sign * np.ones_like(x) * du
     out += (t * np.tan(x) - 0.5 / np.cos(x)) * u
-    out += -(params.af / 2) * (1 + sign / np.sin(x)) * u[::-1]
+    out += -(float(params.alpha) / 2) * (1 + sign / np.sin(x)) * u[::-1]
     return out
 
 
@@ -326,6 +343,34 @@ def test_relations_printed_defects_recorded(relations_report):
                  "printed")["residual"] > 1e-3
 
 
+def test_residual_extrapolation_on_synthetic_ladders():
+    from dunklqm.susyqm import _extrapolate_residual
+
+    # ratio-4 geometric ladder onto 1/4: order 2 and its limit
+    limit, order = _extrapolate_residual([0.75, 0.375, 0.28125])
+    assert order == 2.0
+    assert limit == pytest.approx(0.25, rel=1e-15)
+    # non-monotone and flat ladders: no order, the last norm
+    for norms in ([0.1, 0.05, 0.07], [0.1, 0.1, 0.05], [1e-3, 1e-3, 1e-3],
+                  [0.1, 0.05, 0.05 - 5e-15], [0.3, 0.2, 0.2 + 5e-15]):
+        limit, order = _extrapolate_residual(norms)
+        assert math.isnan(order)
+        assert limit == norms[-1]
+    # orders below 0.25 and above 6 are clamped (reported as a clamp, not a
+    # measurement, only once the report can say "unknown")
+    for ratio, clamped in ((2.0 ** 0.1, 0.25), (2.0 ** 8, 6.0)):
+        r3, d2 = 0.5, 1e-4
+        norms = [r3 + d2 + ratio * d2, r3 + d2, r3]
+        limit, order = _extrapolate_residual(norms)
+        assert order == clamped
+        assert limit == pytest.approx(
+            r3 - (norms[1] - r3) / (2.0 ** clamped - 1.0), rel=1e-12)
+    # an extrapolated limit below zero is clipped to 0
+    limit, order = _extrapolate_residual([1.0, 0.5, 0.1])
+    assert order == pytest.approx(math.log2(1.25), rel=1e-12)
+    assert limit == 0.0
+
+
 def test_parity_conjugation_pointwise_example():
     # R Q_{a,b} R + Q_{a,-b} annihilates a generic smooth function on the grid
     p = pars(1, "1/2")
@@ -337,7 +382,7 @@ def test_eigenfunction_probe_is_ground_state_times_p2():
     from dunklqm.susyqm import _test_functions
     for p in (pars("1/2", "3/2"), pars(2, "1/5")):
         g = gridmod.Grid(256, math.pi / 2)
-        p2 = construct_eigen(2, p.jacobi())
+        p2 = construct_eigen(2, p)
         xs = g.nodes.tolist()
         ref = (np.array([ground_state(t, p) for t in xs])
                * np.array([p2(math.sin(t)) for t in xs]))
