@@ -3,7 +3,11 @@
 
 Everything rational is an exact ``fractions.Fraction``; no rounding happens
 anywhere in this module except in :func:`beta_num`, which is deliberately a
-float routine built on log-gamma.
+float routine built on log-gamma. Inside the loops the arithmetic is on
+Python ints: a Pochhammer symbol is one integer product over one power of
+its denominator, and a hypergeometric term is an integer ratio. A
+``Fraction`` is built only for a value that leaves a function: the symbol
+and each series term.
 """
 
 from __future__ import annotations
@@ -62,10 +66,9 @@ def pochhammer(a, n: int) -> Fraction:
     if n < 0:
         raise ValueError("pochhammer order must be nonnegative")
     a = rat(a)
-    out = Fraction(1)
-    for k in range(n):
-        out *= a + k
-    return out
+    p, q = a.numerator, a.denominator
+    # (a)_n = prod(p + k q) / q^n
+    return Fraction(math.prod(range(p, p + n*q, q)), q**n)
 
 
 def _is_nonpositive_int(q: Fraction) -> bool:
@@ -114,20 +117,25 @@ def hyp_terms(series: HypSeries) -> list:
             "series does not terminate: no numerator parameter is a "
             "nonpositive integer")
 
-    terms = [Fraction(1)]
+    # a + n = (p + n q)/q: the ratio t_(n+1)/t_n is an integer ratio whose
+    # fixed part collects z and the parameters' denominators
+    nums = [(a.numerator, a.denominator) for a in series.numerator_params]
+    dens = [(b.numerator, b.denominator) for b in series.denominator_params]
     z = series.argument
+    fixed_num = z.numerator * math.prod(q for _, q in dens)
+    fixed_den = z.denominator * math.prod(q for _, q in nums)
+    terms = [Fraction(1)]
+    num = den = 1                   # t_n = num/den, reduced
     for n in range(stop):
         for b in series.denominator_params:
-            if b + n == 0:
+            if b.numerator + n*b.denominator == 0:
                 raise SeriesDivisionByZero(
                     f"denominator parameter {b} vanishes at term {n+1}")
-        num = Fraction(1)
-        for a in series.numerator_params:
-            num *= a + n
-        den = Fraction(n + 1)
-        for b in series.denominator_params:
-            den *= b + n
-        terms.append(terms[-1] * num * z / den)
+        num *= fixed_num * math.prod(p + n*q for p, q in nums)
+        den *= fixed_den * (n + 1) * math.prod(p + n*q for p, q in dens)
+        term = Fraction(num, den)
+        num, den = term.numerator, term.denominator
+        terms.append(term)
     return terms
 
 

@@ -22,6 +22,16 @@ eigenvalue equation (``eigen_sequence``: one upper-triangular operator
 matrix, one back-substitution per degree) and from the moments alone
 (``gram_sequence``: the three-term recurrence by the Chebyshev algorithm),
 and ``verify_family`` checks that the two constructions agree.
+
+Every value is an exact ``Fraction`` where it is stored or returned: in a
+``Poly``, an operator matrix, a norm or a report field. The loops inside
+run on Python ints instead, with a coefficient list held as integer
+numerators over one common denominator: ``ReflOp.apply`` and ``Poly``'s
+products and scalings, the back-substitution of
+``solve_monic_eigenvector``, the recurrence rows of ``gram_sequence`` and
+the Hankel sums of ``verify_family``. A reduced ``Fraction`` is built once
+per value that leaves such a loop, so each value is the same rational, with
+the same text, as exact Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .exact import rat
 
@@ -69,35 +80,52 @@ class DegenerateSpectrumError(ValueError):
 
 
 # Coefficient-list kernels (index k holds the y^k coefficient; trailing zeros
-# allowed). ``Poly`` and the operator primitives share them. They do no
-# arithmetic on zero coefficients, which fill the monomial columns of
-# ``matrix_on_basis``.
+# allowed). ``Poly`` and the operator primitives share them. The hot loops
+# run them on integer numerators over one common denominator (``_scaled``),
+# and a reduced Fraction is built only where a value leaves the kernel
+# (``_unscaled``). The product skips zero coefficients, which fill the
+# monomial columns of ``matrix_on_basis``.
+
+_ZERO = Fraction(0)
+
+
+def _scaled(cs) -> tuple[list, int]:
+    """(integer numerators, denominator) of Fractions ``cs``, over the lcm
+    of their denominators."""
+    den = math.lcm(*[c.denominator for c in cs])
+    return [c.numerator*(den // c.denominator) for c in cs], den
+
+
+def _unscaled(nums, den) -> list:
+    """The reduced Fractions nums[k]/den."""
+    return [Fraction(x, den) if x else _ZERO for x in nums]
+
 
 def _mul_coeffs(a, b) -> list:
     if not a or not b:
         return []
-    out = [Fraction(0)]*(len(a) + len(b) - 1)
+    out = [0]*(len(a) + len(b) - 1)
+    terms = [(j, z) for j, z in enumerate(b) if z]
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, z in enumerate(b):
-            if z:
+        if x:
+            for j, z in terms:
                 out[i+j] += x*z
     return out
 
 
 def _deriv_coeffs(cs) -> list:
-    return [k*c if c else c for k, c in enumerate(cs)][1:]
+    return [k*c for k, c in enumerate(cs)][1:]
 
 
 def _reflect_coeffs(cs) -> list:
-    return [-c if k % 2 and c else c for k, c in enumerate(cs)]
+    out = list(cs)
+    out[1::2] = [-c for c in cs[1::2]]
+    return out
 
 
 def _odd_over_y_coeffs(cs) -> list:
-    out = [Fraction(0)]*max(len(cs) - 1, 0)
-    for k in range(1, len(cs), 2):
-        out[k-1] = 2*cs[k]
+    out = [0]*max(len(cs) - 1, 0)
+    out[::2] = [2*c for c in cs[1::2]]
     return out
 
 
@@ -156,10 +184,13 @@ class Poly:
 
     def scale(self, s) -> "Poly":
         s = rat(s)
-        return Poly([s*c for c in self.coeffs])
+        nums, den = _scaled(self.coeffs)
+        return Poly(_unscaled([s.numerator*x for x in nums], s.denominator*den))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        return Poly(_mul_coeffs(self.coeffs, other.coeffs))
+        a, da = _scaled(self.coeffs)
+        b, db = _scaled(other.coeffs)
+        return Poly(_unscaled(_mul_coeffs(a, b), da*db))
 
     def deriv(self) -> "Poly":
         return Poly(_deriv_coeffs(self.coeffs))
@@ -212,20 +243,28 @@ class Poly:
 # primitives and operators
 # ---------------------------------------------------------------------------
 
-# Each primitive maps a coefficient list to a coefficient list (``step``).
+# Each primitive maps integer numerators to integer numerators (``step``);
+# the values are those numerators over the input's denominator times the
+# primitive's ``_den``, which is 1 except for MulPoly.
 
 @dataclass(frozen=True)
 class MulPoly:
     poly: Poly
 
+    def __post_init__(self):
+        nums, den = _scaled(self.poly.coeffs)
+        object.__setattr__(self, "_nums", nums)
+        object.__setattr__(self, "_den", den)
+
     def step(self, cs) -> list:
-        return _mul_coeffs(self.poly.coeffs, cs)
+        return _mul_coeffs(self._nums, cs)
 
     def symbol(self) -> str:
         return f"({self.poly.pretty()})"
 
 
 class _Diff:
+    _den = 1
     step = staticmethod(_deriv_coeffs)
 
     def symbol(self) -> str:
@@ -236,6 +275,7 @@ class _Diff:
 
 
 class _Reflect:
+    _den = 1
     step = staticmethod(_reflect_coeffs)
 
     def symbol(self) -> str:
@@ -246,6 +286,7 @@ class _Reflect:
 
 
 class _OddOverY:
+    _den = 1
     step = staticmethod(_odd_over_y_coeffs)
 
     def symbol(self) -> str:
@@ -289,19 +330,25 @@ class ReflOp:
         return ReflOp([(s*c, chain) for c, chain in self.terms])
 
     def apply(self, p: Poly) -> Poly:
-        """Each chain runs on p's coefficient list, one list step per
-        primitive; the weighted images are summed into a single Poly."""
-        out = []
+        """Each chain runs on p's integer numerators, one list step per
+        primitive; the weighted images are summed over the lcm of their
+        denominators into a single Poly."""
+        nums, den = _scaled(p.coeffs)
+        images = []
         for s, chain in self.terms:
-            q = p.coeffs
+            q, d = nums, s.denominator
             for prim in reversed(chain):
                 q = prim.step(q)
-            if len(q) > len(out):
-                out += [Fraction(0)]*(len(q) - len(out))
-            for k, c in enumerate(q):
-                if c:
-                    out[k] += s*c
-        return Poly(out)
+                d *= prim._den
+            images.append((s.numerator, d, q))
+        lcm = math.lcm(*[d for _, d, _ in images])
+        out = [0]*max((len(q) for _, _, q in images), default=0)
+        for sn, d, q in images:
+            w = sn*(lcm // d)
+            for k, x in enumerate(q):
+                if x:
+                    out[k] += w*x
+        return Poly(_unscaled(out, lcm*den))
 
     def pretty(self) -> str:
         if not self.terms:
@@ -342,7 +389,7 @@ def matrix_on_basis(op: ReflOp, degree_bound: int):
     some image exceeds the bound.
     """
     size = degree_bound + 1
-    mat = [[Fraction(0)]*size for _ in range(size)]
+    mat = [[_ZERO]*size for _ in range(size)]
     for j in range(size):
         img = op.apply(Poly.monomial(j))
         if img.degree > degree_bound:
@@ -363,7 +410,10 @@ def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
     a diagonal entry below degree n (collision) or not the one at degree n.
     """
     lam = rat(lam)
-    if any(mat[i][j] for j in range(n + 1) for i in range(j + 1, len(mat))):
+    # entries below the diagonal in columns 0..n, compared row by row with
+    # zeros; the shared zero of matrix_on_basis compares by identity
+    zeros = [_ZERO]*(n + 1)
+    if any(row[:min(i, n + 1)] != zeros[:i] for i, row in enumerate(mat)):
         raise DegreeOverflowError(f"operator raises the degree of y^0..y^{n}")
     if any(mat[k][k] == lam for k in range(n)):
         raise DegenerateSpectrumError(
@@ -371,12 +421,29 @@ def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
     if mat[n][n] != lam:
         raise DegenerateSpectrumError(
             f"no monic eigenvector at eigenvalue {lam} (inconsistent system)")
-    coeffs = [Fraction(0)]*n + [Fraction(1)]
+    # c_j = nums[j]/dens[j], c_n = 1. Step k multiplies the running
+    # denominator by its own factor and records it as dens[k], so dens[j]
+    # divides dens[k] for j > k and no step rescales the numerators before
+    # it; they meet over the last denominator at the end.
+    nums = [0]*n + [1]
+    dens = [1]*(n + 1)
+    den = 1
     for k in range(n - 1, -1, -1):
         row = mat[k]
-        acc = sum(row[j]*coeffs[j] for j in range(k + 1, n + 1) if row[j])
-        coeffs[k] = -acc / (row[k] - lam)
-    return Poly(coeffs)
+        terms = [(j, m) for j, m in enumerate(row[k + 1:n + 1], k + 1)
+                 if m is not _ZERO and nums[j]]
+        row_den = math.lcm(*[m.denominator for _, m in terms])
+        # sum_j row[j] c_j = acc/(row_den den)
+        acc = sum(m.numerator*(row_den // m.denominator)*nums[j]*(den // dens[j])
+                  for j, m in terms)
+        if acc:
+            # c_k = -(acc/(row_den den)) / (row[k] - lam)
+            d_num = row[k].numerator*lam.denominator - lam.numerator*row[k].denominator
+            den *= row_den*d_num
+            nums[k] = -acc*row[k].denominator*lam.denominator
+        dens[k] = den
+    nums = [x*(den // d) for x, d in zip(nums, dens)]
+    return Poly(_unscaled(nums, den))
 
 
 # ---------------------------------------------------------------------------
@@ -465,28 +532,42 @@ def gram_sequence(c: list, degree: int) -> list:
     eigenvalue equation; the two constructions agreeing is one of the
     battery's checks.
     """
-    sigma = c[:2*degree + 1]
-    prev_sigma = [Fraction(0)]*len(sigma)     # s_{-1,l} = 0
-    prev_p: list[Fraction] = []               # P_{-1} = 0
-    p = [Fraction(1)]
-    prev_ratio = Fraction(0)          # s_{k-1,k}/s_{k-1,k-1}
-    seq = [(Poly(p), sigma[0])]
+    # rows s_{k,.} and P_k as (integer row, denominator), each reduced
+    sigma = _scaled(c[:2*degree + 1])
+    prev_sigma = ([0]*len(sigma[0]), 1)       # s_{-1,l} = 0
+    p, prev_p = ([1], 1), ([], 1)             # P_0 = 1, P_{-1} = 0
+    prev_ratio = _ZERO                # s_{k-1,k}/s_{k-1,k-1}
+    seq = [(Poly.one(), c[0])]
     for k in range(degree):
-        ratio = sigma[k+1] / sigma[k]
-        a = ratio - prev_ratio
-        b = sigma[k] / prev_sigma[k-1] if k else Fraction(0)
-        nxt = [Fraction(0)]*len(sigma)
-        for m in range(k + 1, 2*degree - k):
-            nxt[m] = sigma[m+1] - a*sigma[m] - b*prev_sigma[m]
-        new_p = [Fraction(0)] + p
-        for i, x in enumerate(p):
-            new_p[i] -= a*x
-        for i, x in enumerate(prev_p):
-            new_p[i] -= b*x
-        prev_sigma, sigma, prev_ratio = sigma, nxt, ratio
-        prev_p, p = p, new_p
-        seq.append((Poly(p), sigma[k+1]))
+        (s, s_den), (t, t_den), (pk, pk_den) = sigma, prev_sigma, p
+        ratio = Fraction(s[k+1], s[k])
+        a, prev_ratio = ratio - prev_ratio, ratio
+        b = Fraction(s[k]*t_den, s_den*t[k-1]) if k else _ZERO
+        # s_{k+1,m} = s_{k,m+1} - a s_{k,m} - b s_{k-1,m}, k < m < 2 degree - k
+        top = 2*degree - k
+        row, den = _three_term(s[k+2:top+1], (s[k+1:top], s_den),
+                               (t[k+1:top], t_den), a, b)
+        prev_sigma, sigma = sigma, ([0]*(k + 1) + row + [0]*(k + 1), den)
+        # P_{k+1} = y P_k - a P_k - b P_{k-1}
+        prev_p, p = p, _three_term([0] + pk, (pk + [0], pk_den),
+                                   (prev_p[0] + [0, 0], prev_p[1]), a, b)
+        seq.append((Poly(_unscaled(*p)), Fraction(row[0], den)))
     return seq
+
+
+def _three_term(shifted, row, prev, a, b) -> tuple[list, int]:
+    """shifted - a row - b prev, entry by entry, as one reduced (integer
+    list, denominator). ``row`` and ``prev`` are (integer list, denominator)
+    pairs, and ``shifted`` is an integer list over row's denominator; the
+    three lists are aligned."""
+    (r, r_den), (q, q_den) = row, prev
+    den = math.lcm(r_den*a.denominator, q_den*b.denominator)
+    f = den // r_den
+    fa = a.numerator*(den // (r_den*a.denominator))
+    fb = b.numerator*(den // (q_den*b.denominator))
+    out = [f*x - fa*y - fb*z for x, y, z in zip(shifted, r, q)]
+    g = math.gcd(den, *out)
+    return [x // g for x in out], den // g
 
 
 def eigenvalue_collision(n: int, family: OrthogonalFamily) -> int | None:
@@ -582,6 +663,7 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
     c = family.moments(2*max_degree + 1)
+    c_nums, c_den = _scaled(c)
     operator = family.operator()
     gram = gram_sequence(c, max_degree)
     records: list[FamilyRecord] = []
@@ -592,10 +674,11 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
             skipped.append(n)
             continue
         lam = family.eigenvalue(n)
-        # Hankel vector h_m = inner(P_n, y^m), m <= n, in one pass
-        terms = [(i, a) for i, a in enumerate(pn.coeffs) if a]
-        h = [sum(a*c[m+i] for i, a in terms) for m in range(n + 1)]
-        norm_sq = sum(a*h[i] for i, a in terms)
+        # Hankel vector h_m = inner(P_n, y^m), m <= n, in one pass, as
+        # integer numerators over the positive c_den p_den
+        p_nums, p_den = _scaled(pn.coeffs)
+        h = [sum(map(mul, p_nums, c_nums[m:m+n+1])) for m in range(n + 1)]
+        norm_sq = Fraction(sum(map(mul, p_nums, h)), c_den*p_den*p_den)
         results = {"eigen_residual_zero": operator.apply(pn) == pn.scale(lam),
                    "gram_matches_eigen": gram[n][0] == pn}
         if family.symmetric:

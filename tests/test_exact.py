@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import math
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from dunklqm.exact import (
@@ -16,6 +16,7 @@ from dunklqm.exact import (
     hyp2f1,
     hyp3f2,
     hyp_eval,
+    hyp_terms,
     pochhammer,
     rat,
 )
@@ -136,3 +137,88 @@ def test_beta_against_quadrature(x, y):
         epsrel=1e-13,
     )
     assert abs(beta_num(x, y) - val) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction kernels they replaced
+# ---------------------------------------------------------------------------
+
+def _fraction_pochhammer(a, n):
+    """``pochhammer`` as a product of Fractions, the reference."""
+    out = F(1)
+    for k in range(n):
+        out *= a + k
+    return out
+
+
+def _fraction_hyp_terms(series):
+    """``hyp_terms`` as a Fraction recurrence, the reference."""
+    stop = series.termination_order()
+    if stop is None:
+        raise NonTerminatingError("series does not terminate")
+    terms = [F(1)]
+    z = series.argument
+    for n in range(stop):
+        for b in series.denominator_params:
+            if b + n == 0:
+                raise SeriesDivisionByZero(
+                    f"denominator parameter {b} vanishes at term {n+1}")
+        num = F(1)
+        for a in series.numerator_params:
+            num *= a + n
+        den = F(n + 1)
+        for b in series.denominator_params:
+            den *= b + n
+        terms.append(terms[-1] * num * z / den)
+    return terms
+
+
+def assert_same_fractions(new, old):
+    """Equal values, each a reduced Fraction, so their text is the same."""
+    assert all(type(x) is F for x in new)
+    assert [str(x) for x in new] == [str(x) for x in old]
+
+
+# negative and zero values, denominators sharing factors, and denominators
+# given negative (Fraction moves the sign to the numerator)
+exact_q = st.builds(F, st.integers(-40, 40),
+                    st.sampled_from([1, 2, 3, 4, 6, 9, 12, -1, -2, -6, -8]))
+# the terminating parameter, or a denominator parameter that may vanish
+nonpositive = st.integers(-8, 0).map(F)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(exact_q, st.integers(0, 14))
+@example(F(-3), 5)
+@example(F(0), 0)
+def test_pochhammer_matches_fraction_product(a, n):
+    assert_same_fractions([pochhammer(a, n)], [_fraction_pochhammer(a, n)])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NonTerminatingError, SeriesDivisionByZero) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(st.one_of(exact_q, nonpositive), min_size=1, max_size=3),
+       st.lists(st.one_of(exact_q, nonpositive), max_size=2),
+       exact_q)
+@example([F(-4), F(1, 2)], [F(-2)], F(1))          # pole at term 3
+@example([F(1, 2), F(2, 3)], [F(5, 2)], F(1))      # does not terminate
+@example([F(-3), F(-7, 2)], [F(-9, 4)], F(0))      # zero argument
+def test_hyp_terms_match_fraction_recurrence(num, den, z):
+    series = HypSeries(tuple(num), tuple(den), z)
+    new = _outcome(hyp_terms, series)
+    old = _outcome(_fraction_hyp_terms, series)
+    if isinstance(old, tuple):
+        assert new[0] is old[0]
+        if old[0] is SeriesDivisionByZero:
+            assert new[1] == old[1]
+        with pytest.raises(old[0]):
+            hyp_eval(series)
+    else:
+        assert_same_fractions(new, old)
+        assert_same_fractions([hyp_eval(series)], [sum(old, F(0))])

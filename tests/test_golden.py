@@ -2,8 +2,10 @@
 
 The files under ``tests/golden`` hold the outputs of ``family --format json``
 (two parameter sets per kind at degree 10, one per kind at degree 20 or 24,
-and jacobi-m1 (1/2, 3/2) at degree 60),
-of ``verify --out`` for the jacobi, intertwiners and relations suites
+jacobi-m1 (1/2, 3/2) at degree 60, and gegenbauer (1/3, 2) at degree 40,
+a symmetric family whose odd moments and coefficients vanish),
+of ``verify --out`` for the jacobi, intertwiners, gegenbauer and relations
+suites
 (relations pins every residual and fd order as printed), of ``errata``
 (which runs the lowering and raising maps), and of ``spectrum`` for five
 grid systems on the 256,512,1024 ladder. Any change to the exact layer must leave them
@@ -51,9 +53,13 @@ CASES = {
     "family-gegenbauer-mu1-a1_2-d20.json":
         ["family", "--kind", "gegenbauer", "--mu", "1", "--alpha", "1/2",
          "--degree", "20", "--format", "json"],
+    "family-gegenbauer-mu1_3-a2-d40.json":
+        ["family", "--kind", "gegenbauer", "--mu", "1/3", "--alpha", "2",
+         "--degree", "40", "--format", "json"],
     "errata.json": ["errata"],
     "verify-jacobi-d10.txt": ["verify", "--suite", "jacobi", "--degree", "10"],
     "verify-intertwiners.txt": ["verify", "--suite", "intertwiners"],
+    "verify-gegenbauer.txt": ["verify", "--suite", "gegenbauer"],
     "verify-relations.txt": ["verify", "--suite", "relations"],
 }
 

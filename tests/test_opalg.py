@@ -6,8 +6,10 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dunklqm import opalg
+from dunklqm.exact import rat
 from dunklqm.gegenbauer import GEG_FUZZ_PARAMS, GegParams
 from dunklqm.jacobi import FUZZ_PARAMS, Jacobi1Params
 from dunklqm.opalg import (
@@ -417,3 +419,212 @@ def test_verify_family_without_inner_calls(monkeypatch):
     report = verify_family(Jacobi1Params(F(1, 2), F(3, 2)), 24)
     assert report.all_oracle_checks_passed
     assert counts == {"inner": 0, "matrix_on_basis": 1}
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the Fraction kernels they replaced
+# ---------------------------------------------------------------------------
+
+def _fraction_step(prim, cs):
+    """One primitive on a list of Fractions, as the Fraction kernels did it."""
+    if isinstance(prim, MulPoly):
+        a = prim.poly.coeffs
+        if not a or not cs:
+            return []
+        out = [F(0)]*(len(a) + len(cs) - 1)
+        for i, x in enumerate(a):
+            for j, z in enumerate(cs):
+                out[i+j] += x*z
+        return out
+    if prim is Diff:
+        return [k*c for k, c in enumerate(cs)][1:]
+    if prim is Reflect:
+        return [-c if k % 2 else c for k, c in enumerate(cs)]
+    out = [F(0)]*max(len(cs) - 1, 0)        # OddOverY
+    for k in range(1, len(cs), 2):
+        out[k-1] = 2*cs[k]
+    return out
+
+
+def _fraction_apply(op, p):
+    out = []
+    for s, chain in op.terms:
+        q = list(p.coeffs)
+        for prim in reversed(chain):
+            q = _fraction_step(prim, q)
+        out += [F(0)]*(len(q) - len(out))
+        for k, c in enumerate(q):
+            out[k] += s*c
+    return Poly(out)
+
+
+def _fraction_solve(mat, lam, n):
+    lam = rat(lam)
+    if any(mat[i][j] for j in range(n + 1) for i in range(j + 1, len(mat))):
+        raise DegreeOverflowError(f"operator raises the degree of y^0..y^{n}")
+    if any(mat[k][k] == lam for k in range(n)):
+        raise DegenerateSpectrumError(
+            f"eigenvalue {lam} is degenerate below degree {n}")
+    if mat[n][n] != lam:
+        raise DegenerateSpectrumError(
+            f"no monic eigenvector at eigenvalue {lam} (inconsistent system)")
+    coeffs = [F(0)]*n + [F(1)]
+    for k in range(n - 1, -1, -1):
+        row = mat[k]
+        acc = sum(row[j]*coeffs[j] for j in range(k + 1, n + 1) if row[j])
+        coeffs[k] = -acc / (row[k] - lam)
+    return Poly(coeffs)
+
+
+def _fraction_gram(c, degree):
+    sigma = c[:2*degree + 1]
+    prev_sigma = [F(0)]*len(sigma)
+    prev_p, p = [], [F(1)]
+    prev_ratio = F(0)
+    seq = [(Poly(p), sigma[0])]
+    for k in range(degree):
+        ratio = sigma[k+1] / sigma[k]
+        a = ratio - prev_ratio
+        b = sigma[k] / prev_sigma[k-1] if k else F(0)
+        nxt = [F(0)]*len(sigma)
+        for m in range(k + 1, 2*degree - k):
+            nxt[m] = sigma[m+1] - a*sigma[m] - b*prev_sigma[m]
+        new_p = [F(0)] + p
+        for i, x in enumerate(p):
+            new_p[i] -= a*x
+        for i, x in enumerate(prev_p):
+            new_p[i] -= b*x
+        prev_sigma, sigma, prev_ratio = sigma, nxt, ratio
+        prev_p, p = p, new_p
+        seq.append((Poly(p), sigma[k+1]))
+    return seq
+
+
+def _fraction_hankel(pn, c):
+    """(h_0..h_n, inner(P_n, P_n)) as the Fraction battery summed them."""
+    n = len(pn.coeffs) - 1
+    terms = [(i, a) for i, a in enumerate(pn.coeffs) if a]
+    h = [sum(a*c[m+i] for i, a in terms) for m in range(n + 1)]
+    return h, sum(a*h[i] for i, a in terms)
+
+
+def assert_same_poly(new, old):
+    """Equal coefficients, each a reduced Fraction, so the text is the same."""
+    assert all(type(c) is F for c in new.coeffs)
+    assert [str(c) for c in new.coeffs] == [str(c) for c in old.coeffs]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DegreeOverflowError, DegenerateSpectrumError,
+            ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(new, old):
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        assert_same_poly(new, old)
+
+
+# negative and zero values, denominators sharing factors, and denominators
+# given negative (Fraction moves the sign to the numerator)
+exact_q = st.builds(F, st.integers(-40, 40),
+                    st.sampled_from([1, 2, 3, 4, 6, 9, 12, -1, -2, -6, -8]))
+polys = st.lists(exact_q, max_size=7).map(Poly)
+primitives = st.one_of(st.sampled_from([Diff, Reflect, OddOverY]),
+                       polys.map(MulPoly))
+operators = st.lists(st.tuples(exact_q, st.lists(primitives, max_size=4)),
+                     max_size=4).map(ReflOp)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(operators, polys)
+@example(ReflOp([(1, (Diff,))]), Poly.zero())
+@example(ReflOp([(1, (MulPoly(Poly.zero()), Reflect))]), P(1, -1))
+@example(ReflOp(), P(1, 2))
+@example(ReflOp([(F(1, 2), (MulPoly(P(F(-1, 6), 0, F(5, 4))), OddOverY)),
+                 (F(-1, 2), (MulPoly(P(F(-1, 6), 0, F(5, 4))), OddOverY))]),
+         P(F(1, 3), F(3, 4), 0, F(-7, 6)))           # images cancel to zero
+def test_apply_matches_fraction_kernels(op, p):
+    assert_same_poly(op.apply(p), _fraction_apply(op, p))
+
+
+def _triangular(entries, size, below=None):
+    """A size x size upper-triangular matrix read from ``entries``, with
+    fresh Fraction and int zeros (not one shared zero), and optionally one
+    nonzero entry below the diagonal."""
+    it = iter(entries)
+    mat = [[F(0) if (i + j) % 2 else 0 for j in range(size)]
+           for i in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            mat[i][j] = next(it, F(0))
+    if below is not None:
+        i, j = below
+        mat[i][j] = F(1, 3)
+    return mat
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(exact_q, min_size=36, max_size=36), st.integers(1, 8),
+       st.one_of(st.none(), st.tuples(st.integers(1, 7), st.integers(0, 6))))
+@example([F(k) for k in range(1, 37)], 3, (2, 1))   # DegreeOverflowError
+def test_solve_matches_fraction_back_substitution(entries, size, below):
+    if below is not None and not below[1] < below[0] < size:
+        below = None
+    mat = _triangular(entries, size, below)
+    for n in range(size):
+        for lam in {mat[n][n], mat[0][0], F(7, 3)}:
+            _same_outcome(_outcome(solve_monic_eigenvector, mat, lam, n),
+                          _outcome(_fraction_solve, mat, lam, n))
+
+
+def _drawn_family(kind, x, y):
+    if kind == "jacobi":
+        return Jacobi1Params(abs(x) - F(9, 10), abs(y) - F(9, 10))
+    return GegParams(abs(x) - F(2, 5), abs(y) - F(9, 10))
+
+
+families = st.builds(_drawn_family, st.sampled_from(["jacobi", "gegenbauer"]),
+                     exact_q, exact_q)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(families, st.integers(2, 14))
+def test_family_kernels_match_fraction_kernels(family, degree):
+    mat = matrix_on_basis(family.operator(), degree)
+    for n in range(degree + 1):
+        lam = family.eigenvalue(n)
+        _same_outcome(_outcome(solve_monic_eigenvector, mat, lam, n),
+                      _outcome(_fraction_solve, mat, lam, n))
+    c = family.moments(2*degree + 1)
+    new, old = gram_sequence(c, degree), _fraction_gram(c, degree)
+    for (p_new, s_new), (p_old, s_old) in zip(new, old, strict=True):
+        assert_same_poly(p_new, p_old)
+        assert type(s_new) is F and str(s_new) == str(s_old)
+    report = verify_family(family, degree)
+    for k, r in enumerate(report.records):
+        h, norm_sq = _fraction_hankel(r.polynomial, c)
+        assert type(r.norm_sq) is F and str(r.norm_sq) == str(norm_sq)
+        nonzero = [(j, x) for j, x in enumerate(h[:r.n]) if x]
+        assert r.results["orthogonal"] == all(
+            sum(q.polynomial.coeff(j)*x for j, x in nonzero) == 0
+            for q in report.records[:k])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(exact_q, min_size=12, max_size=12))
+@example([F(0)]*12)                     # s_{1,1} = 0: both divide by zero
+def test_gram_sequence_on_arbitrary_moments(c):
+    c = [F(1)] + c
+    new = _outcome(gram_sequence, c, 6)
+    old = _outcome(_fraction_gram, c, 6)
+    if isinstance(old, tuple):
+        assert new[0] is old[0] is ZeroDivisionError
+    else:
+        for (p_new, s_new), (p_old, s_old) in zip(new, old, strict=True):
+            assert_same_poly(p_new, p_old)
+            assert type(s_new) is F and str(s_new) == str(s_old)
