@@ -174,7 +174,6 @@ def _suite_exact(log) -> tuple[bool, int]:
             log("exact: Chu-Vandermonde FAILED at "
                 f"n={n}, b={b}, c={c}")
             return False, 0
-        a0 = Fraction(rng.randint(1, 8))
         m, k = rng.randint(0, 6), rng.randint(0, 6)
         if pochhammer(b, m + k) != pochhammer(b, k) * pochhammer(b + k, m):
             log("exact: Pochhammer splitting FAILED")

@@ -15,19 +15,20 @@ import numpy as np
 from . import grid as gridmod
 from .gegenbauer import GegParams, eigenvalue_geg, geg_potentials
 from .jacobi import Jacobi1Params, construct_explicit
-from .opalg import construct_eigen, eigen_sequence
+from .opalg import dunkl, verify_family
 from .spectra import gegenbauer_problem
 from .susyqm import (
     ScarfParams,
     bracket_n,
+    exact_residual,
     ground_state_fn,
     ground_state_norm_sq,
     hermite_superposition,
     intertwiner,
     osc_mixed_state,
     osc_wavefunction,
+    scarf_relations,
     verify_lowering,
-    verify_operator_relations,
     verify_raising,
 )
 
@@ -50,20 +51,19 @@ def _entry(eid, label, printed, oracle, evidence, verdict) -> dict:
 
 
 def _odd_explicit_prefactor() -> dict:
-    p = Jacobi1Params(F(0), F(0))
-    printed = construct_explicit(1, p, "printed")
-    oracle = construct_eigen(1, p)
-    monicized = printed.scale(1 / printed.coeffs[-1])
+    """Verdicts of the family battery's explicit-form comparison, odd n <= 9."""
+    fuzz = [(F(0), F(0)), (F(1, 2), F(3, 2)), (F(1), F(1))]
+    records = {ab: verify_family(Jacobi1Params(*ab), 9).records for ab in fuzz}
     mismatches = []
-    for a, b in [(F(0), F(0)), (F(1, 2), F(3, 2)), (F(1), F(1))]:
-        pr = Jacobi1Params(a, b)
-        eigen = eigen_sequence(pr, 9)
-        bad = [n for n in range(1, 10, 2)
-               if construct_explicit(n, pr, "printed") != eigen[n]]
-        good = [n for n in range(1, 10, 2)
-                if construct_explicit(n, pr, "corrected") == eigen[n]]
-        mismatches.append({"params": f"({a},{b})", "printed_fails_at": bad,
-                           "corrected_matches_at": good})
+    for (a, b), recs in records.items():
+        odd = [(r.n, r.results["explicit_matches"]) for r in recs if r.n % 2]
+        mismatches.append({
+            "params": f"({a},{b})",
+            "printed_fails_at": [n for n, ok in odd if not ok["printed"]],
+            "corrected_matches_at": [n for n, ok in odd if ok["corrected"]]})
+    oracle = records[fuzz[0]][1].polynomial
+    printed = construct_explicit(1, Jacobi1Params(*fuzz[0]), "printed")
+    monicized = printed.scale(1 / printed.coeffs[-1])
     return _entry(
         "jacobi-odd-explicit-prefactor",
         "little-m1-jacobi/odd-degree-explicit-form/second-block-prefactor",
@@ -160,11 +160,11 @@ def _x_tangent_coefficient() -> dict:
     g = gridmod.Grid(1024, math.pi / 2)
     psi0 = ground_state_fn(p)(g.nodes)
     mask = (np.abs(g.nodes) > 0.1) & (np.abs(np.abs(g.nodes) - g.halfwidth) > 0.1)
-    out_p = intertwiner(p, "X", "printed").apply_grid(psi0, g)
-    out_c = intertwiner(p, "X", "corrected").apply_grid(psi0, g)
+    out_p = intertwiner(p, "X", "printed").stencil(g)(psi0)
+    out_c = intertwiner(p, "X", "corrected").stencil(g)(psi0)
     tan_match = np.abs(out_p + 0.5 * np.tan(g.nodes) * psi0)[mask].max()
     lowering = verify_lowering(p, 12)
-    gauged_text = intertwiner(p, "X", "corrected").gauged.pretty()
+    gauged_text = dunkl(p.alpha / 2).pretty()
     return _entry(
         "scarf-x-intertwiner-tangent-coefficient",
         "extended-scarf/lowering-intertwiner/tangent-coefficient",
@@ -226,15 +226,11 @@ def _y_mapping_scalar(corrected: list, printed: list) -> dict:
 
 
 def _product_relation_placement() -> dict:
-    rep = verify_operator_relations(ScarfParams(F(1), F(1, 2)),
-                                    grids=(256, 512, 1024))
-
-    def pick(rel, var):
-        for r in rep:
-            if r["relation"] == rel and r["variant"] == var:
-                return r["residual"]
-        return None
-
+    g = gridmod.Grid(1024, math.pi / 2)
+    residual = {(name, variant): exact_residual(relation, g)
+                for name, variant, _, relation
+                in scarf_relations(ScarfParams(F(1), F(1, 2)))
+                if name.startswith("product_")}
     return _entry(
         "scarf-product-relation-placement",
         "extended-scarf/product-relation/parameter-placement",
@@ -244,14 +240,14 @@ def _product_relation_placement() -> dict:
         "placement Y_{a,b+2} X_{a,b}",
         {
             "example_params": "alpha=1, beta=1/2",
-            "typeset_placement_printed_ops_residual": pick(
-                "product_typeset_indices", "printed"),
-            "typeset_placement_corrected_ops_residual": pick(
-                "product_typeset_indices", "corrected"),
-            "repaired_placement_corrected_ops_residual": pick(
-                "product_repaired_indices", "corrected"),
-            "repaired_placement_printed_ops_residual": pick(
-                "product_repaired_indices", "printed"),
+            "typeset_placement_printed_ops_residual": residual[
+                "product_typeset_indices", "printed"],
+            "typeset_placement_corrected_ops_residual": residual[
+                "product_typeset_indices", "corrected"],
+            "repaired_placement_corrected_ops_residual": residual[
+                "product_repaired_indices", "corrected"],
+            "repaired_placement_printed_ops_residual": residual[
+                "product_repaired_indices", "printed"],
         },
         "self-consistent as typeset (printed ops pass it) but inconsistent "
         "with the eigenfunction maps: the printed X at b+1 equals the "

@@ -23,10 +23,13 @@ even n and +(2n+a+b+1) for odd n; energies are their squares over eight.
 Analytic-form identities (parity conjugations, intertwining and product
 relations, Q^2 = H) have one representation and two evaluations. Q, H, X
 and Y are each held once as a refcalc operator, and each identity is one
-refcalc Relation between chains of them. Its exact symbolic composition
-gives a pointwise residual that measures the true defect of the identity
+refcalc Relation between chains of them, listed once by ``scarf_relations``
+with its expected verdict. Its exact symbolic composition gives a pointwise
+residual (``exact_residual``) that measures the true defect of the identity
 down to rounding; the same chains run as finite-difference stencils give
 residual norms that must vanish at second order in the grid spacing.
+``verify_operator_relations`` evaluates both; the errata report reads the
+exact residuals of the product relations from the same list.
 
 The X and Y intertwiners come in a ``printed`` and a ``corrected`` variant.
 The corrected X (tangent coefficient (b+1)/2 instead of b/2) is exactly the
@@ -82,10 +85,12 @@ __all__ = [
     "ground_state_fn",
     "wavefunction_fn",
     "bracket_n",
-    "Intertwiner",
     "intertwiner",
+    "gauged_y_corrected",
     "verify_lowering",
     "verify_raising",
+    "scarf_relations",
+    "exact_residual",
     "verify_operator_relations",
     "FockVector",
     "osc_q_apply",
@@ -253,41 +258,17 @@ def bracket_n(n: int, alpha) -> Fraction:
 # intertwiners
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Intertwiner:
-    """One of the b -> b+-2 maps, in analytic and (if available) gauged form.
-
-    ``op`` is the analytic action
-        sign d/dx + t tan x - sec x / 2 - (a/2)(1 + sign csc x) R,
-    with sign +1 for X and -1 for Y, and t = b/2 printed, (b + sign)/2
-    corrected. ``gauged`` is the exact polynomial-picture operator, None for
-    the printed variants (their gauged form leaves the polynomial ring).
-    """
-
-    which: str            # "X" or "Y"
-    variant: str          # "printed" or "corrected"
-    params: ScarfParams
-    op: refc.FirstOrderRefOp
-    gauged: ReflOp | None
-
-    def apply_grid(self, u: np.ndarray, g: gridmod.Grid) -> np.ndarray:
-        return self.op.stencil(g)(u)
-
-
-def _gauged_y_corrected(params: ScarfParams) -> ReflOp:
-    # -(1-y^2) d/dy - (a/2) y^-1(1-R) + ((a/2+b) y - 1) + ((a/2) y - a) R
-    a, b = params.alpha, params.beta
-    return ReflOp([
-        (-1, (MulPoly(Poly((1, 0, -1))), Diff)),
-        (-a / 2, (OddOverY,)),
-        (1, (MulPoly(Poly((-1, a / 2 + b))),)),
-        (1, (MulPoly(Poly((-a, a / 2))), Reflect)),
-    ])
-
-
 def intertwiner(params: ScarfParams, which: str,
-                variant: str = "corrected") -> Intertwiner:
-    """Build the X (b -> b+2) or Y (b -> b-2) map in the requested variant."""
+                variant: str = "corrected") -> refc.FirstOrderRefOp:
+    """The analytic X (b -> b+2) or Y (b -> b-2) map in the requested variant:
+
+        sign d/dx + t tan x - sec x / 2 - (a/2)(1 + sign csc x) R,
+
+    with sign +1 for X and -1 for Y, and t = b/2 printed, (b + sign)/2
+    corrected. In the gauged picture the corrected X is ``dunkl(a/2)`` and
+    the corrected Y is ``gauged_y_corrected``; the printed variants' gauged
+    forms leave the polynomial ring.
+    """
     if which not in ("X", "Y"):
         raise ValueError("which must be 'X' or 'Y'")
     if variant not in ("printed", "corrected"):
@@ -296,14 +277,23 @@ def intertwiner(params: ScarfParams, which: str,
     b = params.beta
     tan_coeff = b / 2 if variant == "printed" else (b + sign) / 2
     refl = refc.CoeffFn.const(1.0) + refc.CoeffFn.csc().scale(float(sign))
-    op = refc.FirstOrderRefOp.build(
+    return refc.FirstOrderRefOp.build(
         p=refc.CoeffFn.const(sign),
         q=refc.CoeffFn.tan().scale(float(tan_coeff))
         - refc.CoeffFn.sec().scale(0.5),
         r=refl.scale(-float(params.alpha) / 2))
-    gauged = None if variant == "printed" else (
-        dunkl(params.alpha / 2) if which == "X" else _gauged_y_corrected(params))
-    return Intertwiner(which, variant, params, op, gauged)
+
+
+def gauged_y_corrected(params: ScarfParams) -> ReflOp:
+    """The corrected Y in the gauged picture, P_n^{(a,b)} -> P_{n+1}^{(a,b-2)}:
+    -(1-y^2) d/dy - (a/2) y^-1(1-R) + ((a/2+b) y - 1) + ((a/2) y - a) R."""
+    a, b = params.alpha, params.beta
+    return ReflOp([
+        (-1, (MulPoly(Poly((1, 0, -1))), Diff)),
+        (-a / 2, (OddOverY,)),
+        (1, (MulPoly(Poly((-1, a / 2 + b))),)),
+        (1, (MulPoly(Poly((-a, a / 2))), Reflect)),
+    ])
 
 
 def _nondegenerate_sequence(family: Jacobi1Params, degree: int) -> list:
@@ -344,7 +334,7 @@ def verify_raising(params: ScarfParams, max_n: int) -> tuple[list, list]:
     a, b = params.alpha, params.beta
     ps = _nondegenerate_sequence(params, max_n)
     targets = eigen_sequence(unchecked(Jacobi1Params, a, b - 2), max_n + 1)
-    y = _gauged_y_corrected(params)
+    y = gauged_y_corrected(params)
     corrected, printed = [], []
     for n in range(max_n + 1):
         target = targets[n + 1]
@@ -386,7 +376,7 @@ def _test_functions(params: ScarfParams, g: gridmod.Grid) -> dict:
     # an eigenfunction of the system itself (smooth on the open interval):
     # ground_state times P_2(sin x) per node, with N_0 and P_2's float
     # coefficients taken once
-    coeffs = construct_eigen(2, params).as_float_coeffs()[::-1]
+    coeffs = _oracle_poly(2, params).as_float_coeffs()[::-1]
     n0 = math.sqrt(ground_state_norm_sq(params))
     a, b = float(params.alpha), float(params.beta)
     values = []
@@ -437,14 +427,14 @@ def _extrapolate_residual(norms: list) -> tuple[float, float]:
     return max(limit, 0.0), p
 
 
-def _analytic_residual(op: "refc.SecondOrderRefOp", g: gridmod.Grid,
-                       mask: np.ndarray) -> float:
-    """Max |op u| over the masked nodes of ``g``, all test functions.
+def exact_residual(relation: refc.Relation, g: gridmod.Grid) -> float:
+    """Max |residual u| of ``relation`` over the interior nodes of ``g`` (0.06
+    away from the core and the walls), over the analytic test functions.
 
-    The operator is an exactly composed residual; the value measures the
-    true defect of the identity (plus rounding), not discretization error.
+    The residual is composed exactly, so the value measures the true defect
+    of the identity (plus rounding), not discretization error.
     """
-    x = g.nodes[mask]
+    op, x = relation.residual(), g.nodes[_interior_mask(g)]
     worst = 0.0
     for u in _TEST_FNS.values():
         worst = max(worst, float(np.abs(op.apply(u, x)).max()))
@@ -473,26 +463,21 @@ def _product(y: refc.FirstOrderRefOp, x: refc.FirstOrderRefOp,
                           _chain(const)))
 
 
-def verify_operator_relations(params: ScarfParams, grids: tuple,
-                              variants: tuple = ("corrected", "printed")) -> list:
-    """Residuals of the operator identities, per variant, two ways.
+def scarf_relations(params: ScarfParams,
+                    variants: tuple = ("corrected", "printed")) -> list:
+    """The Scarf operator identities at ``params``, each stated once, as
+    (name, variant, expected verdict, ``refcalc.Relation``).
 
-    Each identity is one ``refcalc.Relation`` between chains of the
-    analytic Q, H, X and Y operators, evaluated twice. ``residual``: its
-    defect by exact symbolic composition, evaluated pointwise on the finest
-    grid (zero up to rounding for true identities). ``fd_norms``/``order``:
-    the same chains run as finite-difference stencils over the grid ladder,
-    whose norms must shrink at second order when the identity holds; their
-    extrapolated limit is ``fd_residual``. Q and H, also at the mirrored and
-    shifted b, are those of ``scarf_potential``.
-
-    ``verdict`` is "identity" for a residual below 1e-8, else "defect";
-    ``expected`` is the verdict the analysis predicts. The corrected maps
-    satisfy the intertwining relations and the product relation at the
-    repaired parameter placement Y_{a,b+2} X_{a,b}; the printed maps fail
-    those and satisfy the product relation at the typeset placement
-    Y_{a,b+1} X_{a,b+1} (the printed X at b+1 IS the corrected X at b — an
-    off-by-one in b).
+    First Q^2 = H and the parity conjugations R Q R = -Q and R H R = H at -b
+    (variant "n/a"), then per variant the X and Y intertwining relations and
+    the product relation at the repaired and at the typeset parameter
+    placement. Q and H, also at the mirrored and shifted b, are those of
+    ``scarf_potential``. The expected verdict ("identity" or "defect") is
+    the one the analysis predicts: the corrected maps satisfy the
+    intertwining relations and the product relation at the repaired
+    placement Y_{a,b+2} X_{a,b}; the printed maps fail those and satisfy the
+    product relation at the typeset placement Y_{a,b+1} X_{a,b+1} (the
+    printed X at b+1 IS the corrected X at b — an off-by-one in b).
     """
     # the reflected and shifted parameters may leave the b > -1 sector
     def shifted(beta):
@@ -503,10 +488,10 @@ def verify_operator_relations(params: ScarfParams, grids: tuple,
     relations = [
         ("q_squared_equals_h", "n/a", "identity",
          refc.Relation((_chain(1, q, q),), (_chain(1, h),))),
-        ("reflection_conjugation_Q", "n/a", "identity",    # R Q R = -Q at -b
+        ("reflection_conjugation_Q", "n/a", "identity",
          refc.Relation((refc.Chain(1, (q,), True),),
                        (_chain(-1, mirrored.supercharge()),))),
-        ("reflection_conjugation_H", "n/a", "identity",    # R H R = H at -b
+        ("reflection_conjugation_H", "n/a", "identity",
          refc.Relation((refc.Chain(1, (h,), True),),
                        (_chain(1, mirrored.hamiltonian()),))),
     ]
@@ -516,26 +501,40 @@ def verify_operator_relations(params: ScarfParams, grids: tuple,
     for variant in variants:
         holds, fails = (("identity", "defect") if variant == "corrected"
                         else ("defect", "identity"))
-        x, y = (intertwiner(params, which, variant).op for which in "XY")
+        x, y = (intertwiner(params, which, variant) for which in "XY")
         relations += [
             ("intertwine_X", variant, holds, _anticommutator(x, q_up, q)),
             ("intertwine_Y", variant, holds, _anticommutator(y, q_down, q)),
             ("product_repaired_indices", variant, holds,
-             _product(intertwiner(b2, "Y", variant).op, x, q, h, params)),
+             _product(intertwiner(b2, "Y", variant), x, q, h, params)),
             ("product_typeset_indices", variant, fails,
-             _product(intertwiner(b1, "Y", variant).op,
-                      intertwiner(b1, "X", variant).op, q, h, params)),
+             _product(intertwiner(b1, "Y", variant),
+                      intertwiner(b1, "X", variant), q, h, params)),
         ]
+    return relations
 
+
+def verify_operator_relations(params: ScarfParams, grids: tuple,
+                              variants: tuple = ("corrected", "printed")) -> list:
+    """Residuals of the ``scarf_relations`` identities, per variant, two ways.
+
+    ``residual``: the ``exact_residual`` on the finest grid (zero up to
+    rounding for true identities). ``fd_norms``/``order``: the same chains
+    run as finite-difference stencils over the grid ladder, whose norms must
+    shrink at second order when the identity holds; their extrapolated limit
+    is ``fd_residual``. ``verdict`` is "identity" for a residual below 1e-8,
+    else "defect"; ``expected`` is the verdict the analysis predicts.
+    """
+    relations = scarf_relations(params, variants)
     operators = dict.fromkeys(op for *_, rel in relations
                               for chain in rel.lhs + rel.rhs for op in chain.ops)
     probes = _probes(params, grids, operators)
-    finest, finest_mask, *_ = max(probes, key=lambda probe: probe[0].n)
+    finest = max(probes, key=lambda probe: probe[0].n)[0]
     results = []
     for name, variant, expected, relation in relations:
         norms = _residual_norms(relation, probes)
         fd_limit, order = _extrapolate_residual(norms)
-        resid = _analytic_residual(relation.residual(), finest, finest_mask)
+        resid = exact_residual(relation, finest)
         results.append({
             "relation": name, "variant": variant, "params": params.label(),
             "grids": list(grids), "fd_norms": norms, "fd_residual": fd_limit,

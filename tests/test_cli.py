@@ -245,6 +245,24 @@ def test_relations_suite_fails_only_on_an_expected_identity(monkeypatch):
     assert cli._suite_relations(lambda msg: None, "both") == (True, 3)
 
 
+def test_relations_suite_prints_one_variant_as_a_slice_of_both(capsys):
+    # each variant prints the shared [n/a] lines and its own lines of
+    # --variant both, in the same order; findings are the verdicts' defects
+    both = run(["verify", "--suite", "relations", "--variant", "both"], capsys)
+    assert both[0] == 0
+    *lines, summary = both[1].splitlines()
+    assert summary == ("oracle checks: pass; printed-formula discrepancies: "
+                       "4 found")
+    for variant, findings in (("printed", 3), ("corrected", 1)):
+        code, out, err = run(["verify", "--suite", "relations", "--variant",
+                              variant], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            line for line in lines if "[n/a]" in line or f"[{variant}]" in line
+        ] + [f"oracle checks: pass; printed-formula discrepancies: "
+             f"{findings} found"]
+
+
 def test_spectrum_scarf_negative_alpha_rejected(capsys):
     # ScarfParams accepts alpha > -1; scarf_problem refuses alpha < 0
     code, out, err = run(["spectrum", "--system", "scarf", "--alpha", "-1/2",

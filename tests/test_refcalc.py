@@ -284,7 +284,7 @@ def test_products_and_conjugations_match_hand_expanded_table_bitwise(ab):
     x = Grid(1024, math.pi / 2).nodes
     ops = [scarf_potential(unchecked(ScarfParams, a, beta)).supercharge()
            for beta in (b, -b, b + 2, b - 2)]
-    ops += [intertwiner(ScarfParams(a, beta), which, variant).op
+    ops += [intertwiner(ScarfParams(a, beta), which, variant)
             for beta in (b, b + 1, b + 2) for which in "XY"
             for variant in ("printed", "corrected")]
     for op in ops:

@@ -28,6 +28,7 @@ from dunklqm.susyqm import (
     _TEST_FNS,
     bracket_n,
     gauged_supercharge,
+    gauged_y_corrected,
     ground_state,
     ground_state_fn,
     ground_state_norm_sq,
@@ -43,6 +44,7 @@ from dunklqm.susyqm import (
     scarf_H_parts_explicit,
     scarf_energy,
     scarf_potential,
+    scarf_relations,
     supercharge_eigenvalue_scaled,
     verify_lowering,
     verify_operator_relations,
@@ -159,15 +161,63 @@ def test_wavefunction_zero_is_ground_state():
 
 # -- intertwiners -------------------------------------------------------------
 
+def _unnormalized_ground(x, a, b):
+    """|sin x|^(a/2) cos^(b/2) x (1 + sin x)^(1/2): the ground state at (a, b)
+    up to its norm."""
+    return np.abs(np.sin(x)) ** (a / 2) * np.cos(x) ** (b / 2) * np.sqrt(1 + np.sin(x))
+
+
+def _gauged_on_monomials(op, params, shift, degree, x):
+    """The analytic ``op``, a map from b to b + ``shift``, in the polynomial
+    picture y = sin x: Psi_{b+shift}^-1 op (Psi_b y^k) at the nodes ``x``,
+    one row per k <= ``degree``, applied exactly through known derivatives."""
+    a, b = float(params.alpha), float(params.beta)
+
+    def unused(t):
+        raise AssertionError("a first-order map reads no second derivative")
+
+    def log_derivative(t):
+        s, c = np.sin(t), np.cos(t)
+        return (a / 2) * c / s - (b / 2) * s / c + c / (2 * (1 + s))
+
+    rows = []
+    for k in range(degree + 1):
+        u = refc.ProbeFn(
+            lambda t, k=k: _unnormalized_ground(t, a, b) * np.sin(t) ** k,
+            lambda t, k=k: _unnormalized_ground(t, a, b) * (
+                log_derivative(t) * np.sin(t) ** k
+                + k * np.cos(t) * np.sin(t) ** (k - 1)),
+            unused)
+        rows.append(op.apply(u, x) / _unnormalized_ground(x, a, b + shift))
+    return np.array(rows)
+
+
+GAUGE_NODES = np.linspace(-1.3, 1.3, 26)
+
+
 def test_corrected_x_is_dunkl_on_polynomials():
-    # gauged corrected X equals T_{a/2} as a matrix identity up to degree 20
+    # the analytic corrected X, conjugated by the ground states of b and
+    # b + 2, acts on y^k as T_{a/2} does, through degree 20
+    y = np.sin(GAUGE_NODES)
     for a, b in [(F(0), F(0)), (F(1, 2), F(3, 2)), (F(1), F(1))]:
         p = ScarfParams(a, b)
-        op = intertwiner(p, "X", "corrected")
-        assert op.gauged is not None
-        lhs = matrix_on_basis(op.gauged, 20)
-        rhs = matrix_on_basis(dunkl(a / 2), 20)
-        assert lhs == rhs
+        lhs = _gauged_on_monomials(intertwiner(p, "X", "corrected"), p, 2, 20,
+                                   GAUGE_NODES)
+        rhs = np.array(matrix_on_basis(dunkl(a / 2), 20), dtype=float).T \
+            @ np.vander(y, 21, increasing=True).T
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+def test_corrected_y_is_its_gauged_form_on_polynomials():
+    # likewise the analytic corrected Y (b -> b - 2) and gauged_y_corrected
+    y = np.sin(GAUGE_NODES)
+    for a, b in [(F(0), F(0)), (F(1, 2), F(3, 2)), (F(1), F(1))]:
+        p = ScarfParams(a, b)
+        lhs = _gauged_on_monomials(intertwiner(p, "Y", "corrected"), p, -2, 20,
+                                   GAUGE_NODES)
+        gauged = gauged_y_corrected(p)
+        rhs = np.array([gauged.apply(Poly.monomial(k))(y) for k in range(21)])
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
 def test_lowering_map_exact():
@@ -245,10 +295,8 @@ def test_printed_x_fails_to_annihilate_ground_state():
     p = pars(1, 1)
     g = gridmod.Grid(2048, math.pi / 2)
     psi0 = ground_state_fn(p)(g.nodes)
-    printed = intertwiner(p, "X", "printed")
-    corrected = intertwiner(p, "X", "corrected")
-    out_p = printed.apply_grid(psi0, g)
-    out_c = corrected.apply_grid(psi0, g)
+    out_p = intertwiner(p, "X", "printed").stencil(g)(psi0)
+    out_c = intertwiner(p, "X", "corrected").stencil(g)(psi0)
     mask = (np.abs(g.nodes) > 0.1) & (np.abs(np.abs(g.nodes) - g.halfwidth) > 0.1)
     target = -0.5 * np.tan(g.nodes) * psi0
     # finite-difference application: tolerances at the O(h^2) stencil level
@@ -284,7 +332,7 @@ def test_intertwiner_stencil_matches_reference_bitwise(a, b):
         for u in (ground_state_fn(p)(g.nodes), np.exp(-g.nodes**2) * (1 + g.nodes)):
             for which in "XY":
                 for variant in ("printed", "corrected"):
-                    out = intertwiner(p, which, variant).apply_grid(u, g)
+                    out = intertwiner(p, which, variant).stencil(g)(u)
                     ref = _reference_intertwiner_grid(u, g, which, variant, p)
                     assert out.tobytes() == ref.tobytes(), (which, variant, n)
 
@@ -376,6 +424,48 @@ def test_parity_conjugation_pointwise_example():
     p = pars(1, "1/2")
     rep = verify_operator_relations(p, grids=(256, 512, 1024))
     assert _pick(rep, "reflection_conjugation_Q", "n/a")["residual"] < 1e-10
+
+
+def test_errata_product_residuals_are_the_relation_report_residuals():
+    # errata evaluates only the product relations, on the finest grid of the
+    # ladder it reports; each value is the report's, float for float
+    from dunklqm import errata
+
+    report = verify_operator_relations(pars(1, "1/2"), grids=(256, 512, 1024))
+    evidence = errata._product_relation_placement()["evidence"]
+    keys = {"typeset_placement_printed_ops_residual":
+            ("product_typeset_indices", "printed"),
+            "typeset_placement_corrected_ops_residual":
+            ("product_typeset_indices", "corrected"),
+            "repaired_placement_corrected_ops_residual":
+            ("product_repaired_indices", "corrected"),
+            "repaired_placement_printed_ops_residual":
+            ("product_repaired_indices", "printed")}
+    assert sorted(k for k in evidence if k.endswith("_ops_residual")) == sorted(keys)
+    for key, (relation, variant) in keys.items():
+        assert (evidence[key].hex()
+                == _pick(report, relation, variant)["residual"].hex()), key
+
+
+def test_scarf_relations_list_each_identity_once_in_report_order():
+    from pathlib import Path
+
+    golden = (Path(__file__).parent / "golden" / "verify-relations.txt")
+    printed_order = [line.split(": ")[1] for line in
+                     golden.read_text().splitlines()]
+    listed = [f"{name}[{variant}]"
+              for name, variant, *_ in scarf_relations(pars(0, 1))]
+    assert listed == printed_order
+    shared = ["q_squared_equals_h", "reflection_conjugation_Q",
+              "reflection_conjugation_H"]
+    per_variant = ["intertwine_X", "intertwine_Y", "product_repaired_indices",
+                   "product_typeset_indices"]
+    for variants in (("corrected",), ("printed",), ("printed", "corrected")):
+        pairs = [(name, variant)
+                 for name, variant, *_ in scarf_relations(pars(0, 1), variants)]
+        assert pairs == ([(name, "n/a") for name in shared]
+                         + [(name, v) for v in variants for name in per_variant])
+        assert len(set(pairs)) == len(pairs)
 
 
 def test_eigenfunction_probe_is_ground_state_times_p2():
