@@ -465,7 +465,6 @@ def test_scarf_relations_list_each_identity_once_in_report_order():
                  for name, variant, *_ in scarf_relations(pars(0, 1), variants)]
         assert pairs == ([(name, "n/a") for name in shared]
                          + [(name, v) for v in variants for name in per_variant])
-        assert len(set(pairs)) == len(pairs)
 
 
 def test_eigenfunction_probe_is_ground_state_times_p2():
