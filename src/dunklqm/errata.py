@@ -255,13 +255,12 @@ def _product_relation_placement() -> dict:
     )
 
 
-def _gegenbauer_potential_constants(derived_spec: list) -> dict:
-    """``derived_spec``: lowest three grid energies with the derived
-    potentials (the production route)."""
+def _gegenbauer_potential_constants(derived_spec: list, targets: list) -> dict:
+    """``derived_spec``, ``targets``: lowest three grid energies with the
+    derived potentials (the production route) and that problem's -lambda_n."""
     p = _GEG_PARAMS
     muf, alf = float(p.mu), float(p.alpha)
     shift = muf**2 + 4 * alf * muf + 2 * muf + 0.25
-    targets = sorted(-float(eigenvalue_geg(n, p)) for n in range(5))[:3]
     # printed potentials sampled away from the core: constant offsets
     x0 = 0.8
     u0p, u1p, _ = geg_potentials(p, x0, "printed")
@@ -361,8 +360,8 @@ def _mixed_state_prefactor() -> dict:
 def build_errata() -> list:
     """Compute all errata entries with live evidence."""
     corrected, printed = verify_raising(_RAISING_PARAMS, 12)
-    geg_spectrum = [float(v) for v in
-                    gegenbauer_problem(_GEG_PARAMS, 3).compute(1024)]
+    geg = gegenbauer_problem(_GEG_PARAMS, 3)
+    geg_spectrum = [float(v) for v in geg.compute(1024)]
     return [
         _odd_explicit_prefactor(),
         _odd_kappa_base(),
@@ -372,7 +371,7 @@ def build_errata() -> list:
         _y_tangent_coefficient(corrected),
         _y_mapping_scalar(corrected, printed),
         _product_relation_placement(),
-        _gegenbauer_potential_constants(geg_spectrum),
+        _gegenbauer_potential_constants(geg_spectrum, list(geg.targets)),
         _gegenbauer_eigenvalue_sign(geg_spectrum),
         _oscillator_laguerre_weight(),
         _oscillator_hermite_normalization(),

@@ -63,6 +63,11 @@ class MethodLimitError(ValueError):
     """The grid method cannot deliver the requested levels at this size."""
 
 
+def _check_halfwidth(c: float) -> None:
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"halfwidth must be positive and finite, got {c!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Symmetric midpoint grid: x_i = -b + (i + 1/2) h, h = 2b/N."""
@@ -73,6 +78,7 @@ class Grid:
     def __post_init__(self):
         if self.n <= 0 or self.n % 2:
             raise ValueError("grid size must be even and positive")
+        _check_halfwidth(self.halfwidth)
 
     @property
     def h(self) -> float:
@@ -391,8 +397,9 @@ def quadrature(f: Callable, halfwidth: float) -> float:
     integrable power at an end then becomes a double-exponentially decaying
     integrand in t, which the trapezoidal rule on |t| <= 3.2 resolves
     without knowing the exponent.
-    Neither 0 nor +-c is sampled. Each level halves the step in t and calls
-    ``f`` once, vectorized, on the new nodes of both halves.
+    Neither 0 nor +-c is sampled; c must be positive and finite (ValueError).
+    Each level halves the step in t and calls ``f`` once, vectorized, on the
+    new nodes of both halves.
 
     Raises MethodLimitError if two successive levels do not agree to
     1e-14 max(1, |I|) within the level cap, if a weighted value is not
@@ -400,6 +407,7 @@ def quadrature(f: Callable, halfwidth: float) -> float:
     negligible by the same measure (an endpoint too singular to integrate in
     double precision).
     """
+    _check_halfwidth(halfwidth)
     c = halfwidth
     value, points = 0.0, 0
     for level in range(_TS_LEVELS):

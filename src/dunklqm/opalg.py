@@ -204,8 +204,8 @@ class Poly:
         return Poly(_odd_over_y_coeffs(self.coeffs))
 
     def __call__(self, t):
-        """Evaluate at t (Fraction stays exact, float goes numeric)."""
-        acc = 0
+        """Evaluate at t (Fraction stays exact, float or array goes numeric)."""
+        acc = 0 * t
         for c in reversed(self.coeffs):
             acc = acc*t + (c if isinstance(t, Fraction) else float(c))
         return acc

@@ -13,13 +13,15 @@ The Scarf system's parameters are its family's parameter object:
 (a, b) are the little -1 Jacobi polynomials at the same (a, b), just as the
 generalized Gegenbauer system takes ``gegenbauer.GegParams``.
 
-Exact checks run in the gauged picture y = sin x, where the supercharge
-becomes the all-rational operator
+Exact checks run in the gauged picture y = sin x, where the supercharge is
+the family's defining operator L (``jacobi.lop``) less a constant,
 
-    2 sqrt(2) Qtilde = 2(1-y) d/dy R - (a/y)(1-R) - (a+b+1) R,
+    2 sqrt(2) Qtilde = L - (a+b+1) = 2(1-y) d/dy R - (a/y)(1-R) - (a+b+1) R,
 
-whose eigenvalues on the little -1 Jacobi polynomials are -(2n+a+b+1) for
-even n and +(2n+a+b+1) for odd n; energies are their squares over eight.
+so its eigenvalues on the little -1 Jacobi polynomials are the family's
+lambda_n - (a+b+1): -(2n+a+b+1) for even n, +(2n+a+b+1) for odd n. Energies
+are their squares over eight; wavefunctions take P_n and N_n/N_0 from the
+family too.
 Analytic-form identities (parity conjugations, intertwining and product
 relations, Q^2 = H) have one representation and two evaluations. Q, H, X
 and Y are each held once as a refcalc operator, and each identity is one
@@ -56,7 +58,7 @@ from numpy.polynomial import hermite as nph
 from . import grid as gridmod
 from . import refcalc as refc
 from .exact import DomainError, beta_num, pochhammer, rat
-from .jacobi import Jacobi1Params, norm_sq_closed
+from .jacobi import Jacobi1Params, eigenvalue, lop, norm_sq_closed
 from .opalg import (
     DegenerateSpectrumError,
     Diff,
@@ -167,26 +169,20 @@ def scarf_H_parts_explicit(params: ScarfParams):
 
 
 def gauged_supercharge(params: ScarfParams) -> ReflOp:
-    """The all-rational operator 2 sqrt(2) Qtilde in the y = sin x picture."""
-    a, b = params.alpha, params.beta
-    return ReflOp([
-        (1, (MulPoly(Poly((2, -2))), Diff, Reflect)),
-        (-a, (OddOverY,)),
-        (-(a + b + 1), (Reflect,)),
-    ])
+    """2 sqrt(2) Qtilde = L - (a+b+1) in the y = sin x picture, L = ``lop``."""
+    return lop(params) + ReflOp([(-(params.alpha + params.beta + 1), ())])
 
 
 def supercharge_eigenvalue_scaled(n: int, params: ScarfParams) -> Fraction:
-    """Eigenvalue of 2 sqrt(2) Qtilde on P_n: -(2n+a+b+1) even, + odd."""
-    s = 2 * n + params.alpha + params.beta + 1
-    return -s if n % 2 == 0 else s
+    """lambda_n - (a+b+1) on P_n: -(2n+a+b+1) for even n, + for odd n."""
+    return eigenvalue(n, params) - (params.alpha + params.beta + 1)
 
 
 def scarf_energy(n: int, params: ScarfParams) -> Fraction:
-    """(2n + a + b + 1)^2 / 8."""
+    """(2n+a+b+1)^2 / 8: the 2 sqrt(2) Qtilde eigenvalue squared over 8."""
     if n < 0:
         raise ValueError("level must be nonnegative")
-    return (2 * n + params.alpha + params.beta + 1) ** 2 / Fraction(8)
+    return supercharge_eigenvalue_scaled(n, params) ** 2 / 8
 
 
 def ground_state_norm_sq(params: ScarfParams) -> float:
@@ -209,12 +205,6 @@ def _ground_state_at(x: float, a: float, b: float, n0: float) -> float:
     return n0 * abs(s) ** (a / 2) * math.cos(x) ** (b / 2) * math.sqrt(1 + s)
 
 
-def _norm_ratio(n: int, params: ScarfParams) -> float:
-    """N_n / N_0 = (N_0^2/N_n^2)^(-1/2), exact ratio evaluated as float."""
-    r = norm_sq_closed(n, params)
-    return 1.0 / math.sqrt(float(r))
-
-
 @lru_cache(maxsize=None)
 def _oracle_poly(n: int, params: ScarfParams) -> Poly:
     return construct_eigen(n, params)
@@ -235,15 +225,14 @@ def ground_state_fn(params: ScarfParams) -> Callable:
 
 def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
     """Vectorized normalized n-th wavefunction evaluator:
-    (N_n/N_0) Psi_0(x) P_n(sin x) with the oracle monic polynomial."""
+    (N_n/N_0) Psi_0(x) P_n(sin x), P_n and N_0^2/N_n^2 from the family."""
     pn = _oracle_poly(n, params)
-    coeffs = np.asarray(pn.as_float_coeffs()[::-1])
-    ratio = _norm_ratio(n, params)
+    ratio = 1.0 / math.sqrt(float(norm_sq_closed(n, params)))
     g0 = ground_state_fn(params)
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        return ratio * g0(x) * np.polyval(coeffs, np.sin(x))
+        return ratio * g0(x) * pn(np.sin(x))
 
     return f
 
@@ -651,6 +640,8 @@ def osc_wavefunction(n: int, eps: int, x: float,
     """
     if eps not in (+1, -1):
         raise ValueError("eps must be +-1")
+    if variant not in ("printed", "corrected"):
+        raise ValueError("variant must be 'printed' or 'corrected'")
     pref = _osc_prefactor(n)
     weight = float(n + 1) if variant == "printed" else math.sqrt(n + 1.0)
     t = x * x

@@ -5,8 +5,9 @@ The files under ``tests/golden`` hold the outputs of ``family --format json``
 jacobi-m1 (1/2, 3/2) at degree 60, and gegenbauer (1/3, 2) at degree 40,
 a symmetric family whose odd moments and coefficients vanish),
 of ``verify --out`` for the jacobi, intertwiners, gegenbauer and relations
-suites
-(relations pins every residual and fd order as printed), of ``errata``
+suites and for all suites at once (relations pins every residual and fd
+order as printed; the full run also pins the exact and oscillator lines
+byte for byte), of ``errata``
 (which runs the lowering and raising maps), and of ``spectrum`` for five
 grid systems on the 256,512,1024 ladder. Any change to the exact layer must leave them
 identical. Spectrum files print each level's order estimate at full
@@ -61,6 +62,7 @@ CASES = {
     "verify-intertwiners.txt": ["verify", "--suite", "intertwiners"],
     "verify-gegenbauer.txt": ["verify", "--suite", "gegenbauer"],
     "verify-relations.txt": ["verify", "--suite", "relations"],
+    "verify-all.txt": ["verify"],
 }
 
 LADDER = ["--grids", "256,512,1024"]

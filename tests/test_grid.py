@@ -40,6 +40,19 @@ def test_grid_nodes_symmetric():
         Grid(7, 1.0)
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+def test_nonpositive_or_nonfinite_halfwidth_is_refused(c):
+    # h = 2c/N and the tanh-sinh nodes scale with c: a halfwidth that is not
+    # a positive finite number gives descending, NaN or zero-width samples
+    with pytest.raises(ValueError, match="halfwidth"):
+        Grid(4, c)
+    with pytest.raises(ValueError, match="halfwidth"):
+        quadrature(lambda x: np.ones_like(x), c)
+    small = 1e-3
+    assert np.all(np.diff(Grid(4, small).nodes) > 0)
+    assert quadrature(lambda x: np.ones_like(x), small) == pytest.approx(2 * small)
+
+
 def test_assemble_free_particle_box():
     g = Grid(512, math.pi / 2)
     op = assemble(lambda x: 0.0 * x, lambda x: 0.0 * x, g)

@@ -5,6 +5,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -48,6 +49,19 @@ def test_poly_basics():
     assert Poly.zero().degree == -math.inf
     assert P(3).degree == 0
     assert p(F(1, 2)) == F(3, 2)
+
+
+def test_poly_call_keeps_the_argument_type():
+    t = np.linspace(-1.3, 1.3, 27)
+    zero = Poly.zero()(t)
+    assert isinstance(zero, np.ndarray) and zero.shape == t.shape
+    assert not zero.any()
+    assert type(Poly.zero()(F(1, 3))) is F and Poly.zero()(F(1, 3)) == 0
+    # Horner in np.polyval's order: bit for bit its value
+    for p in (P(3), P(1, 0, 2), P(F(-1, 3), F(2, 7), 0, F(5, 4)),
+              construct_eigen(7, Jacobi1Params(F(1, 2), F(3, 2)))):
+        ref = np.polyval(p.as_float_coeffs()[::-1], t)
+        assert p(t).tobytes() == ref.tobytes()
 
 
 def test_reflect_parity():

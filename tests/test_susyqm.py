@@ -581,6 +581,11 @@ def test_osc_wavefunction_array_matches_scalar_calls():
                 assert got.tobytes() == ref.tobytes()
 
 
+def test_osc_wavefunction_refuses_unknown_variant():
+    with pytest.raises(ValueError, match="variant"):
+        osc_wavefunction(1, 1, 0.7, "typo")
+
+
 def test_osc_wavefunction_measured_norm():
     # quadrature norm of the printed form: (n+2)/2^(2n+1), recorded not assumed
     for n in range(3):
