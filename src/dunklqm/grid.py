@@ -25,7 +25,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import eig_banded, eigh, eigh_tridiagonal, solve_banded
@@ -300,16 +300,18 @@ def checkerboard_fraction(v: np.ndarray) -> float:
     return float(np.linalg.norm(v - av) / (2.0 * np.linalg.norm(v)))
 
 
-def _inverse_iteration(band: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Eigenvectors (columns, pair ordering) of an upper-banded symmetric
-    matrix for its ascending eigenvalues ``w``, accurate as LAPACK returns
-    them.
+def _inverse_iteration(band: np.ndarray,
+                       w: np.ndarray) -> Iterator[np.ndarray]:
+    """Eigenvectors (pair ordering) of an upper-banded symmetric matrix for
+    its ascending eigenvalues ``w``, accurate as LAPACK returns them, one at
+    a time and in order.
 
     Each vector takes three banded solves with (A - w_j I) from one fixed
     start vector. As in LAPACK's dstein, eigenvalues closer than
     1e-3 ||A||_1 form a cluster, and every iterate is orthogonalized against
     the cluster's earlier vectors, so (near-)degenerate levels get
-    independent vectors.
+    independent vectors. A vector depends only on the ones before it, so a
+    caller that stops early has the same vectors as a full run.
     """
     bw, n = band.shape[0] - 1, band.shape[1]
     full = np.zeros((2 * bw + 1, n))
@@ -332,16 +334,17 @@ def _inverse_iteration(band: np.ndarray, w: np.ndarray) -> np.ndarray:
             x -= cluster @ (cluster.T @ x)
             x /= np.linalg.norm(x)
         vecs[:, j] = x
-    return vecs
+        yield x
 
 
 def composite_spectrum(op: GridOperator, k: int) -> np.ndarray:
     """Lowest k smooth eigenvalues, discarding checkerboard artifacts.
 
-    Scans the lowest 4k+8 eigenvalues and keeps those whose eigenvectors
-    are grid-smooth. LAPACK computes eigenvalues only; the vectors come from
-    banded inverse iteration, since LAPACK's banded eigenvector path forms a
-    dense N x N transformation at O(N^3) cost.
+    Scans up to the lowest 4k+8 eigenvalues, in ascending order, and keeps
+    those whose eigenvectors are grid-smooth, stopping at the k-th. LAPACK
+    computes eigenvalues only; the vectors come from banded inverse
+    iteration, one per scanned level, since LAPACK's banded eigenvector path
+    forms a dense N x N transformation at O(N^3) cost.
     """
     n_scan = 4 * k + 8
     n = op.n
@@ -350,10 +353,12 @@ def composite_spectrum(op: GridOperator, k: int) -> np.ndarray:
     perm = _pair_permutation(n)
     vec = np.empty(n)
     out = []
-    for lam, vec_p in zip(w, _inverse_iteration(op.band, w).T):
+    for lam, vec_p in zip(w, _inverse_iteration(op.band, w)):
         vec[perm] = vec_p  # back to node ordering
         if checkerboard_fraction(vec) < 0.5:
             out.append(float(lam))
+            if len(out) == k:
+                break
     if len(out) < k:
         raise MethodLimitError(
             f"method limit: only {len(out)} of the lowest {len(w)} "

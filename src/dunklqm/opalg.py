@@ -83,10 +83,12 @@ class DegenerateSpectrumError(ValueError):
 # allowed). ``Poly`` and the operator primitives share them. The hot loops
 # run them on integer numerators over one common denominator (``_scaled``),
 # and a reduced Fraction is built only where a value leaves the kernel
-# (``_unscaled``). The product skips zero coefficients, which fill the
-# monomial columns of ``matrix_on_basis``.
+# (``_unscaled``); ``Poly.of_reduced`` stores those as they are. The
+# product skips zero coefficients, which fill the monomial columns of
+# ``matrix_on_basis``.
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _scaled(cs) -> tuple[list, int]:
@@ -140,6 +142,18 @@ class Poly:
             cs.pop()
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def of_reduced(cls, cs) -> "Poly":
+        """The Poly of Fractions ``cs`` as they are, without ``rat``: for
+        the kernels' reduced Fractions (``_unscaled``) and for sums,
+        negations and integer multiples of a Poly's own coefficients."""
+        cs = list(cs)
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
+
     @staticmethod
     def zero() -> "Poly":
         return Poly(())
@@ -150,7 +164,7 @@ class Poly:
 
     @staticmethod
     def monomial(n: int) -> "Poly":
-        return Poly((0,)*n + (1,))
+        return Poly.of_reduced((_ZERO,)*n + (_ONE,))
 
     @property
     def degree(self):
@@ -173,31 +187,32 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) + other.coeff(k) for k in range(n)])
+        return Poly.of_reduced([self.coeff(k) + other.coeff(k) for k in range(n)])
 
     def __sub__(self, other: "Poly") -> "Poly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(k) - other.coeff(k) for k in range(n)])
+        return Poly.of_reduced([self.coeff(k) - other.coeff(k) for k in range(n)])
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly.of_reduced([-c for c in self.coeffs])
 
     def scale(self, s) -> "Poly":
         s = rat(s)
         nums, den = _scaled(self.coeffs)
-        return Poly(_unscaled([s.numerator*x for x in nums], s.denominator*den))
+        return Poly.of_reduced(_unscaled([s.numerator*x for x in nums],
+                                         s.denominator*den))
 
     def __mul__(self, other: "Poly") -> "Poly":
         a, da = _scaled(self.coeffs)
         b, db = _scaled(other.coeffs)
-        return Poly(_unscaled(_mul_coeffs(a, b), da*db))
+        return Poly.of_reduced(_unscaled(_mul_coeffs(a, b), da*db))
 
     def deriv(self) -> "Poly":
-        return Poly(_deriv_coeffs(self.coeffs))
+        return Poly.of_reduced(_deriv_coeffs(self.coeffs))
 
     def reflect(self) -> "Poly":
         """p(y) -> p(-y)."""
-        return Poly(_reflect_coeffs(self.coeffs))
+        return Poly.of_reduced(_reflect_coeffs(self.coeffs))
 
     def odd_over_y(self) -> "Poly":
         """(p(y) - p(-y)) / y: twice the odd part, divided by y. Always exact."""
@@ -348,7 +363,7 @@ class ReflOp:
             for k, x in enumerate(q):
                 if x:
                     out[k] += w*x
-        return Poly(_unscaled(out, lcm*den))
+        return Poly.of_reduced(_unscaled(out, lcm*den))
 
     def pretty(self) -> str:
         if not self.terms:
@@ -443,7 +458,7 @@ def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
             nums[k] = -acc*row[k].denominator*lam.denominator
         dens[k] = den
     nums = [x*(den // d) for x, d in zip(nums, dens)]
-    return Poly(_unscaled(nums, den))
+    return Poly.of_reduced(_unscaled(nums, den))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +566,7 @@ def gram_sequence(c: list, degree: int) -> list:
         # P_{k+1} = y P_k - a P_k - b P_{k-1}
         prev_p, p = p, _three_term([0] + pk, (pk + [0], pk_den),
                                    (prev_p[0] + [0, 0], prev_p[1]), a, b)
-        seq.append((Poly(_unscaled(*p)), Fraction(row[0], den)))
+        seq.append((Poly.of_reduced(_unscaled(*p)), Fraction(row[0], den)))
     return seq
 
 

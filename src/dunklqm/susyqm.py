@@ -52,7 +52,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 from numpy.polynomial import hermite as nph
 
 from . import grid as gridmod
@@ -625,6 +624,41 @@ def _osc_prefactor(n: int) -> float:
         float(Fraction(math.factorial(n)) / pochhammer(n + 1, n + 1)))
 
 
+_HALF = Fraction(1, 2)
+
+
+def _laguerre(n: int, alpha: Fraction, t):
+    """Generalized Laguerre polynomial L_n^(alpha)(t) at a float or a float
+    array t.
+
+    With p_k = L_k / C(k+alpha, k) and d_k = p_k - p_(k-1), the three-term
+    recurrence becomes d_1 = -t/(alpha+1), p_1 = d_1 + 1 and, for k >= 1,
+
+        d_(k+1) = -t/(k+alpha+1) p_k + k/(k+alpha+1) d_k,
+        p_(k+1) = p_k + d_(k+1),
+
+    and L_n = C(n+alpha, n) p_n. These are the float operations, in the same
+    order, of ``scipy.special.eval_genlaguerre`` at an integer degree. The
+    binomial is the exact (alpha+1)_n / n!, rounded once; for n <= 19 and
+    alpha = +-1/2 it is the float scipy multiplies out, so the values agree
+    bit for bit. scipy takes a beta function from n = 20 on, and the two
+    differ there by a few units in the last place.
+    """
+    if n < 0:
+        raise ValueError("Laguerre degree must be nonnegative")
+    a = float(alpha)
+    if n == 0:
+        return np.ones_like(t, dtype=float)[()]
+    if n == 1:
+        return -t + a + 1
+    d = -t / (a + 1)
+    p = d + 1
+    for k in map(float, range(1, n)):
+        d = -t / (k + a + 1) * p + (k / (k + a + 1)) * d
+        p = p + d
+    return float(pochhammer(alpha + 1, n) / math.factorial(n)) * p
+
+
 def osc_wavefunction(n: int, eps: int, x: float,
                      variant: str = "printed") -> float:
     """Coordinate form of |n, eps> through the Laguerre expression.
@@ -633,6 +667,9 @@ def osc_wavefunction(n: int, eps: int, x: float,
     Laguerre blocks; ``corrected`` uses sqrt(n+1), which is the weight that
     actually matches the Hermite superposition (exactly, with global factor
     2^(1/2 - n) under the epsilon pairing recorded by the oscillator report).
+
+    The blocks are L_n^(1/2)(x^2) and L_(n+1)^(-1/2)(x^2), from ``_laguerre``
+    (bit for bit ``scipy.special.eval_genlaguerre`` up to n = 18).
 
     ``x`` is a float or a float array. An array is evaluated bit for bit as
     the floats one by one: the Laguerre polynomials take the whole array,
@@ -648,7 +685,7 @@ def osc_wavefunction(n: int, eps: int, x: float,
     gauss = (np.array([math.exp(-v / 2) for v in t.tolist()]) if np.ndim(t)
              else math.exp(-t / 2))
     return pref * gauss * (
-        x * eval_genlaguerre(n, 0.5, t) + eps * weight * eval_genlaguerre(n + 1, -0.5, t))
+        x * _laguerre(n, _HALF, t) + eps * weight * _laguerre(n + 1, -_HALF, t))
 
 
 def _hermite_psi(m: int, x: float) -> float:

@@ -390,3 +390,24 @@ def test_python_m_dunklqm_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "oracle checks: pass" in proc.stdout
+
+
+def test_cli_never_imports_scipy_special():
+    # the modules the benchmark's set-up probe imports, then the two commands
+    # that evaluate the oscillator's Laguerre wavefunctions
+    script = """
+import io, sys, contextlib
+import dunklqm.cli, dunklqm.errata, dunklqm.grid, dunklqm.spectra
+import numpy, scipy.linalg
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [dunklqm.cli.main(["verify", "--suite", "oscillator"]),
+             dunklqm.cli.main(["errata"])]
+print(codes, "scipy.special" in sys.modules)
+"""
+    src = str(Path(dunklqm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0]", "False"]

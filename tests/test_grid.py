@@ -501,12 +501,15 @@ def test_composite_filter_matches_dense_eigenvectors(mu, alpha, monkeypatch):
     vals = gridmod.composite_spectrum(op, k)
     n_scan = 4 * k + 8
     _, vecs = np.linalg.eigh(op.matrix)
-    dense = [real(vecs[:, j]) for j in range(n_scan)]
-    assert [f < 0.5 for f in fractions] == [f < 0.5 for f in dense]
-    assert np.abs(np.asarray(fractions) - dense).max() < 1e-8
+    dense = np.asarray([real(vecs[:, j]) for j in range(n_scan)])
+    # the scan stops right after the k-th smooth dense vector
+    last = np.flatnonzero(dense < 0.5)[k - 1]
+    assert len(fractions) == last + 1 < n_scan
+    assert [f < 0.5 for f in fractions] == list(dense[:last + 1] < 0.5)
+    assert np.abs(np.asarray(fractions) - dense[:last + 1]).max() < 1e-8
     w, _ = eig_banded(op.band, lower=False, select="i",
                       select_range=(0, n_scan - 1))
-    assert np.array_equal(vals, w[np.asarray(dense) < 0.5][:k])
+    assert np.array_equal(vals, w[dense < 0.5][:k])
 
 
 def test_non_gegenbauer_paths_hold_no_dense_matrix():

@@ -26,6 +26,7 @@ from dunklqm.susyqm import (
     ScarfParams,
     SusyPotential,
     _TEST_FNS,
+    _laguerre,
     bracket_n,
     gauged_supercharge,
     gauged_y_corrected,
@@ -579,6 +580,36 @@ def test_osc_wavefunction_array_matches_scalar_calls():
                                 for t in xs.tolist()])
                 got = osc_wavefunction(n, eps, xs, variant)
                 assert got.tobytes() == ref.tobytes()
+
+
+def test_laguerre_matches_scipy_bit_for_bit():
+    # scipy.special is imported here only; the package evaluates its own
+    from scipy.special import eval_genlaguerre
+    rng = np.random.default_rng(7)
+    ts = np.concatenate([[0.0, 0.4**2, 0.7**2, 0.9**2],
+                         rng.uniform(0.0, 1.0, 200),
+                         rng.uniform(0.0, 100.0, 200)])
+    for alpha in (F(1, 2), F(-1, 2)):
+        for n in range(26):
+            ref = eval_genlaguerre(n, float(alpha), ts)
+            got = _laguerre(n, alpha, ts)
+            if n <= 19:
+                assert got.tobytes() == ref.tobytes(), (alpha, n)
+                for t in (0.4, 0.7, 0.9, float(ts[-1])):
+                    one = _laguerre(n, alpha, t * t)
+                    assert np.float64(one).tobytes() == eval_genlaguerre(
+                        n, float(alpha), t * t).tobytes(), (alpha, n, t)
+            else:
+                # scipy's binomial is a beta function from n = 20 on
+                assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), \
+                    (alpha, n)
+
+
+def test_laguerre_refuses_negative_degree():
+    with pytest.raises(ValueError, match="nonnegative"):
+        _laguerre(-1, F(1, 2), 0.5)
+    with pytest.raises(ValueError):
+        osc_wavefunction(-1, 1, 0.5)
 
 
 def test_osc_wavefunction_refuses_unknown_variant():
