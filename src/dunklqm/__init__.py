@@ -12,13 +12,11 @@ and emits a machine-readable errata report of the discrepancies it finds.
 
 from .exact import (
     DomainError,
-    HypSeries,
     NonTerminatingError,
     SeriesDivisionByZero,
     beta_num,
     hyp2f1,
     hyp3f2,
-    hyp_eval,
     pochhammer,
     rat,
 )

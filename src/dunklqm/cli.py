@@ -108,6 +108,36 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
+# The parameters each family kind and spectrum system reads, with their
+# defaults. A parameter given to a choice that does not read it is refused:
+# the answer would be to a different question than the one asked.
+_FAMILY_PARAMS = {
+    "jacobi-m1": {"alpha": Fraction(0), "beta": Fraction(0)},
+    "gegenbauer": {"mu": Fraction(1, 2), "alpha": Fraction(0)},
+}
+_SPECTRUM_PARAMS = {
+    "scarf": {"alpha": Fraction(0), "beta": Fraction(2)},
+    "oscillator": {},
+    "gegenbauer": {"mu": Fraction(1, 2), "alpha": Fraction(0)},
+}
+
+
+def _refuse_unread(args, option: str, reads: dict) -> bool:
+    """Fill in the defaults of the parameters that the chosen kind or system
+    reads; for a given parameter that it does not read, print an error and
+    return True."""
+    choice = getattr(args, option)
+    for name in ("alpha", "beta", "mu"):
+        if name in reads[choice]:
+            if getattr(args, name) is None:
+                setattr(args, name, reads[choice][name])
+        elif getattr(args, name) is not None:
+            print(f"error: --{option} {choice} does not read --{name}",
+                  file=sys.stderr)
+            return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # family
 # ---------------------------------------------------------------------------
@@ -117,6 +147,8 @@ def cmd_family(args) -> int:
     from .jacobi import Jacobi1Params
     from .opalg import eigenvalue_collision, verify_family
 
+    if _refuse_unread(args, "kind", _FAMILY_PARAMS):
+        return EXIT_USAGE
     try:
         if args.kind == "jacobi-m1":
             params = Jacobi1Params(args.alpha, args.beta)
@@ -251,7 +283,7 @@ def _suite_oscillator(log) -> tuple[bool, int]:
     return ok, 0
 
 
-def _suite_intertwiners(log, variant: str) -> tuple[bool, int]:
+def _suite_intertwiners(log) -> tuple[bool, int]:
     from .jacobi import FUZZ_PARAMS
     from .susyqm import ScarfParams, verify_lowering, verify_raising
 
@@ -262,22 +294,18 @@ def _suite_intertwiners(log, variant: str) -> tuple[bool, int]:
         ok = ok and all(low)
         corrected, printed = verify_raising(p, 12)
         ok = ok and all(r for r in corrected if r is not None)
-        if variant in ("printed", "both"):
-            findings += sum(r is False for r in printed[:7])
+        findings += sum(r is False for r in printed[:7])
     log(f"intertwiners: corrected lowering/raising maps exact on all pairs: "
-        f"{'pass' if ok else 'FAIL'}"
-        + (f"; printed-scalar mismatches recorded: {findings}"
-           if variant in ("printed", "both") else ""))
+        f"{'pass' if ok else 'FAIL'}; printed-scalar mismatches recorded: "
+        f"{findings}")
     return ok, findings
 
 
-def _suite_relations(log, variant: str) -> tuple[bool, int]:
+def _suite_relations(log) -> tuple[bool, int]:
     from .susyqm import ScarfParams, verify_operator_relations
 
-    variants = {"corrected": ("corrected",), "printed": ("printed",),
-                "both": ("corrected", "printed")}[variant]
     rep = verify_operator_relations(ScarfParams(Fraction(0), Fraction(1)),
-                                    grids=(512, 1024, 2048), variants=variants)
+                                    grids=(512, 1024, 2048))
     ok, findings = True, 0
     for r in rep:
         tag = f"{r['relation']}[{r['variant']}]"
@@ -308,14 +336,14 @@ def cmd_verify(args) -> int:
         elif s == "jacobi":
             ok, f = _suite_family(log, s, args.degree)
         elif s == "gegenbauer":
-            ok, f = _suite_family(log, s, min(args.degree, 16))
+            ok, f = _suite_family(log, s, args.degree)
             ok = _suite_csm(log) and ok
         elif s == "oscillator":
             ok, f = _suite_oscillator(log)
         elif s == "intertwiners":
-            ok, f = _suite_intertwiners(log, args.variant)
+            ok, f = _suite_intertwiners(log)
         else:
-            ok, f = _suite_relations(log, args.variant)
+            ok, f = _suite_relations(log)
         all_ok, findings = all_ok and ok, findings + f
     print(f"oracle checks: {'pass' if all_ok else 'FAIL'}; "
           f"printed-formula discrepancies: {findings} found")
@@ -334,6 +362,8 @@ def cmd_spectrum(args) -> int:
     from . import grid as gridmod
     from .spectra import gegenbauer_problem, oscillator_problem, scarf_problem
 
+    if _refuse_unread(args, "system", _SPECTRUM_PARAMS):
+        return EXIT_USAGE
     # no method returns more levels than grid points; refused before the
     # problem builds one closed-form target per level
     if args.levels > args.grids[0]:
@@ -398,9 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     fam = sub.add_parser("family", help="print an orthogonal family table")
     fam.add_argument("--kind", choices=["jacobi-m1", "gegenbauer"],
                      required=True)
-    fam.add_argument("--alpha", type=_rat, default=Fraction(0))
-    fam.add_argument("--beta", type=_rat, default=Fraction(0))
-    fam.add_argument("--mu", type=_rat, default=Fraction(1, 2))
+    for name in ("--alpha", "--beta", "--mu"):
+        fam.add_argument(name, type=_rat)
     fam.add_argument("--degree", type=_int_at_least(0), default=6)
     fam.add_argument("--format", choices=["text", "json", "csv"],
                      default="text")
@@ -410,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("--suite", default="all",
                      choices=["all", *VERIFY_SUITES])
-    ver.add_argument("--variant", default="both",
-                     choices=["printed", "corrected", "both"])
     ver.add_argument("--degree", type=_int_at_least(2), default=12)
     ver.add_argument("--out", type=_out_path)
     ver.set_defaults(fn=cmd_verify)
@@ -419,9 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     spec = sub.add_parser("spectrum", help="grid spectra vs closed forms")
     spec.add_argument("--system", choices=["scarf", "oscillator", "gegenbauer"],
                       required=True)
-    spec.add_argument("--alpha", type=_rat, default=Fraction(0))
-    spec.add_argument("--beta", type=_rat, default=Fraction(2))
-    spec.add_argument("--mu", type=_rat, default=Fraction(1, 2))
+    for name in ("--alpha", "--beta", "--mu"):
+        spec.add_argument(name, type=_rat)
     spec.add_argument("--levels", type=_int_at_least(1), default=3)
     spec.add_argument("--grids", type=_grid_list, default=[1024, 2048, 4096])
     spec.add_argument("--tol", type=_positive_finite, default=None)

@@ -1,6 +1,9 @@
 """Exact rational arithmetic helpers: Pochhammer symbols, terminating
 (generalized) hypergeometric series, and a float Beta function.
 
+A series is one call, ``hyp_terms(numerator_params, denominator_params,
+z)``, which lists its terms; ``hyp2f1`` and ``hyp3f2`` sum them.
+
 Everything rational is an exact ``fractions.Fraction``; no rounding happens
 anywhere in this module except in :func:`beta_num`, which is deliberately a
 float routine built on log-gamma. Inside the loops the arithmetic is on
@@ -13,7 +16,6 @@ and each series term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -22,9 +24,7 @@ __all__ = [
     "SeriesDivisionByZero",
     "rat",
     "pochhammer",
-    "HypSeries",
     "hyp_terms",
-    "hyp_eval",
     "hyp2f1",
     "hyp3f2",
     "beta_num",
@@ -71,63 +71,37 @@ def pochhammer(a, n: int) -> Fraction:
     return Fraction(math.prod(range(p, p + n*q, q)), q**n)
 
 
-def _is_nonpositive_int(q: Fraction) -> bool:
-    return q.denominator == 1 and q.numerator <= 0
-
-
-@dataclass(frozen=True)
-class HypSeries:
-    """A (generalized) hypergeometric series rFs(a_1..a_r; b_1..b_s; z).
-
-    The series must terminate: some numerator parameter a is a nonpositive
-    integer.
-    """
-
-    numerator_params: tuple
-    denominator_params: tuple
-    argument: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerator_params",
-                           tuple(rat(a) for a in self.numerator_params))
-        object.__setattr__(self, "denominator_params",
-                           tuple(rat(b) for b in self.denominator_params))
-        object.__setattr__(self, "argument", rat(self.argument))
-
-    def termination_order(self) -> int | None:
-        """Index of the last potentially nonzero term, or None."""
-        stops = [-a.numerator for a in self.numerator_params
-                 if _is_nonpositive_int(a)]
-        if not stops:
-            return None
-        return min(stops)
-
-
-def hyp_terms(series: HypSeries) -> list:
-    """The exact terms t_0 .. t_stop of a terminating hypergeometric series,
-    t_0 = 1 and t_(n+1) = t_n z prod(a_i + n) / ((n + 1) prod(b_j + n)).
+def hyp_terms(numerator_params, denominator_params, z) -> list:
+    """The exact terms t_0 .. t_stop of the terminating hypergeometric series
+    rFs(a_1..a_r; b_1..b_s; z), t_0 = 1 and
+    t_(n+1) = t_n z prod(a_i + n) / ((n + 1) prod(b_j + n)). The series
+    stops at the least -a over the numerator parameters a that are
+    nonpositive integers.
 
     Raises NonTerminatingError when no numerator parameter is a nonpositive
     integer, and SeriesDivisionByZero when a denominator Pochhammer vanishes
     before the series has terminated.
     """
-    stop = series.termination_order()
-    if stop is None:
+    numerator_params = [rat(a) for a in numerator_params]
+    denominator_params = [rat(b) for b in denominator_params]
+    z = rat(z)
+    stops = [-a.numerator for a in numerator_params
+             if a.denominator == 1 and a.numerator <= 0]
+    if not stops:
         raise NonTerminatingError(
             "series does not terminate: no numerator parameter is a "
             "nonpositive integer")
 
     # a + n = (p + n q)/q: the ratio t_(n+1)/t_n is an integer ratio whose
     # fixed part collects z and the parameters' denominators
-    nums = [(a.numerator, a.denominator) for a in series.numerator_params]
-    dens = [(b.numerator, b.denominator) for b in series.denominator_params]
-    z = series.argument
+    nums = [(a.numerator, a.denominator) for a in numerator_params]
+    dens = [(b.numerator, b.denominator) for b in denominator_params]
     fixed_num = z.numerator * math.prod(q for _, q in dens)
     fixed_den = z.denominator * math.prod(q for _, q in nums)
     terms = [Fraction(1)]
     num = den = 1                   # t_n = num/den, reduced
-    for n in range(stop):
-        for b in series.denominator_params:
+    for n in range(min(stops)):
+        for b in denominator_params:
             if b.numerator + n*b.denominator == 0:
                 raise SeriesDivisionByZero(
                     f"denominator parameter {b} vanishes at term {n+1}")
@@ -139,20 +113,16 @@ def hyp_terms(series: HypSeries) -> list:
     return terms
 
 
-def hyp_eval(series: HypSeries) -> Fraction:
-    """Exact value of a terminating hypergeometric series: the sum of its
-    ``hyp_terms``, which raise for a series that does not terminate."""
-    return sum(hyp_terms(series), Fraction(0))
-
-
 def hyp2f1(a, b, c, z) -> Fraction:
-    """Terminating Gauss 2F1(a, b; c; z), exact."""
-    return hyp_eval(HypSeries((a, b), (c,), z))
+    """Terminating Gauss 2F1(a, b; c; z), exact: the sum of its
+    ``hyp_terms``."""
+    return sum(hyp_terms((a, b), (c,), z), Fraction(0))
 
 
 def hyp3f2(a1, a2, a3, b1, b2, z) -> Fraction:
-    """Terminating 3F2(a1, a2, a3; b1, b2; z), exact."""
-    return hyp_eval(HypSeries((a1, a2, a3), (b1, b2), z))
+    """Terminating 3F2(a1, a2, a3; b1, b2; z), exact: the sum of its
+    ``hyp_terms``."""
+    return sum(hyp_terms((a1, a2, a3), (b1, b2), z), Fraction(0))
 
 
 def beta_num(x: float, y: float) -> float:

@@ -39,7 +39,6 @@ __all__ = [
     "assemble",
     "supercharge_matrix",
     "eigen_lowest",
-    "eigvals_all",
     "susy_squared_spectrum",
     "composite_spectrum",
     "checkerboard_fraction",
@@ -265,11 +264,6 @@ def eigen_lowest(op: GridOperator | np.ndarray, k: int) -> np.ndarray:
         raise
 
 
-def eigvals_all(op: GridOperator) -> np.ndarray:
-    """All eigenvalues of a grid operator, from its banded storage."""
-    return eig_banded(op.band, lower=False, eigvals_only=True)
-
-
 def susy_squared_spectrum(u_fn: Callable, v_fn: Callable, grid: Grid,
                           k: int) -> np.ndarray:
     """Lowest k energies of H = Q^2 via the discrete supercharge.
@@ -283,7 +277,7 @@ def susy_squared_spectrum(u_fn: Callable, v_fn: Callable, grid: Grid,
             f"method limit: the squared supercharge on N={grid.n} points "
             f"has {grid.n // 2} distinct levels, {k} requested")
     q = supercharge_matrix(u_fn, v_fn, grid)
-    w = eigvals_all(q)
+    w = eig_banded(q.band, lower=False, eigvals_only=True)
     e = np.sort(w * w)
     return e[0:2*k:2]
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import HypSeries, hyp_terms, pochhammer, rat
+from .exact import hyp_terms, pochhammer, rat
 from .opalg import (
     Diff,
     MulPoly,
@@ -158,7 +158,7 @@ def _kappa(n: int, params: Jacobi1Params, variant: str) -> Fraction:
 def _hyp_poly_in_ysq(num, den) -> Poly:
     """Terminating 2F1(num; den; y^2) expanded as an exact Poly in y."""
     coeffs = []
-    for term in hyp_terms(HypSeries(num, den, 1)):
+    for term in hyp_terms(num, den, 1):
         coeffs += [term, 0]
     return Poly(coeffs)
 

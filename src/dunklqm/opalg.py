@@ -11,8 +11,10 @@ maps polynomials to polynomials:
 
 OddOverY is the closure trick: the quotient is always polynomial because the
 numerator is odd, so operators like (1/y)(1 - R) never leave the polynomial
-ring. Chains are stored explicitly (not as closures) so operators can be
-composed, printed, and converted to matrices on the monomial basis.
+ring. Diff, Reflect and OddOverY are three instances of one primitive class,
+each a fixed step on a coefficient list. Chains are stored explicitly (not
+as closures) so operators can be composed, printed, and converted to
+matrices on the monomial basis.
 
 On top of the algebra sits the one verification battery shared by every
 orthogonal family. A family (``OrthogonalFamily``) supplies only its own
@@ -278,42 +280,24 @@ class MulPoly:
         return f"({self.poly.pretty()})"
 
 
-class _Diff:
+class _Primitive:
+    """d/dy, R or y^-1(1-R): one fixed ``step`` on the numerators."""
+
     _den = 1
-    step = staticmethod(_deriv_coeffs)
+
+    def __init__(self, name: str, symbol: str, step):
+        self._name, self._symbol, self.step = name, symbol, step
 
     def symbol(self) -> str:
-        return "d/dy"
+        return self._symbol
 
     def __repr__(self):
-        return "Diff"
+        return self._name
 
 
-class _Reflect:
-    _den = 1
-    step = staticmethod(_reflect_coeffs)
-
-    def symbol(self) -> str:
-        return "R"
-
-    def __repr__(self):
-        return "Reflect"
-
-
-class _OddOverY:
-    _den = 1
-    step = staticmethod(_odd_over_y_coeffs)
-
-    def symbol(self) -> str:
-        return "y^-1(1-R)"
-
-    def __repr__(self):
-        return "OddOverY"
-
-
-Diff = _Diff()
-Reflect = _Reflect()
-OddOverY = _OddOverY()
+Diff = _Primitive("Diff", "d/dy", _deriv_coeffs)
+Reflect = _Primitive("Reflect", "R", _reflect_coeffs)
+OddOverY = _Primitive("OddOverY", "y^-1(1-R)", _odd_over_y_coeffs)
 
 
 class ReflOp:

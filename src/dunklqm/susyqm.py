@@ -21,17 +21,19 @@ the family's defining operator L (``jacobi.lop``) less a constant,
 so its eigenvalues on the little -1 Jacobi polynomials are the family's
 lambda_n - (a+b+1): -(2n+a+b+1) for even n, +(2n+a+b+1) for odd n. Energies
 are their squares over eight; wavefunctions take P_n and N_n/N_0 from the
-family too.
+family too, with P_n built by ``construct_eigen`` on each call: no value is
+cached between calls.
 Analytic-form identities (parity conjugations, intertwining and product
-relations, Q^2 = H) have one representation and two evaluations. Q, H, X
-and Y are each held once as a refcalc operator, and each identity is one
-refcalc Relation between chains of them, listed once by ``scarf_relations``
-with its expected verdict. Its exact symbolic composition gives a pointwise
-residual (``exact_residual``) that measures the true defect of the identity
-down to rounding; the same chains run as finite-difference stencils give
-residual norms that must vanish at second order in the grid spacing.
-``verify_operator_relations`` evaluates both; the errata report reads the
-exact residuals of the product relations from the same list.
+relations, Q^2 = H) have one representation and two evaluations. Q, H, X and
+Y are each held once as a refcalc operator, and each identity is one refcalc
+Relation between chains of them, listed once by ``scarf_relations`` with its
+expected verdict, for both variants of the maps. Its exact symbolic
+composition gives a pointwise residual (``exact_residual``) that measures
+the true defect of the identity down to rounding; the same chains run as
+finite-difference stencils give residual norms that must vanish at second
+order in the grid spacing. ``verify_operator_relations`` evaluates both; the
+errata report reads the exact residuals of the product relations from the
+same list.
 
 The X and Y intertwiners come in a ``printed`` and a ``corrected`` variant.
 The corrected X (tangent coefficient (b+1)/2 instead of b/2) is exactly the
@@ -48,7 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -204,11 +205,6 @@ def _ground_state_at(x: float, a: float, b: float, n0: float) -> float:
     return n0 * abs(s) ** (a / 2) * math.cos(x) ** (b / 2) * math.sqrt(1 + s)
 
 
-@lru_cache(maxsize=None)
-def _oracle_poly(n: int, params: ScarfParams) -> Poly:
-    return construct_eigen(n, params)
-
-
 def ground_state_fn(params: ScarfParams) -> Callable:
     """Vectorized ground-state evaluator (no domain check; caller's grid)."""
     a, b = float(params.alpha), float(params.beta)
@@ -225,7 +221,7 @@ def ground_state_fn(params: ScarfParams) -> Callable:
 def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
     """Vectorized normalized n-th wavefunction evaluator:
     (N_n/N_0) Psi_0(x) P_n(sin x), P_n and N_0^2/N_n^2 from the family."""
-    pn = _oracle_poly(n, params)
+    pn = construct_eigen(n, params)
     ratio = 1.0 / math.sqrt(float(norm_sq_closed(n, params)))
     g0 = ground_state_fn(params)
 
@@ -364,7 +360,7 @@ def _test_functions(params: ScarfParams, g: gridmod.Grid) -> dict:
     # an eigenfunction of the system itself (smooth on the open interval):
     # ground_state times P_2(sin x) per node, with N_0 and P_2's float
     # coefficients taken once
-    coeffs = _oracle_poly(2, params).as_float_coeffs()[::-1]
+    coeffs = construct_eigen(2, params).as_float_coeffs()[::-1]
     n0 = math.sqrt(ground_state_norm_sq(params))
     a, b = float(params.alpha), float(params.beta)
     values = []
@@ -451,21 +447,21 @@ def _product(y: refc.FirstOrderRefOp, x: refc.FirstOrderRefOp,
                           _chain(const)))
 
 
-def scarf_relations(params: ScarfParams,
-                    variants: tuple = ("corrected", "printed")) -> list:
+def scarf_relations(params: ScarfParams) -> list:
     """The Scarf operator identities at ``params``, each stated once, as
     (name, variant, expected verdict, ``refcalc.Relation``).
 
     First Q^2 = H and the parity conjugations R Q R = -Q and R H R = H at -b
-    (variant "n/a"), then per variant the X and Y intertwining relations and
-    the product relation at the repaired and at the typeset parameter
-    placement. Q and H, also at the mirrored and shifted b, are those of
-    ``scarf_potential``. The expected verdict ("identity" or "defect") is
-    the one the analysis predicts: the corrected maps satisfy the
-    intertwining relations and the product relation at the repaired
-    placement Y_{a,b+2} X_{a,b}; the printed maps fail those and satisfy the
-    product relation at the typeset placement Y_{a,b+1} X_{a,b+1} (the
-    printed X at b+1 IS the corrected X at b — an off-by-one in b).
+    (variant "n/a"), then for the corrected and then the printed variant the
+    X and Y intertwining relations and the product relation at the repaired
+    and at the typeset parameter placement. Q and H, also at the mirrored
+    and shifted b, are those of ``scarf_potential``. The expected verdict
+    ("identity" or "defect") is the one the analysis predicts: the corrected
+    maps satisfy the intertwining relations and the product relation at the
+    repaired placement Y_{a,b+2} X_{a,b}; the printed maps fail those and
+    satisfy the product relation at the typeset placement Y_{a,b+1}
+    X_{a,b+1} (the printed X at b+1 IS the corrected X at b — an off-by-one
+    in b).
     """
     # the reflected and shifted parameters may leave the b > -1 sector
     def shifted(beta):
@@ -486,7 +482,7 @@ def scarf_relations(params: ScarfParams,
     b1, b2 = shifted(params.beta + 1), shifted(params.beta + 2)
     q_up = scarf_potential(b2).supercharge()
     q_down = scarf_potential(shifted(params.beta - 2)).supercharge()
-    for variant in variants:
+    for variant in ("corrected", "printed"):
         holds, fails = (("identity", "defect") if variant == "corrected"
                         else ("defect", "identity"))
         x, y = (intertwiner(params, which, variant) for which in "XY")
@@ -502,9 +498,8 @@ def scarf_relations(params: ScarfParams,
     return relations
 
 
-def verify_operator_relations(params: ScarfParams, grids: tuple,
-                              variants: tuple = ("corrected", "printed")) -> list:
-    """Residuals of the ``scarf_relations`` identities, per variant, two ways.
+def verify_operator_relations(params: ScarfParams, grids: tuple) -> list:
+    """Residuals of the ``scarf_relations`` identities, two ways.
 
     ``residual``: the ``exact_residual`` on the finest grid (zero up to
     rounding for true identities). ``fd_norms``/``order``: the same chains
@@ -513,7 +508,7 @@ def verify_operator_relations(params: ScarfParams, grids: tuple,
     is ``fd_residual``. ``verdict`` is "identity" for a residual below 1e-8,
     else "defect"; ``expected`` is the verdict the analysis predicts.
     """
-    relations = scarf_relations(params, variants)
+    relations = scarf_relations(params)
     operators = dict.fromkeys(op for *_, rel in relations
                               for chain in rel.lhs + rel.rhs for op in chain.ops)
     probes = _probes(params, grids, operators)
@@ -617,13 +612,6 @@ def osc_mixed_state(n: int, eps: int) -> FockVector:
     return FockVector({2 * n + 1: 0.5, 2 * n + 2: 0.5 * eps})
 
 
-@lru_cache(maxsize=None)
-def _osc_prefactor(n: int) -> float:
-    """(-1)^n pi^(-1/4) sqrt(n! / (n+1)_(n+1)), from the exact ratio."""
-    return (-1) ** n / math.pi ** 0.25 * math.sqrt(
-        float(Fraction(math.factorial(n)) / pochhammer(n + 1, n + 1)))
-
-
 _HALF = Fraction(1, 2)
 
 
@@ -679,7 +667,9 @@ def osc_wavefunction(n: int, eps: int, x: float,
         raise ValueError("eps must be +-1")
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
-    pref = _osc_prefactor(n)
+    # (-1)^n pi^(-1/4) sqrt(n! / (n+1)_(n+1)), from the exact ratio
+    pref = (-1) ** n / math.pi ** 0.25 * math.sqrt(
+        float(Fraction(math.factorial(n)) / pochhammer(n + 1, n + 1)))
     weight = float(n + 1) if variant == "printed" else math.sqrt(n + 1.0)
     t = x * x
     gauss = (np.array([math.exp(-v / 2) for v in t.tolist()]) if np.ndim(t)

@@ -44,6 +44,18 @@ def test_package_imports_are_in_module_all():
     assert missing == []
 
 
+@pytest.mark.parametrize("name", [m.name for m in
+                                  pkgutil.iter_modules(dunklqm.__path__)])
+def test_no_module_holds_a_process_wide_cache(name):
+    """A command runs once per process, so a cache kept between calls only
+    pays off for a caller that repeats a call in one process; no module
+    keeps one (``functools.lru_cache`` and ``cache`` add ``cache_info``)."""
+    module = importlib.import_module(f"dunklqm.{name}")
+    cached = [attr for attr, value in vars(module).items()
+              if hasattr(value, "cache_info")]
+    assert cached == []
+
+
 def test_scarf_params_is_the_jacobi_family_parameter_object():
     """The extended Scarf I system at (alpha, beta) has the little -1 Jacobi
     polynomials at the same (alpha, beta) as eigenfunctions: one class."""

@@ -10,6 +10,7 @@ import pytest
 
 import dunklqm
 from dunklqm.cli import main
+from dunklqm.gegenbauer import GEG_FUZZ_PARAMS
 
 
 def run(argv, capsys):
@@ -116,11 +117,30 @@ def test_verify_jacobi_counts_discrepancies(capsys):
     assert "discrepancies: 0 found" not in out
 
 
-def test_verify_intertwiners_printed_variant(capsys):
-    code, out, _ = run(["verify", "--suite", "intertwiners", "--variant",
-                        "printed"], capsys)
+def test_verify_gegenbauer_suite_runs_at_the_requested_degree(monkeypatch,
+                                                             capsys):
+    from dunklqm import opalg
+
+    degrees = []
+
+    def counted(params, degree):
+        degrees.append(degree)
+        return real(params, degree)
+
+    real = opalg.verify_family
+    monkeypatch.setattr(opalg, "verify_family", counted)
+    code, out, _ = run(["verify", "--suite", "gegenbauer", "--degree", "20"],
+                       capsys)
     assert code == 0
-    assert "recorded" in out
+    assert "oracle checks: pass" in out
+    assert degrees == [20] * len(GEG_FUZZ_PARAMS)
+
+
+def test_verify_variant_option_refused(capsys):
+    code, out, err = run(["verify", "--variant", "printed"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--variant" in err
 
 
 def test_spectrum_oscillator(tmp_path, capsys):
@@ -221,15 +241,19 @@ def test_spectrum_squared_supercharge_limit_below_grid_size(capsys):
     assert "error: method limit: the squared supercharge on N=64" in err
 
 
-def test_relations_suite_fails_only_on_an_expected_identity(monkeypatch):
+def test_relations_suite_fails_only_on_an_expected_identity(monkeypatch,
+                                                           capsys):
     from dunklqm import cli, susyqm
 
     real = susyqm.verify_operator_relations
-    assert cli._suite_relations(lambda msg: None, "both") == (True, 4)
+    code, out, err = run(["verify", "--suite", "relations"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == ("oracle checks: pass; printed-formula "
+                                    "discrepancies: 4 found")
 
     def flipped(name, variant):
-        def report(params, grids, variants):
-            rep = real(params, grids, variants)
+        def report(params, grids):
+            rep = real(params, grids)
             for r in rep:
                 if (r["relation"], r["variant"]) == (name, variant):
                     r["verdict"] = {"identity": "defect",
@@ -239,28 +263,38 @@ def test_relations_suite_fails_only_on_an_expected_identity(monkeypatch):
 
     monkeypatch.setattr(susyqm, "verify_operator_relations",
                         flipped("q_squared_equals_h", "n/a"))
-    assert cli._suite_relations(lambda msg: None, "both") == (False, 4)
+    assert cli._suite_relations(lambda msg: None) == (False, 4)
     monkeypatch.setattr(susyqm, "verify_operator_relations",
                         flipped("intertwine_X", "printed"))
-    assert cli._suite_relations(lambda msg: None, "both") == (True, 3)
+    assert cli._suite_relations(lambda msg: None) == (True, 3)
 
 
-def test_relations_suite_prints_one_variant_as_a_slice_of_both(capsys):
-    # each variant prints the shared [n/a] lines and its own lines of
-    # --variant both, in the same order; findings are the verdicts' defects
-    both = run(["verify", "--suite", "relations", "--variant", "both"], capsys)
-    assert both[0] == 0
-    *lines, summary = both[1].splitlines()
-    assert summary == ("oracle checks: pass; printed-formula discrepancies: "
-                       "4 found")
-    for variant, findings in (("printed", 3), ("corrected", 1)):
-        code, out, err = run(["verify", "--suite", "relations", "--variant",
-                              variant], capsys)
-        assert (code, err) == (0, "")
-        assert out.splitlines() == [
-            line for line in lines if "[n/a]" in line or f"[{variant}]" in line
-        ] + [f"oracle checks: pass; printed-formula discrepancies: "
-             f"{findings} found"]
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--system", "oscillator", "--alpha", "3"],
+    ["spectrum", "--system", "oscillator", "--beta", "1"],
+    ["spectrum", "--system", "oscillator", "--mu", "1/2"],
+    ["spectrum", "--system", "scarf", "--mu", "2"],
+    ["spectrum", "--system", "gegenbauer", "--beta", "1"],
+    ["family", "--kind", "jacobi-m1", "--mu", "2"],
+    ["family", "--kind", "gegenbauer", "--beta", "1"],
+])
+def test_parameter_the_system_does_not_read_refused(argv, monkeypatch,
+                                                    capsys):
+    # refused before any problem or family is built, even at a value that
+    # equals a default the choice does not read
+    from dunklqm import opalg, spectra
+
+    def no_work(*args):
+        raise AssertionError("work done for a refused command")
+
+    for module, name in ((opalg, "verify_family"), (spectra, "scarf_problem"),
+                         (spectra, "oscillator_problem"),
+                         (spectra, "gegenbauer_problem")):
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {argv[1]} {argv[2]} does not read {argv[3]}\n"
 
 
 def test_spectrum_scarf_negative_alpha_rejected(capsys):

@@ -283,7 +283,7 @@ def test_raising_map_runs_once_per_parameter_set(monkeypatch):
         return verify_raising(params, max_n)
 
     monkeypatch.setattr(susyqm, "verify_raising", counting)
-    assert cli._suite_intertwiners(lambda msg: None, "both") == (True, 31)
+    assert cli._suite_intertwiners(lambda msg: None) == (True, 31)
     assert calls == [(a, b, 12) for a, b in FUZZ_PARAMS]
     calls.clear()
     monkeypatch.setattr(errata, "verify_raising", counting)
@@ -461,11 +461,11 @@ def test_scarf_relations_list_each_identity_once_in_report_order():
               "reflection_conjugation_H"]
     per_variant = ["intertwine_X", "intertwine_Y", "product_repaired_indices",
                    "product_typeset_indices"]
-    for variants in (("corrected",), ("printed",), ("printed", "corrected")):
-        pairs = [(name, variant)
-                 for name, variant, *_ in scarf_relations(pars(0, 1), variants)]
-        assert pairs == ([(name, "n/a") for name in shared]
-                         + [(name, v) for v in variants for name in per_variant])
+    pairs = [(name, variant)
+             for name, variant, *_ in scarf_relations(pars(0, 1))]
+    assert pairs == ([(name, "n/a") for name in shared]
+                     + [(name, v) for v in ("corrected", "printed")
+                        for name in per_variant])
 
 
 def test_eigenfunction_probe_is_ground_state_times_p2():
