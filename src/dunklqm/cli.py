@@ -108,9 +108,9 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-# The parameters each family kind and spectrum system reads, with their
-# defaults. A parameter given to a choice that does not read it is refused:
-# the answer would be to a different question than the one asked.
+# The parameters each family kind, spectrum system and verify suite reads,
+# with their defaults. A parameter given to a choice that does not read it is
+# refused: the answer would be to a different question than the one asked.
 _FAMILY_PARAMS = {
     "jacobi-m1": {"alpha": Fraction(0), "beta": Fraction(0)},
     "gegenbauer": {"mu": Fraction(1, 2), "alpha": Fraction(0)},
@@ -120,14 +120,23 @@ _SPECTRUM_PARAMS = {
     "oscillator": {},
     "gegenbauer": {"mu": Fraction(1, 2), "alpha": Fraction(0)},
 }
+_VERIFY_PARAMS = {
+    "all": {"degree": 12},
+    "exact": {},
+    "jacobi": {"degree": 12},
+    "gegenbauer": {"degree": 12},
+    "oscillator": {},
+    "intertwiners": {"degree": 12},
+    "relations": {},
+}
 
 
 def _refuse_unread(args, option: str, reads: dict) -> bool:
-    """Fill in the defaults of the parameters that the chosen kind or system
-    reads; for a given parameter that it does not read, print an error and
-    return True."""
+    """Fill in the defaults of the parameters that the chosen kind, system or
+    suite reads; for a given parameter that it does not read, print an error
+    and return True."""
     choice = getattr(args, option)
-    for name in ("alpha", "beta", "mu"):
+    for name in dict.fromkeys(n for params in reads.values() for n in params):
         if name in reads[choice]:
             if getattr(args, name) is None:
                 setattr(args, name, reads[choice][name])
@@ -283,16 +292,18 @@ def _suite_oscillator(log) -> tuple[bool, int]:
     return ok, 0
 
 
-def _suite_intertwiners(log) -> tuple[bool, int]:
+def _suite_intertwiners(log, degree: int) -> tuple[bool, int]:
+    """The exact lowering and raising maps up to ``degree`` on each fuzz
+    pair; the printed-scalar findings are counted over n <= 6."""
     from .jacobi import FUZZ_PARAMS
     from .susyqm import ScarfParams, verify_lowering, verify_raising
 
     ok, findings = True, 0
     for a, b in FUZZ_PARAMS:
         p = ScarfParams(a, b)
-        low = verify_lowering(p, 12)
+        low = verify_lowering(p, degree)
         ok = ok and all(low)
-        corrected, printed = verify_raising(p, 12)
+        corrected, printed = verify_raising(p, degree)
         ok = ok and all(r for r in corrected if r is not None)
         findings += sum(r is False for r in printed[:7])
     log(f"intertwiners: corrected lowering/raising maps exact on all pairs: "
@@ -322,6 +333,8 @@ VERIFY_SUITES = ("exact", "jacobi", "gegenbauer", "oscillator", "intertwiners",
 
 
 def cmd_verify(args) -> int:
+    if _refuse_unread(args, "suite", _VERIFY_PARAMS):
+        return EXIT_USAGE
     lines = []
 
     def log(msg):
@@ -341,7 +354,7 @@ def cmd_verify(args) -> int:
         elif s == "oscillator":
             ok, f = _suite_oscillator(log)
         elif s == "intertwiners":
-            ok, f = _suite_intertwiners(log)
+            ok, f = _suite_intertwiners(log, args.degree)
         else:
             ok, f = _suite_relations(log)
         all_ok, findings = all_ok and ok, findings + f
@@ -439,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("--suite", default="all",
                      choices=["all", *VERIFY_SUITES])
-    ver.add_argument("--degree", type=_int_at_least(2), default=12)
+    ver.add_argument("--degree", type=_int_at_least(2))
     ver.add_argument("--out", type=_out_path)
     ver.set_defaults(fn=cmd_verify)
 

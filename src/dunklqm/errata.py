@@ -21,7 +21,6 @@ from .susyqm import (
     ScarfParams,
     bracket_n,
     exact_residual,
-    ground_state_fn,
     ground_state_norm_sq,
     hermite_superposition,
     intertwiner,
@@ -30,6 +29,7 @@ from .susyqm import (
     scarf_relations,
     verify_lowering,
     verify_raising,
+    wavefunction_fn,
 )
 
 __all__ = ["build_errata", "errata_json"]
@@ -134,7 +134,7 @@ def _ground_state_normalization() -> dict:
     form_b = math.gamma(af / 2 + bf / 2 + 0.5) / (
         math.gamma(af / 2 + 0.5) * math.gamma(bf / 2 + 0.5))
     oracle = ground_state_norm_sq(p)
-    psi0 = ground_state_fn(p)
+    psi0 = wavefunction_fn(0, p)
     norm = gridmod.quadrature(lambda x: psi0(x) ** 2, math.pi / 2)
     return _entry(
         "scarf-ground-state-normalization",
@@ -158,7 +158,7 @@ def _ground_state_normalization() -> dict:
 def _x_tangent_coefficient() -> dict:
     p = ScarfParams(F(1), F(1))
     g = gridmod.Grid(1024, math.pi / 2)
-    psi0 = ground_state_fn(p)(g.nodes)
+    psi0 = wavefunction_fn(0, p)(g.nodes)
     mask = (np.abs(g.nodes) > 0.1) & (np.abs(np.abs(g.nodes) - g.halfwidth) > 0.1)
     out_p = intertwiner(p, "X", "printed").stencil(g)(psi0)
     out_c = intertwiner(p, "X", "corrected").stencil(g)(psi0)

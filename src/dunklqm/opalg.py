@@ -227,9 +227,6 @@ class Poly:
             acc = acc*t + (c if isinstance(t, Fraction) else float(c))
         return acc
 
-    def as_float_coeffs(self):
-        return [float(c) for c in self.coeffs]
-
     def __repr__(self):
         return f"Poly({self.pretty()})"
 

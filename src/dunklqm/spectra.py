@@ -60,7 +60,7 @@ def scarf_problem(params: ScarfParams, k: int) -> gridmod.Problem:
     lead = min(2.0, max(1.0, 2.0 * float(params.alpha)))
     return gridmod.Problem(
         name="scarf",
-        params={"alpha": str(params.alpha), "beta": str(params.beta)},
+        params=params.params_json(),
         targets=targets,
         compute=compute,
         tolerance=1e-6,
@@ -123,7 +123,7 @@ def gegenbauer_problem(params: GegParams, k: int) -> gridmod.Problem:
 
     return gridmod.Problem(
         name="gegenbauer",
-        params={"mu": str(params.mu), "alpha": str(params.alpha)},
+        params=params.params_json(),
         targets=targets,
         compute=compute,
         tolerance=1e-5,

@@ -20,7 +20,8 @@ the family's defining operator L (``jacobi.lop``) less a constant,
 
 so its eigenvalues on the little -1 Jacobi polynomials are the family's
 lambda_n - (a+b+1): -(2n+a+b+1) for even n, +(2n+a+b+1) for odd n. Energies
-are their squares over eight; wavefunctions take P_n and N_n/N_0 from the
+are their squares over eight. ``wavefunction_fn(n)`` is the one evaluator of
+the eigenfunctions (n = 0 gives Psi_0) and takes P_n and N_n/N_0 from the
 family too, with P_n built by ``construct_eigen`` on each call: no value is
 cached between calls.
 Analytic-form identities (parity conjugations, intertwining and product
@@ -84,7 +85,6 @@ __all__ = [
     "scarf_energy",
     "ground_state_norm_sq",
     "ground_state",
-    "ground_state_fn",
     "wavefunction_fn",
     "bracket_n",
     "intertwiner",
@@ -192,42 +192,27 @@ def ground_state_norm_sq(params: ScarfParams) -> float:
 
 
 def ground_state(x: float, params: ScarfParams) -> float:
-    """N_0 |sin x|^(a/2) cos^(b/2) x (1 + sin x)^(1/2) on (-pi/2, pi/2)."""
+    """Psi_0 at one point of (-pi/2, pi/2), refused outside it."""
     if not -math.pi / 2 < x < math.pi / 2:
         raise DomainError(f"x={x} outside (-pi/2, pi/2)")
-    return _ground_state_at(x, float(params.alpha), float(params.beta),
-                            math.sqrt(ground_state_norm_sq(params)))
+    return float(wavefunction_fn(0, params)(x))
 
 
-def _ground_state_at(x: float, a: float, b: float, n0: float) -> float:
-    """``ground_state`` given N_0, without the domain check."""
-    s = math.sin(x)
-    return n0 * abs(s) ** (a / 2) * math.cos(x) ** (b / 2) * math.sqrt(1 + s)
-
-
-def ground_state_fn(params: ScarfParams) -> Callable:
-    """Vectorized ground-state evaluator (no domain check; caller's grid)."""
+def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
+    """Vectorized n-th wavefunction (N_n/N_0) Psi_0(x) P_n(sin x), no domain
+    check: P_n and N_0^2/N_n^2 from the family, and Psi_0 = N_0 |sin x|^(a/2)
+    cos^(b/2) x (1 + sin x)^(1/2), which n = 0 gives bit for bit (both
+    factors are then exactly 1.0)."""
+    pn = construct_eigen(n, params)
+    ratio = 1.0 / math.sqrt(float(norm_sq_closed(n, params)))
     a, b = float(params.alpha), float(params.beta)
     n0 = math.sqrt(ground_state_norm_sq(params))
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        return n0 * np.abs(np.sin(x)) ** (a / 2) * np.cos(x) ** (b / 2) \
-            * np.sqrt(1 + np.sin(x))
-
-    return f
-
-
-def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
-    """Vectorized normalized n-th wavefunction evaluator:
-    (N_n/N_0) Psi_0(x) P_n(sin x), P_n and N_0^2/N_n^2 from the family."""
-    pn = construct_eigen(n, params)
-    ratio = 1.0 / math.sqrt(float(norm_sq_closed(n, params)))
-    g0 = ground_state_fn(params)
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return ratio * g0(x) * pn(np.sin(x))
+        s = np.sin(x)
+        psi0 = n0 * np.abs(s) ** (a / 2) * np.cos(x) ** (b / 2) * np.sqrt(1 + s)
+        return ratio * psi0 * pn(s)
 
     return f
 
@@ -357,20 +342,10 @@ _TEST_FNS = {
 def _test_functions(params: ScarfParams, g: gridmod.Grid) -> dict:
     x = g.nodes
     fns = {name: u.f(x) for name, u in _TEST_FNS.items()}
-    # an eigenfunction of the system itself (smooth on the open interval):
-    # ground_state times P_2(sin x) per node, with N_0 and P_2's float
-    # coefficients taken once
-    coeffs = construct_eigen(2, params).as_float_coeffs()[::-1]
-    n0 = math.sqrt(ground_state_norm_sq(params))
-    a, b = float(params.alpha), float(params.beta)
-    values = []
-    for t in x.tolist():
-        s = math.sin(t)
-        p2 = 0
-        for c in coeffs:
-            p2 = p2*s + c
-        values.append(_ground_state_at(t, a, b, n0) * p2)
-    fns["eigenfunction-2"] = np.array(values)
+    # an eigenfunction of the system itself (smooth on the open interval),
+    # left unnormalized: Psi_0 times P_2(sin x)
+    fns["eigenfunction-2"] = (wavefunction_fn(0, params)(x)
+                              * construct_eigen(2, params)(np.sin(x)))
     return fns
 
 
@@ -397,18 +372,11 @@ def _residual_norms(relation: refc.Relation, probes: list) -> list:
     return norms
 
 
-def _extrapolate_residual(norms: list) -> tuple[float, float]:
-    """Limit of a residual-norm ladder (nonzero limits allowed), and order.
-
-    The order is ``grid.estimate_order`` clamped to [0.25, 6]; the limit is
-    one Richardson step at that order on the last pair, clipped at 0.
-    """
+def _fd_order(norms: list) -> float:
+    """Convergence order of a residual-norm ladder: ``grid.estimate_order``
+    clamped to [0.25, 6], nan where it has none."""
     p = gridmod.estimate_order(norms)
-    if math.isnan(p):
-        return norms[-1], p
-    p = min(max(p, 0.25), 6.0)
-    limit, = gridmod._richardson_step(norms[-2:], p)
-    return max(limit, 0.0), p
+    return p if math.isnan(p) else min(max(p, 0.25), 6.0)
 
 
 def exact_residual(relation: refc.Relation, g: gridmod.Grid) -> float:
@@ -504,9 +472,9 @@ def verify_operator_relations(params: ScarfParams, grids: tuple) -> list:
     ``residual``: the ``exact_residual`` on the finest grid (zero up to
     rounding for true identities). ``fd_norms``/``order``: the same chains
     run as finite-difference stencils over the grid ladder, whose norms must
-    shrink at second order when the identity holds; their extrapolated limit
-    is ``fd_residual``. ``verdict`` is "identity" for a residual below 1e-8,
-    else "defect"; ``expected`` is the verdict the analysis predicts.
+    shrink at second order when the identity holds (``_fd_order``).
+    ``verdict`` is "identity" for a residual below 1e-8, else "defect";
+    ``expected`` is the verdict the analysis predicts.
     """
     relations = scarf_relations(params)
     operators = dict.fromkeys(op for *_, rel in relations
@@ -516,12 +484,10 @@ def verify_operator_relations(params: ScarfParams, grids: tuple) -> list:
     results = []
     for name, variant, expected, relation in relations:
         norms = _residual_norms(relation, probes)
-        fd_limit, order = _extrapolate_residual(norms)
         resid = exact_residual(relation, finest)
         results.append({
-            "relation": name, "variant": variant, "params": params.label(),
-            "grids": list(grids), "fd_norms": norms, "fd_residual": fd_limit,
-            "order": order, "residual": resid,
+            "relation": name, "variant": variant, "fd_norms": norms,
+            "order": _fd_order(norms), "residual": resid,
             "verdict": "identity" if resid < 1e-8 else "defect",
             "expected": expected,
         })

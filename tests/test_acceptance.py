@@ -25,7 +25,6 @@ from dunklqm.susyqm import (
     FockVector,
     ScarfParams,
     gauged_supercharge,
-    ground_state_fn,
     hermite_superposition,
     osc_h_apply,
     osc_mixed_state,
@@ -36,6 +35,7 @@ from dunklqm.susyqm import (
     verify_lowering,
     verify_operator_relations,
     verify_raising,
+    wavefunction_fn,
 )
 from dunklqm.errata import build_errata
 
@@ -167,7 +167,7 @@ def test_criterion_7_normalization_oracle():
     ok = True
     for a, b in FUZZ_PARAMS:
         p = ScarfParams(a, b)
-        psi0 = ground_state_fn(p)
+        psi0 = wavefunction_fn(0, p)
         val = gridmod.quadrature(lambda x: psi0(x) ** 2, math.pi / 2)
         if abs(val - 1.0) > 1e-8:
             ok = False

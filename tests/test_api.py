@@ -63,3 +63,51 @@ def test_scarf_params_is_the_jacobi_family_parameter_object():
 
     assert susyqm.ScarfParams is jacobi.Jacobi1Params
     assert dunklqm.ScarfParams is dunklqm.Jacobi1Params
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_reads_of_other_modules(source: str) -> list:
+    """Each underscore name of another ``dunklqm`` module that ``source``
+    reads: through ``from .x import _y`` or as ``alias._y`` of a module
+    imported as ``from . import x as alias``."""
+    tree = ast.parse(source)
+    aliases, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.level == 1 or (node.module or "").startswith("dunklqm")
+            for alias in node.names if package else ():
+                if node.module in (None, "dunklqm"):
+                    aliases[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.append(f"from {node.module} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("dunklqm.") and alias.asname:
+                    aliases[alias.asname] = alias.name
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in aliases and _private(node.attr)]
+    return found
+
+
+def test_private_read_detection():
+    assert sorted(_private_reads_of_other_modules(
+        "from . import grid as gridmod\n"
+        "from .opalg import _Primitive, Poly\n"
+        "from dunklqm.exact import _rat\n"
+        "import dunklqm.refcalc as refc\n"
+        "gridmod._richardson_step(v, 2); gridmod.Grid; refc._words; x._y\n"
+    )) == ["from dunklqm.exact import _rat", "from opalg import _Primitive",
+           "gridmod._richardson_step", "refc._words"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(dunklqm.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_module_reads_another_modules_private_name(path):
+    """A module uses another module only through its public names, so a
+    private helper can change without breaking a caller elsewhere."""
+    assert _private_reads_of_other_modules(path.read_text()) == []

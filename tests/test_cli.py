@@ -136,6 +136,47 @@ def test_verify_gegenbauer_suite_runs_at_the_requested_degree(monkeypatch,
     assert degrees == [20] * len(GEG_FUZZ_PARAMS)
 
 
+def test_verify_intertwiners_suite_runs_at_the_requested_degree(monkeypatch,
+                                                               capsys):
+    from dunklqm import susyqm
+    from dunklqm.jacobi import FUZZ_PARAMS
+
+    degrees = []
+
+    def counted(real):
+        def run_map(params, max_n):
+            degrees.append((real.__name__, max_n))
+            return real(params, max_n)
+        return run_map
+
+    for name in ("verify_lowering", "verify_raising"):
+        monkeypatch.setattr(susyqm, name, counted(getattr(susyqm, name)))
+    code, out, _ = run(["verify", "--suite", "intertwiners", "--degree", "20"],
+                       capsys)
+    assert code == 0
+    assert "oracle checks: pass" in out
+    assert degrees == [("verify_lowering", 20), ("verify_raising", 20)] \
+        * len(FUZZ_PARAMS)
+
+
+@pytest.mark.parametrize("suite", ["exact", "oscillator", "relations"])
+def test_verify_degree_refused_by_a_suite_that_does_not_read_it(
+        suite, monkeypatch, capsys):
+    from dunklqm import cli
+
+    def no_work(*args):
+        raise AssertionError("work done for a refused command")
+
+    for name in ("_suite_exact", "_suite_family", "_suite_csm",
+                 "_suite_oscillator", "_suite_intertwiners",
+                 "_suite_relations"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run(["verify", "--suite", suite, "--degree", "12"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --suite {suite} does not read --degree\n"
+
+
 def test_verify_variant_option_refused(capsys):
     code, out, err = run(["verify", "--variant", "printed"], capsys)
     assert code == 2

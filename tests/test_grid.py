@@ -25,7 +25,7 @@ from dunklqm.grid import (
 from dunklqm.gegenbauer import GegParams, eigenvalue_geg, geg_potentials
 from dunklqm.spectra import (_gegenbauer_corrections, gegenbauer_problem,
                              oscillator_problem, scarf_problem)
-from dunklqm.susyqm import (ScarfParams, ground_state_fn, oscillator_potential,
+from dunklqm.susyqm import (ScarfParams, oscillator_potential,
                             scarf_potential, wavefunction_fn)
 
 
@@ -182,7 +182,7 @@ def test_quadrature_cos_squared():
 def test_quadrature_ground_state_normalization(a_b):
     a, b = (F(v) for v in a_b)
     pars = ScarfParams(a, b)
-    psi0 = ground_state_fn(pars)
+    psi0 = wavefunction_fn(0, pars)
     val = quadrature(lambda x: psi0(x) ** 2, math.pi / 2)
     assert abs(val - 1.0) < 1e-8
 
@@ -193,7 +193,7 @@ def test_quadrature_excited_norm_and_orthogonality():
     n1 = quadrature(lambda x: psi1(x) ** 2, math.pi / 2)
     assert abs(n1 - 1.0) < 1e-8
     psi2 = wavefunction_fn(2, pars)
-    psi0 = ground_state_fn(pars)
+    psi0 = wavefunction_fn(0, pars)
     cross = quadrature(lambda x: psi2(x) * psi0(x), math.pi / 2)
     assert abs(cross) < 1e-8
 

@@ -25,5 +25,6 @@ def test_readme_command_line_parses(line, capsys):
     argv = cli._attach_negative_values(shlex.split(line)[1:])
     args = cli.build_parser().parse_args(argv)
     reads = {"family": ("kind", cli._FAMILY_PARAMS),
-             "spectrum": ("system", cli._SPECTRUM_PARAMS)}.get(args.command)
+             "spectrum": ("system", cli._SPECTRUM_PARAMS),
+             "verify": ("suite", cli._VERIFY_PARAMS)}.get(args.command)
     assert reads is None or not cli._refuse_unread(args, *reads)

@@ -31,7 +31,6 @@ from dunklqm.susyqm import (
     gauged_supercharge,
     gauged_y_corrected,
     ground_state,
-    ground_state_fn,
     ground_state_norm_sq,
     hermite_superposition,
     intertwiner,
@@ -150,7 +149,7 @@ def test_ground_state_values_and_domain():
     assert ground_state(0.0, p) == 0.0
     with pytest.raises(DomainError):
         ground_state(2.0, p)
-    g0 = ground_state_fn(p)
+    g0 = wavefunction_fn(0, p)
     assert abs(g0(np.array([0.7]))[0] - ground_state(0.7, p)) < 1e-14
 
 
@@ -158,6 +157,20 @@ def test_wavefunction_zero_is_ground_state():
     p = pars("1/2", "3/2")
     for x in (0.3, -0.8):
         assert abs(wavefunction_fn(0, p)(x) - ground_state(x, p)) < 1e-14
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (1, 1), ("1/2", "3/2"), (2, "1/5"),
+                                  ("-1/2", "3")])
+def test_wavefunction_zero_is_the_ground_state_expression_bitwise(a, b):
+    # N_0 |sin x|^(a/2) cos^(b/2) x (1 + sin x)^(1/2), in this float order:
+    # n = 0 multiplies it by exactly 1.0 twice
+    p = pars(a, b)
+    x = gridmod.Grid(512, math.pi / 2).nodes
+    af, bf = float(p.alpha), float(p.beta)
+    n0 = math.sqrt(ground_state_norm_sq(p))
+    ref = n0 * np.abs(np.sin(x)) ** (af / 2) * np.cos(x) ** (bf / 2) \
+        * np.sqrt(1 + np.sin(x))
+    assert wavefunction_fn(0, p)(x).tobytes() == ref.tobytes()
 
 
 # -- intertwiners -------------------------------------------------------------
@@ -283,7 +296,7 @@ def test_raising_map_runs_once_per_parameter_set(monkeypatch):
         return verify_raising(params, max_n)
 
     monkeypatch.setattr(susyqm, "verify_raising", counting)
-    assert cli._suite_intertwiners(lambda msg: None) == (True, 31)
+    assert cli._suite_intertwiners(lambda msg: None, 12) == (True, 31)
     assert calls == [(a, b, 12) for a, b in FUZZ_PARAMS]
     calls.clear()
     monkeypatch.setattr(errata, "verify_raising", counting)
@@ -295,7 +308,7 @@ def test_printed_x_fails_to_annihilate_ground_state():
     # grid application of the printed X on Psi_0 equals -(1/2) tan(x) Psi_0
     p = pars(1, 1)
     g = gridmod.Grid(2048, math.pi / 2)
-    psi0 = ground_state_fn(p)(g.nodes)
+    psi0 = wavefunction_fn(0, p)(g.nodes)
     out_p = intertwiner(p, "X", "printed").stencil(g)(psi0)
     out_c = intertwiner(p, "X", "corrected").stencil(g)(psi0)
     mask = (np.abs(g.nodes) > 0.1) & (np.abs(np.abs(g.nodes) - g.halfwidth) > 0.1)
@@ -330,7 +343,7 @@ def test_intertwiner_stencil_matches_reference_bitwise(a, b):
     p = pars(a, b)
     for n in (1024, 2048):
         g = gridmod.Grid(n, math.pi / 2)
-        for u in (ground_state_fn(p)(g.nodes), np.exp(-g.nodes**2) * (1 + g.nodes)):
+        for u in (wavefunction_fn(0, p)(g.nodes), np.exp(-g.nodes**2) * (1 + g.nodes)):
             for which in "XY":
                 for variant in ("printed", "corrected"):
                     out = intertwiner(p, which, variant).stencil(g)(u)
@@ -376,8 +389,14 @@ def test_relations_verdicts_are_the_expected_ones(relations_report):
 def test_relations_fd_convergence_order(relations_report):
     r = _pick(relations_report, "q_squared_equals_h", "n/a")
     assert r["order"] >= 1.7
-    assert _pick(relations_report, "intertwine_X", "corrected")["order"] >= 1.7 \
-        or _pick(relations_report, "intertwine_X", "corrected")["fd_residual"] < 1e-8
+    assert _pick(relations_report, "intertwine_X", "corrected")["order"] >= 1.7
+
+
+def test_relation_rows_hold_only_the_fields_read(relations_report):
+    assert len(relations_report) == 11
+    for r in relations_report:
+        assert set(r) == {"relation", "variant", "fd_norms", "order",
+                          "residual", "verdict", "expected"}
 
 
 def test_relations_printed_defects_recorded(relations_report):
@@ -393,31 +412,21 @@ def test_relations_printed_defects_recorded(relations_report):
 
 
 def test_residual_extrapolation_on_synthetic_ladders():
-    from dunklqm.susyqm import _extrapolate_residual
+    from dunklqm.susyqm import _fd_order
 
-    # ratio-4 geometric ladder onto 1/4: order 2 and its limit
-    limit, order = _extrapolate_residual([0.75, 0.375, 0.28125])
-    assert order == 2.0
-    assert limit == pytest.approx(0.25, rel=1e-15)
-    # non-monotone and flat ladders: no order, the last norm
+    # ratio-4 geometric ladder onto 1/4: order 2
+    assert _fd_order([0.75, 0.375, 0.28125]) == 2.0
+    # non-monotone and flat ladders: no order
     for norms in ([0.1, 0.05, 0.07], [0.1, 0.1, 0.05], [1e-3, 1e-3, 1e-3],
                   [0.1, 0.05, 0.05 - 5e-15], [0.3, 0.2, 0.2 + 5e-15]):
-        limit, order = _extrapolate_residual(norms)
-        assert math.isnan(order)
-        assert limit == norms[-1]
+        assert math.isnan(_fd_order(norms))
     # orders below 0.25 and above 6 are clamped (reported as a clamp, not a
     # measurement, only once the report can say "unknown")
     for ratio, clamped in ((2.0 ** 0.1, 0.25), (2.0 ** 8, 6.0)):
         r3, d2 = 0.5, 1e-4
-        norms = [r3 + d2 + ratio * d2, r3 + d2, r3]
-        limit, order = _extrapolate_residual(norms)
-        assert order == clamped
-        assert limit == pytest.approx(
-            r3 - (norms[1] - r3) / (2.0 ** clamped - 1.0), rel=1e-12)
-    # an extrapolated limit below zero is clipped to 0
-    limit, order = _extrapolate_residual([1.0, 0.5, 0.1])
-    assert order == pytest.approx(math.log2(1.25), rel=1e-12)
-    assert limit == 0.0
+        assert _fd_order([r3 + d2 + ratio * d2, r3 + d2, r3]) == clamped
+    assert _fd_order([1.0, 0.5, 0.1]) == pytest.approx(math.log2(1.25),
+                                                        rel=1e-12)
 
 
 def test_parity_conjugation_pointwise_example():
@@ -472,10 +481,8 @@ def test_eigenfunction_probe_is_ground_state_times_p2():
     from dunklqm.susyqm import _test_functions
     for p in (pars("1/2", "3/2"), pars(2, "1/5")):
         g = gridmod.Grid(256, math.pi / 2)
-        p2 = construct_eigen(2, p)
-        xs = g.nodes.tolist()
-        ref = (np.array([ground_state(t, p) for t in xs])
-               * np.array([p2(math.sin(t)) for t in xs]))
+        ref = (wavefunction_fn(0, p)(g.nodes)
+               * construct_eigen(2, p)(np.sin(g.nodes)))
         probe = _test_functions(p, g)["eigenfunction-2"]
         assert probe.tobytes() == ref.tobytes()
 
