@@ -226,11 +226,11 @@ def _y_mapping_scalar(corrected: list, printed: list) -> dict:
 
 
 def _product_relation_placement() -> dict:
-    g = gridmod.Grid(1024, math.pi / 2)
-    residual = {(name, variant): exact_residual(relation, g)
-                for name, variant, _, relation
+    products = {(name, variant): relation for name, variant, _, relation
                 in scarf_relations(ScarfParams(F(1), F(1, 2)))
                 if name.startswith("product_")}
+    residual = dict(zip(products, exact_residual(list(products.values()),
+                                                 gridmod.Grid(1024, math.pi / 2))))
     return _entry(
         "scarf-product-relation-placement",
         "extended-scarf/product-relation/parameter-placement",

@@ -464,6 +464,19 @@ def estimate_order(values: Sequence[float]) -> float:
     return math.log2(d1 / d2)
 
 
+def check_doubling_ladder(n_list: Sequence[int]) -> list:
+    """``n_list`` as a list if it is a doubling ladder N, 2N, 4N, ... of at
+    least three grid sizes, else ValueError: the Richardson steps and the
+    order estimates assume a ratio of 2 and need three values."""
+    n_list = list(n_list)
+    if len(n_list) < 3:
+        raise ValueError("need at least three grid sizes")
+    if any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("grid list must double (N, 2N, 4N, ...): the "
+                         "extrapolation assumes a ratio of 2")
+    return n_list
+
+
 def extrapolate_sequence(values: Sequence[float],
                          exponents: Sequence[float]) -> tuple[float, float]:
     """(limit, estimated order) from eigenvalues on a doubling N ladder.
@@ -543,12 +556,7 @@ def convergence_study(problem: Problem, n_list: Sequence[int]) -> SpectrumReport
     estimates outside [1, 3] flag a level as non-convergent (extrapolation
     still reported); a level whose order cannot be estimated (e.g. a
     non-monotone ladder) has ``converged`` None, unknown."""
-    n_list = list(n_list)
-    if len(n_list) < 3:
-        raise ValueError("need at least three grid sizes")
-    if any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("grid list must double (N, 2N, 4N, ...): the "
-                         "extrapolation assumes a ratio of 2")
+    n_list = check_doubling_ladder(n_list)
     values = np.asarray([problem.compute(n) for n in n_list])
     report = SpectrumReport(system=problem.name, params=dict(problem.params),
                             grids=n_list)

@@ -93,19 +93,19 @@ class Jacobi1Params(OrthogonalFamily):
         norm_ok = norm_sq == closed
         explicit_matches = {}
         discrepancies = []
-        ex = None
+        try:
+            blocks, failure = _explicit_blocks(n, self), None
+        except ValueError as exc:
+            blocks, failure = None, exc
         for variant in ("printed", "corrected"):
-            # the even-degree form does not depend on the variant
-            if ex is None or n % 2:
-                try:
-                    ex, failure = construct_explicit(n, self, variant), None
-                except ValueError as exc:
-                    ex, failure = None, exc
-            explicit_matches[variant] = failure is None and ex == pn
             if failure is not None:
+                explicit_matches[variant] = False
                 discrepancies.append(
                     f"explicit[{variant}] not assemblable: {failure}")
-            elif not explicit_matches[variant]:
+                continue
+            ex = _assemble_explicit(n, self, variant, blocks)
+            explicit_matches[variant] = ex == pn
+            if not explicit_matches[variant]:
                 discrepancies.append(
                     f"explicit[{variant}] = {ex.pretty()} differs from oracle "
                     f"{pn.pretty()}")
@@ -174,10 +174,15 @@ def construct_explicit(n: int, params: Jacobi1Params,
     """
     if variant not in ("printed", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
+    return _assemble_explicit(n, params, variant, _explicit_blocks(n, params))
+
+
+def _explicit_blocks(n: int, params: Jacobi1Params) -> tuple:
+    """The 2F1 blocks of the explicit form, which no variant changes: the
+    whole bracket for even n, (blk1, y blk2) for odd n."""
     a, b = params.alpha, params.beta
     if ((a + 1)/2).denominator == 1 and (a + 1)/2 <= 0:
         raise ValueError("denominator parameter (a+1)/2 is a nonpositive integer")
-    kap = _kappa(n, params, variant)
     if n % 2 == 0:
         k = n // 2
         bracket = _hyp_poly_in_ysq((Fraction(-k), (n + a + b + 2)/Fraction(2)),
@@ -186,14 +191,26 @@ def construct_explicit(n: int, params: Jacobi1Params,
             blk2 = _hyp_poly_in_ysq((Fraction(1 - k), (n + a + b + 2)/Fraction(2)),
                                     ((a + 3)/2,))
             bracket += (Poly.monomial(1) * blk2).scale(Fraction(n, 1)/(a + 1))
+        return (bracket,)
+    blk1 = _hyp_poly_in_ysq(((1 - n)/Fraction(2), (n + a + b + 1)/Fraction(2)),
+                            ((a + 1)/2,))
+    blk2 = _hyp_poly_in_ysq(((1 - n)/Fraction(2), (n + a + b + 3)/Fraction(2)),
+                            ((a + 3)/2,))
+    return blk1, Poly.monomial(1) * blk2
+
+
+def _assemble_explicit(n: int, params: Jacobi1Params, variant: str,
+                       blocks: tuple) -> Poly:
+    """The explicit form of ``variant`` from ``_explicit_blocks``: kappa times
+    the bracket, which for odd n is blk1 - pref/(a+1) y blk2."""
+    if n % 2 == 0:
+        bracket, = blocks
     else:
-        blk1 = _hyp_poly_in_ysq(((1 - n)/Fraction(2), (n + a + b + 1)/Fraction(2)),
-                                ((a + 1)/2,))
-        blk2 = _hyp_poly_in_ysq(((1 - n)/Fraction(2), (n + a + b + 3)/Fraction(2)),
-                                ((a + 3)/2,))
+        a, b = params.alpha, params.beta
+        blk1, y_blk2 = blocks
         pref = (a + b + 1) if variant == "printed" else (n + a + b + 1)
-        bracket = blk1 - (Poly.monomial(1) * blk2).scale(pref/(a + 1))
-    return bracket.scale(kap)
+        bracket = blk1 - y_blk2.scale(pref/(a + 1))
+    return bracket.scale(_kappa(n, params, variant))
 
 
 def norm_sq_closed(n: int, params: Jacobi1Params) -> Fraction:

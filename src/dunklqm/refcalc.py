@@ -24,6 +24,15 @@ exactly on a test function, ``stencil`` by finite differences on a midpoint
 grid (R is index reversal). An identity is one ``Relation`` between sums of
 operator ``Chain``s, composed exactly by ``residual`` and run operator by
 operator on grid values by ``stencil``.
+
+``apply`` is two steps that a caller may also take apart: the operator's
+``coefficient_arrays`` at the points, and the test function's
+``word_values`` (its derivatives at +-x) for the words present. ``evaluate``
+sums their products. A caller that checks many operators on the same test
+functions and points (``susyqm.exact_residual``) takes each operator's
+arrays once and each test function's values once, over the union of the
+operators' words; the result is ``apply``'s bit for bit. Nothing is kept
+beyond the call that made it.
 """
 
 from __future__ import annotations
@@ -103,9 +112,19 @@ class CoeffFn:
 
 @dataclass(frozen=True)
 class ProbeFn:
+    """A test function with its first and second derivatives."""
+
     f: Callable
     d1: Callable
     d2: Callable
+
+    def word_values(self, x: np.ndarray, words) -> dict:
+        """{(k, j): (D^k R^j u)(x) = (-1)^(jk) u^(k)((-1)^j x)} for each word
+        (k, j) in ``words``: one call per derivative and sign that a word
+        reads, none for a word that is absent."""
+        derivatives, points = (self.f, self.d1, self.d2), (x, -x)
+        return {(k, j): -derivatives[k](points[j]) if j * k == 1
+                else derivatives[k](points[j]) for k, j in words}
 
 
 # The words D^k R^j, keyed (k, j), in the order in which the terms of a
@@ -203,15 +222,25 @@ class SecondOrderRefOp(_WordOp):
         return self + other.scale(-1.0)
 
     def apply(self, u: ProbeFn, x: np.ndarray) -> np.ndarray:
-        """Evaluate on a test function with known derivatives:
-        (D^k R^j u)(x) = (-1)^(jk) u^(k)((-1)^j x). The direct and the
-        reflected words are each summed from D^2 down, then added."""
-        derivatives = (u.f, u.d1, u.d2)
+        """Evaluate on a test function with known derivatives: ``evaluate``
+        of this operator's coefficient arrays and ``u``'s word values."""
+        return self.evaluate(self.coefficient_arrays(x),
+                             u.word_values(x, self.words), x)
+
+    def coefficient_arrays(self, x: np.ndarray) -> dict:
+        """{word: its coefficient at ``x``}, one evaluation per present word."""
+        return {w: c.f(x) for w, c in self.words.items()}
+
+    @staticmethod
+    def evaluate(coefficients: dict, values: dict, x: np.ndarray) -> np.ndarray:
+        """The sum of c (D^k R^j u)(x) over the words of ``coefficients``
+        (from ``coefficient_arrays``), each word's value read from ``values``
+        (``ProbeFn.word_values`` over at least those words). The direct and
+        the reflected words are each summed from D^2 down, then added."""
         sides = []
-        for j, y in ((0, x), (1, -x)):
-            terms = [self.words[k, j].f(x) * (-derivatives[k](y) if j * k == 1
-                                              else derivatives[k](y))
-                     for k in (2, 1, 0) if (k, j) in self.words]
+        for j in (0, 1):
+            terms = [coefficients[k, j] * values[k, j]
+                     for k in (2, 1, 0) if (k, j) in coefficients]
             sides += [reduce(add, terms)] if terms else []
         return reduce(add, sides) if sides else np.zeros_like(x)
 

@@ -34,7 +34,10 @@ the true defect of the identity down to rounding; the same chains run as
 finite-difference stencils give residual norms that must vanish at second
 order in the grid spacing. ``verify_operator_relations`` evaluates both; the
 errata report reads the exact residuals of the product relations from the
-same list.
+same list. Each makes one ``exact_residual`` call for its relations on one
+grid, which evaluates the test functions' derivatives once for all of them
+and each residual's coefficients once; like every value here, nothing it
+evaluates outlives the call.
 
 The X and Y intertwiners come in a ``printed`` and a ``corrected`` variant.
 The corrected X (tangent coefficient (b+1)/2 instead of b/2) is exactly the
@@ -339,14 +342,14 @@ _TEST_FNS = {
 }
 
 
-def _test_functions(params: ScarfParams, g: gridmod.Grid) -> dict:
-    x = g.nodes
-    fns = {name: u.f(x) for name, u in _TEST_FNS.items()}
-    # an eigenfunction of the system itself (smooth on the open interval),
-    # left unnormalized: Psi_0 times P_2(sin x)
-    fns["eigenfunction-2"] = (wavefunction_fn(0, params)(x)
-                              * construct_eigen(2, params)(np.sin(x)))
-    return fns
+def _test_functions(params: ScarfParams) -> dict:
+    """The probes of the finite-difference checks: the analytic test
+    functions, and an eigenfunction of the system itself (smooth on the open
+    interval), left unnormalized: Psi_0 times P_2(sin x), with Psi_0 and P_2
+    built once here for every grid the caller evaluates it on."""
+    psi0, p2 = wavefunction_fn(0, params), construct_eigen(2, params)
+    return {**{name: u.f for name, u in _TEST_FNS.items()},
+            "eigenfunction-2": lambda x: psi0(x) * p2(np.sin(x))}
 
 
 def _interior_mask(g: gridmod.Grid) -> np.ndarray:
@@ -354,11 +357,15 @@ def _interior_mask(g: gridmod.Grid) -> np.ndarray:
     return (np.abs(x) > 0.06) & (np.abs(np.abs(x) - g.halfwidth) > 0.06)
 
 
-def _probes(params: ScarfParams, grids: tuple, operators: dict) -> list:
-    """(grid, interior mask, test functions, operator stencils) per N."""
-    return [(g, _interior_mask(g), _test_functions(params, g),
-             {op: op.stencil(g) for op in operators})
-            for g in (gridmod.Grid(n, math.pi / 2) for n in grids)]
+def _probes(params: ScarfParams, grids: list, operators: dict) -> list:
+    """(grid, interior mask, test function values, operator stencils) per N."""
+    fns, probes = _test_functions(params), []
+    for g in (gridmod.Grid(n, math.pi / 2) for n in grids):
+        x = g.nodes
+        probes.append((g, _interior_mask(g),
+                       {name: f(x) for name, f in fns.items()},
+                       {op: op.stencil(g) for op in operators}))
+    return probes
 
 
 def _residual_norms(relation: refc.Relation, probes: list) -> list:
@@ -373,24 +380,38 @@ def _residual_norms(relation: refc.Relation, probes: list) -> list:
 
 
 def _fd_order(norms: list) -> float:
-    """Convergence order of a residual-norm ladder: ``grid.estimate_order``
-    clamped to [0.25, 6], nan where it has none."""
+    """Convergence order of a residual-norm ladder over a doubling grid
+    ladder: ``grid.estimate_order`` clamped to [0.25, 6], nan where it has
+    none."""
     p = gridmod.estimate_order(norms)
     return p if math.isnan(p) else min(max(p, 0.25), 6.0)
 
 
-def exact_residual(relation: refc.Relation, g: gridmod.Grid) -> float:
-    """Max |residual u| of ``relation`` over the interior nodes of ``g`` (0.06
-    away from the core and the walls), over the analytic test functions.
+def exact_residual(relations: list, g: gridmod.Grid) -> list:
+    """For each of ``relations``, the max |residual u| over the interior
+    nodes of ``g`` (0.06 away from the core and the walls) and over the
+    analytic test functions.
 
-    The residual is composed exactly, so the value measures the true defect
-    of the identity (plus rounding), not discretization error.
+    Each residual is composed exactly, so the value measures the true defect
+    of the identity (plus rounding), not discretization error. The test
+    functions' word values are evaluated once for the whole list, over the
+    words that some residual has, and each residual's coefficient arrays
+    once; every value is bit for bit ``residual().apply`` on each test
+    function.
     """
-    op, x = relation.residual(), g.nodes[_interior_mask(g)]
-    worst = 0.0
-    for u in _TEST_FNS.values():
-        worst = max(worst, float(np.abs(op.apply(u, x)).max()))
-    return worst
+    ops = [relation.residual() for relation in relations]
+    x = g.nodes[_interior_mask(g)]
+    words = dict.fromkeys(w for op in ops for w in op.words)
+    values = [u.word_values(x, words) for u in _TEST_FNS.values()]
+    residuals = []
+    for op in ops:
+        coefficients = op.coefficient_arrays(x)
+        worst = 0.0
+        for word_values in values:
+            worst = max(worst, float(np.abs(op.evaluate(coefficients, word_values,
+                                                        x)).max()))
+        residuals.append(worst)
+    return residuals
 
 
 def _chain(scale: float, *ops) -> refc.Chain:
@@ -474,17 +495,24 @@ def verify_operator_relations(params: ScarfParams, grids: tuple) -> list:
     run as finite-difference stencils over the grid ladder, whose norms must
     shrink at second order when the identity holds (``_fd_order``).
     ``verdict`` is "identity" for a residual below 1e-8, else "defect";
-    ``expected`` is the verdict the analysis predicts.
+    ``expected`` is the verdict the analysis predicts. ``grids`` must be a
+    doubling ladder N, 2N, 4N, ... (``grid.check_doubling_ladder``), which
+    the order assumes.
+
+    Within the call, each operator's stencil is built once per grid, the
+    eigenfunction probe's Psi_0 and P_2 once, and the exact residuals share
+    one evaluation of the test functions (``exact_residual``).
     """
+    grids = gridmod.check_doubling_ladder(grids)
     relations = scarf_relations(params)
     operators = dict.fromkeys(op for *_, rel in relations
                               for chain in rel.lhs + rel.rhs for op in chain.ops)
     probes = _probes(params, grids, operators)
-    finest = max(probes, key=lambda probe: probe[0].n)[0]
+    residuals = exact_residual([relation for *_, relation in relations],
+                               probes[-1][0])
     results = []
-    for name, variant, expected, relation in relations:
+    for (name, variant, expected, relation), resid in zip(relations, residuals):
         norms = _residual_norms(relation, probes)
-        resid = exact_residual(relation, finest)
         results.append({
             "relation": name, "variant": variant, "fd_norms": norms,
             "order": _fd_order(norms), "residual": resid,

@@ -2,7 +2,10 @@
 intertwiners, operator relations, and the oscillator."""
 
 import math
+from collections import Counter
 from fractions import Fraction as F
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -436,6 +439,17 @@ def test_parity_conjugation_pointwise_example():
     assert _pick(rep, "reflection_conjugation_Q", "n/a")["residual"] < 1e-10
 
 
+# the errata evidence key of each product relation's residual
+_PRODUCT_EVIDENCE = {"typeset_placement_printed_ops_residual":
+                     ("product_typeset_indices", "printed"),
+                     "typeset_placement_corrected_ops_residual":
+                     ("product_typeset_indices", "corrected"),
+                     "repaired_placement_corrected_ops_residual":
+                     ("product_repaired_indices", "corrected"),
+                     "repaired_placement_printed_ops_residual":
+                     ("product_repaired_indices", "printed")}
+
+
 def test_errata_product_residuals_are_the_relation_report_residuals():
     # errata evaluates only the product relations, on the finest grid of the
     # ladder it reports; each value is the report's, float for float
@@ -443,14 +457,7 @@ def test_errata_product_residuals_are_the_relation_report_residuals():
 
     report = verify_operator_relations(pars(1, "1/2"), grids=(256, 512, 1024))
     evidence = errata._product_relation_placement()["evidence"]
-    keys = {"typeset_placement_printed_ops_residual":
-            ("product_typeset_indices", "printed"),
-            "typeset_placement_corrected_ops_residual":
-            ("product_typeset_indices", "corrected"),
-            "repaired_placement_corrected_ops_residual":
-            ("product_repaired_indices", "corrected"),
-            "repaired_placement_printed_ops_residual":
-            ("product_repaired_indices", "printed")}
+    keys = _PRODUCT_EVIDENCE
     assert sorted(k for k in evidence if k.endswith("_ops_residual")) == sorted(keys)
     for key, (relation, variant) in keys.items():
         assert (evidence[key].hex()
@@ -478,13 +485,163 @@ def test_scarf_relations_list_each_identity_once_in_report_order():
 
 
 def test_eigenfunction_probe_is_ground_state_times_p2():
-    from dunklqm.susyqm import _test_functions
+    # the probe is built once per ladder and evaluated on each of its grids
+    from dunklqm.susyqm import _probes
     for p in (pars("1/2", "3/2"), pars(2, "1/5")):
-        g = gridmod.Grid(256, math.pi / 2)
-        ref = (wavefunction_fn(0, p)(g.nodes)
-               * construct_eigen(2, p)(np.sin(g.nodes)))
-        probe = _test_functions(p, g)["eigenfunction-2"]
-        assert probe.tobytes() == ref.tobytes()
+        for g, _, fns, _ in _probes(p, [256, 512], {}):
+            ref = (wavefunction_fn(0, p)(g.nodes)
+                   * construct_eigen(2, p)(np.sin(g.nodes)))
+            assert fns["eigenfunction-2"].tobytes() == ref.tobytes()
+
+
+# -- the relation checks share their loop-invariant work ----------------------
+
+def _interior_mask(g):
+    return (np.abs(g.nodes) > 0.06) & (np.abs(np.abs(g.nodes) - g.halfwidth) > 0.06)
+
+
+def _per_probe_apply(op, u, x):
+    """One operator on one test function, each coefficient and derivative
+    evaluated in place: the evaluation before it was split in two."""
+    derivatives = (u.f, u.d1, u.d2)
+    sides = []
+    for j, y in ((0, x), (1, -x)):
+        terms = [op.words[k, j].f(x) * (-derivatives[k](y) if j * k == 1
+                                        else derivatives[k](y))
+                 for k in (2, 1, 0) if (k, j) in op.words]
+        sides += [reduce(add, terms)] if terms else []
+    return reduce(add, sides) if sides else np.zeros_like(x)
+
+
+def _per_relation_residual(relation, g):
+    op, x = relation.residual(), g.nodes[_interior_mask(g)]
+    worst = 0.0
+    for u in _TEST_FNS.values():
+        worst = max(worst, float(np.abs(_per_probe_apply(op, u, x)).max()))
+    return worst
+
+
+def _per_grid_fd_norms(params, relation, grids):
+    """The finite-difference norms with the probes built on each grid anew."""
+    norms = []
+    for n in grids:
+        g = gridmod.Grid(n, math.pi / 2)
+        x = g.nodes
+        fns = [u.f(x) for u in _TEST_FNS.values()]
+        fns.append(wavefunction_fn(0, params)(x)
+                   * construct_eigen(2, params)(np.sin(x)))
+        stencils = {op: op.stencil(g) for chain in relation.lhs + relation.rhs
+                    for op in chain.ops}
+        residual = relation.stencil(stencils)
+        worst = 0.0
+        for f in fns:
+            worst = max(worst, float(np.abs(residual(f)[_interior_mask(g)]).max()))
+        norms.append(worst)
+    return norms
+
+
+@pytest.mark.parametrize("ab, grids", [((F(0), F(1)), (512, 1024, 2048))]
+                         + [(ab, (256, 512, 1024)) for ab in FUZZ_PARAMS],
+                         ids=lambda v: ",".join(map(str, v)))
+def test_relation_report_is_the_per_relation_loop_bitwise(ab, grids):
+    params = ScarfParams(*ab)
+    report = verify_operator_relations(params, grids=grids)
+    finest = gridmod.Grid(grids[-1], math.pi / 2)
+    relations = scarf_relations(params)
+    assert len(report) == len(relations) == 11
+    for row, (name, variant, _, relation) in zip(report, relations):
+        assert (row["relation"], row["variant"]) == (name, variant)
+        assert row["residual"].hex() == _per_relation_residual(relation, finest).hex()
+        norms = _per_grid_fd_norms(params, relation, grids)
+        assert [v.hex() for v in row["fd_norms"]] == [v.hex() for v in norms]
+        order = gridmod.estimate_order(norms)
+        if not math.isnan(order):
+            order = min(max(order, 0.25), 6.0)
+        assert row["order"].hex() == order.hex()
+
+
+def test_errata_product_residuals_are_the_per_relation_loop_bitwise():
+    from dunklqm import errata
+
+    evidence = errata._product_relation_placement()["evidence"]
+    g = gridmod.Grid(1024, math.pi / 2)
+    relations = {(name, variant): relation for name, variant, _, relation
+                 in scarf_relations(pars(1, "1/2"))}
+    for key, name_variant in _PRODUCT_EVIDENCE.items():
+        assert (evidence[key].hex()
+                == _per_relation_residual(relations[name_variant], g).hex()), key
+
+
+def test_relation_checks_evaluate_each_probe_once_and_build_p2_once(monkeypatch):
+    # every derivative of a test function is called at most once per array
+    # of points: once per grid for the finite differences, once per sign on
+    # the finest grid's interior for the exact residuals, however many
+    # relations there are; Psi_0 P_2 is built once for the whole ladder
+    from dunklqm import susyqm
+
+    calls, built = Counter(), Counter()
+
+    def counted(key, fn):
+        def wrapped(x):
+            calls[key, np.asarray(x).tobytes()] += 1
+            return fn(x)
+        return wrapped
+
+    monkeypatch.setattr(susyqm, "_TEST_FNS", {
+        name: refc.ProbeFn(*(counted((name, d), getattr(u, d))
+                             for d in ("f", "d1", "d2")))
+        for name, u in _TEST_FNS.items()})
+    real_construct, real_relations = susyqm.construct_eigen, susyqm.scarf_relations
+
+    def construct(n, family):
+        built[n] += 1
+        return real_construct(n, family)
+
+    monkeypatch.setattr(susyqm, "construct_eigen", construct)
+    monkeypatch.setattr(susyqm, "scarf_relations",
+                        lambda params: real_relations(params) * 2)
+    report = verify_operator_relations(pars(0, 1), grids=(128, 256, 512))
+    assert len(report) == 22
+    assert built[2] == 1
+    assert max(calls.values()) == 1
+    g = gridmod.Grid(512, math.pi / 2)
+    x = g.nodes[_interior_mask(g)]
+    exact = Counter((name, d) for (name, d), points in calls
+                    if points in (x.tobytes(), (-x).tobytes()))
+    # f, d1 and d2 at +x and at -x: Q^2 = H and R H R = H have every word
+    assert exact == {(name, d): 2 for name in _TEST_FNS
+                     for d in ("f", "d1", "d2")}
+
+
+def test_exact_residual_evaluates_only_the_words_present(monkeypatch):
+    # R Q R = -Q at b and -b is first order: no second derivative is read
+    from dunklqm import susyqm
+
+    def unused(x):
+        raise AssertionError("no first-order relation reads a second derivative")
+
+    monkeypatch.setattr(susyqm, "_TEST_FNS", {
+        name: refc.ProbeFn(u.f, u.d1, unused) for name, u in _TEST_FNS.items()})
+    relation, = [rel for name, _, _, rel in scarf_relations(pars(1, 1))
+                 if name == "reflection_conjugation_Q"]
+    residuals = susyqm.exact_residual([relation, relation],
+                                      gridmod.Grid(256, math.pi / 2))
+    assert residuals[0] == residuals[1] < 1e-10
+
+
+@pytest.mark.parametrize("ladder", [(512, 1000, 2048), (2048, 1024, 512),
+                                    (256, 768, 2304), (1024, 2048)])
+def test_relation_checks_refuse_the_ladders_convergence_study_refuses(ladder):
+    # the finite-difference order assumes N, 2N, 4N, ...; on (512, 1000,
+    # 2048) or (2048, 1024, 512) it would be a wrong number, not nan
+    prob = gridmod.Problem(name="stub", params={}, targets=(1.0,),
+                           compute=lambda n: np.array([1.0]),
+                           tolerance=1e-6, exponents=(2.0, 2.0))
+    with pytest.raises(ValueError) as study:
+        gridmod.convergence_study(prob, ladder)
+    with pytest.raises(ValueError) as relations:
+        verify_operator_relations(pars(0, 1), grids=ladder)
+    assert str(relations.value) == str(study.value)
 
 
 def _qq_vs_h_orders(pot, halfwidth, grids):
