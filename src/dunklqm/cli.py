@@ -1,10 +1,12 @@
 """Command-line interface: family tables, verification suites, grid spectra,
 and the errata report.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. Rational
-parameters are passed as exact "p/q" strings, negative ones too ("--alpha
--1/2"). All output is deterministic for a fixed invocation; floats print at
-17 significant digits.
+Exit codes: 0 success, 1 verification failure, 2 usage error. The library
+owns the refusal rules: a ValueError raised while `family` builds its
+parameters or `spectrum` its answer (LAPACK's LinAlgError included) prints
+"error: ..." and exits 2. Rational parameters are passed as exact "p/q"
+strings, negative ones too ("--alpha -1/2"). All output is deterministic
+for a fixed invocation; floats print at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -19,7 +21,18 @@ import sys
 import tempfile
 from fractions import Fraction
 
+import numpy as np
+
+from .errata import errata_json
 from .exact import hyp2f1, hyp3f2, pochhammer
+from .gegenbauer import GEG_FUZZ_PARAMS, GegParams, csm_two_particle_check
+from .grid import check_doubling_ladder, convergence_study
+from .jacobi import FUZZ_PARAMS, Jacobi1Params
+from .opalg import eigenvalue_collision, verify_family
+from .spectra import gegenbauer_problem, oscillator_problem, scarf_problem
+from .susyqm import (FockVector, ScarfParams, osc_energy, osc_h_apply,
+                     osc_mixed_state, osc_q_apply, verify_lowering,
+                     verify_operator_relations, verify_raising)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -38,16 +51,12 @@ def _grid_list(text: str) -> list:
         out = [int(t) for t in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid list: {text!r}")
-    if len(out) < 3 or any(b <= a for a, b in zip(out, out[1:])):
-        raise argparse.ArgumentTypeError(
-            "need >= 3 strictly ascending grid sizes")
     if any(n <= 0 or n % 2 for n in out):
         raise argparse.ArgumentTypeError("grid sizes must be even and positive")
-    if any(b != 2 * a for a, b in zip(out, out[1:])):
-        raise argparse.ArgumentTypeError(
-            "grid sizes must double (N, 2N, 4N, ...): the extrapolation "
-            "assumes a ratio of 2")
-    return out
+    try:
+        return check_doubling_ladder(out)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _positive_finite(text: str) -> float:
@@ -131,12 +140,17 @@ _VERIFY_PARAMS = {
 }
 
 
+def _param_names(reads: dict) -> dict:
+    """The parameter names of a table, each once, in first-read order."""
+    return dict.fromkeys(n for params in reads.values() for n in params)
+
+
 def _refuse_unread(args, option: str, reads: dict) -> bool:
     """Fill in the defaults of the parameters that the chosen kind, system or
     suite reads; for a given parameter that it does not read, print an error
     and return True."""
     choice = getattr(args, option)
-    for name in dict.fromkeys(n for params in reads.values() for n in params):
+    for name in _param_names(reads):
         if name in reads[choice]:
             if getattr(args, name) is None:
                 setattr(args, name, reads[choice][name])
@@ -152,10 +166,6 @@ def _refuse_unread(args, option: str, reads: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 def cmd_family(args) -> int:
-    from .gegenbauer import GegParams
-    from .jacobi import Jacobi1Params
-    from .opalg import eigenvalue_collision, verify_family
-
     if _refuse_unread(args, "kind", _FAMILY_PARAMS):
         return EXIT_USAGE
     try:
@@ -240,12 +250,10 @@ def _suite_exact(log) -> tuple[bool, int]:
 
 def _suite_family(log, kind: str, degree: int) -> tuple[bool, int]:
     """The exact battery on each fuzz parameter pair of one family."""
-    from .opalg import verify_family
-
     if kind == "jacobi":
-        from .jacobi import FUZZ_PARAMS as fuzz, Jacobi1Params as family
+        fuzz, family = FUZZ_PARAMS, Jacobi1Params
     else:
-        from .gegenbauer import GEG_FUZZ_PARAMS as fuzz, GegParams as family
+        fuzz, family = GEG_FUZZ_PARAMS, GegParams
     ok, findings = True, 0
     for a, b in fuzz:
         rep = verify_family(family(a, b), degree)
@@ -260,8 +268,6 @@ def _suite_family(log, kind: str, degree: int) -> tuple[bool, int]:
 
 
 def _suite_csm(log) -> bool:
-    from .gegenbauer import csm_two_particle_check
-
     res = max(csm_two_particle_check(Fraction(1), 0.9, 0.1),
               csm_two_particle_check(Fraction(1, 2), 1.0, -0.3))
     log(f"gegenbauer: two-particle CSM reduction residual {res:.3e}")
@@ -269,9 +275,6 @@ def _suite_csm(log) -> bool:
 
 
 def _suite_oscillator(log) -> tuple[bool, int]:
-    from .susyqm import (FockVector, osc_energy, osc_h_apply, osc_mixed_state,
-                         osc_q_apply)
-
     ok = True
     for n in range(13):
         v = FockVector.basis(n)
@@ -295,9 +298,6 @@ def _suite_oscillator(log) -> tuple[bool, int]:
 def _suite_intertwiners(log, degree: int) -> tuple[bool, int]:
     """The exact lowering and raising maps up to ``degree`` on each fuzz
     pair; the printed-scalar findings are counted over n <= 6."""
-    from .jacobi import FUZZ_PARAMS
-    from .susyqm import ScarfParams, verify_lowering, verify_raising
-
     ok, findings = True, 0
     for a, b in FUZZ_PARAMS:
         p = ScarfParams(a, b)
@@ -313,8 +313,6 @@ def _suite_intertwiners(log, degree: int) -> tuple[bool, int]:
 
 
 def _suite_relations(log) -> tuple[bool, int]:
-    from .susyqm import ScarfParams, verify_operator_relations
-
     rep = verify_operator_relations(ScarfParams(Fraction(0), Fraction(1)),
                                     grids=(512, 1024, 2048))
     ok, findings = True, 0
@@ -328,8 +326,7 @@ def _suite_relations(log) -> tuple[bool, int]:
     return ok, findings
 
 
-VERIFY_SUITES = ("exact", "jacobi", "gegenbauer", "oscillator", "intertwiners",
-                 "relations")
+VERIFY_SUITES = tuple(s for s in _VERIFY_PARAMS if s != "all")
 
 
 def cmd_verify(args) -> int:
@@ -370,11 +367,6 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    import numpy as np
-
-    from . import grid as gridmod
-    from .spectra import gegenbauer_problem, oscillator_problem, scarf_problem
-
     if _refuse_unread(args, "system", _SPECTRUM_PARAMS):
         return EXIT_USAGE
     # no method returns more levels than grid points; refused before the
@@ -383,21 +375,19 @@ def cmd_spectrum(args) -> int:
         print(f"error: method limit: {args.levels} levels requested, the "
               f"coarsest grid has {args.grids[0]} points", file=sys.stderr)
         return EXIT_USAGE
-    # parameters the problem refuses, method limits, and values that leave
-    # float range in the targets or on the grid all exit 2
+    # parameters the problem refuses, method limits, LAPACK failures, and
+    # values that leave float range in the targets or on the grid all exit 2
     try:
         with np.errstate(over="raise"):
             if args.system == "scarf":
-                from .susyqm import ScarfParams
                 prob = scarf_problem(ScarfParams(args.alpha, args.beta),
                                      args.levels)
             elif args.system == "oscillator":
                 prob = oscillator_problem(args.levels)
             else:
-                from .gegenbauer import GegParams
                 prob = gegenbauer_problem(GegParams(args.mu, args.alpha),
                                           args.levels)
-            rep = gridmod.convergence_study(prob, args.grids)
+            rep = convergence_study(prob, args.grids)
     except (OverflowError, FloatingPointError) as exc:
         print(f"error: parameters beyond float range ({exc})", file=sys.stderr)
         return EXIT_USAGE
@@ -423,8 +413,6 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_errata(args) -> int:
-    from .errata import errata_json
-
     _emit(errata_json(), args.out)
     return EXIT_OK
 
@@ -439,10 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     fam = sub.add_parser("family", help="print an orthogonal family table")
-    fam.add_argument("--kind", choices=["jacobi-m1", "gegenbauer"],
-                     required=True)
-    for name in ("--alpha", "--beta", "--mu"):
-        fam.add_argument(name, type=_rat)
+    fam.add_argument("--kind", choices=list(_FAMILY_PARAMS), required=True)
+    for name in _param_names(_FAMILY_PARAMS):
+        fam.add_argument(f"--{name}", type=_rat)
     fam.add_argument("--degree", type=_int_at_least(0), default=6)
     fam.add_argument("--format", choices=["text", "json", "csv"],
                      default="text")
@@ -450,17 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
     fam.set_defaults(fn=cmd_family)
 
     ver = sub.add_parser("verify", help="run verification suites")
-    ver.add_argument("--suite", default="all",
-                     choices=["all", *VERIFY_SUITES])
+    ver.add_argument("--suite", default="all", choices=list(_VERIFY_PARAMS))
     ver.add_argument("--degree", type=_int_at_least(2))
     ver.add_argument("--out", type=_out_path)
     ver.set_defaults(fn=cmd_verify)
 
     spec = sub.add_parser("spectrum", help="grid spectra vs closed forms")
-    spec.add_argument("--system", choices=["scarf", "oscillator", "gegenbauer"],
-                      required=True)
-    for name in ("--alpha", "--beta", "--mu"):
-        spec.add_argument(name, type=_rat)
+    spec.add_argument("--system", choices=list(_SPECTRUM_PARAMS), required=True)
+    for name in _param_names(_SPECTRUM_PARAMS):
+        spec.add_argument(f"--{name}", type=_rat)
     spec.add_argument("--levels", type=_int_at_least(1), default=3)
     spec.add_argument("--grids", type=_grid_list, default=[1024, 2048, 4096])
     spec.add_argument("--tol", type=_positive_finite, default=None)

@@ -15,7 +15,7 @@ import numpy as np
 from . import grid as gridmod
 from .gegenbauer import GegParams, eigenvalue_geg, geg_potentials
 from .jacobi import Jacobi1Params, construct_explicit
-from .opalg import dunkl, verify_family
+from .opalg import dunkl, eigen_sequence
 from .spectra import gegenbauer_problem
 from .susyqm import (
     ScarfParams,
@@ -51,17 +51,20 @@ def _entry(eid, label, printed, oracle, evidence, verdict) -> dict:
 
 
 def _odd_explicit_prefactor() -> dict:
-    """Verdicts of the family battery's explicit-form comparison, odd n <= 9."""
+    """Both explicit variants against the eigenvalue-equation oracle, odd
+    n <= 9."""
     fuzz = [(F(0), F(0)), (F(1, 2), F(3, 2)), (F(1), F(1))]
-    records = {ab: verify_family(Jacobi1Params(*ab), 9).records for ab in fuzz}
-    mismatches = []
-    for (a, b), recs in records.items():
-        odd = [(r.n, r.results["explicit_matches"]) for r in recs if r.n % 2]
+    oracles = {ab: eigen_sequence(Jacobi1Params(*ab), 9) for ab in fuzz}
+    mismatches, odd = [], range(1, 10, 2)
+    for (a, b), polys in oracles.items():
+        p = Jacobi1Params(a, b)
         mismatches.append({
             "params": f"({a},{b})",
-            "printed_fails_at": [n for n, ok in odd if not ok["printed"]],
-            "corrected_matches_at": [n for n, ok in odd if ok["corrected"]]})
-    oracle = records[fuzz[0]][1].polynomial
+            "printed_fails_at": [n for n in odd if polys[n] !=
+                                 construct_explicit(n, p, "printed")],
+            "corrected_matches_at": [n for n in odd if polys[n] ==
+                                     construct_explicit(n, p, "corrected")]})
+    oracle = oracles[fuzz[0]][1]
     printed = construct_explicit(1, Jacobi1Params(*fuzz[0]), "printed")
     monicized = printed.scale(1 / printed.coeffs[-1])
     return _entry(

@@ -34,7 +34,6 @@ __all__ = [
     "Grid",
     "GridOperator",
     "SingularPotentialError",
-    "ConvergenceFailureError",
     "MethodLimitError",
     "assemble",
     "supercharge_matrix",
@@ -52,10 +51,6 @@ __all__ = [
 
 class SingularPotentialError(ValueError):
     """A potential evaluated non-finite on a grid node."""
-
-
-class ConvergenceFailureError(RuntimeError):
-    """The underlying eigensolver reported non-convergence."""
 
 
 class MethodLimitError(ValueError):
@@ -241,27 +236,22 @@ def eigen_lowest(op: GridOperator | np.ndarray, k: int) -> np.ndarray:
 
     A grid operator that is tridiagonal in node ordering takes the
     tridiagonal LAPACK path, any other the banded one on its pair-ordered
-    storage. A plain array is solved dense.
+    storage. A plain array is solved dense. A LAPACK failure raises
+    ``np.linalg.LinAlgError``, a ValueError.
     """
     n = op.n if isinstance(op, GridOperator) else len(op)
     if k > n:
         raise MethodLimitError(f"method limit: {k} levels requested from an "
                                f"operator of dimension {n}")
-    try:
-        if not isinstance(op, GridOperator):
-            return eigh(np.asarray(op, dtype=float), eigvals_only=True,
-                        subset_by_index=(0, k - 1))
-        tri = _node_tridiagonal(op)
-        if tri is None:
-            return eig_banded(op.band, lower=False, eigvals_only=True,
-                              select="i", select_range=(0, k - 1))
-        return eigh_tridiagonal(*tri, select="i",
-                                select_range=(0, k - 1), eigvals_only=True)
-    except Exception as exc:
-        if "converge" in str(exc).lower() or isinstance(exc, np.linalg.LinAlgError):
-            raise ConvergenceFailureError(
-                f"symmetric eigensolver failed on {n}x{n} matrix: {exc}") from exc
-        raise
+    if not isinstance(op, GridOperator):
+        return eigh(np.asarray(op, dtype=float), eigvals_only=True,
+                    subset_by_index=(0, k - 1))
+    tri = _node_tridiagonal(op)
+    if tri is None:
+        return eig_banded(op.band, lower=False, eigvals_only=True,
+                          select="i", select_range=(0, k - 1))
+    return eigh_tridiagonal(*tri, select="i",
+                            select_range=(0, k - 1), eigvals_only=True)
 
 
 def susy_squared_spectrum(u_fn: Callable, v_fn: Callable, grid: Grid,

@@ -119,7 +119,7 @@ def test_verify_jacobi_counts_discrepancies(capsys):
 
 def test_verify_gegenbauer_suite_runs_at_the_requested_degree(monkeypatch,
                                                              capsys):
-    from dunklqm import opalg
+    from dunklqm import cli
 
     degrees = []
 
@@ -127,8 +127,8 @@ def test_verify_gegenbauer_suite_runs_at_the_requested_degree(monkeypatch,
         degrees.append(degree)
         return real(params, degree)
 
-    real = opalg.verify_family
-    monkeypatch.setattr(opalg, "verify_family", counted)
+    real = cli.verify_family
+    monkeypatch.setattr(cli, "verify_family", counted)
     code, out, _ = run(["verify", "--suite", "gegenbauer", "--degree", "20"],
                        capsys)
     assert code == 0
@@ -138,7 +138,7 @@ def test_verify_gegenbauer_suite_runs_at_the_requested_degree(monkeypatch,
 
 def test_verify_intertwiners_suite_runs_at_the_requested_degree(monkeypatch,
                                                                capsys):
-    from dunklqm import susyqm
+    from dunklqm import cli
     from dunklqm.jacobi import FUZZ_PARAMS
 
     degrees = []
@@ -150,7 +150,7 @@ def test_verify_intertwiners_suite_runs_at_the_requested_degree(monkeypatch,
         return run_map
 
     for name in ("verify_lowering", "verify_raising"):
-        monkeypatch.setattr(susyqm, name, counted(getattr(susyqm, name)))
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
     code, out, _ = run(["verify", "--suite", "intertwiners", "--degree", "20"],
                        capsys)
     assert code == 0
@@ -214,7 +214,7 @@ def test_spectrum_usage_error_on_bad_grids(capsys):
     (["--grids", "63,128,256"], "even"),
     (["--grids", "0,64,128"], "positive"),
     (["--grids=-64,64,128"], "positive"),
-    (["--grids", "64,64,128"], "strictly ascending"),
+    (["--grids", "64,64,128"], "must double"),
     (["--tol", "-1"], "--tol"),
     (["--tol", "0"], "--tol"),
     (["--tol", "nan"], "--tol"),
@@ -229,6 +229,43 @@ def test_spectrum_bad_levels_or_grids_usage_error(flags, named, capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err and named in err
+
+
+@pytest.mark.parametrize("grids", ["512", "64,64,128", "64,128,512"])
+def test_grid_ladder_refused_with_the_library_message(grids, capsys):
+    from dunklqm.grid import check_doubling_ladder
+
+    with pytest.raises(ValueError) as refused:
+        check_doubling_ladder([int(n) for n in grids.split(",")])
+    code, out, err = run(["spectrum", "--system", "oscillator",
+                          "--grids", grids], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (f"dunklqm spectrum: error: argument "
+                                    f"--grids: {refused.value}")
+
+
+@pytest.mark.parametrize("argv, driver", [
+    (["--system", "scarf", "--alpha", "0", "--beta", "2"], "eigh_tridiagonal"),
+    (["--system", "oscillator"], "eig_banded"),
+    (["--system", "scarf", "--alpha", "1", "--beta", "3"], "eig_banded"),
+    (["--system", "gegenbauer", "--mu", "1/2", "--alpha", "1"], "eig_banded"),
+])
+def test_spectrum_lapack_failure_is_a_usage_error(argv, driver, monkeypatch,
+                                                  capsys):
+    # each solver path: the tridiagonal driver, the banded driver with a
+    # selected range, all banded eigenvalues, and the composite scan
+    import numpy as np
+
+    from dunklqm import grid
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(grid, driver, fail)
+    code, out, err = run(["spectrum", *argv, "--grids", "64,128,256"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: eigenvalues did not converge\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -284,9 +321,9 @@ def test_spectrum_squared_supercharge_limit_below_grid_size(capsys):
 
 def test_relations_suite_fails_only_on_an_expected_identity(monkeypatch,
                                                            capsys):
-    from dunklqm import cli, susyqm
+    from dunklqm import cli
 
-    real = susyqm.verify_operator_relations
+    real = cli.verify_operator_relations
     code, out, err = run(["verify", "--suite", "relations"], capsys)
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == ("oracle checks: pass; printed-formula "
@@ -302,10 +339,10 @@ def test_relations_suite_fails_only_on_an_expected_identity(monkeypatch,
             return rep
         return report
 
-    monkeypatch.setattr(susyqm, "verify_operator_relations",
+    monkeypatch.setattr(cli, "verify_operator_relations",
                         flipped("q_squared_equals_h", "n/a"))
     assert cli._suite_relations(lambda msg: None) == (False, 4)
-    monkeypatch.setattr(susyqm, "verify_operator_relations",
+    monkeypatch.setattr(cli, "verify_operator_relations",
                         flipped("intertwine_X", "printed"))
     assert cli._suite_relations(lambda msg: None) == (True, 3)
 
@@ -323,15 +360,14 @@ def test_parameter_the_system_does_not_read_refused(argv, monkeypatch,
                                                     capsys):
     # refused before any problem or family is built, even at a value that
     # equals a default the choice does not read
-    from dunklqm import opalg, spectra
+    from dunklqm import cli
 
     def no_work(*args):
         raise AssertionError("work done for a refused command")
 
-    for module, name in ((opalg, "verify_family"), (spectra, "scarf_problem"),
-                         (spectra, "oscillator_problem"),
-                         (spectra, "gegenbauer_problem")):
-        monkeypatch.setattr(module, name, no_work)
+    for name in ("verify_family", "scarf_problem", "oscillator_problem",
+                 "gegenbauer_problem"):
+        monkeypatch.setattr(cli, name, no_work)
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
@@ -420,14 +456,14 @@ def test_out_into_missing_directory_or_onto_directory_usage_error(
 @pytest.mark.parametrize("target", ["", "missing/", "existing-file/x"])
 def test_out_path_that_cannot_be_written_is_refused_before_work(
         argv, target, tmp_path, capsys, monkeypatch):
-    from dunklqm import cli, errata, grid, opalg
+    from dunklqm import cli
 
     def no_work(*args, **kwargs):
         raise AssertionError("the command ran before its --out was refused")
 
-    for module, name in ((opalg, "verify_family"), (cli, "_suite_exact"),
-                         (grid, "convergence_study"), (errata, "errata_json")):
-        monkeypatch.setattr(module, name, no_work)
+    for name in ("verify_family", "_suite_exact", "convergence_study",
+                 "errata_json"):
+        monkeypatch.setattr(cli, name, no_work)
     (tmp_path / "existing-file").write_text("")
     path = "" if not target else str(tmp_path) + os.sep + target
     code, out, err = run([*argv, "--out", path], capsys)
@@ -486,3 +522,33 @@ print(codes, "scipy.special" in sys.modules)
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[0,", "0]", "False"]
+
+
+def test_parser_shape():
+    # option strings per subcommand and the order of each choice set, as the
+    # usage and "invalid choice" messages show them
+    import argparse
+
+    from dunklqm.cli import build_parser
+
+    sub, = [a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    options = {name: [s for a in p._actions for s in a.option_strings]
+               for name, p in sub.choices.items()}
+    assert options == {
+        "family": ["-h", "--help", "--kind", "--alpha", "--beta", "--mu",
+                   "--degree", "--format", "--out"],
+        "verify": ["-h", "--help", "--suite", "--degree", "--out"],
+        "spectrum": ["-h", "--help", "--system", "--alpha", "--beta", "--mu",
+                     "--levels", "--grids", "--tol", "--format", "--out"],
+        "errata": ["-h", "--help", "--out"],
+    }
+    choices = {(name, a.dest): list(a.choices)
+               for name, p in sub.choices.items() for a in p._actions
+               if a.dest in ("kind", "system", "suite")}
+    assert choices == {
+        ("family", "kind"): ["jacobi-m1", "gegenbauer"],
+        ("verify", "suite"): ["all", "exact", "jacobi", "gegenbauer",
+                              "oscillator", "intertwiners", "relations"],
+        ("spectrum", "system"): ["scarf", "oscillator", "gegenbauer"],
+    }

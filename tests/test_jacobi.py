@@ -200,3 +200,31 @@ def test_kappa_even_spec_value():
     p = construct_explicit(2, pr)
     assert p.coeffs[-1] == 1  # monic because kappa matches the leading factor
     assert pochhammer(F(1), 1) == 1
+
+
+@pytest.mark.parametrize("a", [-1, -3, -5])
+def test_explicit_form_refuses_a_nonpositive_integer_denominator(a):
+    # (a+1)/2 a nonpositive integer: construct_explicit refuses it, and the
+    # family battery never reaches the explicit form, since its Gram
+    # recurrence divides by zero first
+    family = unchecked(Jacobi1Params, a, 0)
+    with pytest.raises(ValueError, match="nonpositive integer"):
+        construct_explicit(1, family)
+    with pytest.raises(ZeroDivisionError):
+        verify_family(family, 6)
+
+
+def test_errata_explicit_entry_reads_the_oracle_without_a_family_battery(
+        monkeypatch):
+    from dunklqm import errata, opalg
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = opalg.gram_sequence
+    monkeypatch.setattr(opalg, "gram_sequence", counted)
+    errata.build_errata()
+    assert calls == []

@@ -290,7 +290,7 @@ def test_raising_map_printed_scalar_fails():
 
 
 def test_raising_map_runs_once_per_parameter_set(monkeypatch):
-    from dunklqm import cli, errata, susyqm
+    from dunklqm import cli, errata
 
     calls = []
 
@@ -298,7 +298,7 @@ def test_raising_map_runs_once_per_parameter_set(monkeypatch):
         calls.append((params.alpha, params.beta, max_n))
         return verify_raising(params, max_n)
 
-    monkeypatch.setattr(susyqm, "verify_raising", counting)
+    monkeypatch.setattr(cli, "verify_raising", counting)
     assert cli._suite_intertwiners(lambda msg: None, 12) == (True, 31)
     assert calls == [(a, b, 12) for a, b in FUZZ_PARAMS]
     calls.clear()
