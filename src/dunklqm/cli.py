@@ -375,8 +375,9 @@ def cmd_spectrum(args) -> int:
         print(f"error: method limit: {args.levels} levels requested, the "
               f"coarsest grid has {args.grids[0]} points", file=sys.stderr)
         return EXIT_USAGE
-    # parameters the problem refuses, method limits, LAPACK failures, and
-    # values that leave float range in the targets or on the grid all exit 2
+    # parameters the problem refuses, method limits, LAPACK failures, values
+    # that leave float range in the targets or on the grid, and grids too
+    # large for memory all exit 2
     try:
         with np.errstate(over="raise"):
             if args.system == "scarf":
@@ -390,6 +391,9 @@ def cmd_spectrum(args) -> int:
             rep = convergence_study(prob, args.grids)
     except (OverflowError, FloatingPointError) as exc:
         print(f"error: parameters beyond float range ({exc})", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -110,16 +110,23 @@ def gegenbauer_problem(params: GegParams, k: int) -> gridmod.Problem:
     def compute(n):
         g = gridmod.Grid(n, math.pi / 2)
         q = gridmod.supercharge_matrix(pot.u.f, pot.v.f, g).matrix
-        # one dense BLAS product: a banded Q^2 rounds differently and
-        # moves the levels by ~1e-10
-        h = 2.0 * (q @ q)
-        i = np.arange(n)
         diag, refl = _gegenbauer_corrections(params, g.nodes)
-        h[i, i] += diag
-        h[i, i[::-1]] += refl
+
+        def rows(r0, r1):
+            # rows of the dense BLAS product: a banded Q^2 rounds differently
+            # and moves the levels by ~1e-10. OpenBLAS sums each element over
+            # the inner index in an order set by N alone, so a block of rows
+            # times the whole Q equals those rows of Q @ Q bit for bit.
+            h = q[r0:r1] @ q
+            h *= 2.0
+            i = np.arange(r0, r1)
+            h[i - r0, i] += diag[i]
+            h[i - r0, n - 1 - i] += refl[i]
+            return h
+
         # Q has pair bandwidth 3 and Q^2 bandwidth 4
         return gridmod.composite_spectrum(
-            gridmod.GridOperator.from_dense(h, g, 4), k)
+            gridmod.GridOperator.from_rows(rows, g, 4), k)
 
     return gridmod.Problem(
         name="gegenbauer",

@@ -269,6 +269,24 @@ def test_spectrum_lapack_failure_is_a_usage_error(argv, driver, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [
+    ["--system", "scarf", "--alpha", "1", "--beta", "3"],
+    ["--system", "gegenbauer", "--mu", "1/2", "--alpha", "1"],
+])
+def test_spectrum_out_of_memory_is_a_usage_error(argv, monkeypatch, capsys):
+    # both paths that build the supercharge; no large array is allocated
+    from dunklqm import grid
+
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. MiB for an array")
+
+    monkeypatch.setattr(grid, "supercharge_matrix", fail)
+    code, out, err = run(["spectrum", *argv, "--grids", "64,128,256"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: out of memory (Unable to allocate 512. MiB for an "
+                   "array)\n")
+
+
+@pytest.mark.parametrize("argv", [
     # the pairwise-deduplicated Q spectrum has N/2 levels
     ["--system", "scarf", "--alpha", "1", "--beta", "3", "--levels", "200"],
     # fewer grid-smooth eigenvectors than requested levels

@@ -474,8 +474,11 @@ def _gegenbauer_operator(monkeypatch, mu, alpha, n, k):
     return seen[0]
 
 
-def test_gegenbauer_band_equals_dense_construction(monkeypatch):
-    mu, al, n = F(1, 2), F(1), 256
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("mu, al", [(F(1, 2), F(1)), (F(1, 2), F(0))])
+def test_gegenbauer_band_equals_dense_construction(mu, al, n, monkeypatch):
+    # the band is read from row blocks of Q @ Q; the reference forms the
+    # whole product at once
     op = _gegenbauer_operator(monkeypatch, mu, al, n, 3)
     g = Grid(n, math.pi / 2)
     q = _dense_supercharge(scarf_potential(ScarfParams(2 * mu, F(0))), g)
@@ -486,6 +489,39 @@ def test_gegenbauer_band_equals_dense_construction(monkeypatch):
     coeff = -m * (1.0 / (1.0 + np.cos(x)) + (2 * a + 1))
     h += coeff[:, None] * np.eye(n)[::-1]
     assert np.array_equal(op.band, _dense_band(0.5 * (h + h.T)))
+
+
+@pytest.mark.parametrize("n", [64, 600, 1024])
+def test_from_rows_equals_symmetrized_dense_band(n):
+    # one block, a short last block, several full blocks; M is not symmetric
+    bw = 3
+    rng = np.random.default_rng(n)
+    pair = np.triu(np.tril(rng.standard_normal((n, n)), bw), -bw)
+    order = [i for p in range(n // 2) for i in (p, n - 1 - p)]
+    m = np.empty((n, n))
+    m[np.ix_(order, order)] = pair
+    asked = []
+    op = gridmod.GridOperator.from_rows(
+        lambda r0, r1: asked.append((r0, r1)) or m[r0:r1], Grid(n, 1.0), bw)
+    assert np.array_equal(op.band, _dense_band(0.5 * (m + m.T)))
+    step = gridmod._ROW_BLOCK
+    assert asked == [(r, min(r + step, n)) for r in range(0, n, step)]
+    for wrong in (lambda r0, r1: m[r0:r1, 1:], lambda r0, r1: m[r0 + 1:r1]):
+        with pytest.raises(ValueError, match="shape"):
+            gridmod.GridOperator.from_rows(wrong, Grid(n, 1.0), bw)
+
+
+def test_gegenbauer_compute_never_holds_the_product():
+    # the dense Q operand is one 8 N^2 array; forming 2 Q @ Q whole
+    # reached twice that
+    n = 2048
+    tracemalloc.start()
+    try:
+        gegenbauer_problem(GegParams(F(1, 2), F(1)), 3).compute(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 @pytest.mark.parametrize("mu, alpha", [(F(1, 2), F(1)), (F(1), F(1, 4)),
