@@ -54,20 +54,20 @@ from .gegenbauer import (
     lop_geg,
 )
 from .susyqm import (
-    FockVector,
     ScarfParams,
     SusyPotential,
     gauged_supercharge,
     ground_state,
     intertwiner,
     osc_energy,
-    osc_mixed_state,
-    osc_q_apply,
+    osc_gauged_hamiltonian,
+    osc_gauged_supercharge,
     osc_wavefunction,
     oscillator_potential,
     scarf_energy,
     scarf_potential,
     verify_operator_relations,
+    verify_oscillator,
 )
 from .grid import (
     Grid,

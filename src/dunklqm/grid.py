@@ -539,6 +539,10 @@ class Problem:
     tolerance: float
     exponents: tuple
 
+    def __post_init__(self):
+        if not self.targets:
+            raise ValueError(f"{self.name}: a spectrum needs at least one level")
+
 
 @dataclass
 class SpectrumReport:

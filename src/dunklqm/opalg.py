@@ -579,6 +579,8 @@ def construct_eigen(n: int, family: OrthogonalFamily) -> Poly:
     Refuses degenerate spectra: if lambda_n collides with a lower eigenvalue
     the family member is not uniquely defined and we report rather than pick.
     """
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     lam = family.eigenvalue(n)
     m = eigenvalue_collision(n, family)
     if m is not None:

@@ -47,6 +47,13 @@ b-2 family with scalar b-1+[n+1]_a. The printed variants fail these maps
 but satisfy the product relation at the typeset parameter placement: the
 printed X at b+1 IS the corrected X at b, an off-by-one in b that the
 verification quantifies.
+
+The supersymmetric oscillator (U = 0, V = x) is checked exactly in the gauge
+psi = e^(-x^2/2) p, where ``osc_gauged_supercharge`` and
+``osc_gauged_hamiltonian`` are ``ReflOp``s and ``verify_oscillator`` tests
+Q^2 = H, the spectrum and the mixed-state blocks on the polynomials
+orthogonal for e^(-y^2). The coordinate forms that errata compares at float
+points (``osc_wavefunction``, ``hermite_superposition``) stay float.
 """
 
 from __future__ import annotations
@@ -71,9 +78,12 @@ from .opalg import (
     Poly,
     Reflect,
     ReflOp,
+    compose,
     construct_eigen,
     dunkl,
     eigen_sequence,
+    gram_sequence,
+    matrix_on_basis,
     unchecked,
 )
 
@@ -97,12 +107,10 @@ __all__ = [
     "scarf_relations",
     "exact_residual",
     "verify_operator_relations",
-    "FockVector",
-    "osc_q_apply",
-    "osc_h_apply",
-    "osc_r_apply",
     "osc_energy",
-    "osc_mixed_state",
+    "osc_gauged_supercharge",
+    "osc_gauged_hamiltonian",
+    "verify_oscillator",
     "osc_wavefunction",
     "hermite_superposition",
 ]
@@ -282,6 +290,8 @@ def verify_lowering(params: ScarfParams, max_n: int) -> list:
 
     Returns per-n booleans; all True for every valid parameter pair.
     """
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
     a, b = params.alpha, params.beta
     ps = _nondegenerate_sequence(params, max_n)
     targets = _nondegenerate_sequence(unchecked(Jacobi1Params, a, b + 2),
@@ -303,6 +313,8 @@ def verify_raising(params: ScarfParams, max_n: int) -> tuple[list, list]:
     target families (possible since the map lands at b - 2) are reported as
     skips (None) in both lists.
     """
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
     a, b = params.alpha, params.beta
     ps = _nondegenerate_sequence(params, max_n)
     targets = eigen_sequence(unchecked(Jacobi1Params, a, b - 2), max_n + 1)
@@ -526,68 +538,6 @@ def verify_operator_relations(params: ScarfParams, grids: tuple) -> list:
 # supersymmetric oscillator
 # ---------------------------------------------------------------------------
 
-class FockVector:
-    """Finite superposition of number states, float amplitudes."""
-
-    __slots__ = ("amps",)
-
-    def __init__(self, amps: dict | None = None):
-        self.amps = {int(n): float(c) for n, c in (amps or {}).items()
-                     if c != 0.0}
-        if any(n < 0 for n in self.amps):
-            raise ValueError("negative occupation number")
-
-    @staticmethod
-    def basis(n: int) -> "FockVector":
-        return FockVector({n: 1.0})
-
-    def scale(self, c: float) -> "FockVector":
-        return FockVector({n: c * v for n, v in self.amps.items()})
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        out = dict(self.amps)
-        for n, v in other.amps.items():
-            out[n] = out.get(n, 0.0) + v
-        return FockVector(out)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + other.scale(-1.0)
-
-    def inner(self, other: "FockVector") -> float:
-        return sum(v * other.amps.get(n, 0.0) for n, v in self.amps.items())
-
-    def norm(self) -> float:
-        return math.sqrt(self.inner(self))
-
-    def distance(self, other: "FockVector") -> float:
-        return (self - other).norm()
-
-
-def _a_apply(v: FockVector) -> FockVector:
-    return FockVector({n - 1: math.sqrt(n) * c
-                       for n, c in v.amps.items() if n >= 1})
-
-
-def _adag_apply(v: FockVector) -> FockVector:
-    return FockVector({n + 1: math.sqrt(n + 1) * c for n, c in v.amps.items()})
-
-
-def osc_r_apply(v: FockVector) -> FockVector:
-    return FockVector({n: (c if n % 2 == 0 else -c) for n, c in v.amps.items()})
-
-
-def osc_q_apply(v: FockVector) -> FockVector:
-    """Q = [(a - a^dag) R + a + a^dag] / 2."""
-    rv = osc_r_apply(v)
-    out = _a_apply(rv) - _adag_apply(rv) + _a_apply(v) + _adag_apply(v)
-    return out.scale(0.5)
-
-
-def osc_h_apply(v: FockVector) -> FockVector:
-    """H = a^dag a + (1 - R)/2."""
-    return _adag_apply(_a_apply(v)) + (v - osc_r_apply(v)).scale(0.5)
-
-
 def osc_energy(n: int) -> int:
     """n + (1 - (-1)^n)/2: even numbers, doubly degenerate above zero."""
     if n < 0:
@@ -595,18 +545,61 @@ def osc_energy(n: int) -> int:
     return n + (1 - (-1) ** n) // 2
 
 
-def osc_mixed_state(n: int, eps: int) -> FockVector:
-    """(|2n+1> + eps |2n+2>)/2: Q-eigenvector with eigenvalue eps sqrt(2n+2).
-
-    Kept with the 1/2 prefactor as displayed; its norm is 1/sqrt(2), which
-    the oscillator report records rather than silently renormalizing.
-    """
-    if eps not in (+1, -1):
-        raise ValueError("eps must be +-1")
-    return FockVector({2 * n + 1: 0.5, 2 * n + 2: 0.5 * eps})
-
-
 _HALF = Fraction(1, 2)
+_Y = MulPoly(Poly((0, 1)))
+_OSC_DEGREE = 12
+
+
+def osc_gauged_supercharge() -> ReflOp:
+    """sqrt(2) Qtilde = D R + y(1 - R), D = d/dy: the supercharge
+    Q = [(a - a^dag) R + a + a^dag]/2 = (d/dx R + x)/sqrt(2) in the gauge
+    psi = e^(-x^2/2) p, as R commutes with the Gaussian and
+    e^(x^2/2) d/dx e^(-x^2/2) = D - y."""
+    return ReflOp([(1, (Diff, Reflect)), (1, (_Y,)), (-1, (_Y, Reflect))])
+
+
+def osc_gauged_hamiltonian() -> ReflOp:
+    """2 Htilde = 2y D - D^2 + (1 - R): 2H = 2 a^dag a + 1 - R =
+    -d^2/dx^2 + x^2 - R in the same gauge, where d^2/dx^2 becomes
+    (D - y)^2 = D^2 - 2y D + y^2 - 1. On y^n it is 2 ``osc_energy(n)``
+    plus lower degrees."""
+    return ReflOp([(2, (_Y, Diff)), (-1, (Diff, Diff)), (1, ()),
+                   (-1, (Reflect,))])
+
+
+def verify_oscillator() -> dict:
+    """Exact verdicts on the eigenfunctions e^(-x^2/2) P_n, with P_0..P_12
+    and ||P_n||^2 = n!/2^n from ``gram_sequence`` on the moments of e^(-y^2)
+    (c_2k = (1/2)_k, odd ones 0: the mu = 0 generalized Hermite family).
+
+    ``q_squared_equals_h``: (sqrt(2) Qtilde)^2 = 2 Htilde on 1, y, ..., y^12.
+    ``spectrum``: 2 Htilde P_n = 2 osc_energy(n) P_n for n <= 12.
+    ``mixed_state_blocks``: for n <= 5, sqrt(2) Qtilde maps P_(2n+1) to
+    2 P_(2n+2) and P_(2n+2) to 2(n+1) P_(2n+1), and both squared elements of
+    Qtilde between the normalized states are 2n+2. On them Q is then
+    [[0, s], [s, 0]], s = sqrt(2n+2), and (|2n+1> + eps |2n+2>)/2 has
+    eigenvalue eps s.
+    """
+    q, h = osc_gauged_supercharge(), osc_gauged_hamiltonian()
+    moments = [pochhammer(_HALF, k // 2) if k % 2 == 0 else Fraction(0)
+               for k in range(2 * _OSC_DEGREE + 1)]
+    gram = gram_sequence(moments, _OSC_DEGREE)
+
+    def block(n: int) -> bool:
+        (odd, odd_sq), (even, even_sq) = gram[2 * n + 1], gram[2 * n + 2]
+        up, down = 2, 2 * (n + 1)
+        return (q.apply(odd) == even.scale(up)
+                and q.apply(even) == odd.scale(down)
+                and up * up * even_sq / (2 * odd_sq) == 2 * n + 2
+                and down * down * odd_sq / (2 * even_sq) == 2 * n + 2)
+
+    return {
+        "q_squared_equals_h": matrix_on_basis(compose(q, q), _OSC_DEGREE)
+        == matrix_on_basis(h, _OSC_DEGREE),
+        "spectrum": all(h.apply(p) == p.scale(2 * osc_energy(n))
+                        for n, (p, _) in enumerate(gram)),
+        "mixed_state_blocks": all(block(n) for n in range(6)),
+    }
 
 
 def _laguerre(n: int, alpha: Fraction, t):

@@ -11,6 +11,7 @@ import pytest
 import dunklqm
 from dunklqm.cli import main
 from dunklqm.gegenbauer import GEG_FUZZ_PARAMS
+from dunklqm.opalg import Diff, MulPoly, Poly, Reflect, ReflOp
 
 
 def run(argv, capsys):
@@ -106,6 +107,26 @@ def test_verify_oscillator_suite(capsys):
     code, out, _ = run(["verify", "--suite", "oscillator"], capsys)
     assert code == 0
     assert "Q^2 = H" in out
+
+
+_Y = MulPoly(Poly((0, 1)))
+
+
+@pytest.mark.parametrize("name, mutant", [
+    # 2 Htilde without its (1 - R) term
+    ("osc_gauged_hamiltonian",
+     ReflOp([(2, (_Y, Diff)), (-1, (Diff, Diff))])),
+    # sqrt(2) Qtilde without y(1 - R)
+    ("osc_gauged_supercharge", ReflOp([(1, (Diff, Reflect))])),
+], ids=["hamiltonian-without-1-R", "supercharge-without-y-1-R"])
+def test_verify_oscillator_suite_fails_on_a_mutated_operator(
+        name, mutant, monkeypatch, capsys):
+    from dunklqm import susyqm
+
+    monkeypatch.setattr(susyqm, name, lambda: mutant)
+    code, out, _ = run(["verify", "--suite", "oscillator"], capsys)
+    assert code == 1
+    assert "FAIL" in out
 
 
 def test_verify_jacobi_counts_discrepancies(capsys):

@@ -294,6 +294,20 @@ def test_convergence_flag_true_false_or_unknown(ladder, order, converged):
     assert json.loads(rep.to_json())["levels"][0]["converged"] is converged
 
 
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("build", [
+    lambda k: scarf_problem(ScarfParams(1, 3), k),
+    lambda k: scarf_problem(ScarfParams(0, 2), k),
+    oscillator_problem,
+    lambda k: gegenbauer_problem(GegParams(F(1, 2), 1), k),
+], ids=["scarf-1-3", "scarf-0-2", "oscillator", "gegenbauer"])
+def test_problem_without_levels_is_refused(build, k):
+    # an empty report would pass all_within_tolerance; scipy and numpy
+    # would otherwise refuse some of these with their own messages
+    with pytest.raises(ValueError, match="at least one level"):
+        build(k)
+
+
 @pytest.mark.parametrize("ladder", [(256, 768, 2304), (100, 300, 900),
                                     (8, 16, 64), (32, 16, 8)])
 def test_convergence_study_refuses_non_doubling_ladder(ladder):

@@ -294,6 +294,13 @@ def test_eigen_sequence_marks_collisions_with_none():
         Poly.one(), Poly.monomial(1), None, Poly.monomial(3)]
 
 
+def test_construct_eigen_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="nonnegative"):
+        construct_eigen(-1, ScarfParams(1, 3))
+    # the empty sequence stays: verify_lowering(p, 0) reads it for b+2
+    assert eigen_sequence(ScarfParams(1, 3), -1) == []
+
+
 def test_eigenvalue_formula_disagreeing_with_diagonal_is_refused():
     # y d/dy has eigenvalue 1 on y, not 2
     with pytest.raises(DegenerateSpectrumError, match="inconsistent"):

@@ -25,7 +25,6 @@ from dunklqm.opalg import (
     unchecked,
 )
 from dunklqm.susyqm import (
-    FockVector,
     ScarfParams,
     SusyPotential,
     _TEST_FNS,
@@ -38,10 +37,8 @@ from dunklqm.susyqm import (
     hermite_superposition,
     intertwiner,
     osc_energy,
-    osc_h_apply,
-    osc_mixed_state,
-    osc_q_apply,
-    osc_r_apply,
+    osc_gauged_hamiltonian,
+    osc_gauged_supercharge,
     osc_wavefunction,
     oscillator_potential,
     scarf_H_parts_explicit,
@@ -264,6 +261,23 @@ def test_maps_refuse_a_degenerate_source_family():
         verify_lowering(p, 4)
     with pytest.raises(DegenerateSpectrumError, match="degree 1 "):
         verify_raising(p, 4)
+
+
+def test_lowering_check_refuses_a_negative_degree():
+    # an empty verdict list would read as a pass under all()
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_lowering(pars(1, 3), -1)
+    assert verify_lowering(pars(1, 3), 0) == [True]
+
+
+def test_raising_check_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_raising(pars(1, 3), -1)
+
+
+def test_wavefunction_refuses_a_negative_level():
+    with pytest.raises(ValueError, match="nonnegative"):
+        wavefunction_fn(-1, pars(1, 3))
 
 
 def test_unchecked_scarf_params_continue_the_family_past_its_domain():
@@ -671,15 +685,25 @@ def test_q_matrix_squared_matches_h_matrix_order():
 
 # -- oscillator ---------------------------------------------------------------
 
+def _monic_hermite(degree):
+    """[(P_n, ||P_n||^2)] for n <= degree: the monic polynomials orthogonal
+    for e^(-y^2) from P_(n+1) = y P_n - (n/2) P_(n-1), and their squared
+    norms n!/2^n for the weight of unit mass."""
+    y, ps = Poly((0, 1)), [Poly.one(), Poly((0, 1))]
+    while len(ps) <= degree:
+        n = len(ps) - 1
+        ps.append(y * ps[n] - ps[n - 1].scale(F(n, 2)))
+    return [(p, F(math.factorial(n), 2 ** n)) for n, p in enumerate(ps)]
+
+
 def test_osc_q_action_matches_closed_form():
-    for n in range(13):
-        v = FockVector.basis(n)
-        img = osc_q_apply(v)
-        if n % 2 == 0:
-            expected = FockVector({n - 1: math.sqrt(n)}) if n else FockVector()
-        else:
-            expected = FockVector({n + 1: math.sqrt(n + 1)})
-        assert img.distance(expected) < 1e-12
+    # sqrt(2) Qtilde: P_0 -> 0, P_(2n+1) -> 2 P_(2n+2), P_(2n+2) -> 2(n+1) P_(2n+1)
+    q = osc_gauged_supercharge()
+    ps = [p for p, _ in _monic_hermite(14)]
+    assert q.apply(ps[0]) == Poly.zero()
+    for m in range(1, 14):
+        expected = ps[m + 1].scale(2) if m % 2 else ps[m - 1].scale(m)
+        assert q.apply(ps[m]) == expected
 
 
 def test_osc_energy_values():
@@ -689,25 +713,53 @@ def test_osc_energy_values():
 
 
 def test_osc_h_reproduces_energies_and_q_squared():
-    for n in range(13):
-        v = FockVector.basis(n)
-        hv = osc_h_apply(v)
-        assert hv.distance(v.scale(osc_energy(n))) < 1e-12
-        qqv = osc_q_apply(osc_q_apply(v))
-        assert qqv.distance(hv) < 1e-12
+    q, h = osc_gauged_supercharge(), osc_gauged_hamiltonian()
+    for n, (p, _) in enumerate(_monic_hermite(13)):
+        hp = h.apply(p)
+        assert hp == p.scale(2 * osc_energy(n))
+        assert q.apply(q.apply(p)) == hp
 
 
 def test_osc_mixed_states():
+    # On the normalized pair |2n+1>, |2n+2> (the Gaussian times
+    # P_m / ||P_m||), Qtilde has the matrix [[0, s], [s', 0]]; s = s' > 0
+    # with s^2 = 2n+2 makes (|2n+1> + eps |2n+2>)/2 an eigenvector with
+    # eigenvalue eps sqrt(2n+2).
+    q, hermite = osc_gauged_supercharge(), _monic_hermite(12)
     for n in range(6):
+        (odd, odd_sq), (even, even_sq) = hermite[2 * n + 1], hermite[2 * n + 2]
+        up = q.apply(odd).coeff(2 * n + 2)     # sqrt(2) Qtilde P_odd = up P_even
+        down = q.apply(even).coeff(2 * n + 1)  # sqrt(2) Qtilde P_even = down P_odd
+        assert q.apply(odd) == even.scale(up) and up > 0
+        assert q.apply(even) == odd.scale(down) and down > 0
+        assert up ** 2 * even_sq / (2 * odd_sq) == 2 * n + 2
+        assert down ** 2 * odd_sq / (2 * even_sq) == 2 * n + 2
+        # R (|2n+1> + eps |2n+2>) = -(|2n+1> - eps |2n+2>): the Gaussian is
+        # even, so R acts on the polynomial part
         for eps in (+1, -1):
-            st = osc_mixed_state(n, eps)
-            assert abs(st.norm() - 1 / math.sqrt(2)) < 1e-14
-            qs = osc_q_apply(st)
-            assert qs.distance(st.scale(eps * math.sqrt(2 * n + 2))) < 1e-12
-            assert osc_r_apply(st).distance(
-                osc_mixed_state(n, -eps).scale(-1)) < 1e-14
-    with pytest.raises(ValueError):
-        osc_mixed_state(0, 2)
+            assert (odd + even.scale(eps)).reflect() == -(odd + even.scale(-eps))
+
+
+def test_osc_gauged_operators_match_the_potential():
+    # e^(-x^2/2) (sqrt(2) Qtilde p) / sqrt(2) = Q psi and
+    # e^(-x^2/2) (2 Htilde p) / 2 = H psi for psi = e^(-x^2/2) p, with Q and H
+    # those of oscillator_potential
+    pot = oscillator_potential()
+    q, h = osc_gauged_supercharge(), osc_gauged_hamiltonian()
+    x = np.linspace(-3.0, 3.0, 61)
+    g = np.exp(-x ** 2 / 2)
+    for p, _ in _monic_hermite(6):
+        d1, d2 = p.deriv(), p.deriv().deriv()
+        u = refc.ProbeFn(lambda t, p=p: np.exp(-t ** 2 / 2) * p(t),
+                         lambda t, p=p, d1=d1: np.exp(-t ** 2 / 2)
+                         * (d1(t) - t * p(t)),
+                         lambda t, p=p, d1=d1, d2=d2: np.exp(-t ** 2 / 2)
+                         * (d2(t) - 2 * t * d1(t) + (t ** 2 - 1) * p(t)))
+        np.testing.assert_allclose(pot.supercharge().apply(u, x),
+                                   g * q.apply(p)(x) / math.sqrt(2),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(pot.hamiltonian().apply(u, x),
+                                   g * h.apply(p)(x) / 2, rtol=1e-12, atol=1e-12)
 
 
 def test_osc_wavefunction_vs_hermite_n0():

@@ -19,8 +19,11 @@ COMMANDS = (
     ["spectrum", "--system", "oscillator", "--grids", "64,128,256"],
     ["spectrum", "--system", "gegenbauer", "--mu", "1/2", "--alpha", "1",
      "--grids", "128,256,512"],
-    # the only command here that composes and applies refcalc operators
+    # composes and applies refcalc operators on a grid ladder
     ["verify", "--suite", "relations"],
+    # the one command that runs the Laguerre and Hermite evaluators and
+    # quadrature
+    ["errata"],
 )
 
 
@@ -59,7 +62,8 @@ def test_traced_run_matches_untraced_and_uninstall_restores(capsys):
         tracer.uninstall()
     assert traced == untraced
     assert tracer.calls["grid.lapack"] > 0
-    assert tracer.calls["spectra.compute"] == 6
+    # three grids for each spectrum, one Gegenbauer grid for errata
+    assert tracer.calls["spectra.compute"] == 7
     assert tracer.calls["refcalc"] > 0
     after = _bindings(tracer_mod)
     changed = [f"{getattr(owner, '__name__', owner)}.{attr}"
