@@ -345,7 +345,8 @@ def _oscillator_hermite_normalization() -> dict:
 
 
 def _mixed_state_prefactor() -> dict:
-    # from the displayed coefficients 1/2 of |1> and |2> in (|1> + |2>)/2
+    # a displayed-coefficient constant, not a measurement: the norm of
+    # (|1> + |2>)/2 over orthonormal |1>, |2> is sqrt((1/2)^2 + (1/2)^2)
     return _entry(
         "oscillator-mixed-state-prefactor",
         "oscillator/mixed-state-prefactor",

@@ -19,12 +19,13 @@ from dunklqm.jacobi import (
     norm_sq_closed,
     norm_sq_from_normalization,
 )
-from dunklqm.opalg import construct_eigen, inner
+from dunklqm.opalg import Poly, construct_eigen, inner
 from dunklqm.spectra import gegenbauer_problem, oscillator_problem, scarf_problem
 from dunklqm.susyqm import (
     ScarfParams,
     gauged_supercharge,
     hermite_superposition,
+    osc_gauged_supercharge,
     osc_wavefunction,
     scarf_energy,
     supercharge_eigenvalue_scaled,
@@ -213,6 +214,18 @@ def test_criterion_9_oscillator_algebra():
     # exact, in the gauged picture: Q^2 = H, the spectrum (n<=12) and the
     # 2x2 blocks that make the mixed states Q-eigenvectors (n<=5)
     ok = all(verify_oscillator().values())
+    # the n=6 block, past verify_oscillator's degree 12: sqrt(2) Qtilde maps
+    # P_13 -> 2 P_14 and P_14 -> 14 P_13, with P_(m+1) = y P_m - (m/2) P_(m-1)
+    # and ||P_m||^2 = m!/2^m, so both squared elements of Qtilde are 14
+    y, ps = Poly((0, 1)), [Poly.one(), Poly((0, 1))]
+    for m in range(1, 14):
+        ps.append(y * ps[m] - ps[m - 1].scale(F(m, 2)))
+    sq13, sq14 = F(math.factorial(13), 2 ** 13), F(math.factorial(14), 2 ** 14)
+    q = osc_gauged_supercharge()
+    ok = (ok and q.apply(ps[13]) == ps[14].scale(2)
+          and q.apply(ps[14]) == ps[13].scale(14)
+          and 2 ** 2 * sq14 / (2 * sq13) == 14
+          and 14 ** 2 * sq13 / (2 * sq14) == 14)
     # pointwise agreement with the Hermite superposition at n=0 up to one
     # global constant (recorded: sqrt(2), under the epsilon pairing -eps)
     const = osc_wavefunction(0, 1, 0.5) / hermite_superposition(0, -1, 0.5)
@@ -223,6 +236,6 @@ def test_criterion_9_oscillator_algebra():
             if abs(lhs - rhs) > 1e-10:
                 ok = False
     _report(9, ok, f"Q^2 = H exactly (n<=12); mixed states are eigenvectors "
-                   f"with eigenvalue eps*sqrt(2n+2); Laguerre form matches the "
-                   f"Hermite superposition at n=0 with recorded constant "
-                   f"{const:.12f}")
+                   f"with eigenvalue eps*sqrt(2n+2) (n<=6); Laguerre form "
+                   f"matches the Hermite superposition at n=0 with recorded "
+                   f"constant {const:.12f}")

@@ -20,6 +20,7 @@ from dunklqm.jacobi import (
 from dunklqm.opalg import (
     DegenerateSpectrumError,
     Poly,
+    compose,
     construct_eigen,
     matrix_on_basis,
     unchecked,
@@ -699,9 +700,9 @@ def _monic_hermite(degree):
 def test_osc_q_action_matches_closed_form():
     # sqrt(2) Qtilde: P_0 -> 0, P_(2n+1) -> 2 P_(2n+2), P_(2n+2) -> 2(n+1) P_(2n+1)
     q = osc_gauged_supercharge()
-    ps = [p for p, _ in _monic_hermite(14)]
+    ps = [p for p, _ in _monic_hermite(15)]
     assert q.apply(ps[0]) == Poly.zero()
-    for m in range(1, 14):
+    for m in range(1, 15):
         expected = ps[m + 1].scale(2) if m % 2 else ps[m - 1].scale(m)
         assert q.apply(ps[m]) == expected
 
@@ -718,6 +719,8 @@ def test_osc_h_reproduces_energies_and_q_squared():
         hp = h.apply(p)
         assert hp == p.scale(2 * osc_energy(n))
         assert q.apply(q.apply(p)) == hp
+    # the same identity as operators on 1, y, ..., y^12
+    assert matrix_on_basis(compose(q, q), 12) == matrix_on_basis(h, 12)
 
 
 def test_osc_mixed_states():
@@ -725,8 +728,8 @@ def test_osc_mixed_states():
     # P_m / ||P_m||), Qtilde has the matrix [[0, s], [s', 0]]; s = s' > 0
     # with s^2 = 2n+2 makes (|2n+1> + eps |2n+2>)/2 an eigenvector with
     # eigenvalue eps sqrt(2n+2).
-    q, hermite = osc_gauged_supercharge(), _monic_hermite(12)
-    for n in range(6):
+    q, hermite = osc_gauged_supercharge(), _monic_hermite(14)
+    for n in range(7):
         (odd, odd_sq), (even, even_sq) = hermite[2 * n + 1], hermite[2 * n + 2]
         up = q.apply(odd).coeff(2 * n + 2)     # sqrt(2) Qtilde P_odd = up P_even
         down = q.apply(even).coeff(2 * n + 1)  # sqrt(2) Qtilde P_even = down P_odd
