@@ -48,6 +48,7 @@ from .jacobi import (
 )
 from .gegenbauer import (
     GegParams,
+    HermiteParams,
     csm_two_particle_check,
     eigenvalue_geg,
     geg_potentials,

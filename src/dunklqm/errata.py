@@ -13,17 +13,17 @@ from fractions import Fraction as F
 import numpy as np
 
 from . import grid as gridmod
-from .gegenbauer import GegParams, eigenvalue_geg, geg_potentials
+from .gegenbauer import GegParams, HermiteParams, eigenvalue_geg, geg_potentials
 from .jacobi import Jacobi1Params, construct_explicit
-from .opalg import dunkl, eigen_sequence
+from .opalg import dunkl, eigen_sequence, gram_sequence, inner
 from .spectra import gegenbauer_problem
 from .susyqm import (
     ScarfParams,
     bracket_n,
     exact_residual,
     ground_state_norm_sq,
-    hermite_superposition,
     intertwiner,
+    osc_state_fn,
     osc_wavefunction,
     scarf_relations,
     verify_lowering,
@@ -306,10 +306,14 @@ def _gegenbauer_eigenvalue_sign(spec: list) -> dict:
 
 
 def _oscillator_laguerre_weight() -> dict:
+    def superposition(n, eps, x):  # (psi_(2n+1) + eps psi_(2n+2))/2
+        psi_odd, psi_even = osc_state_fn(2 * n + 1), osc_state_fn(2 * n + 2)
+        return float(psi_odd(x) + eps * psi_even(x)) / 2
+
     ratios_printed = [float(osc_wavefunction(1, 1, x)
-                            / hermite_superposition(1, -1, x)) for x in (0.4, 0.9)]
+                            / superposition(1, -1, x)) for x in (0.4, 0.9)]
     ratios_corr = [float(osc_wavefunction(n, 1, 0.7, "corrected")
-                         / hermite_superposition(n, -1, 0.7)) for n in range(3)]
+                         / superposition(n, -1, 0.7)) for n in range(3)]
     norms = [gridmod.quadrature(lambda x: osc_wavefunction(n, 1, x) ** 2, 10.0)
              for n in range(3)]
     return _entry(
@@ -345,8 +349,11 @@ def _oscillator_hermite_normalization() -> dict:
 
 
 def _mixed_state_prefactor() -> dict:
-    # a displayed-coefficient constant, not a measurement: the norm of
-    # (|1> + |2>)/2 over orthonormal |1>, |2> is sqrt((1/2)^2 + (1/2)^2)
+    # |(psi_1 + psi_2)/2|^2 = (2 + 2 <psi_1, psi_2>)/4 for psi_m = P_m/||P_m||,
+    # from the exact Gram data: inner(P_1, P_2) = 0, so it prints sqrt(1/2)
+    c = HermiteParams(0).moments(5)
+    (p1, sq1), (p2, sq2) = gram_sequence(c, 2)[1:]
+    overlap = float(inner(p1, p2, c)) / math.sqrt(float(sq1 * sq2))
     return _entry(
         "oscillator-mixed-state-prefactor",
         "oscillator/mixed-state-prefactor",
@@ -354,7 +361,8 @@ def _mixed_state_prefactor() -> dict:
         "1/sqrt(2) would normalize; the displayed coordinate form is "
         "separately normalized to (n+2)/2^(2n+1)",
         {
-            "measured_norm_of_half_prefactor_state": math.sqrt(0.5**2 + 0.5**2),
+            "measured_norm_of_half_prefactor_state":
+                math.sqrt((2 + 2 * overlap) / 4),
         },
         "recorded: prefactor and coordinate form use different normalizations",
     )

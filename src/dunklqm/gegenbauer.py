@@ -19,6 +19,11 @@ discrepancy can be measured rather than hidden.
 
 ``GegParams`` supplies the family's math to the generic battery of
 ``opalg``; being symmetric, the family is also checked for parity.
+
+``HermiteParams`` is the other symmetric family on T_mu: the generalized
+Hermite polynomials of the Bose-like oscillator (Rosenblum, Oper. Theory
+Adv. Appl. 73, 1994), orthogonal for |y|^(2 mu) e^(-y^2) on the line; at
+mu = 0 they are H_n/2^n, the supersymmetric oscillator's polynomials.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .opalg import MulPoly, OrthogonalFamily, Poly, ReflOp, compose, dunkl
 
 __all__ = [
     "GegParams",
+    "HermiteParams",
     "lop_geg",
     "eigenvalue_geg",
     "geg_potentials",
@@ -39,6 +45,8 @@ __all__ = [
     "csm_two_particle_check",
     "GEG_FUZZ_PARAMS",
 ]
+
+_Y = ReflOp.from_primitive(MulPoly(Poly((0, 1))))
 
 GEG_FUZZ_PARAMS = (
     (Fraction(1, 2), Fraction(1)),
@@ -83,12 +91,52 @@ class GegParams(OrthogonalFamily):
         return lower[-2] * ratio
 
 
+@dataclass(frozen=True)
+class HermiteParams(OrthogonalFamily):
+    """L = T_mu^2 - 2y T_mu. As T_mu y^n = (n + 2 mu [n odd]) y^(n-1), L
+    keeps the degree, with eigenvalue -2n for even n and -2(n + 2 mu) for
+    odd n: at a half-odd-integer mu the even degree n + 2 mu collides with
+    the odd degree n."""
+
+    mu: Fraction
+
+    family_name = "generalized-hermite"
+    symmetric = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "mu", rat(self.mu))
+        if self.mu <= Fraction(-1, 2):
+            raise ValueError("integrable weight requires mu > -1/2")
+
+    def operator(self) -> ReflOp:
+        t = dunkl(self.mu)
+        return compose(t, t) - compose(_Y, t).scale(2)
+
+    def eigenvalue(self, n: int) -> Fraction:
+        return Fraction(-2 * n) if n % 2 == 0 else -2 * (n + 2 * self.mu)
+
+    def next_moment(self, lower: list) -> Fraction:
+        """Moments of the weight, normalized to m_0 = 1: odd ones vanish,
+        and m_{2k}/m_{2k-2} = mu + k - 1/2."""
+        if len(lower) % 2 == 1:
+            return Fraction(0)
+        return lower[-2] * (self.mu + len(lower) // 2 - Fraction(1, 2))
+
+    def recurrence(self, k: int) -> Fraction:
+        """b_k of P_(k+1) = y P_k - b_k P_(k-1): k/2 + mu [k odd] (a_k = 0)."""
+        return Fraction(k, 2) + (self.mu if k % 2 else 0)
+
+    def norm_sq(self, n: int) -> Fraction:
+        """||P_n||^2 = b_1 ... b_n for the moments normalized to m_0 = 1."""
+        return math.prod((self.recurrence(k) for k in range(1, n + 1)),
+                         start=Fraction(1))
+
+
 def lop_geg(params: GegParams) -> ReflOp:
     """L = (1-y^2) T_mu^2 - 2(alpha+1) y T_mu, degree preserving."""
     t = dunkl(params.mu)
     first = compose(ReflOp.from_primitive(MulPoly(Poly((1, 0, -1)))), compose(t, t))
-    second = compose(ReflOp.from_primitive(MulPoly(Poly((0, 1)))), t)
-    return first + second.scale(-2 * (params.alpha + 1))
+    return first + compose(_Y, t).scale(-2 * (params.alpha + 1))
 
 
 def eigenvalue_geg(n: int, params: GegParams) -> Fraction:

@@ -51,9 +51,10 @@ verification quantifies.
 The supersymmetric oscillator (U = 0, V = x) is checked exactly in the gauge
 psi = e^(-x^2/2) p, where ``osc_gauged_supercharge`` and
 ``osc_gauged_hamiltonian`` are ``ReflOp``s and ``verify_oscillator`` tests
-Q^2 = H, the spectrum and the mixed-state blocks on the polynomials
-orthogonal for e^(-y^2). The coordinate forms that errata compares at float
-points (``osc_wavefunction``, ``hermite_superposition``) stay float.
+Q^2 = H, the spectrum and the mixed-state blocks on the polynomials P_n of
+``gegenbauer.HermiteParams(0)``, orthogonal for e^(-y^2). The float
+evaluators ``osc_state_fn`` (the orthonormal e^(-x^2/2) P_m) and
+``osc_wavefunction`` (the printed Laguerre form) read the same P_n.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import hermite as nph
 
 from . import grid as gridmod
 from . import refcalc as refc
 from .exact import DomainError, beta_num, pochhammer, rat
+from .gegenbauer import HermiteParams
 from .jacobi import Jacobi1Params, eigenvalue, lop, norm_sq_closed
 from .opalg import (
     DegenerateSpectrumError,
@@ -109,8 +110,8 @@ __all__ = [
     "osc_gauged_supercharge",
     "osc_gauged_hamiltonian",
     "verify_oscillator",
+    "osc_state_fn",
     "osc_wavefunction",
-    "hermite_superposition",
 ]
 
 
@@ -543,7 +544,6 @@ def osc_energy(n: int) -> int:
     return n + (1 - (-1) ** n) // 2
 
 
-_HALF = Fraction(1, 2)
 _Y = MulPoly(Poly((0, 1)))
 _OSC_DEGREE = 12
 
@@ -565,10 +565,39 @@ def osc_gauged_hamiltonian() -> ReflOp:
                    (-1, (Reflect,))])
 
 
+def _osc_values(m: int, x) -> list:
+    """[P_0(x), ..., P_m(x)] by the three-term recurrence of
+    ``HermiteParams(0)``; an array is evaluated bit for bit as its floats one
+    by one. On |x| < 8 the recurrence keeps P_22 to 3e-15 of its size, where
+    the monomial form cancels to 3e-12."""
+    family, values = HermiteParams(0), [0.0 * x, 1.0 + 0.0 * x]
+    for k in range(m):
+        b = float(family.recurrence(k))
+        values.append(x * values[-1] - b * values[-2])
+    return values[1:]
+
+
+def osc_state_fn(m: int) -> Callable:
+    """Vectorized orthonormal eigenfunction psi_m = e^(-x^2/2) P_m(x) /
+    sqrt(sqrt(pi) ||P_m||^2), with P_m and ||P_m||^2 from
+    ``HermiteParams(0)``: the oscillator's one float evaluator, as
+    ``wavefunction_fn`` is Scarf's."""
+    if m < 0:
+        raise ValueError(f"level must be nonnegative, got {m}")
+    norm_sq = HermiteParams(0).norm_sq(m)
+    scale = 1.0 / math.sqrt(math.sqrt(math.pi) * float(norm_sq))
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return scale * np.exp(-x * x / 2) * _osc_values(m, x)[m]
+
+    return f
+
+
 def verify_oscillator() -> dict:
     """Exact verdicts on the eigenfunctions e^(-x^2/2) P_n, with P_0..P_12
-    and ||P_n||^2 = n!/2^n from ``gram_sequence`` on the moments of e^(-y^2)
-    (c_2k = (1/2)_k, odd ones 0: the mu = 0 generalized Hermite family).
+    and ||P_n||^2 = n!/2^n from ``gram_sequence`` on the moments of
+    ``HermiteParams(0)``.
 
     ``q_squared_equals_h``: (sqrt(2) Qtilde)^2 = 2 Htilde on P_0..P_12, which
     span 1, y, ..., y^12, so the two have equal ``matrix_on_basis`` there.
@@ -580,9 +609,8 @@ def verify_oscillator() -> dict:
     eigenvalue eps s.
     """
     q, h = osc_gauged_supercharge(), osc_gauged_hamiltonian()
-    moments = [pochhammer(_HALF, k // 2) if k % 2 == 0 else Fraction(0)
-               for k in range(2 * _OSC_DEGREE + 1)]
-    gram = gram_sequence(moments, _OSC_DEGREE)
+    gram = gram_sequence(HermiteParams(0).moments(2 * _OSC_DEGREE + 1),
+                         _OSC_DEGREE)
     qp = [q.apply(p) for p, _ in gram]
     hp = [h.apply(p) for p, _ in gram]
 
@@ -602,75 +630,30 @@ def verify_oscillator() -> dict:
     }
 
 
-def _laguerre(n: int, alpha: Fraction, t):
-    """Generalized Laguerre polynomial L_n^(alpha)(t) at a float or a float
-    array t.
-
-    With p_k = L_k / C(k+alpha, k) and d_k = p_k - p_(k-1), the three-term
-    recurrence becomes d_1 = -t/(alpha+1), p_1 = d_1 + 1 and, for k >= 1,
-
-        d_(k+1) = -t/(k+alpha+1) p_k + k/(k+alpha+1) d_k,
-        p_(k+1) = p_k + d_(k+1),
-
-    and L_n = C(n+alpha, n) p_n. These are the float operations, in the same
-    order, of ``scipy.special.eval_genlaguerre`` at an integer degree. The
-    binomial is the exact (alpha+1)_n / n!, rounded once; for n <= 19 and
-    alpha = +-1/2 it is the float scipy multiplies out, so the values agree
-    bit for bit. scipy takes a beta function from n = 20 on, and the two
-    differ there by a few units in the last place.
-    """
-    if n < 0:
-        raise ValueError("Laguerre degree must be nonnegative")
-    a = float(alpha)
-    if n == 0:
-        return np.ones_like(t, dtype=float)[()]
-    if n == 1:
-        return -t + a + 1
-    d = -t / (a + 1)
-    p = d + 1
-    for k in map(float, range(1, n)):
-        d = -t / (k + a + 1) * p + (k / (k + a + 1)) * d
-        p = p + d
-    return float(pochhammer(alpha + 1, n) / math.factorial(n)) * p
-
-
 def osc_wavefunction(n: int, eps: int, x: float,
                      variant: str = "printed") -> float:
-    """Coordinate form of |n, eps> through the Laguerre expression.
-
-    ``printed`` uses the displayed relative weight (n+1) between the two
-    Laguerre blocks; ``corrected`` uses sqrt(n+1), which is the weight that
-    actually matches the Hermite superposition (exactly, with global factor
-    2^(1/2 - n) under the epsilon pairing recorded by the oscillator report).
-
-    The blocks are L_n^(1/2)(x^2) and L_(n+1)^(-1/2)(x^2), from ``_laguerre``
-    (bit for bit ``scipy.special.eval_genlaguerre`` up to n = 18).
-
-    ``x`` is a float or a float array. An array is evaluated bit for bit as
-    the floats one by one: the Laguerre polynomials take the whole array,
-    and the Gaussian stays ``math.exp`` per point.
+    """Coordinate form of |n, eps> through the printed Laguerre expression,
+    with relative block weight (n+1) (``printed``) or sqrt(n+1)
+    (``corrected``, which matches the Hermite superposition exactly, with
+    global factor 2^(1/2 - n) under the epsilon pairing eps -> -eps). The
+    blocks are family members (DLMF 18.7.19-20, P_m = H_m/2^m):
+    x L_n^(1/2)(x^2) = (-1)^n P_(2n+1)(x)/n! and
+    L_(n+1)^(-1/2)(x^2) = (-1)^(n+1) P_(2n+2)(x)/(n+1)!. An array ``x`` is
+    evaluated bit for bit as its floats one by one.
     """
+    if n < 0:
+        raise ValueError(f"level must be nonnegative, got {n}")
     if eps not in (+1, -1):
         raise ValueError("eps must be +-1")
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
+    p = _osc_values(2 * n + 2, x)
     # (-1)^n pi^(-1/4) sqrt(n! / (n+1)_(n+1)), from the exact ratio
     pref = (-1) ** n / math.pi ** 0.25 * math.sqrt(
         float(Fraction(math.factorial(n)) / pochhammer(n + 1, n + 1)))
     weight = float(n + 1) if variant == "printed" else math.sqrt(n + 1.0)
-    t = x * x
-    gauss = (np.array([math.exp(-v / 2) for v in t.tolist()]) if np.ndim(t)
-             else math.exp(-t / 2))
-    return pref * gauss * (
-        x * _laguerre(n, _HALF, t) + eps * weight * _laguerre(n + 1, -_HALF, t))
-
-
-def _hermite_psi(m: int, x: float) -> float:
-    hm = nph.hermval(x, [0.0] * m + [1.0])
-    log_norm = 0.5 * (m * math.log(2.0) + math.lgamma(m + 1) + 0.5 * math.log(math.pi))
-    return hm * math.exp(-x * x / 2 - log_norm)
-
-
-def hermite_superposition(n: int, eps: int, x: float) -> float:
-    """(psi_{2n+1}(x) + eps psi_{2n+2}(x))/2 with orthonormal Hermite states."""
-    return 0.5 * (_hermite_psi(2 * n + 1, x) + eps * _hermite_psi(2 * n + 2, x))
+    gauss = (np.array([math.exp(-v * v / 2) for v in x.tolist()])
+             if np.ndim(x) else math.exp(-x * x / 2))
+    odd = (-1) ** n / math.factorial(n) * p[2 * n + 1]
+    even = (-1) ** (n + 1) / math.factorial(n + 1) * p[2 * n + 2]
+    return pref * gauss * (odd + eps * weight * even)

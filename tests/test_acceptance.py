@@ -24,8 +24,8 @@ from dunklqm.spectra import gegenbauer_problem, oscillator_problem, scarf_proble
 from dunklqm.susyqm import (
     ScarfParams,
     gauged_supercharge,
-    hermite_superposition,
     osc_gauged_supercharge,
+    osc_state_fn,
     osc_wavefunction,
     scarf_energy,
     supercharge_eigenvalue_scaled,
@@ -226,13 +226,15 @@ def test_criterion_9_oscillator_algebra():
           and q.apply(ps[14]) == ps[13].scale(14)
           and 2 ** 2 * sq14 / (2 * sq13) == 14
           and 14 ** 2 * sq13 / (2 * sq14) == 14)
-    # pointwise agreement with the Hermite superposition at n=0 up to one
-    # global constant (recorded: sqrt(2), under the epsilon pairing -eps)
-    const = osc_wavefunction(0, 1, 0.5) / hermite_superposition(0, -1, 0.5)
+    # pointwise agreement with the Hermite superposition
+    # (psi_1 - eps psi_2)/2 at n=0 up to one global constant (recorded:
+    # sqrt(2), under the epsilon pairing -eps)
+    psi1, psi2 = osc_state_fn(1), osc_state_fn(2)
+    const = osc_wavefunction(0, 1, 0.5) / ((psi1(0.5) - psi2(0.5)) / 2)
     for eps in (+1, -1):
         for x in (0.3, 0.5, -0.8, 1.4):
             lhs = osc_wavefunction(0, eps, x)
-            rhs = const * hermite_superposition(0, -eps, x)
+            rhs = const * (psi1(x) - eps * psi2(x)) / 2
             if abs(lhs - rhs) > 1e-10:
                 ok = False
     _report(9, ok, f"Q^2 = H exactly (n<=12); mixed states are eigenvectors "

@@ -9,6 +9,7 @@ from dunklqm.exact import DomainError, beta_num
 from dunklqm.gegenbauer import (
     GEG_FUZZ_PARAMS,
     GegParams,
+    HermiteParams,
     csm_two_particle_check,
     eigenvalue_geg,
     geg_potentials,
@@ -170,3 +171,61 @@ def test_verify_family_report():
     assert len(rep.records) == 11
     blob = rep.to_json()
     assert "generalized-gegenbauer" in blob
+
+
+@pytest.mark.parametrize("mu", [F(0), F(1, 3), F(1, 2), F(2)],
+                         ids=["0", "1_3", "1_2", "2"])
+def test_hermite_family_battery_to_degree_40(mu):
+    # eigen and Gram constructions, parity and orthogonality through degree
+    # 40; at a half-odd-integer mu the even degree n + 2 mu shares the
+    # eigenvalue -2(n + 2 mu) of the odd degree n, so at mu = 1/2 every even
+    # degree from 2 on is skipped
+    rep = verify_family(HermiteParams(mu), 40)
+    assert rep.all_oracle_checks_passed
+    assert rep.family == "generalized-hermite"
+    assert rep.skipped_degenerate == (list(range(2, 41, 2)) if mu == F(1, 2)
+                                      else [])
+    assert all(r.results["parity_ok"] for r in rep.records)
+
+
+def test_hermite_family_at_mu_zero_is_monic_hermite():
+    # P_(n+1) = y P_n - (n/2) P_(n-1), ||P_n||^2 = n!/2^n, eigenvalue -2n
+    hp = HermiteParams(0)
+    gram = gram_sequence(hp.moments(2 * 14 + 1), 14)
+    ps = [Poly.one(), Poly.monomial(1)]
+    for n in range(1, 14):
+        ps.append(Poly.monomial(1) * ps[n] - ps[n - 1].scale(F(n, 2)))
+    assert [p for p, _ in gram] == ps
+    assert [sq for _, sq in gram] == [F(math.factorial(n), 2 ** n)
+                                      for n in range(15)]
+    assert all(hp.eigenvalue(n) == -2 * n for n in range(15))
+
+
+@pytest.mark.parametrize("mu", [F(0), F(1, 3), F(1, 2), F(2)],
+                         ids=["0", "1_3", "1_2", "2"])
+def test_hermite_recurrence_builds_the_gram_sequence(mu):
+    # P_(k+1) = y P_k - b_k P_(k-1) and ||P_k||^2 = b_1 ... b_k, exactly,
+    # through degree 30, also at the degrees the battery skips at mu = 1/2
+    hp = HermiteParams(mu)
+    gram = gram_sequence(hp.moments(2 * 30 + 1), 30)
+    ps = [Poly.zero(), Poly.one()]
+    for k in range(30):
+        ps.append(Poly.monomial(1) * ps[-1] - ps[-2].scale(hp.recurrence(k)))
+    assert [p for p, _ in gram] == ps[1:]
+    assert [sq for _, sq in gram] == [hp.norm_sq(n) for n in range(31)]
+
+
+def test_hermite_moments_against_the_gamma_function():
+    # m_2k = Gamma(mu + k + 1/2)/Gamma(mu + 1/2), odd moments 0
+    for mu in (F(0), F(1, 3), F(2)):
+        m = HermiteParams(mu).moments(13)
+        assert all(m[k] == 0 for k in range(1, 13, 2))
+        for k in range(7):
+            ref = math.gamma(mu + k + 0.5) / math.gamma(mu + 0.5)
+            assert abs(float(m[2 * k]) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("mu", [F(-1, 2), F(-1), F(-3, 4)])
+def test_hermite_params_refuse_a_nonintegrable_weight(mu):
+    with pytest.raises(ValueError, match="mu > -1/2"):
+        HermiteParams(mu)

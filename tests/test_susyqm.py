@@ -12,7 +12,8 @@ import pytest
 
 from dunklqm import grid as gridmod
 from dunklqm import refcalc as refc
-from dunklqm.exact import DomainError
+from dunklqm.exact import DomainError, hyp_terms, pochhammer
+from dunklqm.gegenbauer import HermiteParams
 from dunklqm.jacobi import (
     FUZZ_PARAMS,
     eigenvalue,
@@ -22,6 +23,7 @@ from dunklqm.opalg import (
     Poly,
     compose,
     construct_eigen,
+    gram_sequence,
     matrix_on_basis,
     unchecked,
 )
@@ -29,17 +31,16 @@ from dunklqm.susyqm import (
     ScarfParams,
     SusyPotential,
     _TEST_FNS,
-    _laguerre,
     bracket_n,
     gauged_supercharge,
     gauged_y_corrected,
     ground_state,
     ground_state_norm_sq,
-    hermite_superposition,
     intertwiner,
     osc_energy,
     osc_gauged_hamiltonian,
     osc_gauged_supercharge,
+    osc_state_fn,
     osc_wavefunction,
     oscillator_potential,
     scarf_H_parts_explicit,
@@ -765,12 +766,60 @@ def test_osc_gauged_operators_match_the_potential():
                                    g * h.apply(p)(x) / 2, rtol=1e-12, atol=1e-12)
 
 
+def _superposition(n, eps, x):
+    """(psi_(2n+1) + eps psi_(2n+2))/2 over the orthonormal states."""
+    return (osc_state_fn(2 * n + 1)(x) + eps * osc_state_fn(2 * n + 2)(x)) / 2
+
+
+def test_osc_state_fn_matches_normalized_hermite_functions():
+    # psi_m = H_m e^(-x^2/2) / sqrt(2^m m! sqrt(pi)), with H_m from numpy's
+    # physicists' Hermite series, here only
+    from numpy.polynomial import hermite
+    x = np.linspace(-6.0, 6.0, 241)
+    for m in range(13):
+        ref = hermite.hermval(x, [0.0] * m + [1.0]) * np.exp(
+            -x * x / 2 - 0.5 * (m * math.log(2.0) + math.lgamma(m + 1)
+                                + 0.5 * math.log(math.pi)))
+        np.testing.assert_allclose(osc_state_fn(m)(x), ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+
+
+def test_osc_states_are_orthonormal():
+    for m in range(6):
+        for k in range(m + 1):
+            val = gridmod.quadrature(
+                lambda x: osc_state_fn(m)(x) * osc_state_fn(k)(x), 10.0)
+            assert abs(val - (m == k)) <= 1e-13, (m, k)
+
+
+def _laguerre_poly(n, alpha):
+    """L_n^(alpha)(y^2) as a Poly in y: (alpha+1)_n/n! 1F1(-n; alpha+1; t),
+    whose series terms at z = 1 are the coefficients of t^k."""
+    lead = pochhammer(alpha + 1, n) / math.factorial(n)
+    coeffs = [0] * (2 * n + 1)
+    for k, term in enumerate(hyp_terms((-n,), (alpha + 1,), 1)):
+        coeffs[2 * k] = lead * term
+    return Poly(coeffs)
+
+
+def test_laguerre_blocks_are_hermite_family_members():
+    # x L_n^(1/2)(x^2) = (-1)^n P_(2n+1)/n! and
+    # L_(n+1)^(-1/2)(x^2) = (-1)^(n+1) P_(2n+2)/(n+1)!, exactly, n <= 12
+    gram = gram_sequence(HermiteParams(0).moments(2 * 26 + 1), 26)
+    for n in range(13):
+        odd = Poly.monomial(1) * _laguerre_poly(n, F(1, 2))
+        even = _laguerre_poly(n + 1, F(-1, 2))
+        assert odd == gram[2 * n + 1][0].scale(F((-1) ** n, math.factorial(n)))
+        assert even == gram[2 * n + 2][0].scale(
+            F((-1) ** (n + 1), math.factorial(n + 1)))
+
+
 def test_osc_wavefunction_vs_hermite_n0():
     # printed Laguerre form at n=0 equals sqrt(2) times the Hermite
     # superposition under the epsilon pairing eps -> -eps
     for eps in (+1, -1):
         for x in (0.5, -0.7, 1.3):
-            ratio = osc_wavefunction(0, eps, x) / hermite_superposition(0, -eps, x)
+            ratio = osc_wavefunction(0, eps, x) / _superposition(0, -eps, x)
             assert abs(ratio - math.sqrt(2)) < 1e-10
 
 
@@ -780,12 +829,12 @@ def test_osc_wavefunction_corrected_weight_constant():
         for eps in (+1, -1):
             for x in (0.4, -0.9):
                 r = osc_wavefunction(n, eps, x, "corrected") \
-                    / hermite_superposition(n, -eps, x)
+                    / _superposition(n, -eps, x)
                 assert abs(r - 2.0 ** (0.5 - n)) < 1e-10
 
 
 def test_osc_wavefunction_printed_weight_breaks_for_n_ge_1():
-    vals = [osc_wavefunction(1, 1, x) / hermite_superposition(1, -1, x)
+    vals = [osc_wavefunction(1, 1, x) / _superposition(1, -1, x)
             for x in (0.4, 0.9)]
     assert abs(vals[0] - vals[1]) > 1e-3
 
@@ -801,34 +850,34 @@ def test_osc_wavefunction_array_matches_scalar_calls():
                 assert got.tobytes() == ref.tobytes()
 
 
-def test_laguerre_matches_scipy_bit_for_bit():
-    # scipy.special is imported here only; the package evaluates its own
+def test_osc_wavefunction_matches_scipy_laguerre_form():
+    # the printed form with scipy's Laguerre polynomials, here only:
+    # (-1)^n pi^(-1/4) sqrt(n!/(n+1)_(n+1)) e^(-x^2/2)
+    # (x L_n^(1/2)(x^2) + eps w L_(n+1)^(-1/2)(x^2))
     from scipy.special import eval_genlaguerre
-    rng = np.random.default_rng(7)
-    ts = np.concatenate([[0.0, 0.4**2, 0.7**2, 0.9**2],
-                         rng.uniform(0.0, 1.0, 200),
-                         rng.uniform(0.0, 100.0, 200)])
-    for alpha in (F(1, 2), F(-1, 2)):
-        for n in range(26):
-            ref = eval_genlaguerre(n, float(alpha), ts)
-            got = _laguerre(n, alpha, ts)
-            if n <= 19:
-                assert got.tobytes() == ref.tobytes(), (alpha, n)
-                for t in (0.4, 0.7, 0.9, float(ts[-1])):
-                    one = _laguerre(n, alpha, t * t)
-                    assert np.float64(one).tobytes() == eval_genlaguerre(
-                        n, float(alpha), t * t).tobytes(), (alpha, n, t)
-            else:
-                # scipy's binomial is a beta function from n = 20 on
-                assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), \
-                    (alpha, n)
+    x = np.concatenate([[0.0, 0.4, 0.7, 0.9], np.linspace(-8.0, 8.0, 401)])
+    for n in range(11):
+        pref = (-1) ** n / math.pi ** 0.25 * math.sqrt(
+            math.factorial(n) / float(pochhammer(n + 1, n + 1)))
+        odd = x * eval_genlaguerre(n, 0.5, x * x)
+        even = eval_genlaguerre(n + 1, -0.5, x * x)
+        for variant, w in (("printed", n + 1.0), ("corrected",
+                                                  math.sqrt(n + 1.0))):
+            for eps in (1, -1):
+                ref = pref * np.exp(-x * x / 2) * (odd + eps * w * even)
+                got = osc_wavefunction(n, eps, x, variant)
+                scale = np.abs(ref).max()
+                assert np.abs(got - ref).max() <= 1e-13 * scale, (n, variant)
 
 
 def test_laguerre_refuses_negative_degree():
+    # a negative level is refused before any Gram entry is read by index
     with pytest.raises(ValueError, match="nonnegative"):
-        _laguerre(-1, F(1, 2), 0.5)
-    with pytest.raises(ValueError):
         osc_wavefunction(-1, 1, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        osc_state_fn(-1)
+    with pytest.raises(ValueError, match="mu > -1/2"):
+        HermiteParams(F(-1, 2))
 
 
 def test_osc_wavefunction_refuses_unknown_variant():

@@ -21,7 +21,7 @@ COMMANDS = (
      "--grids", "128,256,512"],
     # composes and applies refcalc operators on a grid ladder
     ["verify", "--suite", "relations"],
-    # the one command that runs the Laguerre and Hermite evaluators and
+    # the one command that runs the oscillator's float evaluators and
     # quadrature
     ["errata"],
 )
