@@ -7,9 +7,10 @@ Dirichlet walls are imposed through ghost values u(ghost) = -u(edge), which
 places the hard wall exactly at the domain boundary. In the mirror-pair
 ordering 0, N-1, 1, N-2, ... the reflection couples adjacent unknowns, so
 every grid operator is held once, in O(N) memory, as LAPACK banded storage in
-that ordering; a dense view is built only on request. An operator defined as
-a dense matrix product is banded from blocks of its rows
-(:meth:`GridOperator.from_rows`), so the N x N product is never held whole.
+that ordering; dense rows are scattered from the band only on request
+(:meth:`GridOperator.scatter_rows`). An operator defined as a dense matrix
+product is banded from blocks of its rows (:meth:`GridOperator.from_rows`),
+each at most a fixed byte budget, so the N x N product is never held whole.
 
 Operators whose scalar potential carries an attractive ~ -c/x^2 core (the
 reflection families at alpha > 0) cannot be diagonalized from the directly
@@ -114,10 +115,35 @@ def _pair_band(entry: Callable, n: int, bandwidth: int) -> np.ndarray:
     return band[top:]
 
 
-# rows per block that GridOperator.from_rows asks for: at N = 2048 on two
-# BLAS threads, 512-row products take as long as the whole one, 256-row
-# products about 10% longer
-_ROW_BLOCK = 512
+# bytes per row block that GridOperator.from_rows asks for: 256 rows at
+# N = 2048, 128 at N = 4096. On two BLAS threads a 256-row product at
+# N = 2048 takes about 10% longer per row than the whole one.
+_BLOCK_BYTES = 4 << 20
+# and at most about this many blocks, as each product packs the whole
+# N x N right operand again: at N = 8192 on two BLAS threads, 64-row blocks
+# (4 MiB) took about 25% longer than 512-row ones, 128-row blocks did not
+_MAX_BLOCKS = 64
+
+
+def _row_blocks(n: int) -> list:
+    """Row blocks [(r0, r1), ...] of an N-row matrix, in mirror pairs.
+
+    Each block [r0, r1) of the lower half is followed by its mirror
+    [N - r1, N - r0); once the rows left in the middle fit in one block,
+    they form a last block [r0, N - r0), its own mirror. A block has
+    ``_BLOCK_BYTES // (8 N)`` rows, or ``N // _MAX_BLOCKS`` if that is more,
+    clamped to 1..N.
+    """
+    step = min(max(_BLOCK_BYTES // (8 * n), n // _MAX_BLOCKS, 1), n)
+    blocks, r0 = [], 0
+    while r0 < n // 2:
+        if n - 2 * r0 <= step:
+            blocks.append((r0, n - r0))
+            break
+        r1 = min(r0 + step, n // 2)
+        blocks += [(r0, r1), (n - r1, n - r0)]
+        r0 = r1
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -140,9 +166,12 @@ class GridOperator:
         pair-ordered bandwidth is at most ``bandwidth``, read one block of
         rows at a time: ``rows(r0, r1)`` returns ``M[r0:r1]``.
 
-        Blocks have ``_ROW_BLOCK`` rows (the last may be shorter), and each
-        is dropped once its entries within the pair bandwidth are kept, so
-        M is never held whole. The band holds ``0.5 * (M[i, j] + M[j, i])``
+        The blocks come in mirror pairs, each block of the lower half right
+        before its mirror image, and a middle block that is its own mirror
+        last (``_row_blocks``). Each holds ``_BLOCK_BYTES`` or
+        ``N // _MAX_BLOCKS`` rows, whichever is more, and is dropped once its
+        entries within the pair bandwidth are kept, so M is never held
+        whole. The band holds ``0.5 * (M[i, j] + M[j, i])``
         for every pair-ordered neighbour pair (i, j). A block of the wrong
         shape raises ValueError.
         """
@@ -154,8 +183,7 @@ class GridOperator:
         offsets = np.arange(-bw, bw + 1)
         # near[i, bw + d] = M[i, perm[pos[i] + d]], zero past either end
         near = np.zeros((n, 2 * bw + 1))
-        for r0 in range(0, n, _ROW_BLOCK):
-            r1 = min(r0 + _ROW_BLOCK, n)
+        for r0, r1 in _row_blocks(n):
             block = rows(r0, r1)
             if np.shape(block) != (r1 - r0, n):
                 raise ValueError(f"rows({r0}, {r1}) returned shape "
@@ -177,16 +205,28 @@ class GridOperator:
     def n(self) -> int:
         return self.grid.n
 
+    def scatter_rows(self, out: np.ndarray, nodes: np.ndarray) -> None:
+        """Write rows ``nodes`` of the node-ordered N x N matrix into the
+        same rows of ``out``, straight from the band: only the entries
+        within the pair bandwidth are written, the rest of ``out`` is left
+        as it is."""
+        n, bw = self.n, self.band.shape[0] - 1
+        perm = _pair_permutation(n)
+        pos = np.empty(n, dtype=int)
+        pos[perm] = np.arange(n)
+        p = pos[nodes]
+        for d in range(bw + 1):
+            # (p, p + d) is band[bw - d, p + d]; (p, p - d) its transpose
+            up = p[p + d < n]
+            out[perm[up], perm[up + d]] = self.band[bw - d, up + d]
+            down = p[p >= d]
+            out[perm[down], perm[down - d]] = self.band[bw - d, down]
+
     @property
     def matrix(self) -> np.ndarray:
         """Dense N x N view in node ordering, built on each access."""
-        n, bw = self.n, self.band.shape[0] - 1
-        perm = _pair_permutation(n)
-        m = np.zeros((n, n))
-        for d in range(bw + 1):
-            rows, cols = perm[:n - d], perm[d:]
-            m[rows, cols] = self.band[bw - d, d:]
-            m[cols, rows] = self.band[bw - d, d:]
+        m = np.zeros((self.n, self.n))
+        self.scatter_rows(m, np.arange(self.n))
         return m
 
 

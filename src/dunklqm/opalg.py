@@ -64,7 +64,9 @@ __all__ = [
     "unchecked",
     "inner",
     "gram_sequence",
+    "recurrence_coefficients",
     "eigenvalue_collision",
+    "check_degree",
     "construct_eigen",
     "eigen_sequence",
     "FamilyRecord",
@@ -514,6 +516,34 @@ def inner(p: Poly, q: Poly, c: list) -> Fraction:
     return total
 
 
+def _chebyshev(c: list, degree: int):
+    """(a_k, b_k, s_{k+1,k+1}) for k = 0..degree-1 from the moments
+    c_0..c_{2 degree}: see ``gram_sequence``."""
+    # rows s_{k,.} as (integer row, denominator), each reduced
+    sigma = _scaled(c[:2*degree + 1])
+    prev_sigma = ([0]*len(sigma[0]), 1)       # s_{-1,l} = 0
+    prev_ratio = _ZERO                # s_{k-1,k}/s_{k-1,k-1}
+    for k in range(degree):
+        (s, s_den), (t, t_den) = sigma, prev_sigma
+        ratio = Fraction(s[k+1], s[k])
+        a, prev_ratio = ratio - prev_ratio, ratio
+        b = Fraction(s[k]*t_den, s_den*t[k-1]) if k else _ZERO
+        # s_{k+1,m} = s_{k,m+1} - a s_{k,m} - b s_{k-1,m}, k < m < 2 degree - k
+        top = 2*degree - k
+        row, den = _three_term(s[k+2:top+1], (s[k+1:top], s_den),
+                               (t[k+1:top], t_den), a, b)
+        prev_sigma, sigma = sigma, ([0]*(k + 1) + row + [0]*(k + 1), den)
+        yield a, b, Fraction(row[0], den)
+
+
+def recurrence_coefficients(c: list, degree: int) -> list:
+    """[(a_k, b_k) for k = 0..degree-1] of the three-term recurrence
+    P_{k+1} = (y - a_k) P_k - b_k P_{k-1} (b_0 = 0) of the monic family
+    orthogonal for the moments c_0..c_{2 degree}, by the Chebyshev algorithm
+    of ``gram_sequence``."""
+    return [(a, b) for a, b, _ in _chebyshev(c, degree)]
+
+
 def gram_sequence(c: list, degree: int) -> list:
     """[(P_k, inner(P_k, P_k)) for k = 0..degree] from the moments
     c_0..c_{2 degree} alone.
@@ -528,26 +558,15 @@ def gram_sequence(c: list, degree: int) -> list:
     eigenvalue equation; the two constructions agreeing is one of the
     battery's checks.
     """
-    # rows s_{k,.} and P_k as (integer row, denominator), each reduced
-    sigma = _scaled(c[:2*degree + 1])
-    prev_sigma = ([0]*len(sigma[0]), 1)       # s_{-1,l} = 0
+    # P_k as (integer row, denominator), reduced
     p, prev_p = ([1], 1), ([], 1)             # P_0 = 1, P_{-1} = 0
-    prev_ratio = _ZERO                # s_{k-1,k}/s_{k-1,k-1}
     seq = [(Poly.one(), c[0])]
-    for k in range(degree):
-        (s, s_den), (t, t_den), (pk, pk_den) = sigma, prev_sigma, p
-        ratio = Fraction(s[k+1], s[k])
-        a, prev_ratio = ratio - prev_ratio, ratio
-        b = Fraction(s[k]*t_den, s_den*t[k-1]) if k else _ZERO
-        # s_{k+1,m} = s_{k,m+1} - a s_{k,m} - b s_{k-1,m}, k < m < 2 degree - k
-        top = 2*degree - k
-        row, den = _three_term(s[k+2:top+1], (s[k+1:top], s_den),
-                               (t[k+1:top], t_den), a, b)
-        prev_sigma, sigma = sigma, ([0]*(k + 1) + row + [0]*(k + 1), den)
+    for a, b, norm in _chebyshev(c, degree):
         # P_{k+1} = y P_k - a P_k - b P_{k-1}
+        (pk, pk_den) = p
         prev_p, p = p, _three_term([0] + pk, (pk + [0], pk_den),
                                    (prev_p[0] + [0, 0], prev_p[1]), a, b)
-        seq.append((Poly.of_reduced(_unscaled(*p)), Fraction(row[0], den)))
+        seq.append((Poly.of_reduced(_unscaled(*p)), norm))
     return seq
 
 
@@ -572,22 +591,26 @@ def eigenvalue_collision(n: int, family: OrthogonalFamily) -> int | None:
     return next((m for m in range(n) if family.eigenvalue(m) == lam), None)
 
 
-def construct_eigen(n: int, family: OrthogonalFamily) -> Poly:
-    """Monic degree-n eigenvector of the family's operator, by exact
-    linear algebra.
-
-    Refuses degenerate spectra: if lambda_n collides with a lower eigenvalue
-    the family member is not uniquely defined and we report rather than pick.
-    """
+def check_degree(n: int, family: OrthogonalFamily) -> None:
+    """Refuse a degree at which P_n is not defined: a negative one
+    (ValueError), or one whose eigenvalue collides with a lower one
+    (DegenerateSpectrumError), where the family member is not uniquely
+    defined and we report rather than pick."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    lam = family.eigenvalue(n)
     m = eigenvalue_collision(n, family)
     if m is not None:
         raise DegenerateSpectrumError(
-            f"lambda_{n} = lambda_{m} = {lam} at {family.label()}")
+            f"lambda_{n} = lambda_{m} = {family.eigenvalue(n)} at "
+            f"{family.label()}")
+
+
+def construct_eigen(n: int, family: OrthogonalFamily) -> Poly:
+    """Monic degree-n eigenvector of the family's operator, by exact
+    linear algebra, at a degree that ``check_degree`` accepts."""
+    check_degree(n, family)
     mat = matrix_on_basis(family.operator(), n)
-    return solve_monic_eigenvector(mat, lam, n)
+    return solve_monic_eigenvector(mat, family.eigenvalue(n), n)
 
 
 def eigen_sequence(family: OrthogonalFamily, degree: int) -> list:

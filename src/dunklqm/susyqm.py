@@ -22,8 +22,9 @@ so its eigenvalues on the little -1 Jacobi polynomials are the family's
 lambda_n - (a+b+1): -(2n+a+b+1) for even n, +(2n+a+b+1) for odd n. Energies
 are their squares over eight. ``wavefunction_fn(n)`` is the one evaluator of
 the eigenfunctions (n = 0 gives Psi_0) and takes P_n and N_n/N_0 from the
-family too, with P_n built by ``construct_eigen`` on each call: no value is
-cached between calls.
+family too: P_n is evaluated by the three-term recurrence that
+``recurrence_coefficients`` reads off the moments on each call, and no value
+is cached between calls.
 Analytic-form identities (parity conjugations, intertwining and product
 relations, Q^2 = H) have one representation and two evaluations. Q, H, X and
 Y are each held once as a refcalc operator, and each identity is one refcalc
@@ -79,10 +80,12 @@ from .opalg import (
     Poly,
     Reflect,
     ReflOp,
+    check_degree,
     construct_eigen,
     dunkl,
     eigen_sequence,
     gram_sequence,
+    recurrence_coefficients,
     unchecked,
 )
 
@@ -210,10 +213,13 @@ def ground_state(x: float, params: ScarfParams) -> float:
 
 def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
     """Vectorized n-th wavefunction (N_n/N_0) Psi_0(x) P_n(sin x), no domain
-    check: P_n and N_0^2/N_n^2 from the family, and Psi_0 = N_0 |sin x|^(a/2)
-    cos^(b/2) x (1 + sin x)^(1/2), which n = 0 gives bit for bit (both
-    factors are then exactly 1.0)."""
-    pn = construct_eigen(n, params)
+    check: P_n by its three-term recurrence, whose coefficients come exactly
+    from the family's moments (``recurrence_coefficients``), N_0^2/N_n^2
+    from the family, and Psi_0 = N_0 |sin x|^(a/2) cos^(b/2) x
+    (1 + sin x)^(1/2), which n = 0 gives bit for bit (both factors are then
+    exactly 1.0). Refuses the degrees that ``check_degree`` refuses."""
+    check_degree(n, params)
+    coeffs = recurrence_coefficients(params.moments(2 * n + 1), n)
     ratio = 1.0 / math.sqrt(float(norm_sq_closed(n, params)))
     a, b = float(params.alpha), float(params.beta)
     n0 = math.sqrt(ground_state_norm_sq(params))
@@ -222,7 +228,7 @@ def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
         x = np.asarray(x, dtype=float)
         s = np.sin(x)
         psi0 = n0 * np.abs(s) ** (a / 2) * np.cos(x) ** (b / 2) * np.sqrt(1 + s)
-        return ratio * psi0 * pn(s)
+        return ratio * psi0 * _recurrence_values(coeffs, s)[n]
 
     return f
 
@@ -565,16 +571,24 @@ def osc_gauged_hamiltonian() -> ReflOp:
                    (-1, (Reflect,))])
 
 
-def _osc_values(m: int, x) -> list:
-    """[P_0(x), ..., P_m(x)] by the three-term recurrence of
-    ``HermiteParams(0)``; an array is evaluated bit for bit as its floats one
-    by one. On |x| < 8 the recurrence keeps P_22 to 3e-15 of its size, where
-    the monomial form cancels to 3e-12."""
-    family, values = HermiteParams(0), [0.0 * x, 1.0 + 0.0 * x]
-    for k in range(m):
-        b = float(family.recurrence(k))
-        values.append(x * values[-1] - b * values[-2])
+def _recurrence_values(coeffs: list, x) -> list:
+    """[P_0(x), ..., P_m(x)] of the monic family with
+    P_{k+1} = (y - a_k) P_k - b_k P_{k-1}, from ``coeffs`` = [(a_0, b_0),
+    ..., (a_{m-1}, b_{m-1})]; an array is evaluated bit for bit as its
+    floats one by one. The recurrence keeps P_m near rounding, where the
+    monomial form cancels: P_22 of ``HermiteParams(0)`` on |x| < 8 to 3e-15
+    of its size (monomial form 3e-12), the little -1 Jacobi P_40 on (-1, 1)
+    to 2e-14 of max |P_40| (monomial form up to 1e-2)."""
+    values = [0.0 * x, 1.0 + 0.0 * x]
+    for a, b in coeffs:
+        values.append((x - float(a)) * values[-1] - float(b) * values[-2])
     return values[1:]
+
+
+def _osc_values(m: int, x) -> list:
+    """[P_0(x), ..., P_m(x)] of ``HermiteParams(0)`` (a_k = 0)."""
+    family = HermiteParams(0)
+    return _recurrence_values([(0, family.recurrence(k)) for k in range(m)], x)
 
 
 def osc_state_fn(m: int) -> Callable:

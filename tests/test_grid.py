@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,36 +483,73 @@ def test_hamiltonian_band_equals_hand_typed(system, n):
 
 
 def _gegenbauer_operator(monkeypatch, mu, alpha, n, k):
-    """The operator gegenbauer_problem hands to composite_spectrum."""
+    """The operator gegenbauer_problem hands to composite_spectrum, which
+    is not run."""
     seen = []
     real = gridmod.composite_spectrum
     monkeypatch.setattr(gridmod, "composite_spectrum",
-                        lambda op, kk: seen.append(op) or real(op, kk))
+                        lambda op, kk: seen.append(op) or np.zeros(kk))
     gegenbauer_problem(GegParams(mu, alpha), k).compute(n)
     monkeypatch.setattr(gridmod, "composite_spectrum", real)
     return seen[0]
 
 
-@pytest.mark.parametrize("n", [256, 1024])
-@pytest.mark.parametrize("mu, al", [(F(1, 2), F(1)), (F(1, 2), F(0))])
+# 4 MiB blocks give one block at N = 2 and four pairs of 256-row blocks at
+# N = 2048; 1 MiB gives N = 600 one pair of 218-row blocks, then a 164-row
+# middle block that is its own mirror
+_BUDGETS = {600: 1 << 20}
+
+
+@pytest.mark.parametrize("n", [2, 256, 600, 1024, 2048])
+@pytest.mark.parametrize("mu, al", [(F(1, 2), F(1)), (F(1, 2), F(0)),
+                                    (F(20), F(20)), (F(1, 3), F(-1, 2))])
 def test_gegenbauer_band_equals_dense_construction(mu, al, n, monkeypatch):
-    # the band is read from row blocks of Q @ Q; the reference forms the
-    # whole product at once
-    op = _gegenbauer_operator(monkeypatch, mu, al, n, 3)
+    # the band is read from row blocks of an operand that holds only the
+    # rows of Q each block reads; the reference forms the whole 2 Q @ Q at
+    # once, with the corrections added on the two diagonals only, so that
+    # the signs of zeros are compared too
+    if n in _BUDGETS:
+        monkeypatch.setattr(gridmod, "_BLOCK_BYTES", _BUDGETS[n])
+    op = _gegenbauer_operator(monkeypatch, mu, al, n, 1)
     g = Grid(n, math.pi / 2)
     q = _dense_supercharge(scarf_potential(ScarfParams(2 * mu, F(0))), g)
     x, m, a = g.nodes, float(mu), float(al)
     h = 2.0 * (q @ q)
-    h += np.diag((a**2 - 0.25) / np.cos(x) ** 2 - (m + a + 0.5) ** 2
-                 + (2 * a + 1) * m)
-    coeff = -m * (1.0 / (1.0 + np.cos(x)) + (2 * a + 1))
-    h += coeff[:, None] * np.eye(n)[::-1]
-    assert np.array_equal(op.band, _dense_band(0.5 * (h + h.T)))
+    i = np.arange(n)
+    h[i, i] += ((a**2 - 0.25) / np.cos(x) ** 2 - (m + a + 0.5) ** 2
+                + (2 * a + 1) * m)
+    h[i, n - 1 - i] += -m * (1.0 / (1.0 + np.cos(x)) + (2 * a + 1))
+    ref = _dense_band(0.5 * (h + h.T))
+    assert np.array_equal(op.band, ref)
+    assert np.array_equal(np.signbit(op.band), np.signbit(ref))
 
 
-@pytest.mark.parametrize("n", [64, 600, 1024])
-def test_from_rows_equals_symmetrized_dense_band(n):
-    # one block, a short last block, several full blocks; M is not symmetric
+@pytest.mark.parametrize("n, budget, blocks", [
+    pytest.param(64, None, [(0, 64)], id="64"),
+    # a block is clamped to one row: three pairs of single rows
+    pytest.param(6, 1, [(0, 1), (5, 6), (1, 2), (4, 5), (2, 3), (3, 4)],
+                 id="6-single-rows"),
+    # five-row blocks in mirror pairs, then a short middle block
+    pytest.param(64, 8 * 64 * 5,
+                 [b for r in range(0, 30, 5)
+                  for b in ((r, r + 5), (59 - r, 64 - r))] + [(30, 34)],
+                 id="64-five-rows"),
+    pytest.param(600, 1 << 20, [(0, 218), (382, 600), (218, 382)], id="600"),
+    # at least N // 64 rows, whatever the budget
+    pytest.param(128, 1, [b for r in range(0, 64, 2)
+                          for b in ((r, r + 2), (126 - r, 128 - r))],
+                 id="128-min-rows"),
+    # 4 MiB of rows: two full blocks at N = 1024, four pairs at N = 2048
+    pytest.param(1024, None, [(0, 512), (512, 1024)], id="1024"),
+    pytest.param(2048, None, [b for r in range(0, 1024, 256)
+                              for b in ((r, r + 256), (1792 - r, 2048 - r))],
+                 id="2048"),
+])
+def test_from_rows_equals_symmetrized_dense_band(n, budget, blocks,
+                                                 monkeypatch):
+    # M is not symmetric; every row is asked for once, in mirror pairs
+    if budget is not None:
+        monkeypatch.setattr(gridmod, "_BLOCK_BYTES", budget)
     bw = 3
     rng = np.random.default_rng(n)
     pair = np.triu(np.tril(rng.standard_normal((n, n)), bw), -bw)
@@ -518,16 +560,34 @@ def test_from_rows_equals_symmetrized_dense_band(n):
     op = gridmod.GridOperator.from_rows(
         lambda r0, r1: asked.append((r0, r1)) or m[r0:r1], Grid(n, 1.0), bw)
     assert np.array_equal(op.band, _dense_band(0.5 * (m + m.T)))
-    step = gridmod._ROW_BLOCK
-    assert asked == [(r, min(r + step, n)) for r in range(0, n, step)]
+    assert asked == blocks
     for wrong in (lambda r0, r1: m[r0:r1, 1:], lambda r0, r1: m[r0 + 1:r1]):
         with pytest.raises(ValueError, match="shape"):
             gridmod.GridOperator.from_rows(wrong, Grid(n, 1.0), bw)
 
 
+@pytest.mark.parametrize("n", [2, 6, 64, 600])
+def test_scatter_rows_writes_only_the_band_entries_of_those_rows(n):
+    g = Grid(n, math.pi / 2)
+    pot = scarf_potential(ScarfParams(F(1), F(3)))
+    q = supercharge_matrix(pot.u.f, pot.v.f, g)
+    dense = _dense_supercharge(pot, g)
+    nodes = np.array(sorted({0, n // 2, n - 1}))
+    pos = np.argsort([i for p in range(n // 2) for i in (p, n - 1 - p)])
+    near = np.abs(pos[nodes][:, None] - pos) <= q.band.shape[0] - 1
+    out = np.full((n, n), np.nan)
+    q.scatter_rows(out, nodes)
+    assert np.array_equal(np.isnan(out[nodes]), ~near)
+    assert out[nodes][near].tobytes() == dense[nodes][near].tobytes()
+    rest = np.setdiff1d(np.arange(n), nodes)
+    assert np.isnan(out[rest]).all()
+
+
 def test_gegenbauer_compute_never_holds_the_product():
-    # the dense Q operand is one 8 N^2 array; forming 2 Q @ Q whole
-    # reached twice that
+    # forming 2 Q @ Q whole reached twice 8 N^2 bytes. tracemalloc counts
+    # the whole zero-filled operand O, 8 N^2 bytes, even though the pages
+    # that no row of Q is written to are never touched and never resident;
+    # test_gegenbauer_compute_resident_growth checks the resident memory
     n = 2048
     tracemalloc.start()
     try:
@@ -536,6 +596,42 @@ def test_gegenbauer_compute_never_holds_the_product():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * n * n
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc/self/status")
+def test_gegenbauer_compute_resident_growth():
+    # after a warm-up at N = 256, the solve at N = 2048 raises the process's
+    # peak RSS by less than one dense Q; holding the dense Q operand raised
+    # it by ~40 MiB. The peak is VmHWM, the high-water mark of the fresh
+    # process's own memory map: its ru_maxrss would start at the peak RSS
+    # of the process that spawned it.
+    n = 2048
+    script = textwrap.dedent(f"""
+        from fractions import Fraction
+        from dunklqm.gegenbauer import GegParams
+        from dunklqm.spectra import gegenbauer_problem
+
+        def peak():
+            with open("/proc/self/status") as status:
+                line = next(s for s in status if s.startswith("VmHWM:"))
+            return int(line.split()[1]) * 1024
+
+        compute = gegenbauer_problem(
+            GegParams(Fraction(1, 2), Fraction(1)), 3).compute
+        compute(256)
+        before = peak()
+        compute({n})
+        print(peak() - before)
+        """)
+    src = str(Path(gridmod.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 8 * n * n
 
 
 @pytest.mark.parametrize("mu, alpha", [(F(1, 2), F(1)), (F(1), F(1, 4)),

@@ -17,6 +17,7 @@ from dunklqm.gegenbauer import HermiteParams
 from dunklqm.jacobi import (
     FUZZ_PARAMS,
     eigenvalue,
+    norm_sq_closed,
 )
 from dunklqm.opalg import (
     DegenerateSpectrumError,
@@ -280,6 +281,26 @@ def test_raising_check_refuses_a_negative_degree():
 def test_wavefunction_refuses_a_negative_level():
     with pytest.raises(ValueError, match="nonnegative"):
         wavefunction_fn(-1, pars(1, 3))
+
+
+def test_wavefunction_refuses_a_colliding_level():
+    # at a + b = -2, lambda_1 = 2 (1 + a + b + 1) = 0 = lambda_0
+    with pytest.raises(DegenerateSpectrumError, match="lambda_1 = lambda_0"):
+        wavefunction_fn(1, unchecked(ScarfParams, 0, -2))
+
+
+@pytest.mark.parametrize("n", [30, 40])
+@pytest.mark.parametrize("a, b", [(0, 0), ("1/2", "3/2"), (2, "1/5")])
+def test_wavefunction_high_level_matches_exact_polynomial(a, b, n):
+    # P_n(sin x) against its exact value at the same float sin x; evaluated
+    # in the monomial basis it was off by up to 1e-2 of max |P_n| at n = 40
+    p = pars(a, b)
+    x = np.linspace(-1.5, 1.5, 41) + 0.013   # psi_0 vanishes at x = 0
+    pn = construct_eigen(n, p)
+    exact = np.array([float(pn(F(s))) for s in np.sin(x)])
+    ratio = 1.0 / math.sqrt(float(norm_sq_closed(n, p)))
+    got = wavefunction_fn(n, p)(x) / (ratio * wavefunction_fn(0, p)(x))
+    assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 def test_unchecked_scarf_params_continue_the_family_past_its_domain():
