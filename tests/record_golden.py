@@ -46,7 +46,7 @@ def commands() -> dict:
     cases = _load("golden_cases", TESTS / "test_golden.py")
     out = {name: (argv, 0) for name, argv in cases.CASES.items()}
     for name, (argv, code) in cases.SPECTRUM_CASES.items():
-        out[name] = (["spectrum"] + argv + cases.LADDER, code)
+        out[name] = (cases.spectrum_argv(argv), code)
     return out
 
 

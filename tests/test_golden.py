@@ -9,7 +9,8 @@ suites and for all suites at once (relations pins every residual and fd
 order as printed; the full run also pins the exact and oscillator lines
 byte for byte), of ``errata``
 (which runs the lowering and raising maps), and of ``spectrum`` for five
-grid systems on the 256,512,1024 ladder. Any change to the exact layer must leave them
+grid systems on the 256,512,1024 ladder, plus Gegenbauer (1/2, 1) on the CLI's
+default 1024,2048,4096 ladder. Any change to the exact layer must leave them
 identical. Spectrum files print each level's order estimate at full
 precision, so they also pin the grid layer's eigenvalues to the last bit.
 
@@ -80,7 +81,17 @@ SPECTRUM_CASES = {
     "spectrum-scarf-a1-b3.csv":
         (["--system", "scarf", "--alpha", "1", "--beta", "3",
           "--format", "csv"], 0),
+    # the CLI's default ladder: the one golden that solves above N = 2048
+    "spectrum-gegenbauer-mu1_2-a1-n4096.json":
+        (["--system", "gegenbauer", "--mu", "1/2", "--alpha", "1",
+          "--grids", "1024,2048,4096"], 0),
 }
+
+
+def spectrum_argv(argv: list) -> list:
+    """The ``spectrum`` command of a ``SPECTRUM_CASES`` entry: on ``LADDER``
+    unless the entry carries its own ``--grids``."""
+    return ["spectrum"] + argv + ([] if "--grids" in argv else LADDER)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -95,7 +106,7 @@ def test_output_matches_golden(name, tmp_path, capsys):
 def test_spectrum_matches_golden(name, tmp_path, capsys):
     argv, code = SPECTRUM_CASES[name]
     out = tmp_path / name
-    assert main(["spectrum"] + argv + LADDER + ["--out", str(out)]) == code
+    assert main(spectrum_argv(argv) + ["--out", str(out)]) == code
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
