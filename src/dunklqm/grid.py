@@ -7,10 +7,11 @@ Dirichlet walls are imposed through ghost values u(ghost) = -u(edge), which
 places the hard wall exactly at the domain boundary. In the mirror-pair
 ordering 0, N-1, 1, N-2, ... the reflection couples adjacent unknowns, so
 every grid operator is held once, in O(N) memory, as LAPACK banded storage in
-that ordering; dense rows are scattered from the band only on request
-(:meth:`GridOperator.scatter_rows`). An operator defined as a dense matrix
+that ordering; dense rows are gathered from the band only on request
+(:meth:`GridOperator.gather_rows`). An operator defined as a dense matrix
 product is banded from blocks of its rows (:meth:`GridOperator.from_rows`),
-each at most a fixed byte budget, so the N x N product is never held whole.
+64 to 192 rows each, in mirror pairs, so the N x N product is never held
+whole.
 
 Operators whose scalar potential carries an attractive ~ -c/x^2 core (the
 reflection families at alpha > 0) cannot be diagonalized from the directly
@@ -115,35 +116,24 @@ def _pair_band(entry: Callable, n: int, bandwidth: int) -> np.ndarray:
     return band[top:]
 
 
-# bytes per row block that GridOperator.from_rows asks for: 256 rows at
-# N = 2048, 128 at N = 4096. On two BLAS threads a 256-row product at
-# N = 2048 takes about 10% longer per row than the whole one.
-_BLOCK_BYTES = 4 << 20
-# and at most about this many blocks, as each product packs the whole
-# N x N right operand again: at N = 8192 on two BLAS threads, 64-row blocks
-# (4 MiB) took about 25% longer than 512-row ones, 128-row blocks did not
-_MAX_BLOCKS = 64
+# rows per block that GridOperator.from_rows asks for
+_BLOCK_ROWS = 64
 
 
 def _row_blocks(n: int) -> list:
     """Row blocks [(r0, r1), ...] of an N-row matrix, in mirror pairs.
 
-    Each block [r0, r1) of the lower half is followed by its mirror
-    [N - r1, N - r0); once the rows left in the middle fit in one block,
-    they form a last block [r0, N - r0), its own mirror. A block has
-    ``_BLOCK_BYTES // (8 N)`` rows, or ``N // _MAX_BLOCKS`` if that is more,
-    clamped to 1..N.
+    Each block [r0, r1) of the lower half, ``_BLOCK_ROWS`` rows, is followed
+    by its mirror [N - r1, N - r0); once at most three blocks' worth of rows
+    is left in the middle, it forms a last block [r0, N - r0), its own
+    mirror. So every block but a whole N <= 192 has 64 to 192 rows.
     """
-    step = min(max(_BLOCK_BYTES // (8 * n), n // _MAX_BLOCKS, 1), n)
     blocks, r0 = [], 0
-    while r0 < n // 2:
-        if n - 2 * r0 <= step:
-            blocks.append((r0, n - r0))
-            break
-        r1 = min(r0 + step, n // 2)
+    while n - 2 * r0 > 3 * _BLOCK_ROWS:
+        r1 = r0 + _BLOCK_ROWS
         blocks += [(r0, r1), (n - r1, n - r0)]
         r0 = r1
-    return blocks
+    return blocks + [(r0, n - r0)]
 
 
 @dataclass(frozen=True)
@@ -168,10 +158,10 @@ class GridOperator:
 
         The blocks come in mirror pairs, each block of the lower half right
         before its mirror image, and a middle block that is its own mirror
-        last (``_row_blocks``). Each holds ``_BLOCK_BYTES`` or
-        ``N // _MAX_BLOCKS`` rows, whichever is more, and is dropped once its
-        entries within the pair bandwidth are kept, so M is never held
-        whole. The band holds ``0.5 * (M[i, j] + M[j, i])``
+        last (``_row_blocks``): 64 rows each, the middle one 65 to 192 (or
+        all N <= 192). Each is dropped once its entries within the pair
+        bandwidth are kept, so M is never held whole. The band holds
+        ``0.5 * (M[i, j] + M[j, i])``
         for every pair-ordered neighbour pair (i, j). A block of the wrong
         shape raises ValueError.
         """
@@ -205,29 +195,28 @@ class GridOperator:
     def n(self) -> int:
         return self.grid.n
 
-    def scatter_rows(self, out: np.ndarray, nodes: np.ndarray) -> None:
-        """Write rows ``nodes`` of the node-ordered N x N matrix into the
-        same rows of ``out``, straight from the band: only the entries
-        within the pair bandwidth are written, the rest of ``out`` is left
-        as it is."""
+    def gather_rows(self, nodes: np.ndarray) -> np.ndarray:
+        """Rows ``nodes`` of the node-ordered N x N matrix, as a
+        (len(nodes), N) array read straight from the band: the entries
+        within the pair bandwidth hold the band's values bit for bit, every
+        other entry is +0."""
         n, bw = self.n, self.band.shape[0] - 1
-        perm = _pair_permutation(n)
-        pos = np.empty(n, dtype=int)
-        pos[perm] = np.arange(n)
-        p = pos[nodes]
-        for d in range(bw + 1):
-            # (p, p + d) is band[bw - d, p + d]; (p, p - d) its transpose
-            up = p[p + d < n]
-            out[perm[up], perm[up + d]] = self.band[bw - d, up + d]
-            down = p[p >= d]
-            out[perm[down], perm[down - d]] = self.band[bw - d, down]
+        nodes = np.asarray(nodes)
+        p = (2 * np.minimum(nodes, n - 1 - nodes) + (nodes >= n // 2))[:, None]
+        at = p + np.arange(-bw, bw + 1)
+        inside = (at >= 0) & (at < n)
+        row = np.nonzero(inside)[0]
+        p, at = np.broadcast_to(p, at.shape)[inside], at[inside]
+        out = np.zeros((len(nodes), n))
+        # (p, at) in pair ordering is the upper-stored (min, max) element
+        out[row, np.where(at % 2, n - 1 - at // 2, at // 2)] = \
+            self.band[bw - np.abs(at - p), np.maximum(p, at)]
+        return out
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense N x N view in node ordering, built on each access."""
-        m = np.zeros((self.n, self.n))
-        self.scatter_rows(m, np.arange(self.n))
-        return m
+        return self.gather_rows(np.arange(self.n))
 
 
 def _checked(values: np.ndarray, what: str) -> np.ndarray:

@@ -7,8 +7,8 @@ potential's ``hamiltonian`` directly. Scarf spectra at alpha > 0 and the
 Gegenbauer composite are computed through the squared discrete supercharge
 built from U and V (see grid module notes on the fall-to-center artifact of
 the directly sampled potential). The Gegenbauer 2 Q^2 is banded from row
-blocks of the BLAS product, each formed with an operand that holds only the
-rows of Q the block reads, so no N x N array is ever resident.
+blocks of the BLAS product, each block multiplied only by the columns of Q
+that its band reads, in O(N^2) work and O(N) memory, bit for bit.
 """
 
 from __future__ import annotations
@@ -113,29 +113,32 @@ def gegenbauer_problem(params: GegParams, k: int) -> gridmod.Problem:
         g = gridmod.Grid(n, math.pi / 2)
         q = gridmod.supercharge_matrix(pot.u.f, pot.v.f, g)
         diag, refl = _gegenbauer_corrections(params, g.nodes)
-        operand = {}
 
         def rows(r0, r1):
             # rows of the dense BLAS product 2 Q @ Q: a banded Q^2 rounds
-            # differently and moves the levels by ~1e-10. OpenBLAS sums each
-            # element over the inner index in an order set by N alone, so a
-            # block of rows times the whole Q equals those rows of Q @ Q bit
-            # for bit. The block and its mirror hold the rows of mirror
-            # pairs lo .. hi - 1, and as Q has pair bandwidth 3 they read
-            # only the rows of Q of pairs lo - 2 .. hi + 1. The operand O
-            # holds those rows and zeros elsewhere: a product term whose
-            # left factor is 0 adds exactly nothing, so O[r0:r1] @ O has the
-            # same bits, and the pages of O never written never become
-            # resident.
+            # differently and moves the levels by ~1e-10. The block and its
+            # mirror hold the rows of mirror pairs lo .. hi - 1; as Q has
+            # pair bandwidth 3 they read only the rows of Q of pairs
+            # lo - 2 .. hi + 1, and the band of Q^2 keeps only the columns
+            # of those pairs. So the block is Q[r0:r1] @ O[:, cols], with O
+            # holding those rows of Q and zeros elsewhere: a term whose
+            # factor is 0 adds exactly nothing, and the inner dimension
+            # stays N. OpenBLAS's small-matrix and edge kernels round
+            # differently from its full-width one, so the window keeps node
+            # order and grows to a multiple of 4 pairs where N allows: with
+            # blocks of 64 rows or more this kept the bits of the whole
+            # product at every N tried (README)
             lo, hi = min(r0, n - r1), min(r1, n - r0, n // 2)
-            if (lo, hi) not in operand:
-                operand.clear()
-                o = operand[lo, hi] = np.zeros((n, n))
-                p = np.arange(max(lo - 2, 0), min(hi + 2, n // 2))
-                q.scatter_rows(o, np.concatenate([p, n - 1 - p]))
-            o = operand[lo, hi]
-            h = o[r0:r1] @ o
-            h *= 2.0
+            p0, p1 = max(lo - 2, 0), min(hi + 2, n // 2)
+            p1 = min(p1 + (p0 - p1) % 4, n // 2)
+            p0 = max(p0 - (p0 - p1) % 4, 0)
+            p = np.arange(p0, p1)
+            cols = np.concatenate([p, n - 1 - p[::-1]])
+            o = np.zeros((n, len(cols)))
+            o[cols] = q.gather_rows(cols)[:, cols]
+            prod = q.gather_rows(np.arange(r0, r1)) @ o
+            h = np.zeros((r1 - r0, n))
+            h[:, cols] = 2.0 * prod
             i = np.arange(r0, r1)
             h[i - r0, i] += diag[i]
             h[i - r0, n - 1 - i] += refl[i]
@@ -143,7 +146,6 @@ def gegenbauer_problem(params: GegParams, k: int) -> gridmod.Problem:
 
         # Q^2 has pair bandwidth 4
         op = gridmod.GridOperator.from_rows(rows, g, 4)
-        operand.clear()
         return gridmod.composite_spectrum(op, k)
 
     return gridmod.Problem(

@@ -482,35 +482,23 @@ def test_hamiltonian_band_equals_hand_typed(system, n):
             == assemble(*parts, g).band.tobytes())
 
 
-def _gegenbauer_operator(monkeypatch, mu, alpha, n, k):
+def _gegenbauer_operator(mu, alpha, n, k):
     """The operator gegenbauer_problem hands to composite_spectrum, which
     is not run."""
     seen = []
     real = gridmod.composite_spectrum
-    monkeypatch.setattr(gridmod, "composite_spectrum",
-                        lambda op, kk: seen.append(op) or np.zeros(kk))
-    gegenbauer_problem(GegParams(mu, alpha), k).compute(n)
-    monkeypatch.setattr(gridmod, "composite_spectrum", real)
+    gridmod.composite_spectrum = lambda op, kk: seen.append(op) or np.zeros(kk)
+    try:
+        gegenbauer_problem(GegParams(mu, alpha), k).compute(n)
+    finally:
+        gridmod.composite_spectrum = real
     return seen[0]
 
 
-# 4 MiB blocks give one block at N = 2 and four pairs of 256-row blocks at
-# N = 2048; 1 MiB gives N = 600 one pair of 218-row blocks, then a 164-row
-# middle block that is its own mirror
-_BUDGETS = {600: 1 << 20}
-
-
-@pytest.mark.parametrize("n", [2, 256, 600, 1024, 2048])
-@pytest.mark.parametrize("mu, al", [(F(1, 2), F(1)), (F(1, 2), F(0)),
-                                    (F(20), F(20)), (F(1, 3), F(-1, 2))])
-def test_gegenbauer_band_equals_dense_construction(mu, al, n, monkeypatch):
-    # the band is read from row blocks of an operand that holds only the
-    # rows of Q each block reads; the reference forms the whole 2 Q @ Q at
-    # once, with the corrections added on the two diagonals only, so that
-    # the signs of zeros are compared too
-    if n in _BUDGETS:
-        monkeypatch.setattr(gridmod, "_BLOCK_BYTES", _BUDGETS[n])
-    op = _gegenbauer_operator(monkeypatch, mu, al, n, 1)
+def _band_and_dense_reference(mu, al, n):
+    """(the Gegenbauer band, the band of the whole 2 Q @ Q formed at once
+    with the corrections added on the two diagonals only)"""
+    op = _gegenbauer_operator(mu, al, n, 1)
     g = Grid(n, math.pi / 2)
     q = _dense_supercharge(scarf_potential(ScarfParams(2 * mu, F(0))), g)
     x, m, a = g.nodes, float(mu), float(al)
@@ -519,37 +507,84 @@ def test_gegenbauer_band_equals_dense_construction(mu, al, n, monkeypatch):
     h[i, i] += ((a**2 - 0.25) / np.cos(x) ** 2 - (m + a + 0.5) ** 2
                 + (2 * a + 1) * m)
     h[i, n - 1 - i] += -m * (1.0 / (1.0 + np.cos(x)) + (2 * a + 1))
-    ref = _dense_band(0.5 * (h + h.T))
-    assert np.array_equal(op.band, ref)
-    assert np.array_equal(np.signbit(op.band), np.signbit(ref))
+    return op.band, _dense_band(0.5 * (h + h.T))
 
 
-@pytest.mark.parametrize("n, budget, blocks", [
+GEG_BAND_SETS = [(F(1, 2), F(1)), (F(1, 2), F(0)), (F(20), F(20)),
+                 (F(1, 3), F(-1, 2))]
+
+
+def _fresh_python(script, **env):
+    """Run ``script`` in a new interpreter that imports this checkout's
+    package; returns its stdout."""
+    src = str(Path(gridmod.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(
+               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# the sizes where other block heights, block orders or column counts broke
+# the bits: 128 and 130 are one whole block, 514 and 600 end in a middle
+# block of 130 and 88 rows
+@pytest.mark.parametrize("n", [2, 128, 130, 256, 514, 600, 1024, 2048])
+@pytest.mark.parametrize("mu, al", GEG_BAND_SETS)
+def test_gegenbauer_band_equals_dense_construction(mu, al, n):
+    # each row block multiplies only the columns of its pair window; the
+    # bytes compare the signs of zeros too
+    band, ref = _band_and_dense_reference(mu, al, n)
+    assert band.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [600, 2048])
+def test_gegenbauer_band_equals_dense_construction_on_one_blas_thread(n):
+    # OpenBLAS splits a product between its threads, so the bits are
+    # checked again on one thread, band and reference in the same process
+    out = _fresh_python(f"""
+        import sys
+        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+        from test_grid import GEG_BAND_SETS, _band_and_dense_reference
+
+        for mu, al in GEG_BAND_SETS:
+            band, ref = _band_and_dense_reference(mu, al, {n})
+            print(band.tobytes() == ref.tobytes())
+        """, OPENBLAS_NUM_THREADS="1")
+    assert out.split() == ["True"] * len(GEG_BAND_SETS)
+
+
+@pytest.mark.parametrize("n, height, blocks", [
     pytest.param(64, None, [(0, 64)], id="64"),
-    # a block is clamped to one row: three pairs of single rows
-    pytest.param(6, 1, [(0, 1), (5, 6), (1, 2), (4, 5), (2, 3), (3, 4)],
+    # up to three blocks' worth of rows is one whole block
+    pytest.param(130, None, [(0, 130)], id="130"),
+    pytest.param(192, None, [(0, 192)], id="192"),
+    # one pair of 64-row blocks, then a 66-row middle block, its own mirror
+    pytest.param(194, None, [(0, 64), (130, 194), (64, 130)], id="194"),
+    pytest.param(600, None, [b for r in range(0, 256, 64)
+                             for b in ((r, r + 64), (536 - r, 600 - r))]
+                 + [(256, 344)], id="600"),
+    pytest.param(1024, None, [b for r in range(0, 448, 64)
+                              for b in ((r, r + 64), (960 - r, 1024 - r))]
+                 + [(448, 576)], id="1024"),
+    pytest.param(2048, None, [b for r in range(0, 960, 64)
+                              for b in ((r, r + 64), (1984 - r, 2048 - r))]
+                 + [(960, 1088)], id="2048"),
+    # from_rows itself takes any height: single rows, then a 2-row middle
+    pytest.param(6, 1, [(0, 1), (5, 6), (1, 2), (4, 5), (2, 4)],
                  id="6-single-rows"),
-    # five-row blocks in mirror pairs, then a short middle block
-    pytest.param(64, 8 * 64 * 5,
-                 [b for r in range(0, 30, 5)
-                  for b in ((r, r + 5), (59 - r, 64 - r))] + [(30, 34)],
-                 id="64-five-rows"),
-    pytest.param(600, 1 << 20, [(0, 218), (382, 600), (218, 382)], id="600"),
-    # at least N // 64 rows, whatever the budget
-    pytest.param(128, 1, [b for r in range(0, 64, 2)
-                          for b in ((r, r + 2), (126 - r, 128 - r))],
-                 id="128-min-rows"),
-    # 4 MiB of rows: two full blocks at N = 1024, four pairs at N = 2048
-    pytest.param(1024, None, [(0, 512), (512, 1024)], id="1024"),
-    pytest.param(2048, None, [b for r in range(0, 1024, 256)
-                              for b in ((r, r + 256), (1792 - r, 2048 - r))],
-                 id="2048"),
+    # five-row blocks in mirror pairs, then a 14-row middle block
+    pytest.param(64, 5, [b for r in range(0, 25, 5)
+                         for b in ((r, r + 5), (59 - r, 64 - r))]
+                 + [(25, 39)], id="64-five-rows"),
 ])
-def test_from_rows_equals_symmetrized_dense_band(n, budget, blocks,
+def test_from_rows_equals_symmetrized_dense_band(n, height, blocks,
                                                  monkeypatch):
     # M is not symmetric; every row is asked for once, in mirror pairs
-    if budget is not None:
-        monkeypatch.setattr(gridmod, "_BLOCK_BYTES", budget)
+    if height is not None:
+        monkeypatch.setattr(gridmod, "_BLOCK_ROWS", height)
     bw = 3
     rng = np.random.default_rng(n)
     pair = np.triu(np.tril(rng.standard_normal((n, n)), bw), -bw)
@@ -567,7 +602,7 @@ def test_from_rows_equals_symmetrized_dense_band(n, budget, blocks,
 
 
 @pytest.mark.parametrize("n", [2, 6, 64, 600])
-def test_scatter_rows_writes_only_the_band_entries_of_those_rows(n):
+def test_gather_rows_holds_only_the_band_entries_of_those_rows(n):
     g = Grid(n, math.pi / 2)
     pot = scarf_potential(ScarfParams(F(1), F(3)))
     q = supercharge_matrix(pot.u.f, pot.v.f, g)
@@ -575,39 +610,38 @@ def test_scatter_rows_writes_only_the_band_entries_of_those_rows(n):
     nodes = np.array(sorted({0, n // 2, n - 1}))
     pos = np.argsort([i for p in range(n // 2) for i in (p, n - 1 - p)])
     near = np.abs(pos[nodes][:, None] - pos) <= q.band.shape[0] - 1
-    out = np.full((n, n), np.nan)
-    q.scatter_rows(out, nodes)
-    assert np.array_equal(np.isnan(out[nodes]), ~near)
-    assert out[nodes][near].tobytes() == dense[nodes][near].tobytes()
-    rest = np.setdiff1d(np.arange(n), nodes)
-    assert np.isnan(out[rest]).all()
+    out = q.gather_rows(nodes)
+    assert out.shape == (len(nodes), n)
+    assert out[near].tobytes() == dense[nodes][near].tobytes()
+    # every entry off the band is +0
+    assert out[~near].tobytes() == bytes(8 * int((~near).sum()))
+    assert q.gather_rows(nodes[::-1]).tobytes() == out[::-1].tobytes()
 
 
 def test_gegenbauer_compute_never_holds_the_product():
-    # forming 2 Q @ Q whole reached twice 8 N^2 bytes. tracemalloc counts
-    # the whole zero-filled operand O, 8 N^2 bytes, even though the pages
-    # that no row of Q is written to are never touched and never resident;
-    # test_gegenbauer_compute_resident_growth checks the resident memory
-    n = 2048
+    # one block's operands are O(64 N) floats; forming 2 Q @ Q whole, or a
+    # block of its rows times an N x N operand, reached 8 N^2 bytes or more
+    n = 4096
     tracemalloc.start()
     try:
         gegenbauer_problem(GegParams(F(1, 2), F(1)), 3).compute(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * n * n
+    assert peak < 512 * 8 * n
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                     reason="reads VmHWM from /proc/self/status")
 def test_gegenbauer_compute_resident_growth():
     # after a warm-up at N = 256, the solve at N = 2048 raises the process's
-    # peak RSS by less than one dense Q; holding the dense Q operand raised
-    # it by ~40 MiB. The peak is VmHWM, the high-water mark of the fresh
+    # peak RSS by less than a quarter of one dense Q; an N x N operand that
+    # held only the rows of Q a block reads raised it by ~21 MiB, a dense
+    # one by ~40 MiB. The peak is VmHWM, the high-water mark of the fresh
     # process's own memory map: its ru_maxrss would start at the peak RSS
     # of the process that spawned it.
     n = 2048
-    script = textwrap.dedent(f"""
+    out = _fresh_python(f"""
         from fractions import Fraction
         from dunklqm.gegenbauer import GegParams
         from dunklqm.spectra import gegenbauer_problem
@@ -624,21 +658,14 @@ def test_gegenbauer_compute_resident_growth():
         compute({n})
         print(peak() - before)
         """)
-    src = str(Path(gridmod.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 8 * n * n
+    assert int(out) < 2 * n * n
 
 
 @pytest.mark.parametrize("mu, alpha", [(F(1, 2), F(1)), (F(1), F(1, 4)),
                                        (F(3, 2), F(2))])
 def test_composite_filter_matches_dense_eigenvectors(mu, alpha, monkeypatch):
     k = 6
-    op = _gegenbauer_operator(monkeypatch, mu, alpha, 512, k)
+    op = _gegenbauer_operator(mu, alpha, 512, k)
     fractions = []
     real = gridmod.checkerboard_fraction
     monkeypatch.setattr(gridmod, "checkerboard_fraction",
