@@ -116,7 +116,8 @@ def _pair_band(entry: Callable, n: int, bandwidth: int) -> np.ndarray:
     return band[top:]
 
 
-# rows per block that GridOperator.from_rows asks for
+# rows per block that GridOperator.from_rows asks for; smaller blocks
+# broke the bits of the Gegenbauer product (spectra)
 _BLOCK_ROWS = 64
 
 
@@ -161,9 +162,8 @@ class GridOperator:
         last (``_row_blocks``): 64 rows each, the middle one 65 to 192 (or
         all N <= 192). Each is dropped once its entries within the pair
         bandwidth are kept, so M is never held whole. The band holds
-        ``0.5 * (M[i, j] + M[j, i])``
-        for every pair-ordered neighbour pair (i, j). A block of the wrong
-        shape raises ValueError.
+        ``0.5 * (M[i, j] + M[j, i])`` for every pair-ordered neighbour pair
+        (i, j). A block of the wrong shape raises ValueError.
         """
         n = grid.n
         perm = _pair_permutation(n)
