@@ -8,77 +8,28 @@ supercharge and Hamiltonian in both the analytic and the gauged polynomial
 pictures, cross-checks every commonly printed closed form against
 independent oracles (exact algebra, quadrature, finite-difference spectra),
 and emits a machine-readable errata report of the discrepancies it finds.
+
+Each module's ``__all__`` is its public API, and the package exports their
+union. ``import dunklqm`` loads no module; ``dunklqm.X`` (and ``from dunklqm
+import X``) imports the modules of ``_MODULES`` in order until one lists X,
+so an exact-layer name loads neither numpy nor scipy. A module name, ``cli``
+included, is that submodule.
 """
 
-from .exact import (
-    DomainError,
-    NonTerminatingError,
-    SeriesDivisionByZero,
-    beta_num,
-    hyp2f1,
-    hyp3f2,
-    pochhammer,
-    rat,
-)
-from .opalg import (
-    DegenerateSpectrumError,
-    DegreeOverflowError,
-    Diff,
-    FamilyReport,
-    MulPoly,
-    OddOverY,
-    OrthogonalFamily,
-    Poly,
-    Reflect,
-    ReflOp,
-    compose,
-    construct_eigen,
-    dunkl,
-    gram_sequence,
-    inner,
-    matrix_on_basis,
-    verify_family,
-)
-from .jacobi import (
-    Jacobi1Params,
-    construct_explicit,
-    eigenvalue,
-    lop,
-    norm_sq_closed,
-)
-from .gegenbauer import (
-    GegParams,
-    HermiteParams,
-    csm_two_particle_check,
-    eigenvalue_geg,
-    geg_potentials,
-    lop_geg,
-)
-from .susyqm import (
-    ScarfParams,
-    SusyPotential,
-    gauged_supercharge,
-    ground_state,
-    intertwiner,
-    osc_energy,
-    osc_gauged_hamiltonian,
-    osc_gauged_supercharge,
-    osc_wavefunction,
-    oscillator_potential,
-    scarf_energy,
-    scarf_potential,
-    verify_operator_relations,
-    verify_oscillator,
-)
-from .grid import (
-    Grid,
-    GridOperator,
-    SpectrumReport,
-    assemble,
-    convergence_study,
-    eigen_lowest,
-    quadrature,
-)
-from .errata import build_errata, errata_json
+import importlib
 
 __version__ = "0.1.0"
+
+# dependency order; no name is private or in two modules' __all__
+_MODULES = ("exact", "opalg", "jacobi", "gegenbauer", "refcalc", "grid",
+            "susyqm", "spectra", "errata")
+
+
+def __getattr__(name: str):
+    if name in _MODULES or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    for module_name in _MODULES if not name.startswith("_") else ():
+        module = importlib.import_module(f"{__name__}.{module_name}")
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

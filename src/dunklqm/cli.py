@@ -7,6 +7,11 @@ parameters or `spectrum` its answer (LAPACK's LinAlgError included) prints
 "error: ..." and exits 2. Rational parameters are passed as exact "p/q"
 strings, negative ones too ("--alpha -1/2"). All output is deterministic
 for a fixed invocation; floats print at 17 significant digits.
+
+The exact layer (exact, opalg, jacobi, gegenbauer) is imported here, and
+each command imports the float layers it uses. So `family` and `verify
+--suite exact|jacobi|gegenbauer` load neither numpy nor scipy; `spectrum`,
+`errata` and the other verify suites load both.
 """
 
 from __future__ import annotations
@@ -21,18 +26,10 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
-from .errata import errata_json
 from .exact import hyp2f1, hyp3f2, pochhammer
 from .gegenbauer import GEG_FUZZ_PARAMS, GegParams, csm_two_particle_check
-from .grid import check_doubling_ladder, convergence_study
 from .jacobi import FUZZ_PARAMS, Jacobi1Params
 from .opalg import eigenvalue_collision, verify_family
-from .spectra import gegenbauer_problem, oscillator_problem, scarf_problem
-from .susyqm import (ScarfParams, osc_energy, verify_lowering,
-                     verify_operator_relations, verify_oscillator,
-                     verify_raising)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -47,6 +44,8 @@ def _rat(text: str) -> Fraction:
 
 
 def _grid_list(text: str) -> list:
+    from .grid import check_doubling_ladder
+
     try:
         out = [int(t) for t in text.split(",")]
     except ValueError:
@@ -275,6 +274,8 @@ def _suite_csm(log) -> bool:
 
 
 def _suite_oscillator(log) -> tuple[bool, int]:
+    from .susyqm import osc_energy, verify_oscillator
+
     checks = verify_oscillator()
     spectrum = checks["q_squared_equals_h"] and checks["spectrum"]
     log(f"oscillator: Q^2 = H and spectrum {[osc_energy(n) for n in range(6)]} "
@@ -287,6 +288,8 @@ def _suite_oscillator(log) -> tuple[bool, int]:
 def _suite_intertwiners(log, degree: int) -> tuple[bool, int]:
     """The exact lowering and raising maps up to ``degree`` on each fuzz
     pair; the printed-scalar findings are counted over n <= 6."""
+    from .susyqm import ScarfParams, verify_lowering, verify_raising
+
     ok, findings = True, 0
     for a, b in FUZZ_PARAMS:
         p = ScarfParams(a, b)
@@ -302,6 +305,8 @@ def _suite_intertwiners(log, degree: int) -> tuple[bool, int]:
 
 
 def _suite_relations(log) -> tuple[bool, int]:
+    from .susyqm import ScarfParams, verify_operator_relations
+
     rep = verify_operator_relations(ScarfParams(Fraction(0), Fraction(1)),
                                     grids=(512, 1024, 2048))
     ok, findings = True, 0
@@ -356,6 +361,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
+    import numpy as np
+
+    from .grid import convergence_study
+    from .spectra import gegenbauer_problem, oscillator_problem, scarf_problem
+    from .susyqm import ScarfParams
+
     if _refuse_unread(args, "system", _SPECTRUM_PARAMS):
         return EXIT_USAGE
     # no method returns more levels than grid points; refused before the
@@ -406,6 +417,8 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_errata(args) -> int:
+    from .errata import errata_json
+
     _emit(errata_json(), args.out)
     return EXIT_OK
 

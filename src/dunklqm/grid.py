@@ -213,11 +213,6 @@ class GridOperator:
             self.band[bw - np.abs(at - p), np.maximum(p, at)]
         return out
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense N x N view in node ordering, built on each access."""
-        return self.gather_rows(np.arange(self.n))
-
 
 def _checked(values: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
@@ -398,7 +393,8 @@ def composite_spectrum(op: GridOperator, k: int) -> np.ndarray:
     those whose eigenvectors are grid-smooth, stopping at the k-th. LAPACK
     computes eigenvalues only; the vectors come from banded inverse
     iteration, one per scanned level, since LAPACK's banded eigenvector path
-    forms a dense N x N transformation at O(N^3) cost.
+    forms a dense N x N transformation at O(N^3) cost. A shift that makes
+    the banded solve exactly singular (seen on N = 2) is a method limit.
     """
     n_scan = 4 * k + 8
     n = op.n
@@ -407,12 +403,17 @@ def composite_spectrum(op: GridOperator, k: int) -> np.ndarray:
     perm = _pair_permutation(n)
     vec = np.empty(n)
     out = []
-    for lam, vec_p in zip(w, _inverse_iteration(op.band, w)):
-        vec[perm] = vec_p  # back to node ordering
-        if checkerboard_fraction(vec) < 0.5:
-            out.append(float(lam))
-            if len(out) == k:
-                break
+    try:
+        for lam, vec_p in zip(w, _inverse_iteration(op.band, w)):
+            vec[perm] = vec_p  # back to node ordering
+            if checkerboard_fraction(vec) < 0.5:
+                out.append(float(lam))
+                if len(out) == k:
+                    break
+    except np.linalg.LinAlgError as exc:
+        raise MethodLimitError(
+            f"method limit: inverse iteration on N={n} met an exactly "
+            f"singular shift ({exc})") from exc
     if len(out) < k:
         raise MethodLimitError(
             f"method limit: only {len(out)} of the lowest {len(w)} "

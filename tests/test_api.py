@@ -1,6 +1,6 @@
-"""Every public name of the package resolves: each name in a module's
-``__all__``, and each name that ``dunklqm/__init__.py`` imports, which must
-also be listed in its module's ``__all__``."""
+"""Every public name of the package resolves. Each module's ``__all__`` is
+its public API, and ``dunklqm`` exports their union, each name from the one
+module that lists it."""
 
 import ast
 import importlib
@@ -21,27 +21,37 @@ def test_module_all_resolves(name):
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
 
-def _package_imports() -> list:
-    """(module, name) of each ``from .module import name`` in the package."""
-    tree = ast.parse(Path(dunklqm.__file__).read_text())
-    return [(node.module, alias.name) for node in tree.body
-            if isinstance(node, ast.ImportFrom) for alias in node.names]
+@pytest.mark.parametrize("name", MODULES)
+def test_package_resolves_each_public_name_to_its_module(name):
+    module = importlib.import_module(f"dunklqm.{name}")
+    assert [attr for attr in module.__all__
+            if getattr(dunklqm, attr) is not getattr(module, attr)] == []
 
 
-def test_package_imports_resolve():
-    imported = _package_imports()
-    assert len(imported) > 50
-    for module_name, name in imported:
-        module = importlib.import_module(f"dunklqm.{module_name}")
-        assert getattr(dunklqm, name) is getattr(module, name, None), name
+def test_no_public_name_is_in_two_modules():
+    """So the order in which the package searches the modules never changes
+    the object a name resolves to."""
+    owners = {}
+    for name in MODULES:
+        for attr in importlib.import_module(f"dunklqm.{name}").__all__:
+            owners.setdefault(attr, []).append(name)
+    assert {attr: mods for attr, mods in owners.items() if len(mods) > 1} == {}
 
 
-def test_package_imports_are_in_module_all():
-    """A name the package re-exports is public in its own module too, so
-    ``from dunklqm.module import *`` provides it."""
-    missing = [f"{module_name}.{name}" for module_name, name in _package_imports()
-               if name not in importlib.import_module(f"dunklqm.{module_name}").__all__]
-    assert missing == []
+@pytest.mark.parametrize("name", [m.name for m in
+                                  pkgutil.iter_modules(dunklqm.__path__)
+                                  if m.name != "__main__"])
+def test_package_attribute_of_a_module_name_is_that_module(name):
+    # importing a submodule binds it on the package, so call the package's
+    # __getattr__ as it is called before that import
+    module = importlib.import_module(f"dunklqm.{name}")
+    assert getattr(dunklqm, name) is dunklqm.__getattr__(name) is module
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_MODULES_", "__all__", ""])
+def test_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match="has no attribute"):
+        getattr(dunklqm, name)
 
 
 @pytest.mark.parametrize("name", [m.name for m in

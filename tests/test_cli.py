@@ -159,7 +159,7 @@ def test_verify_gegenbauer_suite_runs_at_the_requested_degree(monkeypatch,
 
 def test_verify_intertwiners_suite_runs_at_the_requested_degree(monkeypatch,
                                                                capsys):
-    from dunklqm import cli
+    from dunklqm import susyqm
     from dunklqm.jacobi import FUZZ_PARAMS
 
     degrees = []
@@ -171,7 +171,7 @@ def test_verify_intertwiners_suite_runs_at_the_requested_degree(monkeypatch,
         return run_map
 
     for name in ("verify_lowering", "verify_raising"):
-        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        monkeypatch.setattr(susyqm, name, counted(getattr(susyqm, name)))
     code, out, _ = run(["verify", "--suite", "intertwiners", "--degree", "20"],
                        capsys)
     assert code == 0
@@ -358,11 +358,25 @@ def test_spectrum_squared_supercharge_limit_below_grid_size(capsys):
     assert "error: method limit: the squared supercharge on N=64" in err
 
 
+@pytest.mark.parametrize("mu, alpha", [("1/2", "1"), ("0", "0"),
+                                       ("1", "1/2")])
+def test_spectrum_gegenbauer_on_two_points_is_a_method_limit(mu, alpha,
+                                                             capsys):
+    # the inverse iteration's shift makes the 2 x 2 banded solve exactly
+    # singular
+    code, out, err = run(["spectrum", "--system", "gegenbauer", "--mu", mu,
+                          "--alpha", alpha, "--grids", "2,4,8",
+                          "--levels", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: method limit: inverse iteration on N=2 ")
+
+
 def test_relations_suite_fails_only_on_an_expected_identity(monkeypatch,
                                                            capsys):
-    from dunklqm import cli
+    from dunklqm import cli, susyqm
 
-    real = cli.verify_operator_relations
+    real = susyqm.verify_operator_relations
     code, out, err = run(["verify", "--suite", "relations"], capsys)
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == ("oracle checks: pass; printed-formula "
@@ -378,10 +392,10 @@ def test_relations_suite_fails_only_on_an_expected_identity(monkeypatch,
             return rep
         return report
 
-    monkeypatch.setattr(cli, "verify_operator_relations",
+    monkeypatch.setattr(susyqm, "verify_operator_relations",
                         flipped("q_squared_equals_h", "n/a"))
     assert cli._suite_relations(lambda msg: None) == (False, 4)
-    monkeypatch.setattr(cli, "verify_operator_relations",
+    monkeypatch.setattr(susyqm, "verify_operator_relations",
                         flipped("intertwine_X", "printed"))
     assert cli._suite_relations(lambda msg: None) == (True, 3)
 
@@ -399,14 +413,14 @@ def test_parameter_the_system_does_not_read_refused(argv, monkeypatch,
                                                     capsys):
     # refused before any problem or family is built, even at a value that
     # equals a default the choice does not read
-    from dunklqm import cli
+    from dunklqm import cli, spectra
 
     def no_work(*args):
         raise AssertionError("work done for a refused command")
 
-    for name in ("verify_family", "scarf_problem", "oscillator_problem",
-                 "gegenbauer_problem"):
-        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(cli, "verify_family", no_work)
+    for name in ("scarf_problem", "oscillator_problem", "gegenbauer_problem"):
+        monkeypatch.setattr(spectra, name, no_work)
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
@@ -495,14 +509,14 @@ def test_out_into_missing_directory_or_onto_directory_usage_error(
 @pytest.mark.parametrize("target", ["", "missing/", "existing-file/x"])
 def test_out_path_that_cannot_be_written_is_refused_before_work(
         argv, target, tmp_path, capsys, monkeypatch):
-    from dunklqm import cli
+    from dunklqm import cli, errata, grid
 
     def no_work(*args, **kwargs):
         raise AssertionError("the command ran before its --out was refused")
 
-    for name in ("verify_family", "_suite_exact", "convergence_study",
-                 "errata_json"):
-        monkeypatch.setattr(cli, name, no_work)
+    for owner, name in ((cli, "verify_family"), (cli, "_suite_exact"),
+                        (grid, "convergence_study"), (errata, "errata_json")):
+        monkeypatch.setattr(owner, name, no_work)
     (tmp_path / "existing-file").write_text("")
     path = "" if not target else str(tmp_path) + os.sep + target
     code, out, err = run([*argv, "--out", path], capsys)
@@ -531,15 +545,20 @@ def test_errata_schema_and_determinism(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_python_m_dunklqm_runs_the_cli():
+def _fresh_python(*args):
+    """Run ``python *args`` in a new process that imports this dunklqm."""
     src = str(Path(dunklqm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "dunklqm", "verify", "--suite", "exact"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "oracle checks: pass" in proc.stdout
+    return proc.stdout
+
+
+def test_python_m_dunklqm_runs_the_cli():
+    out = _fresh_python("-m", "dunklqm", "verify", "--suite", "exact")
+    assert "oracle checks: pass" in out
 
 
 def test_cli_never_imports_scipy_special():
@@ -554,13 +573,31 @@ with contextlib.redirect_stdout(io.StringIO()):
              dunklqm.cli.main(["errata"])]
 print(codes, "scipy.special" in sys.modules)
 """
-    src = str(Path(dunklqm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0]", "False"]
+    assert _fresh_python("-c", script).split() == ["[0,", "0]", "False"]
+
+
+def _main_quietly(*argv):
+    return ("import contextlib, io\nfrom dunklqm.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({list(argv)!r}) == 0")
+
+
+@pytest.mark.parametrize("statement", [
+    "import dunklqm",
+    "from dunklqm import Poly, Jacobi1Params, verify_family",
+    "from dunklqm import cli",
+    _main_quietly("family", "--kind", "jacobi-m1"),
+    _main_quietly("verify", "--suite", "exact"),
+    _main_quietly("verify", "--suite", "jacobi"),
+    _main_quietly("verify", "--suite", "gegenbauer"),
+], ids=["package", "exact-names", "cli", "family", "verify-exact",
+        "verify-jacobi", "verify-gegenbauer"])
+def test_exact_work_never_imports_numpy_or_scipy(statement):
+    # the exact layer is rational arithmetic only; the package and the CLI
+    # load the float layers only for the names and commands that use them
+    script = (f"{statement}\nimport sys\n"
+              "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    assert _fresh_python("-c", script).split() == ["[]"]
 
 
 def test_parser_shape():

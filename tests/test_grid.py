@@ -92,7 +92,7 @@ def test_oscillator_parity_sectors():
     # even or odd under x -> -x, the sign of v . Rv
     g = Grid(600, 10.0)
     op = assemble(lambda x: 0.5 * x**2, lambda x: -0.5 + 0.0 * x, g)
-    w, v = np.linalg.eigh(op.matrix)
+    w, v = np.linalg.eigh(op.gather_rows(np.arange(op.n)))
     parity = np.einsum("ij,ij->j", v, v[::-1])
     assert np.abs(np.abs(parity) - 1.0).max() < 1e-10
     # lowest even level 0, lowest odd level 2
@@ -109,7 +109,9 @@ def test_scarf_alpha0_equals_scalar_hamiltonian():
     b = 2.0
     scalar = assemble(lambda x: b * (b / 2 - np.sin(x)) / (4 * np.cos(x) ** 2),
                       lambda x: 0.0 * x, g)
-    assert np.abs(via_susy.matrix - scalar.matrix).max() < 1e-12
+    nodes = np.arange(g.n)
+    assert np.abs(via_susy.gather_rows(nodes)
+                  - scalar.gather_rows(nodes)).max() < 1e-12
 
 
 def test_mirror_symmetry_beta_flip():
@@ -118,7 +120,7 @@ def test_mirror_symmetry_beta_flip():
 
     def h_matrix(beta):
         h = scarf_potential(ScarfParams(F(1), beta)).hamiltonian()
-        return assemble(h[0, 0].f, h[0, 1].f, g).matrix
+        return assemble(h[0, 0].f, h[0, 1].f, g).gather_rows(np.arange(g.n))
 
     h, hm = h_matrix(F(1, 2)), h_matrix(F(-1, 2))
     r = np.eye(64)[::-1]
@@ -138,7 +140,7 @@ def test_eigen_lowest_banded_matches_dense():
     pot = scarf_potential(pars)
     g = Grid(128, math.pi / 2)
     q = supercharge_matrix(pot.u.f, pot.v.f, g)
-    dense = np.sort(np.linalg.eigvalsh(q.matrix))
+    dense = np.sort(np.linalg.eigvalsh(q.gather_rows(np.arange(q.n))))
     banded = np.sort(eig_banded(q.band, lower=False, eigvals_only=True))
     assert np.abs(dense - banded).max() < 1e-9 * max(1, np.abs(dense).max())
     low = eigen_lowest(q, 4)
@@ -445,7 +447,7 @@ def test_assemble_equals_dense_stencil(system, n):
         parts = _scarf_scalar_parts(scarf_potential(ScarfParams(F(0), F(2))))
     op = assemble(*parts, g)
     dense = _dense_assemble(*parts, g)
-    assert np.array_equal(op.matrix, dense)
+    assert np.array_equal(op.gather_rows(np.arange(op.n)), dense)
     assert np.array_equal(op.band, _dense_band(dense))
 
 
@@ -456,7 +458,7 @@ def test_supercharge_equals_dense_product(ab, n):
     g = Grid(n, math.pi / 2)
     q = supercharge_matrix(pot.u.f, pot.v.f, g)
     dense = _dense_supercharge(pot, g)
-    assert np.array_equal(q.matrix, dense)
+    assert np.array_equal(q.gather_rows(np.arange(q.n)), dense)
     assert np.array_equal(q.band, _dense_band(dense))
     # direct sampling: R-term mirror images may differ in the last bit, and
     # the band keeps the pair-ordered upper triangle
@@ -672,7 +674,7 @@ def test_composite_filter_matches_dense_eigenvectors(mu, alpha, monkeypatch):
                         lambda v: fractions.append(real(v)) or fractions[-1])
     vals = gridmod.composite_spectrum(op, k)
     n_scan = 4 * k + 8
-    _, vecs = np.linalg.eigh(op.matrix)
+    _, vecs = np.linalg.eigh(op.gather_rows(np.arange(op.n)))
     dense = np.asarray([real(vecs[:, j]) for j in range(n_scan)])
     # the scan stops right after the k-th smooth dense vector
     last = np.flatnonzero(dense < 0.5)[k - 1]
