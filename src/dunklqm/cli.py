@@ -274,11 +274,12 @@ def _suite_csm(log) -> bool:
 
 
 def _suite_oscillator(log) -> tuple[bool, int]:
-    from .susyqm import osc_energy, verify_oscillator
+    from .susyqm import SusySystem, verify_oscillator
 
     checks = verify_oscillator()
     spectrum = checks["q_squared_equals_h"] and checks["spectrum"]
-    log(f"oscillator: Q^2 = H and spectrum {[osc_energy(n) for n in range(6)]} "
+    energies = [int(SusySystem.oscillator().energy(n)) for n in range(6)]
+    log(f"oscillator: Q^2 = H and spectrum {energies} "
         f"on number states n<=12: {'pass' if spectrum else 'FAIL'}")
     log("oscillator: mixed states are Q-eigenvectors with eigenvalue "
         "eps sqrt(2n+2): " + ("pass" if checks["mixed_state_blocks"] else "FAIL"))
@@ -364,8 +365,8 @@ def cmd_spectrum(args) -> int:
     import numpy as np
 
     from .grid import convergence_study
-    from .spectra import gegenbauer_problem, oscillator_problem, scarf_problem
-    from .susyqm import ScarfParams
+    from .spectra import spectrum_problem
+    from .susyqm import ScarfParams, SusySystem
 
     if _refuse_unread(args, "system", _SPECTRUM_PARAMS):
         return EXIT_USAGE
@@ -381,13 +382,12 @@ def cmd_spectrum(args) -> int:
     try:
         with np.errstate(over="raise"):
             if args.system == "scarf":
-                prob = scarf_problem(ScarfParams(args.alpha, args.beta),
-                                     args.levels)
+                system = SusySystem.scarf(ScarfParams(args.alpha, args.beta))
             elif args.system == "oscillator":
-                prob = oscillator_problem(args.levels)
+                system = SusySystem.oscillator()
             else:
-                prob = gegenbauer_problem(GegParams(args.mu, args.alpha),
-                                          args.levels)
+                system = SusySystem.gegenbauer(GegParams(args.mu, args.alpha))
+            prob = spectrum_problem(system, args.levels)
             rep = convergence_study(prob, args.grids)
     except (OverflowError, FloatingPointError) as exc:
         print(f"error: parameters beyond float range ({exc})", file=sys.stderr)

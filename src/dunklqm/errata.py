@@ -16,14 +16,14 @@ from . import grid as gridmod
 from .gegenbauer import GegParams, HermiteParams, eigenvalue_geg, geg_potentials
 from .jacobi import Jacobi1Params, construct_explicit
 from .opalg import dunkl, eigen_sequence, gram_sequence, inner
-from .spectra import gegenbauer_problem
+from .spectra import spectrum_problem
 from .susyqm import (
     ScarfParams,
+    SusySystem,
     bracket_n,
     exact_residual,
     ground_state_norm_sq,
     intertwiner,
-    osc_state_fn,
     osc_wavefunction,
     scarf_relations,
     verify_lowering,
@@ -306,9 +306,10 @@ def _gegenbauer_eigenvalue_sign(spec: list) -> dict:
 
 
 def _oscillator_laguerre_weight() -> dict:
+    psi = SusySystem.oscillator().wavefunction
+
     def superposition(n, eps, x):  # (psi_(2n+1) + eps psi_(2n+2))/2
-        psi_odd, psi_even = osc_state_fn(2 * n + 1), osc_state_fn(2 * n + 2)
-        return float(psi_odd(x) + eps * psi_even(x)) / 2
+        return float(psi(2 * n + 1)(x) + eps * psi(2 * n + 2)(x)) / 2
 
     ratios_printed = [float(osc_wavefunction(1, 1, x)
                             / superposition(1, -1, x)) for x in (0.4, 0.9)]
@@ -371,7 +372,7 @@ def _mixed_state_prefactor() -> dict:
 def build_errata() -> list:
     """Compute all errata entries with live evidence."""
     corrected, printed = verify_raising(_RAISING_PARAMS, 12)
-    geg = gegenbauer_problem(_GEG_PARAMS, 3)
+    geg = spectrum_problem(SusySystem.gegenbauer(_GEG_PARAMS), 3)
     geg_spectrum = [float(v) for v in geg.compute(1024)]
     return [
         _odd_explicit_prefactor(),

@@ -7,23 +7,19 @@ The family consists of the symmetric polynomials orthogonal for the weight
     L P_n = lambda_n P_n,    L = (1 - y^2) T_mu^2 - 2 (alpha + 1) y T_mu,
 
 with T_mu the Dunkl operator. Conjugating -L by the ground-state factor
-F0 = |sin x|^mu cos^(alpha+1/2) x (after y = sin x) produces a Hamiltonian
--d^2/dx^2 + U0(x) + U1(x) R whose bound-state energies are -lambda_n >= 0.
+F0 = |sin x|^mu cos^(alpha+1/2) x (after y = sin x) gives the Hamiltonian
+-d^2/dx^2 + U0(x) + U1(x) R of ``susyqm.SusySystem.gegenbauer``, with
+energies -lambda_n >= 0. The commonly printed U0 and U1 carry constants
+inconsistent with H F0 = 0 (U0 by -mu^2 - 1/4, U1's with the opposite
+sign); the ``derived`` variant fixes them and reproduces the Poeschl-Teller
+(mu = 0) and two-particle Calogero-Sutherland-Moser (alpha = -1/2) cases
+exactly. Both are exposed, so the discrepancy is measured, not hidden.
 
-The commonly printed rational-trig expressions for U0 and U1 carry constant
-terms that are inconsistent with H F0 = 0 (U0 by -mu^2 - 1/4, U1's constant
-with the opposite sign); the ``derived`` variant fixes them and reproduces
-the Poeschl-Teller (mu = 0) and two-particle Calogero-Sutherland-Moser
-(alpha = -1/2) special cases exactly. Both variants are exposed so that the
-discrepancy can be measured rather than hidden.
-
-``GegParams`` supplies the family's math to the generic battery of
-``opalg``; being symmetric, the family is also checked for parity.
-
-``HermiteParams`` is the other symmetric family on T_mu: the generalized
-Hermite polynomials of the Bose-like oscillator (Rosenblum, Oper. Theory
-Adv. Appl. 73, 1994), orthogonal for |y|^(2 mu) e^(-y^2) on the line; at
-mu = 0 they are H_n/2^n, the supersymmetric oscillator's polynomials.
+``GegParams`` supplies the family's math to ``opalg``'s generic battery
+(with parity, being symmetric). ``HermiteParams`` is the other symmetric
+family on T_mu: the generalized Hermite polynomials of the Bose-like
+oscillator (Rosenblum, Oper. Theory Adv. Appl. 73, 1994), orthogonal for
+|y|^(2 mu) e^(-y^2); at mu = 0, H_n/2^n, the oscillator's polynomials.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ __all__ = [
     "lop_geg",
     "eigenvalue_geg",
     "geg_potentials",
-    "ground_factor",
     "csm_two_particle_check",
     "GEG_FUZZ_PARAMS",
 ]
@@ -123,13 +118,9 @@ class HermiteParams(OrthogonalFamily):
         return lower[-2] * (self.mu + len(lower) // 2 - Fraction(1, 2))
 
     def recurrence(self, k: int) -> Fraction:
-        """b_k of P_(k+1) = y P_k - b_k P_(k-1): k/2 + mu [k odd] (a_k = 0)."""
+        """b_k = k/2 + mu [k odd] of P_(k+1) = y P_k - b_k P_(k-1) (a_k = 0),
+        which ``recurrence_coefficients`` reads off the moments."""
         return Fraction(k, 2) + (self.mu if k % 2 else 0)
-
-    def norm_sq(self, n: int) -> Fraction:
-        """||P_n||^2 = b_1 ... b_n for the moments normalized to m_0 = 1."""
-        return math.prod((self.recurrence(k) for k in range(1, n + 1)),
-                         start=Fraction(1))
 
 
 def lop_geg(params: GegParams) -> ReflOp:
@@ -151,17 +142,10 @@ def eigenvalue_geg(n: int, params: GegParams) -> Fraction:
 # Schroedinger form
 # ---------------------------------------------------------------------------
 
-def ground_factor(params: GegParams, x: float) -> float:
-    """F0(x) = |sin x|^mu cos^(alpha+1/2) x on (-pi/2, pi/2)."""
-    if not (-math.pi / 2 < x < math.pi / 2):
-        raise DomainError(f"x={x} outside (-pi/2, pi/2)")
-    mu, al = float(params.mu), float(params.alpha)
-    return abs(math.sin(x)) ** mu * math.cos(x) ** (al + 0.5)
-
-
 def geg_potentials(params: GegParams, x: float,
                    variant: str = "printed") -> tuple[float, float, float]:
-    """(U0(x), U1(x), F0(x)) for the reflection Schroedinger operator.
+    """(U0(x), U1(x), F0(x)) for the reflection Schroedinger operator, with
+    F0(x) = |sin x|^mu cos^(alpha+1/2) x.
 
     ``printed`` evaluates the commonly typeset rational-trig expressions;
     ``derived`` the forms consistent with H = -F0 L F0^{-1} (which differ
@@ -181,7 +165,7 @@ def geg_potentials(params: GegParams, x: float,
         u0 = mu**2 / s2 + (al**2 - 0.25) / c2 - (mu + al + 0.5) ** 2 \
             + (2 * al + 1) * mu
         u1 = -mu / s2 - (2 * al + 1) * mu
-    return u0, u1, ground_factor(params, x)
+    return u0, u1, abs(math.sin(x)) ** mu * math.cos(x) ** (al + 0.5)
 
 
 def csm_two_particle_check(mu, x1: float, x2: float) -> float:

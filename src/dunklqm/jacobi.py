@@ -20,7 +20,11 @@ difference is reported, never silently patched.
 ``opalg``; its extra checks are the closed-form norms and explicit forms.
 It is also the parameter object of the extended Scarf I system
 (``susyqm.ScarfParams``), whose eigenfunctions at (a, b) are this family at
-the same (a, b).
+the same (a, b). Its functional is (1 + y) times that of the generalized
+Gegenbauer family C_n at (mu, alpha) = (a/2, (b-1)/2), so by Christoffel's
+theorem (Szego, Orthogonal Polynomials, Thm 2.5) (1 + y) P_n = C_{n+1} -
+u_n C_n with u_n = C_{n+1}(-1)/C_n(-1), and ``norm_sq_closed(n)`` is
+-u_n ||C_n||^2 (tested exactly through degree 20).
 """
 
 from __future__ import annotations

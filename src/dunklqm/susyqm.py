@@ -1,61 +1,36 @@
 """Supersymmetric quantum mechanics with reflection supercharges: the
 extended Scarf I system, its gauged polynomial picture, intertwining maps,
-and the supersymmetric oscillator.
+the supersymmetric oscillator and the generalized Gegenbauer Hamiltonian.
 
-Each system is stated once, as a ``SusyPotential``: an even U and an odd V,
-each a refcalc coefficient function carrying its derivative. Its
+The paper builds each system alike: a first-order supercharge Q with
+reflections, H = Q^2, and eigenfunctions a ground-state factor times an
+orthogonal family. Each system is one ``SusySystem`` record (``.scarf``,
+``.oscillator``, ``.gegenbauer``) from which the targets, the one
+wavefunction evaluator and ``spectra.spectrum_problem`` derive. Its grid
+data is a ``SusyPotential``, even U and odd V with their derivatives, whose
 ``supercharge`` Q = [(d/dx + U) R + V]/sqrt(2) and ``hamiltonian`` H = Q^2
-are the only statements of Q and H; the operator relations compose them,
-and the grid spectra assemble H's coefficients or discretize Q from U and V.
-
-The Scarf system's parameters are its family's parameter object:
-``ScarfParams`` is ``jacobi.Jacobi1Params``, since the eigenfunctions at
-(a, b) are the little -1 Jacobi polynomials at the same (a, b), just as the
-generalized Gegenbauer system takes ``gegenbauer.GegParams``.
-
-Exact checks run in the gauged picture y = sin x, where the supercharge is
-the family's defining operator L (``jacobi.lop``) less a constant,
+are the only statements of Q and H. ``ScarfParams`` is
+``jacobi.Jacobi1Params``: the Scarf eigenfunctions at (a, b) are the little
+-1 Jacobi polynomials at (a, b). In the gauge y = sin x the supercharge is
+the family's operator L (``jacobi.lop``) less a constant,
 
     2 sqrt(2) Qtilde = L - (a+b+1) = 2(1-y) d/dy R - (a/y)(1-R) - (a+b+1) R,
 
-so its eigenvalues on the little -1 Jacobi polynomials are the family's
-lambda_n - (a+b+1): -(2n+a+b+1) for even n, +(2n+a+b+1) for odd n. Energies
-are their squares over eight. ``wavefunction_fn(n)`` is the one evaluator of
-the eigenfunctions (n = 0 gives Psi_0) and takes P_n and N_n/N_0 from the
-family too: P_n is evaluated by the three-term recurrence that
-``recurrence_coefficients`` reads off the moments on each call, and no value
-is cached between calls.
-Analytic-form identities (parity conjugations, intertwining and product
-relations, Q^2 = H) have one representation and two evaluations. Q, H, X and
-Y are each held once as a refcalc operator, and each identity is one refcalc
-Relation between chains of them, listed once by ``scarf_relations`` with its
-expected verdict, for both variants of the maps. Its exact symbolic
-composition gives a pointwise residual (``exact_residual``) that measures
-the true defect of the identity down to rounding; the same chains run as
-finite-difference stencils give residual norms that must vanish at second
-order in the grid spacing. ``verify_operator_relations`` evaluates both; the
-errata report reads the exact residuals of the product relations from the
-same list. Each makes one ``exact_residual`` call for its relations on one
-grid, which evaluates the test functions' derivatives once for all of them
-and each residual's coefficients once; like every value here, nothing it
-evaluates outlives the call.
+with eigenvalues lambda_n - (a+b+1) = -+(2n+a+b+1) (even/odd n).
 
-The X and Y intertwiners come in a ``printed`` and a ``corrected`` variant.
-The corrected X (tangent coefficient (b+1)/2 instead of b/2) is exactly the
-Dunkl derivative T_{a/2} in the gauged picture and annihilates the ground
-state; the corrected Y (coefficient (b-1)/2) maps P_n to P_{n+1} of the
-b-2 family with scalar b-1+[n+1]_a. The printed variants fail these maps
-but satisfy the product relation at the typeset parameter placement: the
-printed X at b+1 IS the corrected X at b, an off-by-one in b that the
-verification quantifies.
+Each operator identity (Q^2 = H, parity conjugations, intertwining and
+product relations) is one refcalc Relation between chains of Q, H, X and Y,
+listed with its expected verdict by ``scarf_relations``, and evaluated
+exactly (``exact_residual``) and as finite-difference stencils; nothing
+evaluated outlives the call. The corrected X (tangent coefficient (b+1)/2,
+printed b/2) is the Dunkl derivative T_{a/2} in the gauge; the corrected Y
+(coefficient (b-1)/2) maps P_n to P_{n+1} of the b-2 family with scalar
+b-1+[n+1]_a; the printed X at b+1 IS the corrected X at b.
 
-The supersymmetric oscillator (U = 0, V = x) is checked exactly in the gauge
-psi = e^(-x^2/2) p, where ``osc_gauged_supercharge`` and
-``osc_gauged_hamiltonian`` are ``ReflOp``s and ``verify_oscillator`` tests
-Q^2 = H, the spectrum and the mixed-state blocks on the polynomials P_n of
-``gegenbauer.HermiteParams(0)``, orthogonal for e^(-y^2). The float
-evaluators ``osc_state_fn`` (the orthonormal e^(-x^2/2) P_m) and
-``osc_wavefunction`` (the printed Laguerre form) read the same P_n.
+The oscillator (U = 0, V = x) is checked exactly in the gauge
+psi = e^(-x^2/2) p, where its Q and H are ``ReflOp``s, on the P_n of
+``gegenbauer.HermiteParams(0)``, which ``osc_wavefunction`` (the printed
+Laguerre form) also reads.
 """
 
 from __future__ import annotations
@@ -70,13 +45,14 @@ import numpy as np
 from . import grid as gridmod
 from . import refcalc as refc
 from .exact import DomainError, beta_num, pochhammer, rat
-from .gegenbauer import HermiteParams
-from .jacobi import Jacobi1Params, eigenvalue, lop, norm_sq_closed
+from .gegenbauer import GegParams, HermiteParams
+from .jacobi import Jacobi1Params, eigenvalue, lop
 from .opalg import (
     DegenerateSpectrumError,
     Diff,
     MulPoly,
     OddOverY,
+    OrthogonalFamily,
     Poly,
     Reflect,
     ReflOp,
@@ -92,12 +68,12 @@ from .opalg import (
 __all__ = [
     "ScarfParams",
     "SusyPotential",
+    "SusySystem",
     "scarf_potential",
     "oscillator_potential",
     "scarf_H_parts_explicit",
     "gauged_supercharge",
     "supercharge_eigenvalue_scaled",
-    "scarf_energy",
     "ground_state_norm_sq",
     "ground_state",
     "wavefunction_fn",
@@ -109,11 +85,9 @@ __all__ = [
     "scarf_relations",
     "exact_residual",
     "verify_operator_relations",
-    "osc_energy",
     "osc_gauged_supercharge",
     "osc_gauged_hamiltonian",
     "verify_oscillator",
-    "osc_state_fn",
     "osc_wavefunction",
 ]
 
@@ -129,12 +103,6 @@ class SusyPotential:
 
     u: refc.CoeffFn
     v: refc.CoeffFn
-
-    def check_parity(self, xs) -> float:
-        xs = np.asarray(xs, dtype=float)
-        du = np.abs(self.u.f(xs) - self.u.f(-xs)).max()
-        dv = np.abs(self.v.f(xs) + self.v.f(-xs)).max()
-        return float(max(du, dv))
 
     def supercharge(self) -> refc.FirstOrderRefOp:
         """Q = [(d/dx + U) R + V]/sqrt(2) in canonical first-order form."""
@@ -167,6 +135,114 @@ def oscillator_potential() -> SusyPotential:
                          v=refc.CoeffFn(lambda x: x, lambda x: 1.0 + 0.0 * x))
 
 
+def _gegenbauer_corrections(params: GegParams, x: np.ndarray):
+    """(scalar, reflection) coefficients that turn 2 H at Scarf (2 mu, 0)
+    into the generalized Gegenbauer Hamiltonian -D^2 + U0 + U1 R with the
+    derived potentials: U0 - 2 c0 and U1 - 2 d0, both bounded at x = 0."""
+    mu, al = float(params.mu), float(params.alpha)
+    return ((al**2 - 0.25) / np.cos(x) ** 2
+            - (mu + al + 0.5) ** 2 + (2 * al + 1) * mu,
+            -mu * (1.0 / (1.0 + np.cos(x)) + (2 * al + 1)))
+
+
+@dataclass(frozen=True)
+class SusySystem:
+    """One system: psi_n = g(x) P_n(y(x)) / sqrt(||g||^2 ||P_n||^2) on
+    (-halfwidth, halfwidth), P_n the monic ``family`` in the ``gauge`` y
+    with ||P_n||^2 its norm for moments normalized to m_0 = 1, g the
+    ``ground`` factor and ||g||^2 its integral of g^2. ``energy_map(n,
+    lambda_n)`` is E_n, rising with n in each parity. The grid solvers read
+    ``potential`` and, if set, ``corrections(x)``, the bounded (scalar,
+    reflection) terms added to 2 H; a spectrum reads ``name``, ``params``,
+    ``tolerance`` and ``exponents`` (its Richardson schedule)."""
+
+    name: str
+    params: dict
+    family: OrthogonalFamily
+    gauge: Callable
+    halfwidth: float
+    ground: Callable
+    ground_norm_sq: float
+    energy_map: Callable
+    potential: SusyPotential
+    corrections: Callable | None
+    tolerance: float
+    exponents: tuple
+
+    @classmethod
+    def scarf(cls, params: ScarfParams) -> SusySystem:
+        """y = sin x, g = Psi_0 = N_0 |sin x|^(a/2) cos^(b/2) x (1 + sin x)^(1/2)
+        and E_n = (lambda_n - (a+b+1))^2/8."""
+        a, b = float(params.alpha), float(params.beta)
+        shift = params.alpha + params.beta + 1
+
+        def ground(x):
+            s = np.sin(x)
+            return (math.sqrt(ground_state_norm_sq(params)) * np.abs(s) ** (a / 2)
+                    * np.cos(x) ** (b / 2) * np.sqrt(1 + s))
+
+        # the even sector's |x|^(a/2) adds an h^(2a) error term to h^2; the
+        # clamp to [1, 2] leaves 2a < 1 uneliminated (ROADMAP item 2)
+        lead = min(2.0, max(1.0, 2.0 * a))
+        return cls("scarf", params.params_json(), params, np.sin, math.pi / 2,
+                   ground, 1.0, lambda n, lam: (lam - shift) ** 2 / 8,
+                   scarf_potential(params), None, 1e-6, (lead, 2.0))
+
+    @classmethod
+    def oscillator(cls) -> SusySystem:
+        """y = x on [-10, 10], g = e^(-x^2/2) with ||g||^2 = sqrt(pi), and
+        E_n = (-lambda_n + 1 - (-1)^n)/2 = 0, 2, 2, 4, 4, ..."""
+        return cls("oscillator", {}, HermiteParams(0), lambda x: x, 10.0,
+                   lambda x: np.exp(-x * x / 2), math.sqrt(math.pi),
+                   lambda n, lam: (-lam + 1 - (-1) ** n) / 2,
+                   oscillator_potential(), None, 1e-6, (2.0, 2.0))
+
+    @classmethod
+    def gegenbauer(cls, params: GegParams) -> SusySystem:
+        """y = sin x, g = F0/||F0||, F0 = |sin x|^mu cos^(alpha+1/2) x with
+        ||F0||^2 = B(mu + 1/2, alpha + 1), and E_n = -lambda_n; on the grid
+        2 H at Scarf (2 mu, 0) plus ``_gegenbauer_corrections``."""
+        mu, al = float(params.mu), float(params.alpha)
+
+        def ground(x):
+            return (np.abs(np.sin(x)) ** mu * np.cos(x) ** (al + 0.5)
+                    / math.sqrt(beta_num(mu + 0.5, al + 1)))
+
+        return cls("gegenbauer", params.params_json(), params, np.sin,
+                   math.pi / 2, ground, 1.0, lambda n, lam: -lam,
+                   scarf_potential(ScarfParams(2 * params.mu, 0)),
+                   lambda x: _gegenbauer_corrections(params, x), 1e-5, (2.0, 2.0))
+
+    def energy(self, n: int) -> Fraction:
+        if n < 0:
+            raise ValueError("level must be nonnegative")
+        return self.energy_map(n, self.family.eigenvalue(n))
+
+    def targets(self, k: int) -> tuple:
+        """The k lowest energies, through Fraction -> float; they have n < 2k."""
+        return tuple(sorted(float(self.energy(n)) + 0.0
+                            for n in range(2 * k))[:k])
+
+    def polynomials(self, m: int) -> tuple[Callable, Fraction]:
+        """(x -> [P_0, ..., P_m] at y(x) for array-like x, ||P_m||^2) at a
+        degree ``check_degree`` accepts, from the exact recurrence that
+        ``recurrence_coefficients`` reads off the moments:
+        ||P_m||^2 = b_1 ... b_m."""
+        check_degree(m, self.family)
+        coeffs = recurrence_coefficients(self.family.moments(2 * m + 3), m + 1)
+        norm_sq = math.prod((b for _, b in coeffs[1:]), start=Fraction(1))
+        return (lambda x: _recurrence_values(
+            coeffs[:m], self.gauge(np.asarray(x, dtype=float)))), norm_sq
+
+    def wavefunction(self, n: int) -> Callable:
+        """Vectorized psi_n as (c_n g(x)) P_n(y(x)), c_n = 1/sqrt(||g||^2
+        ||P_n||^2), with no domain check; n = 0 gives c_0 g bit for bit."""
+        values, norm_sq = self.polynomials(n)
+        scale = 1.0 / math.sqrt(self.ground_norm_sq * float(norm_sq))
+        return lambda x: scale * self.ground(np.asarray(x, dtype=float)) \
+            * values(x)[n]
+
+
 def scarf_H_parts_explicit(params: ScarfParams):
     """The bracketed potential form: a/4 (a/2 - cos x R)/sin^2 + b/4 (b/2 - sin x)/cos^2."""
     a, b = float(params.alpha), float(params.beta)
@@ -191,13 +267,6 @@ def supercharge_eigenvalue_scaled(n: int, params: ScarfParams) -> Fraction:
     return eigenvalue(n, params) - (params.alpha + params.beta + 1)
 
 
-def scarf_energy(n: int, params: ScarfParams) -> Fraction:
-    """(2n+a+b+1)^2 / 8: the 2 sqrt(2) Qtilde eigenvalue squared over 8."""
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    return supercharge_eigenvalue_scaled(n, params) ** 2 / 8
-
-
 def ground_state_norm_sq(params: ScarfParams) -> float:
     """N_0^2 = 1 / B((a+1)/2, (b+1)/2), from the Beta integral directly."""
     return 1.0 / beta_num((float(params.alpha) + 1) / 2,
@@ -212,25 +281,8 @@ def ground_state(x: float, params: ScarfParams) -> float:
 
 
 def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
-    """Vectorized n-th wavefunction (N_n/N_0) Psi_0(x) P_n(sin x), no domain
-    check: P_n by its three-term recurrence, whose coefficients come exactly
-    from the family's moments (``recurrence_coefficients``), N_0^2/N_n^2
-    from the family, and Psi_0 = N_0 |sin x|^(a/2) cos^(b/2) x
-    (1 + sin x)^(1/2), which n = 0 gives bit for bit (both factors are then
-    exactly 1.0). Refuses the degrees that ``check_degree`` refuses."""
-    check_degree(n, params)
-    coeffs = recurrence_coefficients(params.moments(2 * n + 1), n)
-    ratio = 1.0 / math.sqrt(float(norm_sq_closed(n, params)))
-    a, b = float(params.alpha), float(params.beta)
-    n0 = math.sqrt(ground_state_norm_sq(params))
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        s = np.sin(x)
-        psi0 = n0 * np.abs(s) ** (a / 2) * np.cos(x) ** (b / 2) * np.sqrt(1 + s)
-        return ratio * psi0 * _recurrence_values(coeffs, s)[n]
-
-    return f
+    """The Scarf record's ``wavefunction(n)``: (N_n/N_0) Psi_0(x) P_n(sin x)."""
+    return SusySystem.scarf(params).wavefunction(n)
 
 
 def bracket_n(n: int, alpha) -> Fraction:
@@ -405,17 +457,11 @@ def _fd_order(norms: list) -> float:
 
 
 def exact_residual(relations: list, g: gridmod.Grid) -> list:
-    """For each of ``relations``, the max |residual u| over the interior
-    nodes of ``g`` (0.06 away from the core and the walls) and over the
-    analytic test functions.
-
-    Each residual is composed exactly, so the value measures the true defect
-    of the identity (plus rounding), not discretization error. The test
-    functions' word values are evaluated once for the whole list, over the
-    words that some residual has, and each residual's coefficient arrays
-    once; every value is bit for bit ``residual().apply`` on each test
-    function.
-    """
+    """For each of ``relations``, the max |residual u| over the analytic
+    test functions and the nodes of ``g`` 0.06 away from the core and the
+    walls: composed exactly, it is the true defect plus rounding. The test
+    functions' word values are evaluated once for the list and each
+    residual's coefficients once, bit for bit ``residual().apply``."""
     ops = [relation.residual() for relation in relations]
     x = g.nodes[_interior_mask(g)]
     words = dict.fromkeys(w for op in ops for w in op.words)
@@ -455,20 +501,14 @@ def _product(y: refc.FirstOrderRefOp, x: refc.FirstOrderRefOp,
 
 def scarf_relations(params: ScarfParams) -> list:
     """The Scarf operator identities at ``params``, each stated once, as
-    (name, variant, expected verdict, ``refcalc.Relation``).
-
-    First Q^2 = H and the parity conjugations R Q R = -Q and R H R = H at -b
-    (variant "n/a"), then for the corrected and then the printed variant the
-    X and Y intertwining relations and the product relation at the repaired
-    and at the typeset parameter placement. Q and H, also at the mirrored
-    and shifted b, are those of ``scarf_potential``. The expected verdict
-    ("identity" or "defect") is the one the analysis predicts: the corrected
-    maps satisfy the intertwining relations and the product relation at the
-    repaired placement Y_{a,b+2} X_{a,b}; the printed maps fail those and
-    satisfy the product relation at the typeset placement Y_{a,b+1}
-    X_{a,b+1} (the printed X at b+1 IS the corrected X at b — an off-by-one
-    in b).
-    """
+    (name, variant, expected verdict, ``refcalc.Relation``): Q^2 = H and the
+    parity conjugations R Q R = -Q, R H R = H at -b (variant "n/a"), then per
+    variant the X and Y intertwining relations and the product relation at
+    the repaired and the typeset placement, with Q and H, also at the
+    mirrored and shifted b, of ``scarf_potential``. The corrected maps
+    satisfy the intertwining relations and Y_{a,b+2} X_{a,b}; the printed
+    ones fail those and satisfy Y_{a,b+1} X_{a,b+1}, since the printed X at
+    b+1 IS the corrected X at b (an off-by-one in b)."""
     # the reflected and shifted parameters may leave the b > -1 sector
     def shifted(beta):
         return unchecked(ScarfParams, params.alpha, beta)
@@ -505,21 +545,13 @@ def scarf_relations(params: ScarfParams) -> list:
 
 
 def verify_operator_relations(params: ScarfParams, grids: tuple) -> list:
-    """Residuals of the ``scarf_relations`` identities, two ways.
-
-    ``residual``: the ``exact_residual`` on the finest grid (zero up to
-    rounding for true identities). ``fd_norms``/``order``: the same chains
-    run as finite-difference stencils over the grid ladder, whose norms must
-    shrink at second order when the identity holds (``_fd_order``).
-    ``verdict`` is "identity" for a residual below 1e-8, else "defect";
-    ``expected`` is the verdict the analysis predicts. ``grids`` must be a
-    doubling ladder N, 2N, 4N, ... (``grid.check_doubling_ladder``), which
-    the order assumes.
-
-    Within the call, each operator's stencil is built once per grid, the
-    eigenfunction probe's Psi_0 and P_2 once, and the exact residuals share
-    one evaluation of the test functions (``exact_residual``).
-    """
+    """Residuals of the ``scarf_relations`` identities, two ways:
+    ``residual``, the ``exact_residual`` on the finest grid, and
+    ``fd_norms``/``order``, the chains as finite-difference stencils over the
+    doubling ladder ``grids``, whose norms shrink at second order when the
+    identity holds (``_fd_order``). ``verdict`` is "identity" for a residual
+    below 1e-8, else "defect"; ``expected`` is the predicted verdict. Each
+    stencil is built once per grid and the probe's Psi_0 and P_2 once."""
     grids = gridmod.check_doubling_ladder(grids)
     relations = scarf_relations(params)
     operators = dict.fromkeys(op for *_, rel in relations
@@ -543,13 +575,6 @@ def verify_operator_relations(params: ScarfParams, grids: tuple) -> list:
 # supersymmetric oscillator
 # ---------------------------------------------------------------------------
 
-def osc_energy(n: int) -> int:
-    """n + (1 - (-1)^n)/2: even numbers, doubly degenerate above zero."""
-    if n < 0:
-        raise ValueError("level must be nonnegative")
-    return n + (1 - (-1) ** n) // 2
-
-
 _Y = MulPoly(Poly((0, 1)))
 _OSC_DEGREE = 12
 
@@ -565,66 +590,36 @@ def osc_gauged_supercharge() -> ReflOp:
 def osc_gauged_hamiltonian() -> ReflOp:
     """2 Htilde = 2y D - D^2 + (1 - R): 2H = 2 a^dag a + 1 - R =
     -d^2/dx^2 + x^2 - R in the same gauge, where d^2/dx^2 becomes
-    (D - y)^2 = D^2 - 2y D + y^2 - 1. On y^n it is 2 ``osc_energy(n)``
-    plus lower degrees."""
+    (D - y)^2 = D^2 - 2y D + y^2 - 1. On y^n it is 2 E_n plus lower
+    degrees, E_n = n + (1 - (-1)^n)/2 the oscillator record's energy."""
     return ReflOp([(2, (_Y, Diff)), (-1, (Diff, Diff)), (1, ()),
                    (-1, (Reflect,))])
 
 
 def _recurrence_values(coeffs: list, x) -> list:
-    """[P_0(x), ..., P_m(x)] of the monic family with
-    P_{k+1} = (y - a_k) P_k - b_k P_{k-1}, from ``coeffs`` = [(a_0, b_0),
-    ..., (a_{m-1}, b_{m-1})]; an array is evaluated bit for bit as its
-    floats one by one. The recurrence keeps P_m near rounding, where the
-    monomial form cancels: P_22 of ``HermiteParams(0)`` on |x| < 8 to 3e-15
-    of its size (monomial form 3e-12), the little -1 Jacobi P_40 on (-1, 1)
-    to 2e-14 of max |P_40| (monomial form up to 1e-2)."""
+    """[P_0(x), ..., P_m(x)] by P_{k+1} = (x - a_k) P_k - b_k P_{k-1} on
+    ``coeffs`` = [(a_0, b_0), ..., (a_{m-1}, b_{m-1})], an array bit for bit
+    as its floats one by one: P_22 of ``HermiteParams(0)`` to 3e-15 of its
+    size on |x| < 8, the little -1 Jacobi P_40 to 2e-14 of max |P_40| on
+    (-1, 1), where the monomial form cancels to 3e-12 and 1e-2."""
     values = [0.0 * x, 1.0 + 0.0 * x]
     for a, b in coeffs:
         values.append((x - float(a)) * values[-1] - float(b) * values[-2])
     return values[1:]
 
 
-def _osc_values(m: int, x) -> list:
-    """[P_0(x), ..., P_m(x)] of ``HermiteParams(0)`` (a_k = 0)."""
-    family = HermiteParams(0)
-    return _recurrence_values([(0, family.recurrence(k)) for k in range(m)], x)
-
-
-def osc_state_fn(m: int) -> Callable:
-    """Vectorized orthonormal eigenfunction psi_m = e^(-x^2/2) P_m(x) /
-    sqrt(sqrt(pi) ||P_m||^2), with P_m and ||P_m||^2 from
-    ``HermiteParams(0)``: the oscillator's one float evaluator, as
-    ``wavefunction_fn`` is Scarf's."""
-    if m < 0:
-        raise ValueError(f"level must be nonnegative, got {m}")
-    norm_sq = HermiteParams(0).norm_sq(m)
-    scale = 1.0 / math.sqrt(math.sqrt(math.pi) * float(norm_sq))
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return scale * np.exp(-x * x / 2) * _osc_values(m, x)[m]
-
-    return f
-
-
 def verify_oscillator() -> dict:
-    """Exact verdicts on the eigenfunctions e^(-x^2/2) P_n, with P_0..P_12
-    and ||P_n||^2 = n!/2^n from ``gram_sequence`` on the moments of
-    ``HermiteParams(0)``.
-
-    ``q_squared_equals_h``: (sqrt(2) Qtilde)^2 = 2 Htilde on P_0..P_12, which
-    span 1, y, ..., y^12, so the two have equal ``matrix_on_basis`` there.
-    ``spectrum``: 2 Htilde P_n = 2 osc_energy(n) P_n for n <= 12.
+    """Exact verdicts on e^(-x^2/2) P_n, with P_0..P_12 (spanning 1..y^12)
+    and ||P_n||^2 from ``gram_sequence`` on the oscillator family's moments.
+    ``q_squared_equals_h``: (sqrt(2) Qtilde)^2 = 2 Htilde on them.
+    ``spectrum``: 2 Htilde P_n = 2 E_n P_n, E_n the record's.
     ``mixed_state_blocks``: for n <= 5, sqrt(2) Qtilde maps P_(2n+1) to
-    2 P_(2n+2) and P_(2n+2) to 2(n+1) P_(2n+1), and both squared elements of
-    Qtilde between the normalized states are 2n+2. On them Q is then
-    [[0, s], [s, 0]], s = sqrt(2n+2), and (|2n+1> + eps |2n+2>)/2 has
-    eigenvalue eps s.
-    """
+    2 P_(2n+2) and P_(2n+2) to 2(n+1) P_(2n+1), both squared normalized
+    elements are 2n+2, so Q is [[0, s], [s, 0]], s = sqrt(2n+2), and
+    (|2n+1> + eps |2n+2>)/2 has eigenvalue eps s."""
     q, h = osc_gauged_supercharge(), osc_gauged_hamiltonian()
-    gram = gram_sequence(HermiteParams(0).moments(2 * _OSC_DEGREE + 1),
-                         _OSC_DEGREE)
+    osc = SusySystem.oscillator()
+    gram = gram_sequence(osc.family.moments(2 * _OSC_DEGREE + 1), _OSC_DEGREE)
     qp = [q.apply(p) for p, _ in gram]
     hp = [h.apply(p) for p, _ in gram]
 
@@ -638,7 +633,7 @@ def verify_oscillator() -> dict:
 
     return {
         "q_squared_equals_h": all(q.apply(qn) == hn for qn, hn in zip(qp, hp)),
-        "spectrum": all(hn == p.scale(2 * osc_energy(n))
+        "spectrum": all(hn == p.scale(2 * osc.energy(n))
                         for n, ((p, _), hn) in enumerate(zip(gram, hp))),
         "mixed_state_blocks": all(block(n) for n in range(6)),
     }
@@ -648,26 +643,25 @@ def osc_wavefunction(n: int, eps: int, x: float,
                      variant: str = "printed") -> float:
     """Coordinate form of |n, eps> through the printed Laguerre expression,
     with relative block weight (n+1) (``printed``) or sqrt(n+1)
-    (``corrected``, which matches the Hermite superposition exactly, with
-    global factor 2^(1/2 - n) under the epsilon pairing eps -> -eps). The
-    blocks are family members (DLMF 18.7.19-20, P_m = H_m/2^m):
-    x L_n^(1/2)(x^2) = (-1)^n P_(2n+1)(x)/n! and
-    L_(n+1)^(-1/2)(x^2) = (-1)^(n+1) P_(2n+2)(x)/(n+1)!. An array ``x`` is
-    evaluated bit for bit as its floats one by one.
-    """
+    (``corrected``, the Hermite superposition times 2^(1/2 - n) under
+    eps -> -eps). The blocks are the oscillator record's P_m (DLMF
+    18.7.19-20): x L_n^(1/2)(x^2) = (-1)^n P_(2n+1)(x)/n! and
+    L_(n+1)^(-1/2)(x^2) = (-1)^(n+1) P_(2n+2)(x)/(n+1)!. Any array-like x
+    is evaluated as a float array, bit for bit as its floats one by one."""
     if n < 0:
         raise ValueError(f"level must be nonnegative, got {n}")
     if eps not in (+1, -1):
         raise ValueError("eps must be +-1")
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
-    p = _osc_values(2 * n + 2, x)
+    x = np.asarray(x, dtype=float)
+    p = SusySystem.oscillator().polynomials(2 * n + 2)[0](x)
     # (-1)^n pi^(-1/4) sqrt(n! / (n+1)_(n+1)), from the exact ratio
     pref = (-1) ** n / math.pi ** 0.25 * math.sqrt(
         float(Fraction(math.factorial(n)) / pochhammer(n + 1, n + 1)))
     weight = float(n + 1) if variant == "printed" else math.sqrt(n + 1.0)
-    gauss = (np.array([math.exp(-v * v / 2) for v in x.tolist()])
-             if np.ndim(x) else math.exp(-x * x / 2))
+    gauss = np.array([math.exp(-v * v / 2)
+                      for v in x.ravel().tolist()]).reshape(x.shape)
     odd = (-1) ** n / math.factorial(n) * p[2 * n + 1]
     even = (-1) ** (n + 1) / math.factorial(n + 1) * p[2 * n + 2]
     return pref * gauss * (odd + eps * weight * even)

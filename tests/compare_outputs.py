@@ -1,0 +1,82 @@
+"""Compare the command outputs of this checkout with another one.
+
+Usage, from the repository root:
+
+    python tests/compare_outputs.py OTHER_CHECKOUT
+
+Runs every command of ``bench/jobs.py``'s ``all_jobs`` (loaded by path,
+read-only), plus the Gegenbauer (1/2, 1) 1024-4096 and 2048-8192 ladders,
+in both checkouts: each in a fresh ``python -m dunklqm`` process whose
+``PYTHONPATH`` is that checkout's ``src``, with ``--out`` to a temporary
+file, two processes at a time. Prints each command whose exit code,
+stdout, stderr or ``--out`` differs, and exits 1 if one does, else 0. Both
+sides run under the same environment, so a thread-count setting applies to
+both alike.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LADDERS = tuple(f"spectrum --system gegenbauer --mu 1/2 --alpha 1 --grids {g}"
+                for g in ("1024,2048,4096", "2048,4096,8192"))
+
+
+def commands() -> list[str]:
+    """The 142 ``all_jobs`` command lines of every workload, then the two
+    Gegenbauer ladders."""
+    spec = importlib.util.spec_from_file_location("bench_jobs",
+                                                  ROOT / "bench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return [j for w in jobs.WORKLOADS for j in jobs.all_jobs(w)] + list(LADDERS)
+
+
+def run(checkout: Path, command: str) -> tuple:
+    """(exit code, stdout, stderr, --out text or None) of one fresh process,
+    run in an empty temporary directory."""
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "out.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dunklqm", *shlex.split(command),
+             "--out", str(out)],
+            cwd=work, env=env, capture_output=True, text=True)
+        return (proc.returncode, proc.stdout, proc.stderr,
+                out.read_text() if out.exists() else None)
+
+
+def compare(this: Path, other: Path, cmds: list[str]) -> list:
+    """The commands whose outputs differ, each with the fields that do."""
+    names = ("exit code", "stdout", "stderr", "--out")
+    with ThreadPoolExecutor(2) as pool:
+        a = list(pool.map(lambda c: run(this, c), cmds))
+        b = list(pool.map(lambda c: run(other, c), cmds))
+    return [(cmd, [n for n, x, y in zip(names, ra, rb) if x != y])
+            for cmd, ra, rb in zip(cmds, a, b) if ra != rb]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", type=Path, help="the other checkout's root")
+    args = parser.parse_args(argv)
+    cmds = commands()
+    diffs = compare(ROOT, args.other, cmds)
+    for cmd, fields in diffs:
+        print(f"DIFFERS ({', '.join(fields)}): {cmd}")
+    print(f"{len(cmds) - len(diffs)} of {len(cmds)} commands identical")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,14 +20,13 @@ from dunklqm.jacobi import (
     norm_sq_from_normalization,
 )
 from dunklqm.opalg import Poly, construct_eigen, inner
-from dunklqm.spectra import gegenbauer_problem, oscillator_problem, scarf_problem
+from dunklqm.spectra import spectrum_problem
 from dunklqm.susyqm import (
     ScarfParams,
+    SusySystem,
     gauged_supercharge,
     osc_gauged_supercharge,
-    osc_state_fn,
     osc_wavefunction,
-    scarf_energy,
     supercharge_eigenvalue_scaled,
     verify_lowering,
     verify_operator_relations,
@@ -85,7 +84,7 @@ def test_criterion_3_supercharge_spectrum():
             s = supercharge_eigenvalue_scaled(n, p)
             if q.apply(pn) != pn.scale(s):
                 ok = False
-            if s * s / 8 != scarf_energy(n, p):
+            if s * s / 8 != SusySystem.scarf(p).energy(n):
                 ok = False
     _report(3, ok, "scaled supercharge eigenvalues exact (sign and magnitude) "
                    "and squares/8 equal the energy closed form, n<=20, 5 pairs")
@@ -115,18 +114,19 @@ def test_criterion_5_grid_spectra():
     ok = True
     details = []
     for a, b in [(F(0), F(2)), (F(1), F(3)), (F(1, 2), F(3, 2))]:
-        prob = scarf_problem(ScarfParams(a, b), 3)
+        prob = spectrum_problem(SusySystem.scarf(ScarfParams(a, b)), 3)
         rep = gridmod.convergence_study(prob, [1024, 2048, 4096])
         err = rep.max_error()
         details.append(f"scarf({a},{b}) {err:.1e}")
         ok = ok and err < 1e-6
     scarf_dt = time.time() - t0
     ok = ok and scarf_dt < 120.0
-    rep = gridmod.convergence_study(oscillator_problem(5), [1024, 2048, 4096])
+    rep = gridmod.convergence_study(spectrum_problem(SusySystem.oscillator(), 5),
+                                    [1024, 2048, 4096])
     details.append(f"osc {rep.max_error():.1e}")
     ok = ok and rep.max_error() < 1e-6
-    rep = gridmod.convergence_study(gegenbauer_problem(GegParams(F(1, 2), F(1)), 3),
-                                    [1024, 2048, 4096])
+    geg = SusySystem.gegenbauer(GegParams(F(1, 2), F(1)))
+    rep = gridmod.convergence_study(spectrum_problem(geg, 3), [1024, 2048, 4096])
     details.append(f"geg {rep.max_error():.1e}")
     ok = ok and rep.max_error() < 1e-5
     _report(5, ok, f"{'; '.join(details)}; scarf block {scarf_dt:.0f}s (<120s)")
@@ -229,7 +229,7 @@ def test_criterion_9_oscillator_algebra():
     # pointwise agreement with the Hermite superposition
     # (psi_1 - eps psi_2)/2 at n=0 up to one global constant (recorded:
     # sqrt(2), under the epsilon pairing -eps)
-    psi1, psi2 = osc_state_fn(1), osc_state_fn(2)
+    psi1, psi2 = (SusySystem.oscillator().wavefunction(m) for m in (1, 2))
     const = osc_wavefunction(0, 1, 0.5) / ((psi1(0.5) - psi2(0.5)) / 2)
     for eps in (+1, -1):
         for x in (0.3, 0.5, -0.8, 1.4):

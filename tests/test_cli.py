@@ -329,17 +329,17 @@ def test_spectrum_method_limit_usage_error(argv, capsys):
 ])
 def test_spectrum_levels_beyond_coarsest_grid_refused_first(argv, monkeypatch,
                                                             capsys):
-    # each problem builds one closed-form target per level, so a level count
-    # no grid can deliver is refused before any target is built
-    from dunklqm import spectra
+    # each problem builds its closed-form targets from the system's energies,
+    # so a level count no grid can deliver is refused before any is built
+    from dunklqm.susyqm import SusySystem
 
     calls = []
-    for name in ("scarf_energy", "osc_energy", "eigenvalue_geg"):
-        def counted(*args, real=getattr(spectra, name)):
-            calls.append(args)
-            assert len(calls) <= 100, "targets built for a refused level count"
-            return real(*args)
-        monkeypatch.setattr(spectra, name, counted)
+
+    def counted(*args, real=SusySystem.energy):
+        calls.append(args)
+        assert len(calls) <= 100, "targets built for a refused level count"
+        return real(*args)
+    monkeypatch.setattr(SusySystem, "energy", counted)
     code, out, err = run(["spectrum", *argv, "--levels", "100000",
                           "--grids", "8,16,32"], capsys)
     assert code == 2
@@ -419,8 +419,7 @@ def test_parameter_the_system_does_not_read_refused(argv, monkeypatch,
         raise AssertionError("work done for a refused command")
 
     monkeypatch.setattr(cli, "verify_family", no_work)
-    for name in ("scarf_problem", "oscillator_problem", "gegenbauer_problem"):
-        monkeypatch.setattr(spectra, name, no_work)
+    monkeypatch.setattr(spectra, "spectrum_problem", no_work)
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
@@ -428,7 +427,7 @@ def test_parameter_the_system_does_not_read_refused(argv, monkeypatch,
 
 
 def test_spectrum_scarf_negative_alpha_rejected(capsys):
-    # ScarfParams accepts alpha > -1; scarf_problem refuses alpha < 0
+    # ScarfParams accepts alpha > -1; spectrum_problem refuses alpha < 0
     code, out, err = run(["spectrum", "--system", "scarf", "--alpha", "-1/2",
                           "--beta", "2"], capsys)
     assert code == 2
@@ -451,7 +450,7 @@ def test_scarf_and_jacobi_refuse_the_same_parameters_alike(alpha, beta, capsys):
 
 
 def test_spectrum_gegenbauer_negative_mu_rejected(capsys):
-    # GegParams accepts mu > -1/2; gegenbauer_problem refuses mu < 0
+    # GegParams accepts mu > -1/2; spectrum_problem refuses mu < 0
     code, out, err = run(["spectrum", "--system", "gegenbauer", "--mu", "-1/4",
                           "--alpha", "1"], capsys)
     assert code == 2

@@ -13,7 +13,6 @@ from dunklqm.gegenbauer import (
     csm_two_particle_check,
     eigenvalue_geg,
     geg_potentials,
-    ground_factor,
     lop_geg,
 )
 from dunklqm.opalg import (
@@ -21,8 +20,10 @@ from dunklqm.opalg import (
     construct_eigen,
     gram_sequence,
     inner,
+    recurrence_coefficients,
     verify_family,
 )
+from dunklqm.susyqm import SusySystem
 
 
 def params(mu, al):
@@ -144,10 +145,14 @@ def test_potentials_variant_offsets():
 
 
 def test_ground_factor_value():
+    # F0(pi/4) = 2^(-1/4) 2^(-3/4) at (1/2, 1): the third value of
+    # geg_potentials, and ||F0|| = B(1, 2)^(1/2) times the record's factor
     pr = params("1/2", 1)
-    assert abs(ground_factor(pr, math.pi / 4) - 0.5) < 1e-14
+    assert abs(geg_potentials(pr, math.pi / 4)[2] - 0.5) < 1e-14
+    ground = SusySystem.gegenbauer(pr).ground(math.pi / 4)
+    assert abs(ground * math.sqrt(beta_num(1.0, 2.0)) - 0.5) < 1e-14
     with pytest.raises(DomainError):
-        ground_factor(pr, 2.0)
+        geg_potentials(pr, 2.0)
 
 
 def test_potentials_domain():
@@ -205,14 +210,19 @@ def test_hermite_family_at_mu_zero_is_monic_hermite():
                          ids=["0", "1_3", "1_2", "2"])
 def test_hermite_recurrence_builds_the_gram_sequence(mu):
     # P_(k+1) = y P_k - b_k P_(k-1) and ||P_k||^2 = b_1 ... b_k, exactly,
-    # through degree 30, also at the degrees the battery skips at mu = 1/2
+    # through degree 30, also at the degrees the battery skips at mu = 1/2;
+    # the closed-form b_k are the recurrence read off the moments
     hp = HermiteParams(mu)
     gram = gram_sequence(hp.moments(2 * 30 + 1), 30)
     ps = [Poly.zero(), Poly.one()]
     for k in range(30):
         ps.append(Poly.monomial(1) * ps[-1] - ps[-2].scale(hp.recurrence(k)))
     assert [p for p, _ in gram] == ps[1:]
-    assert [sq for _, sq in gram] == [hp.norm_sq(n) for n in range(31)]
+    assert [sq for _, sq in gram] == [
+        math.prod((hp.recurrence(k) for k in range(1, n + 1)), start=F(1))
+        for n in range(31)]
+    assert recurrence_coefficients(hp.moments(2 * 30 + 1), 30) == [
+        (0, hp.recurrence(k)) for k in range(30)]
 
 
 def test_hermite_moments_against_the_gamma_function():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from dunklqm.exact import pochhammer
+from dunklqm.gegenbauer import GegParams
 from dunklqm.jacobi import (
     FUZZ_PARAMS,
     Jacobi1Params,
@@ -228,3 +229,34 @@ def test_errata_explicit_entry_reads_the_oracle_without_a_family_battery(
     monkeypatch.setattr(opalg, "gram_sequence", counted)
     errata.build_errata()
     assert calls == []
+
+
+def _christoffel_misses(a, b, geg_moments: list, degree: int = 20) -> list:
+    """Degrees n <= degree at which (1 + y) P_n = C_(n+1) - u_n C_n or
+    norm_sq_closed(n) = -u_n ||C_n||^2 fails, u_n = C_(n+1)(-1)/C_n(-1),
+    with P_n and C_n from ``gram_sequence`` on each family's moments."""
+    p = Jacobi1Params(a, b)
+    ps = gram_sequence(p.moments(2 * degree + 1), degree)
+    cs = gram_sequence(geg_moments, degree + 1)
+    misses = []
+    for n in range(degree + 1):
+        (pn, _), (cn, cn_sq), (cn1, _) = ps[n], cs[n], cs[n + 1]
+        u = cn1(F(-1)) / cn(F(-1))
+        if (Poly((1, 1)) * pn != cn1 - cn.scale(u)
+                or norm_sq_closed(n, p) != -u * cn_sq):
+            misses.append(n)
+    return misses
+
+
+@pytest.mark.parametrize("a, b", FUZZ_PARAMS)
+def test_family_is_the_christoffel_transform_of_gegenbauer(a, b):
+    # the functional is (1 + y) times the Gegenbauer one at (a/2, (b-1)/2)
+    geg = GegParams(a / 2, (b - 1) / 2)
+    assert _christoffel_misses(a, b, geg.moments(2 * 21 + 1)) == []
+
+
+@pytest.mark.parametrize("a, b", FUZZ_PARAMS)
+def test_christoffel_identity_fails_on_a_perturbed_gegenbauer_moment(a, b):
+    moments = GegParams(a / 2, (b - 1) / 2).moments(2 * 21 + 1)
+    moments[6] *= F(1001, 1000)
+    assert _christoffel_misses(a, b, moments) != []

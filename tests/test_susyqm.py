@@ -13,7 +13,7 @@ import pytest
 from dunklqm import grid as gridmod
 from dunklqm import refcalc as refc
 from dunklqm.exact import DomainError, hyp_terms, pochhammer
-from dunklqm.gegenbauer import HermiteParams
+from dunklqm.gegenbauer import GegParams, HermiteParams
 from dunklqm.jacobi import (
     FUZZ_PARAMS,
     eigenvalue,
@@ -31,6 +31,7 @@ from dunklqm.opalg import (
 from dunklqm.susyqm import (
     ScarfParams,
     SusyPotential,
+    SusySystem,
     _TEST_FNS,
     bracket_n,
     gauged_supercharge,
@@ -38,14 +39,11 @@ from dunklqm.susyqm import (
     ground_state,
     ground_state_norm_sq,
     intertwiner,
-    osc_energy,
     osc_gauged_hamiltonian,
     osc_gauged_supercharge,
-    osc_state_fn,
     osc_wavefunction,
     oscillator_potential,
     scarf_H_parts_explicit,
-    scarf_energy,
     scarf_potential,
     scarf_relations,
     supercharge_eigenvalue_scaled,
@@ -100,9 +98,11 @@ def test_oscillator_q_squared_equals_h_exactly(probe):
 
 
 def test_susy_potential_parity():
+    # U even and V odd
     p = scarf_potential(pars("1/2", "3/2"))
     xs = np.linspace(0.1, 1.4, 7)
-    assert p.check_parity(xs) < 1e-12
+    assert np.abs(p.u.f(xs) - p.u.f(-xs)).max() < 1e-12
+    assert np.abs(p.v.f(xs) + p.v.f(-xs)).max() < 1e-12
 
 
 # -- gauged supercharge -------------------------------------------------------
@@ -115,7 +115,7 @@ def test_gauged_supercharge_spectrum_exact():
             pn = construct_eigen(n, p)
             s = supercharge_eigenvalue_scaled(n, p)
             assert q.apply(pn) == pn.scale(s)
-            assert s * s / 8 == scarf_energy(n, p)
+            assert s * s / 8 == SusySystem.scarf(p).energy(n)
 
 
 def test_supercharge_consistency_with_eigenvalue_equation():
@@ -133,11 +133,12 @@ def test_gauged_supercharge_ground_state_scale():
 
 
 def test_scarf_energy_values():
-    assert scarf_energy(0, pars(0, 0)) == F(1, 8)
-    assert scarf_energy(1, pars(0, 2)) == F(25, 8)
-    assert scarf_energy(2, pars(1, 3)) == F(81, 8)
+    # the Scarf record's energy map on the family eigenvalues
+    assert SusySystem.scarf(pars(0, 0)).energy(0) == F(1, 8)
+    assert SusySystem.scarf(pars(0, 2)).energy(1) == F(25, 8)
+    assert SusySystem.scarf(pars(1, 3)).energy(2) == F(81, 8)
     with pytest.raises(ValueError):
-        scarf_energy(-1, pars(0, 0))
+        SusySystem.scarf(pars(0, 0)).energy(-1)
 
 
 # -- wavefunctions ------------------------------------------------------------
@@ -731,16 +732,18 @@ def test_osc_q_action_matches_closed_form():
 
 
 def test_osc_energy_values():
-    assert [osc_energy(n) for n in range(5)] == [0, 2, 2, 4, 4]
+    # the oscillator record's energy map on HermiteParams(0)'s eigenvalues
+    energy = SusySystem.oscillator().energy
+    assert [energy(n) for n in range(5)] == [0, 2, 2, 4, 4]
     with pytest.raises(ValueError):
-        osc_energy(-2)
+        energy(-2)
 
 
 def test_osc_h_reproduces_energies_and_q_squared():
     q, h = osc_gauged_supercharge(), osc_gauged_hamiltonian()
     for n, (p, _) in enumerate(_monic_hermite(13)):
         hp = h.apply(p)
-        assert hp == p.scale(2 * osc_energy(n))
+        assert hp == p.scale(2 * SusySystem.oscillator().energy(n))
         assert q.apply(q.apply(p)) == hp
     # the same identity as operators on 1, y, ..., y^12
     assert matrix_on_basis(compose(q, q), 12) == matrix_on_basis(h, 12)
@@ -790,10 +793,11 @@ def test_osc_gauged_operators_match_the_potential():
 
 def _superposition(n, eps, x):
     """(psi_(2n+1) + eps psi_(2n+2))/2 over the orthonormal states."""
-    return (osc_state_fn(2 * n + 1)(x) + eps * osc_state_fn(2 * n + 2)(x)) / 2
+    psi = SusySystem.oscillator().wavefunction
+    return (psi(2 * n + 1)(x) + eps * psi(2 * n + 2)(x)) / 2
 
 
-def test_osc_state_fn_matches_normalized_hermite_functions():
+def test_oscillator_wavefunction_matches_normalized_hermite_functions():
     # psi_m = H_m e^(-x^2/2) / sqrt(2^m m! sqrt(pi)), with H_m from numpy's
     # physicists' Hermite series, here only
     from numpy.polynomial import hermite
@@ -802,15 +806,16 @@ def test_osc_state_fn_matches_normalized_hermite_functions():
         ref = hermite.hermval(x, [0.0] * m + [1.0]) * np.exp(
             -x * x / 2 - 0.5 * (m * math.log(2.0) + math.lgamma(m + 1)
                                 + 0.5 * math.log(math.pi)))
-        np.testing.assert_allclose(osc_state_fn(m)(x), ref, rtol=0,
+        np.testing.assert_allclose(SusySystem.oscillator().wavefunction(m)(x),
+                                   ref, rtol=0,
                                    atol=1e-13 * np.abs(ref).max())
 
 
 def test_osc_states_are_orthonormal():
+    psi = SusySystem.oscillator().wavefunction
     for m in range(6):
         for k in range(m + 1):
-            val = gridmod.quadrature(
-                lambda x: osc_state_fn(m)(x) * osc_state_fn(k)(x), 10.0)
+            val = gridmod.quadrature(lambda x: psi(m)(x) * psi(k)(x), 10.0)
             assert abs(val - (m == k)) <= 1e-13, (m, k)
 
 
@@ -861,6 +866,54 @@ def test_osc_wavefunction_printed_weight_breaks_for_n_ge_1():
     assert abs(vals[0] - vals[1]) > 1e-3
 
 
+def test_osc_wavefunction_takes_a_list_and_keeps_its_bits():
+    # a list was refused with a bare TypeError from the recurrence; it now
+    # equals the ndarray bitwise, and array and scalar values keep the bits
+    # they had before the evaluators were merged
+    xs = [0.3, 0.5]
+    got = osc_wavefunction(1, 1, xs)
+    assert got.tobytes() == osc_wavefunction(1, 1, np.array(xs)).tobytes()
+    assert [v.hex() for v in got.tolist()] == ["-0x1.1180601008d08p-2",
+                                               "-0x1.7d063cf85aa54p-3"]
+    for args, bits in [((1, 1, 0.3), "-0x1.1180601008d08p-2"),
+                       ((2, -1, -0.7, "corrected"), "0x1.61da21c08128ap-9"),
+                       ((0, 1, 1.3), "0x1.22bf6ad397ddcp-5")]:
+        assert float(osc_wavefunction(*args)).hex() == bits
+    psi2 = SusySystem.oscillator().wavefunction(2)
+    assert [v.hex() for v in psi2(xs).tolist()] == ["-0x1.aa5a0ef3ba8d5p-2",
+                                                    "-0x1.dff75abe02fccp-3"]
+    assert float(psi2(0.3)).hex() == "-0x1.aa5a0ef3ba8d5p-2"
+    p = pars("1/2", "3/2")
+    assert (wavefunction_fn(2, p)(xs).tobytes()
+            == wavefunction_fn(2, p)(np.array(xs)).tobytes())
+
+
+def test_record_targets_are_the_hand_typed_energy_rules():
+    # the rules the records replace, through the same Fraction -> float path
+    osc = SusySystem.oscillator()
+    for k in (1, 2, 5, 40):
+        assert osc.targets(k) == tuple(sorted(
+            float(n + (1 - (-1) ** n) // 2) for n in range(k + 2))[:k])
+    for a, b in FUZZ_PARAMS:
+        p = ScarfParams(a, b)
+        assert SusySystem.scarf(p).targets(7) == tuple(
+            float(F(2 * n + a + b + 1) ** 2 / 8) for n in range(7))
+
+
+@pytest.mark.parametrize("system", [
+    SusySystem.scarf(ScarfParams(F(1, 2), F(3, 2))), SusySystem.oscillator(),
+    SusySystem.gegenbauer(GegParams(F(1, 2), F(1))),
+    SusySystem.gegenbauer(GegParams(F(1, 3), F(2)))],
+    ids=["scarf", "oscillator", "gegenbauer-1_2-1", "gegenbauer-1_3-2"])
+def test_record_wavefunctions_are_orthonormal(system):
+    psi = [system.wavefunction(n) for n in range(5)]
+    for m in range(5):
+        for k in range(m + 1):
+            val = gridmod.quadrature(lambda x: psi[m](x) * psi[k](x),
+                                     system.halfwidth)
+            assert abs(val - (m == k)) <= 1e-9, (m, k)
+
+
 def test_osc_wavefunction_array_matches_scalar_calls():
     xs = gridmod.Grid(512, 10.0).nodes
     for n in range(3):
@@ -897,7 +950,7 @@ def test_laguerre_refuses_negative_degree():
     with pytest.raises(ValueError, match="nonnegative"):
         osc_wavefunction(-1, 1, 0.5)
     with pytest.raises(ValueError, match="nonnegative"):
-        osc_state_fn(-1)
+        SusySystem.oscillator().wavefunction(-1)
     with pytest.raises(ValueError, match="mu > -1/2"):
         HermiteParams(F(-1, 2))
 
