@@ -6,12 +6,15 @@ owns the refusal rules: a ValueError raised while `family` builds its
 parameters or `spectrum` its answer (LAPACK's LinAlgError included) prints
 "error: ..." and exits 2. Rational parameters are passed as exact "p/q"
 strings, negative ones too ("--alpha -1/2"). All output is deterministic
-for a fixed invocation; floats print at 17 significant digits.
+for a fixed invocation; floats print at 17 significant digits. A closed
+stdout (`dunklqm verify | head -1`) exits 1 with no traceback.
 
-The exact layer (exact, opalg, jacobi, gegenbauer) is imported here, and
-each command imports the float layers it uses. So `family` and `verify
---suite exact|jacobi|gegenbauer` load neither numpy nor scipy; `spectrum`,
-`errata` and the other verify suites load both.
+The exact layer (exact, opalg, jacobi, gegenbauer) is imported here, with
+every exact suite, and each command imports the float layers it uses. So
+`family` and `verify --suite exact|jacobi|gegenbauer|intertwiners|oscillator`
+load neither numpy nor scipy; `verify --suite relations` and plain `verify`
+add refcalc, grid and susyqm, with numpy and scipy; `spectrum` adds
+spectra too, and `errata` loads every layer.
 """
 
 from __future__ import annotations
@@ -27,8 +30,15 @@ import tempfile
 from fractions import Fraction
 
 from .exact import hyp2f1, hyp3f2, pochhammer
-from .gegenbauer import GEG_FUZZ_PARAMS, GegParams, csm_two_particle_check
-from .jacobi import FUZZ_PARAMS, Jacobi1Params
+from .gegenbauer import (
+    GEG_FUZZ_PARAMS,
+    GegParams,
+    HermiteParams,
+    csm_two_particle_check,
+    oscillator_energy,
+    verify_oscillator,
+)
+from .jacobi import FUZZ_PARAMS, Jacobi1Params, verify_lowering, verify_raising
 from .opalg import eigenvalue_collision, verify_family
 
 EXIT_OK = 0
@@ -274,11 +284,10 @@ def _suite_csm(log) -> bool:
 
 
 def _suite_oscillator(log) -> tuple[bool, int]:
-    from .susyqm import SusySystem, verify_oscillator
-
     checks = verify_oscillator()
     spectrum = checks["q_squared_equals_h"] and checks["spectrum"]
-    energies = [int(SusySystem.oscillator().energy(n)) for n in range(6)]
+    energies = [int(oscillator_energy(n, HermiteParams(0).eigenvalue(n)))
+                for n in range(6)]
     log(f"oscillator: Q^2 = H and spectrum {energies} "
         f"on number states n<=12: {'pass' if spectrum else 'FAIL'}")
     log("oscillator: mixed states are Q-eigenvectors with eigenvalue "
@@ -288,15 +297,14 @@ def _suite_oscillator(log) -> tuple[bool, int]:
 
 def _suite_intertwiners(log, degree: int) -> tuple[bool, int]:
     """The exact lowering and raising maps up to ``degree`` on each fuzz
-    pair; the printed-scalar findings are counted over n <= 6."""
-    from .susyqm import ScarfParams, verify_lowering, verify_raising
-
+    pair; the printed-scalar findings are counted over n <= 6 at every
+    degree."""
     ok, findings = True, 0
     for a, b in FUZZ_PARAMS:
-        p = ScarfParams(a, b)
+        p = Jacobi1Params(a, b)
         low = verify_lowering(p, degree)
         ok = ok and all(low)
-        corrected, printed = verify_raising(p, degree)
+        corrected, printed = verify_raising(p, max(degree, 6))
         ok = ok and all(r for r in corrected if r is not None)
         findings += sum(r is False for r in printed[:7])
     log(f"intertwiners: corrected lowering/raising maps exact on all pairs: "
@@ -486,7 +494,13 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:     # the reader left; keep the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

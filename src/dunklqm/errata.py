@@ -14,20 +14,23 @@ import numpy as np
 
 from . import grid as gridmod
 from .gegenbauer import GegParams, HermiteParams, eigenvalue_geg, geg_potentials
-from .jacobi import Jacobi1Params, construct_explicit
+from .jacobi import (
+    Jacobi1Params,
+    bracket_n,
+    construct_explicit,
+    verify_lowering,
+    verify_raising,
+)
 from .opalg import dunkl, eigen_sequence, gram_sequence, inner
 from .spectra import spectrum_problem
 from .susyqm import (
     ScarfParams,
     SusySystem,
-    bracket_n,
     exact_residual,
     ground_state_norm_sq,
     intertwiner,
     osc_wavefunction,
     scarf_relations,
-    verify_lowering,
-    verify_raising,
     wavefunction_fn,
 )
 
@@ -306,17 +309,18 @@ def _gegenbauer_eigenvalue_sign(spec: list) -> dict:
 
 
 def _oscillator_laguerre_weight() -> dict:
-    psi = SusySystem.oscillator().wavefunction
+    psi = [SusySystem.oscillator().wavefunction(m) for m in range(1, 7)]
+    printed = [osc_wavefunction(n, 1) for n in range(3)]
+    corrected = [osc_wavefunction(n, 1, "corrected") for n in range(3)]
 
-    def superposition(n, eps, x):  # (psi_(2n+1) + eps psi_(2n+2))/2
-        return float(psi(2 * n + 1)(x) + eps * psi(2 * n + 2)(x)) / 2
+    def superposition(n, x):  # (psi_(2n+1) - psi_(2n+2))/2, eps = -1
+        return float(psi[2 * n](x) - psi[2 * n + 1](x)) / 2
 
-    ratios_printed = [float(osc_wavefunction(1, 1, x)
-                            / superposition(1, -1, x)) for x in (0.4, 0.9)]
-    ratios_corr = [float(osc_wavefunction(n, 1, 0.7, "corrected")
-                         / superposition(n, -1, 0.7)) for n in range(3)]
-    norms = [gridmod.quadrature(lambda x: osc_wavefunction(n, 1, x) ** 2, 10.0)
-             for n in range(3)]
+    ratios_printed = [float(printed[1](x) / superposition(1, x))
+                      for x in (0.4, 0.9)]
+    ratios_corr = [float(corrected[n](0.7) / superposition(n, 0.7))
+                   for n in range(3)]
+    norms = [gridmod.quadrature(lambda x: f(x) ** 2, 10.0) for f in printed]
     return _entry(
         "oscillator-laguerre-weight",
         "oscillator/mixed-state-coordinate-form/relative-block-weight",

@@ -20,6 +20,10 @@ exactly. Both are exposed, so the discrepancy is measured, not hidden.
 family on T_mu: the generalized Hermite polynomials of the Bose-like
 oscillator (Rosenblum, Oper. Theory Adv. Appl. 73, 1994), orthogonal for
 |y|^(2 mu) e^(-y^2); at mu = 0, H_n/2^n, the oscillator's polynomials.
+There the supersymmetric oscillator of ``susyqm.SusySystem.oscillator`` is
+checked exactly in the gauge psi = e^(-x^2/2) p, where its Q and H are
+``ReflOp``s (``osc_gauged_supercharge``, ``osc_gauged_hamiltonian``,
+``verify_oscillator``) and E_n = ``oscillator_energy``(n, lambda_n).
 """
 
 from __future__ import annotations
@@ -29,11 +33,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import DomainError, rat
-from .opalg import MulPoly, OrthogonalFamily, Poly, ReflOp, compose, dunkl
+from .opalg import (
+    Diff,
+    MulPoly,
+    OrthogonalFamily,
+    Poly,
+    Reflect,
+    ReflOp,
+    compose,
+    dunkl,
+    gram_sequence,
+)
 
 __all__ = [
     "GegParams",
     "HermiteParams",
+    "oscillator_energy",
+    "osc_gauged_supercharge",
+    "osc_gauged_hamiltonian",
+    "verify_oscillator",
     "lop_geg",
     "eigenvalue_geg",
     "geg_potentials",
@@ -121,6 +139,70 @@ class HermiteParams(OrthogonalFamily):
         """b_k = k/2 + mu [k odd] of P_(k+1) = y P_k - b_k P_(k-1) (a_k = 0),
         which ``recurrence_coefficients`` reads off the moments."""
         return Fraction(k, 2) + (self.mu if k % 2 else 0)
+
+
+# ---------------------------------------------------------------------------
+# supersymmetric oscillator, gauged
+# ---------------------------------------------------------------------------
+
+_D, _R = ReflOp.from_primitive(Diff), ReflOp.from_primitive(Reflect)
+_OSC_DEGREE = 12
+
+
+def oscillator_energy(n: int, lam: Fraction) -> Fraction:
+    """E_n = (-lambda_n + 1 - (-1)^n)/2 = 0, 2, 2, 4, 4, ... of the
+    oscillator, from lambda_n of ``HermiteParams(0)``."""
+    return (-lam + 1 - (-1) ** n) / 2
+
+
+def osc_gauged_supercharge() -> ReflOp:
+    """sqrt(2) Qtilde = D R + y(1 - R), D = d/dy: the supercharge
+    Q = [(a - a^dag) R + a + a^dag]/2 = (d/dx R + x)/sqrt(2) in the gauge
+    psi = e^(-x^2/2) p, as R commutes with the Gaussian and
+    e^(x^2/2) d/dx e^(-x^2/2) = D - y."""
+    return compose(_D, _R) + _Y - compose(_Y, _R)
+
+
+def osc_gauged_hamiltonian() -> ReflOp:
+    """2 Htilde = 2y D - D^2 + (1 - R): 2H = 2 a^dag a + 1 - R =
+    -d^2/dx^2 + x^2 - R in the same gauge, where d^2/dx^2 becomes
+    (D - y)^2 = D^2 - 2y D + y^2 - 1. On y^n it is 2 E_n plus lower
+    degrees, E_n = n + (1 - (-1)^n)/2 = ``oscillator_energy``."""
+    return (compose(_Y, _D).scale(2) - compose(_D, _D) + ReflOp([(1, ())])
+            - _R)
+
+
+def verify_oscillator() -> dict:
+    """Exact verdicts on e^(-x^2/2) P_n, with P_0..P_12 (spanning 1..y^12)
+    and ||P_n||^2 from ``gram_sequence`` on the moments of
+    ``HermiteParams(0)``.
+    ``q_squared_equals_h``: (sqrt(2) Qtilde)^2 = 2 Htilde on them.
+    ``spectrum``: 2 Htilde P_n = 2 E_n P_n, E_n = ``oscillator_energy``.
+    ``mixed_state_blocks``: for n <= 5, sqrt(2) Qtilde maps P_(2n+1) to
+    2 P_(2n+2) and P_(2n+2) to 2(n+1) P_(2n+1), both squared normalized
+    elements are 2n+2, so Q is [[0, s], [s, 0]], s = sqrt(2n+2), and
+    (|2n+1> + eps |2n+2>)/2 has eigenvalue eps s."""
+    q, h = osc_gauged_supercharge(), osc_gauged_hamiltonian()
+    family = HermiteParams(0)
+    gram = gram_sequence(family.moments(2 * _OSC_DEGREE + 1), _OSC_DEGREE)
+    qp = [q.apply(p) for p, _ in gram]
+    hp = [h.apply(p) for p, _ in gram]
+
+    def block(n: int) -> bool:
+        (odd, odd_sq), (even, even_sq) = gram[2 * n + 1], gram[2 * n + 2]
+        up, down = 2, 2 * (n + 1)
+        return (qp[2 * n + 1] == even.scale(up)
+                and qp[2 * n + 2] == odd.scale(down)
+                and up * up * even_sq / (2 * odd_sq) == 2 * n + 2
+                and down * down * odd_sq / (2 * even_sq) == 2 * n + 2)
+
+    return {
+        "q_squared_equals_h": all(q.apply(qn) == hn for qn, hn in zip(qp, hp)),
+        "spectrum": all(
+            hn == p.scale(2 * oscillator_energy(n, family.eigenvalue(n)))
+            for n, ((p, _), hn) in enumerate(zip(gram, hp))),
+        "mixed_state_blocks": all(block(n) for n in range(6)),
+    }
 
 
 def lop_geg(params: GegParams) -> ReflOp:

@@ -25,6 +25,13 @@ Gegenbauer family C_n at (mu, alpha) = (a/2, (b-1)/2), so by Christoffel's
 theorem (Szego, Orthogonal Polynomials, Thm 2.5) (1 + y) P_n = C_{n+1} -
 u_n C_n with u_n = C_{n+1}(-1)/C_n(-1), and ``norm_sq_closed(n)`` is
 -u_n ||C_n||^2 (tested exactly through degree 20).
+
+In the gauge y = sin x the Scarf supercharge is L less a constant,
+2 sqrt(2) Qtilde = L - (a+b+1) (``gauged_supercharge``), with eigenvalues
+-+(2n+a+b+1) for even/odd n, and the Scarf intertwiners are contiguity maps
+in b: T_{a/2} P_n^{(a,b)} = [n]_a P_{n-1}^{(a,b+2)} (``verify_lowering``),
+and the corrected Y maps P_n^{(a,b)} to (b-1+[n+1]_a) P_{n+1}^{(a,b-2)}
+(``verify_raising``), with [n]_a = n + (a/2)(1 - (-1)^n).
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from fractions import Fraction
 
 from .exact import hyp_terms, pochhammer, rat
 from .opalg import (
+    DegenerateSpectrumError,
     Diff,
     MulPoly,
     OddOverY,
@@ -41,6 +49,9 @@ from .opalg import (
     Poly,
     Reflect,
     ReflOp,
+    dunkl,
+    eigen_sequence,
+    unchecked,
 )
 
 __all__ = [
@@ -50,6 +61,12 @@ __all__ = [
     "construct_explicit",
     "norm_sq_closed",
     "norm_sq_from_normalization",
+    "gauged_supercharge",
+    "supercharge_eigenvalue_scaled",
+    "bracket_n",
+    "gauged_y_corrected",
+    "verify_lowering",
+    "verify_raising",
     "FUZZ_PARAMS",
 ]
 
@@ -243,3 +260,87 @@ def norm_sq_from_normalization(n: int, params: Jacobi1Params) -> Fraction:
                * pochhammer(a/2 + Fraction(1, 2), k + 1)
                * pochhammer(b/2 + Fraction(1, 2), k + 1))
     return den / pochhammer(a/2 + b/2 + 1, n)**2
+
+
+def gauged_supercharge(params: Jacobi1Params) -> ReflOp:
+    """2 sqrt(2) Qtilde = L - (a+b+1) in the y = sin x picture, L = ``lop``."""
+    return lop(params) + ReflOp([(-(params.alpha + params.beta + 1), ())])
+
+
+def supercharge_eigenvalue_scaled(n: int, params: Jacobi1Params) -> Fraction:
+    """lambda_n - (a+b+1) on P_n: -(2n+a+b+1) for even n, + for odd n."""
+    return eigenvalue(n, params) - (params.alpha + params.beta + 1)
+
+
+def bracket_n(n: int, alpha) -> Fraction:
+    """[n]_a = n + (a/2)(1 - (-1)^n)."""
+    alpha = rat(alpha)
+    return n + (alpha / 2) * (1 - Fraction(-1) ** n)
+
+
+def gauged_y_corrected(params: Jacobi1Params) -> ReflOp:
+    """The corrected Y in the gauged picture, P_n^{(a,b)} -> P_{n+1}^{(a,b-2)}:
+    -(1-y^2) d/dy - (a/2) y^-1(1-R) + ((a/2+b) y - 1) + ((a/2) y - a) R."""
+    a, b = params.alpha, params.beta
+    return ReflOp([
+        (-1, (MulPoly(Poly((1, 0, -1))), Diff)),
+        (-a / 2, (OddOverY,)),
+        (1, (MulPoly(Poly((-1, a / 2 + b))),)),
+        (1, (MulPoly(Poly((-a, a / 2))), Reflect)),
+    ])
+
+
+def _nondegenerate_sequence(family: Jacobi1Params, degree: int) -> list:
+    """``eigen_sequence`` of a family whose every member must exist."""
+    seq = eigen_sequence(family, degree)
+    if None in seq:
+        raise DegenerateSpectrumError(
+            f"degree {seq.index(None)} is degenerate at {family.label()}")
+    return seq
+
+
+def verify_lowering(params: Jacobi1Params, max_n: int) -> list:
+    """Exact check of T_{a/2} P_n^{(a,b)} = [n]_a P_{n-1}^{(a,b+2)}.
+
+    Returns per-n booleans; all True for every valid parameter pair.
+    """
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    a, b = params.alpha, params.beta
+    ps = _nondegenerate_sequence(params, max_n)
+    targets = _nondegenerate_sequence(unchecked(Jacobi1Params, a, b + 2),
+                                      max_n - 1)
+    t = dunkl(a / 2)
+    out = []
+    for n in range(max_n + 1):
+        target = targets[n - 1].scale(bracket_n(n, a)) if n else Poly.zero()
+        out.append(t.apply(ps[n]) == target)
+    return out
+
+
+def verify_raising(params: Jacobi1Params, max_n: int) -> tuple[list, list]:
+    """Exact check of the gauged corrected Y against its mapping rule.
+
+    Returns per-n verdicts for the corrected scalar (b - 1 + [n+1]_a) and
+    for the printed one (b - 1 + [n]_a), which fails already at n = 0
+    (actual scalar a + b), from one pass over the same images. Degenerate
+    target families (possible since the map lands at b - 2) are reported as
+    skips (None) in both lists.
+    """
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    a, b = params.alpha, params.beta
+    ps = _nondegenerate_sequence(params, max_n)
+    targets = eigen_sequence(unchecked(Jacobi1Params, a, b - 2), max_n + 1)
+    y = gauged_y_corrected(params)
+    corrected, printed = [], []
+    for n in range(max_n + 1):
+        target = targets[n + 1]
+        if target is None:
+            corrected.append(None)
+            printed.append(None)
+            continue
+        image = y.apply(ps[n])
+        corrected.append(image == target.scale(b - 1 + bracket_n(n + 1, a)))
+        printed.append(image == target.scale(b - 1 + bracket_n(n, a)))
+    return corrected, printed

@@ -1,6 +1,9 @@
-"""Supersymmetric quantum mechanics with reflection supercharges: the
-extended Scarf I system, its gauged polynomial picture, intertwining maps,
-the supersymmetric oscillator and the generalized Gegenbauer Hamiltonian.
+"""Supersymmetric quantum mechanics with reflection supercharges, in x:
+the extended Scarf I system, its intertwining maps, the supersymmetric
+oscillator and the generalized Gegenbauer Hamiltonian, as float code. The
+exact statements live with their families, so the exact suites load no
+numpy: the gauged Scarf supercharge and maps in ``jacobi``, the gauged
+oscillator and its energy map in ``gegenbauer``.
 
 The paper builds each system alike: a first-order supercharge Q with
 reflections, H = Q^2, and eigenfunctions a ground-state factor times an
@@ -11,26 +14,16 @@ data is a ``SusyPotential``, even U and odd V with their derivatives, whose
 ``supercharge`` Q = [(d/dx + U) R + V]/sqrt(2) and ``hamiltonian`` H = Q^2
 are the only statements of Q and H. ``ScarfParams`` is
 ``jacobi.Jacobi1Params``: the Scarf eigenfunctions at (a, b) are the little
--1 Jacobi polynomials at (a, b). In the gauge y = sin x the supercharge is
-the family's operator L (``jacobi.lop``) less a constant,
-
-    2 sqrt(2) Qtilde = L - (a+b+1) = 2(1-y) d/dy R - (a/y)(1-R) - (a+b+1) R,
-
-with eigenvalues lambda_n - (a+b+1) = -+(2n+a+b+1) (even/odd n).
+-1 Jacobi polynomials at (a, b). ``osc_wavefunction`` is the oscillator's
+printed Laguerre form.
 
 Each operator identity (Q^2 = H, parity conjugations, intertwining and
 product relations) is one refcalc Relation between chains of Q, H, X and Y,
 listed with its expected verdict by ``scarf_relations``, and evaluated
 exactly (``exact_residual``) and as finite-difference stencils; nothing
 evaluated outlives the call. The corrected X (tangent coefficient (b+1)/2,
-printed b/2) is the Dunkl derivative T_{a/2} in the gauge; the corrected Y
-(coefficient (b-1)/2) maps P_n to P_{n+1} of the b-2 family with scalar
-b-1+[n+1]_a; the printed X at b+1 IS the corrected X at b.
-
-The oscillator (U = 0, V = x) is checked exactly in the gauge
-psi = e^(-x^2/2) p, where its Q and H are ``ReflOp``s, on the P_n of
-``gegenbauer.HermiteParams(0)``, which ``osc_wavefunction`` (the printed
-Laguerre form) also reads.
+printed b/2) and Y ((b-1)/2) are, in the gauge, ``jacobi``'s contiguity
+maps; the printed X at b+1 IS the corrected X at b.
 """
 
 from __future__ import annotations
@@ -44,23 +37,13 @@ import numpy as np
 
 from . import grid as gridmod
 from . import refcalc as refc
-from .exact import DomainError, beta_num, pochhammer, rat
-from .gegenbauer import GegParams, HermiteParams
-from .jacobi import Jacobi1Params, eigenvalue, lop
+from .exact import DomainError, beta_num, pochhammer
+from .gegenbauer import GegParams, HermiteParams, oscillator_energy
+from .jacobi import Jacobi1Params
 from .opalg import (
-    DegenerateSpectrumError,
-    Diff,
-    MulPoly,
-    OddOverY,
     OrthogonalFamily,
-    Poly,
-    Reflect,
-    ReflOp,
     check_degree,
     construct_eigen,
-    dunkl,
-    eigen_sequence,
-    gram_sequence,
     recurrence_coefficients,
     unchecked,
 )
@@ -72,22 +55,13 @@ __all__ = [
     "scarf_potential",
     "oscillator_potential",
     "scarf_H_parts_explicit",
-    "gauged_supercharge",
-    "supercharge_eigenvalue_scaled",
     "ground_state_norm_sq",
     "ground_state",
     "wavefunction_fn",
-    "bracket_n",
     "intertwiner",
-    "gauged_y_corrected",
-    "verify_lowering",
-    "verify_raising",
     "scarf_relations",
     "exact_residual",
     "verify_operator_relations",
-    "osc_gauged_supercharge",
-    "osc_gauged_hamiltonian",
-    "verify_oscillator",
     "osc_wavefunction",
 ]
 
@@ -191,11 +165,11 @@ class SusySystem:
     @classmethod
     def oscillator(cls) -> SusySystem:
         """y = x on [-10, 10], g = e^(-x^2/2) with ||g||^2 = sqrt(pi), and
-        E_n = (-lambda_n + 1 - (-1)^n)/2 = 0, 2, 2, 4, 4, ..."""
+        E_n = ``oscillator_energy``(n, lambda_n) = 0, 2, 2, 4, 4, ..."""
         return cls("oscillator", {}, HermiteParams(0), lambda x: x, 10.0,
                    lambda x: np.exp(-x * x / 2), math.sqrt(math.pi),
-                   lambda n, lam: (-lam + 1 - (-1) ** n) / 2,
-                   oscillator_potential(), None, 1e-6, (2.0, 2.0))
+                   oscillator_energy, oscillator_potential(), None, 1e-6,
+                   (2.0, 2.0))
 
     @classmethod
     def gegenbauer(cls, params: GegParams) -> SusySystem:
@@ -257,16 +231,6 @@ def scarf_H_parts_explicit(params: ScarfParams):
     return scalar, refl
 
 
-def gauged_supercharge(params: ScarfParams) -> ReflOp:
-    """2 sqrt(2) Qtilde = L - (a+b+1) in the y = sin x picture, L = ``lop``."""
-    return lop(params) + ReflOp([(-(params.alpha + params.beta + 1), ())])
-
-
-def supercharge_eigenvalue_scaled(n: int, params: ScarfParams) -> Fraction:
-    """lambda_n - (a+b+1) on P_n: -(2n+a+b+1) for even n, + for odd n."""
-    return eigenvalue(n, params) - (params.alpha + params.beta + 1)
-
-
 def ground_state_norm_sq(params: ScarfParams) -> float:
     """N_0^2 = 1 / B((a+1)/2, (b+1)/2), from the Beta integral directly."""
     return 1.0 / beta_num((float(params.alpha) + 1) / 2,
@@ -285,12 +249,6 @@ def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
     return SusySystem.scarf(params).wavefunction(n)
 
 
-def bracket_n(n: int, alpha) -> Fraction:
-    """[n]_a = n + (a/2)(1 - (-1)^n)."""
-    alpha = rat(alpha)
-    return n + (alpha / 2) * (1 - Fraction(-1) ** n)
-
-
 # ---------------------------------------------------------------------------
 # intertwiners
 # ---------------------------------------------------------------------------
@@ -303,8 +261,8 @@ def intertwiner(params: ScarfParams, which: str,
 
     with sign +1 for X and -1 for Y, and t = b/2 printed, (b + sign)/2
     corrected. In the gauged picture the corrected X is ``dunkl(a/2)`` and
-    the corrected Y is ``gauged_y_corrected``; the printed variants' gauged
-    forms leave the polynomial ring.
+    the corrected Y is ``jacobi.gauged_y_corrected``; the printed variants'
+    gauged forms leave the polynomial ring.
     """
     if which not in ("X", "Y"):
         raise ValueError("which must be 'X' or 'Y'")
@@ -319,75 +277,6 @@ def intertwiner(params: ScarfParams, which: str,
         q=refc.CoeffFn.tan().scale(float(tan_coeff))
         - refc.CoeffFn.sec().scale(0.5),
         r=refl.scale(-float(params.alpha) / 2))
-
-
-def gauged_y_corrected(params: ScarfParams) -> ReflOp:
-    """The corrected Y in the gauged picture, P_n^{(a,b)} -> P_{n+1}^{(a,b-2)}:
-    -(1-y^2) d/dy - (a/2) y^-1(1-R) + ((a/2+b) y - 1) + ((a/2) y - a) R."""
-    a, b = params.alpha, params.beta
-    return ReflOp([
-        (-1, (MulPoly(Poly((1, 0, -1))), Diff)),
-        (-a / 2, (OddOverY,)),
-        (1, (MulPoly(Poly((-1, a / 2 + b))),)),
-        (1, (MulPoly(Poly((-a, a / 2))), Reflect)),
-    ])
-
-
-def _nondegenerate_sequence(family: Jacobi1Params, degree: int) -> list:
-    """``eigen_sequence`` of a family whose every member must exist."""
-    seq = eigen_sequence(family, degree)
-    if None in seq:
-        raise DegenerateSpectrumError(
-            f"degree {seq.index(None)} is degenerate at {family.label()}")
-    return seq
-
-
-def verify_lowering(params: ScarfParams, max_n: int) -> list:
-    """Exact check of T_{a/2} P_n^{(a,b)} = [n]_a P_{n-1}^{(a,b+2)}.
-
-    Returns per-n booleans; all True for every valid parameter pair.
-    """
-    if max_n < 0:
-        raise ValueError(f"max_n must be nonnegative, got {max_n}")
-    a, b = params.alpha, params.beta
-    ps = _nondegenerate_sequence(params, max_n)
-    targets = _nondegenerate_sequence(unchecked(Jacobi1Params, a, b + 2),
-                                      max_n - 1)
-    t = dunkl(a / 2)
-    out = []
-    for n in range(max_n + 1):
-        target = targets[n - 1].scale(bracket_n(n, a)) if n else Poly.zero()
-        out.append(t.apply(ps[n]) == target)
-    return out
-
-
-def verify_raising(params: ScarfParams, max_n: int) -> tuple[list, list]:
-    """Exact check of the gauged corrected Y against its mapping rule.
-
-    Returns per-n verdicts for the corrected scalar (b - 1 + [n+1]_a) and
-    for the printed one (b - 1 + [n]_a), which fails already at n = 0
-    (actual scalar a + b), from one pass over the same images. Degenerate
-    target families (possible since the map lands at b - 2) are reported as
-    skips (None) in both lists.
-    """
-    if max_n < 0:
-        raise ValueError(f"max_n must be nonnegative, got {max_n}")
-    a, b = params.alpha, params.beta
-    ps = _nondegenerate_sequence(params, max_n)
-    targets = eigen_sequence(unchecked(Jacobi1Params, a, b - 2), max_n + 1)
-    y = gauged_y_corrected(params)
-    corrected, printed = [], []
-    for n in range(max_n + 1):
-        target = targets[n + 1]
-        if target is None:
-            corrected.append(None)
-            printed.append(None)
-            continue
-        image = y.apply(ps[n])
-        corrected.append(image == target.scale(b - 1 + bracket_n(n + 1, a)))
-        printed.append(image == target.scale(b - 1 + bracket_n(n, a)))
-    return corrected, printed
-
 
 # ---------------------------------------------------------------------------
 # analytic-form relations on the grid
@@ -575,27 +464,6 @@ def verify_operator_relations(params: ScarfParams, grids: tuple) -> list:
 # supersymmetric oscillator
 # ---------------------------------------------------------------------------
 
-_Y = MulPoly(Poly((0, 1)))
-_OSC_DEGREE = 12
-
-
-def osc_gauged_supercharge() -> ReflOp:
-    """sqrt(2) Qtilde = D R + y(1 - R), D = d/dy: the supercharge
-    Q = [(a - a^dag) R + a + a^dag]/2 = (d/dx R + x)/sqrt(2) in the gauge
-    psi = e^(-x^2/2) p, as R commutes with the Gaussian and
-    e^(x^2/2) d/dx e^(-x^2/2) = D - y."""
-    return ReflOp([(1, (Diff, Reflect)), (1, (_Y,)), (-1, (_Y, Reflect))])
-
-
-def osc_gauged_hamiltonian() -> ReflOp:
-    """2 Htilde = 2y D - D^2 + (1 - R): 2H = 2 a^dag a + 1 - R =
-    -d^2/dx^2 + x^2 - R in the same gauge, where d^2/dx^2 becomes
-    (D - y)^2 = D^2 - 2y D + y^2 - 1. On y^n it is 2 E_n plus lower
-    degrees, E_n = n + (1 - (-1)^n)/2 the oscillator record's energy."""
-    return ReflOp([(2, (_Y, Diff)), (-1, (Diff, Diff)), (1, ()),
-                   (-1, (Reflect,))])
-
-
 def _recurrence_values(coeffs: list, x) -> list:
     """[P_0(x), ..., P_m(x)] by P_{k+1} = (x - a_k) P_k - b_k P_{k-1} on
     ``coeffs`` = [(a_0, b_0), ..., (a_{m-1}, b_{m-1})], an array bit for bit
@@ -608,41 +476,9 @@ def _recurrence_values(coeffs: list, x) -> list:
     return values[1:]
 
 
-def verify_oscillator() -> dict:
-    """Exact verdicts on e^(-x^2/2) P_n, with P_0..P_12 (spanning 1..y^12)
-    and ||P_n||^2 from ``gram_sequence`` on the oscillator family's moments.
-    ``q_squared_equals_h``: (sqrt(2) Qtilde)^2 = 2 Htilde on them.
-    ``spectrum``: 2 Htilde P_n = 2 E_n P_n, E_n the record's.
-    ``mixed_state_blocks``: for n <= 5, sqrt(2) Qtilde maps P_(2n+1) to
-    2 P_(2n+2) and P_(2n+2) to 2(n+1) P_(2n+1), both squared normalized
-    elements are 2n+2, so Q is [[0, s], [s, 0]], s = sqrt(2n+2), and
-    (|2n+1> + eps |2n+2>)/2 has eigenvalue eps s."""
-    q, h = osc_gauged_supercharge(), osc_gauged_hamiltonian()
-    osc = SusySystem.oscillator()
-    gram = gram_sequence(osc.family.moments(2 * _OSC_DEGREE + 1), _OSC_DEGREE)
-    qp = [q.apply(p) for p, _ in gram]
-    hp = [h.apply(p) for p, _ in gram]
-
-    def block(n: int) -> bool:
-        (odd, odd_sq), (even, even_sq) = gram[2 * n + 1], gram[2 * n + 2]
-        up, down = 2, 2 * (n + 1)
-        return (qp[2 * n + 1] == even.scale(up)
-                and qp[2 * n + 2] == odd.scale(down)
-                and up * up * even_sq / (2 * odd_sq) == 2 * n + 2
-                and down * down * odd_sq / (2 * even_sq) == 2 * n + 2)
-
-    return {
-        "q_squared_equals_h": all(q.apply(qn) == hn for qn, hn in zip(qp, hp)),
-        "spectrum": all(hn == p.scale(2 * osc.energy(n))
-                        for n, ((p, _), hn) in enumerate(zip(gram, hp))),
-        "mixed_state_blocks": all(block(n) for n in range(6)),
-    }
-
-
-def osc_wavefunction(n: int, eps: int, x: float,
-                     variant: str = "printed") -> float:
-    """Coordinate form of |n, eps> through the printed Laguerre expression,
-    with relative block weight (n+1) (``printed``) or sqrt(n+1)
+def osc_wavefunction(n: int, eps: int, variant: str = "printed") -> Callable:
+    """Vectorized coordinate form of |n, eps> through the printed Laguerre
+    expression, with relative block weight (n+1) (``printed``) or sqrt(n+1)
     (``corrected``, the Hermite superposition times 2^(1/2 - n) under
     eps -> -eps). The blocks are the oscillator record's P_m (DLMF
     18.7.19-20): x L_n^(1/2)(x^2) = (-1)^n P_(2n+1)(x)/n! and
@@ -654,14 +490,19 @@ def osc_wavefunction(n: int, eps: int, x: float,
         raise ValueError("eps must be +-1")
     if variant not in ("printed", "corrected"):
         raise ValueError("variant must be 'printed' or 'corrected'")
-    x = np.asarray(x, dtype=float)
-    p = SusySystem.oscillator().polynomials(2 * n + 2)[0](x)
+    values = SusySystem.oscillator().polynomials(2 * n + 2)[0]
     # (-1)^n pi^(-1/4) sqrt(n! / (n+1)_(n+1)), from the exact ratio
     pref = (-1) ** n / math.pi ** 0.25 * math.sqrt(
         float(Fraction(math.factorial(n)) / pochhammer(n + 1, n + 1)))
     weight = float(n + 1) if variant == "printed" else math.sqrt(n + 1.0)
-    gauss = np.array([math.exp(-v * v / 2)
-                      for v in x.ravel().tolist()]).reshape(x.shape)
-    odd = (-1) ** n / math.factorial(n) * p[2 * n + 1]
-    even = (-1) ** (n + 1) / math.factorial(n + 1) * p[2 * n + 2]
-    return pref * gauss * (odd + eps * weight * even)
+    odd = (-1) ** n / math.factorial(n)
+    even = (-1) ** (n + 1) / math.factorial(n + 1)
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        p = values(x)
+        gauss = np.array([math.exp(-v * v / 2)
+                          for v in x.ravel().tolist()]).reshape(x.shape)
+        return pref * gauss * (odd * p[2 * n + 1]
+                               + eps * weight * (even * p[2 * n + 2]))
+    return evaluate

@@ -10,28 +10,30 @@ from fractions import Fraction as F
 
 from dunklqm import grid as gridmod
 from dunklqm.exact import hyp2f1, hyp3f2, pochhammer
-from dunklqm.gegenbauer import GegParams
+from dunklqm.gegenbauer import (
+    GegParams,
+    osc_gauged_supercharge,
+    verify_oscillator,
+)
 from dunklqm.jacobi import (
     FUZZ_PARAMS,
     Jacobi1Params,
     eigenvalue,
+    gauged_supercharge,
     lop,
     norm_sq_closed,
     norm_sq_from_normalization,
+    supercharge_eigenvalue_scaled,
+    verify_lowering,
+    verify_raising,
 )
 from dunklqm.opalg import Poly, construct_eigen, inner
 from dunklqm.spectra import spectrum_problem
 from dunklqm.susyqm import (
     ScarfParams,
     SusySystem,
-    gauged_supercharge,
-    osc_gauged_supercharge,
     osc_wavefunction,
-    supercharge_eigenvalue_scaled,
-    verify_lowering,
     verify_operator_relations,
-    verify_oscillator,
-    verify_raising,
     wavefunction_fn,
 )
 from dunklqm.errata import build_errata
@@ -230,10 +232,10 @@ def test_criterion_9_oscillator_algebra():
     # (psi_1 - eps psi_2)/2 at n=0 up to one global constant (recorded:
     # sqrt(2), under the epsilon pairing -eps)
     psi1, psi2 = (SusySystem.oscillator().wavefunction(m) for m in (1, 2))
-    const = osc_wavefunction(0, 1, 0.5) / ((psi1(0.5) - psi2(0.5)) / 2)
+    const = osc_wavefunction(0, 1)(0.5) / ((psi1(0.5) - psi2(0.5)) / 2)
     for eps in (+1, -1):
         for x in (0.3, 0.5, -0.8, 1.4):
-            lhs = osc_wavefunction(0, eps, x)
+            lhs = osc_wavefunction(0, eps)(x)
             rhs = const * (psi1(x) - eps * psi2(x)) / 2
             if abs(lhs - rhs) > 1e-10:
                 ok = False

@@ -121,9 +121,9 @@ _Y = MulPoly(Poly((0, 1)))
 ], ids=["hamiltonian-without-1-R", "supercharge-without-y-1-R"])
 def test_verify_oscillator_suite_fails_on_a_mutated_operator(
         name, mutant, monkeypatch, capsys):
-    from dunklqm import susyqm
+    from dunklqm import gegenbauer
 
-    monkeypatch.setattr(susyqm, name, lambda: mutant)
+    monkeypatch.setattr(gegenbauer, name, lambda: mutant)
     code, out, _ = run(["verify", "--suite", "oscillator"], capsys)
     assert code == 1
     assert "FAIL" in out
@@ -159,7 +159,7 @@ def test_verify_gegenbauer_suite_runs_at_the_requested_degree(monkeypatch,
 
 def test_verify_intertwiners_suite_runs_at_the_requested_degree(monkeypatch,
                                                                capsys):
-    from dunklqm import susyqm
+    from dunklqm import cli
     from dunklqm.jacobi import FUZZ_PARAMS
 
     degrees = []
@@ -171,13 +171,22 @@ def test_verify_intertwiners_suite_runs_at_the_requested_degree(monkeypatch,
         return run_map
 
     for name in ("verify_lowering", "verify_raising"):
-        monkeypatch.setattr(susyqm, name, counted(getattr(susyqm, name)))
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
     code, out, _ = run(["verify", "--suite", "intertwiners", "--degree", "20"],
                        capsys)
     assert code == 0
     assert "oracle checks: pass" in out
     assert degrees == [("verify_lowering", 20), ("verify_raising", 20)] \
         * len(FUZZ_PARAMS)
+
+
+@pytest.mark.parametrize("degree", [[], ["--degree", "2"]], ids=["12", "2"])
+def test_verify_intertwiners_counts_printed_scalars_over_n_le_6(degree,
+                                                                capsys):
+    # the count read 13 at --degree 2, 17 at 3 and 26 at 5
+    code, out, _ = run(["verify", "--suite", "intertwiners", *degree], capsys)
+    assert code == 0
+    assert "printed-scalar mismatches recorded: 31\n" in out
 
 
 @pytest.mark.parametrize("suite", ["exact", "oscillator", "relations"])
@@ -544,13 +553,17 @@ def test_errata_schema_and_determinism(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _fresh_env():
+    """The environment of a new process that imports this dunklqm."""
+    src = str(Path(dunklqm.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh_python(*args):
     """Run ``python *args`` in a new process that imports this dunklqm."""
-    src = str(Path(dunklqm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_fresh_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -558,6 +571,20 @@ def _fresh_python(*args):
 def test_python_m_dunklqm_runs_the_cli():
     out = _fresh_python("-m", "dunklqm", "verify", "--suite", "exact")
     assert "oracle checks: pass" in out
+
+
+def test_closed_stdout_exits_1_with_no_traceback():
+    # the reader is gone before the command writes: `... | true`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dunklqm", "verify", "--suite", "jacobi"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=_fresh_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_cli_never_imports_scipy_special():
@@ -589,8 +616,11 @@ def _main_quietly(*argv):
     _main_quietly("verify", "--suite", "exact"),
     _main_quietly("verify", "--suite", "jacobi"),
     _main_quietly("verify", "--suite", "gegenbauer"),
+    _main_quietly("verify", "--suite", "intertwiners"),
+    _main_quietly("verify", "--suite", "oscillator"),
 ], ids=["package", "exact-names", "cli", "family", "verify-exact",
-        "verify-jacobi", "verify-gegenbauer"])
+        "verify-jacobi", "verify-gegenbauer", "verify-intertwiners",
+        "verify-oscillator"])
 def test_exact_work_never_imports_numpy_or_scipy(statement):
     # the exact layer is rational arithmetic only; the package and the CLI
     # load the float layers only for the names and commands that use them

@@ -12,7 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from dunklqm import opalg
 from dunklqm.exact import rat
 from dunklqm.gegenbauer import GEG_FUZZ_PARAMS, GegParams
-from dunklqm.jacobi import FUZZ_PARAMS, Jacobi1Params
+from dunklqm.jacobi import (
+    FUZZ_PARAMS,
+    Jacobi1Params,
+    verify_lowering,
+    verify_raising,
+)
 from dunklqm.opalg import (
     DegenerateSpectrumError,
     DegreeOverflowError,
@@ -33,7 +38,6 @@ from dunklqm.opalg import (
     solve_monic_eigenvector,
     verify_family,
 )
-from dunklqm.susyqm import ScarfParams, verify_lowering, verify_raising
 
 
 def P(*coeffs):
@@ -296,9 +300,9 @@ def test_eigen_sequence_marks_collisions_with_none():
 
 def test_construct_eigen_refuses_a_negative_degree():
     with pytest.raises(ValueError, match="nonnegative"):
-        construct_eigen(-1, ScarfParams(1, 3))
+        construct_eigen(-1, Jacobi1Params(1, 3))
     # the empty sequence stays: verify_lowering(p, 0) reads it for b+2
-    assert eigen_sequence(ScarfParams(1, 3), -1) == []
+    assert eigen_sequence(Jacobi1Params(1, 3), -1) == []
 
 
 def test_eigenvalue_formula_disagreeing_with_diagonal_is_refused():
@@ -335,10 +339,10 @@ def test_operator_matrix_built_once_per_family(monkeypatch):
     verify_family(Jacobi1Params(F(1, 2), F(3, 2)), 12)
     assert calls == [12]
     calls.clear()
-    verify_lowering(ScarfParams(F(1, 2), F(3, 2)), 12)
+    verify_lowering(Jacobi1Params(F(1, 2), F(3, 2)), 12)
     assert calls == [12, 11]
     calls.clear()
-    verify_raising(ScarfParams(F(1, 2), F(3, 2)), 12)
+    verify_raising(Jacobi1Params(F(1, 2), F(3, 2)), 12)
     assert calls == [12, 13]
 
 

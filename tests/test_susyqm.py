@@ -13,11 +13,22 @@ import pytest
 from dunklqm import grid as gridmod
 from dunklqm import refcalc as refc
 from dunklqm.exact import DomainError, hyp_terms, pochhammer
-from dunklqm.gegenbauer import GegParams, HermiteParams
+from dunklqm.gegenbauer import (
+    GegParams,
+    HermiteParams,
+    osc_gauged_hamiltonian,
+    osc_gauged_supercharge,
+)
 from dunklqm.jacobi import (
     FUZZ_PARAMS,
+    bracket_n,
     eigenvalue,
+    gauged_supercharge,
+    gauged_y_corrected,
     norm_sq_closed,
+    supercharge_eigenvalue_scaled,
+    verify_lowering,
+    verify_raising,
 )
 from dunklqm.opalg import (
     DegenerateSpectrumError,
@@ -33,23 +44,15 @@ from dunklqm.susyqm import (
     SusyPotential,
     SusySystem,
     _TEST_FNS,
-    bracket_n,
-    gauged_supercharge,
-    gauged_y_corrected,
     ground_state,
     ground_state_norm_sq,
     intertwiner,
-    osc_gauged_hamiltonian,
-    osc_gauged_supercharge,
     osc_wavefunction,
     oscillator_potential,
     scarf_H_parts_explicit,
     scarf_potential,
     scarf_relations,
-    supercharge_eigenvalue_scaled,
-    verify_lowering,
     verify_operator_relations,
-    verify_raising,
     wavefunction_fn,
 )
 from dunklqm.opalg import dunkl
@@ -328,7 +331,7 @@ def test_raising_map_printed_scalar_fails():
 
 
 def test_raising_map_runs_once_per_parameter_set(monkeypatch):
-    from dunklqm import cli, errata, susyqm
+    from dunklqm import cli, errata
 
     calls = []
 
@@ -336,7 +339,7 @@ def test_raising_map_runs_once_per_parameter_set(monkeypatch):
         calls.append((params.alpha, params.beta, max_n))
         return verify_raising(params, max_n)
 
-    monkeypatch.setattr(susyqm, "verify_raising", counting)
+    monkeypatch.setattr(cli, "verify_raising", counting)
     assert cli._suite_intertwiners(lambda msg: None, 12) == (True, 31)
     assert calls == [(a, b, 12) for a, b in FUZZ_PARAMS]
     calls.clear()
@@ -846,7 +849,7 @@ def test_osc_wavefunction_vs_hermite_n0():
     # superposition under the epsilon pairing eps -> -eps
     for eps in (+1, -1):
         for x in (0.5, -0.7, 1.3):
-            ratio = osc_wavefunction(0, eps, x) / _superposition(0, -eps, x)
+            ratio = osc_wavefunction(0, eps)(x) / _superposition(0, -eps, x)
             assert abs(ratio - math.sqrt(2)) < 1e-10
 
 
@@ -855,13 +858,13 @@ def test_osc_wavefunction_corrected_weight_constant():
     for n in range(4):
         for eps in (+1, -1):
             for x in (0.4, -0.9):
-                r = osc_wavefunction(n, eps, x, "corrected") \
+                r = osc_wavefunction(n, eps, "corrected")(x) \
                     / _superposition(n, -eps, x)
                 assert abs(r - 2.0 ** (0.5 - n)) < 1e-10
 
 
 def test_osc_wavefunction_printed_weight_breaks_for_n_ge_1():
-    vals = [osc_wavefunction(1, 1, x) / _superposition(1, -1, x)
+    vals = [osc_wavefunction(1, 1)(x) / _superposition(1, -1, x)
             for x in (0.4, 0.9)]
     assert abs(vals[0] - vals[1]) > 1e-3
 
@@ -871,14 +874,14 @@ def test_osc_wavefunction_takes_a_list_and_keeps_its_bits():
     # equals the ndarray bitwise, and array and scalar values keep the bits
     # they had before the evaluators were merged
     xs = [0.3, 0.5]
-    got = osc_wavefunction(1, 1, xs)
-    assert got.tobytes() == osc_wavefunction(1, 1, np.array(xs)).tobytes()
+    got = osc_wavefunction(1, 1)(xs)
+    assert got.tobytes() == osc_wavefunction(1, 1)(np.array(xs)).tobytes()
     assert [v.hex() for v in got.tolist()] == ["-0x1.1180601008d08p-2",
                                                "-0x1.7d063cf85aa54p-3"]
-    for args, bits in [((1, 1, 0.3), "-0x1.1180601008d08p-2"),
-                       ((2, -1, -0.7, "corrected"), "0x1.61da21c08128ap-9"),
-                       ((0, 1, 1.3), "0x1.22bf6ad397ddcp-5")]:
-        assert float(osc_wavefunction(*args)).hex() == bits
+    for args, x, bits in [((1, 1), 0.3, "-0x1.1180601008d08p-2"),
+                          ((2, -1, "corrected"), -0.7, "0x1.61da21c08128ap-9"),
+                          ((0, 1), 1.3, "0x1.22bf6ad397ddcp-5")]:
+        assert float(osc_wavefunction(*args)(x)).hex() == bits
     psi2 = SusySystem.oscillator().wavefunction(2)
     assert [v.hex() for v in psi2(xs).tolist()] == ["-0x1.aa5a0ef3ba8d5p-2",
                                                     "-0x1.dff75abe02fccp-3"]
@@ -919,9 +922,9 @@ def test_osc_wavefunction_array_matches_scalar_calls():
     for n in range(3):
         for eps in (1, -1):
             for variant in ("printed", "corrected"):
-                ref = np.array([osc_wavefunction(n, eps, t, variant)
-                                for t in xs.tolist()])
-                got = osc_wavefunction(n, eps, xs, variant)
+                psi = osc_wavefunction(n, eps, variant)
+                ref = np.array([psi(t) for t in xs.tolist()])
+                got = psi(xs)
                 assert got.tobytes() == ref.tobytes()
 
 
@@ -940,7 +943,7 @@ def test_osc_wavefunction_matches_scipy_laguerre_form():
                                                   math.sqrt(n + 1.0))):
             for eps in (1, -1):
                 ref = pref * np.exp(-x * x / 2) * (odd + eps * w * even)
-                got = osc_wavefunction(n, eps, x, variant)
+                got = osc_wavefunction(n, eps, variant)(x)
                 scale = np.abs(ref).max()
                 assert np.abs(got - ref).max() <= 1e-13 * scale, (n, variant)
 
@@ -948,7 +951,7 @@ def test_osc_wavefunction_matches_scipy_laguerre_form():
 def test_laguerre_refuses_negative_degree():
     # a negative level is refused before any Gram entry is read by index
     with pytest.raises(ValueError, match="nonnegative"):
-        osc_wavefunction(-1, 1, 0.5)
+        osc_wavefunction(-1, 1)
     with pytest.raises(ValueError, match="nonnegative"):
         SusySystem.oscillator().wavefunction(-1)
     with pytest.raises(ValueError, match="mu > -1/2"):
@@ -957,13 +960,31 @@ def test_laguerre_refuses_negative_degree():
 
 def test_osc_wavefunction_refuses_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
-        osc_wavefunction(1, 1, 0.7, "typo")
+        osc_wavefunction(1, 1, "typo")
 
 
 def test_osc_wavefunction_measured_norm():
     # quadrature norm of the printed form: (n+2)/2^(2n+1), recorded not assumed
     for n in range(3):
+        psi = osc_wavefunction(n, 1)
         val = gridmod.quadrature(
-            lambda x: np.asarray([osc_wavefunction(n, 1, float(t)) for t in
+            lambda x: np.asarray([psi(float(t)) for t in
                                   np.atleast_1d(x)]) ** 2, 10.0)
         assert abs(val - (n + 2) / 2.0 ** (2 * n + 1)) < 1e-8
+
+
+def test_errata_builds_each_oscillator_evaluator_once(monkeypatch):
+    # the recurrence was rebuilt from the moments on every point evaluation:
+    # 32 calls per report, 30 of them for the oscillator entry
+    from dunklqm import errata
+
+    calls = []
+    real = SusySystem.polynomials
+
+    def counting(self, m):
+        calls.append((self.name, m))
+        return real(self, m)
+
+    monkeypatch.setattr(SusySystem, "polynomials", counting)
+    errata.build_errata()
+    assert Counter(name for name, _ in calls) == {"oscillator": 12, "scarf": 2}
