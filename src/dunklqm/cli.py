@@ -7,14 +7,21 @@ parameters or `spectrum` its answer (LAPACK's LinAlgError included) prints
 "error: ..." and exits 2. Rational parameters are passed as exact "p/q"
 strings, negative ones too ("--alpha -1/2"). All output is deterministic
 for a fixed invocation; floats print at 17 significant digits. A closed
-stdout (`dunklqm verify | head -1`) exits 1 with no traceback.
+stdout (`dunklqm verify | head -1`) exits 1 with no traceback. Any other
+failure to write the output (a full disk under stdout or --out) prints one
+"error: cannot write output: ..." line and exits 1, with no traceback.
+--out names a regular file or a new one, a symlink counting as its target;
+it is replaced whole, keeping its mode (a new file gets 0o666 less the
+umask), and anything else there (a directory, a FIFO, a device) is refused
+with exit 2 before any work.
 
 The exact layer (exact, opalg, jacobi, gegenbauer) is imported here, with
 every exact suite, and each command imports the float layers it uses. So
 `family` and `verify --suite exact|jacobi|gegenbauer|intertwiners|oscillator`
 load neither numpy nor scipy; `verify --suite relations` and plain `verify`
-add refcalc, grid and susyqm, with numpy and scipy; `spectrum` adds
-spectra too, and `errata` loads every layer.
+add refcalc and susyqm, with numpy but not scipy. Only the commands that run
+a grid solver load grid and with it scipy: `spectrum` adds grid and spectra,
+and `errata` loads every layer.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import math
 import os
 import random
 import re
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -54,7 +62,7 @@ def _rat(text: str) -> Fraction:
 
 
 def _grid_list(text: str) -> list:
-    from .grid import check_doubling_ladder
+    from .refcalc import check_doubling_ladder
 
     try:
         out = [int(t) for t in text.split(",")]
@@ -91,24 +99,47 @@ def _int_at_least(low: int):
 
 
 def _out_path(text: str) -> str:
-    """An --out path whose directory exists and that is not a directory, so
-    that a command never finishes its work and then fails to write it. The
-    directory is the path's own, as written: "dir/missing/" names the
-    directory "dir/missing", and "file/x" the directory "file"."""
+    """An --out path whose directory exists and that names a regular file or
+    nothing yet, a symlink counting as its target, so that a command never
+    finishes its work and then fails to write it, nor replaces a FIFO or a
+    device with a file. The directory is the path's own, as written:
+    "dir/missing/" names the directory "dir/missing", and "file/x" the
+    directory "file"; a symlink's target needs one too. The path is checked
+    by ``os.stat``, never opened: opening a FIFO blocks."""
     if not text:
         raise argparse.ArgumentTypeError("empty path")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a directory")
-    if not os.path.isdir(os.path.dirname(text) or os.curdir):
+    if not (os.path.isdir(os.path.dirname(text) or os.curdir)
+            and os.path.isdir(os.path.dirname(os.path.realpath(text)))):
         raise argparse.ArgumentTypeError(f"no directory to write {text!r} into")
+    try:
+        mode = os.stat(text).st_mode
+    except FileNotFoundError:
+        return text
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot write {text!r} ({exc})")
+    if not stat.S_ISREG(mode):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a regular file")
     return text
 
 
 def _write_atomic(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-dunklqm-")
+    """Write ``text`` whole or not at all: into a temporary file beside the
+    target, renamed over it. The target is a symlink's own target, and the
+    file gets the mode that ``open`` would give it: the old file's, or 0o666
+    less the umask for a new one."""
+    path = os.path.realpath(path)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-dunklqm-")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fd, mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -498,8 +529,15 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:     # the reader left; keep the exit flush quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # a reader that left (broken pipe) exits silently; any other failed
+        # write, such as a full disk under stdout or --out, says so
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:     # stdout itself failed: keep the exit flush quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_VERIFY_FAILED
 
 

@@ -22,6 +22,7 @@ from .jacobi import (
     verify_raising,
 )
 from .opalg import dunkl, eigen_sequence, gram_sequence, inner
+from .refcalc import Grid
 from .spectra import spectrum_problem
 from .susyqm import (
     ScarfParams,
@@ -162,7 +163,7 @@ def _ground_state_normalization() -> dict:
 
 def _x_tangent_coefficient() -> dict:
     p = ScarfParams(F(1), F(1))
-    g = gridmod.Grid(1024, math.pi / 2)
+    g = Grid(1024, math.pi / 2)
     psi0 = wavefunction_fn(0, p)(g.nodes)
     mask = (np.abs(g.nodes) > 0.1) & (np.abs(np.abs(g.nodes) - g.halfwidth) > 0.1)
     out_p = intertwiner(p, "X", "printed").stencil(g)(psi0)
@@ -235,7 +236,7 @@ def _product_relation_placement() -> dict:
                 in scarf_relations(ScarfParams(F(1), F(1, 2)))
                 if name.startswith("product_")}
     residual = dict(zip(products, exact_residual(list(products.values()),
-                                                 gridmod.Grid(1024, math.pi / 2))))
+                                                 Grid(1024, math.pi / 2))))
     return _entry(
         "scarf-product-relation-placement",
         "extended-scarf/product-relation/parameter-placement",

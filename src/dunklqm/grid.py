@@ -1,8 +1,10 @@
 """Finite-difference backend: discretization of Hamiltonians with a
 reflection term, symmetric eigensolvers, quadrature and convergence studies.
+The only module that loads scipy (its LAPACK drivers, bound here by name).
 
-Grids are uniform with a half-cell offset so that no node falls on x = 0 or
-on the endpoints; reflection is then the exact index reversal i -> N-1-i.
+Operators live on ``refcalc.Grid``, the midpoint grid on which reflection is
+the exact index reversal i -> N-1-i; the doubling ladders of a convergence
+study are checked and their orders estimated by refcalc's helpers too.
 Dirichlet walls are imposed through ghost values u(ghost) = -u(edge), which
 places the hard wall exactly at the domain boundary. In the mirror-pair
 ordering 0, N-1, 1, N-2, ... the reflection couples adjacent unknowns, so
@@ -34,8 +36,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.linalg import eig_banded, eigh, eigh_tridiagonal, solve_banded
 
+from .refcalc import Grid, check_doubling_ladder, check_halfwidth, estimate_order
+
 __all__ = [
-    "Grid",
     "GridOperator",
     "SingularPotentialError",
     "MethodLimitError",
@@ -59,32 +62,6 @@ class SingularPotentialError(ValueError):
 
 class MethodLimitError(ValueError):
     """The grid method cannot deliver the requested levels at this size."""
-
-
-def _check_halfwidth(c: float) -> None:
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"halfwidth must be positive and finite, got {c!r}")
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Symmetric midpoint grid: x_i = -b + (i + 1/2) h, h = 2b/N."""
-
-    n: int
-    halfwidth: float
-
-    def __post_init__(self):
-        if self.n <= 0 or self.n % 2:
-            raise ValueError("grid size must be even and positive")
-        _check_halfwidth(self.halfwidth)
-
-    @property
-    def h(self) -> float:
-        return 2.0 * self.halfwidth / self.n
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return -self.halfwidth + (np.arange(self.n) + 0.5) * self.h
 
 
 def _pair_permutation(n: int) -> np.ndarray:
@@ -467,7 +444,7 @@ def quadrature(f: Callable, halfwidth: float) -> float:
     negligible by the same measure (an endpoint too singular to integrate in
     double precision).
     """
-    _check_halfwidth(halfwidth)
+    check_halfwidth(halfwidth)
     c = halfwidth
     value, points = 0.0, 0
     for level in range(_TS_LEVELS):
@@ -512,30 +489,6 @@ def _richardson_step(values: Sequence[float], p: float) -> list:
     f = 2.0 ** float(p)
     return [(f * values[i + 1] - values[i]) / (f - 1.0)
             for i in range(len(values) - 1)]
-
-
-def estimate_order(values: Sequence[float]) -> float:
-    """Convergence order from the last three values of a doubling ladder."""
-    v = [float(x) for x in values]
-    if len(v) < 3:
-        return float("nan")
-    d1, d2 = v[-3] - v[-2], v[-2] - v[-1]
-    if d2 == 0.0 or abs(d2) < 1e-14 * max(1.0, abs(v[-1])) or d1 / d2 <= 0:
-        return float("nan")
-    return math.log2(d1 / d2)
-
-
-def check_doubling_ladder(n_list: Sequence[int]) -> list:
-    """``n_list`` as a list if it is a doubling ladder N, 2N, 4N, ... of at
-    least three grid sizes, else ValueError: the Richardson steps and the
-    order estimates assume a ratio of 2 and need three values."""
-    n_list = list(n_list)
-    if len(n_list) < 3:
-        raise ValueError("need at least three grid sizes")
-    if any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("grid list must double (N, 2N, 4N, ...): the "
-                         "extrapolation assumes a ratio of 2")
-    return n_list
 
 
 def extrapolate_sequence(values: Sequence[float],

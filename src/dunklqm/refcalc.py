@@ -25,6 +25,12 @@ grid (R is index reversal). An identity is one ``Relation`` between sums of
 operator ``Chain``s, composed exactly by ``residual`` and run operator by
 operator on grid values by ``stencil``.
 
+The midpoint ``Grid`` lives here, with the doubling-ladder helpers
+(``check_doubling_ladder``, ``estimate_order``) that the stencil checks and
+grid's convergence studies share. Its nodes are uniform with a half-cell
+offset, so that none falls on x = 0 or on the endpoints; reflection is then
+the exact index reversal i -> N-1-i. None of this loads scipy.
+
 ``apply`` is two steps that a caller may also take apart: the operator's
 ``coefficient_arrays`` at the points, and the test function's
 ``word_values`` (its derivatives at +-x) for the words present. ``evaluate``
@@ -37,15 +43,68 @@ beyond the call that made it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["CoeffFn", "FirstOrderRefOp", "SecondOrderRefOp", "ProbeFn", "Chain",
-           "Relation"]
+__all__ = ["Grid", "CoeffFn", "FirstOrderRefOp", "SecondOrderRefOp", "ProbeFn",
+           "Chain", "Relation"]
+
+
+def check_halfwidth(c: float) -> None:
+    """ValueError unless ``c``, the halfwidth of a grid or of a quadrature
+    interval, is positive and finite."""
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"halfwidth must be positive and finite, got {c!r}")
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Symmetric midpoint grid: x_i = -b + (i + 1/2) h, h = 2b/N."""
+
+    n: int
+    halfwidth: float
+
+    def __post_init__(self):
+        if self.n <= 0 or self.n % 2:
+            raise ValueError("grid size must be even and positive")
+        check_halfwidth(self.halfwidth)
+
+    @property
+    def h(self) -> float:
+        return 2.0 * self.halfwidth / self.n
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return -self.halfwidth + (np.arange(self.n) + 0.5) * self.h
+
+
+def estimate_order(values: Sequence[float]) -> float:
+    """Convergence order from the last three values of a doubling ladder."""
+    v = [float(x) for x in values]
+    if len(v) < 3:
+        return float("nan")
+    d1, d2 = v[-3] - v[-2], v[-2] - v[-1]
+    if d2 == 0.0 or abs(d2) < 1e-14 * max(1.0, abs(v[-1])) or d1 / d2 <= 0:
+        return float("nan")
+    return math.log2(d1 / d2)
+
+
+def check_doubling_ladder(n_list: Sequence[int]) -> list:
+    """``n_list`` as a list if it is a doubling ladder N, 2N, 4N, ... of at
+    least three grid sizes, else ValueError: the Richardson steps and the
+    order estimates assume a ratio of 2 and need three values."""
+    n_list = list(n_list)
+    if len(n_list) < 3:
+        raise ValueError("need at least three grid sizes")
+    if any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("grid list must double (N, 2N, 4N, ...): the "
+                         "extrapolation assumes a ratio of 2")
+    return n_list
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 
 from . import grid as gridmod
+from .refcalc import Grid
 from .susyqm import SusySystem
 
 __all__ = ["spectrum_problem"]
@@ -27,7 +28,7 @@ def _composite(system: SusySystem, k: int):
     pot = system.potential
 
     def compute(n):
-        g = gridmod.Grid(n, system.halfwidth)
+        g = Grid(n, system.halfwidth)
         q = gridmod.supercharge_matrix(pot.u.f, pot.v.f, g)
         diag, refl = system.corrections(g.nodes)
 
@@ -79,12 +80,12 @@ def spectrum_problem(system: SusySystem, k: int) -> gridmod.Problem:
         h = pot.hamiltonian()
 
         def compute(n):
-            op = gridmod.assemble(h[0, 0].f, h[0, 1].f, gridmod.Grid(n, halfwidth))
+            op = gridmod.assemble(h[0, 0].f, h[0, 1].f, Grid(n, halfwidth))
             return gridmod.eigen_lowest(op, k)
     else:
         def compute(n):
             return gridmod.susy_squared_spectrum(
-                pot.u.f, pot.v.f, gridmod.Grid(n, halfwidth), k)
+                pot.u.f, pot.v.f, Grid(n, halfwidth), k)
 
     return gridmod.Problem(name=system.name, params=system.params,
                            targets=targets, compute=compute,

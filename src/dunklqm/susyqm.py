@@ -20,10 +20,12 @@ printed Laguerre form.
 Each operator identity (Q^2 = H, parity conjugations, intertwining and
 product relations) is one refcalc Relation between chains of Q, H, X and Y,
 listed with its expected verdict by ``scarf_relations``, and evaluated
-exactly (``exact_residual``) and as finite-difference stencils; nothing
-evaluated outlives the call. The corrected X (tangent coefficient (b+1)/2,
-printed b/2) and Y ((b-1)/2) are, in the gauge, ``jacobi``'s contiguity
-maps; the printed X at b+1 IS the corrected X at b.
+exactly (``exact_residual``) and as finite-difference stencils on refcalc's
+midpoint ``Grid`` over a doubling ladder; nothing evaluated outlives the
+call. So this module loads numpy but not scipy, which only grid's solvers
+need. The corrected X (tangent coefficient (b+1)/2, printed b/2) and Y
+((b-1)/2) are, in the gauge, ``jacobi``'s contiguity maps; the printed X at
+b+1 IS the corrected X at b.
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import grid as gridmod
 from . import refcalc as refc
-from .exact import DomainError, beta_num, pochhammer
+from .exact import beta_num, pochhammer
 from .gegenbauer import GegParams, HermiteParams, oscillator_energy
 from .jacobi import Jacobi1Params
 from .opalg import (
@@ -56,7 +57,6 @@ __all__ = [
     "oscillator_potential",
     "scarf_H_parts_explicit",
     "ground_state_norm_sq",
-    "ground_state",
     "wavefunction_fn",
     "intertwiner",
     "scarf_relations",
@@ -237,13 +237,6 @@ def ground_state_norm_sq(params: ScarfParams) -> float:
                           (float(params.beta) + 1) / 2)
 
 
-def ground_state(x: float, params: ScarfParams) -> float:
-    """Psi_0 at one point of (-pi/2, pi/2), refused outside it."""
-    if not -math.pi / 2 < x < math.pi / 2:
-        raise DomainError(f"x={x} outside (-pi/2, pi/2)")
-    return float(wavefunction_fn(0, params)(x))
-
-
 def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
     """The Scarf record's ``wavefunction(n)``: (N_n/N_0) Psi_0(x) P_n(sin x)."""
     return SusySystem.scarf(params).wavefunction(n)
@@ -310,7 +303,7 @@ def _test_functions(params: ScarfParams) -> dict:
             "eigenfunction-2": lambda x: psi0(x) * p2(np.sin(x))}
 
 
-def _interior_mask(g: gridmod.Grid) -> np.ndarray:
+def _interior_mask(g: refc.Grid) -> np.ndarray:
     x = g.nodes
     return (np.abs(x) > 0.06) & (np.abs(np.abs(x) - g.halfwidth) > 0.06)
 
@@ -318,7 +311,7 @@ def _interior_mask(g: gridmod.Grid) -> np.ndarray:
 def _probes(params: ScarfParams, grids: list, operators: dict) -> list:
     """(grid, interior mask, test function values, operator stencils) per N."""
     fns, probes = _test_functions(params), []
-    for g in (gridmod.Grid(n, math.pi / 2) for n in grids):
+    for g in (refc.Grid(n, math.pi / 2) for n in grids):
         x = g.nodes
         probes.append((g, _interior_mask(g),
                        {name: f(x) for name, f in fns.items()},
@@ -339,13 +332,13 @@ def _residual_norms(relation: refc.Relation, probes: list) -> list:
 
 def _fd_order(norms: list) -> float:
     """Convergence order of a residual-norm ladder over a doubling grid
-    ladder: ``grid.estimate_order`` clamped to [0.25, 6], nan where it has
+    ladder: ``refcalc.estimate_order`` clamped to [0.25, 6], nan where it has
     none."""
-    p = gridmod.estimate_order(norms)
+    p = refc.estimate_order(norms)
     return p if math.isnan(p) else min(max(p, 0.25), 6.0)
 
 
-def exact_residual(relations: list, g: gridmod.Grid) -> list:
+def exact_residual(relations: list, g: refc.Grid) -> list:
     """For each of ``relations``, the max |residual u| over the analytic
     test functions and the nodes of ``g`` 0.06 away from the core and the
     walls: composed exactly, it is the true defect plus rounding. The test
@@ -441,7 +434,7 @@ def verify_operator_relations(params: ScarfParams, grids: tuple) -> list:
     identity holds (``_fd_order``). ``verdict`` is "identity" for a residual
     below 1e-8, else "defect"; ``expected`` is the predicted verdict. Each
     stencil is built once per grid and the probe's Psi_0 and P_2 once."""
-    grids = gridmod.check_doubling_ladder(grids)
+    grids = refc.check_doubling_ladder(grids)
     relations = scarf_relations(params)
     operators = dict.fromkeys(op for *_, rel in relations
                               for chain in rel.lhs + rel.rhs for op in chain.ops)

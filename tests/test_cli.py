@@ -1,7 +1,10 @@
 """CLI contract tests: exit codes, formats, determinism, errata schema."""
 
+import ast
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -263,7 +266,7 @@ def test_spectrum_bad_levels_or_grids_usage_error(flags, named, capsys):
 
 @pytest.mark.parametrize("grids", ["512", "64,64,128", "64,128,512"])
 def test_grid_ladder_refused_with_the_library_message(grids, capsys):
-    from dunklqm.grid import check_doubling_ladder
+    from dunklqm.refcalc import check_doubling_ladder
 
     with pytest.raises(ValueError) as refused:
         check_doubling_ladder([int(n) for n in grids.split(",")])
@@ -535,6 +538,98 @@ def test_out_path_that_cannot_be_written_is_refused_before_work(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing-file"]
 
 
+@pytest.mark.parametrize("name, points_to, refusal", [
+    ("fifo", None, "{!r} is not a regular file"),
+    ("link", "fifo", "{!r} is not a regular file"),
+    ("link", "missing/x", "no directory to write {!r} into"),
+    ("link", "link", "cannot write {!r} ("),
+])
+def test_out_onto_a_non_regular_file_is_refused_before_work(
+        name, points_to, refusal, tmp_path, capsys):
+    # opening a FIFO to look at it would block; replacing it would destroy
+    # it. A symlink is judged by its target, which may be missing or a loop
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    target = tmp_path / name
+    if points_to:
+        target.symlink_to(tmp_path / points_to)
+    code, out, err = run(["verify", "--suite", "jacobi", "--out", str(target)],
+                         capsys)
+    assert (code, out) == (2, "")
+    assert ("argument --out: " + refusal.format(str(target))) in err
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"fifo", name})
+
+
+def test_out_through_a_symlink_replaces_its_target_keeping_its_mode(
+        tmp_path, capsys):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old\n")
+    target.chmod(0o604)
+    link.symlink_to(target)
+    assert main(["verify", "--suite", "jacobi", "--out", str(link)]) == 0
+    assert os.readlink(link) == str(target)
+    assert target.read_text().startswith("jacobi (0,0): oracle checks pass")
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o604
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt",
+                                                          "target.txt"]
+    capsys.readouterr()
+
+
+def test_out_new_file_gets_the_mode_open_gives(tmp_path, capsys):
+    umask = os.umask(0o027)
+    try:
+        assert main(["verify", "--suite", "jacobi",
+                     "--out", str(tmp_path / "new.txt")]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(os.stat(tmp_path / "new.txt").st_mode) == 0o640
+    capsys.readouterr()
+
+
+class _FullDevice:
+    """A stdout on a full device: each write and flush fails with ENOSPC.
+    Its descriptor is a file of the test's own."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, *text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    flush = write
+
+    def fileno(self):
+        return self.fd
+
+
+def test_stdout_on_a_full_device_is_one_error_line(tmp_path, monkeypatch,
+                                                   capsys):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _FullDevice(fh.fileno()))
+        code = main(["verify", "--suite", "jacobi"])
+        monkeypatch.undo()
+        # the exit flush goes to the null device, not to the full one
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+def test_out_on_a_full_device_is_one_error_line(tmp_path, monkeypatch, capsys):
+    def no_space(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    (tmp_path / "e.json").write_text("old\n")
+    monkeypatch.setattr(os, "replace", no_space)
+    code, out, err = run(["errata", "--out", str(tmp_path / "e.json")], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: cannot write output: [Errno 28] No space left on device\n"
+    # the old file stands and the temporary one is gone
+    assert [p.name for p in tmp_path.iterdir()] == ["e.json"]
+    assert (tmp_path / "e.json").read_text() == "old\n"
+
+
 def test_errata_schema_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "e1.json"
     out2 = tmp_path / "e2.json"
@@ -624,9 +719,26 @@ def _main_quietly(*argv):
 def test_exact_work_never_imports_numpy_or_scipy(statement):
     # the exact layer is rational arithmetic only; the package and the CLI
     # load the float layers only for the names and commands that use them
-    script = (f"{statement}\nimport sys\n"
-              "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
-    assert _fresh_python("-c", script).split() == ["[]"]
+    assert _float_layers_loaded(statement) == []
+
+
+@pytest.mark.parametrize("statement", [
+    "import dunklqm.susyqm",
+    _main_quietly("verify"),
+    _main_quietly("verify", "--suite", "relations"),
+], ids=["susyqm", "verify", "verify-relations"])
+def test_relations_work_imports_numpy_but_not_scipy(statement):
+    # the operator identities are checked exactly and by stencils on
+    # refcalc's midpoint grid; only grid's solvers need scipy
+    assert _float_layers_loaded(statement) == ["dunklqm.refcalc", "numpy"]
+
+
+def _float_layers_loaded(statement):
+    """Which of numpy, scipy, refcalc and grid a new process has loaded
+    after running ``statement``."""
+    script = (statement + "\nimport sys\nprint(sorted({'numpy', 'scipy', "
+              "'dunklqm.refcalc', 'dunklqm.grid'} & set(sys.modules)))")
+    return ast.literal_eval(_fresh_python("-c", script))
 
 
 def test_parser_shape():

@@ -17,7 +17,6 @@ from scipy.linalg import eig_banded
 from dunklqm import errata, spectra
 from dunklqm import grid as gridmod
 from dunklqm.grid import (
-    Grid,
     MethodLimitError,
     SingularPotentialError,
     assemble,
@@ -28,6 +27,7 @@ from dunklqm.grid import (
     supercharge_matrix,
 )
 from dunklqm.gegenbauer import GegParams, eigenvalue_geg, geg_potentials
+from dunklqm.refcalc import Grid
 from dunklqm.spectra import spectrum_problem
 from dunklqm.susyqm import (ScarfParams, SusySystem, oscillator_potential,
                             scarf_potential, wavefunction_fn)

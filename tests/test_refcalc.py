@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from dunklqm import susyqm
-from dunklqm.grid import Grid
 from dunklqm.opalg import unchecked
-from dunklqm.refcalc import Chain, CoeffFn, FirstOrderRefOp, ProbeFn
+from dunklqm.refcalc import Chain, CoeffFn, FirstOrderRefOp, Grid, ProbeFn
 from dunklqm.susyqm import _TEST_FNS, ScarfParams, intertwiner, scarf_potential
 
 U = ProbeFn(

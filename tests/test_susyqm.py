@@ -12,7 +12,7 @@ import pytest
 
 from dunklqm import grid as gridmod
 from dunklqm import refcalc as refc
-from dunklqm.exact import DomainError, hyp_terms, pochhammer
+from dunklqm.exact import hyp_terms, pochhammer
 from dunklqm.gegenbauer import (
     GegParams,
     HermiteParams,
@@ -44,7 +44,6 @@ from dunklqm.susyqm import (
     SusyPotential,
     SusySystem,
     _TEST_FNS,
-    ground_state,
     ground_state_norm_sq,
     intertwiner,
     osc_wavefunction,
@@ -153,17 +152,10 @@ def test_ground_state_norm_constants():
 
 def test_ground_state_values_and_domain():
     p = pars(1, 1)
-    assert ground_state(0.0, p) == 0.0
-    with pytest.raises(DomainError):
-        ground_state(2.0, p)
+    psi0 = SusySystem.scarf(p).wavefunction(0)
+    assert psi0(0.0) == 0.0
     g0 = wavefunction_fn(0, p)
-    assert abs(g0(np.array([0.7]))[0] - ground_state(0.7, p)) < 1e-14
-
-
-def test_wavefunction_zero_is_ground_state():
-    p = pars("1/2", "3/2")
-    for x in (0.3, -0.8):
-        assert abs(wavefunction_fn(0, p)(x) - ground_state(x, p)) < 1e-14
+    assert abs(g0(np.array([0.7]))[0] - psi0(0.7)) < 1e-14
 
 
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 1), ("1/2", "3/2"), (2, "1/5"),
@@ -172,7 +164,7 @@ def test_wavefunction_zero_is_the_ground_state_expression_bitwise(a, b):
     # N_0 |sin x|^(a/2) cos^(b/2) x (1 + sin x)^(1/2), in this float order:
     # n = 0 multiplies it by exactly 1.0 twice
     p = pars(a, b)
-    x = gridmod.Grid(512, math.pi / 2).nodes
+    x = refc.Grid(512, math.pi / 2).nodes
     af, bf = float(p.alpha), float(p.beta)
     n0 = math.sqrt(ground_state_norm_sq(p))
     ref = n0 * np.abs(np.sin(x)) ** (af / 2) * np.cos(x) ** (bf / 2) \
@@ -351,7 +343,7 @@ def test_raising_map_runs_once_per_parameter_set(monkeypatch):
 def test_printed_x_fails_to_annihilate_ground_state():
     # grid application of the printed X on Psi_0 equals -(1/2) tan(x) Psi_0
     p = pars(1, 1)
-    g = gridmod.Grid(2048, math.pi / 2)
+    g = refc.Grid(2048, math.pi / 2)
     psi0 = wavefunction_fn(0, p)(g.nodes)
     out_p = intertwiner(p, "X", "printed").stencil(g)(psi0)
     out_c = intertwiner(p, "X", "corrected").stencil(g)(psi0)
@@ -386,7 +378,7 @@ def _reference_intertwiner_grid(u, g, which, variant, params):
 def test_intertwiner_stencil_matches_reference_bitwise(a, b):
     p = pars(a, b)
     for n in (1024, 2048):
-        g = gridmod.Grid(n, math.pi / 2)
+        g = refc.Grid(n, math.pi / 2)
         for u in (wavefunction_fn(0, p)(g.nodes), np.exp(-g.nodes**2) * (1 + g.nodes)):
             for which in "XY":
                 for variant in ("printed", "corrected"):
@@ -566,7 +558,7 @@ def _per_grid_fd_norms(params, relation, grids):
     """The finite-difference norms with the probes built on each grid anew."""
     norms = []
     for n in grids:
-        g = gridmod.Grid(n, math.pi / 2)
+        g = refc.Grid(n, math.pi / 2)
         x = g.nodes
         fns = [u.f(x) for u in _TEST_FNS.values()]
         fns.append(wavefunction_fn(0, params)(x)
@@ -587,7 +579,7 @@ def _per_grid_fd_norms(params, relation, grids):
 def test_relation_report_is_the_per_relation_loop_bitwise(ab, grids):
     params = ScarfParams(*ab)
     report = verify_operator_relations(params, grids=grids)
-    finest = gridmod.Grid(grids[-1], math.pi / 2)
+    finest = refc.Grid(grids[-1], math.pi / 2)
     relations = scarf_relations(params)
     assert len(report) == len(relations) == 11
     for row, (name, variant, _, relation) in zip(report, relations):
@@ -595,7 +587,7 @@ def test_relation_report_is_the_per_relation_loop_bitwise(ab, grids):
         assert row["residual"].hex() == _per_relation_residual(relation, finest).hex()
         norms = _per_grid_fd_norms(params, relation, grids)
         assert [v.hex() for v in row["fd_norms"]] == [v.hex() for v in norms]
-        order = gridmod.estimate_order(norms)
+        order = refc.estimate_order(norms)
         if not math.isnan(order):
             order = min(max(order, 0.25), 6.0)
         assert row["order"].hex() == order.hex()
@@ -605,7 +597,7 @@ def test_errata_product_residuals_are_the_per_relation_loop_bitwise():
     from dunklqm import errata
 
     evidence = errata._product_relation_placement()["evidence"]
-    g = gridmod.Grid(1024, math.pi / 2)
+    g = refc.Grid(1024, math.pi / 2)
     relations = {(name, variant): relation for name, variant, _, relation
                  in scarf_relations(pars(1, "1/2"))}
     for key, name_variant in _PRODUCT_EVIDENCE.items():
@@ -645,7 +637,7 @@ def test_relation_checks_evaluate_each_probe_once_and_build_p2_once(monkeypatch)
     assert len(report) == 22
     assert built[2] == 1
     assert max(calls.values()) == 1
-    g = gridmod.Grid(512, math.pi / 2)
+    g = refc.Grid(512, math.pi / 2)
     x = g.nodes[_interior_mask(g)]
     exact = Counter((name, d) for (name, d), points in calls
                     if points in (x.tobytes(), (-x).tobytes()))
@@ -666,7 +658,7 @@ def test_exact_residual_evaluates_only_the_words_present(monkeypatch):
     relation, = [rel for name, _, _, rel in scarf_relations(pars(1, 1))
                  if name == "reflection_conjugation_Q"]
     residuals = susyqm.exact_residual([relation, relation],
-                                      gridmod.Grid(256, math.pi / 2))
+                                      refc.Grid(256, math.pi / 2))
     assert residuals[0] == residuals[1] < 1e-10
 
 
@@ -689,7 +681,7 @@ def _qq_vs_h_orders(pot, halfwidth, grids):
     hamiltonian = pot.hamiltonian()
     errs = []
     for n in grids:
-        g = gridmod.Grid(n, halfwidth)
+        g = refc.Grid(n, halfwidth)
         q = gridmod.supercharge_matrix(pot.u.f, pot.v.f, g)
         h = gridmod.assemble(hamiltonian[0, 0].f, hamiltonian[0, 1].f, g)
         f = np.exp(-g.nodes**2) * np.cos(g.nodes * math.pi / (2 * halfwidth)) ** 2
@@ -918,7 +910,7 @@ def test_record_wavefunctions_are_orthonormal(system):
 
 
 def test_osc_wavefunction_array_matches_scalar_calls():
-    xs = gridmod.Grid(512, 10.0).nodes
+    xs = refc.Grid(512, 10.0).nodes
     for n in range(3):
         for eps in (1, -1):
             for variant in ("printed", "corrected"):
