@@ -21,8 +21,8 @@ import importlib
 __version__ = "0.1.0"
 
 # dependency order; no name is private or in two modules' __all__
-_MODULES = ("exact", "opalg", "jacobi", "gegenbauer", "refcalc", "grid",
-            "susyqm", "spectra", "errata")
+_MODULES = ("exact", "opalg", "jacobi", "gegenbauer", "refcalc", "susyqm",
+            "grid", "spectra", "errata")
 
 
 def __getattr__(name: str):

@@ -22,6 +22,18 @@ sampled potential: the discrete operator develops spurious states at -C/h^2
 those systems are computed from the square of the discrete symmetric
 supercharge (positive semidefinite by construction); see
 :func:`susy_squared_spectrum` and :func:`composite_spectrum`.
+
+A convergence study's rungs are independent, and the rungs below the top of
+a doubling ladder are about a quarter of its work (a rung costs about four
+times the one below it). scipy's banded drivers hold the GIL, so threads
+cannot overlap two solves; for a :class:`Problem` marked ``single_core``,
+one forked child solves the lower rungs, in order, while this process
+solves the top rung, and pickles their values back through a pipe. The
+child runs the same code on the same inputs, so every value keeps its bits.
+The top rung stays here, so this process's peak RSS and any tracer still
+see the dominant solve; a tracer sees none of the child's rungs. A path
+whose BLAS products already run threads on every core (``spectra``'s
+composite path) is left unmarked: splitting it slowed its ladders.
 """
 
 from __future__ import annotations
@@ -30,6 +42,9 @@ import csv
 import io
 import json
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -513,6 +528,11 @@ class Problem:
 
     ``tolerance``: the largest accepted error of an extrapolated level.
     ``exponents``: known error-power schedule for Richardson elimination.
+    ``single_core``: ``compute`` is a pure function of N that keeps one core
+    busy, so :func:`convergence_study` may solve the lower rungs in a forked
+    child. Left False, every rung runs here, side effects included;
+    ``spectra`` sets it for its banded paths, not for the composite path,
+    whose BLAS product already runs threads on every core.
     """
 
     name: str
@@ -521,6 +541,7 @@ class Problem:
     compute: Callable  # N -> np.ndarray of the len(targets) lowest levels
     tolerance: float
     exponents: tuple
+    single_core: bool = False
 
     def __post_init__(self):
         if not self.targets:
@@ -568,14 +589,79 @@ class SpectrumReport:
         return max(lv["abs_error"] for lv in self.levels)
 
 
+def _solve_ladder(problem: Problem, n_list: list) -> list:
+    """``[problem.compute(n) for n in n_list]``: its values and its
+    exception, split as :func:`convergence_study` describes."""
+    *lower, top = n_list
+    if not (problem.single_core and lower):
+        return [problem.compute(n) for n in n_list]
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return [problem.compute(n) for n in n_list]
+    pid = payload = None
+    try:
+        try:
+            pid = os.fork()
+        except OSError:
+            pass  # no child: the empty payload below solves the lower rungs
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                try:
+                    result = [problem.compute(n) for n in lower]
+                except BaseException as exc:
+                    result = exc
+                data = memoryview(pickle.dumps(result))
+                while data:
+                    data = data[os.write(write_fd, data):]
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        write_fd = None
+        try:
+            top_value = problem.compute(top)
+        except Exception as exc:
+            top_value = exc
+        payload = b"".join(iter(lambda: os.read(read_fd, 1 << 16), b""))
+    finally:
+        os.close(read_fd)
+        if write_fd is not None:
+            os.close(write_fd)
+        if pid:
+            if payload is None:  # interrupted: the lower rungs are not wanted
+                os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is its own
+            os.waitpid(pid, 0)
+    try:
+        values = pickle.loads(payload)
+    except Exception:  # the child sent nothing, or what it sent is broken
+        values = [problem.compute(n) for n in lower]
+    if isinstance(values, BaseException):
+        raise values
+    if isinstance(top_value, Exception):
+        raise top_value
+    return values + [top_value]
+
+
 def convergence_study(problem: Problem, n_list: Sequence[int]) -> SpectrumReport:
     """Eigenvalue ladder over doubling grids N, 2N, 4N, ..., one level per
     closed-form target, extrapolated and compared against the targets. Order
     estimates outside [1, 3] flag a level as non-convergent (extrapolation
     still reported); a level whose order cannot be estimated (e.g. a
-    non-monotone ladder) has ``converged`` None, unknown."""
+    non-monotone ladder) has ``converged`` None, unknown.
+
+    The rungs run in this process unless ``problem.single_core``; then the
+    top rung runs here and the lower ones, in order, in one forked child
+    (module docstring), with the values and the exceptions of the sequential
+    loop. The child sends back its values, or the exception of its first
+    failing rung, which is raised before this process's own. If the child
+    cannot start, dies, or cannot pickle what it has, this process solves
+    the lower rungs itself. The child leaves by ``os._exit``, so no atexit
+    handler runs and no stdio buffer is flushed twice; it inherits the
+    floating-point error state, is killed if this process is interrupted,
+    and is reaped on every path."""
     n_list = check_doubling_ladder(n_list)
-    values = np.asarray([problem.compute(n) for n in n_list])
+    values = np.asarray(_solve_ladder(problem, n_list))
     report = SpectrumReport(system=problem.name, params=dict(problem.params),
                             grids=n_list)
     for lv in range(len(problem.targets)):

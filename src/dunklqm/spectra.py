@@ -7,7 +7,11 @@ the grid notes on the fall-to-center artifact of the sampled potential).
 With ``corrections`` (Gegenbauer) 2 Q^2 plus those terms is banded from row
 blocks of the BLAS product, each block times only the columns of Q that its
 band reads (O(N^2) work, O(N) memory, bit for bit), and checkerboard
-filtered.
+filtered. The two banded paths run on one core, so their problems are
+marked ``single_core``: a convergence study solves their lower rungs in a
+forked child while the top rung solves in-process (see ``grid``). The
+composite path stays sequential, as its BLAS product already keeps both
+cores busy.
 """
 
 from __future__ import annotations
@@ -90,4 +94,5 @@ def spectrum_problem(system: SusySystem, k: int) -> gridmod.Problem:
     return gridmod.Problem(name=system.name, params=system.params,
                            targets=targets, compute=compute,
                            tolerance=system.tolerance,
-                           exponents=system.exponents)
+                           exponents=system.exponents,
+                           single_core=system.corrections is None)

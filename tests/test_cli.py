@@ -663,6 +663,21 @@ def _fresh_python(*args):
     return proc.stdout
 
 
+def test_split_ladder_report_does_not_depend_on_blas_threads(tmp_path):
+    # the forked child and this process each run OpenBLAS
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dunklqm", "spectrum", "--system", "scarf",
+             "--alpha", "1", "--beta", "3", "--grids", "256,512,1024",
+             "--out", str(out)], capture_output=True, text=True, timeout=120,
+            env={**_fresh_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_python_m_dunklqm_runs_the_cli():
     out = _fresh_python("-m", "dunklqm", "verify", "--suite", "exact")
     assert "oracle checks: pass" in out
@@ -724,9 +739,10 @@ def test_exact_work_never_imports_numpy_or_scipy(statement):
 
 @pytest.mark.parametrize("statement", [
     "import dunklqm.susyqm",
+    "from dunklqm import SusySystem",
     _main_quietly("verify"),
     _main_quietly("verify", "--suite", "relations"),
-], ids=["susyqm", "verify", "verify-relations"])
+], ids=["susyqm", "susyqm-names", "verify", "verify-relations"])
 def test_relations_work_imports_numpy_but_not_scipy(statement):
     # the operator identities are checked exactly and by stencils on
     # refcalc's midpoint grid; only grid's solvers need scipy

@@ -3,9 +3,11 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -298,6 +300,117 @@ def test_convergence_flag_true_false_or_unknown(ladder, order, converged):
         assert level["order"] == pytest.approx(order)
     assert level["converged"] is converged
     assert json.loads(rep.to_json())["levels"][0]["converged"] is converged
+
+
+SPLIT_SYSTEMS = {
+    "scarf-1-3": (SusySystem.scarf(ScarfParams(F(1), F(3))), 3),
+    "scarf-0-2": (SusySystem.scarf(ScarfParams(F(0), F(2))), 3),
+    "oscillator": (SusySystem.oscillator(), 5),
+}
+
+
+@pytest.fixture
+def no_leftovers():
+    """Fails the test if it leaves a child unreaped or a descriptor open."""
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def _stub(compute, single_core=True):
+    return gridmod.Problem(name="stub", params={}, targets=(0.0,),
+                           compute=compute, tolerance=1.0,
+                           exponents=(2.0, 2.0), single_core=single_core)
+
+
+@pytest.mark.parametrize("name", SPLIT_SYSTEMS)
+def test_split_ladder_keeps_every_bit(name, no_leftovers):
+    system, k = SPLIT_SYSTEMS[name]
+    prob = spectrum_problem(system, k)
+    ladder = [256, 512, 1024]
+    rep = convergence_study(prob, ladder)
+    values = np.asarray([lv["values"] for lv in rep.levels]).T
+    assert prob.single_core
+    assert values.tobytes() == \
+        np.asarray([prob.compute(n) for n in ladder]).tobytes()
+
+
+@pytest.mark.parametrize("single_core", [True, False])
+def test_only_the_top_rung_of_a_split_ladder_runs_here(single_core,
+                                                       no_leftovers):
+    prob = _stub(lambda n: np.array([float(os.getpid())]), single_core)
+    pids = gridmod._solve_ladder(prob, [8, 16, 32])
+    here = [float(pid[0]) == os.getpid() for pid in pids]
+    assert here == ([False, False, True] if single_core else [True] * 3)
+
+
+def test_composite_ladder_runs_every_rung_here():
+    # its BLAS product already keeps every core busy
+    geg = SusySystem.gegenbauer(GegParams(F(1, 2), F(1)))
+    assert not spectrum_problem(geg, 3).single_core
+
+
+def _raise_at(rungs, exc_type=ValueError):
+    def compute(n):
+        if n in rungs:
+            raise exc_type(f"rung {n}")
+        return np.array([float(n)])
+    return compute
+
+
+@pytest.mark.parametrize("rungs, raised", [
+    ({8, 32}, "rung 8"),      # the lower rung's exception, as in order
+    ({16, 32}, "rung 16"),
+    ({32}, "rung 32"),        # only the top rung fails
+])
+def test_split_ladder_raises_what_the_sequential_loop_raises(rungs, raised,
+                                                             no_leftovers):
+    with pytest.raises(ValueError, match=f"^{raised}$"):
+        convergence_study(_stub(_raise_at(rungs)), [8, 16, 32])
+
+
+def test_unpicklable_lower_rung_exception_is_raised_here(no_leftovers):
+    class Local(Exception):   # pickle cannot find a class local to a test
+        pass
+
+    with pytest.raises(Local, match="^rung 16$"):
+        convergence_study(_stub(_raise_at({16}, Local)), [8, 16, 32])
+
+
+def test_split_ladder_survives_a_dead_child(no_leftovers):
+    caller = os.getpid()
+
+    def compute(n):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return np.array([float(n)])
+
+    assert gridmod._solve_ladder(_stub(compute), [8, 16, 32]) == \
+        [np.array([8.0]), np.array([16.0]), np.array([32.0])]
+
+
+def test_child_inherits_the_floating_point_error_state(no_leftovers):
+    def compute(n):
+        return np.array([np.float64(1e308) * n])
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        gridmod._solve_ladder(_stub(compute), [8, 16, 32])
+
+
+def test_interrupted_top_rung_kills_and_reaps_the_child(no_leftovers):
+    caller = os.getpid()
+
+    def compute(n):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise KeyboardInterrupt
+
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        gridmod._solve_ladder(_stub(compute), [8, 16, 32])
+    assert time.monotonic() - t0 < 30
 
 
 @pytest.mark.parametrize("k", [0, -1])
