@@ -1,19 +1,24 @@
 """Command-line interface: family tables, verification suites, grid spectra,
 and the errata report.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error. The library
-owns the refusal rules: a ValueError raised while `family` builds its
-parameters or `spectrum` its answer (LAPACK's LinAlgError included) prints
-"error: ..." and exits 2. Rational parameters are passed as exact "p/q"
-strings, negative ones too ("--alpha -1/2"). All output is deterministic
-for a fixed invocation; floats print at 17 significant digits. A closed
-stdout (`dunklqm verify | head -1`) exits 1 with no traceback. Any other
-failure to write the output (a full disk under stdout or --out) prints one
-"error: cannot write output: ..." line and exits 1, with no traceback.
---out names a regular file or a new one, a symlink counting as its target;
-it is replaced whole, keeping its mode (a new file gets 0o666 less the
-umask), and anything else there (a directory, a FIFO, a device) is refused
-with exit 2 before any work.
+Each choice of `family --kind`, `spectrum --system` and `verify --suite` is
+one row of its command's table, read by the parser, the dispatch and `main`'s
+one refusal of a parameter that the choice does not read (the answer would be
+to another question; exit 2, before any work).
+
+Exit codes: 0 success, 1 verification failure (a failed oracle check of
+`verify` or of `family`'s own battery, a `spectrum` tolerance miss), 2 usage
+error. The library owns the refusal rules: a ValueError raised while `family`
+builds its parameters or `spectrum` its answer (LAPACK's LinAlgError included)
+prints "error: ..." and exits 2. Rational parameters are passed as exact "p/q"
+strings, negative ones too ("--alpha -1/2"). All output is deterministic for a
+fixed invocation; floats print at 17 significant digits. A closed stdout
+(`dunklqm verify | head -1`) exits 1 with no traceback. Any other failure to
+write the output (a full disk under stdout or --out) prints one "error: cannot
+write output: ..." line and exits 1, with no traceback. --out names a regular
+file or a new one, a symlink counting as its target; it is replaced whole,
+keeping its mode (a new file gets 0o666 less the umask), and anything else
+there (a directory, a FIFO, a device) is refused with exit 2 before any work.
 
 The exact layer (exact, opalg, jacobi, gegenbauer) is imported here, with
 every exact suite, and each command imports the float layers it uses. So
@@ -36,6 +41,8 @@ import stat
 import sys
 import tempfile
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from .exact import hyp2f1, hyp3f2, pochhammer
 from .gegenbauer import (
@@ -157,43 +164,41 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-# The parameters each family kind, spectrum system and verify suite reads,
-# with their defaults. A parameter given to a choice that does not read it is
-# refused: the answer would be to a different question than the one asked.
-_FAMILY_PARAMS = {
-    "jacobi-m1": {"alpha": Fraction(0), "beta": Fraction(0)},
-    "gegenbauer": {"mu": Fraction(1, 2), "alpha": Fraction(0)},
+class _Choice:
+    """What a choice builds or runs (a family kind's parameter class; a
+    spectrum system's family parameter class or None, for the `SusySystem`
+    constructor of the system's name; a verify suite's runner) and the
+    parameters it reads, with defaults, in make's order."""
+
+    def __init__(self, make: Callable | None, **reads):
+        self.make = make
+        self.reads = reads
+
+    def values(self, args) -> list:
+        return [getattr(args, name) for name in self.reads]
+
+
+_KINDS = {
+    "jacobi-m1": _Choice(Jacobi1Params, alpha=Fraction(0), beta=Fraction(0)),
+    "gegenbauer": _Choice(GegParams, mu=Fraction(1, 2), alpha=Fraction(0)),
 }
-_SPECTRUM_PARAMS = {
-    "scarf": {"alpha": Fraction(0), "beta": Fraction(2)},
-    "oscillator": {},
-    "gegenbauer": {"mu": Fraction(1, 2), "alpha": Fraction(0)},
-}
-_VERIFY_PARAMS = {
-    "all": {"degree": 12},
-    "exact": {},
-    "jacobi": {"degree": 12},
-    "gegenbauer": {"degree": 12},
-    "oscillator": {},
-    "intertwiners": {"degree": 12},
-    "relations": {},
+_SYSTEMS = {
+    "scarf": _Choice(Jacobi1Params, alpha=Fraction(0), beta=Fraction(2)),
+    "oscillator": _Choice(None),
+    "gegenbauer": _Choice(GegParams, mu=Fraction(1, 2), alpha=Fraction(0)),
 }
 
 
-def _param_names(reads: dict) -> dict:
-    """The parameter names of a table, each once, in first-read order."""
-    return dict.fromkeys(n for params in reads.values() for n in params)
-
-
-def _refuse_unread(args, option: str, reads: dict) -> bool:
+def _refuse_unread(args) -> bool:
     """Fill in the defaults of the parameters that the chosen kind, system or
     suite reads; for a given parameter that it does not read, print an error
-    and return True."""
-    choice = getattr(args, option)
-    for name in _param_names(reads):
-        if name in reads[choice]:
+    and return True. A command with no such choice (errata) reads none."""
+    option, table, names = getattr(args, "choice_of", (None, {}, ()))
+    for name in names:
+        choice = getattr(args, option)
+        if name in table[choice].reads:
             if getattr(args, name) is None:
-                setattr(args, name, reads[choice][name])
+                setattr(args, name, table[choice].reads[name])
         elif getattr(args, name) is not None:
             print(f"error: --{option} {choice} does not read --{name}",
                   file=sys.stderr)
@@ -206,13 +211,9 @@ def _refuse_unread(args, option: str, reads: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 def cmd_family(args) -> int:
-    if _refuse_unread(args, "kind", _FAMILY_PARAMS):
-        return EXIT_USAGE
+    kind = _KINDS[args.kind]
     try:
-        if args.kind == "jacobi-m1":
-            params = Jacobi1Params(args.alpha, args.beta)
-        else:
-            params = GegParams(args.mu, args.alpha)
+        params = kind.make(*kind.values(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -246,6 +247,9 @@ def cmd_family(args) -> int:
             lines.append(f"  n={n:<3d} eigenvalue={ev:<12s} norm^2={nn:<16s} "
                          f"P_{n} = {poly}")
         _emit("\n".join(lines) + "\n", args.out)
+    if not result.all_oracle_checks_passed:
+        print("family oracle checks FAILED", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 
@@ -288,7 +292,7 @@ def _suite_exact(log) -> tuple[bool, int]:
     return True, 0
 
 
-def _suite_family(log, kind: str, degree: int) -> tuple[bool, int]:
+def _suite_family(kind: str, log, degree: int) -> tuple[bool, int]:
     """The exact battery on each fuzz parameter pair of one family."""
     if kind == "jacobi":
         fuzz, family = FUZZ_PARAMS, Jacobi1Params
@@ -307,11 +311,12 @@ def _suite_family(log, kind: str, degree: int) -> tuple[bool, int]:
     return ok, findings
 
 
-def _suite_csm(log) -> bool:
+def _suite_gegenbauer(log, degree: int) -> tuple[bool, int]:
+    ok, findings = _suite_family("gegenbauer", log, degree)
     res = max(csm_two_particle_check(Fraction(1), 0.9, 0.1),
               csm_two_particle_check(Fraction(1, 2), 1.0, -0.3))
     log(f"gegenbauer: two-particle CSM reduction residual {res:.3e}")
-    return res < 1e-12
+    return res < 1e-12 and ok, findings
 
 
 def _suite_oscillator(log) -> tuple[bool, int]:
@@ -360,35 +365,29 @@ def _suite_relations(log) -> tuple[bool, int]:
     return ok, findings
 
 
-VERIFY_SUITES = tuple(s for s in _VERIFY_PARAMS if s != "all")
+_SUITES = {
+    "all": _Choice(None, degree=12),
+    "exact": _Choice(_suite_exact),
+    "jacobi": _Choice(partial(_suite_family, "jacobi"), degree=12),
+    "gegenbauer": _Choice(_suite_gegenbauer, degree=12),
+    "oscillator": _Choice(_suite_oscillator),
+    "intertwiners": _Choice(_suite_intertwiners, degree=12),
+    "relations": _Choice(_suite_relations),
+}
 
 
 def cmd_verify(args) -> int:
-    if _refuse_unread(args, "suite", _VERIFY_PARAMS):
-        return EXIT_USAGE
     lines = []
 
     def log(msg):
         lines.append(msg)
         print(msg)
 
-    suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     all_ok, findings = True, 0
-    for s in suites:
-        if s == "exact":
-            ok, f = _suite_exact(log)
-        elif s == "jacobi":
-            ok, f = _suite_family(log, s, args.degree)
-        elif s == "gegenbauer":
-            ok, f = _suite_family(log, s, args.degree)
-            ok = _suite_csm(log) and ok
-        elif s == "oscillator":
-            ok, f = _suite_oscillator(log)
-        elif s == "intertwiners":
-            ok, f = _suite_intertwiners(log, args.degree)
-        else:
-            ok, f = _suite_relations(log)
-        all_ok, findings = all_ok and ok, findings + f
+    for name, suite in _SUITES.items():     # "all" runs every other row
+        if suite.make and args.suite in ("all", name):
+            ok, f = suite.make(log, *suite.values(args))
+            all_ok, findings = all_ok and ok, findings + f
     print(f"oracle checks: {'pass' if all_ok else 'FAIL'}; "
           f"printed-formula discrepancies: {findings} found")
     if args.out is not None:
@@ -405,10 +404,8 @@ def cmd_spectrum(args) -> int:
 
     from .grid import convergence_study
     from .spectra import spectrum_problem
-    from .susyqm import ScarfParams, SusySystem
+    from .susyqm import SusySystem
 
-    if _refuse_unread(args, "system", _SPECTRUM_PARAMS):
-        return EXIT_USAGE
     # no method returns more levels than grid points; refused before the
     # problem builds one closed-form target per level
     if args.levels > args.grids[0]:
@@ -420,12 +417,8 @@ def cmd_spectrum(args) -> int:
     # large for memory all exit 2
     try:
         with np.errstate(over="raise"):
-            if args.system == "scarf":
-                system = SusySystem.scarf(ScarfParams(args.alpha, args.beta))
-            elif args.system == "oscillator":
-                system = SusySystem.oscillator()
-            else:
-                system = SusySystem.gegenbauer(GegParams(args.mu, args.alpha))
+            row, make = _SYSTEMS[args.system], getattr(SusySystem, args.system)
+            system = make(row.make(*row.values(args))) if row.make else make()
             prob = spectrum_problem(system, args.levels)
             rep = convergence_study(prob, args.grids)
     except (OverflowError, FloatingPointError) as exc:
@@ -464,6 +457,15 @@ def cmd_errata(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _add_choice(parser, option: str, table: dict, value_type, **kw) -> None:
+    """--option, one choice per row of ``table``, then each parameter read."""
+    parser.add_argument(f"--{option}", choices=list(table), **kw)
+    names = dict.fromkeys(n for row in table.values() for n in row.reads)
+    for name in names:
+        parser.add_argument(f"--{name}", type=value_type)
+    parser.set_defaults(choice_of=(option, table, names))
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dunklqm",
@@ -472,9 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     fam = sub.add_parser("family", help="print an orthogonal family table")
-    fam.add_argument("--kind", choices=list(_FAMILY_PARAMS), required=True)
-    for name in _param_names(_FAMILY_PARAMS):
-        fam.add_argument(f"--{name}", type=_rat)
+    _add_choice(fam, "kind", _KINDS, _rat, required=True)
     fam.add_argument("--degree", type=_int_at_least(0), default=6)
     fam.add_argument("--format", choices=["text", "json", "csv"],
                      default="text")
@@ -482,15 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     fam.set_defaults(fn=cmd_family)
 
     ver = sub.add_parser("verify", help="run verification suites")
-    ver.add_argument("--suite", default="all", choices=list(_VERIFY_PARAMS))
-    ver.add_argument("--degree", type=_int_at_least(2))
+    _add_choice(ver, "suite", _SUITES, _int_at_least(2), default="all")
     ver.add_argument("--out", type=_out_path)
     ver.set_defaults(fn=cmd_verify)
 
     spec = sub.add_parser("spectrum", help="grid spectra vs closed forms")
-    spec.add_argument("--system", choices=list(_SPECTRUM_PARAMS), required=True)
-    for name in _param_names(_SPECTRUM_PARAMS):
-        spec.add_argument(f"--{name}", type=_rat)
+    _add_choice(spec, "system", _SYSTEMS, _rat, required=True)
     spec.add_argument("--levels", type=_int_at_least(1), default=3)
     spec.add_argument("--grids", type=_grid_list, default=[1024, 2048, 4096])
     spec.add_argument("--tol", type=_positive_finite, default=None)
@@ -526,6 +523,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
+        if _refuse_unread(args):
+            return EXIT_USAGE
         code = args.fn(args)
         sys.stdout.flush()
         return code

@@ -5,13 +5,15 @@ Usage, from the repository root:
     python tests/compare_outputs.py OTHER_CHECKOUT
 
 Runs every command of ``bench/jobs.py``'s ``all_jobs`` (loaded by path,
-read-only), plus the Gegenbauer (1/2, 1) 1024-4096 and 2048-8192 ladders,
-in both checkouts: each in a fresh ``python -m dunklqm`` process whose
-``PYTHONPATH`` is that checkout's ``src``, with ``--out`` to a temporary
-file, two processes at a time. Prints each command whose exit code,
-stdout, stderr or ``--out`` differs, and exits 1 if one does, else 0. Both
-sides run under the same environment, so a thread-count setting applies to
-both alike.
+read-only), plus the Gegenbauer (1/2, 1) 1024-4096 and 2048-8192 ladders
+and a fixed set of usage commands (each subcommand's help, the refusals of
+an unread parameter, a bad choice and a bad rational, and one accepted
+negative parameter), in both checkouts: each in a fresh ``python -m
+dunklqm`` process whose ``PYTHONPATH`` is that checkout's ``src``, with
+``--out`` to a temporary file, two processes at a time. Prints each
+command whose exit code, stdout, stderr or ``--out`` differs, and exits 1
+if one does, else 0. Both sides run under the same environment, so a
+thread-count setting applies to both alike.
 """
 
 from __future__ import annotations
@@ -29,16 +31,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LADDERS = tuple(f"spectrum --system gegenbauer --mu 1/2 --alpha 1 --grids {g}"
                 for g in ("1024,2048,4096", "2048,4096,8192"))
+USAGE = ("family --help", "verify --help", "spectrum --help", "errata --help",
+         "family --kind jacobi-m1 --mu 2",
+         "spectrum --system oscillator --alpha 3",
+         "verify --suite relations --degree 30",
+         "verify --suite nosuch",
+         "family --kind jacobi-m1 --alpha 1/0",
+         "spectrum --system scarf --alpha -1/2")
 
 
 def commands() -> list[str]:
     """The 142 ``all_jobs`` command lines of every workload, then the two
-    Gegenbauer ladders."""
+    Gegenbauer ladders and the usage commands."""
     spec = importlib.util.spec_from_file_location("bench_jobs",
                                                   ROOT / "bench" / "jobs.py")
     jobs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(jobs)
-    return [j for w in jobs.WORKLOADS for j in jobs.all_jobs(w)] + list(LADDERS)
+    return ([j for w in jobs.WORKLOADS for j in jobs.all_jobs(w)]
+            + list(LADDERS) + list(USAGE))
 
 
 def run(checkout: Path, command: str) -> tuple:

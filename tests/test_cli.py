@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,23 @@ def test_family_json_roundtrip_and_determinism(tmp_path, capsys):
     assert json.loads(json.dumps(data)) == data
     assert data["report"]["all_oracle_checks_passed"] is True
     capsys.readouterr()
+
+
+def test_family_exits_1_when_its_oracle_battery_fails(monkeypatch, capsys):
+    # moments c_2, c_3, ... off by 1/1000: the moment side of the battery no
+    # longer matches the operator side
+    from dunklqm.jacobi import Jacobi1Params
+
+    real = Jacobi1Params.next_moment
+    monkeypatch.setattr(
+        Jacobi1Params, "next_moment", lambda self, lower: real(self, lower)
+        * (Fraction(1001, 1000) if len(lower) >= 2 else 1))
+    code, out, err = run(["family", "--kind", "jacobi-m1", "--alpha", "1/2",
+                          "--beta", "3/2", "--degree", "6", "--format", "json"],
+                         capsys)
+    # the table is still written, as spectrum writes its report on a miss
+    assert json.loads(out)["report"]["all_oracle_checks_passed"] is False
+    assert (code, err) == (1, "family oracle checks FAILED\n")
 
 
 def test_verify_exact_suite(capsys):
@@ -200,10 +218,9 @@ def test_verify_degree_refused_by_a_suite_that_does_not_read_it(
     def no_work(*args):
         raise AssertionError("work done for a refused command")
 
-    for name in ("_suite_exact", "_suite_family", "_suite_csm",
-                 "_suite_oscillator", "_suite_intertwiners",
-                 "_suite_relations"):
-        monkeypatch.setattr(cli, name, no_work)
+    for row in cli._SUITES.values():
+        if row.make:
+            monkeypatch.setattr(row, "make", no_work)
     code, out, err = run(["verify", "--suite", suite, "--degree", "12"], capsys)
     assert code == 2
     assert out == ""
@@ -663,19 +680,38 @@ def _fresh_python(*args):
     return proc.stdout
 
 
-def test_split_ladder_report_does_not_depend_on_blas_threads(tmp_path):
-    # the forked child and this process each run OpenBLAS
+def _spectrum_on_1_and_2_blas_threads(tmp_path, *flags):
+    """The --out files of ``dunklqm spectrum *flags``, each run in a fresh
+    process, on 1 and on 2 OpenBLAS threads."""
     written = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "dunklqm", "spectrum", "--system", "scarf",
-             "--alpha", "1", "--beta", "3", "--grids", "256,512,1024",
+            [sys.executable, "-m", "dunklqm", "spectrum", *flags,
              "--out", str(out)], capture_output=True, text=True, timeout=120,
             env={**_fresh_env(), "OPENBLAS_NUM_THREADS": threads})
         assert proc.returncode == 0, proc.stderr
         written.append(out.read_bytes())
-    assert written[0] == written[1]
+    return written
+
+
+def test_split_ladder_report_does_not_depend_on_blas_threads(tmp_path):
+    # the forked child and this process each run OpenBLAS
+    one, two = _spectrum_on_1_and_2_blas_threads(
+        tmp_path, "--system", "scarf", "--alpha", "1", "--beta", "3",
+        "--grids", "256,512,1024")
+    assert one == two
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1b: the BLAS product 2 Q @ Q rounds some band elements "
+    "differently on 1 and on 2 threads at N = 600; 1b's first-order band "
+    "drops the product, and its change removes this marker"))
+def test_gegenbauer_report_does_not_depend_on_blas_threads(tmp_path):
+    one, two = _spectrum_on_1_and_2_blas_threads(
+        tmp_path, "--system", "gegenbauer", "--mu", "1/2", "--alpha", "1",
+        "--grids", "300,600,1200")
+    assert one == two
 
 
 def test_python_m_dunklqm_runs_the_cli():

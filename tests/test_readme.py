@@ -1,8 +1,11 @@
-"""README's examples stay true: its Python example runs, and every
-``dunklqm …`` command line it shows is accepted by the command's parser."""
+"""README's examples stay true: its Python example runs, every ``dunklqm …``
+command line it shows is accepted by the command's parser, and its "reads /
+defaults" table lists every family kind and spectrum system as the CLI
+tables state them."""
 
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +27,20 @@ def test_readme_python_example_runs(capsys):
 def test_readme_command_line_parses(line, capsys):
     argv = cli._attach_negative_values(shlex.split(line)[1:])
     args = cli.build_parser().parse_args(argv)
-    reads = {"family": ("kind", cli._FAMILY_PARAMS),
-             "spectrum": ("system", cli._SPECTRUM_PARAMS),
-             "verify": ("suite", cli._VERIFY_PARAMS)}.get(args.command)
-    assert reads is None or not cli._refuse_unread(args, *reads)
+    assert not cli._refuse_unread(args)
+
+
+def test_readme_reads_table_matches_the_cli_tables():
+    # every family kind and spectrum system, with the parameters it reads and
+    # their defaults, so a new choice cannot land undocumented
+    rows = re.findall(r"^\| `(\w+) --\w+ ([\w-]+)` \|(.*?)\|(.*?)\|$",
+                      README, re.M)
+    documented = {(command, choice): (
+        re.findall(r"`--(\w+)`", reads),
+        [Fraction(d.replace("½", "1/2"))
+         for d in defaults.replace(",", " ").split()])
+                  for command, choice, reads, defaults in rows}
+    tables = {"family": cli._KINDS, "spectrum": cli._SYSTEMS}
+    assert documented == {
+        (command, choice): (list(row.reads), list(row.reads.values()))
+        for command, table in tables.items() for choice, row in table.items()}
