@@ -10,10 +10,13 @@ places the hard wall exactly at the domain boundary. In the mirror-pair
 ordering 0, N-1, 1, N-2, ... the reflection couples adjacent unknowns, so
 every grid operator is held once, in O(N) memory, as LAPACK banded storage in
 that ordering; dense rows are gathered from the band only on request
-(:meth:`GridOperator.gather_rows`). An operator defined as a dense matrix
-product is banded from blocks of its rows (:meth:`GridOperator.from_rows`),
-64 to 192 rows each, in mirror pairs, so the N x N product is never held
-whole.
+(:meth:`GridOperator.gather_rows`). A stencil operator is a list of terms,
+each a node shift, whether it acts after R, and a coefficient array, banded
+by one constructor that sums each element's terms in the listed order: that
+order keeps the bits of a dense construction. An operator defined as a
+dense matrix product is banded from blocks of its rows
+(:meth:`GridOperator.from_rows`), 64 to 192 rows each, in mirror pairs, so
+the N x N product is never held whole.
 
 Operators whose scalar potential carries an attractive ~ -c/x^2 core (the
 reflection families at alpha > 0) cannot be diagonalized from the directly
@@ -212,6 +215,25 @@ def _checked(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
+def _stencil_band(terms: list, n: int, scale: float = 1.0,
+                  symmetrize: bool = False) -> np.ndarray:
+    """``_pair_band`` storage of M / scale, or of (M + M^T) / (2 scale) if
+    ``symmetrize``, for the node-ordered M, the sum of the ``terms`` (s,
+    reflected, c): row i of a term reads node i + s of f, or of R f, times
+    c[i], so c[i] sits in column i + s, or N - 1 - i - s. Each element sums,
+    from 0.0, its terms' c[i] and 0.0 for every other term, in the listed
+    order. A term's pair bandwidth is 2|s|, plus one if reflected."""
+    def raw(i, j):
+        total = 0.0
+        for shift, reflected, coeff in terms:
+            k = n - 1 - j if reflected else j
+            total = total + np.where(k == i + shift, coeff[i], 0.0)
+        return total / scale
+
+    entry = (lambda i, j: 0.5 * (raw(i, j) + raw(j, i))) if symmetrize else raw
+    return _pair_band(entry, n, max(2 * abs(s) + r for s, r, _ in terms))
+
+
 def assemble(scalar: Callable, refl_coeff: Callable, grid: Grid) -> GridOperator:
     """-1/2 d^2/dx^2 + scalar(x) + refl_coeff(x) R with Dirichlet walls."""
     x, h, n = grid.nodes, grid.h, grid.n
@@ -221,18 +243,12 @@ def assemble(scalar: Callable, refl_coeff: Callable, grid: Grid) -> GridOperator
     diag = 1.0 / h**2 + s
     diag[0] += 0.5 / h**2
     diag[-1] += 0.5 / h**2
-
-    def entry(i, j):
-        stencil = np.where(i == j, diag[i], np.where(np.abs(i - j) == 1,
-                                                     -0.5 / h**2, 0.0))
-        return np.where(i + j == n - 1, stencil + r[i], stencil)
-
-    band = _pair_band(entry, n, 2)
-    # only the antidiagonal R term can break symmetry
-    idx = np.arange(n)
-    anti = entry(idx, idx[::-1])
-    scale = max(1.0, float(np.abs(band).max()), float(np.abs(anti).max()))
-    if np.abs(anti - anti[::-1]).max() > 1e-12 * scale:
+    off = np.full(n, -0.5 / h**2)
+    band = _stencil_band([(0, False, diag), (1, False, off), (-1, False, off),
+                          (0, True, r)], n)
+    # only the R term can break symmetry: r R is symmetric iff r is even
+    scale = max(1.0, float(np.abs(band).max()))
+    if np.abs(r - r[::-1]).max() > 1e-12 * scale:
         raise ValueError("assembled operator is not symmetric; "
                          "reflection coefficient must be even")
     return GridOperator(band, grid)
@@ -252,19 +268,11 @@ def supercharge_matrix(u_fn: Callable, v_fn: Callable, grid: Grid) -> GridOperat
     u = _checked(np.asarray(u_fn(x), dtype=float) + np.zeros(n), "U")
     v = _checked(np.asarray(v_fn(x), dtype=float) + np.zeros(n), "V")
     c = 1.0 / (2 * grid.h)
-
-    def d_plus_u(i, k):
-        d = np.where(k == i + 1, c, np.where(k == i - 1, -c, 0.0))
-        d = np.where((i == k) & (i == 0), c,
-                     np.where((i == k) & (i == n - 1), -c, d))
-        return d + np.where(i == k, u[i], 0.0)
-
-    def raw(i, j):
-        return ((d_plus_u(i, n - 1 - j) + np.where(i == j, v[i], 0.0))
-                / math.sqrt(2.0))
-
-    return GridOperator(_pair_band(lambda i, j: 0.5 * (raw(i, j) + raw(j, i)),
-                                   n, 3), grid)
+    # D's ghost-wall entries u(ghost) = -u(edge) sit on U's diagonal
+    wall = np.r_[c, np.zeros(n - 2), -c]
+    terms = [(1, True, np.full(n, c)), (-1, True, np.full(n, -c)),
+             (0, True, wall + u), (0, False, v)]
+    return GridOperator(_stencil_band(terms, n, math.sqrt(2.0), True), grid)
 
 
 # ---------------------------------------------------------------------------

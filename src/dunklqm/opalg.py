@@ -646,6 +646,9 @@ class FamilyReport:
     records: list
     all_oracle_checks_passed: bool
     skipped_degenerate: list = field(default_factory=list)
+    # the degree at which the eigenvalue formula contradicts the operator,
+    # where the battery stopped; None when it holds at every degree
+    inconsistent_degree: int | None = None
 
     def as_json_dict(self) -> dict:
         return {
@@ -671,7 +674,9 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
     the moment-side recurrence, parity (symmetric families), orthogonality
     against all lower members, then the family's own checks. Degrees whose
     eigenvalue collides with a lower one are skipped and listed. Only
-    internal oracle inconsistencies mark the report failed.
+    internal oracle inconsistencies mark the report failed. An eigenvalue
+    formula that the operator contradicts (no monic eigenvector of degree n
+    at lambda_n) is one: the battery stops at that degree and records it.
 
     Orthogonality and the norm come from one Hankel vector per degree,
     h_m = sum_i p_i c_{m+i} = inner(P_n, y^m), m <= n: a lower member r has
@@ -687,14 +692,20 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
     c_nums, c_den = _scaled(c)
     operator = family.operator()
     gram = gram_sequence(c, max_degree)
+    mat = matrix_on_basis(operator, max_degree)
+    lams = [family.eigenvalue(n) for n in range(max_degree + 1)]
     records: list[FamilyRecord] = []
     skipped: list[int] = []
-    oracle_ok = True
-    for n, pn in enumerate(eigen_sequence(family, max_degree)):
-        if pn is None:
+    oracle_ok, inconsistent = True, None
+    for n, lam in enumerate(lams):      # eigen_sequence, stopping at a failure
+        if lam in lams[:n]:
             skipped.append(n)
             continue
-        lam = family.eigenvalue(n)
+        try:
+            pn = solve_monic_eigenvector(mat, lam, n)
+        except DegenerateSpectrumError:
+            oracle_ok, inconsistent = False, n
+            break
         # Hankel vector h_m = inner(P_n, y^m), m <= n, in one pass, as
         # integer numerators over the positive c_den p_den
         p_nums, p_den = _scaled(pn.coeffs)
@@ -718,4 +729,5 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
         records=records,
         all_oracle_checks_passed=oracle_ok,
         skipped_degenerate=skipped,
+        inconsistent_degree=inconsistent,
     )

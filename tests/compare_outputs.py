@@ -5,10 +5,11 @@ Usage, from the repository root:
     python tests/compare_outputs.py OTHER_CHECKOUT
 
 Runs every command of ``bench/jobs.py``'s ``all_jobs`` (loaded by path,
-read-only), plus the Gegenbauer (1/2, 1) 1024-4096 and 2048-8192 ladders
-and a fixed set of usage commands (each subcommand's help, the refusals of
-an unread parameter, a bad choice and a bad rational, and one accepted
-negative parameter), in both checkouts: each in a fresh ``python -m
+read-only), plus the Gegenbauer (1/2, 1) 1024-4096 and 2048-8192 ladders,
+a fixed set of usage commands (each subcommand's help, the refusals of an
+unread parameter, a bad choice and a bad rational, and one accepted
+negative parameter) and one spectrum per grid path on its smallest grids,
+in both checkouts: each in a fresh ``python -m
 dunklqm`` process whose ``PYTHONPATH`` is that checkout's ``src``, with
 ``--out`` to a temporary file, two processes at a time. Prints each
 command whose exit code, stdout, stderr or ``--out`` differs, and exits 1
@@ -38,17 +39,24 @@ USAGE = ("family --help", "verify --help", "spectrum --help", "errata --help",
          "verify --suite nosuch",
          "family --kind jacobi-m1 --alpha 1/0",
          "spectrum --system scarf --alpha -1/2")
+# the smallest grids, where a stencil's shifts meet its mirror image (at
+# N = 2 both nodes are the centre pair)
+EDGES = ("spectrum --system scarf --alpha 1 --beta 3 --levels 1 --grids 2,4,8",
+         "spectrum --system oscillator --levels 1 --grids 2,4,8",
+         "spectrum --system scarf --alpha 0 --beta 2 --levels 1 --grids 6,12,24",
+         "spectrum --system gegenbauer --mu 1/2 --alpha 1 --levels 1 "
+         "--grids 4,8,16")
 
 
 def commands() -> list[str]:
     """The 142 ``all_jobs`` command lines of every workload, then the two
-    Gegenbauer ladders and the usage commands."""
+    Gegenbauer ladders, the usage commands and the edge-size spectra."""
     spec = importlib.util.spec_from_file_location("bench_jobs",
                                                   ROOT / "bench" / "jobs.py")
     jobs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(jobs)
     return ([j for w in jobs.WORKLOADS for j in jobs.all_jobs(w)]
-            + list(LADDERS) + list(USAGE))
+            + list(LADDERS) + list(USAGE) + list(EDGES))
 
 
 def run(checkout: Path, command: str) -> tuple:

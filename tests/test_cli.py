@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import dunklqm
+from dunklqm import gegenbauer, jacobi
 from dunklqm.cli import main
 from dunklqm.gegenbauer import GEG_FUZZ_PARAMS
 from dunklqm.opalg import Diff, MulPoly, Poly, Reflect, ReflOp
@@ -116,6 +117,29 @@ def test_family_exits_1_when_its_oracle_battery_fails(monkeypatch, capsys):
     # the table is still written, as spectrum writes its report on a miss
     assert json.loads(out)["report"]["all_oracle_checks_passed"] is False
     assert (code, err) == (1, "family oracle checks FAILED\n")
+
+
+@pytest.mark.parametrize("module, name, params, family, suite", [
+    (jacobi, "eigenvalue", jacobi.Jacobi1Params(Fraction(1, 2), Fraction(3, 2)),
+     "family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 6", "jacobi"),
+    (gegenbauer, "eigenvalue_geg",
+     gegenbauer.GegParams(Fraction(1, 2), Fraction(1)),
+     "family --kind gegenbauer --mu 1/2 --alpha 1 --degree 6", "gegenbauer")])
+def test_an_inconsistent_eigenvalue_formula_fails_the_oracles(
+        module, name, params, family, suite, monkeypatch, capsys):
+    # lambda_n + 1/100 at odd n: the operator's diagonal entry at degree 1 is
+    # the unshifted lambda_1, so no monic P_1 exists at the shifted one
+    real = getattr(module, name)
+    lam_1 = real(1, params) + Fraction(1, 100)
+    monkeypatch.setattr(module, name,
+                        lambda n, p: real(n, p) + Fraction(n % 2, 100))
+    assert run(family.split(), capsys) == (
+        1, "", f"error: the eigenvalue formula fails at {params.label()}: the "
+        f"operator has no monic degree-1 eigenvector at lambda_1 = {lam_1}\n")
+    code, out, err = run(["verify", "--suite", suite, "--degree", "6"], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0].startswith(f"{suite} (")
+    assert "oracle checks FAIL" in out.splitlines()[0]
 
 
 def test_verify_exact_suite(capsys):

@@ -15,8 +15,9 @@ CHEAP = ["family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 4",
 
 def test_commands_are_every_job_and_the_two_ladders():
     cmds = compare_outputs.commands()
-    assert len(cmds) == len(set(cmds)) == 154
-    assert cmds[-12:] == [*compare_outputs.LADDERS, *compare_outputs.USAGE]
+    assert len(cmds) == len(set(cmds)) == 158
+    assert cmds[-16:] == [*compare_outputs.LADDERS, *compare_outputs.USAGE,
+                          *compare_outputs.EDGES]
 
 
 def test_checkout_compared_with_itself_is_identical():

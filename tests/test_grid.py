@@ -29,7 +29,7 @@ from dunklqm.grid import (
     supercharge_matrix,
 )
 from dunklqm.gegenbauer import GegParams, eigenvalue_geg, geg_potentials
-from dunklqm.refcalc import Grid
+from dunklqm.refcalc import CoeffFn, FirstOrderRefOp, Grid
 from dunklqm.spectra import spectrum_problem
 from dunklqm.susyqm import (ScarfParams, SusySystem, oscillator_potential,
                             scarf_potential, wavefunction_fn)
@@ -614,6 +614,127 @@ def test_hamiltonian_band_equals_hand_typed(system, n):
     h = pot.hamiltonian()
     assert (assemble(h[0, 0].f, h[0, 1].f, g).band.tobytes()
             == assemble(*parts, g).band.tobytes())
+
+
+@pytest.mark.parametrize("n", [2, 4, 64])
+def test_assemble_refuses_an_odd_reflection_coefficient(n):
+    # r R is symmetric iff r is even; the refusal compares r with its mirror
+    # image to 1e-12 of max(1, the largest band entry)
+    g, zero = Grid(n, 1.0), (lambda x: 0.0 * x)
+    with pytest.raises(ValueError, match="reflection coefficient must be even"):
+        assemble(zero, lambda x: x, g)
+    odd_by_1e_13 = assemble(zero, lambda x: 1.0 + 1e-13 * x, g)
+    assert np.abs(odd_by_1e_13.band).max() > 1.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("which", ["U", "V"])
+def test_supercharge_refuses_a_non_finite_potential(which, bad):
+    g = Grid(8, 1.0)
+    fns = {"U": lambda x: 1.0 + 0.0 * x, "V": lambda x: x,
+           which: lambda x: np.where(x > 0.5, bad, 1.0)}
+    with pytest.raises(SingularPotentialError,
+                       match=f"^{which} evaluated non-finite"):
+        supercharge_matrix(fns["U"], fns["V"], g)
+
+
+# The Gegenbauer supercharge: A = D + (alpha + 1/2) tan x - mu cot x R, with
+# A^dagger = -D + (alpha + 1/2) tan x + mu cot x R, since cot is odd and so
+# (cot x R)^dagger = R cot x = -cot x R. A annihilates |sin x|^mu
+# cos^(alpha + 1/2) x, and A^dagger A = -D^2 + U0 + U1 R with the derived
+# U0, U1 of geg_potentials. On the grid D is the central difference with
+# ghost walls and P = diag((-1)^i); then P A P = A^T, so S = A P is
+# symmetric, with pair bandwidth 2 (ROADMAP item 1b solves S).
+
+GEG_A_SETS = [(F(1, 2), F(1)), (F(1), F(1, 4)), (F(0), F(1)), (F(3, 2), F(2))]
+
+
+def _gegenbauer_a_terms(mu, alpha, g):
+    """A's terms on ``g``, in the order grid._stencil_band sums them: D's two
+    shifts, the scalar with D's ghost-wall entries, the R term."""
+    x, n, c = g.nodes, g.n, 1.0 / (2 * g.h)
+    scalar = np.r_[c, np.zeros(n - 2), -c] + (float(alpha) + 0.5) * np.tan(x)
+    return [(1, False, np.full(n, c)), (-1, False, np.full(n, -c)),
+            (0, False, scalar), (0, True, -(float(mu) / np.tan(x)))]
+
+
+def _signed(terms, n, by_column):
+    """The terms of (sum of terms) P if ``by_column``, else of P (sum of
+    terms): each row's coefficient times (-1)^j, j its column (or row)."""
+    i, out = np.arange(n), []
+    for s, r, c in terms:
+        j = (n - 1 - i - s if r else i + s) if by_column else i
+        out.append((s, r, np.where(j % 2, -c, c)))
+    return out
+
+
+def _dense_gegenbauer_a(mu, alpha, g):
+    """A as a dense node-ordered matrix: D, plus diag of the scalar, minus
+    diag(mu cot x) R."""
+    x, n, c = g.nodes, g.n, 1.0 / (2 * g.h)
+    d = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    d[idx, idx + 1] = c
+    d[idx + 1, idx] = -c
+    d[0, 0] += c
+    d[-1, -1] -= c
+    return ((d + np.diag((float(alpha) + 0.5) * np.tan(x)))
+            - np.diag(float(mu) / np.tan(x))[:, ::-1])
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 256])
+@pytest.mark.parametrize("mu, alpha", GEG_A_SETS)
+def test_gegenbauer_s_band_equals_dense_a_times_p(mu, alpha, n):
+    g = Grid(n, math.pi / 2)
+    band = gridmod._stencil_band(
+        _signed(_gegenbauer_a_terms(mu, alpha, g), n, by_column=True), n)
+    # P flips whole columns; + 0.0 turns a structural zero's -0.0 into the
+    # band's +0.0
+    dense = _dense_gegenbauer_a(mu, alpha, g) * np.resize([1.0, -1.0], n) + 0.0
+    assert band.shape[0] == min(3, n)  # pair bandwidth 2
+    assert band.tobytes() == _dense_band(dense).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 64, 2048])
+@pytest.mark.parametrize("mu, alpha", GEG_A_SETS[:3])
+def test_gegenbauer_a_pairs_with_its_transpose(mu, alpha, n):
+    # P A P = A^T iff A P = P A^T; both bands are built from terms, and the
+    # upper band of A P decides its symmetry. D^T swaps D's shifts, and row i
+    # of A^T's R term is row N-1-i of A's: -mu cot x at the mirrored node,
+    # equal to +mu cot x up to the rounding of the mirrored nodes.
+    g = Grid(n, math.pi / 2)
+    a = _gegenbauer_a_terms(mu, alpha, g)
+    (_, _, c), (_, _, minus_c), scalar, (_, _, refl) = a
+    a_t = [(1, False, minus_c), (-1, False, c), scalar, (0, True, refl[::-1])]
+
+    def bands(terms, by_column):
+        """The bands of the D and scalar terms and of the R term, signed."""
+        return [gridmod._stencil_band(_signed(part, n, by_column), n)
+                for part in (terms[:3], terms[3:])]
+
+    (ap_local, ap_refl), (pat_local, pat_refl) = bands(a, True), bands(a_t, False)
+    assert ap_local.tobytes() == pat_local.tobytes()
+    scale = np.abs(gridmod._stencil_band(a, n)).max()
+    assert np.abs(ap_refl - pat_refl).max() <= np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("mu, alpha", GEG_A_SETS)
+def test_gegenbauer_a_dagger_a_is_the_derived_hamiltonian(mu, alpha):
+    tan = CoeffFn.tan().scale(float(alpha) + 0.5)
+    cot = CoeffFn(lambda x: 1.0 / np.tan(x), lambda x: -1.0 / np.sin(x) ** 2)
+    a = FirstOrderRefOp.build(p=CoeffFn.const(1.0), q=tan,
+                              r=cot.scale(-float(mu)))
+    a_dagger = FirstOrderRefOp.build(p=CoeffFn.const(-1.0), q=tan,
+                                     r=cot.scale(float(mu)))
+    x = np.linspace(0.05, 1.5, 29) * np.resize([1.0, -1.0], 29)
+    words = a_dagger.compose(a).coefficient_arrays(x)
+    derived = np.array([geg_potentials(GegParams(mu, alpha), t, "derived")[:2]
+                        for t in x.tolist()])
+    assert not any(words.pop(w).any() for w in [(1, 0), (1, 1)] if w in words)
+    assert set(words) == {(2, 0), (0, 0), (0, 1)}
+    assert np.all(words[2, 0] == -1.0)
+    np.testing.assert_allclose(words[0, 0], derived[:, 0], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(words[0, 1], derived[:, 1], rtol=1e-13, atol=0)
 
 
 def _gegenbauer_operator(mu, alpha, n, k):

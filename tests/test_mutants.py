@@ -32,14 +32,20 @@ def _moments_scaled(family):
     return lambda mp: mp.setattr(family, "next_moment", next_moment)
 
 
-def _shifted(name, *modules):
-    """The function ``name`` plus 1/100, in every module that binds it."""
+def _wrapped(name, wrap, *modules):
+    """The function ``name`` with its result replaced by ``wrap(result,
+    *args)``, in every module that binds it."""
     real = getattr(modules[0], name)
 
     def patch(mp):
         for module in modules:
-            mp.setattr(module, name, lambda *args: real(*args) + EPS)
+            mp.setattr(module, name, lambda *args: wrap(real(*args), *args))
     return patch
+
+
+def _shifted(name, *modules):
+    """The function ``name`` plus 1/100, in every module that binds it."""
+    return _wrapped(name, lambda value, *args: value + EPS, *modules)
 
 
 def _scarf_record(field, wrap):
@@ -66,6 +72,25 @@ MUTANTS = [
         "verify --suite gegenbauer --degree 6",
         "family --kind gegenbauer --mu 1/2 --alpha 1 --degree 6"),
         id="gegenbauer-moments"),
+    # The battery solves each P_n from the operator at lambda_n, which must be
+    # the operator's diagonal entry at degree n; the lowering and raising
+    # maps are checked on those P_n. A wrong eigenvalue formula leaves no
+    # P_n to solve for, an oracle failure.
+    pytest.param(_shifted("eigenvalue", jacobi), (
+        "verify --suite jacobi --degree 6",
+        "family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 6",
+        "verify --suite intertwiners"), id="jacobi-eigenvalue"),
+    pytest.param(_shifted("eigenvalue_geg", gegenbauer, errata), (
+        "verify --suite gegenbauer --degree 6",
+        "family --kind gegenbauer --mu 1/2 --alpha 1 --degree 6"),
+        id="gegenbauer-eigenvalue"),
+    # The battery compares each closed-form norm with inner(P_n, P_n) summed
+    # from the moments.
+    pytest.param(_wrapped("norm_sq_closed", lambda norm, n, params: norm * (
+        Fraction(1001, 1000) if n >= 2 else 1), jacobi), (
+        "verify --suite jacobi --degree 6",
+        "family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 6"),
+        id="jacobi-closed-norm"),
     # The exact suite checks 2 H P_n = 2 E_n P_n with E_n from this map, and
     # the spectrum's targets are this map, 1e-2 away from levels that the
     # grid resolves to 1e-6.
@@ -77,6 +102,23 @@ MUTANTS = [
     # the corrected raising scalar b - 1 + [n+1]_a reads it too.
     pytest.param(_shifted("bracket_n", jacobi, errata), (
         "verify --suite intertwiners",), id="bracket-n"),
+    # H is Q^2 from the same U, so Q^2 = H still holds; the corrected
+    # intertwining relations, with X and Y typed from b, fail (residual 0.4).
+    # The grid levels of Q^2 move by 4e-2 to 7e-2 from targets that U does
+    # not enter.
+    pytest.param(_wrapped("scarf_potential", lambda pot, params:
+                          dataclasses.replace(pot, u=pot.u.scale(1.01)),
+                          susyqm), (
+        "verify --suite relations", "verify",
+        "spectrum --system scarf --alpha 1 --beta 3 --grids 256,512,1024"),
+        id="scarf-u"),
+    # The composite path adds the corrections to 2 Q^2 to form -D^2 + U0 +
+    # U1 R, whose levels are the targets -lambda_n: a constant 1/100 in the
+    # scalar term moves every level by 1/100, against a tolerance of 1e-5.
+    pytest.param(_wrapped("_gegenbauer_corrections", lambda parts, params, x:
+                          (parts[0] + float(EPS), parts[1]), susyqm), (
+        "spectrum --system gegenbauer --mu 1/2 --alpha 1 --grids 256,512,1024",),
+        id="gegenbauer-corrections"),
     # The spectrum's targets are the record's energy map.
     pytest.param(_scarf_record(
         "energy_map", lambda energy: lambda n, lam: energy(n, lam) + EPS), (
