@@ -7,7 +7,7 @@ one refusal of a parameter that the choice does not read (the answer would be
 to another question; exit 2, before any work).
 
 Exit codes: 0 success, 1 verification failure (a failed oracle check of
-`verify` or of `family`'s own battery, a `spectrum` tolerance miss), 2 usage
+`verify`, `errata` or `family`'s battery, a `spectrum` tolerance miss), 2 usage
 error. The library owns the refusal rules: a ValueError raised while `family`
 builds its parameters or `spectrum` its answer (LAPACK's LinAlgError included)
 prints "error: ..." and exits 2. Rational parameters are passed as exact "p/q"
@@ -464,7 +464,11 @@ def cmd_spectrum(args) -> int:
 def cmd_errata(args) -> int:
     from .errata import errata_json
 
-    _emit(errata_json(), args.out)
+    try:
+        _emit(errata_json(), args.out)
+    except DegenerateSpectrumError as exc:      # a wrong eigenvalue formula
+        print(f"error: an eigenvalue formula fails: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 

@@ -22,9 +22,10 @@ Operators whose scalar potential carries an attractive ~ -c/x^2 core (the
 reflection families at alpha > 0) cannot be diagonalized from the directly
 sampled potential: the discrete operator develops spurious states at -C/h^2
 ("fall to the center") that also pollute the physical levels. Spectra for
-those systems are computed from the square of the discrete symmetric
-supercharge (positive semidefinite by construction); see
-:func:`susy_squared_spectrum` and :func:`composite_spectrum`.
+those systems come from the square of the discrete symmetric supercharge
+(positive semidefinite by construction). Every solver takes an operator and
+a level count: :func:`eigen_lowest`, :func:`susy_squared_spectrum` (of the
+Q of :func:`supercharge_matrix`) and :func:`composite_spectrum`.
 
 A convergence study's rungs are independent, and the rungs below the top of
 a doubling ladder are about a quarter of its work (a rung costs about four
@@ -319,19 +320,18 @@ def eigen_lowest(op: GridOperator | np.ndarray, k: int) -> np.ndarray:
                             select_range=(0, k - 1), eigvals_only=True)
 
 
-def susy_squared_spectrum(u_fn: Callable, v_fn: Callable, grid: Grid,
-                          k: int) -> np.ndarray:
-    """Lowest k energies of H = Q^2 via the discrete supercharge.
+def susy_squared_spectrum(q: GridOperator, k: int) -> np.ndarray:
+    """Lowest k energies of H = Q^2 from the discrete supercharge ``q``
+    (:func:`supercharge_matrix`).
 
     The symmetric centered Q anticommutes exactly with R (-1)^i, so its
     spectrum comes in exact +-q pairs; squares are deduplicated pairwise,
     which leaves N/2 levels.
     """
-    if 2 * k > grid.n:
+    if 2 * k > q.n:
         raise MethodLimitError(
-            f"method limit: the squared supercharge on N={grid.n} points "
-            f"has {grid.n // 2} distinct levels, {k} requested")
-    q = supercharge_matrix(u_fn, v_fn, grid)
+            f"method limit: the squared supercharge on N={q.n} points "
+            f"has {q.n // 2} distinct levels, {k} requested")
     w = eig_banded(q.band, lower=False, eigvals_only=True)
     e = np.sort(w * w)
     return e[0:2*k:2]

@@ -142,6 +142,19 @@ def test_an_inconsistent_eigenvalue_formula_fails_the_oracles(
     assert "oracle checks FAIL" in out.splitlines()[0]
 
 
+def test_errata_fails_on_an_inconsistent_eigenvalue_formula(monkeypatch,
+                                                             capsys):
+    # lambda_n + 1/100 at odd n: errata's first oracle, the raising map at
+    # (a, b) = (1/2, 3/2), solves P_1 at the shifted lambda_1 and finds none
+    real = jacobi.eigenvalue
+    lam_1 = real(1, jacobi.Jacobi1Params(Fraction(1, 2), Fraction(3, 2)))
+    monkeypatch.setattr(jacobi, "eigenvalue",
+                        lambda n, p: real(n, p) + Fraction(n % 2, 100))
+    assert run(["errata"], capsys) == (
+        1, "", "error: an eigenvalue formula fails: no monic eigenvector at "
+        f"eigenvalue {lam_1 + Fraction(1, 100)} (inconsistent system)\n")
+
+
 def test_verify_exact_suite(capsys):
     code, out, _ = run(["verify", "--suite", "exact"], capsys)
     assert code == 0

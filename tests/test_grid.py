@@ -160,7 +160,8 @@ def test_direct_sampling_collapses_for_positive_alpha():
         direct = eigen_lowest(assemble(h[0, 0].f, h[0, 1].f, g), 1)[0]
         assert direct < -100.0  # collapse grows like -C/h^2
     g = Grid(512, math.pi / 2)
-    susy = gridmod.susy_squared_spectrum(pot.u.f, pot.v.f, g, 1)[0]
+    susy = gridmod.susy_squared_spectrum(
+        supercharge_matrix(pot.u.f, pot.v.f, g), 1)[0]
     assert susy > 0.0
     assert abs(susy - 25.0 / 8.0) < 1e-2
 
@@ -439,6 +440,38 @@ def test_every_spectra_name_returns_a_problem(name, system):
     prob = getattr(spectra, name)(system, 2)
     assert type(prob) is gridmod.Problem
     assert callable(prob.compute) and len(prob.targets) == 2
+
+
+def _supercharge_of(system, g):
+    pot = system.potential
+    return supercharge_matrix(pot.u.f, pot.v.f, g)
+
+
+def _hamiltonian_of(system, g):
+    h = system.potential.hamiltonian()
+    return assemble(h[0, 0].f, h[0, 1].f, g)
+
+
+@pytest.mark.parametrize("system, build, solve", [
+    (SusySystem.scarf(ScarfParams(1, 3)), _supercharge_of,
+     "susy_squared_spectrum"),
+    (SusySystem.scarf(ScarfParams(0, 2)), _hamiltonian_of, "eigen_lowest"),
+    (SusySystem.oscillator(), _hamiltonian_of, "eigen_lowest"),
+    (SusySystem.gegenbauer(GegParams(F(1, 2), 1)), spectra._composite,
+     "composite_spectrum")],
+    ids=["scarf-1-3", "scarf-0-2", "oscillator", "gegenbauer"])
+def test_each_spectrum_path_solves_what_it_builds(system, build, solve,
+                                                  monkeypatch):
+    # every path is one grid solver of (operator, k), handed the operator
+    # that its builder makes on the problem's grid
+    n, k, seen = 64, 3, []
+    real = getattr(gridmod, solve)
+    monkeypatch.setattr(gridmod, solve,
+                        lambda op, kk: seen.append(op) or real(op, kk))
+    values = spectrum_problem(system, k).compute(n)
+    op = build(system, Grid(n, system.halfwidth))
+    assert [s.band.tobytes() for s in seen] == [op.band.tobytes()]
+    assert values.tobytes() == real(op, k).tobytes()
 
 
 @pytest.mark.parametrize("ladder", [(256, 768, 2304), (100, 300, 900),
@@ -948,8 +981,8 @@ def test_non_gegenbauer_paths_hold_no_dense_matrix():
         g = Grid(8192, 10.0)
         osc = eigen_lowest(assemble(*_oscillator_parts(), g), 5)
         pot = scarf_potential(ScarfParams(F(1), F(3)))
-        scarf = gridmod.susy_squared_spectrum(pot.u.f, pot.v.f,
-                                              Grid(8192, math.pi / 2), 3)
+        scarf = gridmod.susy_squared_spectrum(
+            supercharge_matrix(pot.u.f, pot.v.f, Grid(8192, math.pi / 2)), 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,7 +5,10 @@ not by recording a run, and each passes on the unmutated package. A mutant
 that no command kills goes in ``GAPS``, naming the ROADMAP item that closes
 it; that item's change moves the row into ``MUTANTS``.
 
-Every command runs in-process through ``cli.main``, on cheap ladders.
+Every command runs in-process through ``cli.main``, on cheap ladders. Run as
+a script (``PYTHONPATH=src python tests/test_mutants.py``), this file prints,
+for each command, the ``MUTANTS`` rows that no other command kills; it reads
+the table and runs nothing.
 """
 
 import dataclasses
@@ -17,6 +20,7 @@ import pytest
 from dunklqm import cli, errata, gegenbauer, jacobi, susyqm
 from dunklqm.gegenbauer import GegParams
 from dunklqm.jacobi import Jacobi1Params
+from dunklqm.refcalc import CoeffFn, FirstOrderRefOp
 from dunklqm.susyqm import SusySystem
 
 EPS = Fraction(1, 100)
@@ -75,11 +79,12 @@ MUTANTS = [
     # The battery solves each P_n from the operator at lambda_n, which must be
     # the operator's diagonal entry at degree n; the lowering and raising
     # maps are checked on those P_n. A wrong eigenvalue formula leaves no
-    # P_n to solve for, an oracle failure.
+    # P_n to solve for, an oracle failure; errata's raising-map evidence
+    # solves its P_n the same way.
     pytest.param(_shifted("eigenvalue", jacobi), (
         "verify --suite jacobi --degree 6",
         "family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 6",
-        "verify --suite intertwiners"), id="jacobi-eigenvalue"),
+        "verify --suite intertwiners", "errata"), id="jacobi-eigenvalue"),
     pytest.param(_shifted("eigenvalue_geg", gegenbauer, errata), (
         "verify --suite gegenbauer --degree 6",
         "family --kind gegenbauer --mu 1/2 --alpha 1 --degree 6"),
@@ -112,6 +117,25 @@ MUTANTS = [
         "verify --suite relations", "verify",
         "spectrum --system scarf --alpha 1 --beta 3 --grids 256,512,1024"),
         id="scarf-u"),
+    # H is Q^2 from the same V, so Q^2 = H still holds. The relations suite
+    # runs at (a, b) = (0, 1), where V = -a/(2 sin x) and every a-term of X,
+    # Y and the product relation vanish, so no `verify` exit reads V. The
+    # grid levels of Q^2 at (1, 3) move by 1.3e-2 to 2.3e-2 from targets that
+    # V does not enter.
+    pytest.param(_wrapped("scarf_potential", lambda pot, params:
+                          dataclasses.replace(pot, v=pot.v.scale(1.01)),
+                          susyqm), (
+        "spectrum --system scarf --alpha 1 --beta 3 --grids 256,512,1024",),
+        id="scarf-v"),
+    # The relations suite checks the corrected X and Y as identities at
+    # (0, 1): an added 0.01 tan x leaves residuals of 1.3 on X's
+    # intertwining relation, 0.1 on Y's and 0.14 on the product relation.
+    pytest.param(_wrapped("intertwiner", lambda op, params, which,
+                          variant="corrected": op if variant == "printed" else
+                          FirstOrderRefOp({**op.words, (0, 0): op.words[0, 0]
+                                           + CoeffFn.tan().scale(0.01)}),
+                          susyqm), (
+        "verify --suite relations", "verify"), id="intertwiner-tangent"),
     # The composite path adds the corrections to 2 Q^2 to form -D^2 + U0 +
     # U1 R, whose levels are the targets -lambda_n: a constant 1/100 in the
     # scalar term moves every level by 1/100, against a tolerance of 1e-5.
@@ -136,6 +160,16 @@ GAPS = [
         "ground", lambda g: lambda x: g(x) * np.cos(x) ** float(EPS)),
         ("verify", "errata"), id="scarf-ground-exponent"),
 ]
+
+
+def unique_kills() -> dict:
+    """Each command that ``MUTANTS`` lists -> the ids of the rows that list
+    no other command."""
+    kills = {c: [] for row in MUTANTS for c in row.values[1]}
+    for row in MUTANTS:
+        if len(row.values[1]) == 1:
+            kills[row.values[1][0]].append(row.id)
+    return kills
 
 
 def _exit_code(command, capsys):
@@ -164,3 +198,15 @@ def test_each_gap_is_still_unkilled(patch, commands, monkeypatch, capsys):
     patch(monkeypatch)
     codes = {c: _exit_code(c, capsys) for c in commands}
     assert codes == dict.fromkeys(commands, cli.EXIT_OK)
+
+
+def test_unique_kills_name_every_command_once():
+    kills = unique_kills()
+    assert set(kills) == {c for row in MUTANTS for c in row.values[1]}
+    assert kills["verify --suite intertwiners"] == ["bracket-n"]
+    assert kills["verify"] == []
+
+
+if __name__ == "__main__":
+    for command, ids in sorted(unique_kills().items()):
+        print(f"{command}: {', '.join(ids) if ids else 'kills nothing unique'}")
