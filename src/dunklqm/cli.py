@@ -56,6 +56,7 @@ from .gegenbauer import (
 from .jacobi import FUZZ_PARAMS, Jacobi1Params, verify_lowering, verify_raising
 from .opalg import (
     DegenerateSpectrumError,
+    eigen_sequence,
     eigenvalue_collision,
     verify_family,
 )
@@ -343,14 +344,15 @@ def _suite_oscillator(log) -> tuple[bool, int]:
 
 def _suite_intertwiners(log, degree: int) -> tuple[bool, int]:
     """The exact lowering and raising maps up to ``degree`` on each fuzz
-    pair; the printed-scalar findings are counted over n <= 6 at every
-    degree."""
+    pair, both on one P_n sequence; the printed-scalar findings are counted
+    over n <= 6 at every degree."""
     ok, findings = True, 0
     for a, b in FUZZ_PARAMS:
         p = Jacobi1Params(a, b)
         try:
-            low = verify_lowering(p, degree)
-            corrected, printed = verify_raising(p, max(degree, 6))
+            ps = eigen_sequence(p, max(degree, 6))
+            low = verify_lowering(p, degree, ps)
+            corrected, printed = verify_raising(p, max(degree, 6), ps)
         except DegenerateSpectrumError:     # a wrong eigenvalue formula
             ok = False
             continue

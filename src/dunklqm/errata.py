@@ -294,6 +294,7 @@ def _gegenbauer_potential_constants(derived_spec: list, targets: list) -> dict:
 
 def _gegenbauer_eigenvalue_sign(spec: list) -> dict:
     lam = [str(eigenvalue_geg(n, _GEG_PARAMS)) for n in range(3)]
+    eigen_sequence(_GEG_PARAMS, 2)      # raises unless they are eigenvalues
     return _entry(
         "gegenbauer-eigenvalue-sign",
         "gegenbauer-hamiltonian/eigenvalue-sign-convention",

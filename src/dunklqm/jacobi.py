@@ -290,24 +290,27 @@ def gauged_y_corrected(params: Jacobi1Params) -> ReflOp:
     ])
 
 
-def _nondegenerate_sequence(family: Jacobi1Params, degree: int) -> list:
-    """``eigen_sequence`` of a family whose every member must exist."""
-    seq = eigen_sequence(family, degree)
+def _nondegenerate_sequence(family: Jacobi1Params, degree: int,
+                            seq: list | None = None) -> list:
+    """P_0..P_degree of a family whose every member must exist, read from
+    ``seq`` (its ``eigen_sequence`` to at least ``degree``) when given."""
+    seq = (seq or eigen_sequence(family, degree))[:degree + 1]
     if None in seq:
         raise DegenerateSpectrumError(
             f"degree {seq.index(None)} is degenerate at {family.label()}")
     return seq
 
 
-def verify_lowering(params: Jacobi1Params, max_n: int) -> list:
-    """Exact check of T_{a/2} P_n^{(a,b)} = [n]_a P_{n-1}^{(a,b+2)}.
+def verify_lowering(params: Jacobi1Params, max_n: int, ps=None) -> list:
+    """Exact check of T_{a/2} P_n^{(a,b)} = [n]_a P_{n-1}^{(a,b+2)}, on
+    ``ps`` (``eigen_sequence(params, m)``, m >= max_n) when given.
 
     Returns per-n booleans; all True for every valid parameter pair.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     a, b = params.alpha, params.beta
-    ps = _nondegenerate_sequence(params, max_n)
+    ps = _nondegenerate_sequence(params, max_n, ps)
     targets = _nondegenerate_sequence(unchecked(Jacobi1Params, a, b + 2),
                                       max_n - 1)
     t = dunkl(a / 2)
@@ -318,8 +321,10 @@ def verify_lowering(params: Jacobi1Params, max_n: int) -> list:
     return out
 
 
-def verify_raising(params: Jacobi1Params, max_n: int) -> tuple[list, list]:
-    """Exact check of the gauged corrected Y against its mapping rule.
+def verify_raising(params: Jacobi1Params, max_n: int,
+                   ps=None) -> tuple[list, list]:
+    """Exact check of the gauged corrected Y against its mapping rule, on
+    ``ps`` as in ``verify_lowering``.
 
     Returns per-n verdicts for the corrected scalar (b - 1 + [n+1]_a) and
     for the printed one (b - 1 + [n]_a), which fails already at n = 0
@@ -330,7 +335,7 @@ def verify_raising(params: Jacobi1Params, max_n: int) -> tuple[list, list]:
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     a, b = params.alpha, params.beta
-    ps = _nondegenerate_sequence(params, max_n)
+    ps = _nondegenerate_sequence(params, max_n, ps)
     targets = eigen_sequence(unchecked(Jacobi1Params, a, b - 2), max_n + 1)
     y = gauged_y_corrected(params)
     corrected, printed = [], []

@@ -25,15 +25,15 @@ matrix, one back-substitution per degree) and from the moments alone
 (``gram_sequence``: the three-term recurrence by the Chebyshev algorithm),
 and ``verify_family`` checks that the two constructions agree.
 
-Every value is an exact ``Fraction`` where it is stored or returned: in a
-``Poly``, an operator matrix, a norm or a report field. The loops inside
-run on Python ints instead, with a coefficient list held as integer
-numerators over one common denominator: ``ReflOp.apply`` and ``Poly``'s
-products and scalings, the back-substitution of
-``solve_monic_eigenvector``, the recurrence rows of ``gram_sequence`` and
-the Hankel sums of ``verify_family``. A reduced ``Fraction`` is built once
-per value that leaves such a loop, so each value is the same rational, with
-the same text, as exact Fraction arithmetic gives.
+A ``Poly`` holds its coefficients as integer numerators over one positive
+denominator, in lowest terms, and every kernel reads and returns that form:
+``ReflOp.apply``, ``Poly``'s arithmetic, the back-substitution of
+``solve_monic_eigenvector`` (on an operator matrix's rows read as integers
+once per matrix), the recurrence rows of ``gram_sequence`` and the Hankel
+sums of ``verify_family``. Fractions are built only for readers: a Poly's
+``coeffs`` and ``coeff``, an operator matrix, a moment, a norm or a report
+field. Each is the same reduced rational, with the same text, as exact
+Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 from operator import mul
 
 from .exact import rat
@@ -84,27 +85,18 @@ class DegenerateSpectrumError(ValueError):
 
 
 # Coefficient-list kernels (index k holds the y^k coefficient; trailing zeros
-# allowed). ``Poly`` and the operator primitives share them. The hot loops
-# run them on integer numerators over one common denominator (``_scaled``),
-# and a reduced Fraction is built only where a value leaves the kernel
-# (``_unscaled``); ``Poly.of_reduced`` stores those as they are. The
-# product skips zero coefficients, which fill the monomial columns of
-# ``matrix_on_basis``.
+# allowed), on integer numerators over one common denominator. ``Poly`` and
+# the operator primitives share them. The product skips zero coefficients,
+# which fill the monomial columns of ``matrix_on_basis``.
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _scaled(cs) -> tuple[list, int]:
-    """(integer numerators, denominator) of Fractions ``cs``, over the lcm
+    """(integer numerators, denominator) of rationals ``cs``, over the lcm
     of their denominators."""
     den = math.lcm(*[c.denominator for c in cs])
     return [c.numerator*(den // c.denominator) for c in cs], den
-
-
-def _unscaled(nums, den) -> list:
-    """The reduced Fractions nums[k]/den."""
-    return [Fraction(x, den) if x else _ZERO for x in nums]
 
 
 def _mul_coeffs(a, b) -> list:
@@ -136,91 +128,101 @@ def _odd_over_y_coeffs(cs) -> list:
 
 
 class Poly:
-    """Dense polynomial in y with Fraction coefficients, trailing zeros trimmed."""
+    """Dense polynomial in y with rational coefficients nums[k]/den, in one
+    canonical form: den > 0, gcd(den, *nums) = 1, trailing zeros trimmed,
+    and the zero polynomial is ((), 1)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self._reduce(*_scaled([rat(c) for c in coeffs]))
 
     @classmethod
-    def of_reduced(cls, cs) -> "Poly":
-        """The Poly of Fractions ``cs`` as they are, without ``rat``: for
-        the kernels' reduced Fractions (``_unscaled``) and for sums,
-        negations and integer multiples of a Poly's own coefficients."""
-        cs = list(cs)
-        while cs and not cs[-1]:
-            cs.pop()
+    def _of(cls, nums: list, den: int = 1) -> "Poly":
+        """The Poly nums[k]/den, for an integer list that it may trim in
+        place and a nonzero den."""
         p = object.__new__(cls)
-        p.coeffs = tuple(cs)
+        p._reduce(nums, den)
         return p
+
+    def _reduce(self, nums: list, den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        self.nums = tuple(x // g for x in nums) if g != 1 else tuple(nums)
+        self.den = den // g
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(())
+        return Poly._of([])
 
     @staticmethod
     def one() -> "Poly":
-        return Poly((1,))
+        return Poly._of([1])
 
     @staticmethod
     def monomial(n: int) -> "Poly":
-        return Poly.of_reduced((_ZERO,)*n + (_ONE,))
+        return Poly._of([0]*n + [1])
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced Fractions, built on each read."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @property
     def degree(self):
         """Degree, with -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else -math.inf
+        return len(self.nums) - 1 if self.nums else -math.inf
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
+        return _ZERO
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other over the lcm of the two denominators."""
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign*(den // other.den)
+        return Poly._of([fa*x + fb*z for x, z in
+                         zip_longest(self.nums, other.nums, fillvalue=0)], den)
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.of_reduced([self.coeff(k) + other.coeff(k) for k in range(n)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly.of_reduced([self.coeff(k) - other.coeff(k) for k in range(n)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly.of_reduced([-c for c in self.coeffs])
+        return Poly._of([-x for x in self.nums], self.den)
 
     def scale(self, s) -> "Poly":
         s = rat(s)
-        nums, den = _scaled(self.coeffs)
-        return Poly.of_reduced(_unscaled([s.numerator*x for x in nums],
-                                         s.denominator*den))
+        return Poly._of([s.numerator*x for x in self.nums], s.denominator*self.den)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, da = _scaled(self.coeffs)
-        b, db = _scaled(other.coeffs)
-        return Poly.of_reduced(_unscaled(_mul_coeffs(a, b), da*db))
+        return Poly._of(_mul_coeffs(self.nums, other.nums), self.den*other.den)
 
     def deriv(self) -> "Poly":
-        return Poly.of_reduced(_deriv_coeffs(self.coeffs))
+        return Poly._of(_deriv_coeffs(self.nums), self.den)
 
     def reflect(self) -> "Poly":
         """p(y) -> p(-y)."""
-        return Poly.of_reduced(_reflect_coeffs(self.coeffs))
+        return Poly._of(_reflect_coeffs(self.nums), self.den)
 
     def odd_over_y(self) -> "Poly":
         """(p(y) - p(-y)) / y: twice the odd part, divided by y. Always exact."""
-        return Poly(_odd_over_y_coeffs(self.coeffs))
+        return Poly._of(_odd_over_y_coeffs(self.nums), self.den)
 
     def __call__(self, t):
         """Evaluate at t (Fraction stays exact, float or array goes numeric)."""
@@ -233,11 +235,12 @@ class Poly:
         return f"Poly({self.pretty()})"
 
     def pretty(self) -> str:
-        if not self.coeffs:
+        cs = self.coeffs
+        if not cs:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(cs) - 1, -1, -1):
+            c = cs[k]
             if c == 0:
                 continue
             mag = abs(c)
@@ -268,12 +271,10 @@ class MulPoly:
     poly: Poly
 
     def __post_init__(self):
-        nums, den = _scaled(self.poly.coeffs)
-        object.__setattr__(self, "_nums", nums)
-        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_den", self.poly.den)
 
     def step(self, cs) -> list:
-        return _mul_coeffs(self._nums, cs)
+        return _mul_coeffs(self.poly.nums, cs)
 
     def symbol(self) -> str:
         return f"({self.poly.pretty()})"
@@ -331,7 +332,7 @@ class ReflOp:
         """Each chain runs on p's integer numerators, one list step per
         primitive; the weighted images are summed over the lcm of their
         denominators into a single Poly."""
-        nums, den = _scaled(p.coeffs)
+        nums, den = p.nums, p.den
         images = []
         for s, chain in self.terms:
             q, d = nums, s.denominator
@@ -346,7 +347,7 @@ class ReflOp:
             for k, x in enumerate(q):
                 if x:
                     out[k] += w*x
-        return Poly.of_reduced(_unscaled(out, lcm*den))
+        return Poly._of(out, lcm*den)
 
     def pretty(self) -> str:
         if not self.terms:
@@ -393,9 +394,15 @@ def matrix_on_basis(op: ReflOp, degree_bound: int):
         if img.degree > degree_bound:
             raise DegreeOverflowError(
                 f"op(y^{j}) has degree {img.degree} > bound {degree_bound}")
-        for i, c in enumerate(img.coeffs):
-            mat[i][j] = c
+        for i, x in enumerate(img.nums):
+            if x:
+                mat[i][j] = Fraction(x, img.den)
     return mat
+
+
+def _int_rows(mat) -> list:
+    """Each row of an operator matrix as (integer numerators, denominator)."""
+    return [_scaled(row) for row in mat]
 
 
 def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
@@ -407,16 +414,22 @@ def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
     y^j, j <= n, maps above degree j, and DegenerateSpectrumError if lam is
     a diagonal entry below degree n (collision) or not the one at degree n.
     """
+    return _back_substitute(_int_rows(mat), lam, n)
+
+
+def _back_substitute(rows, lam, n: int) -> Poly:
+    """``solve_monic_eigenvector`` on the matrix's ``_int_rows``."""
     lam = rat(lam)
-    # entries below the diagonal in columns 0..n, compared row by row with
-    # zeros; the shared zero of matrix_on_basis compares by identity
-    zeros = [_ZERO]*(n + 1)
-    if any(row[:min(i, n + 1)] != zeros[:i] for i, row in enumerate(mat)):
+    if any(any(row[:min(i, n + 1)]) for i, (row, _) in enumerate(rows)):
         raise DegreeOverflowError(f"operator raises the degree of y^0..y^{n}")
-    if any(mat[k][k] == lam for k in range(n)):
+    # row k's diagonal entry minus lam is diag[k]/(row_den lam.denominator)
+    ln, ld = lam.numerator, lam.denominator
+    diag = [row[k]*ld - ln*row_den
+            for k, (row, row_den) in enumerate(rows[:n + 1])]
+    if 0 in diag[:n]:
         raise DegenerateSpectrumError(
             f"eigenvalue {lam} is degenerate below degree {n}")
-    if mat[n][n] != lam:
+    if diag[n]:
         raise DegenerateSpectrumError(
             f"no monic eigenvector at eigenvalue {lam} (inconsistent system)")
     # c_j = nums[j]/dens[j], c_n = 1. Step k multiplies the running
@@ -427,21 +440,16 @@ def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
     dens = [1]*(n + 1)
     den = 1
     for k in range(n - 1, -1, -1):
-        row = mat[k]
-        terms = [(j, m) for j, m in enumerate(row[k + 1:n + 1], k + 1)
-                 if m is not _ZERO and nums[j]]
-        row_den = math.lcm(*[m.denominator for _, m in terms])
-        # sum_j row[j] c_j = acc/(row_den den)
-        acc = sum(m.numerator*(row_den // m.denominator)*nums[j]*(den // dens[j])
-                  for j, m in terms)
+        row = rows[k][0]
+        # sum_j row[j] c_j = acc/(row_den den), so the row_den cancels in
+        # c_k = -(acc/(row_den den)) / (diag[k]/(row_den ld))
+        acc = sum(row[j]*nums[j]*(den // dens[j])
+                  for j in range(k + 1, n + 1) if row[j] and nums[j])
         if acc:
-            # c_k = -(acc/(row_den den)) / (row[k] - lam)
-            d_num = row[k].numerator*lam.denominator - lam.numerator*row[k].denominator
-            den *= row_den*d_num
-            nums[k] = -acc*row[k].denominator*lam.denominator
+            den *= diag[k]
+            nums[k] = -acc*ld
         dens[k] = den
-    nums = [x*(den // d) for x, d in zip(nums, dens)]
-    return Poly.of_reduced(_unscaled(nums, den))
+    return Poly._of([x*(den // d) for x, d in zip(nums, dens)], den)
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +514,14 @@ def unchecked(cls, *values):
 def inner(p: Poly, q: Poly, c: list) -> Fraction:
     """Exact bilinear form sum_ij p_i q_j c_{i+j} on the moments ``c``."""
     total = Fraction(0)
-    for i, a in enumerate(p.coeffs):
+    for i, a in enumerate(p.nums):
         if a == 0:
             continue
-        for j, b in enumerate(q.coeffs):
+        for j, b in enumerate(q.nums):
             if b == 0:
                 continue
             total += a*b*c[i + j]
-    return total
+    return total / (p.den*q.den)
 
 
 def _chebyshev(c: list, degree: int):
@@ -566,7 +574,7 @@ def gram_sequence(c: list, degree: int) -> list:
         (pk, pk_den) = p
         prev_p, p = p, _three_term([0] + pk, (pk + [0], pk_den),
                                    (prev_p[0] + [0, 0], prev_p[1]), a, b)
-        seq.append((Poly.of_reduced(_unscaled(*p)), norm))
+        seq.append((Poly._of(p[0][:], p[1]), norm))
     return seq
 
 
@@ -617,9 +625,9 @@ def eigen_sequence(family: OrthogonalFamily, degree: int) -> list:
     """[P_0, ..., P_degree] by back-substitution over one operator matrix,
     with None at degrees whose eigenvalue collides with a lower one. The
     sibling of ``gram_sequence``."""
-    mat = matrix_on_basis(family.operator(), degree)
+    rows = _int_rows(matrix_on_basis(family.operator(), degree))
     lams = [family.eigenvalue(n) for n in range(degree + 1)]
-    return [None if lam in lams[:n] else solve_monic_eigenvector(mat, lam, n)
+    return [None if lam in lams[:n] else _back_substitute(rows, lam, n)
             for n, lam in enumerate(lams)]
 
 
@@ -680,8 +688,8 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
 
     Orthogonality and the norm come from one Hankel vector per degree,
     h_m = sum_i p_i c_{m+i} = inner(P_n, y^m), m <= n: a lower member r has
-    degree < n, so inner(P_n, r) = sum_j r_j h_j, which reads only the
-    nonzero h_j, and inner(P_n, P_n) = sum_j p_j h_j. Without a skipped
+    degree < n, so inner(P_n, r) = sum_j r_j h_j, and inner(P_n, P_n) =
+    sum_j p_j h_j, each summed on integer numerators. Without a skipped
     degree the monic P_0..P_{n-1} span every polynomial of degree < n, so
     P_n passes exactly when h_0..h_{n-1} all vanish, and then the check
     does no arithmetic.
@@ -692,7 +700,7 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
     c_nums, c_den = _scaled(c)
     operator = family.operator()
     gram = gram_sequence(c, max_degree)
-    mat = matrix_on_basis(operator, max_degree)
+    rows = _int_rows(matrix_on_basis(operator, max_degree))
     lams = [family.eigenvalue(n) for n in range(max_degree + 1)]
     records: list[FamilyRecord] = []
     skipped: list[int] = []
@@ -702,23 +710,22 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
             skipped.append(n)
             continue
         try:
-            pn = solve_monic_eigenvector(mat, lam, n)
+            pn = _back_substitute(rows, lam, n)
         except DegenerateSpectrumError:
             oracle_ok, inconsistent = False, n
             break
         # Hankel vector h_m = inner(P_n, y^m), m <= n, in one pass, as
         # integer numerators over the positive c_den p_den
-        p_nums, p_den = _scaled(pn.coeffs)
+        p_nums, p_den = pn.nums, pn.den
         h = [sum(map(mul, p_nums, c_nums[m:m+n+1])) for m in range(n + 1)]
         norm_sq = Fraction(sum(map(mul, p_nums, h)), c_den*p_den*p_den)
         results = {"eigen_residual_zero": operator.apply(pn) == pn.scale(lam),
                    "gram_matches_eigen": gram[n][0] == pn}
         if family.symmetric:
             results["parity_ok"] = pn.reflect() == pn.scale((-1)**n)
-        nonzero = [(j, x) for j, x in enumerate(h[:n]) if x]
-        results["orthogonal"] = all(
-            sum(r.polynomial.coeff(j)*x for j, x in nonzero) == 0
-            for r in records)
+        lower = h[:n]
+        results["orthogonal"] = not any(lower) or all(
+            not sum(map(mul, r.polynomial.nums, lower)) for r in records)
         extra, extra_ok = family.family_checks(n, pn, norm_sq)
         oracle_ok = oracle_ok and all(results.values()) and extra_ok
         records.append(FamilyRecord(n, lam, pn, norm_sq, {**results, **extra}))

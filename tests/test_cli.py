@@ -217,25 +217,38 @@ def test_verify_gegenbauer_suite_runs_at_the_requested_degree(monkeypatch,
 
 def test_verify_intertwiners_suite_runs_at_the_requested_degree(monkeypatch,
                                                                capsys):
-    from dunklqm import cli
+    from dunklqm import cli, jacobi
     from dunklqm.jacobi import FUZZ_PARAMS
 
     degrees = []
 
     def counted(real):
-        def run_map(params, max_n):
+        def run_map(params, max_n, *ps):
             degrees.append((real.__name__, max_n))
-            return real(params, max_n)
+            return real(params, max_n, *ps)
         return run_map
 
     for name in ("verify_lowering", "verify_raising"):
         monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    built = []
+
+    def counted_sequence(real):
+        def sequence(family, degree):
+            built.append(family)
+            return real(family, degree)
+        return sequence
+
+    for module in (cli, jacobi):
+        monkeypatch.setattr(module, "eigen_sequence",
+                            counted_sequence(module.eigen_sequence))
     code, out, _ = run(["verify", "--suite", "intertwiners", "--degree", "20"],
                        capsys)
     assert code == 0
     assert "oracle checks: pass" in out
     assert degrees == [("verify_lowering", 20), ("verify_raising", 20)] \
         * len(FUZZ_PARAMS)
+    # P_n^(a,b) once per pair, shared by both maps, and each map's targets
+    assert len(built) == 3 * len(FUZZ_PARAMS)
 
 
 @pytest.mark.parametrize("degree", [[], ["--degree", "2"]], ids=["12", "2"])

@@ -80,14 +80,15 @@ MUTANTS = [
     # the operator's diagonal entry at degree n; the lowering and raising
     # maps are checked on those P_n. A wrong eigenvalue formula leaves no
     # P_n to solve for, an oracle failure; errata's raising-map evidence
-    # solves its P_n the same way.
+    # solves its P_n the same way, and its Gegenbauer sign entry solves
+    # P_0..P_2 at the lambda_n that it prints.
     pytest.param(_shifted("eigenvalue", jacobi), (
         "verify --suite jacobi --degree 6",
         "family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 6",
         "verify --suite intertwiners", "errata"), id="jacobi-eigenvalue"),
     pytest.param(_shifted("eigenvalue_geg", gegenbauer, errata), (
         "verify --suite gegenbauer --degree 6",
-        "family --kind gegenbauer --mu 1/2 --alpha 1 --degree 6"),
+        "family --kind gegenbauer --mu 1/2 --alpha 1 --degree 6", "errata"),
         id="gegenbauer-eigenvalue"),
     # The battery compares each closed-form norm with inner(P_n, P_n) summed
     # from the moments.

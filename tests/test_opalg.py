@@ -450,17 +450,20 @@ def test_verify_family_without_inner_calls(monkeypatch):
 # the integer kernels against the Fraction kernels they replaced
 # ---------------------------------------------------------------------------
 
+def _fraction_mul(a, b):
+    if not a or not b:
+        return []
+    out = [F(0)]*(len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, z in enumerate(b):
+            out[i+j] += x*z
+    return out
+
+
 def _fraction_step(prim, cs):
     """One primitive on a list of Fractions, as the Fraction kernels did it."""
     if isinstance(prim, MulPoly):
-        a = prim.poly.coeffs
-        if not a or not cs:
-            return []
-        out = [F(0)]*(len(a) + len(cs) - 1)
-        for i, x in enumerate(a):
-            for j, z in enumerate(cs):
-                out[i+j] += x*z
-        return out
+        return _fraction_mul(prim.poly.coeffs, cs)
     if prim is Diff:
         return [k*c for k, c in enumerate(cs)][1:]
     if prim is Reflect:
@@ -533,8 +536,18 @@ def _fraction_hankel(pn, c):
     return h, sum(a*h[i] for i, a in terms)
 
 
+def assert_canonical(p):
+    """Integer numerators over a positive denominator, in lowest terms and
+    trimmed; the zero Poly is ((), 1)."""
+    assert all(type(x) is int for x in p.nums) and type(p.den) is int
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert p.nums[-1] if p.nums else p.den == 1
+
+
 def assert_same_poly(new, old):
-    """Equal coefficients, each a reduced Fraction, so the text is the same."""
+    """Equal coefficients, each a reduced Fraction, so the text is the same;
+    the new Poly in canonical form."""
+    assert_canonical(new)
     assert all(type(c) is F for c in new.coeffs)
     assert [str(c) for c in new.coeffs] == [str(c) for c in old.coeffs]
 
@@ -575,6 +588,69 @@ operators = st.lists(st.tuples(exact_q, st.lists(primitives, max_size=4)),
          P(F(1, 3), F(3, 4), 0, F(-7, 6)))           # images cancel to zero
 def test_apply_matches_fraction_kernels(op, p):
     assert_same_poly(op.apply(p), _fraction_apply(op, p))
+
+
+def _fraction_poly(cs):
+    """A list of Fractions, trimmed: the old ``Poly.coeffs``."""
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _fraction_combine(a, b, sign):
+    n = max(len(a), len(b))
+    pad = lambda cs: list(cs) + [F(0)]*(n - len(cs))
+    return [x + sign*z for x, z in zip(pad(a), pad(b))]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(exact_q, max_size=7), st.lists(exact_q, max_size=7), exact_q)
+@example([F(1, 2), F(0)], [F(2, 4)], F(0))             # equal after trimming
+@example([F(3, 4), F(-1, 6)], [F(3, 4), F(-1, 6), F(0), F(0)], F(-2, 3))
+def test_poly_arithmetic_matches_fraction_lists(a, b, s):
+    p, q = Poly(a), Poly(b)
+    a, b = _fraction_poly(a), _fraction_poly(b)
+    for poly, ref in ((p, a), (q, b)):
+        assert_canonical(poly)
+        assert poly.coeffs == ref
+        assert poly.degree == (len(ref) - 1 if ref else -math.inf)
+        assert poly.coeff(len(ref)) == 0
+    assert (p == q) == (a == b)
+    assert p == Poly(a + (F(0),)*3)
+    assert hash(p) == hash(Poly(a + (F(0),))) and (p != q or hash(p) == hash(q))
+    odd = [F(0)]*max(len(a) - 1, 0)
+    odd[::2] = [2*c for c in a[1::2]]
+    cases = [(p + q, _fraction_combine(a, b, 1)),
+             (p - q, _fraction_combine(a, b, -1)),
+             (-p, [-c for c in a]),
+             (p * q, _fraction_mul(a, b)),
+             (p.scale(s), [s*c for c in a]),
+             (p.deriv(), [k*c for k, c in enumerate(a)][1:]),
+             (p.reflect(), [-c if k % 2 else c for k, c in enumerate(a)]),
+             (p.odd_over_y(), odd)]
+    for new, ref in cases:
+        assert_canonical(new)
+        assert new.coeffs == _fraction_poly(ref)
+
+
+def test_kernels_build_no_fraction(monkeypatch):
+    """ReflOp.apply, Poly's arithmetic and the back-substitution run on
+    integers: on prebuilt inputs they construct no Fraction."""
+    family = Jacobi1Params(F(1, 2), F(3, 2))
+    op, lam = family.operator(), family.eigenvalue(8)
+    mat = matrix_on_basis(op, 8)
+    p, q, s = construct_eigen(7, family), P(F(1, 3), F(-2, 5), 1), F(-3, 7)
+    built = []
+    real = F.__new__
+    monkeypatch.setattr(F, "__new__", lambda cls, *args, **kw: built.append(
+        args) or real(cls, *args, **kw))
+    assert F(1, 2) and built == [(1, 2)]
+    built.clear()
+    results = [op.apply(p), p * q, p.scale(s), p + q, p - q, -p, p.deriv(),
+               p.reflect(), p.odd_over_y(), solve_monic_eigenvector(mat, lam, 8)]
+    assert built == []
+    assert all(r.nums for r in results)
 
 
 def _triangular(entries, size, below=None):

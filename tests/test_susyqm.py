@@ -327,9 +327,9 @@ def test_raising_map_runs_once_per_parameter_set(monkeypatch):
 
     calls = []
 
-    def counting(params, max_n):
+    def counting(params, max_n, *ps):
         calls.append((params.alpha, params.beta, max_n))
-        return verify_raising(params, max_n)
+        return verify_raising(params, max_n, *ps)
 
     monkeypatch.setattr(cli, "verify_raising", counting)
     assert cli._suite_intertwiners(lambda msg: None, 12) == (True, 31)
