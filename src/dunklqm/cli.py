@@ -6,19 +6,22 @@ one row of its command's table, read by the parser, the dispatch and `main`'s
 one refusal of a parameter that the choice does not read (the answer would be
 to another question; exit 2, before any work).
 
-Exit codes: 0 success, 1 verification failure (a failed oracle check of
-`verify`, `errata` or `family`'s battery, a `spectrum` tolerance miss), 2 usage
-error. The library owns the refusal rules: a ValueError raised while `family`
-builds its parameters or `spectrum` its answer (LAPACK's LinAlgError included)
-prints "error: ..." and exits 2. Rational parameters are passed as exact "p/q"
-strings, negative ones too ("--alpha -1/2"). All output is deterministic for a
-fixed invocation; floats print at 17 significant digits. A closed stdout
-(`dunklqm verify | head -1`) exits 1 with no traceback. Any other failure to
-write the output (a full disk under stdout or --out) prints one "error: cannot
-write output: ..." line and exits 1, with no traceback. --out names a regular
-file or a new one, a symlink counting as its target; it is replaced whole,
-keeping its mode (a new file gets 0o666 less the umask), and anything else
-there (a directory, a FIFO, a device) is refused with exit 2 before any work.
+Exit codes: 0 success, 1 verification failure, 2 usage error. A command
+returns whether its checks passed (a failed oracle check of `verify` or
+`family`'s battery, or a `spectrum` tolerance miss, exits 1), and `main` maps
+an error raised from any command through one table to one "error: ..." line:
+DegenerateSpectrumError (a wrong eigenvalue formula) exits 1; OverflowError,
+FloatingPointError (beyond float range), MemoryError and every other
+ValueError (each refusal, method limits and LinAlgError included) exit 2.
+Rational parameters are passed as exact "p/q" strings, negative ones too
+("--alpha -1/2"). All output is deterministic for a fixed invocation; floats
+print at 17 significant digits. A closed stdout (`dunklqm verify | head -1`)
+exits 1 with no traceback. Any other failure to write the output (a full disk
+under stdout or --out) prints one "error: cannot write output: ..." line and
+exits 1, with no traceback. --out names a regular file or a new one, a
+symlink counting as its target; it is replaced whole, keeping its mode (a new
+file gets 0o666 less the umask), and anything else there (a directory, a
+FIFO, a device) is refused with exit 2 before any work.
 
 The exact layer (exact, opalg, jacobi, gegenbauer) is imported here, with
 every exact suite, and each command imports the float layers it uses. So
@@ -194,10 +197,10 @@ _SYSTEMS = {
 }
 
 
-def _refuse_unread(args) -> bool:
+def _refuse_unread(args) -> None:
     """Fill in the defaults of the parameters that the chosen kind, system or
-    suite reads; for a given parameter that it does not read, print an error
-    and return True. A command with no such choice (errata) reads none."""
+    suite reads; refuse (ValueError) a given parameter that it does not read.
+    A command with no such choice (errata) reads none."""
     option, table, names = getattr(args, "choice_of", (None, {}, ()))
     for name in names:
         choice = getattr(args, option)
@@ -205,39 +208,31 @@ def _refuse_unread(args) -> bool:
             if getattr(args, name) is None:
                 setattr(args, name, table[choice].reads[name])
         elif getattr(args, name) is not None:
-            print(f"error: --{option} {choice} does not read --{name}",
-                  file=sys.stderr)
-            return True
-    return False
+            raise ValueError(f"--{option} {choice} does not read --{name}")
 
 
 # ---------------------------------------------------------------------------
 # family
 # ---------------------------------------------------------------------------
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> bool:
     kind = _KINDS[args.kind]
-    try:
-        params = kind.make(*kind.values(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    params = kind.make(*kind.values(args))
     result = verify_family(params, max(args.degree, 2))
     if result.inconsistent_degree is not None:
         n = result.inconsistent_degree
         print(f"error: the eigenvalue formula fails at {params.label()}: the "
               f"operator has no monic degree-{n} eigenvector at lambda_{n} = "
               f"{params.eigenvalue(n)}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        return False
     degenerate = [n for n in result.skipped_degenerate if n <= args.degree]
     if degenerate:
         n = degenerate[0]
         m = eigenvalue_collision(n, params)
-        print(f"error: degenerate spectrum at {params.label()}: degrees {m} "
-              f"and {n} share the eigenvalue {params.eigenvalue(n)}, so P_{n} "
-              f"is not uniquely defined", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"degenerate spectrum at {params.label()}: degrees "
+                         f"{m} and {n} share the eigenvalue "
+                         f"{params.eigenvalue(n)}, so P_{n} is not uniquely "
+                         f"defined")
     rows = [(r.n, r.polynomial.pretty(), str(r.eigenvalue), str(r.norm_sq))
             for r in result.records[:args.degree + 1]]
     report = result.as_json_dict()
@@ -260,8 +255,7 @@ def cmd_family(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
     if not result.all_oracle_checks_passed:
         print("family oracle checks FAILED", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    return result.all_oracle_checks_passed
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +385,7 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> bool:
     lines = []
 
     def log(msg):
@@ -407,14 +401,14 @@ def cmd_verify(args) -> int:
           f"printed-formula discrepancies: {findings} found")
     if args.out is not None:
         _write_atomic(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return all_ok
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> bool:
     import numpy as np
 
     from .grid import convergence_study
@@ -424,27 +418,14 @@ def cmd_spectrum(args) -> int:
     # no method returns more levels than grid points; refused before the
     # problem builds one closed-form target per level
     if args.levels > args.grids[0]:
-        print(f"error: method limit: {args.levels} levels requested, the "
-              f"coarsest grid has {args.grids[0]} points", file=sys.stderr)
-        return EXIT_USAGE
-    # parameters the problem refuses, method limits, LAPACK failures, values
-    # that leave float range in the targets or on the grid, and grids too
-    # large for memory all exit 2
-    try:
-        with np.errstate(over="raise"):
-            row, make = _SYSTEMS[args.system], getattr(SusySystem, args.system)
-            system = make(row.make(*row.values(args))) if row.make else make()
-            prob = spectrum_problem(system, args.levels)
-            rep = convergence_study(prob, args.grids)
-    except (OverflowError, FloatingPointError) as exc:
-        print(f"error: parameters beyond float range ({exc})", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:
-        print(f"error: out of memory ({exc})", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"method limit: {args.levels} levels requested, the "
+                         f"coarsest grid has {args.grids[0]} points")
+    # a value that leaves float range in the targets or on the grid raises
+    with np.errstate(over="raise"):
+        row, make = _SYSTEMS[args.system], getattr(SusySystem, args.system)
+        system = make(row.make(*row.values(args))) if row.make else make()
+        prob = spectrum_problem(system, args.levels)
+        rep = convergence_study(prob, args.grids)
     tol = args.tol if args.tol is not None else prob.tolerance
     for lv in rep.levels:
         print(f"level {lv['level']}: extrapolated {lv['extrapolated']:.12g} "
@@ -453,25 +434,21 @@ def cmd_spectrum(args) -> int:
         _emit(rep.to_csv(), args.out)
     else:
         _emit(rep.to_json(), args.out)
-    if not rep.all_within_tolerance(tol):
+    passed = rep.all_within_tolerance(tol)
+    if not passed:
         print(f"spectrum check FAILED tolerance {tol:g}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    return passed
 
 
 # ---------------------------------------------------------------------------
 # errata
 # ---------------------------------------------------------------------------
 
-def cmd_errata(args) -> int:
+def cmd_errata(args) -> bool:
     from .errata import errata_json
 
-    try:
-        _emit(errata_json(), args.out)
-    except DegenerateSpectrumError as exc:      # a wrong eigenvalue formula
-        print(f"error: an eigenvalue formula fails: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    _emit(errata_json(), args.out)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +511,18 @@ def _attach_negative_values(argv: list) -> list:
     return out
 
 
+# An error raised from a command -> (exit code, message), first match first:
+# DegenerateSpectrumError, a failed oracle, precedes its base ValueError.
+_ERRORS = {
+    DegenerateSpectrumError: (EXIT_VERIFY_FAILED,
+                              "an eigenvalue formula fails: {}"),
+    **dict.fromkeys((OverflowError, FloatingPointError),
+                    (EXIT_USAGE, "parameters beyond float range ({})")),
+    MemoryError: (EXIT_USAGE, "out of memory ({})"),
+    ValueError: (EXIT_USAGE, "{}"),
+}
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
@@ -542,10 +531,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        if _refuse_unread(args):
-            return EXIT_USAGE
-        code = args.fn(args)
+        _refuse_unread(args)
+        code = EXIT_OK if args.fn(args) else EXIT_VERIFY_FAILED
         sys.stdout.flush()
+        return code
+    except tuple(_ERRORS) as exc:
+        code, form = next(_ERRORS[k] for k in _ERRORS if isinstance(exc, k))
+        print("error: " + form.format(exc), file=sys.stderr)
         return code
     except OSError as exc:
         # a reader that left (broken pipe) exits silently; any other failed

@@ -400,9 +400,12 @@ def matrix_on_basis(op: ReflOp, degree_bound: int):
     return mat
 
 
-def _int_rows(mat) -> list:
-    """Each row of an operator matrix as (integer numerators, denominator)."""
-    return [_scaled(row) for row in mat]
+def _int_rows(mat) -> tuple:
+    """Each row of an operator matrix as (integer numerators, denominator),
+    and the lowest j with op(y^j) above degree j (the matrix size if none)."""
+    rows = [_scaled(row) for row in mat]
+    return rows, min((j for i, (row, _) in enumerate(rows)
+                      for j, x in enumerate(row[:i]) if x), default=len(rows))
 
 
 def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
@@ -417,10 +420,11 @@ def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
     return _back_substitute(_int_rows(mat), lam, n)
 
 
-def _back_substitute(rows, lam, n: int) -> Poly:
+def _back_substitute(int_rows, lam, n: int) -> Poly:
     """``solve_monic_eigenvector`` on the matrix's ``_int_rows``."""
     lam = rat(lam)
-    if any(any(row[:min(i, n + 1)]) for i, (row, _) in enumerate(rows)):
+    rows, raised = int_rows
+    if raised <= n:
         raise DegreeOverflowError(f"operator raises the degree of y^0..y^{n}")
     # row k's diagonal entry minus lam is diag[k]/(row_den lam.denominator)
     ln, ld = lam.numerator, lam.denominator
@@ -625,9 +629,9 @@ def eigen_sequence(family: OrthogonalFamily, degree: int) -> list:
     """[P_0, ..., P_degree] by back-substitution over one operator matrix,
     with None at degrees whose eigenvalue collides with a lower one. The
     sibling of ``gram_sequence``."""
-    rows = _int_rows(matrix_on_basis(family.operator(), degree))
+    int_rows = _int_rows(matrix_on_basis(family.operator(), degree))
     lams = [family.eigenvalue(n) for n in range(degree + 1)]
-    return [None if lam in lams[:n] else _back_substitute(rows, lam, n)
+    return [None if lam in lams[:n] else _back_substitute(int_rows, lam, n)
             for n, lam in enumerate(lams)]
 
 
@@ -700,7 +704,7 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
     c_nums, c_den = _scaled(c)
     operator = family.operator()
     gram = gram_sequence(c, max_degree)
-    rows = _int_rows(matrix_on_basis(operator, max_degree))
+    int_rows = _int_rows(matrix_on_basis(operator, max_degree))
     lams = [family.eigenvalue(n) for n in range(max_degree + 1)]
     records: list[FamilyRecord] = []
     skipped: list[int] = []
@@ -710,7 +714,7 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
             skipped.append(n)
             continue
         try:
-            pn = _back_substitute(rows, lam, n)
+            pn = _back_substitute(int_rows, lam, n)
         except DegenerateSpectrumError:
             oracle_ok, inconsistent = False, n
             break

@@ -8,13 +8,14 @@ Runs every command of ``bench/jobs.py``'s ``all_jobs`` (loaded by path,
 read-only), plus the Gegenbauer (1/2, 1) 1024-4096 and 2048-8192 ladders,
 a fixed set of usage commands (each subcommand's help, the refusals of an
 unread parameter, a bad choice and a bad rational, and one accepted
-negative parameter) and one spectrum per grid path on its smallest grids,
-in both checkouts: each in a fresh ``python -m
-dunklqm`` process whose ``PYTHONPATH`` is that checkout's ``src``, with
-``--out`` to a temporary file, two processes at a time. Prints each
-command whose exit code, stdout, stderr or ``--out`` differs, and exits 1
-if one does, else 0. Both sides run under the same environment, so a
-thread-count setting applies to both alike.
+negative parameter), one spectrum per grid path on its smallest grids and
+the error paths of the CLI's exit table that an input reaches (every row
+but the wrong eigenvalue formula and out of memory), in both checkouts:
+each in a fresh ``python -m dunklqm`` process whose ``PYTHONPATH`` is that
+checkout's ``src``, with ``--out`` to a temporary file, two processes at a
+time. Prints each command whose exit code, stdout, stderr or ``--out``
+differs, and exits 1 if one does, else 0. Both sides run under the same
+environment, so a thread-count setting applies to both alike.
 """
 
 from __future__ import annotations
@@ -46,17 +47,31 @@ EDGES = ("spectrum --system scarf --alpha 1 --beta 3 --levels 1 --grids 2,4,8",
          "spectrum --system scarf --alpha 0 --beta 2 --levels 1 --grids 6,12,24",
          "spectrum --system gegenbauer --mu 1/2 --alpha 1 --levels 1 "
          "--grids 4,8,16")
+# the error paths: OverflowError (in the targets, then on the grid),
+# FloatingPointError, the levels refusal, MethodLimitError on two paths and
+# a refused family parameter
+ERRORS = ("spectrum --system scarf --alpha 1e300 --beta 3 --grids 64,128,256",
+          "spectrum --system gegenbauer --mu 1e300 --alpha 1 "
+          "--grids 64,128,256",
+          "spectrum --system scarf --alpha 1e154 --beta 3 --grids 64,128,256",
+          "spectrum --system oscillator --levels 70 --grids 64,128,256",
+          "spectrum --system scarf --alpha 1 --beta 3 --levels 65 "
+          "--grids 128,256,512",
+          "spectrum --system gegenbauer --mu 1/2 --alpha 1 --levels 40 "
+          "--grids 64,128,256",
+          "family --kind jacobi-m1 --alpha -1")
 
 
 def commands() -> list[str]:
     """The 142 ``all_jobs`` command lines of every workload, then the two
-    Gegenbauer ladders, the usage commands and the edge-size spectra."""
+    Gegenbauer ladders, the usage commands, the edge-size spectra and the
+    error paths."""
     spec = importlib.util.spec_from_file_location("bench_jobs",
                                                   ROOT / "bench" / "jobs.py")
     jobs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(jobs)
     return ([j for w in jobs.WORKLOADS for j in jobs.all_jobs(w)]
-            + list(LADDERS) + list(USAGE) + list(EDGES))
+            + list(LADDERS) + list(USAGE) + list(EDGES) + list(ERRORS))
 
 
 def run(checkout: Path, command: str) -> tuple:

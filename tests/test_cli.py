@@ -16,7 +16,15 @@ import dunklqm
 from dunklqm import gegenbauer, jacobi
 from dunklqm.cli import main
 from dunklqm.gegenbauer import GEG_FUZZ_PARAMS
-from dunklqm.opalg import Diff, MulPoly, Poly, Reflect, ReflOp
+from dunklqm.grid import MethodLimitError
+from dunklqm.opalg import (
+    DegenerateSpectrumError,
+    Diff,
+    MulPoly,
+    Poly,
+    Reflect,
+    ReflOp,
+)
 
 
 def run(argv, capsys):
@@ -551,6 +559,8 @@ def test_negative_rational_as_separate_or_attached_value(capsys):
     ["--system", "scarf", "--alpha", "1", "--beta", "1e300"],
     ["--system", "gegenbauer", "--mu", "1e300", "--alpha", "1"],
     ["--system", "gegenbauer", "--mu", "1/2", "--alpha", "1e300"],
+    # a float, but squared on the grid it overflows (FloatingPointError)
+    ["--system", "scarf", "--alpha", "1e154", "--beta", "3"],
 ])
 def test_spectrum_parameters_beyond_float_range_usage_error(params, capsys):
     code, out, err = run(["spectrum", *params, "--grids", "64,128,256"],
@@ -559,6 +569,69 @@ def test_spectrum_parameters_beyond_float_range_usage_error(params, capsys):
     assert out == ""
     assert err.startswith("error: parameters beyond float range")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, error, code, message", [
+    pytest.param(["errata"], DegenerateSpectrumError, 1,
+                 "an eigenvalue formula fails: {}", id="degenerate"),
+    pytest.param(["verify", "--suite", "exact"], OverflowError, 2,
+                 "parameters beyond float range ({})", id="overflow"),
+    pytest.param(["errata"], FloatingPointError, 2,
+                 "parameters beyond float range ({})", id="floating-point"),
+    pytest.param(["verify", "--suite", "exact"], MemoryError, 2,
+                 "out of memory ({})", id="memory"),
+    pytest.param(["verify", "--suite", "exact"], ValueError, 2, "{}",
+                 id="value"),
+    pytest.param(["errata"], MethodLimitError, 2, "{}",
+                 id="errata-method-limit"),
+])
+def test_a_raised_error_exits_through_its_table_row(argv, error, code,
+                                                     message, monkeypatch,
+                                                     capsys):
+    # each row of the exit table, raised where a command does its work: one
+    # "error:" line, no traceback, and nothing on stdout
+    from dunklqm import cli, errata
+
+    def fail(*args):
+        raise error("the cause")
+
+    monkeypatch.setattr(errata, "errata_json", fail)
+    monkeypatch.setattr(cli._SUITES["exact"], "make", fail)
+    assert run(argv, capsys) == (
+        code, "", "error: " + message.format("the cause") + "\n")
+
+
+def test_commands_return_pass_or_fail_and_only_main_picks_an_exit_code():
+    from dunklqm import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            assert ast.unparse(node.returns) == "bool", node.name
+            assert not any(isinstance(n, ast.Try) for n in ast.walk(node))
+        reads = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                 and isinstance(n.ctx, ast.Load)}
+        if reads & {"EXIT_USAGE", "EXIT_VERIFY_FAILED"}:
+            assert getattr(node, "name", None) == "main" or [
+                t.id for t in getattr(node, "targets", ())] == ["_ERRORS"]
+
+
+@pytest.mark.parametrize("command, passed", [
+    ("family --kind jacobi-m1 --degree 2", True),
+    ("verify --suite exact", True),
+    ("spectrum --system oscillator --levels 1 --grids 256,512,1024", True),
+    ("spectrum --system oscillator --levels 1 --grids 256,512,1024 "
+     "--tol 1e-300", False),
+    ("errata", True),
+])
+def test_each_command_returns_a_bool(command, passed, monkeypatch, capsys):
+    from dunklqm import cli, errata
+
+    monkeypatch.setattr(errata, "errata_json", lambda: "{}")
+    args = cli.build_parser().parse_args(command.split())
+    cli._refuse_unread(args)
+    assert args.fn(args) is passed
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

@@ -81,11 +81,17 @@ MUTANTS = [
     # maps are checked on those P_n. A wrong eigenvalue formula leaves no
     # P_n to solve for, an oracle failure; errata's raising-map evidence
     # solves its P_n the same way, and its Gegenbauer sign entry solves
-    # P_0..P_2 at the lambda_n that it prints.
+    # P_0..P_2 at the lambda_n that it prints. The relations suite's
+    # eigenfunction probe solves P_2 at lambda_2 too, and the Scarf targets
+    # are (lambda_n - (a+b+1))^2/8, each moved by about
+    # |lambda_n - (a+b+1)|/400.
     pytest.param(_shifted("eigenvalue", jacobi), (
         "verify --suite jacobi --degree 6",
         "family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 6",
-        "verify --suite intertwiners", "errata"), id="jacobi-eigenvalue"),
+        "verify --suite intertwiners", "errata", "verify --suite relations",
+        "verify",
+        "spectrum --system scarf --alpha 1 --beta 3 --grids 256,512,1024"),
+        id="jacobi-eigenvalue"),
     pytest.param(_shifted("eigenvalue_geg", gegenbauer, errata), (
         "verify --suite gegenbauer --degree 6",
         "family --kind gegenbauer --mu 1/2 --alpha 1 --degree 6", "errata"),
