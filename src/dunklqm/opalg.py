@@ -20,20 +20,22 @@ On top of the algebra sits the one verification battery shared by every
 orthogonal family. A family (``OrthogonalFamily``) supplies only its own
 math: validated parameters, its operator and eigenvalue formula, and its
 moment formula. The generic code builds the monic family twice, from the
-eigenvalue equation (``eigen_sequence``: one upper-triangular operator
-matrix, one back-substitution per degree) and from the moments alone
-(``gram_sequence``: the three-term recurrence by the Chebyshev algorithm),
-and ``verify_family`` checks that the two constructions agree.
+eigenvalue equation (one builder, ``matrix_on_basis``, reads the operator's
+integer rows from its images of y^j; one driver, ``eigen_sequence``,
+back-substitutes each degree over those rows, and ``construct_eigen`` one
+degree) and from the moments alone (``gram_sequence``: the three-term
+recurrence by the Chebyshev algorithm), and ``verify_family`` checks that
+the two constructions agree. Only the back-substitution finds an eigenvalue
+formula that the operator contradicts; its DegenerateSpectrumError names
+the degree and lambda_n, and no caller in the package catches it.
 
 A ``Poly`` holds its coefficients as integer numerators over one positive
 denominator, in lowest terms, and every kernel reads and returns that form:
-``ReflOp.apply``, ``Poly``'s arithmetic, the back-substitution of
-``solve_monic_eigenvector`` (on an operator matrix's rows read as integers
-once per matrix), the recurrence rows of ``gram_sequence`` and the Hankel
+``ReflOp.apply``, ``Poly``'s arithmetic, the operator rows and their
+back-substitution, the recurrence rows of ``gram_sequence`` and the Hankel
 sums of ``verify_family``. Fractions are built only for readers: a Poly's
-``coeffs`` and ``coeff``, an operator matrix, a moment, a norm or a report
-field. Each is the same reduced rational, with the same text, as exact
-Fraction arithmetic gives.
+``coeffs`` and ``coeff``, a moment, a norm or a report field, each the same
+reduced rational, with the same text, as exact Fraction arithmetic gives.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ __all__ = [
     "dunkl",
     "compose",
     "matrix_on_basis",
-    "solve_monic_eigenvector",
     "DegenerateSpectrumError",
     "OrthogonalFamily",
     "unchecked",
@@ -381,49 +382,40 @@ def dunkl(mu) -> ReflOp:
     return ReflOp([(1, (Diff,)), (rat(mu), (OddOverY,))])
 
 
-def matrix_on_basis(op: ReflOp, degree_bound: int):
-    """(D+1)x(D+1) Fraction matrix of op on the monomial basis 1, y, ..., y^D.
+def matrix_on_basis(op: ReflOp, degree_bound: int) -> tuple:
+    """The rows of op on the monomial basis 1, y, ..., y^D (D the bound),
+    and the lowest j with op(y^j) above degree j (D + 1 if none).
 
-    Column j holds the coefficients of op(y^j). Raises DegreeOverflowError if
-    some image exceeds the bound.
-    """
+    Entry j of row i is the y^i coefficient of op(y^j), read from the
+    image's numerators and denominator; each row is (integer numerators,
+    denominator) over the lcm of its entries' reduced denominators. Raises
+    DegreeOverflowError if some image exceeds the bound."""
     size = degree_bound + 1
-    mat = [[_ZERO]*size for _ in range(size)]
-    for j in range(size):
-        img = op.apply(Poly.monomial(j))
+    cols = [op.apply(Poly.monomial(j)) for j in range(size)]
+    for j, img in enumerate(cols):
         if img.degree > degree_bound:
             raise DegreeOverflowError(
                 f"op(y^{j}) has degree {img.degree} > bound {degree_bound}")
-        for i, x in enumerate(img.nums):
-            if x:
-                mat[i][j] = Fraction(x, img.den)
-    return mat
+    rows = []
+    for i in range(size):
+        entries = [(img.nums[i], img.den) if i < len(img.nums) else (0, 1)
+                   for img in cols]
+        den = math.lcm(*[d // math.gcd(x, d) for x, d in entries])
+        rows.append(([x*den // d for x, d in entries], den))
+    return rows, next((j for j, img in enumerate(cols) if img.degree > j),
+                      size)
 
 
-def _int_rows(mat) -> tuple:
-    """Each row of an operator matrix as (integer numerators, denominator),
-    and the lowest j with op(y^j) above degree j (the matrix size if none)."""
-    rows = [_scaled(row) for row in mat]
-    return rows, min((j for i, (row, _) in enumerate(rows)
-                      for j, x in enumerate(row[:i]) if x), default=len(rows))
-
-
-def solve_monic_eigenvector(mat, lam, n: int) -> Poly:
-    """Monic degree-n polynomial P with (M - lam) P = 0, solved exactly.
-
-    ``mat`` is an operator matrix on 1..y^D, D >= n. A degree-preserving
-    operator makes it upper triangular, so P is a back-substitution from
-    c_n = 1 over the leading (n+1) block. Raises DegreeOverflowError if some
-    y^j, j <= n, maps above degree j, and DegenerateSpectrumError if lam is
-    a diagonal entry below degree n (collision) or not the one at degree n.
+def _back_substitute(matrix, lam, n: int) -> Poly:
+    """Monic degree-n P with (M - lam) P = 0 on ``matrix``, the
+    ``matrix_on_basis`` of an operator M to degree >= n: upper triangular
+    if M keeps degrees, so a back-substitution from c_n = 1. Raises
+    DegreeOverflowError if some y^j, j <= n, maps above degree j, and
+    DegenerateSpectrumError if lam is a diagonal entry below degree n
+    (collision) or not the one at degree n (a wrong eigenvalue formula).
     """
-    return _back_substitute(_int_rows(mat), lam, n)
-
-
-def _back_substitute(int_rows, lam, n: int) -> Poly:
-    """``solve_monic_eigenvector`` on the matrix's ``_int_rows``."""
     lam = rat(lam)
-    rows, raised = int_rows
+    rows, raised = matrix
     if raised <= n:
         raise DegreeOverflowError(f"operator raises the degree of y^0..y^{n}")
     # row k's diagonal entry minus lam is diag[k]/(row_den lam.denominator)
@@ -435,7 +427,8 @@ def _back_substitute(int_rows, lam, n: int) -> Poly:
             f"eigenvalue {lam} is degenerate below degree {n}")
     if diag[n]:
         raise DegenerateSpectrumError(
-            f"no monic eigenvector at eigenvalue {lam} (inconsistent system)")
+            f"no monic degree-{n} eigenvector at lambda_{n} = {lam} "
+            "(inconsistent system)")
     # c_j = nums[j]/dens[j], c_n = 1. Step k multiplies the running
     # denominator by its own factor and records it as dens[k], so dens[j]
     # divides dens[k] for j > k and no step rescales the numerators before
@@ -621,17 +614,17 @@ def construct_eigen(n: int, family: OrthogonalFamily) -> Poly:
     """Monic degree-n eigenvector of the family's operator, by exact
     linear algebra, at a degree that ``check_degree`` accepts."""
     check_degree(n, family)
-    mat = matrix_on_basis(family.operator(), n)
-    return solve_monic_eigenvector(mat, family.eigenvalue(n), n)
+    return _back_substitute(matrix_on_basis(family.operator(), n),
+                            family.eigenvalue(n), n)
 
 
 def eigen_sequence(family: OrthogonalFamily, degree: int) -> list:
     """[P_0, ..., P_degree] by back-substitution over one operator matrix,
     with None at degrees whose eigenvalue collides with a lower one. The
     sibling of ``gram_sequence``."""
-    int_rows = _int_rows(matrix_on_basis(family.operator(), degree))
+    matrix = matrix_on_basis(family.operator(), degree)
     lams = [family.eigenvalue(n) for n in range(degree + 1)]
-    return [None if lam in lams[:n] else _back_substitute(int_rows, lam, n)
+    return [None if lam in lams[:n] else _back_substitute(matrix, lam, n)
             for n, lam in enumerate(lams)]
 
 
@@ -658,9 +651,6 @@ class FamilyReport:
     records: list
     all_oracle_checks_passed: bool
     skipped_degenerate: list = field(default_factory=list)
-    # the degree at which the eigenvalue formula contradicts the operator,
-    # where the battery stopped; None when it holds at every degree
-    inconsistent_degree: int | None = None
 
     def as_json_dict(self) -> dict:
         return {
@@ -684,11 +674,11 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
 
     Per degree: zero residual in the eigenvalue equation, agreement with
     the moment-side recurrence, parity (symmetric families), orthogonality
-    against all lower members, then the family's own checks. Degrees whose
-    eigenvalue collides with a lower one are skipped and listed. Only
-    internal oracle inconsistencies mark the report failed. An eigenvalue
-    formula that the operator contradicts (no monic eigenvector of degree n
-    at lambda_n) is one: the battery stops at that degree and records it.
+    against all lower members, then the family's own checks, on each P_n of
+    ``eigen_sequence``, whose None entries (an eigenvalue that collides with
+    a lower one) are skipped and listed. Only internal oracle
+    inconsistencies mark the report failed; an eigenvalue formula that the
+    operator contradicts raises from the sequence, and makes no report.
 
     Orthogonality and the norm come from one Hankel vector per degree,
     h_m = sum_i p_i c_{m+i} = inner(P_n, y^m), m <= n: a lower member r has
@@ -704,26 +694,19 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
     c_nums, c_den = _scaled(c)
     operator = family.operator()
     gram = gram_sequence(c, max_degree)
-    int_rows = _int_rows(matrix_on_basis(operator, max_degree))
-    lams = [family.eigenvalue(n) for n in range(max_degree + 1)]
-    records: list[FamilyRecord] = []
-    skipped: list[int] = []
-    oracle_ok, inconsistent = True, None
-    for n, lam in enumerate(lams):      # eigen_sequence, stopping at a failure
-        if lam in lams[:n]:
+    records, skipped, oracle_ok = [], [], True
+    for n, pn in enumerate(eigen_sequence(family, max_degree)):
+        if pn is None:
             skipped.append(n)
             continue
-        try:
-            pn = _back_substitute(int_rows, lam, n)
-        except DegenerateSpectrumError:
-            oracle_ok, inconsistent = False, n
-            break
+        image = operator.apply(pn)
+        lam = image.coeff(n)    # the diagonal entry, matched to lambda_n
         # Hankel vector h_m = inner(P_n, y^m), m <= n, in one pass, as
         # integer numerators over the positive c_den p_den
         p_nums, p_den = pn.nums, pn.den
         h = [sum(map(mul, p_nums, c_nums[m:m+n+1])) for m in range(n + 1)]
         norm_sq = Fraction(sum(map(mul, p_nums, h)), c_den*p_den*p_den)
-        results = {"eigen_residual_zero": operator.apply(pn) == pn.scale(lam),
+        results = {"eigen_residual_zero": image == pn.scale(lam),
                    "gram_matches_eigen": gram[n][0] == pn}
         if family.symmetric:
             results["parity_ok"] = pn.reflect() == pn.scale((-1)**n)
@@ -740,5 +723,4 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
         records=records,
         all_oracle_checks_passed=oracle_ok,
         skipped_degenerate=skipped,
-        inconsistent_degree=inconsistent,
     )

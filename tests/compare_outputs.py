@@ -48,12 +48,17 @@ EDGES = ("spectrum --system scarf --alpha 1 --beta 3 --levels 1 --grids 2,4,8",
          "spectrum --system gegenbauer --mu 1/2 --alpha 1 --levels 1 "
          "--grids 4,8,16")
 # the error paths: OverflowError (in the targets, then on the grid),
-# FloatingPointError, the levels refusal, MethodLimitError on two paths and
-# a refused family parameter
+# FloatingPointError (an overflow, then two divisions by an infinite norm),
+# the levels refusal, MethodLimitError on two paths and a refused family
+# parameter
 ERRORS = ("spectrum --system scarf --alpha 1e300 --beta 3 --grids 64,128,256",
           "spectrum --system gegenbauer --mu 1e300 --alpha 1 "
           "--grids 64,128,256",
           "spectrum --system scarf --alpha 1e154 --beta 3 --grids 64,128,256",
+          "spectrum --system gegenbauer --mu 1e100 --alpha 1 "
+          "--grids 64,128,256",
+          "spectrum --system gegenbauer --mu 1/2 --alpha 1e100 "
+          "--grids 64,128,256",
           "spectrum --system oscillator --levels 70 --grids 64,128,256",
           "spectrum --system scarf --alpha 1 --beta 3 --levels 65 "
           "--grids 128,256,512",

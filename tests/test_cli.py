@@ -4,6 +4,7 @@ import ast
 import errno
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -127,27 +128,33 @@ def test_family_exits_1_when_its_oracle_battery_fails(monkeypatch, capsys):
     assert (code, err) == (1, "family oracle checks FAILED\n")
 
 
-@pytest.mark.parametrize("module, name, params, family, suite", [
+@pytest.mark.parametrize("module, name, params, commands", [
     (jacobi, "eigenvalue", jacobi.Jacobi1Params(Fraction(1, 2), Fraction(3, 2)),
-     "family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 6", "jacobi"),
+     ("family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 6",
+      "verify --suite jacobi --degree 6", "verify --suite intertwiners",
+      "errata")),
     (gegenbauer, "eigenvalue_geg",
      gegenbauer.GegParams(Fraction(1, 2), Fraction(1)),
-     "family --kind gegenbauer --mu 1/2 --alpha 1 --degree 6", "gegenbauer")])
+     ("family --kind gegenbauer --mu 1/2 --alpha 1 --degree 6",
+      "verify --suite gegenbauer --degree 6", "errata"))])
 def test_an_inconsistent_eigenvalue_formula_fails_the_oracles(
-        module, name, params, family, suite, monkeypatch, capsys):
+        module, name, params, commands, monkeypatch, capsys):
     # lambda_n + 1/100 at odd n: the operator's diagonal entry at degree 1 is
-    # the unshifted lambda_1, so no monic P_1 exists at the shifted one
+    # the unshifted lambda_1, so no monic P_1 exists at the shifted one, and
+    # every command that solves for it fails with the same one line
     real = getattr(module, name)
-    lam_1 = real(1, params) + Fraction(1, 100)
     monkeypatch.setattr(module, name,
                         lambda n, p: real(n, p) + Fraction(n % 2, 100))
-    assert run(family.split(), capsys) == (
-        1, "", f"error: the eigenvalue formula fails at {params.label()}: the "
-        f"operator has no monic degree-1 eigenvector at lambda_1 = {lam_1}\n")
-    code, out, err = run(["verify", "--suite", suite, "--degree", "6"], capsys)
-    assert (code, err) == (1, "")
-    assert out.splitlines()[0].startswith(f"{suite} (")
-    assert "oracle checks FAIL" in out.splitlines()[0]
+    line = re.compile(r"error: an eigenvalue formula fails: no monic degree-1 "
+                      r"eigenvector at lambda_1 = (\S+) \(inconsistent "
+                      r"system\)\n")
+    results = [run(command.split(), capsys) for command in commands]
+    for command, (code, out, err) in zip(commands, results):
+        assert (code, out, bool(line.fullmatch(err))) == (1, "", True), (
+            command, err)
+    # `family` solves at the parameters it was given
+    lam_1 = line.fullmatch(results[0][2])[1]
+    assert Fraction(lam_1) == real(1, params) + Fraction(1, 100)
 
 
 def test_errata_fails_on_an_inconsistent_eigenvalue_formula(monkeypatch,
@@ -159,8 +166,9 @@ def test_errata_fails_on_an_inconsistent_eigenvalue_formula(monkeypatch,
     monkeypatch.setattr(jacobi, "eigenvalue",
                         lambda n, p: real(n, p) + Fraction(n % 2, 100))
     assert run(["errata"], capsys) == (
-        1, "", "error: an eigenvalue formula fails: no monic eigenvector at "
-        f"eigenvalue {lam_1 + Fraction(1, 100)} (inconsistent system)\n")
+        1, "", "error: an eigenvalue formula fails: no monic degree-1 "
+        f"eigenvector at lambda_1 = {lam_1 + Fraction(1, 100)} (inconsistent "
+        "system)\n")
 
 
 def test_verify_exact_suite(capsys):
@@ -561,14 +569,20 @@ def test_negative_rational_as_separate_or_attached_value(capsys):
     ["--system", "gegenbauer", "--mu", "1/2", "--alpha", "1e300"],
     # a float, but squared on the grid it overflows (FloatingPointError)
     ["--system", "scarf", "--alpha", "1e154", "--beta", "3"],
+    # floats whose grid operator leaves float range in the inverse iteration,
+    # a division by an infinite norm rather than an overflow
+    ["--system", "gegenbauer", "--mu", "1e100", "--alpha", "1"],
+    ["--system", "gegenbauer", "--mu", "1/2", "--alpha", "1e100"],
 ])
-def test_spectrum_parameters_beyond_float_range_usage_error(params, capsys):
+def test_spectrum_parameters_beyond_float_range_usage_error(params, capsys,
+                                                           recwarn):
     code, out, err = run(["spectrum", *params, "--grids", "64,128,256"],
                          capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: parameters beyond float range")
     assert err.count("\n") == 1
+    assert "Warning" not in err and not recwarn.list
 
 
 @pytest.mark.parametrize("argv, error, code, message", [

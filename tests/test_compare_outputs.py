@@ -15,8 +15,8 @@ CHEAP = ["family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 4",
 
 def test_commands_are_every_job_and_the_two_ladders():
     cmds = compare_outputs.commands()
-    assert len(cmds) == len(set(cmds)) == 165
-    assert cmds[-23:] == [*compare_outputs.LADDERS, *compare_outputs.USAGE,
+    assert len(cmds) == len(set(cmds)) == 167
+    assert cmds[-25:] == [*compare_outputs.LADDERS, *compare_outputs.USAGE,
                           *compare_outputs.EDGES, *compare_outputs.ERRORS]
 
 

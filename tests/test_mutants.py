@@ -79,11 +79,12 @@ MUTANTS = [
     # The battery solves each P_n from the operator at lambda_n, which must be
     # the operator's diagonal entry at degree n; the lowering and raising
     # maps are checked on those P_n. A wrong eigenvalue formula leaves no
-    # P_n to solve for, an oracle failure; errata's raising-map evidence
-    # solves its P_n the same way, and its Gegenbauer sign entry solves
-    # P_0..P_2 at the lambda_n that it prints. The relations suite's
-    # eigenfunction probe solves P_2 at lambda_2 too, and the Scarf targets
-    # are (lambda_n - (a+b+1))^2/8, each moved by about
+    # P_n to solve for, an oracle failure that every command raising it
+    # exits 1 on; `verify` runs the Jacobi and Gegenbauer batteries, errata's
+    # raising-map evidence solves its P_n the same way, and its Gegenbauer
+    # sign entry solves P_0..P_2 at the lambda_n that it prints. The
+    # relations suite's eigenfunction probe solves P_2 at lambda_2 too, and
+    # the Scarf targets are (lambda_n - (a+b+1))^2/8, each moved by about
     # |lambda_n - (a+b+1)|/400.
     pytest.param(_shifted("eigenvalue", jacobi), (
         "verify --suite jacobi --degree 6",
@@ -94,7 +95,8 @@ MUTANTS = [
         id="jacobi-eigenvalue"),
     pytest.param(_shifted("eigenvalue_geg", gegenbauer, errata), (
         "verify --suite gegenbauer --degree 6",
-        "family --kind gegenbauer --mu 1/2 --alpha 1 --degree 6", "errata"),
+        "family --kind gegenbauer --mu 1/2 --alpha 1 --degree 6", "errata",
+        "verify"),
         id="gegenbauer-eigenvalue"),
     # The battery compares each closed-form norm with inner(P_n, P_n) summed
     # from the moments.

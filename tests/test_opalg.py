@@ -35,7 +35,6 @@ from dunklqm.opalg import (
     gram_sequence,
     inner,
     matrix_on_basis,
-    solve_monic_eigenvector,
     verify_family,
 )
 
@@ -124,13 +123,28 @@ def test_dunkl_examples():
     assert t.apply(P(0, 0, 1)) == P(0, 2)    # even part drops
 
 
+def _fractions(matrix):
+    """The Fraction matrix of ``matrix_on_basis``'s integer rows."""
+    rows, _ = matrix
+    return [[F(x, den) for x in row] for row, den in rows]
+
+
 def test_matrix_on_basis_examples():
     d = matrix_on_basis(ReflOp.from_primitive(Diff), 2)
-    assert d == [[F(0), F(1), F(0)], [F(0), F(0), F(2)], [F(0), F(0), F(0)]]
+    assert d == ([([0, 1, 0], 1), ([0, 0, 2], 1), ([0, 0, 0], 1)], 3)
     r = matrix_on_basis(ReflOp.from_primitive(Reflect), 2)
-    assert r == [[F(1), F(0), F(0)], [F(0), F(-1), F(0)], [F(0), F(0), F(1)]]
+    assert _fractions(r) == [[F(1), F(0), F(0)], [F(0), F(-1), F(0)],
+                             [F(0), F(0), F(1)]]
     t = matrix_on_basis(dunkl(F(1, 2)), 1)
-    assert t == [[F(0), F(2)], [F(0), F(0)]]
+    assert _fractions(t) == [[F(0), F(2)], [F(0), F(0)]]
+    # each row over the lcm of its entries' reduced denominators
+    half = ReflOp([(F(1, 2), ()), (F(1, 3), (Diff,)), (F(3, 4), (Diff, Diff))])
+    assert matrix_on_basis(half, 2) == ([([3, 2, 9], 6), ([0, 3, 4], 6),
+                                         ([0, 0, 1], 2)], 3)
+    # y^2 y^-1(1-R) takes y to 2 y^2: column 1 is the lowest to leave the
+    # triangle
+    raising = ReflOp([(1, (MulPoly(P(0, 0, 1)), OddOverY))])
+    assert matrix_on_basis(raising, 4)[1] == 1
 
 
 def test_matrix_degree_overflow():
@@ -207,7 +221,7 @@ def test_matrix_functoriality():
             continue
         # functoriality holds when b's images stay within the bound (they do,
         # since mb existed) and a is evaluated on that range
-        assert mab == _mat_mul(ma, mb)
+        assert _fractions(mab) == _mat_mul(_fractions(ma), _fractions(mb))
 
 
 def _mat_mul(a, b):
@@ -307,21 +321,32 @@ def test_construct_eigen_refuses_a_negative_degree():
 
 def test_eigenvalue_formula_disagreeing_with_diagonal_is_refused():
     # y d/dy has eigenvalue 1 on y, not 2
-    with pytest.raises(DegenerateSpectrumError, match="inconsistent"):
+    with pytest.raises(DegenerateSpectrumError,
+                       match=r"^no monic degree-1 eigenvector at lambda_1 = 2 "
+                       r"\(inconsistent system\)$"):
         eigen_sequence(_StubFamily([0, 2]), 1)
     # 1 is the diagonal entry at degree 1: no monic eigenvector of degree 2
     with pytest.raises(DegenerateSpectrumError, match="degenerate below degree 2"):
-        solve_monic_eigenvector(matrix_on_basis(EULER, 2), 1, 2)
+        construct_eigen(2, _StubFamily([0, 5, 1]))
+    # the battery raises the same error, and makes no report
+    class OddShifted(Jacobi1Params):
+        def eigenvalue(self, n):
+            return super().eigenvalue(n) + F(n % 2, 100)
+
+    with pytest.raises(DegenerateSpectrumError,
+                       match="^no monic degree-1 eigenvector at "
+                       "lambda_1 = 801/100 "):
+        verify_family(OddShifted(F(1, 2), F(3, 2)), 4)
 
 
 def test_degree_raising_operator_is_refused():
     # y^2 y^-1(1-R) maps odd y^j to 2 y^(j+1), inside the bound
     raising = ReflOp([(1, (MulPoly(P(0, 0, 1)), OddOverY))])
     stub = _StubFamily(range(5), raising)
-    mat = matrix_on_basis(stub.operator(), 4)
-    assert solve_monic_eigenvector(mat, 0, 0) == Poly.one()
+    assert matrix_on_basis(stub.operator(), 4)[1] == 1
+    assert construct_eigen(0, stub) == Poly.one()
     with pytest.raises(DegreeOverflowError):
-        solve_monic_eigenvector(mat, 1, 1)
+        construct_eigen(1, stub)
     with pytest.raises(DegreeOverflowError):
         eigen_sequence(stub, 4)
     with pytest.raises(DegreeOverflowError):
@@ -486,6 +511,33 @@ def _fraction_apply(op, p):
     return Poly(out)
 
 
+def _fraction_matrix(op, bound):
+    """The Fraction matrix of ``op`` on 1, y, ..., y^bound, column j from
+    the Fraction kernels' image of y^j."""
+    cols = [_fraction_apply(op, Poly.monomial(j)).coeffs
+            for j in range(bound + 1)]
+    return [[col[i] if i < len(col) else F(0) for col in cols]
+            for i in range(bound + 1)]
+
+
+class _MatrixOp:
+    """The operator with a given square Fraction matrix on the monomial
+    basis: the ``op`` that ``matrix_on_basis`` reads it back from."""
+
+    def __init__(self, mat):
+        self.mat = mat
+
+    def apply(self, p):
+        return Poly([sum(row[j]*c for j, c in enumerate(p.coeffs))
+                     for row in self.mat])
+
+
+def _solve(mat, lam, n):
+    """The back-substitution on the integer rows of a Fraction matrix."""
+    return opalg._back_substitute(
+        matrix_on_basis(_MatrixOp(mat), len(mat) - 1), lam, n)
+
+
 def _fraction_solve(mat, lam, n):
     lam = rat(lam)
     if any(mat[i][j] for j in range(n + 1) for i in range(j + 1, len(mat))):
@@ -495,7 +547,8 @@ def _fraction_solve(mat, lam, n):
             f"eigenvalue {lam} is degenerate below degree {n}")
     if mat[n][n] != lam:
         raise DegenerateSpectrumError(
-            f"no monic eigenvector at eigenvalue {lam} (inconsistent system)")
+            f"no monic degree-{n} eigenvector at lambda_{n} = {lam} "
+            "(inconsistent system)")
     coeffs = [F(0)]*n + [F(1)]
     for k in range(n - 1, -1, -1):
         row = mat[k]
@@ -635,11 +688,11 @@ def test_poly_arithmetic_matches_fraction_lists(a, b, s):
 
 
 def test_kernels_build_no_fraction(monkeypatch):
-    """ReflOp.apply, Poly's arithmetic and the back-substitution run on
-    integers: on prebuilt inputs they construct no Fraction."""
+    """ReflOp.apply, Poly's arithmetic, the operator rows and the
+    back-substitution run on integers: on prebuilt inputs they construct no
+    Fraction."""
     family = Jacobi1Params(F(1, 2), F(3, 2))
     op, lam = family.operator(), family.eigenvalue(8)
-    mat = matrix_on_basis(op, 8)
     p, q, s = construct_eigen(7, family), P(F(1, 3), F(-2, 5), 1), F(-3, 7)
     built = []
     real = F.__new__
@@ -647,8 +700,10 @@ def test_kernels_build_no_fraction(monkeypatch):
         args) or real(cls, *args, **kw))
     assert F(1, 2) and built == [(1, 2)]
     built.clear()
+    mat = matrix_on_basis(op, 8)
     results = [op.apply(p), p * q, p.scale(s), p + q, p - q, -p, p.deriv(),
-               p.reflect(), p.odd_over_y(), solve_monic_eigenvector(mat, lam, 8)]
+               p.reflect(), p.odd_over_y(),
+               opalg._back_substitute(mat, lam, 8)]
     assert built == []
     assert all(r.nums for r in results)
 
@@ -679,7 +734,7 @@ def test_solve_matches_fraction_back_substitution(entries, size, below):
     mat = _triangular(entries, size, below)
     for n in range(size):
         for lam in {mat[n][n], mat[0][0], F(7, 3)}:
-            _same_outcome(_outcome(solve_monic_eigenvector, mat, lam, n),
+            _same_outcome(_outcome(_solve, mat, lam, n),
                           _outcome(_fraction_solve, mat, lam, n))
 
 
@@ -696,10 +751,12 @@ families = st.builds(_drawn_family, st.sampled_from(["jacobi", "gegenbauer"]),
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(families, st.integers(2, 14))
 def test_family_kernels_match_fraction_kernels(family, degree):
-    mat = matrix_on_basis(family.operator(), degree)
+    matrix = matrix_on_basis(family.operator(), degree)
+    mat = _fraction_matrix(family.operator(), degree)
+    assert _fractions(matrix) == mat
     for n in range(degree + 1):
         lam = family.eigenvalue(n)
-        _same_outcome(_outcome(solve_monic_eigenvector, mat, lam, n),
+        _same_outcome(_outcome(opalg._back_substitute, matrix, lam, n),
                       _outcome(_fraction_solve, mat, lam, n))
     c = family.moments(2*degree + 1)
     new, old = gram_sequence(c, degree), _fraction_gram(c, degree)

@@ -216,7 +216,8 @@ def test_corrected_x_is_dunkl_on_polynomials():
         p = ScarfParams(a, b)
         lhs = _gauged_on_monomials(intertwiner(p, "X", "corrected"), p, 2, 20,
                                    GAUGE_NODES)
-        rhs = np.array(matrix_on_basis(dunkl(a / 2), 20), dtype=float).T \
+        rows, _ = matrix_on_basis(dunkl(a / 2), 20)
+        rhs = np.array([[x / den for x in row] for row, den in rows]).T \
             @ np.vander(y, 21, increasing=True).T
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
