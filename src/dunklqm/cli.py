@@ -10,10 +10,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage error. A command
 returns whether its checks passed (a failed oracle check of `verify` or
 `family`'s battery, or a `spectrum` tolerance miss, exits 1), and `main` maps
 an error raised from any command through one table to one "error: ..." line:
-DegenerateSpectrumError (a wrong eigenvalue formula, raised by the one exact
+EigenvalueFormulaError (a wrong eigenvalue formula, raised by the one exact
 eigen-solve and caught by no command) exits 1; OverflowError,
 FloatingPointError (beyond float range), MemoryError and every other
-ValueError (each refusal, method limits and LinAlgError included) exit 2.
+ValueError (each refusal, a DegenerateSpectrumError's colliding degree,
+method limits and LinAlgError included) exit 2.
 Rational parameters are passed as exact "p/q" strings, negative ones too
 ("--alpha -1/2"). All output is deterministic for a fixed invocation; floats
 print at 17 significant digits. A closed stdout (`dunklqm verify | head -1`)
@@ -59,9 +60,9 @@ from .gegenbauer import (
 )
 from .jacobi import FUZZ_PARAMS, Jacobi1Params, verify_lowering, verify_raising
 from .opalg import (
-    DegenerateSpectrumError,
+    EigenvalueFormulaError,
+    check_degree,
     eigen_sequence,
-    eigenvalue_collision,
     verify_family,
 )
 
@@ -84,8 +85,6 @@ def _grid_list(text: str) -> list:
         out = [int(t) for t in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid list: {text!r}")
-    if any(n <= 0 or n % 2 for n in out):
-        raise argparse.ArgumentTypeError("grid sizes must be even and positive")
     try:
         return check_doubling_ladder(out)
     except ValueError as exc:
@@ -222,12 +221,7 @@ def cmd_family(args) -> bool:
     result = verify_family(params, max(args.degree, 2))
     degenerate = [n for n in result.skipped_degenerate if n <= args.degree]
     if degenerate:
-        n = degenerate[0]
-        m = eigenvalue_collision(n, params)
-        raise ValueError(f"degenerate spectrum at {params.label()}: degrees "
-                         f"{m} and {n} share the eigenvalue "
-                         f"{params.eigenvalue(n)}, so P_{n} is not uniquely "
-                         f"defined")
+        check_degree(degenerate[0], params)
     rows = [(r.n, r.polynomial.pretty(), str(r.eigenvalue), str(r.norm_sq))
             for r in result.records[:args.degree + 1]]
     report = result.as_json_dict()
@@ -504,10 +498,10 @@ def _attach_negative_values(argv: list) -> list:
 
 
 # An error raised from a command -> (exit code, message), first match first:
-# DegenerateSpectrumError, a failed oracle, precedes its base ValueError.
+# EigenvalueFormulaError, a failed oracle, precedes its base ValueError.
 _ERRORS = {
-    DegenerateSpectrumError: (EXIT_VERIFY_FAILED,
-                              "an eigenvalue formula fails: {}"),
+    EigenvalueFormulaError: (EXIT_VERIFY_FAILED,
+                             "an eigenvalue formula fails: {}"),
     **dict.fromkeys((OverflowError, FloatingPointError),
                     (EXIT_USAGE, "parameters beyond float range ({})")),
     MemoryError: (EXIT_USAGE, "out of memory ({})"),

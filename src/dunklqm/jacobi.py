@@ -41,7 +41,6 @@ from fractions import Fraction
 
 from .exact import hyp_terms, pochhammer, rat
 from .opalg import (
-    DegenerateSpectrumError,
     Diff,
     MulPoly,
     OddOverY,
@@ -49,6 +48,7 @@ from .opalg import (
     Poly,
     Reflect,
     ReflOp,
+    check_degree,
     dunkl,
     eigen_sequence,
     unchecked,
@@ -296,8 +296,7 @@ def _nondegenerate_sequence(family: Jacobi1Params, degree: int,
     ``seq`` (its ``eigen_sequence`` to at least ``degree``) when given."""
     seq = (seq or eigen_sequence(family, degree))[:degree + 1]
     if None in seq:
-        raise DegenerateSpectrumError(
-            f"degree {seq.index(None)} is degenerate at {family.label()}")
+        check_degree(seq.index(None), family)
     return seq
 
 
@@ -307,8 +306,7 @@ def verify_lowering(params: Jacobi1Params, max_n: int, ps=None) -> list:
 
     Returns per-n booleans; all True for every valid parameter pair.
     """
-    if max_n < 0:
-        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    check_degree(max_n, params)
     a, b = params.alpha, params.beta
     ps = _nondegenerate_sequence(params, max_n, ps)
     targets = _nondegenerate_sequence(unchecked(Jacobi1Params, a, b + 2),
@@ -332,8 +330,7 @@ def verify_raising(params: Jacobi1Params, max_n: int,
     target families (possible since the map lands at b - 2) are reported as
     skips (None) in both lists.
     """
-    if max_n < 0:
-        raise ValueError(f"max_n must be nonnegative, got {max_n}")
+    check_degree(max_n, params)
     a, b = params.alpha, params.beta
     ps = _nondegenerate_sequence(params, max_n, ps)
     targets = eigen_sequence(unchecked(Jacobi1Params, a, b - 2), max_n + 1)

@@ -26,8 +26,9 @@ back-substitutes each degree over those rows, and ``construct_eigen`` one
 degree) and from the moments alone (``gram_sequence``: the three-term
 recurrence by the Chebyshev algorithm), and ``verify_family`` checks that
 the two constructions agree. Only the back-substitution finds an eigenvalue
-formula that the operator contradicts; its DegenerateSpectrumError names
-the degree and lambda_n, and no caller in the package catches it.
+formula that the operator contradicts (EigenvalueFormulaError: CLI exit 1);
+only ``check_degree`` refuses a degree whose eigenvalue collides with a lower
+one (DegenerateSpectrumError: exit 2). No caller in the package catches them.
 
 A ``Poly`` holds its coefficients as integer numerators over one positive
 denominator, in lowest terms, and every kernel reads and returns that form:
@@ -62,12 +63,12 @@ __all__ = [
     "compose",
     "matrix_on_basis",
     "DegenerateSpectrumError",
+    "EigenvalueFormulaError",
     "OrthogonalFamily",
     "unchecked",
     "inner",
     "gram_sequence",
     "recurrence_coefficients",
-    "eigenvalue_collision",
     "check_degree",
     "construct_eigen",
     "eigen_sequence",
@@ -83,6 +84,10 @@ class DegreeOverflowError(ValueError):
 
 class DegenerateSpectrumError(ValueError):
     """Requested eigenvalue collides with a lower one; construction refused."""
+
+
+class EigenvalueFormulaError(ValueError):
+    """The operator contradicts the eigenvalue formula: no monic P_n at it."""
 
 
 # Coefficient-list kernels (index k holds the y^k coefficient; trailing zeros
@@ -411,8 +416,8 @@ def _back_substitute(matrix, lam, n: int) -> Poly:
     ``matrix_on_basis`` of an operator M to degree >= n: upper triangular
     if M keeps degrees, so a back-substitution from c_n = 1. Raises
     DegreeOverflowError if some y^j, j <= n, maps above degree j, and
-    DegenerateSpectrumError if lam is a diagonal entry below degree n
-    (collision) or not the one at degree n (a wrong eigenvalue formula).
+    EigenvalueFormulaError if lam is a diagonal entry below degree n or not
+    the one at degree n: either way the eigenvalue formula is wrong.
     """
     lam = rat(lam)
     rows, raised = matrix
@@ -423,10 +428,10 @@ def _back_substitute(matrix, lam, n: int) -> Poly:
     diag = [row[k]*ld - ln*row_den
             for k, (row, row_den) in enumerate(rows[:n + 1])]
     if 0 in diag[:n]:
-        raise DegenerateSpectrumError(
+        raise EigenvalueFormulaError(
             f"eigenvalue {lam} is degenerate below degree {n}")
     if diag[n]:
-        raise DegenerateSpectrumError(
+        raise EigenvalueFormulaError(
             f"no monic degree-{n} eigenvector at lambda_{n} = {lam} "
             "(inconsistent system)")
     # c_j = nums[j]/dens[j], c_n = 1. Step k multiplies the running
@@ -590,12 +595,6 @@ def _three_term(shifted, row, prev, a, b) -> tuple[list, int]:
     return [x // g for x in out], den // g
 
 
-def eigenvalue_collision(n: int, family: OrthogonalFamily) -> int | None:
-    """Lowest degree m < n with lambda_m = lambda_n, or None."""
-    lam = family.eigenvalue(n)
-    return next((m for m in range(n) if family.eigenvalue(m) == lam), None)
-
-
 def check_degree(n: int, family: OrthogonalFamily) -> None:
     """Refuse a degree at which P_n is not defined: a negative one
     (ValueError), or one whose eigenvalue collides with a lower one
@@ -603,11 +602,12 @@ def check_degree(n: int, family: OrthogonalFamily) -> None:
     defined and we report rather than pick."""
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
-    m = eigenvalue_collision(n, family)
+    lam = family.eigenvalue(n)
+    m = next((m for m in range(n) if family.eigenvalue(m) == lam), None)
     if m is not None:
         raise DegenerateSpectrumError(
-            f"lambda_{n} = lambda_{m} = {family.eigenvalue(n)} at "
-            f"{family.label()}")
+            f"degenerate spectrum at {family.label()}: degrees {m} and {n} "
+            f"share the eigenvalue {lam}, so P_{n} is not uniquely defined")
 
 
 def construct_eigen(n: int, family: OrthogonalFamily) -> Poly:

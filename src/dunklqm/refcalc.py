@@ -96,9 +96,11 @@ def estimate_order(values: Sequence[float]) -> float:
 
 def check_doubling_ladder(n_list: Sequence[int]) -> list:
     """``n_list`` as a list if it is a doubling ladder N, 2N, 4N, ... of at
-    least three grid sizes, else ValueError: the Richardson steps and the
-    order estimates assume a ratio of 2 and need three values."""
+    least three even positive grid sizes, else ValueError: the Richardson
+    steps and the order estimates assume a ratio of 2 and need three values."""
     n_list = list(n_list)
+    if any(n <= 0 or n % 2 for n in n_list):
+        raise ValueError("grid sizes must be even and positive")
     if len(n_list) < 3:
         raise ValueError("need at least three grid sizes")
     if any(b != 2 * a for a, b in zip(n_list, n_list[1:])):

@@ -40,7 +40,7 @@ import numpy as np
 from . import refcalc as refc
 from .exact import beta_num, pochhammer
 from .gegenbauer import GegParams, HermiteParams, oscillator_energy
-from .jacobi import Jacobi1Params
+from .jacobi import Jacobi1Params, supercharge_eigenvalue_scaled
 from .opalg import (
     OrthogonalFamily,
     check_degree,
@@ -146,9 +146,8 @@ class SusySystem:
     @classmethod
     def scarf(cls, params: ScarfParams) -> SusySystem:
         """y = sin x, g = Psi_0 = N_0 |sin x|^(a/2) cos^(b/2) x (1 + sin x)^(1/2)
-        and E_n = (lambda_n - (a+b+1))^2/8."""
+        and E_n = q_n^2 = ``supercharge_eigenvalue_scaled``(n)^2/8."""
         a, b = float(params.alpha), float(params.beta)
-        shift = params.alpha + params.beta + 1
 
         def ground(x):
             s = np.sin(x)
@@ -159,7 +158,8 @@ class SusySystem:
         # clamp to [1, 2] leaves 2a < 1 uneliminated (ROADMAP item 2)
         lead = min(2.0, max(1.0, 2.0 * a))
         return cls("scarf", params.params_json(), params, np.sin, math.pi / 2,
-                   ground, 1.0, lambda n, lam: (lam - shift) ** 2 / 8,
+                   ground, 1.0,
+                   lambda n, _: supercharge_eigenvalue_scaled(n, params) ** 2 / 8,
                    scarf_potential(params), None, 1e-6, (lead, 2.0))
 
     @classmethod

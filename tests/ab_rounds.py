@@ -20,7 +20,6 @@ setting applies to both alike.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import subprocess
@@ -28,6 +27,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from load_path import load_path
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,11 +55,7 @@ with tempfile.TemporaryDirectory() as work:
 
 
 def _jobs_module():
-    spec = importlib.util.spec_from_file_location("bench_jobs",
-                                                  ROOT / "bench" / "jobs.py")
-    jobs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(jobs)
-    return jobs
+    return load_path("bench_jobs", ROOT / "bench" / "jobs.py")
 
 
 class Worker:

@@ -21,7 +21,6 @@ environment, so a thread-count setting applies to both alike.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import os
 import shlex
 import subprocess
@@ -29,6 +28,8 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+from load_path import load_path
 
 ROOT = Path(__file__).resolve().parents[1]
 LADDERS = tuple(f"spectrum --system gegenbauer --mu 1/2 --alpha 1 --grids {g}"
@@ -71,10 +72,7 @@ def commands() -> list[str]:
     """The 142 ``all_jobs`` command lines of every workload, then the two
     Gegenbauer ladders, the usage commands, the edge-size spectra and the
     error paths."""
-    spec = importlib.util.spec_from_file_location("bench_jobs",
-                                                  ROOT / "bench" / "jobs.py")
-    jobs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(jobs)
+    jobs = load_path("bench_jobs", ROOT / "bench" / "jobs.py")
     return ([j for w in jobs.WORKLOADS for j in jobs.all_jobs(w)]
             + list(LADDERS) + list(USAGE) + list(EDGES) + list(ERRORS))
 

@@ -18,32 +18,21 @@ relative move, splitting each output as ``bench/refcheck.py``'s
 from __future__ import annotations
 
 import contextlib
-import importlib.util
 import io
 import os
 import sys
 import tempfile
 from pathlib import Path
 
+from load_path import load_path
+
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
 
 
-def _load(name: str, path: Path):
-    """Load a module by path; sys.path is left as it was."""
-    saved = list(sys.path)
-    try:
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = saved
-    return module
-
-
 def commands() -> dict:
     """{file name: (argv, expected exit code)} for every recordable file."""
-    cases = _load("golden_cases", TESTS / "test_golden.py")
+    cases = load_path("golden_cases", TESTS / "test_golden.py")
     out = {name: (argv, 0) for name, argv in cases.CASES.items()}
     for name, (argv, code) in cases.SPECTRUM_CASES.items():
         out[name] = (cases.spectrum_argv(argv), code)
@@ -54,7 +43,7 @@ def compare(old: str, new: str) -> str:
     """One line on what moved between two outputs of the same command."""
     if old == new:
         return "unchanged (byte-identical)"
-    canonical = _load("bench_refcheck",
+    canonical = load_path("bench_refcheck",
                       TESTS.parent / "bench" / "refcheck.py").canonical
     a, b = canonical(old), canonical(new)
     if a["sha256"] != b["sha256"]:

@@ -1,13 +1,11 @@
 """Self-test of ``tests/ab_rounds.py``, loaded by path."""
 
-import importlib.util
 from pathlib import Path
 
+from load_path import load_path
+
 TESTS = Path(__file__).resolve().parent
-spec = importlib.util.spec_from_file_location("ab_rounds",
-                                              TESTS / "ab_rounds.py")
-ab_rounds = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(ab_rounds)
+ab_rounds = load_path("ab_rounds", TESTS / "ab_rounds.py")
 
 
 def test_one_round_against_this_checkout(capsys):

@@ -12,32 +12,19 @@ benchmark counts them apart. The bench modules load by path, as
 ``tests/test_tracer.py`` loads the tracer.
 """
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
+from load_path import load_path
 
 from dunklqm import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load(name):
-    """Load ``bench/<name>.py`` by path; sys.path is left as it was."""
-    path = list(sys.path)
-    try:
-        spec = importlib.util.spec_from_file_location(f"bench_{name}",
-                                                      BENCH / f"{name}.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = path
-    return module
-
-
-worker, refcheck, jobs = _load("worker"), _load("refcheck"), _load("jobs")
+worker, refcheck, jobs = (load_path(f"bench_{name}", BENCH / f"{name}.py")
+                          for name in ("worker", "refcheck", "jobs"))
 REFS = {w: json.loads((BENCH / "refs" / f"{w}.json").read_text())["jobs"]
         for w in ("verify-errata", "grid-spectra")}
 

@@ -21,6 +21,7 @@ from dunklqm.grid import MethodLimitError
 from dunklqm.opalg import (
     DegenerateSpectrumError,
     Diff,
+    EigenvalueFormulaError,
     MulPoly,
     Poly,
     Reflect,
@@ -347,7 +348,8 @@ def test_spectrum_bad_levels_or_grids_usage_error(flags, named, capsys):
     assert "error:" in err and named in err
 
 
-@pytest.mark.parametrize("grids", ["512", "64,64,128", "64,128,512"])
+@pytest.mark.parametrize("grids", ["512", "64,64,128", "64,128,512",
+                                   "63,126,252", "0,0,0"])
 def test_grid_ladder_refused_with_the_library_message(grids, capsys):
     from dunklqm.refcalc import check_doubling_ladder
 
@@ -586,8 +588,11 @@ def test_spectrum_parameters_beyond_float_range_usage_error(params, capsys,
 
 
 @pytest.mark.parametrize("argv, error, code, message", [
-    pytest.param(["errata"], DegenerateSpectrumError, 1,
-                 "an eigenvalue formula fails: {}", id="degenerate"),
+    # a colliding degree is a refusal, a contradicted formula a failed oracle
+    pytest.param(["errata"], DegenerateSpectrumError, 2, "{}",
+                 id="degenerate"),
+    pytest.param(["errata"], EigenvalueFormulaError, 1,
+                 "an eigenvalue formula fails: {}", id="eigenvalue-formula"),
     pytest.param(["verify", "--suite", "exact"], OverflowError, 2,
                  "parameters beyond float range ({})", id="overflow"),
     pytest.param(["errata"], FloatingPointError, 2,

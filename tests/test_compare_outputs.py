@@ -1,13 +1,11 @@
 """Self-tests of ``tests/compare_outputs.py``, loaded by path."""
 
-import importlib.util
 from pathlib import Path
 
+from load_path import load_path
+
 TESTS = Path(__file__).resolve().parent
-spec = importlib.util.spec_from_file_location("compare_outputs",
-                                              TESTS / "compare_outputs.py")
-compare_outputs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(compare_outputs)
+compare_outputs = load_path("compare_outputs", TESTS / "compare_outputs.py")
 
 CHEAP = ["family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 4",
          "verify --suite jacobi --degree 4"]

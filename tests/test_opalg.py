@@ -1,9 +1,11 @@
 """Tests for the polynomial / reflection-operator algebra."""
 
+import ast
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +24,14 @@ from dunklqm.opalg import (
     DegenerateSpectrumError,
     DegreeOverflowError,
     Diff,
+    EigenvalueFormulaError,
     MulPoly,
     OddOverY,
     OrthogonalFamily,
     Poly,
     Reflect,
     ReflOp,
+    check_degree,
     compose,
     construct_eigen,
     dunkl,
@@ -35,6 +39,7 @@ from dunklqm.opalg import (
     gram_sequence,
     inner,
     matrix_on_basis,
+    unchecked,
     verify_family,
 )
 
@@ -319,21 +324,48 @@ def test_construct_eigen_refuses_a_negative_degree():
     assert eigen_sequence(Jacobi1Params(1, 3), -1) == []
 
 
+def test_check_degree_alone_refuses_a_collision():
+    # at (0, -2) lambda_1 = lambda_0 = 0: P_1 is not uniquely defined, a
+    # refusal rather than a failed formula, whichever caller asks
+    family = unchecked(Jacobi1Params, 0, -2)
+    message = ("^degenerate spectrum at alpha=0, beta=-2: degrees 0 and 1 "
+               "share the eigenvalue 0, so P_1 is not uniquely defined$")
+    for call in (check_degree, construct_eigen):
+        with pytest.raises(DegenerateSpectrumError, match=message) as refused:
+            call(1, family)
+        assert not isinstance(refused.value, EigenvalueFormulaError)
+
+
+def test_each_exact_layer_error_has_one_raiser():
+    raisers = {}
+    for path in Path(opalg.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Raise)
+                            and isinstance(node.exc, ast.Call)
+                            and isinstance(node.exc.func, ast.Name)):
+                        raisers.setdefault(node.exc.func.id, set()).add(
+                            fn.name)
+    assert raisers["DegenerateSpectrumError"] == {"check_degree"}
+    assert raisers["EigenvalueFormulaError"] == {"_back_substitute"}
+
+
 def test_eigenvalue_formula_disagreeing_with_diagonal_is_refused():
     # y d/dy has eigenvalue 1 on y, not 2
-    with pytest.raises(DegenerateSpectrumError,
+    with pytest.raises(EigenvalueFormulaError,
                        match=r"^no monic degree-1 eigenvector at lambda_1 = 2 "
                        r"\(inconsistent system\)$"):
         eigen_sequence(_StubFamily([0, 2]), 1)
     # 1 is the diagonal entry at degree 1: no monic eigenvector of degree 2
-    with pytest.raises(DegenerateSpectrumError, match="degenerate below degree 2"):
+    with pytest.raises(EigenvalueFormulaError, match="degenerate below degree 2"):
         construct_eigen(2, _StubFamily([0, 5, 1]))
     # the battery raises the same error, and makes no report
     class OddShifted(Jacobi1Params):
         def eigenvalue(self, n):
             return super().eigenvalue(n) + F(n % 2, 100)
 
-    with pytest.raises(DegenerateSpectrumError,
+    with pytest.raises(EigenvalueFormulaError,
                        match="^no monic degree-1 eigenvector at "
                        "lambda_1 = 801/100 "):
         verify_family(OddShifted(F(1, 2), F(3, 2)), 4)
@@ -543,10 +575,10 @@ def _fraction_solve(mat, lam, n):
     if any(mat[i][j] for j in range(n + 1) for i in range(j + 1, len(mat))):
         raise DegreeOverflowError(f"operator raises the degree of y^0..y^{n}")
     if any(mat[k][k] == lam for k in range(n)):
-        raise DegenerateSpectrumError(
+        raise EigenvalueFormulaError(
             f"eigenvalue {lam} is degenerate below degree {n}")
     if mat[n][n] != lam:
-        raise DegenerateSpectrumError(
+        raise EigenvalueFormulaError(
             f"no monic degree-{n} eigenvector at lambda_{n} = {lam} "
             "(inconsistent system)")
     coeffs = [F(0)]*n + [F(1)]
@@ -608,7 +640,7 @@ def assert_same_poly(new, old):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (DegreeOverflowError, DegenerateSpectrumError,
+    except (DegreeOverflowError, EigenvalueFormulaError,
             ZeroDivisionError) as exc:
         return type(exc), str(exc)
 

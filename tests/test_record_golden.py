@@ -2,18 +2,15 @@
 re-record of one file rewrites that file only, and names outside the golden
 cases are refused before anything runs."""
 
-import importlib.util
 import json
 import shutil
 from pathlib import Path
 
 import pytest
+from load_path import load_path
 
 TESTS = Path(__file__).resolve().parent
-spec = importlib.util.spec_from_file_location("record_golden",
-                                              TESTS / "record_golden.py")
-record_golden = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(record_golden)
+record_golden = load_path("record_golden", TESTS / "record_golden.py")
 
 
 def _snapshot(directory: Path) -> dict:

@@ -10,7 +10,8 @@ import pytest
 
 from dunklqm import susyqm
 from dunklqm.opalg import unchecked
-from dunklqm.refcalc import Chain, CoeffFn, FirstOrderRefOp, Grid, ProbeFn
+from dunklqm.refcalc import (Chain, CoeffFn, FirstOrderRefOp, Grid, ProbeFn,
+                             check_doubling_ladder)
 from dunklqm.susyqm import _TEST_FNS, ScarfParams, intertwiner, scarf_potential
 
 U = ProbeFn(
@@ -313,3 +314,19 @@ def test_relation_residuals_match_hand_expanded_table_bitwise(ab, monkeypatch):
         for u in _TEST_FNS.values():
             assert ((residual.apply(u, x) + 0.0).tobytes()
                     == (_ref_apply(ref, u, x) + 0.0).tobytes())
+
+
+@pytest.mark.parametrize("grids", [[63, 126, 252], [0, 0, 0], [-8, -16, -32]])
+def test_ladder_check_refuses_an_odd_or_nonpositive_size_before_any_grid(grids):
+    # each is a doubling ladder; the size rule refuses it first, in the
+    # ladder's words rather than a Grid's ("grid size must ...")
+    from dunklqm.grid import convergence_study
+    from dunklqm.spectra import spectrum_problem
+
+    problem = spectrum_problem(susyqm.SusySystem.oscillator(), 1)
+    for check in (check_doubling_ladder, lambda g: convergence_study(problem, g),
+                  lambda g: susyqm.verify_operator_relations(
+                      ScarfParams(F(0), F(1)), g)):
+        with pytest.raises(ValueError,
+                           match="^grid sizes must be even and positive$"):
+            check(grids)

@@ -257,9 +257,9 @@ def test_raising_map_corrected_scalar():
 def test_maps_refuse_a_degenerate_source_family():
     # at (0, -2) lambda_1 = lambda_0 = 0, so P_1 of the source is undefined
     p = unchecked(ScarfParams, 0, -2)
-    with pytest.raises(DegenerateSpectrumError, match="degree 1 "):
+    with pytest.raises(DegenerateSpectrumError, match="degrees 0 and 1 "):
         verify_lowering(p, 4)
-    with pytest.raises(DegenerateSpectrumError, match="degree 1 "):
+    with pytest.raises(DegenerateSpectrumError, match="degrees 0 and 1 "):
         verify_raising(p, 4)
 
 
@@ -282,7 +282,8 @@ def test_wavefunction_refuses_a_negative_level():
 
 def test_wavefunction_refuses_a_colliding_level():
     # at a + b = -2, lambda_1 = 2 (1 + a + b + 1) = 0 = lambda_0
-    with pytest.raises(DegenerateSpectrumError, match="lambda_1 = lambda_0"):
+    with pytest.raises(DegenerateSpectrumError, match="degrees 0 and 1 share "
+                       "the eigenvalue 0, so P_1 is not uniquely defined"):
         wavefunction_fn(1, unchecked(ScarfParams, 0, -2))
 
 
