@@ -13,10 +13,10 @@ that ordering; dense rows are gathered from the band only on request
 (:meth:`GridOperator.gather_rows`). A stencil operator is a list of terms,
 each a node shift, whether it acts after R, and a coefficient array, banded
 by one constructor that sums each element's terms in the listed order: that
-order keeps the bits of a dense construction. An operator defined as a
-dense matrix product is banded from blocks of its rows
-(:meth:`GridOperator.from_rows`), 64 to 192 rows each, in mirror pairs, so
-the N x N product is never held whole.
+order keeps the bits of a dense construction. The Gegenbauer operator
+2 Q @ Q + corrections, defined by a BLAS product, is banded straight from
+that product's blocks of rows (:meth:`GridOperator.composite`), 64 to 192
+rows each, in mirror pairs, so the N x N product is never held whole.
 
 Operators whose scalar potential carries an attractive ~ -c/x^2 core (the
 reflection families at alpha > 0) cannot be diagonalized from the directly
@@ -112,8 +112,8 @@ def _pair_band(entry: Callable, n: int, bandwidth: int) -> np.ndarray:
     return band[top:]
 
 
-# rows per block that GridOperator.from_rows asks for; smaller blocks
-# broke the bits of the Gegenbauer product (spectra)
+# rows per block of GridOperator.composite's product; smaller blocks
+# broke the bits of the Gegenbauer product
 _BLOCK_ROWS = 64
 
 
@@ -147,45 +147,58 @@ class GridOperator:
     grid: Grid
 
     @classmethod
-    def from_rows(cls, rows: Callable, grid: Grid,
-                  bandwidth: int) -> "GridOperator":
-        """Symmetric part (M + M^T)/2 of a node-ordered N x N matrix M whose
-        pair-ordered bandwidth is at most ``bandwidth``, read one block of
-        rows at a time: ``rows(r0, r1)`` returns ``M[r0:r1]``.
+    def composite(cls, q: "GridOperator", diag: np.ndarray,
+                  refl: np.ndarray) -> "GridOperator":
+        """Symmetric part (M + M^T)/2 of M = 2 Q @ Q + diag + refl R, with
+        Q @ Q the BLAS product of the node-ordered supercharge ``q`` (a
+        banded Q^2 moves the levels by ~1e-10); M has pair bandwidth 4.
 
-        The blocks come in mirror pairs, each block of the lower half right
-        before its mirror image, and a middle block that is its own mirror
-        last (``_row_blocks``): 64 rows each, the middle one 65 to 192 (or
-        all N <= 192). Each is dropped once its entries within the pair
-        bandwidth are kept, so M is never held whole. The band holds
-        ``0.5 * (M[i, j] + M[j, i])`` for every pair-ordered neighbour pair
-        (i, j). A block of the wrong shape raises ValueError.
+        M is formed one block of rows at a time (``_row_blocks``), and only
+        each row's 9 entries within the pair bandwidth are kept. The rows of
+        mirror pairs lo .. hi - 1 read only Q's rows of pairs lo - 2 ..
+        hi + 1 (pair bandwidth 3), and their band entries lie in those
+        pairs' columns: the block is Q[r0:r1] @ O, O those rows and columns
+        of Q and zeros in the other rows, so the inner dimension stays N and
+        a zero factor adds nothing. The window keeps node order and grows
+        to a multiple of 4 pairs where N allows, which kept OpenBLAS's bits
+        at every N tried (README). Each entry is 2.0 times its product,
+        plus diag[i] at column i, then plus refl[i] at column N - 1 - i.
         """
-        n = grid.n
+        n = q.n
         perm = _pair_permutation(n)
         pos = np.empty(n, dtype=int)
         pos[perm] = np.arange(n)
-        bw = min(bandwidth, n - 1)
+        bw = min(4, n - 1)
         offsets = np.arange(-bw, bw + 1)
         # near[i, bw + d] = M[i, perm[pos[i] + d]], zero past either end
         near = np.zeros((n, 2 * bw + 1))
         for r0, r1 in _row_blocks(n):
-            block = rows(r0, r1)
-            if np.shape(block) != (r1 - r0, n):
-                raise ValueError(f"rows({r0}, {r1}) returned shape "
-                                 f"{np.shape(block)}, expected {(r1 - r0, n)}")
-            at = pos[r0:r1, None] + offsets
+            lo, hi = min(r0, n - r1), min(r1, n - r0, n // 2)
+            p0, p1 = max(lo - 2, 0), min(hi + 2, n // 2)
+            p1 = min(p1 + (p0 - p1) % 4, n // 2)
+            p0 = max(p0 - (p0 - p1) % 4, 0)
+            p = np.arange(p0, p1)
+            cols = np.concatenate([p, n - 1 - p[::-1]])
+            o = np.zeros((n, len(cols)))
+            o[cols] = q.gather_rows(cols)[:, cols]
+            i = np.arange(r0, r1)
+            prod = q.gather_rows(i) @ o
+            # column of prod holding each node of the window
+            win = np.zeros(n, dtype=int)
+            win[cols] = np.arange(len(cols))
+            at = pos[i, None] + offsets
             inside = (at >= 0) & (at < n)
-            cols = perm[np.where(inside, at, 0)]
-            near[r0:r1] = np.where(inside,
-                                   np.take_along_axis(block, cols, axis=1), 0.0)
-            del block
+            near[i] = np.where(inside, 2.0 * np.take_along_axis(
+                prod, win[perm[np.where(inside, at, 0)]], axis=1), 0.0)
+            near[i, bw] += diag[i]
+            # the mirror N - 1 - i is after i in the lower half, else before
+            near[i, bw + np.where(i < n // 2, 1, -1)] += refl[i]
 
         def entry(i, j):
             d = pos[j] - pos[i]
             return 0.5 * (near[i, bw + d] + near[j, bw - d])
 
-        return cls(_pair_band(entry, n, bandwidth), grid)
+        return cls(_pair_band(entry, n, 4), q.grid)
 
     @property
     def n(self) -> int:

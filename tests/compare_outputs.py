@@ -5,17 +5,19 @@ Usage, from the repository root:
     python tests/compare_outputs.py OTHER_CHECKOUT
 
 Runs every command of ``bench/jobs.py``'s ``all_jobs`` (loaded by path,
-read-only), plus the Gegenbauer (1/2, 1) 1024-4096 and 2048-8192 ladders,
-a fixed set of usage commands (each subcommand's help, the refusals of an
-unread parameter, a bad choice and a bad rational, and one accepted
-negative parameter), one spectrum per grid path on its smallest grids and
-the error paths of the CLI's exit table that an input reaches (every row
-but the wrong eigenvalue formula and out of memory), in both checkouts:
-each in a fresh ``python -m dunklqm`` process whose ``PYTHONPATH`` is that
-checkout's ``src``, with ``--out`` to a temporary file, two processes at a
-time. Prints each command whose exit code, stdout, stderr or ``--out``
-differs, and exits 1 if one does, else 0. Both sides run under the same
-environment, so a thread-count setting applies to both alike.
+read-only), plus the Gegenbauer (1/2, 1) 1024-4096, 2048-8192 and 300-1200
+ladders (at N = 600 the product's bits differ between 1 and 2 BLAS threads,
+and no golden covers that ladder), a fixed set of usage commands (each
+subcommand's help, the refusals of an unread parameter, a bad choice and a
+bad rational, and one accepted negative parameter), one spectrum per grid
+path on its smallest grids and the error paths of the CLI's exit table that
+an input reaches (every row but the wrong eigenvalue formula and out of
+memory), in both checkouts: each in a fresh ``python -m dunklqm`` process
+whose ``PYTHONPATH`` is that checkout's ``src``, with ``--out`` to a
+temporary file, two processes at a time. Prints each command whose exit
+code, stdout, stderr or ``--out`` differs, and exits 1 if one does, else 0.
+Both sides run under the same environment, so a thread-count setting
+applies to both alike.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from load_path import load_path
 
 ROOT = Path(__file__).resolve().parents[1]
 LADDERS = tuple(f"spectrum --system gegenbauer --mu 1/2 --alpha 1 --grids {g}"
-                for g in ("1024,2048,4096", "2048,4096,8192"))
+                for g in ("1024,2048,4096", "2048,4096,8192",
+                          "300,600,1200"))
 USAGE = ("family --help", "verify --help", "spectrum --help", "errata --help",
          "family --kind jacobi-m1 --mu 2",
          "spectrum --system oscillator --alpha 3",
@@ -69,7 +72,7 @@ ERRORS = ("spectrum --system scarf --alpha 1e300 --beta 3 --grids 64,128,256",
 
 
 def commands() -> list[str]:
-    """The 142 ``all_jobs`` command lines of every workload, then the two
+    """The 142 ``all_jobs`` command lines of every workload, then the three
     Gegenbauer ladders, the usage commands, the edge-size spectra and the
     error paths."""
     jobs = load_path("bench_jobs", ROOT / "bench" / "jobs.py")

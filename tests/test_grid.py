@@ -860,7 +860,7 @@ def test_gegenbauer_band_equals_dense_construction_on_one_blas_thread(n):
     pytest.param(2048, None, [b for r in range(0, 960, 64)
                               for b in ((r, r + 64), (1984 - r, 2048 - r))]
                  + [(960, 1088)], id="2048"),
-    # from_rows itself takes any height: single rows, then a 2-row middle
+    # other heights: single rows, then a 2-row middle
     pytest.param(6, 1, [(0, 1), (5, 6), (1, 2), (4, 5), (2, 4)],
                  id="6-single-rows"),
     # five-row blocks in mirror pairs, then a 14-row middle block
@@ -868,25 +868,12 @@ def test_gegenbauer_band_equals_dense_construction_on_one_blas_thread(n):
                          for b in ((r, r + 5), (59 - r, 64 - r))]
                  + [(25, 39)], id="64-five-rows"),
 ])
-def test_from_rows_equals_symmetrized_dense_band(n, height, blocks,
-                                                 monkeypatch):
-    # M is not symmetric; every row is asked for once, in mirror pairs
+def test_row_blocks_come_in_mirror_pairs(n, height, blocks, monkeypatch):
+    # the block layout that keeps the bits of the Gegenbauer product: every
+    # row once, each lower-half block right before its mirror image
     if height is not None:
         monkeypatch.setattr(gridmod, "_BLOCK_ROWS", height)
-    bw = 3
-    rng = np.random.default_rng(n)
-    pair = np.triu(np.tril(rng.standard_normal((n, n)), bw), -bw)
-    order = [i for p in range(n // 2) for i in (p, n - 1 - p)]
-    m = np.empty((n, n))
-    m[np.ix_(order, order)] = pair
-    asked = []
-    op = gridmod.GridOperator.from_rows(
-        lambda r0, r1: asked.append((r0, r1)) or m[r0:r1], Grid(n, 1.0), bw)
-    assert np.array_equal(op.band, _dense_band(0.5 * (m + m.T)))
-    assert asked == blocks
-    for wrong in (lambda r0, r1: m[r0:r1, 1:], lambda r0, r1: m[r0 + 1:r1]):
-        with pytest.raises(ValueError, match="shape"):
-            gridmod.GridOperator.from_rows(wrong, Grid(n, 1.0), bw)
+    assert gridmod._row_blocks(n) == blocks
 
 
 @pytest.mark.parametrize("n", [2, 6, 64, 600])
