@@ -53,6 +53,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+# grid calls no eigh: it stays bound only because bench/tracer.py rebinds
+# grid.eigh by name, with no fallback (ROADMAP item 15 lifts that pin)
 from scipy.linalg import eig_banded, eigh, eigh_tridiagonal, solve_banded
 
 from .refcalc import Grid, check_doubling_ladder, check_halfwidth, estimate_order
@@ -310,21 +312,16 @@ def _node_tridiagonal(op: GridOperator):
     return diag, sup
 
 
-def eigen_lowest(op: GridOperator | np.ndarray, k: int) -> np.ndarray:
-    """k smallest eigenvalues of a symmetric operator, deterministic.
+def eigen_lowest(op: GridOperator, k: int) -> np.ndarray:
+    """k smallest eigenvalues of a symmetric grid operator, deterministic.
 
-    A grid operator that is tridiagonal in node ordering takes the
-    tridiagonal LAPACK path, any other the banded one on its pair-ordered
-    storage. A plain array is solved dense. A LAPACK failure raises
-    ``np.linalg.LinAlgError``, a ValueError.
+    An operator that is tridiagonal in node ordering takes the tridiagonal
+    LAPACK path, any other the banded one on its pair-ordered storage. A
+    LAPACK failure raises ``np.linalg.LinAlgError``, a ValueError.
     """
-    n = op.n if isinstance(op, GridOperator) else len(op)
-    if k > n:
+    if k > op.n:
         raise MethodLimitError(f"method limit: {k} levels requested from an "
-                               f"operator of dimension {n}")
-    if not isinstance(op, GridOperator):
-        return eigh(np.asarray(op, dtype=float), eigvals_only=True,
-                    subset_by_index=(0, k - 1))
+                               f"operator of dimension {op.n}")
     tri = _node_tridiagonal(op)
     if tri is None:
         return eig_banded(op.band, lower=False, eigvals_only=True,

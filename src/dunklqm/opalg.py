@@ -241,27 +241,24 @@ class Poly:
         return f"Poly({self.pretty()})"
 
     def pretty(self) -> str:
-        cs = self.coeffs
-        if not cs:
-            return "0"
-        parts = []
-        for k in range(len(cs) - 1, -1, -1):
-            c = cs[k]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                yk = "y" if k == 1 else f"y^{k}"
-                body = yk if mag == 1 else f"{mag}*{yk}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return _signed_sum((c, "y" if k == 1 else f"y^{k}" if k else "")
+                           for k, c in reversed(list(enumerate(self.coeffs)))
+                           if c)
+
+
+def _signed_sum(terms) -> str:
+    """The sum of (rational c, body text) terms as c*body: a unit c is left
+    out, an empty body (a constant) prints |c|, each later negative term
+    joins with " - ", and no terms print "0"."""
+    text = ""
+    for c, body in terms:
+        mag = abs(c)
+        term = (f"{mag}*{body}" if mag != 1 else body) if body else str(mag)
+        if text:
+            text += f" - {term}" if c < 0 else f" + {term}"
+        else:
+            text = f"-{term}" if c < 0 else term
+    return text or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -356,18 +353,9 @@ class ReflOp:
         return Poly._of(out, lcm*den)
 
     def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for s, chain in self.terms:
-            body = "*".join(prim.symbol() for prim in chain) if chain else "I"
-            if s == 1:
-                parts.append(body)
-            elif s == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{s}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _signed_sum(
+            (s, "*".join(prim.symbol() for prim in chain) if chain else "I")
+            for s, chain in self.terms)
 
     def __repr__(self):
         return f"ReflOp[{self.pretty()}]"

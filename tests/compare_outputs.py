@@ -10,9 +10,11 @@ ladders (at N = 600 the product's bits differ between 1 and 2 BLAS threads,
 and no golden covers that ladder), a fixed set of usage commands (each
 subcommand's help, the refusals of an unread parameter, a bad choice and a
 bad rational, and one accepted negative parameter), one spectrum per grid
-path on its smallest grids and the error paths of the CLI's exit table that
+path on its smallest grids, the error paths of the CLI's exit table that
 an input reaches (every row but the wrong eigenvalue formula and out of
-memory), in both checkouts: each in a fresh ``python -m dunklqm`` process
+memory) and a command for each option and choice that no other one passes
+(``test_compare_outputs`` checks that every one is passed), in both
+checkouts: each in a fresh ``python -m dunklqm`` process
 whose ``PYTHONPATH`` is that checkout's ``src``, with ``--out`` to a
 temporary file, two processes at a time. Prints each command whose exit
 code, stdout, stderr or ``--out`` differs, and exits 1 if one does, else 0.
@@ -70,14 +72,30 @@ ERRORS = ("spectrum --system scarf --alpha 1e300 --beta 3 --grids 64,128,256",
           "--grids 64,128,256",
           "family --kind jacobi-m1 --alpha -1")
 
+# each option and choice that no command above passes: the family tables as
+# text and csv (each P_n typeset; the symmetric Gegenbauer family skips its
+# zero coefficients), a spectrum's csv under a tolerance, and an explicit
+# default format and suite
+OPTIONS = ("family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 8 "
+           "--format text",
+           "family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 8 "
+           "--format csv",
+           "family --kind gegenbauer --mu 1/3 --alpha 2 --degree 8 "
+           "--format csv",
+           "spectrum --system scarf --alpha 1 --beta 3 --grids 64,128,256 "
+           "--format csv --tol 1e-3",
+           "spectrum --system oscillator --grids 64,128,256 --format json",
+           "verify --suite all")
+
 
 def commands() -> list[str]:
     """The 142 ``all_jobs`` command lines of every workload, then the three
-    Gegenbauer ladders, the usage commands, the edge-size spectra and the
-    error paths."""
+    Gegenbauer ladders, the usage commands, the edge-size spectra, the error
+    paths and the remaining options."""
     jobs = load_path("bench_jobs", ROOT / "bench" / "jobs.py")
     return ([j for w in jobs.WORKLOADS for j in jobs.all_jobs(w)]
-            + list(LADDERS) + list(USAGE) + list(EDGES) + list(ERRORS))
+            + list(LADDERS) + list(USAGE) + list(EDGES) + list(ERRORS)
+            + list(OPTIONS))
 
 
 def run(checkout: Path, command: str) -> tuple:

@@ -19,6 +19,7 @@ from scipy.linalg import eig_banded
 from dunklqm import errata, spectra
 from dunklqm import grid as gridmod
 from dunklqm.grid import (
+    GridOperator,
     MethodLimitError,
     SingularPotentialError,
     assemble,
@@ -129,11 +130,14 @@ def test_mirror_symmetry_beta_flip():
 
 
 def test_eigen_lowest_small_cases():
-    assert np.allclose(eigen_lowest(np.diag([1.0, 2.0, 3.0]), 2), [1.0, 2.0])
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(eigen_lowest(m, 2), [-1.0, 1.0])
-    with pytest.raises(ValueError):
-        eigen_lowest(m, 3)
+    # a 4-node diagonal band: its sorted entries
+    diag = GridOperator(np.array([[3.0, 1.0, 4.0, 2.0]]), Grid(4, 1.0))
+    assert np.allclose(eigen_lowest(diag, 4), [1.0, 2.0, 3.0, 4.0])
+    # a 2-node band with off-diagonal 1: the swap matrix, levels -1 and 1
+    swap = GridOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), Grid(2, 1.0))
+    assert np.allclose(eigen_lowest(swap, 2), [-1.0, 1.0])
+    with pytest.raises(MethodLimitError):
+        eigen_lowest(swap, 3)
 
 
 def test_eigen_lowest_banded_matches_dense():

@@ -275,9 +275,27 @@ def test_apply_matches_poly_level_chains():
 
 
 def test_pretty_printer():
-    op = ReflOp([(2, (MulPoly(P(1, -1)), Diff, Reflect)), (F(-1, 3), (OddOverY,))])
-    text = op.pretty()
-    assert "d/dy" in text and "R" in text and "y^-1(1-R)" in text
+    # one typesetting rule for both: a unit coefficient is left out, a
+    # constant prints its magnitude, a later negative term joins with " - ",
+    # no terms print "0"; an operator keeps its zero-scalar terms
+    cases = [
+        (P(), "0"),
+        (ReflOp([]), "0"),
+        (P(1), "1"),
+        (P(-1), "-1"),
+        (P(F(-3, 2)), "-3/2"),
+        (P(0, -1), "-y"),
+        (P(F(1, 2), 0, -3), "-3*y^2 + 1/2"),
+        (ReflOp([(1, ())]), "I"),
+        (ReflOp([(-1, ())]), "-I"),
+        (ReflOp([(F(-3, 2), ())]), "-3/2*I"),
+        (ReflOp([(0, (Diff,))]), "0*d/dy"),
+        (dunkl(0), "d/dy + 0*y^-1(1-R)"),
+        (ReflOp([(2, (MulPoly(P(1, -1)), Diff, Reflect)),
+                 (F(-1, 3), (OddOverY,))]),
+         "2*(-y + 1)*d/dy*R - 1/3*y^-1(1-R)"),
+    ]
+    assert [obj.pretty() for obj, _ in cases] == [text for _, text in cases]
 
 
 # ---------------------------------------------------------------------------
