@@ -218,10 +218,12 @@ def _refuse_unread(args) -> None:
 def cmd_family(args) -> bool:
     kind = _KINDS[args.kind]
     params = kind.make(*kind.values(args))
+    # refuse before any work; check_degree runs where an eigenvalue repeats
+    lams = [params.eigenvalue(n) for n in range(args.degree + 1)]
+    for n, lam in enumerate(lams):
+        if lams.index(lam) < n:
+            check_degree(n, params)
     result = verify_family(params, max(args.degree, 2))
-    degenerate = [n for n in result.skipped_degenerate if n <= args.degree]
-    if degenerate:
-        check_degree(degenerate[0], params)
     rows = [(r.n, r.polynomial.pretty(), str(r.eigenvalue), str(r.norm_sq))
             for r in result.records[:args.degree + 1]]
     report = result.as_json_dict()

@@ -9,13 +9,14 @@ Dirichlet walls are imposed through ghost values u(ghost) = -u(edge), which
 places the hard wall exactly at the domain boundary. In the mirror-pair
 ordering 0, N-1, 1, N-2, ... the reflection couples adjacent unknowns, so
 every grid operator is held once, in O(N) memory, as LAPACK banded storage in
-that ordering; dense rows are gathered from the band only on request
-(:meth:`GridOperator.gather_rows`). A stencil operator is a list of terms,
-each a node shift, whether it acts after R, and a coefficient array, banded
-by one constructor that sums each element's terms in the listed order: that
-order keeps the bits of a dense construction. The Gegenbauer operator
-2 Q @ Q + corrections, defined by a BLAS product, is banded straight from
-that product's blocks of rows (:meth:`GridOperator.composite`), 64 to 192
+that ordering, which one pair of maps alone states (``_pair_position``, node
+-> position, and its inverse ``_pair_node``); dense rows are gathered from the
+band only on request (:meth:`GridOperator.gather_rows`). A stencil operator is
+a list of terms, each a node shift, whether it acts after R, and a coefficient
+array, banded by one constructor that sums each element's terms in the listed
+order: that order keeps the bits of a dense construction. The Gegenbauer
+operator 2 Q @ Q + corrections, defined by a BLAS product, is banded straight
+from that product's blocks of rows (:meth:`GridOperator.composite`), 64 to 192
 rows each, in mirror pairs, so the N x N product is never held whole.
 
 Operators whose scalar potential carries an attractive ~ -c/x^2 core (the
@@ -85,14 +86,14 @@ class MethodLimitError(ValueError):
     """The grid method cannot deliver the requested levels at this size."""
 
 
-def _pair_permutation(n: int) -> np.ndarray:
-    """Ordering 0, N-1, 1, N-2, ...: mirror pairs become adjacent."""
-    i = np.arange(n)
-    p = np.minimum(i, n - 1 - i)
-    pos = 2 * p + (i >= n // 2)
-    perm = np.empty(n, dtype=int)
-    perm[pos] = i
-    return perm
+def _pair_position(nodes, n: int) -> np.ndarray:
+    """Positions of ``nodes`` in the mirror-pair order 0, N-1, 1, N-2, ..."""
+    return 2 * np.minimum(nodes, n - 1 - nodes) + (nodes >= n // 2)
+
+
+def _pair_node(positions, n: int) -> np.ndarray:
+    """The nodes at ``positions`` of the mirror-pair ordering."""
+    return np.where(positions % 2, n - 1 - positions // 2, positions // 2)
 
 
 def _pair_band(entry: Callable, n: int, bandwidth: int) -> np.ndarray:
@@ -103,11 +104,11 @@ def _pair_band(entry: Callable, n: int, bandwidth: int) -> np.ndarray:
     superdiagonals that are entirely zero are dropped, so the storage has the
     operator's true bandwidth.
     """
-    perm = _pair_permutation(n)
+    nodes = _pair_node(np.arange(n), n)
     bw = min(bandwidth, n - 1)
     band = np.zeros((bw + 1, n))
     for d in range(bw + 1):
-        band[bw - d, d:] = entry(perm[:n - d], perm[d:])
+        band[bw - d, d:] = entry(nodes[:n - d], nodes[d:])
     top = 0
     while top < bw and not band[top].any():
         top += 1
@@ -167,12 +168,10 @@ class GridOperator:
         plus diag[i] at column i, then plus refl[i] at column N - 1 - i.
         """
         n = q.n
-        perm = _pair_permutation(n)
-        pos = np.empty(n, dtype=int)
-        pos[perm] = np.arange(n)
+        pos = _pair_position(np.arange(n), n)
         bw = min(4, n - 1)
         offsets = np.arange(-bw, bw + 1)
-        # near[i, bw + d] = M[i, perm[pos[i] + d]], zero past either end
+        # near[i, bw + d] = M[i, node at pos[i] + d], zero past either end
         near = np.zeros((n, 2 * bw + 1))
         for r0, r1 in _row_blocks(n):
             lo, hi = min(r0, n - r1), min(r1, n - r0, n // 2)
@@ -190,8 +189,9 @@ class GridOperator:
             win[cols] = np.arange(len(cols))
             at = pos[i, None] + offsets
             inside = (at >= 0) & (at < n)
+            node = _pair_node(np.where(inside, at, 0), n)
             near[i] = np.where(inside, 2.0 * np.take_along_axis(
-                prod, win[perm[np.where(inside, at, 0)]], axis=1), 0.0)
+                prod, win[node], axis=1), 0.0)
             near[i, bw] += diag[i]
             # the mirror N - 1 - i is after i in the lower half, else before
             near[i, bw + np.where(i < n // 2, 1, -1)] += refl[i]
@@ -213,14 +213,14 @@ class GridOperator:
         other entry is +0."""
         n, bw = self.n, self.band.shape[0] - 1
         nodes = np.asarray(nodes)
-        p = (2 * np.minimum(nodes, n - 1 - nodes) + (nodes >= n // 2))[:, None]
+        p = _pair_position(nodes, n)[:, None]
         at = p + np.arange(-bw, bw + 1)
         inside = (at >= 0) & (at < n)
         row = np.nonzero(inside)[0]
         p, at = np.broadcast_to(p, at.shape)[inside], at[inside]
         out = np.zeros((len(nodes), n))
         # (p, at) in pair ordering is the upper-stored (min, max) element
-        out[row, np.where(at % 2, n - 1 - at // 2, at // 2)] = \
+        out[row, _pair_node(at, n)] = \
             self.band[bw - np.abs(at - p), np.maximum(p, at)]
         return out
 
@@ -299,12 +299,12 @@ def _node_tridiagonal(op: GridOperator):
     """(diagonal, superdiagonal) in node ordering if the operator is
     tridiagonal there (no reflection term off the center pair), else None."""
     n, bw = op.n, op.band.shape[0] - 1
-    perm = _pair_permutation(n)
+    nodes = _pair_node(np.arange(n), n)
     diag = np.empty(n)
-    diag[perm] = op.band[bw]
+    diag[nodes] = op.band[bw]
     sup = np.zeros(n - 1)
     for d in range(1, bw + 1):
-        i, j, vals = perm[:n - d], perm[d:], op.band[bw - d, d:]
+        i, j, vals = nodes[:n - d], nodes[d:], op.band[bw - d, d:]
         gap = np.abs(i - j)
         if np.any(vals[gap > 1]):
             return None
@@ -410,12 +410,12 @@ def composite_spectrum(op: GridOperator, k: int) -> np.ndarray:
     n = op.n
     w = eig_banded(op.band, lower=False, eigvals_only=True,
                    select="i", select_range=(0, min(n_scan, n) - 1))
-    perm = _pair_permutation(n)
+    nodes = _pair_node(np.arange(n), n)
     vec = np.empty(n)
     out = []
     try:
         for lam, vec_p in zip(w, _inverse_iteration(op.band, w)):
-            vec[perm] = vec_p  # back to node ordering
+            vec[nodes] = vec_p  # back to node ordering
             if checkerboard_fraction(vec) < 0.5:
                 out.append(float(lam))
                 if len(out) == k:

@@ -11,10 +11,12 @@ maps polynomials to polynomials:
 
 OddOverY is the closure trick: the quotient is always polynomial because the
 numerator is odd, so operators like (1/y)(1 - R) never leave the polynomial
-ring. Diff, Reflect and OddOverY are three instances of one primitive class,
-each a fixed step on a coefficient list. Chains are stored explicitly (not
-as closures) so operators can be composed, printed, and converted to
-matrices on the monomial basis.
+ring. Diff, Reflect and OddOverY, three instances of one primitive class,
+each a fixed step on a coefficient list, are the one home of these steps: a
+``Poly`` is a ring element (arithmetic, evaluation and printing only), and
+d/dy, R or y^-1(1-R) reaches it only through ``ReflOp.apply``. Chains are
+stored explicitly (not as closures) so operators can be composed, printed,
+and converted to matrices on the monomial basis.
 
 On top of the algebra sits the one verification battery shared by every
 orthogonal family. A family (``OrthogonalFamily``) supplies only its own
@@ -91,9 +93,9 @@ class EigenvalueFormulaError(ValueError):
 
 
 # Coefficient-list kernels (index k holds the y^k coefficient; trailing zeros
-# allowed), on integer numerators over one common denominator. ``Poly`` and
-# the operator primitives share them. The product skips zero coefficients,
-# which fill the monomial columns of ``matrix_on_basis``.
+# allowed), on integer numerators over one common denominator: the operator
+# primitives' steps and ``Poly``'s product. The product skips zero
+# coefficients, which fill the monomial columns of ``matrix_on_basis``.
 
 _ZERO = Fraction(0)
 
@@ -218,17 +220,6 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         return Poly._of(_mul_coeffs(self.nums, other.nums), self.den*other.den)
-
-    def deriv(self) -> "Poly":
-        return Poly._of(_deriv_coeffs(self.nums), self.den)
-
-    def reflect(self) -> "Poly":
-        """p(y) -> p(-y)."""
-        return Poly._of(_reflect_coeffs(self.nums), self.den)
-
-    def odd_over_y(self) -> "Poly":
-        """(p(y) - p(-y)) / y: twice the odd part, divided by y. Always exact."""
-        return Poly._of(_odd_over_y_coeffs(self.nums), self.den)
 
     def __call__(self, t):
         """Evaluate at t (Fraction stays exact, float or array goes numeric)."""
@@ -373,6 +364,10 @@ def compose(a: ReflOp, b: ReflOp) -> ReflOp:
 def dunkl(mu) -> ReflOp:
     """Dunkl operator T_mu = d/dy + mu * y^-1 (1 - R)."""
     return ReflOp([(1, (Diff,)), (rat(mu), (OddOverY,))])
+
+
+# R on a polynomial, for verify_family's parity check R P_n = (-1)^n P_n
+_REFLECT = ReflOp.from_primitive(Reflect)
 
 
 def matrix_on_basis(op: ReflOp, degree_bound: int) -> tuple:
@@ -661,12 +656,13 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
     """Run the exact verification battery up to the given degree.
 
     Per degree: zero residual in the eigenvalue equation, agreement with
-    the moment-side recurrence, parity (symmetric families), orthogonality
-    against all lower members, then the family's own checks, on each P_n of
-    ``eigen_sequence``, whose None entries (an eigenvalue that collides with
-    a lower one) are skipped and listed. Only internal oracle
-    inconsistencies mark the report failed; an eigenvalue formula that the
-    operator contradicts raises from the sequence, and makes no report.
+    the moment-side recurrence, parity R P_n = (-1)^n P_n (symmetric
+    families), orthogonality against all lower members, then the family's
+    own checks, on each P_n of ``eigen_sequence``, whose None entries (an
+    eigenvalue that collides with a lower one) are skipped and listed. Only
+    internal oracle inconsistencies mark the report failed; an eigenvalue
+    formula that the operator contradicts raises from the sequence, and
+    makes no report.
 
     Orthogonality and the norm come from one Hankel vector per degree,
     h_m = sum_i p_i c_{m+i} = inner(P_n, y^m), m <= n: a lower member r has
@@ -697,7 +693,7 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
         results = {"eigen_residual_zero": image == pn.scale(lam),
                    "gram_matches_eigen": gram[n][0] == pn}
         if family.symmetric:
-            results["parity_ok"] = pn.reflect() == pn.scale((-1)**n)
+            results["parity_ok"] = _REFLECT.apply(pn) == pn.scale((-1)**n)
         lower = h[:n]
         results["orthogonal"] = not any(lower) or all(
             not sum(map(mul, r.polynomial.nums, lower)) for r in records)

@@ -10,14 +10,16 @@ ladders (at N = 600 the product's bits differ between 1 and 2 BLAS threads,
 and no golden covers that ladder), a fixed set of usage commands (each
 subcommand's help, the refusals of an unread parameter, a bad choice and a
 bad rational, and one accepted negative parameter), one spectrum per grid
-path on its smallest grids, the error paths of the CLI's exit table that
-an input reaches (every row but the wrong eigenvalue formula and out of
-memory) and a command for each option and choice that no other one passes
-(``test_compare_outputs`` checks that every one is passed), in both
-checkouts: each in a fresh ``python -m dunklqm`` process
-whose ``PYTHONPATH`` is that checkout's ``src``, with ``--out`` to a
-temporary file, two processes at a time. Prints each command whose exit
-code, stdout, stderr or ``--out`` differs, and exits 1 if one does, else 0.
+path on its smallest grids (two of them on a band whose top row is all zero
+at N = 2), the error paths of the CLI's exit table that an input reaches
+(every row but the wrong eigenvalue formula and out of memory), a command
+for each option and choice that no other one passes
+(``test_compare_outputs`` checks that every one is passed) and a few that
+print to stdout, in both checkouts: each in a fresh ``python -m dunklqm``
+process whose ``PYTHONPATH`` is that checkout's ``src``, with ``--out`` to
+a temporary file unless the command ends in ``NO_OUT``, two processes at a
+time. Prints each command whose exit code, stdout, stderr or ``--out``
+differs, and exits 1 if one does, else 0.
 Both sides run under the same environment, so a thread-count setting
 applies to both alike.
 """
@@ -52,7 +54,10 @@ EDGES = ("spectrum --system scarf --alpha 1 --beta 3 --levels 1 --grids 2,4,8",
          "spectrum --system oscillator --levels 1 --grids 2,4,8",
          "spectrum --system scarf --alpha 0 --beta 2 --levels 1 --grids 6,12,24",
          "spectrum --system gegenbauer --mu 1/2 --alpha 1 --levels 1 "
-         "--grids 4,8,16")
+         "--grids 4,8,16",
+         "spectrum --system gegenbauer --mu 1/2 --alpha 1 --levels 1 "
+         "--grids 2,4,8",
+         "spectrum --system scarf --alpha 1 --beta 0 --levels 1 --grids 2,4,8")
 # the error paths: OverflowError (in the targets, then on the grid),
 # FloatingPointError (an overflow, then two divisions by an infinite norm),
 # the levels refusal, MethodLimitError on two paths and a refused family
@@ -87,27 +92,38 @@ OPTIONS = ("family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 8 "
            "spectrum --system oscillator --grids 64,128,256 --format json",
            "verify --suite all")
 
+# commands that print to stdout, through the CLI's trailing-newline rule:
+# run() passes no --out to a command that ends in this shell comment
+NO_OUT = "  # stdout"
+STDOUT = tuple(c + NO_OUT for c in (
+    "family --kind gegenbauer --mu 1/2 --alpha 1 --degree 8",
+    "family --kind jacobi-m1 --alpha 1/3 --beta 2 --degree 8 --format json",
+    "spectrum --system oscillator --grids 64,128,256",
+    "errata"))
+
 
 def commands() -> list[str]:
     """The 142 ``all_jobs`` command lines of every workload, then the three
     Gegenbauer ladders, the usage commands, the edge-size spectra, the error
-    paths and the remaining options."""
+    paths, the remaining options and the stdout commands."""
     jobs = load_path("bench_jobs", ROOT / "bench" / "jobs.py")
     return ([j for w in jobs.WORKLOADS for j in jobs.all_jobs(w)]
             + list(LADDERS) + list(USAGE) + list(EDGES) + list(ERRORS)
-            + list(OPTIONS))
+            + list(OPTIONS) + list(STDOUT))
 
 
 def run(checkout: Path, command: str) -> tuple:
     """(exit code, stdout, stderr, --out text or None) of one fresh process,
-    run in an empty temporary directory."""
+    run in an empty temporary directory; ``--out`` is passed unless the
+    command ends in ``NO_OUT``."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / "out.txt"
+        to_file = [] if command.endswith(NO_OUT) else ["--out", str(out)]
         proc = subprocess.run(
-            [sys.executable, "-m", "dunklqm", *shlex.split(command),
-             "--out", str(out)],
+            [sys.executable, "-m", "dunklqm",
+             *shlex.split(command, comments=True), *to_file],
             cwd=work, env=env, capture_output=True, text=True)
         return (proc.returncode, proc.stdout, proc.stderr,
                 out.read_text() if out.exists() else None)

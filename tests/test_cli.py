@@ -66,6 +66,22 @@ def test_family_degenerate_spectrum_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_family_degenerate_spectrum_refused_before_the_battery(
+        monkeypatch, capsys):
+    from dunklqm import cli
+
+    def no_work(*args):
+        raise AssertionError("battery run for a refused degree")
+
+    monkeypatch.setattr(cli, "verify_family", no_work)
+    code, out, err = run(["family", "--kind", "gegenbauer", "--mu", "1",
+                          "--alpha", "2", "--degree", "12"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: degenerate spectrum at mu=1, alpha=2: degrees 1 "
+                   "and 2 share the eigenvalue -18, so P_2 is not uniquely "
+                   "defined\n")
+
+
 def test_family_degeneracy_above_table_degree_is_reported(capsys):
     # the table stops below the collision; the report lists it as skipped
     code, out, _ = run(["family", "--kind", "gegenbauer", "--mu", "1",

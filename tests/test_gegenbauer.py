@@ -17,6 +17,8 @@ from dunklqm.gegenbauer import (
 )
 from dunklqm.opalg import (
     Poly,
+    Reflect,
+    ReflOp,
     construct_eigen,
     gram_sequence,
     inner,
@@ -78,13 +80,14 @@ def test_construct_small():
 
 
 def test_oracle_agreement_and_parity():
+    reflect = ReflOp.from_primitive(Reflect)
     for mu, al in GEG_FUZZ_PARAMS:
         pr = GegParams(mu, al)
         gram = gram_sequence(pr.moments(25), 12)
         for n in range(13):
             p = construct_eigen(n, pr)
             assert gram[n][0] == p
-            assert p.reflect() == (p if n % 2 == 0 else p.scale(-1))
+            assert reflect.apply(p) == (p if n % 2 == 0 else p.scale(-1))
 
 
 def test_exact_eigen_residuals_to_24():

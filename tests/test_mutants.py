@@ -52,15 +52,16 @@ def _shifted(name, *modules):
     return _wrapped(name, lambda value, *args: value + EPS, *modules)
 
 
-def _scarf_record(field, wrap):
-    """``SusySystem.scarf`` with its ``field`` replaced by ``wrap(field)``."""
-    real = SusySystem.scarf
+def _record(name, field, wrap):
+    """``SusySystem``'s record ``name`` with its ``field`` replaced by
+    ``wrap(field)``."""
+    real = getattr(SusySystem, name)
 
-    def scarf(cls, params):
-        system = real(params)
+    def record(cls, *params):
+        system = real(*params)
         return dataclasses.replace(
             system, **{field: wrap(getattr(system, field))})
-    return lambda mp: mp.setattr(SusySystem, "scarf", classmethod(scarf))
+    return lambda mp: mp.setattr(SusySystem, name, classmethod(record))
 
 
 MUTANTS = [
@@ -168,8 +169,8 @@ MUTANTS = [
         "spectrum --system gegenbauer --mu 1/2 --alpha 1 --grids 256,512,1024",),
         id="gegenbauer-corrections"),
     # The spectrum's targets are the record's energy map.
-    pytest.param(_scarf_record(
-        "energy_map", lambda energy: lambda n, lam: energy(n, lam) + EPS), (
+    pytest.param(_record("scarf", "energy_map", lambda energy:
+                         lambda n, lam: energy(n, lam) + EPS), (
         "spectrum --system scarf --alpha 1 --beta 3 --grids 256,512,1024",),
         id="scarf-energy"),
 ]
@@ -180,9 +181,28 @@ GAPS = [
     # the operator identities hold on any probe, and errata's verdicts are
     # typed by hand. Closed by ROADMAP items 9 (eigenfunctions on the grid)
     # and 11 (computed errata verdicts).
-    pytest.param(_scarf_record(
-        "ground", lambda g: lambda x: g(x) * np.cos(x) ** float(EPS)),
+    pytest.param(_record(
+        "scarf", "ground", lambda g: lambda x: g(x) * np.cos(x) ** float(EPS)),
         ("verify", "errata"), id="scarf-ground-exponent"),
+    # The same factor cos^(1/100) x on the Gegenbauer ground state: no
+    # command evaluates that record's ground factor, and its spectrum reads
+    # only the potential, the corrections and the targets. Closed by ROADMAP
+    # items 26 (the ground state checked against its indicial roots) and 9.
+    pytest.param(_record(
+        "gegenbauer", "ground",
+        lambda g: lambda x: g(x) * np.cos(x) ** float(EPS)),
+        ("verify", "errata",
+         "spectrum --system gegenbauer --mu 1/2 --alpha 1 --grids 256,512,1024"),
+        id="gegenbauer-ground"),
+    # e^(-x^2/2) -> e^(-x^2/2 - x^2/100) in the oscillator's ground factor:
+    # only errata's evidence reads it, and its verdicts are typed by hand.
+    # Closed by ROADMAP items 26 and 9.
+    pytest.param(_record(
+        "oscillator", "ground",
+        lambda g: lambda x: g(x) * np.exp(-x * x * float(EPS))),
+        ("verify", "errata",
+         "spectrum --system oscillator --grids 256,512,1024"),
+        id="oscillator-ground"),
 ]
 
 

@@ -48,12 +48,17 @@ def P(*coeffs):
     return Poly(coeffs)
 
 
+# the three fixed primitives as operators
+DIFF, REFLECT, ODD = (ReflOp.from_primitive(prim)
+                      for prim in (Diff, Reflect, OddOverY))
+
+
 def test_poly_basics():
     p = P(1, 0, 2)           # 1 + 2y^2
     q = P(0, 1)              # y
     assert (p * q).coeffs == (0, 1, 0, 2)
     assert (p + q).coeffs == (1, 1, 2)
-    assert p.deriv().coeffs == (0, 4)
+    assert DIFF.apply(p).coeffs == (0, 4)
     assert Poly.zero().degree == -math.inf
     assert P(3).degree == 0
     assert p(F(1, 2)) == F(3, 2)
@@ -74,15 +79,15 @@ def test_poly_call_keeps_the_argument_type():
 
 def test_reflect_parity():
     p = P(0, 1, 1)           # y + y^2
-    assert p.reflect().coeffs == (0, -1, 1)
+    assert REFLECT.apply(p).coeffs == (0, -1, 1)
 
 
 def test_odd_over_y_examples():
     # (p(y) - p(-y))/y for p = y^3 + 3y^2 + y is 2y^2 + 2
     p = P(0, 1, 3, 1)
-    assert p.odd_over_y() == P(2, 0, 2)
+    assert ODD.apply(p) == P(2, 0, 2)
     # even polynomials are annihilated
-    assert P(4, 0, 5).odd_over_y() == Poly.zero()
+    assert ODD.apply(P(4, 0, 5)) == Poly.zero()
 
 
 def test_apply_primitives():
@@ -729,9 +734,9 @@ def test_poly_arithmetic_matches_fraction_lists(a, b, s):
              (-p, [-c for c in a]),
              (p * q, _fraction_mul(a, b)),
              (p.scale(s), [s*c for c in a]),
-             (p.deriv(), [k*c for k, c in enumerate(a)][1:]),
-             (p.reflect(), [-c if k % 2 else c for k, c in enumerate(a)]),
-             (p.odd_over_y(), odd)]
+             (DIFF.apply(p), [k*c for k, c in enumerate(a)][1:]),
+             (REFLECT.apply(p), [-c if k % 2 else c for k, c in enumerate(a)]),
+             (ODD.apply(p), odd)]
     for new, ref in cases:
         assert_canonical(new)
         assert new.coeffs == _fraction_poly(ref)
@@ -751,8 +756,8 @@ def test_kernels_build_no_fraction(monkeypatch):
     assert F(1, 2) and built == [(1, 2)]
     built.clear()
     mat = matrix_on_basis(op, 8)
-    results = [op.apply(p), p * q, p.scale(s), p + q, p - q, -p, p.deriv(),
-               p.reflect(), p.odd_over_y(),
+    results = [op.apply(p), p * q, p.scale(s), p + q, p - q, -p,
+               DIFF.apply(p), REFLECT.apply(p), ODD.apply(p),
                opalg._back_substitute(mat, lam, 8)]
     assert built == []
     assert all(r.nums for r in results)

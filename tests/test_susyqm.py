@@ -32,7 +32,10 @@ from dunklqm.jacobi import (
 )
 from dunklqm.opalg import (
     DegenerateSpectrumError,
+    Diff,
     Poly,
+    Reflect,
+    ReflOp,
     compose,
     construct_eigen,
     gram_sequence,
@@ -752,6 +755,7 @@ def test_osc_mixed_states():
     # with s^2 = 2n+2 makes (|2n+1> + eps |2n+2>)/2 an eigenvector with
     # eigenvalue eps sqrt(2n+2).
     q, hermite = osc_gauged_supercharge(), _monic_hermite(14)
+    reflect = ReflOp.from_primitive(Reflect)
     for n in range(7):
         (odd, odd_sq), (even, even_sq) = hermite[2 * n + 1], hermite[2 * n + 2]
         up = q.apply(odd).coeff(2 * n + 2)     # sqrt(2) Qtilde P_odd = up P_even
@@ -763,7 +767,8 @@ def test_osc_mixed_states():
         # R (|2n+1> + eps |2n+2>) = -(|2n+1> - eps |2n+2>): the Gaussian is
         # even, so R acts on the polynomial part
         for eps in (+1, -1):
-            assert (odd + even.scale(eps)).reflect() == -(odd + even.scale(-eps))
+            assert (reflect.apply(odd + even.scale(eps))
+                    == -(odd + even.scale(-eps)))
 
 
 def test_osc_gauged_operators_match_the_potential():
@@ -772,10 +777,12 @@ def test_osc_gauged_operators_match_the_potential():
     # those of oscillator_potential
     pot = oscillator_potential()
     q, h = osc_gauged_supercharge(), osc_gauged_hamiltonian()
+    diff = ReflOp.from_primitive(Diff)
     x = np.linspace(-3.0, 3.0, 61)
     g = np.exp(-x ** 2 / 2)
     for p, _ in _monic_hermite(6):
-        d1, d2 = p.deriv(), p.deriv().deriv()
+        d1 = diff.apply(p)
+        d2 = diff.apply(d1)
         u = refc.ProbeFn(lambda t, p=p: np.exp(-t ** 2 / 2) * p(t),
                          lambda t, p=p, d1=d1: np.exp(-t ** 2 / 2)
                          * (d1(t) - t * p(t)),
