@@ -17,13 +17,15 @@ ValueError (each refusal, a DegenerateSpectrumError's colliding degree,
 method limits and LinAlgError included) exit 2.
 Rational parameters are passed as exact "p/q" strings, negative ones too
 ("--alpha -1/2"). All output is deterministic for a fixed invocation; floats
-print at 17 significant digits. A closed stdout (`dunklqm verify | head -1`)
-exits 1 with no traceback. Any other failure to write the output (a full disk
-under stdout or --out) prints one "error: cannot write output: ..." line and
-exits 1, with no traceback. --out names a regular file or a new one, a
-symlink counting as its target; it is replaced whole, keeping its mode (a new
-file gets 0o666 less the umask), and anything else there (a directory, a
-FIFO, a device) is refused with exit 2 before any work.
+print at 17 significant digits. Without --out the report is the whole
+stdout, so `spectrum` then prints its per-level summary to stderr. A closed
+stdout (`dunklqm verify | head -1`) exits 1 with no traceback. Any other
+failure to write the output (a full disk under stdout or --out) prints one
+"error: cannot write output: ..." line and exits 1, with no traceback. --out
+names a regular file or a new one, a symlink counting as its target; it is
+replaced whole, keeping its mode (a new file gets 0o666 less the umask), and
+anything else there (a directory, a FIFO, a device) is refused with exit 2
+before any work.
 
 The exact layer (exact, opalg, jacobi, gegenbauer) is imported here, with
 every exact suite, and each command imports the float layers it uses. So
@@ -415,13 +417,12 @@ def cmd_spectrum(args) -> bool:
         prob = spectrum_problem(system, args.levels)
         rep = convergence_study(prob, args.grids)
     tol = args.tol if args.tol is not None else prob.tolerance
+    summary = sys.stdout if args.out is not None else sys.stderr
     for lv in rep.levels:
         print(f"level {lv['level']}: extrapolated {lv['extrapolated']:.12g} "
-              f"target {lv['target']:.12g} abs_error {lv['abs_error']:.3e}")
-    if args.format == "csv":
-        _emit(rep.to_csv(), args.out)
-    else:
-        _emit(rep.to_json(), args.out)
+              f"target {lv['target']:.12g} abs_error {lv['abs_error']:.3e}",
+              file=summary)
+    _emit(rep.to_csv() if args.format == "csv" else rep.to_json(), args.out)
     passed = rep.all_within_tolerance(tol)
     if not passed:
         print(f"spectrum check FAILED tolerance {tol:g}", file=sys.stderr)

@@ -32,7 +32,6 @@ from .susyqm import (
     intertwiner,
     osc_wavefunction,
     scarf_relations,
-    wavefunction_fn,
 )
 
 __all__ = ["build_errata", "errata_json"]
@@ -40,6 +39,7 @@ __all__ = ["build_errata", "errata_json"]
 # parameter sets shared by two entries each, whose oracle runs once per report
 _RAISING_PARAMS = ScarfParams(F(1, 2), F(3, 2))
 _GEG_PARAMS = GegParams(F(1, 2), F(1))
+_GROUND_PARAMS = ScarfParams(F(1), F(1))
 
 
 def _entry(eid, label, printed, oracle, evidence, verdict) -> dict:
@@ -132,15 +132,14 @@ def _weight_exponent() -> dict:
     )
 
 
-def _ground_state_normalization() -> dict:
-    p = ScarfParams(F(1), F(1))
+def _ground_state_normalization(psi0) -> dict:
+    p = _GROUND_PARAMS
     af, bf = float(p.alpha), float(p.beta)
     form_a = math.gamma(af / 2 + bf / 2 + 1) / (
         math.gamma(af / 2 + 1) * math.gamma(bf / 2 + 1))
     form_b = math.gamma(af / 2 + bf / 2 + 0.5) / (
         math.gamma(af / 2 + 0.5) * math.gamma(bf / 2 + 0.5))
     oracle = ground_state_norm_sq(p)
-    psi0 = wavefunction_fn(0, p)
     norm = gridmod.quadrature(lambda x: psi0(x) ** 2, math.pi / 2)
     return _entry(
         "scarf-ground-state-normalization",
@@ -161,14 +160,14 @@ def _ground_state_normalization() -> dict:
     )
 
 
-def _x_tangent_coefficient() -> dict:
-    p = ScarfParams(F(1), F(1))
+def _x_tangent_coefficient(psi0) -> dict:
+    p = _GROUND_PARAMS
     g = Grid(1024, math.pi / 2)
-    psi0 = wavefunction_fn(0, p)(g.nodes)
+    u = psi0(g.nodes)
     mask = (np.abs(g.nodes) > 0.1) & (np.abs(np.abs(g.nodes) - g.halfwidth) > 0.1)
-    out_p = intertwiner(p, "X", "printed").stencil(g)(psi0)
-    out_c = intertwiner(p, "X", "corrected").stencil(g)(psi0)
-    tan_match = np.abs(out_p + 0.5 * np.tan(g.nodes) * psi0)[mask].max()
+    out_p = intertwiner(p, "X", "printed").stencil(g)(u)
+    out_c = intertwiner(p, "X", "corrected").stencil(g)(u)
+    tan_match = np.abs(out_p + 0.5 * np.tan(g.nodes) * u)[mask].max()
     lowering = verify_lowering(p, 12)
     gauged_text = dunkl(p.alpha / 2).pretty()
     return _entry(
@@ -269,8 +268,8 @@ def _gegenbauer_potential_constants(derived_spec: list, targets: list) -> dict:
     shift = muf**2 + 4 * alf * muf + 2 * muf + 0.25
     # printed potentials sampled away from the core: constant offsets
     x0 = 0.8
-    u0p, u1p, _ = geg_potentials(p, x0, "printed")
-    u0d, u1d, _ = geg_potentials(p, x0, "derived")
+    u0p, u1p = geg_potentials(p, x0, "printed")
+    u0d, u1d = geg_potentials(p, x0, "derived")
     return _entry(
         "gegenbauer-potential-constants",
         "gegenbauer-hamiltonian/scalar-and-reflection-potential-constants",
@@ -380,12 +379,13 @@ def build_errata() -> list:
     corrected, printed = verify_raising(_RAISING_PARAMS, 12)
     geg = spectrum_problem(SusySystem.gegenbauer(_GEG_PARAMS), 3)
     geg_spectrum = [float(v) for v in geg.compute(1024)]
+    psi0 = SusySystem.scarf(_GROUND_PARAMS).wavefunction(0)
     return [
         _odd_explicit_prefactor(),
         _odd_kappa_base(),
         _weight_exponent(),
-        _ground_state_normalization(),
-        _x_tangent_coefficient(),
+        _ground_state_normalization(psi0),
+        _x_tangent_coefficient(psi0),
         _y_tangent_coefficient(corrected),
         _y_mapping_scalar(corrected, printed),
         _product_relation_placement(),

@@ -8,12 +8,12 @@ The family consists of the symmetric polynomials orthogonal for the weight
 
 with T_mu the Dunkl operator. Conjugating -L by the ground-state factor
 F0 = |sin x|^mu cos^(alpha+1/2) x (after y = sin x) gives the Hamiltonian
--d^2/dx^2 + U0(x) + U1(x) R of ``susyqm.SusySystem.gegenbauer``, with
-energies -lambda_n >= 0. The commonly printed U0 and U1 carry constants
-inconsistent with H F0 = 0 (U0 by -mu^2 - 1/4, U1's with the opposite
-sign); the ``derived`` variant fixes them and reproduces the Poeschl-Teller
-(mu = 0) and two-particle Calogero-Sutherland-Moser (alpha = -1/2) cases
-exactly. Both are exposed, so the discrepancy is measured, not hidden.
+-d^2/dx^2 + U0(x) + U1(x) R of ``susyqm.SusySystem.gegenbauer``, whose
+``ground`` alone states F0, with energies -lambda_n >= 0. The printed U0
+and U1 carry constants inconsistent with H F0 = 0 (U0 by -mu^2 - 1/4, U1's
+with the opposite sign); the ``derived`` variant fixes them and reproduces
+the Poeschl-Teller (mu = 0) and two-particle Calogero-Sutherland-Moser
+(alpha = -1/2) cases exactly. Both stay, so the discrepancy is measured.
 
 ``GegParams`` supplies the family's math to ``opalg``'s generic battery
 (with parity, being symmetric). ``HermiteParams`` is the other symmetric
@@ -225,9 +225,9 @@ def eigenvalue_geg(n: int, params: GegParams) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def geg_potentials(params: GegParams, x: float,
-                   variant: str = "printed") -> tuple[float, float, float]:
-    """(U0(x), U1(x), F0(x)) for the reflection Schroedinger operator, with
-    F0(x) = |sin x|^mu cos^(alpha+1/2) x.
+                   variant: str = "printed") -> tuple[float, float]:
+    """(U0(x), U1(x)) for the reflection Schroedinger operator; its ground
+    factor F0 is ``susyqm.SusySystem.gegenbauer``'s ``ground``.
 
     ``printed`` evaluates the commonly typeset rational-trig expressions;
     ``derived`` the forms consistent with H = -F0 L F0^{-1} (which differ
@@ -247,7 +247,7 @@ def geg_potentials(params: GegParams, x: float,
         u0 = mu**2 / s2 + (al**2 - 0.25) / c2 - (mu + al + 0.5) ** 2 \
             + (2 * al + 1) * mu
         u1 = -mu / s2 - (2 * al + 1) * mu
-    return u0, u1, abs(math.sin(x)) ** mu * math.cos(x) ** (al + 0.5)
+    return u0, u1
 
 
 def csm_two_particle_check(mu, x1: float, x2: float) -> float:

@@ -8,14 +8,14 @@ oscillator and its energy map in ``gegenbauer``.
 The paper builds each system alike: a first-order supercharge Q with
 reflections, H = Q^2, and eigenfunctions a ground-state factor times an
 orthogonal family. Each system is one ``SusySystem`` record (``.scarf``,
-``.oscillator``, ``.gegenbauer``) from which the targets, the one
-wavefunction evaluator and ``spectra.spectrum_problem`` derive. Its grid
-data is a ``SusyPotential``, even U and odd V with their derivatives, whose
-``supercharge`` Q = [(d/dx + U) R + V]/sqrt(2) and ``hamiltonian`` H = Q^2
-are the only statements of Q and H. ``ScarfParams`` is
-``jacobi.Jacobi1Params``: the Scarf eigenfunctions at (a, b) are the little
--1 Jacobi polynomials at (a, b). ``osc_wavefunction`` is the oscillator's
-printed Laguerre form.
+``.oscillator``, ``.gegenbauer``), the one home of its ground factor, from
+which the targets, the one wavefunction evaluator ``wavefunction(n)`` and
+``spectra.spectrum_problem`` derive. Its grid data is a ``SusyPotential``,
+even U and odd V with their derivatives, whose ``supercharge``
+Q = [(d/dx + U) R + V]/sqrt(2) and ``hamiltonian`` H = Q^2 are the only
+statements of Q and H. ``ScarfParams`` is ``jacobi.Jacobi1Params``: the
+Scarf eigenfunctions at (a, b) are the little -1 Jacobi polynomials at
+(a, b). ``osc_wavefunction`` is the oscillator's printed Laguerre form.
 
 Each operator identity (Q^2 = H, parity conjugations, intertwining and
 product relations) is one refcalc Relation between chains of Q, H, X and Y,
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -57,7 +58,6 @@ __all__ = [
     "oscillator_potential",
     "scarf_H_parts_explicit",
     "ground_state_norm_sq",
-    "wavefunction_fn",
     "intertwiner",
     "scarf_relations",
     "exact_residual",
@@ -148,11 +148,13 @@ class SusySystem:
         """y = sin x, g = Psi_0 = N_0 |sin x|^(a/2) cos^(b/2) x (1 + sin x)^(1/2)
         and E_n = q_n^2 = ``supercharge_eigenvalue_scaled``(n)^2/8."""
         a, b = float(params.alpha), float(params.beta)
+        # N_0 once, at the first call (none at a + b <= -2: levels collide)
+        n0 = cache(lambda: math.sqrt(ground_state_norm_sq(params)))
 
         def ground(x):
             s = np.sin(x)
-            return (math.sqrt(ground_state_norm_sq(params)) * np.abs(s) ** (a / 2)
-                    * np.cos(x) ** (b / 2) * np.sqrt(1 + s))
+            return (n0() * np.abs(s) ** (a / 2) * np.cos(x) ** (b / 2)
+                    * np.sqrt(1 + s))
 
         # the even sector's |x|^(a/2) adds an h^(2a) error term to h^2; the
         # clamp to [1, 2] leaves 2a < 1 uneliminated (ROADMAP item 2)
@@ -177,10 +179,10 @@ class SusySystem:
         ||F0||^2 = B(mu + 1/2, alpha + 1), and E_n = -lambda_n; on the grid
         2 H at Scarf (2 mu, 0) plus ``_gegenbauer_corrections``."""
         mu, al = float(params.mu), float(params.alpha)
+        norm = cache(lambda: math.sqrt(beta_num(mu + 0.5, al + 1)))
 
         def ground(x):
-            return (np.abs(np.sin(x)) ** mu * np.cos(x) ** (al + 0.5)
-                    / math.sqrt(beta_num(mu + 0.5, al + 1)))
+            return np.abs(np.sin(x)) ** mu * np.cos(x) ** (al + 0.5) / norm()
 
         return cls("gegenbauer", params.params_json(), params, np.sin,
                    math.pi / 2, ground, 1.0, lambda n, lam: -lam,
@@ -235,11 +237,6 @@ def ground_state_norm_sq(params: ScarfParams) -> float:
     """N_0^2 = 1 / B((a+1)/2, (b+1)/2), from the Beta integral directly."""
     return 1.0 / beta_num((float(params.alpha) + 1) / 2,
                           (float(params.beta) + 1) / 2)
-
-
-def wavefunction_fn(n: int, params: ScarfParams) -> Callable:
-    """The Scarf record's ``wavefunction(n)``: (N_n/N_0) Psi_0(x) P_n(sin x)."""
-    return SusySystem.scarf(params).wavefunction(n)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +295,8 @@ def _test_functions(params: ScarfParams) -> dict:
     functions, and an eigenfunction of the system itself (smooth on the open
     interval), left unnormalized: Psi_0 times P_2(sin x), with Psi_0 and P_2
     built once here for every grid the caller evaluates it on."""
-    psi0, p2 = wavefunction_fn(0, params), construct_eigen(2, params)
+    psi0 = SusySystem.scarf(params).wavefunction(0)
+    p2 = construct_eigen(2, params)
     return {**{name: u.f for name, u in _TEST_FNS.items()},
             "eigenfunction-2": lambda x: psi0(x) * p2(np.sin(x))}
 

@@ -92,13 +92,16 @@ OPTIONS = ("family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 8 "
            "spectrum --system oscillator --grids 64,128,256 --format json",
            "verify --suite all")
 
-# commands that print to stdout, through the CLI's trailing-newline rule:
+# commands that print to stdout, through the CLI's trailing-newline rule (a
+# spectrum's JSON and CSV reports among them, with its summary on stderr):
 # run() passes no --out to a command that ends in this shell comment
 NO_OUT = "  # stdout"
 STDOUT = tuple(c + NO_OUT for c in (
     "family --kind gegenbauer --mu 1/2 --alpha 1 --degree 8",
     "family --kind jacobi-m1 --alpha 1/3 --beta 2 --degree 8 --format json",
     "spectrum --system oscillator --grids 64,128,256",
+    "spectrum --system scarf --alpha 1 --beta 3 --grids 64,128,256 "
+    "--format csv",
     "errata"))
 
 

@@ -34,7 +34,6 @@ from dunklqm.susyqm import (
     SusySystem,
     osc_wavefunction,
     verify_operator_relations,
-    wavefunction_fn,
 )
 from dunklqm.errata import build_errata
 
@@ -167,7 +166,7 @@ def test_criterion_7_normalization_oracle():
     ok = True
     for a, b in FUZZ_PARAMS:
         p = ScarfParams(a, b)
-        psi0 = wavefunction_fn(0, p)
+        psi0 = SusySystem.scarf(p).wavefunction(0)
         val = gridmod.quadrature(lambda x: psi0(x) ** 2, math.pi / 2)
         if abs(val - 1.0) > 1e-8:
             ok = False

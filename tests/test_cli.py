@@ -1,7 +1,9 @@
 """CLI contract tests: exit codes, formats, determinism, errata schema."""
 
 import ast
+import csv
 import errno
+import io
 import json
 import os
 import re
@@ -326,6 +328,20 @@ def test_spectrum_oscillator(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "level,N512,N1024,N2048,extrapolated,target,abs_error,order"
     assert len(lines) == 6
+
+
+def test_spectrum_without_out_prints_only_its_report_to_stdout(capsys):
+    # the per-level summary goes to stderr, so stdout parses in its format
+    # whether or not the coarse ladder meets the tolerance
+    argv = ["spectrum", "--system", "oscillator", "--grids", "64,128,256"]
+    _, out, err = run(argv, capsys)
+    report = json.loads(out)
+    summary = [line for line in err.splitlines() if line.startswith("level ")]
+    assert len(summary) == len(report["levels"]) > 0
+    _, out, _ = run(argv + ["--format", "csv"], capsys)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][:2] == ["level", "N64"]
+    assert len(rows) == 1 + len(report["levels"])
 
 
 def test_spectrum_tolerance_failure_exit_code(tmp_path, capsys):

@@ -18,8 +18,8 @@ CHEAP = ["family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 4",
 
 def test_commands_are_every_job_and_the_ladders():
     cmds = compare_outputs.commands()
-    assert len(cmds) == len(set(cmds)) == 180
-    assert cmds[-38:] == [*compare_outputs.LADDERS, *compare_outputs.USAGE,
+    assert len(cmds) == len(set(cmds)) == 181
+    assert cmds[-39:] == [*compare_outputs.LADDERS, *compare_outputs.USAGE,
                           *compare_outputs.EDGES, *compare_outputs.ERRORS,
                           *compare_outputs.OPTIONS, *compare_outputs.STDOUT]
 

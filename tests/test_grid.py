@@ -33,7 +33,7 @@ from dunklqm.gegenbauer import GegParams, eigenvalue_geg, geg_potentials
 from dunklqm.refcalc import CoeffFn, FirstOrderRefOp, Grid
 from dunklqm.spectra import spectrum_problem
 from dunklqm.susyqm import (ScarfParams, SusySystem, oscillator_potential,
-                            scarf_potential, wavefunction_fn)
+                            scarf_potential)
 
 
 def test_grid_nodes_symmetric():
@@ -195,20 +195,27 @@ def test_quadrature_cos_squared():
 def test_quadrature_ground_state_normalization(a_b):
     a, b = (F(v) for v in a_b)
     pars = ScarfParams(a, b)
-    psi0 = wavefunction_fn(0, pars)
+    psi0 = SusySystem.scarf(pars).wavefunction(0)
     val = quadrature(lambda x: psi0(x) ** 2, math.pi / 2)
     assert abs(val - 1.0) < 1e-8
 
 
 def test_quadrature_excited_norm_and_orthogonality():
-    pars = ScarfParams(F(1, 2), F(3, 2))
-    psi1 = wavefunction_fn(1, pars)
-    n1 = quadrature(lambda x: psi1(x) ** 2, math.pi / 2)
-    assert abs(n1 - 1.0) < 1e-8
-    psi2 = wavefunction_fn(2, pars)
-    psi0 = wavefunction_fn(0, pars)
-    cross = quadrature(lambda x: psi2(x) * psi0(x), math.pi / 2)
-    assert abs(cross) < 1e-8
+    # every record's psi_0 ... psi_3 are orthonormal: its ground factor with
+    # its norm constant, and its P_n with ||P_n||^2
+    for system in (SusySystem.scarf(ScarfParams(F(1, 2), F(3, 2))),
+                   SusySystem.scarf(ScarfParams(F(1), F(3))),
+                   SusySystem.gegenbauer(GegParams(F(1, 2), F(1))),
+                   SusySystem.gegenbauer(GegParams(F(1, 3), F(2))),
+                   SusySystem.gegenbauer(GegParams(F(0), F(1, 2))),
+                   SusySystem.oscillator()):
+        psi = [system.wavefunction(n) for n in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                got = quadrature(lambda x: psi[i](x) * psi[j](x),
+                                 system.halfwidth)
+                assert abs(got - (i == j)) < 1e-12, (system.name,
+                                                     system.params, i, j, got)
 
 
 @pytest.mark.parametrize("a, b", [(-0.1, 0.5), (1 / 3, 2.0), (1.0, 0.0),
@@ -222,11 +229,12 @@ def test_quadrature_cusps_without_their_exponents(a, b):
 
 
 def test_errata_quadrature_converges_within_point_budget(monkeypatch):
-    # entry -> its quadrature calls: two per moment ratio, one norm, three
-    # oscillator norms
-    entries = {errata._weight_exponent: 4,
-               errata._ground_state_normalization: 1,
-               errata._oscillator_laguerre_weight: 3}
+    # entry -> its arguments and its quadrature calls: two per moment ratio,
+    # one norm, three oscillator norms
+    psi0 = SusySystem.scarf(errata._GROUND_PARAMS).wavefunction(0)
+    entries = {errata._weight_exponent: ((), 4),
+               errata._ground_state_normalization: ((psi0,), 1),
+               errata._oscillator_laguerre_weight: ((), 3)}
     real = gridmod.quadrature
     points = []
 
@@ -242,9 +250,9 @@ def test_errata_quadrature_converges_within_point_budget(monkeypatch):
         return value
 
     monkeypatch.setattr(gridmod, "quadrature", counted)
-    for entry, calls in entries.items():
+    for entry, (args, calls) in entries.items():
         del points[:]
-        entry()
+        entry(*args)
         assert len(points) == calls, entry.__name__
         assert max(points) <= 4096, (entry.__name__, points)
 
@@ -253,7 +261,8 @@ def test_errata_quadrature_evidence_matches_closed_forms():
     moments = errata._weight_exponent()["evidence"]
     assert abs(moments["printed_exponent_first_moment"] - 1 / 3) <= 1e-15
     assert abs(moments["derived_exponent_first_moment"] - 1 / 2) <= 1e-15
-    norm = errata._ground_state_normalization()["evidence"]
+    psi0 = SusySystem.scarf(errata._GROUND_PARAMS).wavefunction(0)
+    norm = errata._ground_state_normalization(psi0)["evidence"]
     assert abs(norm["quadrature_norm_with_oracle"] - 1.0) <= 1e-15
     osc = errata._oscillator_laguerre_weight()["evidence"]
     for n, val in enumerate(osc["measured_norm_of_printed_form"]):
@@ -517,7 +526,7 @@ def test_gegenbauer_corrections_give_derived_potentials(mu, alpha):
     h = system.potential.hamiltonian()
     x = np.linspace(0.05, 1.5, 29) * np.resize([1.0, -1.0], 29)
     scalar, refl = system.corrections(x)
-    derived = np.array([geg_potentials(params, t, "derived")[:2]
+    derived = np.array([geg_potentials(params, t, "derived")
                         for t in x.tolist()])
     np.testing.assert_allclose(2 * h[0, 0].f(x) + scalar, derived[:, 0],
                                rtol=1e-13, atol=0)
@@ -765,7 +774,7 @@ def test_gegenbauer_a_dagger_a_is_the_derived_hamiltonian(mu, alpha):
                                      r=cot.scale(float(mu)))
     x = np.linspace(0.05, 1.5, 29) * np.resize([1.0, -1.0], 29)
     words = a_dagger.compose(a).coefficient_arrays(x)
-    derived = np.array([geg_potentials(GegParams(mu, alpha), t, "derived")[:2]
+    derived = np.array([geg_potentials(GegParams(mu, alpha), t, "derived")
                         for t in x.tolist()])
     assert not any(words.pop(w).any() for w in [(1, 0), (1, 1)] if w in words)
     assert set(words) == {(2, 0), (0, 0), (0, 1)}

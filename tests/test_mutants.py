@@ -20,6 +20,7 @@ import pytest
 from dunklqm import cli, errata, gegenbauer, jacobi, susyqm
 from dunklqm.gegenbauer import GegParams
 from dunklqm.jacobi import Jacobi1Params
+from dunklqm.opalg import ReflOp
 from dunklqm.refcalc import CoeffFn, FirstOrderRefOp
 from dunklqm.susyqm import SusySystem
 
@@ -112,6 +113,15 @@ MUTANTS = [
         "verify --suite jacobi --degree 6",
         "family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 6"),
         id="jacobi-closed-norm"),
+    # The battery's `consistent` compares the displayed normalization
+    # constant's rearrangement with the closed-form norm exactly, so either
+    # one moved fails the battery.
+    pytest.param(_wrapped("norm_sq_from_normalization", lambda norm, n, params:
+                          norm * (Fraction(1001, 1000) if n >= 2 else 1),
+                          jacobi), (
+        "verify --suite jacobi --degree 6",
+        "family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 6"),
+        id="jacobi-normalization"),
     # The exact suite checks 2 H P_n = 2 E_n P_n with E_n from this map, and
     # the spectrum's targets are this map, 1e-2 away from levels that the
     # grid resolves to 1e-6.
@@ -119,6 +129,11 @@ MUTANTS = [
         "verify --suite oscillator",
         "spectrum --system oscillator --grids 256,512,1024"),
         id="oscillator-energy"),
+    # The exact suite checks (sqrt(2) Qtilde)^2 = 2 Htilde and 2 Htilde P_n =
+    # 2 E_n P_n on P_0..P_12: Htilde + I/100 fails both.
+    pytest.param(_wrapped("osc_gauged_hamiltonian", lambda h: h + ReflOp(
+        [(EPS, ())]), gegenbauer), (
+        "verify --suite oscillator",), id="oscillator-hamiltonian"),
     # The lowering map's images are compared exactly with [n]_a P_{n-1}, and
     # the corrected raising scalar b - 1 + [n+1]_a reads it too.
     pytest.param(_shifted("bracket_n", jacobi, errata), (
@@ -203,6 +218,36 @@ GAPS = [
         ("verify", "errata",
          "spectrum --system oscillator --grids 256,512,1024"),
         id="oscillator-ground"),
+    # N_0^2 times 101/100 scales the Scarf ground state: the relations probe
+    # is left unnormalized and the spectrum does not read it, so only
+    # errata's evidence moves (its oracle value and quadrature norm), and its
+    # verdicts are typed by hand. Closed by ROADMAP item 11.
+    pytest.param(_wrapped("ground_state_norm_sq", lambda norm, params:
+                          norm * float(Fraction(101, 100)), susyqm, errata),
+                 ("verify", "errata",
+                  "spectrum --system scarf --alpha 1 --beta 3 "
+                  "--grids 256,512,1024"),
+                 id="scarf-ground-norm"),
+    # The derived U0 plus 1/100: only errata's printed-minus-derived
+    # evidence reads `geg_potentials`, and the grid reads the record's
+    # corrections instead. Closed by ROADMAP items 11 and 27.
+    pytest.param(_wrapped("geg_potentials", lambda u, params, x, variant:
+                          (u[0] + float(EPS), u[1]) if variant == "derived"
+                          else u, gegenbauer, errata),
+                 ("verify", "errata",
+                  "spectrum --system gegenbauer --mu 1/2 --alpha 1 "
+                  "--grids 256,512,1024"),
+                 id="gegenbauer-derived-constants"),
+    # The corrected odd kappa plus 1/100: the corrected explicit form stops
+    # matching the oracle's P_n, which the battery and errata report as a
+    # finding, not an oracle failure. Closed by ROADMAP item 11.
+    pytest.param(_wrapped("_kappa", lambda kappa, n, params, variant:
+                          kappa + EPS if n % 2 and variant == "corrected"
+                          else kappa, jacobi),
+                 ("verify --suite jacobi --degree 6",
+                  "family --kind jacobi-m1 --alpha 1/2 --beta 3/2 --degree 6",
+                  "errata"),
+                 id="jacobi-corrected-kappa"),
 ]
 
 

@@ -55,7 +55,6 @@ from dunklqm.susyqm import (
     scarf_potential,
     scarf_relations,
     verify_operator_relations,
-    wavefunction_fn,
 )
 from dunklqm.opalg import dunkl
 
@@ -157,8 +156,8 @@ def test_ground_state_values_and_domain():
     p = pars(1, 1)
     psi0 = SusySystem.scarf(p).wavefunction(0)
     assert psi0(0.0) == 0.0
-    g0 = wavefunction_fn(0, p)
-    assert abs(g0(np.array([0.7]))[0] - psi0(0.7)) < 1e-14
+    ground = SusySystem.scarf(p).ground
+    assert abs(ground(np.array([0.7]))[0] - psi0(0.7)) < 1e-14
 
 
 @pytest.mark.parametrize("a, b", [(0, 0), (1, 1), ("1/2", "3/2"), (2, "1/5"),
@@ -172,7 +171,7 @@ def test_wavefunction_zero_is_the_ground_state_expression_bitwise(a, b):
     n0 = math.sqrt(ground_state_norm_sq(p))
     ref = n0 * np.abs(np.sin(x)) ** (af / 2) * np.cos(x) ** (bf / 2) \
         * np.sqrt(1 + np.sin(x))
-    assert wavefunction_fn(0, p)(x).tobytes() == ref.tobytes()
+    assert SusySystem.scarf(p).wavefunction(0)(x).tobytes() == ref.tobytes()
 
 
 # -- intertwiners -------------------------------------------------------------
@@ -280,14 +279,14 @@ def test_raising_check_refuses_a_negative_degree():
 
 def test_wavefunction_refuses_a_negative_level():
     with pytest.raises(ValueError, match="nonnegative"):
-        wavefunction_fn(-1, pars(1, 3))
+        SusySystem.scarf(pars(1, 3)).wavefunction(-1)
 
 
 def test_wavefunction_refuses_a_colliding_level():
     # at a + b = -2, lambda_1 = 2 (1 + a + b + 1) = 0 = lambda_0
     with pytest.raises(DegenerateSpectrumError, match="degrees 0 and 1 share "
                        "the eigenvalue 0, so P_1 is not uniquely defined"):
-        wavefunction_fn(1, unchecked(ScarfParams, 0, -2))
+        SusySystem.scarf(unchecked(ScarfParams, 0, -2)).wavefunction(1)
 
 
 @pytest.mark.parametrize("n", [30, 40])
@@ -300,7 +299,8 @@ def test_wavefunction_high_level_matches_exact_polynomial(a, b, n):
     pn = construct_eigen(n, p)
     exact = np.array([float(pn(F(s))) for s in np.sin(x)])
     ratio = 1.0 / math.sqrt(float(norm_sq_closed(n, p)))
-    got = wavefunction_fn(n, p)(x) / (ratio * wavefunction_fn(0, p)(x))
+    system = SusySystem.scarf(p)
+    got = system.wavefunction(n)(x) / (ratio * system.wavefunction(0)(x))
     assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
@@ -349,7 +349,7 @@ def test_printed_x_fails_to_annihilate_ground_state():
     # grid application of the printed X on Psi_0 equals -(1/2) tan(x) Psi_0
     p = pars(1, 1)
     g = refc.Grid(2048, math.pi / 2)
-    psi0 = wavefunction_fn(0, p)(g.nodes)
+    psi0 = SusySystem.scarf(p).wavefunction(0)(g.nodes)
     out_p = intertwiner(p, "X", "printed").stencil(g)(psi0)
     out_c = intertwiner(p, "X", "corrected").stencil(g)(psi0)
     mask = (np.abs(g.nodes) > 0.1) & (np.abs(np.abs(g.nodes) - g.halfwidth) > 0.1)
@@ -382,9 +382,10 @@ def _reference_intertwiner_grid(u, g, which, variant, params):
 @pytest.mark.parametrize("a, b", [(1, 1), (0, 1), ("1/2", "3/2"), (2, "1/5")])
 def test_intertwiner_stencil_matches_reference_bitwise(a, b):
     p = pars(a, b)
+    psi0 = SusySystem.scarf(p).wavefunction(0)
     for n in (1024, 2048):
         g = refc.Grid(n, math.pi / 2)
-        for u in (wavefunction_fn(0, p)(g.nodes), np.exp(-g.nodes**2) * (1 + g.nodes)):
+        for u in (psi0(g.nodes), np.exp(-g.nodes**2) * (1 + g.nodes)):
             for which in "XY":
                 for variant in ("printed", "corrected"):
                     out = intertwiner(p, which, variant).stencil(g)(u)
@@ -527,7 +528,7 @@ def test_eigenfunction_probe_is_ground_state_times_p2():
     from dunklqm.susyqm import _probes
     for p in (pars("1/2", "3/2"), pars(2, "1/5")):
         for g, _, fns, _ in _probes(p, [256, 512], {}):
-            ref = (wavefunction_fn(0, p)(g.nodes)
+            ref = (SusySystem.scarf(p).wavefunction(0)(g.nodes)
                    * construct_eigen(2, p)(np.sin(g.nodes)))
             assert fns["eigenfunction-2"].tobytes() == ref.tobytes()
 
@@ -566,7 +567,7 @@ def _per_grid_fd_norms(params, relation, grids):
         g = refc.Grid(n, math.pi / 2)
         x = g.nodes
         fns = [u.f(x) for u in _TEST_FNS.values()]
-        fns.append(wavefunction_fn(0, params)(x)
+        fns.append(SusySystem.scarf(params).wavefunction(0)(x)
                    * construct_eigen(2, params)(np.sin(x)))
         stencils = {op: op.stencil(g) for chain in relation.lhs + relation.rhs
                     for op in chain.ops}
@@ -888,8 +889,8 @@ def test_osc_wavefunction_takes_a_list_and_keeps_its_bits():
                                                     "-0x1.dff75abe02fccp-3"]
     assert float(psi2(0.3)).hex() == "-0x1.aa5a0ef3ba8d5p-2"
     p = pars("1/2", "3/2")
-    assert (wavefunction_fn(2, p)(xs).tobytes()
-            == wavefunction_fn(2, p)(np.array(xs)).tobytes())
+    psi2 = SusySystem.scarf(p).wavefunction(2)
+    assert psi2(xs).tobytes() == psi2(np.array(xs)).tobytes()
 
 
 def test_record_targets_are_the_hand_typed_energy_rules():
@@ -976,7 +977,8 @@ def test_osc_wavefunction_measured_norm():
 
 def test_errata_builds_each_oscillator_evaluator_once(monkeypatch):
     # the recurrence was rebuilt from the moments on every point evaluation:
-    # 32 calls per report, 30 of them for the oscillator entry
+    # 32 calls per report, 30 of them for the oscillator entry; the Scarf
+    # (1, 1) ground state is built once for its two entries
     from dunklqm import errata
 
     calls = []
@@ -988,4 +990,4 @@ def test_errata_builds_each_oscillator_evaluator_once(monkeypatch):
 
     monkeypatch.setattr(SusySystem, "polynomials", counting)
     errata.build_errata()
-    assert Counter(name for name, _ in calls) == {"oscillator": 12, "scarf": 2}
+    assert Counter(name for name, _ in calls) == {"oscillator": 12, "scarf": 1}
