@@ -16,6 +16,19 @@ variant is known to disagree (wrong second-block prefactor and kappa base),
 so both a ``printed`` and a ``corrected`` assembly are provided and the
 difference is reported, never silently patched.
 
+The closed forms (the moments, kappa, both norms and the 2F1 blocks of the
+explicit forms) are products of Pochhammer symbols over five bases,
+(a+1)/2, (a+3)/2, (b+1)/2, c = a/2+b/2+1 and 1, and read them from one set
+of integer prefix tables (``exact.PochhammerTable``): each value is one
+integer product, made a ``Fraction`` or a ``Poly`` once, with the same
+reduced rationals as Fraction arithmetic. The tables are never a memo: the
+battery's ``verify_family`` call builds them on its own copy of the family
+(``for_battery``) and drops them with it, and any other call builds fresh
+ones that end with it, so no command reads a value an earlier one made.
+The eigen route (``lop`` and the back-substitution) reads no table, so the
+battery's eigen-against-Gram and Hankel-against-closed-form checks stay
+independent.
+
 ``Jacobi1Params`` supplies this family's math to the generic battery of
 ``opalg``; its extra checks are the closed-form norms and explicit forms.
 It is also the parameter object of the extended Scarf I system
@@ -36,10 +49,13 @@ and the corrected Y maps P_n^{(a,b)} to (b-1+[n+1]_a) P_{n+1}^{(a,b-2)}
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
-from .exact import hyp_terms, pochhammer, rat
+from .exact import PochhammerTable, rat
 from .opalg import (
     Diff,
     MulPoly,
@@ -101,10 +117,18 @@ class Jacobi1Params(OrthogonalFamily):
         return eigenvalue(n, self)
 
     def next_moment(self, lower: list) -> Fraction:
-        """c_{2m} = c_{2m-1} = (a/2+1/2)_m / (a/2+b/2+1)_m."""
+        """c_{2m} = c_{2m-1} = ((a+1)/2)_m / (c)_m."""
         m = (len(lower) + 1) // 2
-        a, b = self.alpha, self.beta
-        return pochhammer(a/2 + Fraction(1, 2), m) / pochhammer(a/2 + b/2 + 1, m)
+        t = _tables(self)
+        a1, c = t.a1, t.c
+        return Fraction(a1.num(m) * c.q**m, a1.q**m * c.num(m))
+
+    def for_battery(self) -> "Jacobi1Params":
+        """A copy carrying one set of Pochhammer tables, which the battery's
+        moments, closed-form norms and explicit forms share for this call."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "_pochhammers", _Pochhammers(self))
+        return twin
 
     def family_checks(self, n: int, pn: Poly,
                       norm_sq: Fraction) -> tuple[dict, bool]:
@@ -151,29 +175,67 @@ def eigenvalue(n: int, params: Jacobi1Params) -> Fraction:
     """-2n for even degree, 2(n+a+b+1) for odd degree."""
     if n % 2 == 0:
         return Fraction(-2*n)
-    return 2*(n + params.alpha + params.beta + 1)
+    a, b = params.alpha, params.beta
+    q = a.denominator*b.denominator
+    return Fraction(2*((n + 1)*q + a.numerator*b.denominator
+                       + b.numerator*a.denominator), q)
+
+
+class _Pochhammers:
+    """One family's integer Pochhammer prefix tables, over the bases
+    (a+1)/2, (a+3)/2, (b+1)/2, c = a/2+b/2+1 and 1: every closed form of
+    this module is a product of their entries."""
+
+    __slots__ = ("a1", "a3", "b1", "c", "one")
+
+    def __init__(self, params: Jacobi1Params):
+        a, b = params.alpha, params.beta
+        self.a1 = PochhammerTable((a + 1)/2)
+        self.a3 = PochhammerTable((a + 3)/2)
+        self.b1 = PochhammerTable((b + 1)/2)
+        self.c = PochhammerTable(a/2 + b/2 + 1)
+        self.one = PochhammerTable(1)
+
+
+def _tables(params: Jacobi1Params) -> _Pochhammers:
+    """The tables of the battery's copy (``for_battery``), or fresh ones
+    that end with the calling function."""
+    return getattr(params, "_pochhammers", None) or _Pochhammers(params)
 
 
 def _kappa(n: int, params: Jacobi1Params, variant: str) -> Fraction:
-    a, b = params.alpha, params.beta
-    if n % 2 == 0:
-        k = n // 2
-        return (Fraction(-1)**k * pochhammer((a + 1)/2, k)
-                / pochhammer(Fraction(n, 2) + a/2 + b/2 + 1, k))
+    """(-1)^k ((a+1)/2)_k / (base)_k, k = ceil(n/2), with base n/2 + c for
+    even n, and (n+1)/2 + c (printed) or (n-1)/2 + c (corrected) for odd n:
+    base = lo + c, so (base)_k = (c)_(lo+k) / (c)_lo."""
+    t = _tables(params)
+    a1, c = t.a1, t.c
     k = (n + 1) // 2
-    if variant == "printed":
-        base = Fraction(n + 1, 2) + a/2 + b/2 + 1
-    else:
-        base = Fraction(n - 1, 2) + a/2 + b/2 + 1
-    return Fraction(-1)**k * pochhammer((a + 1)/2, k) / pochhammer(base, k)
+    lo = k - 1 if n % 2 and variant != "printed" else k
+    num = a1.num(k) * c.num(lo) * c.q**k
+    return Fraction(-num if k % 2 else num, a1.q**k * c.num(lo + k))
 
 
-def _hyp_poly_in_ysq(num, den) -> Poly:
-    """Terminating 2F1(num; den; y^2) expanded as an exact Poly in y."""
-    coeffs = []
-    for term in hyp_terms(num, den, 1):
-        coeffs += [term, 0]
-    return Poly(coeffs)
+def _hyp_block(t: _Pochhammers, m: int, s: int, d: PochhammerTable,
+               shift: int) -> tuple[list, int]:
+    """y^shift 2F1(-m, s + c; d; y^2) as (integer numerators, denominator):
+    its y^(shift+2j) coefficient is (-1)^j C(m, j) (c)_(s+j) / ((c)_s
+    (d)_j), over the one denominator (c)_s (d)_m of the numerator tables."""
+    c, dm = t.c, d.num(m)
+    nums = [0]*(shift + 2*m + 1)
+    for j in range(m + 1):
+        x = (math.comb(m, j) * c.num(s + j) * d.q**j * c.q**(m - j)
+             * (dm // d.num(j)))
+        nums[shift + 2*j] = -x if j % 2 else x
+    return nums, c.num(s) * c.q**m * dm
+
+
+def _add_scaled(first: tuple, ratio: tuple, second: tuple) -> tuple[list, int]:
+    """first + (p/q) second, for (integer numerators, denominator) pairs
+    ``first`` and ``second`` and the integer pair ``ratio`` = (p, q)."""
+    (x, xd), (p, q), (z, zd) = first, ratio, second
+    fx, fz = zd*q, p*xd
+    return ([fx*u + fz*v for u, v in zip_longest(x, z, fillvalue=0)],
+            xd*zd*q)
 
 
 def construct_explicit(n: int, params: Jacobi1Params,
@@ -192,24 +254,23 @@ def construct_explicit(n: int, params: Jacobi1Params,
 
 def _explicit_blocks(n: int, params: Jacobi1Params) -> tuple:
     """The 2F1 blocks of the explicit form, which no variant changes: the
-    whole bracket for even n, (blk1, y blk2) for odd n."""
-    a, b = params.alpha, params.beta
+    whole bracket for even n, (blk1, y blk2) for odd n, each as (integer
+    numerators, denominator)."""
+    a = params.alpha
     if ((a + 1)/2).denominator == 1 and (a + 1)/2 <= 0:
         raise ValueError("denominator parameter (a+1)/2 is a nonpositive integer")
+    t = _tables(params)
     if n % 2 == 0:
         k = n // 2
-        bracket = _hyp_poly_in_ysq((Fraction(-k), (n + a + b + 2)/Fraction(2)),
-                                   ((a + 1)/2,))
+        bracket = _hyp_block(t, k, k, t.a1, 0)
         if n:   # at n = 0 the second block does not terminate, and has weight 0
-            blk2 = _hyp_poly_in_ysq((Fraction(1 - k), (n + a + b + 2)/Fraction(2)),
-                                    ((a + 3)/2,))
-            bracket += (Poly.monomial(1) * blk2).scale(Fraction(n, 1)/(a + 1))
+            # plus n/(a+1) y 2F1(1-k, k+c; (a+3)/2; y^2)
+            ratio = (n*a.denominator, a.numerator + a.denominator)
+            bracket = _add_scaled(bracket, ratio,
+                                  _hyp_block(t, k - 1, k, t.a3, 1))
         return (bracket,)
-    blk1 = _hyp_poly_in_ysq(((1 - n)/Fraction(2), (n + a + b + 1)/Fraction(2)),
-                            ((a + 1)/2,))
-    blk2 = _hyp_poly_in_ysq(((1 - n)/Fraction(2), (n + a + b + 3)/Fraction(2)),
-                            ((a + 3)/2,))
-    return blk1, Poly.monomial(1) * blk2
+    m = (n - 1) // 2
+    return _hyp_block(t, m, m, t.a1, 0), _hyp_block(t, m, m + 1, t.a3, 1)
 
 
 def _assemble_explicit(n: int, params: Jacobi1Params, variant: str,
@@ -217,49 +278,44 @@ def _assemble_explicit(n: int, params: Jacobi1Params, variant: str,
     """The explicit form of ``variant`` from ``_explicit_blocks``: kappa times
     the bracket, which for odd n is blk1 - pref/(a+1) y blk2."""
     if n % 2 == 0:
-        bracket, = blocks
+        (nums, den), = blocks
     else:
-        a, b = params.alpha, params.beta
-        blk1, y_blk2 = blocks
-        pref = (a + b + 1) if variant == "printed" else (n + a + b + 1)
-        bracket = blk1 - y_blk2.scale(pref/(a + 1))
-    return bracket.scale(_kappa(n, params, variant))
+        # pref/(a+1) = (s + a + b)/(a + 1), s = 1 (printed) or n + 1
+        (pa, qa), (pb, qb) = ((x.numerator, x.denominator)
+                              for x in (params.alpha, params.beta))
+        s = 1 if variant == "printed" else n + 1
+        ratio = (-(s*qa*qb + pa*qb + pb*qa), (pa + qa)*qb)
+        nums, den = _add_scaled(blocks[0], ratio, blocks[1])
+    kappa = _kappa(n, params, variant)
+    return Poly._of([kappa.numerator*x for x in nums], kappa.denominator*den)
 
 
 def norm_sq_closed(n: int, params: Jacobi1Params) -> Fraction:
-    """Closed form for inner(P_n, P_n) (the squared-norm ratio N_0^2/N_n^2)."""
-    a, b = params.alpha, params.beta
-    if n == 0:
-        return Fraction(1)
-    if n % 2 == 0:
-        k = n // 2
-        num = (pochhammer(1, k) * pochhammer(a/2 + Fraction(1, 2), k)
-               * pochhammer(b/2 + Fraction(1, 2), k) * pochhammer(a/2 + b/2 + 1, k))
-        return num / pochhammer(a/2 + b/2 + 1, 2*k)**2
+    """Closed form for inner(P_n, P_n) (the squared-norm ratio N_0^2/N_n^2):
+    (1)_k ((a+1)/2)_k ((b+1)/2)_k (c)_k / (c)_2k^2 for n = 2k, and
+    (1)_(k-1) ((a+1)/2)_k ((b+1)/2)_k (c)_(k-1) / (c)_(2k-1)^2 for
+    n = 2k - 1, c = a/2+b/2+1."""
+    t = _tables(params)
+    a1, b1, c = t.a1, t.b1, t.c
     k = (n + 1) // 2
-    num = (pochhammer(1, k - 1) * pochhammer(a/2 + Fraction(1, 2), k)
-           * pochhammer(b/2 + Fraction(1, 2), k) * pochhammer(a/2 + b/2 + 1, k - 1))
-    return num / pochhammer(a/2 + b/2 + 1, 2*k - 1)**2
+    j = k if n % 2 == 0 else k - 1
+    num = t.one.num(j) * a1.num(k) * b1.num(k) * c.num(j) * c.q**(2*n - j)
+    return Fraction(num, (a1.q*b1.q)**k * c.num(n)**2)
 
 
 def norm_sq_from_normalization(n: int, params: Jacobi1Params) -> Fraction:
-    """N_0^2/N_n^2 read off the displayed normalization-constant formula.
+    """N_0^2/N_n^2 read off the displayed normalization-constant formula,
+    (1)_k (c)_k ((a+1)/2)_(n-k) ((b+1)/2)_(n-k) / (c)_n^2, k = floor(n/2).
 
     Algebraic rearrangement of the same content as norm_sq_closed; the two
     agreeing exactly is one of the consistency checks.
     """
-    a, b = params.alpha, params.beta
-    if n % 2 == 0:
-        k = n // 2
-        den = (pochhammer(1, k) * pochhammer(a/2 + b/2 + 1, k)
-               * pochhammer(a/2 + Fraction(1, 2), k)
-               * pochhammer(b/2 + Fraction(1, 2), k))
-    else:
-        k = (n - 1) // 2
-        den = (pochhammer(1, k) * pochhammer(a/2 + b/2 + 1, k)
-               * pochhammer(a/2 + Fraction(1, 2), k + 1)
-               * pochhammer(b/2 + Fraction(1, 2), k + 1))
-    return den / pochhammer(a/2 + b/2 + 1, n)**2
+    t = _tables(params)
+    a1, b1, c = t.a1, t.b1, t.c
+    k = n // 2
+    num = (t.one.num(k) * c.num(k) * a1.num(n - k) * b1.num(n - k)
+           * c.q**(2*n - k))
+    return Fraction(num, (a1.q*b1.q)**(n - k) * c.num(n)**2)
 
 
 def gauged_supercharge(params: Jacobi1Params) -> ReflOp:
@@ -273,9 +329,8 @@ def supercharge_eigenvalue_scaled(n: int, params: Jacobi1Params) -> Fraction:
 
 
 def bracket_n(n: int, alpha) -> Fraction:
-    """[n]_a = n + (a/2)(1 - (-1)^n)."""
-    alpha = rat(alpha)
-    return n + (alpha / 2) * (1 - Fraction(-1) ** n)
+    """[n]_a = n + (a/2)(1 - (-1)^n): n + a for odd n, n for even n."""
+    return n + rat(alpha) if n % 2 else Fraction(n)
 
 
 def gauged_y_corrected(params: Jacobi1Params) -> ReflOp:
@@ -335,6 +390,7 @@ def verify_raising(params: Jacobi1Params, max_n: int,
     ps = _nondegenerate_sequence(params, max_n, ps)
     targets = eigen_sequence(unchecked(Jacobi1Params, a, b - 2), max_n + 1)
     y = gauged_y_corrected(params)
+    shift = b - 1
     corrected, printed = [], []
     for n in range(max_n + 1):
         target = targets[n + 1]
@@ -342,7 +398,11 @@ def verify_raising(params: Jacobi1Params, max_n: int,
             corrected.append(None)
             printed.append(None)
             continue
+        # the target is monic: image = s target only for s the image's
+        # y^(n+1) coefficient
         image = y.apply(ps[n])
-        corrected.append(image == target.scale(b - 1 + bracket_n(n + 1, a)))
-        printed.append(image == target.scale(b - 1 + bracket_n(n, a)))
+        s = image.coeff(n + 1)
+        mapped = image == target.scale(s)
+        corrected.append(mapped and s == shift + bracket_n(n + 1, a))
+        printed.append(mapped and s == shift + bracket_n(n, a))
     return corrected, printed

@@ -22,15 +22,21 @@ On top of the algebra sits the one verification battery shared by every
 orthogonal family. A family (``OrthogonalFamily``) supplies only its own
 math: validated parameters, its operator and eigenvalue formula, and its
 moment formula. The generic code builds the monic family twice, from the
-eigenvalue equation (one builder, ``matrix_on_basis``, reads the operator's
-integer rows from its images of y^j; one driver, ``eigen_sequence``,
-back-substitutes each degree over those rows, and ``construct_eigen`` one
-degree) and from the moments alone (``gram_sequence``: the three-term
+eigenvalue equation (one builder, ``matrix_on_basis``, runs each chain's
+primitive steps on every monomial y^j and sums the images as integers over
+the one denominator of all chain weights; one driver, ``eigen_sequence``,
+evaluates each eigenvalue once, finds collisions in a set and
+back-substitutes each other degree over those rows, and ``construct_eigen``
+one degree) and from the moments alone (``gram_sequence``: the three-term
 recurrence by the Chebyshev algorithm), and ``verify_family`` checks that
-the two constructions agree. Only the back-substitution finds an eigenvalue
-formula that the operator contradicts (EigenvalueFormulaError: CLI exit 1);
-only ``check_degree`` refuses a degree whose eigenvalue collides with a lower
-one (DegenerateSpectrumError: exit 2). No caller in the package catches them.
+the two constructions agree. A family may hand the battery a copy of itself
+(``for_battery``) that carries values its moments and closed forms share
+for that one call, such as ``jacobi``'s Pochhammer tables; nothing in this
+module or a family keeps a computed value past the call that made it. Only
+the back-substitution finds an eigenvalue formula that the operator
+contradicts (EigenvalueFormulaError: CLI exit 1); only ``check_degree``
+refuses a degree whose eigenvalue collides with a lower one
+(DegenerateSpectrumError: exit 2). No caller in the package catches them.
 
 A ``Poly`` holds its coefficients as integer numerators over one positive
 denominator, in lowest terms, and every kernel reads and returns that form:
@@ -232,23 +238,28 @@ class Poly:
         return f"Poly({self.pretty()})"
 
     def pretty(self) -> str:
-        return _signed_sum((c, "y" if k == 1 else f"y^{k}" if k else "")
-                           for k, c in reversed(list(enumerate(self.coeffs)))
-                           if c)
+        den, terms = self.den, []
+        for k in range(len(self.nums) - 1, -1, -1):
+            if x := self.nums[k]:
+                g = math.gcd(x, den)
+                terms.append((x // g, den // g,
+                              "y" if k == 1 else f"y^{k}" if k else ""))
+        return _signed_sum(terms)
 
 
 def _signed_sum(terms) -> str:
-    """The sum of (rational c, body text) terms as c*body: a unit c is left
-    out, an empty body (a constant) prints |c|, each later negative term
-    joins with " - ", and no terms print "0"."""
+    """The sum of (p, q, body text) terms as (p/q)*body, each p/q reduced
+    with q > 0: a unit p/q is left out, an empty body (a constant) prints
+    |p/q|, each later negative term joins with " - ", and no terms print
+    "0". |p/q| prints as the Fraction does: "p", or "p/q" for q > 1."""
     text = ""
-    for c, body in terms:
-        mag = abs(c)
-        term = (f"{mag}*{body}" if mag != 1 else body) if body else str(mag)
+    for p, q, body in terms:
+        mag = f"{abs(p)}/{q}" if q != 1 else str(abs(p))
+        term = (f"{mag}*{body}" if mag != "1" else body) if body else mag
         if text:
-            text += f" - {term}" if c < 0 else f" + {term}"
+            text += f" - {term}" if p < 0 else f" + {term}"
         else:
-            text = f"-{term}" if c < 0 else term
+            text = f"-{term}" if p < 0 else term
     return text or "0"
 
 
@@ -322,34 +333,48 @@ class ReflOp:
         s = rat(s)
         return ReflOp([(s*c, chain) for c, chain in self.terms])
 
+    def _weighted_steps(self) -> tuple[int, list]:
+        """(den, [(w, steps)]): each chain with a nonzero scalar as an
+        integer weight w over the one denominator den of all the chains'
+        scalars times their MulPoly denominators, and the steps of its
+        primitives in the order they run."""
+        dens = [s.denominator*math.prod(prim._den for prim in chain)
+                for s, chain in self.terms]
+        den = math.lcm(*dens)
+        return den, [(s.numerator*(den // d),
+                      [prim.step for prim in reversed(chain)])
+                     for (s, chain), d in zip(self.terms, dens) if s]
+
     def apply(self, p: Poly) -> Poly:
         """Each chain runs on p's integer numerators, one list step per
-        primitive; the weighted images are summed over the lcm of their
-        denominators into a single Poly."""
-        nums, den = p.nums, p.den
-        images = []
-        for s, chain in self.terms:
-            q, d = nums, s.denominator
-            for prim in reversed(chain):
-                q = prim.step(q)
-                d *= prim._den
-            images.append((s.numerator, d, q))
-        lcm = math.lcm(*[d for _, d, _ in images])
-        out = [0]*max((len(q) for _, _, q in images), default=0)
-        for sn, d, q in images:
-            w = sn*(lcm // d)
-            for k, x in enumerate(q):
-                if x:
-                    out[k] += w*x
-        return Poly._of(out, lcm*den)
+        primitive; the weighted images are summed over one denominator into
+        a single Poly."""
+        den, chains = self._weighted_steps()
+        return Poly._of(_image(chains, p.nums), den*p.den)
 
     def pretty(self) -> str:
         return _signed_sum(
-            (s, "*".join(prim.symbol() for prim in chain) if chain else "I")
+            (s.numerator, s.denominator,
+             "*".join(prim.symbol() for prim in chain) if chain else "I")
             for s, chain in self.terms)
 
     def __repr__(self):
         return f"ReflOp[{self.pretty()}]"
+
+
+def _image(chains: list, nums) -> list:
+    """The sum over ``ReflOp._weighted_steps`` chains of w times the
+    chain's steps run on the integer list ``nums``, untrimmed."""
+    out = []
+    for w, steps in chains:
+        q = nums
+        for step in steps:
+            q = step(q)
+        out += [0]*(len(q) - len(out))
+        for k, x in enumerate(q):
+            if x:
+                out[k] += w*x
+    return out
 
 
 def compose(a: ReflOp, b: ReflOp) -> ReflOp:
@@ -379,18 +404,23 @@ def matrix_on_basis(op: ReflOp, degree_bound: int) -> tuple:
     denominator) over the lcm of its entries' reduced denominators. Raises
     DegreeOverflowError if some image exceeds the bound."""
     size = degree_bound + 1
-    cols = [op.apply(Poly.monomial(j)) for j in range(size)]
-    for j, img in enumerate(cols):
-        if img.degree > degree_bound:
+    # each column op(y^j) as integers over the chains' one denominator
+    den, chains = op._weighted_steps()
+    cols = []
+    for j in range(size):
+        col = _image(chains, [0]*j + [1])
+        while col and not col[-1]:
+            col.pop()
+        if len(col) > size:
             raise DegreeOverflowError(
-                f"op(y^{j}) has degree {img.degree} > bound {degree_bound}")
+                f"op(y^{j}) has degree {len(col) - 1} > bound {degree_bound}")
+        cols.append(col)
     rows = []
     for i in range(size):
-        entries = [(img.nums[i], img.den) if i < len(img.nums) else (0, 1)
-                   for img in cols]
-        den = math.lcm(*[d // math.gcd(x, d) for x, d in entries])
-        rows.append(([x*den // d for x, d in entries], den))
-    return rows, next((j for j, img in enumerate(cols) if img.degree > j),
+        row = [col[i] if i < len(col) else 0 for col in cols]
+        g = math.gcd(den, *row)
+        rows.append(([x // g for x in row], den // g))
+    return rows, next((j for j, col in enumerate(cols) if len(col) > j + 1),
                       size)
 
 
@@ -474,6 +504,12 @@ class OrthogonalFamily:
         """Extra report fields for P_n, and whether its extra oracle checks
         passed. Printed closed forms that disagree are fields, not failures."""
         return {}, True
+
+    def for_battery(self) -> "OrthogonalFamily":
+        """The instance that one ``verify_family`` call reads: the family
+        itself, or a copy that carries values its moments and checks share
+        for that call only."""
+        return self
 
     def params_json(self) -> dict:
         return {f.name: str(getattr(self, f.name))
@@ -606,9 +642,13 @@ def eigen_sequence(family: OrthogonalFamily, degree: int) -> list:
     with None at degrees whose eigenvalue collides with a lower one. The
     sibling of ``gram_sequence``."""
     matrix = matrix_on_basis(family.operator(), degree)
-    lams = [family.eigenvalue(n) for n in range(degree + 1)]
-    return [None if lam in lams[:n] else _back_substitute(matrix, lam, n)
-            for n, lam in enumerate(lams)]
+    lams = [rat(family.eigenvalue(n)) for n in range(degree + 1)]
+    seq, seen = [], set()
+    for n, lam in enumerate(lams):
+        key = lam.numerator, lam.denominator
+        seq.append(None if key in seen else _back_substitute(matrix, lam, n))
+        seen.add(key)
+    return seq
 
 
 @dataclass
@@ -674,6 +714,7 @@ def verify_family(family: OrthogonalFamily, max_degree: int) -> FamilyReport:
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
+    family = family.for_battery()
     c = family.moments(2*max_degree + 1)
     c_nums, c_den = _scaled(c)
     operator = family.operator()

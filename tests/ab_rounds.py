@@ -13,6 +13,14 @@ machine falls on both sides alike. Each job is ``dunklqm.cli.main(argv)``
 with its output discarded. Prints the median and quartiles of the ratio of
 round times, this checkout over the other, each job's median ratio, and
 each job that raised, with the side it raised on.
+
+It also cuts the rounds into runs of ``rounds_for(W, 40)`` rounds, the
+rounds of a 40-second ``bench/run.py`` run (fewer rounds make one short
+run; a short last run is dropped), and prints for each side the median
+and quartiles over those runs of ``jobs_per_s``, ``job_p50_s`` and
+``job_tail_s``, each computed as ``bench/run.py`` computes it from one
+run's job times, with the number of runs in which this checkout's value
+is the better one. It states no bound.
 Both workers run under the same environment, so a BLAS thread-count
 setting applies to both alike.
 """
@@ -58,6 +66,17 @@ def _jobs_module():
     return load_path("bench_jobs", ROOT / "bench" / "jobs.py")
 
 
+def _tail(times: list[float]) -> float:
+    """``job_tail_s`` by ``bench/run.py``'s own rule."""
+    return load_path("bench_run", ROOT / "bench" / "run.py").tail(times)[0]
+
+
+# (name, metric of one run's job times, True if higher is better)
+RUN_METRICS = (("jobs_per_s", lambda t: len(t) / sum(t), True),
+               ("job_p50_s", lambda t: float(np.median(t)), False),
+               ("job_tail_s", _tail, False))
+
+
 class Worker:
     """One persistent ``python -c WORKER`` process on a checkout's ``src``."""
 
@@ -82,18 +101,20 @@ class Worker:
 
 
 def ab_rounds(this: Path, other: Path, workload: str,
-              rounds: int, seed: int = 0) -> tuple[list, dict, set]:
+              rounds: int, seed: int = 0) -> tuple[list, dict, set, list]:
     """(round-time ratios this/other, {job: [per-round time ratios]},
-    {(side, job, exception name) of each job that raised})."""
+    {(side, job, exception name) of each job that raised}, [per round, the
+    (this, other) lists of job times])."""
     stream = _jobs_module().JobStream(workload, seed)
     workers = [Worker(this), Worker(other)]
-    ratios, per_job, raised = [], {}, set()
+    ratios, per_job, raised, times = [], {}, set(), []
     try:
         for r in range(rounds):
             jobs = stream.next_round()
             order = workers if r % 2 == 0 else workers[::-1]
             results = {w: w.run(jobs) for w in order}
             a, b = ([t for t, _ in results[w]] for w in workers)
+            times.append((a, b))
             ratios.append(sum(a) / sum(b))
             for job, x, y in zip(jobs, a, b):
                 per_job.setdefault(job, []).append(x / y)
@@ -103,7 +124,19 @@ def ab_rounds(this: Path, other: Path, workload: str,
     finally:
         for w in workers:
             w.close()
-    return ratios, per_job, raised
+    return ratios, per_job, raised, times
+
+
+def run_metrics(times: list, size: int) -> dict:
+    """{metric: (this checkout's values, the other's)}, one value per run
+    of ``size`` consecutive rounds of ``times`` (``ab_rounds``' last
+    item); with fewer rounds, all of them make one run."""
+    runs = [times[i:i + size] for i in range(0, len(times) - size + 1, size)]
+    runs = runs or [times]
+    sides = [[[t for rnd in run for t in rnd[side]] for run in runs]
+             for side in (0, 1)]
+    return {name: tuple([f(t) for t in side] for side in sides)
+            for name, f, _ in RUN_METRICS}
 
 
 def main(argv=None) -> int:
@@ -113,13 +146,25 @@ def main(argv=None) -> int:
                         choices=_jobs_module().WORKLOADS)
     parser.add_argument("--rounds", type=int, default=10)
     args = parser.parse_args(argv)
-    ratios, per_job, raised = ab_rounds(ROOT, args.other, args.workload,
-                                        args.rounds)
+    ratios, per_job, raised, times = ab_rounds(ROOT, args.other,
+                                               args.workload, args.rounds)
     q25, q50, q75 = np.percentile(ratios, [25, 50, 75])
     print(f"round-time ratio this/other over {len(ratios)} rounds: "
           f"median {q50:.3f} [q25 {q25:.3f}, q75 {q75:.3f}]")
     for job, rs in per_job.items():
         print(f"  {np.median(rs):.3f}  {job}")
+    size = _jobs_module().rounds_for(args.workload, 40)
+    for (name, _, higher), (mine, theirs) in zip(
+            RUN_METRICS, run_metrics(times, size).values()):
+        wins = sum((x > y) if higher else (x < y)
+                   for x, y in zip(mine, theirs))
+        this_q, other_q = (np.percentile(v, [25, 50, 75])
+                           for v in (mine, theirs))
+        print(f"{name} over {len(mine)} runs of up to {size} rounds: "
+              f"this {this_q[1]:.4g} [q25 {this_q[0]:.4g}, q75 "
+              f"{this_q[2]:.4g}], other {other_q[1]:.4g} [q25 "
+              f"{other_q[0]:.4g}, q75 {other_q[2]:.4g}]; this better in "
+              f"{wins} of {len(mine)}")
     for side, job, name in sorted(raised):
         print(f"raised {name} in {side}: {job}")
     return 0

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import math
+import sys
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
@@ -224,3 +226,61 @@ def test_hyp_terms_match_fraction_recurrence(num, den, z):
         assert_same_fractions(new, old)
         if summed is not None:
             assert_same_fractions([summed(*num, *den, z)], [sum(old, F(0))])
+
+
+# ---------------------------------------------------------------------------
+# beta_num's accuracy contract, against exact references
+# ---------------------------------------------------------------------------
+
+BETA_BOUND = 1e-12      # the relative error beta_num's docstring states
+
+
+def _assert_beta_within_bound(x, y, ref):
+    """beta_num(x, y) and beta_num(y, x) within BETA_BOUND of the positive
+    reference ``ref`` (a Fraction, or a float with error far below the
+    bound), or refused where ``ref`` is not a normal float; within 1e-9 of
+    either end of that range, both outcomes are allowed."""
+    lo, hi = sys.float_info.min, sys.float_info.max
+    for args in ((x, y), (y, x)):
+        if lo*(1 + 1e-9) < ref < hi*(1 - 1e-9):
+            got = beta_num(*args)
+            assert abs(F(got) - F(ref)) <= BETA_BOUND*F(ref), (args, got, ref)
+        elif not lo*(1 - 1e-9) < ref < hi*(1 + 1e-9):
+            with pytest.raises(DomainError):
+                beta_num(*args)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=1e300), st.integers(1, 40))
+@example(1e10, 2)           # 5e-6 off through lgamma differences
+@example(1e15, 2)           # the Scarf N_0^2 at alpha = 1e15
+@example(1e17, 2)
+@example(20.0, 3)           # the last point of the lgamma formula
+@example(20.000000000000004, 3)
+@example(5e-324, 1)         # overflows
+def test_beta_num_against_integer_second_argument(x, n):
+    # B(x, n) = (n - 1)!/(x)_n, exactly, at the float x's exact value
+    _assert_beta_within_bound(x, float(n), math.factorial(n - 1)
+                              / pochhammer(F(x), n))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 700), st.integers(0, 700))
+@example(0, 0)
+@example(19, 400)           # one argument at most 20, the other above
+@example(25, 25)            # both above 20
+@example(600, 600)          # below the normal range
+def test_beta_num_against_half_integer_pairs(j, k):
+    # B(1/2 + j, 1/2 + k) = pi (1/2)_j (1/2)_k / (j + k)!
+    ref = pochhammer(F(1, 2), j)*pochhammer(F(1, 2), k)/math.factorial(j + k)
+    _assert_beta_within_bound(0.5 + j, 0.5 + k, float(ref)*math.pi)
+
+
+def test_scarf_ground_norm_at_a_large_alpha():
+    # N_0^2 = 1/B((a+1)/2, 2) = x (x + 1) at b = 3, x = (a+1)/2
+    from dunklqm.susyqm import ScarfParams, ground_state_norm_sq
+
+    for a in (10**10, 10**15, 10**17):
+        x = F(float(F(a) + 1)/2)
+        norm = ground_state_norm_sq(ScarfParams(a, 3))
+        assert abs(F(norm) - x*(x + 1)) <= 2*BETA_BOUND*x*(x + 1)

@@ -4,11 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from dunklqm.exact import pochhammer
+from dunklqm import jacobi
+from dunklqm.exact import hyp_terms, pochhammer
 from dunklqm.gegenbauer import GegParams
 from dunklqm.jacobi import (
     FUZZ_PARAMS,
     Jacobi1Params,
+    bracket_n,
     construct_explicit,
     eigenvalue,
     lop,
@@ -260,3 +262,143 @@ def test_christoffel_identity_fails_on_a_perturbed_gegenbauer_moment(a, b):
     moments = GegParams(a / 2, (b - 1) / 2).moments(2 * 21 + 1)
     moments[6] *= F(1001, 1000)
     assert _christoffel_misses(a, b, moments) != []
+
+
+# ---------------------------------------------------------------------------
+# the closed forms from integer Pochhammer tables, against the per-call
+# Fraction formulas they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_kappa(n, params, variant):
+    a, b = params.alpha, params.beta
+    if n % 2 == 0:
+        k = n // 2
+        return (F(-1)**k * pochhammer((a + 1)/2, k)
+                / pochhammer(F(n, 2) + a/2 + b/2 + 1, k))
+    k = (n + 1) // 2
+    if variant == "printed":
+        base = F(n + 1, 2) + a/2 + b/2 + 1
+    else:
+        base = F(n - 1, 2) + a/2 + b/2 + 1
+    return F(-1)**k * pochhammer((a + 1)/2, k) / pochhammer(base, k)
+
+
+def _ref_hyp_poly_in_ysq(num, den):
+    coeffs = []
+    for term in hyp_terms(num, den, 1):
+        coeffs += [term, 0]
+    return Poly(coeffs)
+
+
+def _ref_explicit(n, params, variant):
+    a, b = params.alpha, params.beta
+    if n % 2 == 0:
+        k = n // 2
+        bracket = _ref_hyp_poly_in_ysq((F(-k), (n + a + b + 2)/F(2)),
+                                       ((a + 1)/2,))
+        if n:
+            blk2 = _ref_hyp_poly_in_ysq((F(1 - k), (n + a + b + 2)/F(2)),
+                                        ((a + 3)/2,))
+            bracket += (Poly.monomial(1) * blk2).scale(F(n, 1)/(a + 1))
+    else:
+        blk1 = _ref_hyp_poly_in_ysq(((1 - n)/F(2), (n + a + b + 1)/F(2)),
+                                    ((a + 1)/2,))
+        blk2 = _ref_hyp_poly_in_ysq(((1 - n)/F(2), (n + a + b + 3)/F(2)),
+                                    ((a + 3)/2,))
+        pref = (a + b + 1) if variant == "printed" else (n + a + b + 1)
+        bracket = blk1 - (Poly.monomial(1) * blk2).scale(pref/(a + 1))
+    return bracket.scale(_ref_kappa(n, params, variant))
+
+
+def _ref_norm_sq_closed(n, params):
+    a, b = params.alpha, params.beta
+    if n == 0:
+        return F(1)
+    if n % 2 == 0:
+        k = n // 2
+        num = (pochhammer(1, k) * pochhammer(a/2 + F(1, 2), k)
+               * pochhammer(b/2 + F(1, 2), k) * pochhammer(a/2 + b/2 + 1, k))
+        return num / pochhammer(a/2 + b/2 + 1, 2*k)**2
+    k = (n + 1) // 2
+    num = (pochhammer(1, k - 1) * pochhammer(a/2 + F(1, 2), k)
+           * pochhammer(b/2 + F(1, 2), k) * pochhammer(a/2 + b/2 + 1, k - 1))
+    return num / pochhammer(a/2 + b/2 + 1, 2*k - 1)**2
+
+
+def _ref_norm_sq_from_normalization(n, params):
+    a, b = params.alpha, params.beta
+    if n % 2 == 0:
+        k = n // 2
+        den = (pochhammer(1, k) * pochhammer(a/2 + b/2 + 1, k)
+               * pochhammer(a/2 + F(1, 2), k) * pochhammer(b/2 + F(1, 2), k))
+    else:
+        k = (n - 1) // 2
+        den = (pochhammer(1, k) * pochhammer(a/2 + b/2 + 1, k)
+               * pochhammer(a/2 + F(1, 2), k + 1)
+               * pochhammer(b/2 + F(1, 2), k + 1))
+    return den / pochhammer(a/2 + b/2 + 1, n)**2
+
+
+def _ref_moment(params, m):
+    a, b = params.alpha, params.beta
+    return pochhammer(a/2 + F(1, 2), m) / pochhammer(a/2 + b/2 + 1, m)
+
+
+# the five fuzz pairs, a negative pair inside the domain and a pair whose
+# bases share denominators with the degrees
+TABLE_FAMILIES = [*FUZZ_PARAMS, (F(-1, 2), F(-2, 3)), (F(7, 3), F(5, 6))]
+
+
+def _same(new, old):
+    """Equal reduced rationals of the same type, so the text is the same."""
+    assert type(new) is type(old)
+    assert str(new) == str(old) if isinstance(old, F) else new == old
+
+
+@pytest.mark.parametrize("a, b", TABLE_FAMILIES)
+def test_closed_forms_equal_the_per_call_fraction_formulas(a, b):
+    # each closed form on a fresh instance (tables built for the one call)
+    # and on the battery's copy (one set of tables for every degree)
+    fresh = Jacobi1Params(a, b)
+    for family in (fresh, fresh.for_battery()):
+        for n in range(25):
+            for variant in ("printed", "corrected"):
+                _same(jacobi._kappa(n, family, variant),
+                      _ref_kappa(n, fresh, variant))
+                _same(construct_explicit(n, family, variant),
+                      _ref_explicit(n, fresh, variant))
+            _same(norm_sq_closed(n, family), _ref_norm_sq_closed(n, fresh))
+            _same(norm_sq_from_normalization(n, family),
+                  _ref_norm_sq_from_normalization(n, fresh))
+        moments = family.moments(49)
+        assert [str(c) for c in moments] == [
+            str(_ref_moment(fresh, (j + 1)//2)) for j in range(49)]
+
+
+@pytest.mark.parametrize("a, b", TABLE_FAMILIES)
+def test_each_table_entry_is_its_pochhammer_symbol(a, b):
+    t = jacobi._Pochhammers(Jacobi1Params(a, b))
+    bases = {t.a1: (a + 1)/2, t.a3: (a + 3)/2, t.b1: (b + 1)/2,
+             t.c: a/2 + b/2 + 1, t.one: F(1)}
+    for table, x in bases.items():
+        # read out of order, so each entry is grown and then read back
+        for m in (7, 0, 3, 25, 12):
+            assert F(table.num(m), table.q**m) == pochhammer(x, m)
+
+
+def test_the_battery_leaves_no_table_behind():
+    # the tables live on the battery's own copy: the caller's instance, and
+    # an instance that a later command builds, carry none
+    family = Jacobi1Params(F(1, 2), F(3, 2))
+    verify_family(family, 8)
+    norm_sq_closed(5, family)
+    construct_explicit(5, family)
+    assert not hasattr(family, "_pochhammers")
+    assert family.for_battery() == family
+    assert not hasattr(Jacobi1Params(F(1, 2), F(3, 2)), "_pochhammers")
+
+
+@pytest.mark.parametrize("a", [F(0), F(1), F(1, 2), F(-1, 3), F(7, 4)])
+def test_bracket_n_is_n_plus_a_at_odd_n(a):
+    for n in range(21):
+        _same(bracket_n(n, a), n + (a/2)*(1 - F(-1)**n))

@@ -575,22 +575,22 @@ def _fraction_matrix(op, bound):
             for i in range(bound + 1)]
 
 
-class _MatrixOp:
-    """The operator with a given square Fraction matrix on the monomial
-    basis: the ``op`` that ``matrix_on_basis`` reads it back from."""
-
-    def __init__(self, mat):
-        self.mat = mat
-
-    def apply(self, p):
-        return Poly([sum(row[j]*c for j, c in enumerate(p.coeffs))
-                     for row in self.mat])
+def _rows(mat):
+    """A square Fraction matrix in ``matrix_on_basis``'s form: each row as
+    integer numerators over the lcm of its entries' denominators, and the
+    lowest column with a nonzero entry below the diagonal."""
+    size = len(mat)
+    rows = []
+    for row in mat:
+        den = math.lcm(*[F(x).denominator for x in row])
+        rows.append(([int(x*den) for x in row], den))
+    return rows, next((j for j in range(size)
+                       if any(mat[i][j] for i in range(j + 1, size))), size)
 
 
 def _solve(mat, lam, n):
     """The back-substitution on the integer rows of a Fraction matrix."""
-    return opalg._back_substitute(
-        matrix_on_basis(_MatrixOp(mat), len(mat) - 1), lam, n)
+    return opalg._back_substitute(_rows(mat), lam, n)
 
 
 def _fraction_solve(mat, lam, n):
