@@ -95,9 +95,11 @@ class PochhammerTable:
 
     def num(self, m: int) -> int:
         """The integer numerator of (x)_m over q^m."""
-        nums, p, q = self._nums, self.p, self.q
-        for k in range(len(nums) - 1, m):
-            nums.append(nums[k] * (p + k*q))
+        nums = self._nums
+        if m >= len(nums):
+            p, q = self.p, self.q
+            for k in range(len(nums) - 1, m):
+                nums.append(nums[k] * (p + k*q))
         return nums[m]
 
 

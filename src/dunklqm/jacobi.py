@@ -219,7 +219,8 @@ def _hyp_block(t: _Pochhammers, m: int, s: int, d: PochhammerTable,
                shift: int) -> tuple[list, int]:
     """y^shift 2F1(-m, s + c; d; y^2) as (integer numerators, denominator):
     its y^(shift+2j) coefficient is (-1)^j C(m, j) (c)_(s+j) / ((c)_s
-    (d)_j), over the one denominator (c)_s (d)_m of the numerator tables."""
+    (d)_j), all over the table numerators' one denominator
+    c.num(s) c.q^m d.num(m)."""
     c, dm = t.c, d.num(m)
     nums = [0]*(shift + 2*m + 1)
     for j in range(m + 1):
@@ -229,7 +230,8 @@ def _hyp_block(t: _Pochhammers, m: int, s: int, d: PochhammerTable,
     return nums, c.num(s) * c.q**m * dm
 
 
-def _add_scaled(first: tuple, ratio: tuple, second: tuple) -> tuple[list, int]:
+def _add_scaled(first: tuple, ratio: tuple,
+                second: tuple) -> tuple[list, int]:
     """first + (p/q) second, for (integer numerators, denominator) pairs
     ``first`` and ``second`` and the integer pair ``ratio`` = (p, q)."""
     (x, xd), (p, q), (z, zd) = first, ratio, second

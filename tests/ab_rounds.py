@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -66,15 +67,10 @@ def _jobs_module():
     return load_path("bench_jobs", ROOT / "bench" / "jobs.py")
 
 
-def _tail(times: list[float]) -> float:
-    """``job_tail_s`` by ``bench/run.py``'s own rule."""
-    return load_path("bench_run", ROOT / "bench" / "run.py").tail(times)[0]
-
-
-# (name, metric of one run's job times, True if higher is better)
-RUN_METRICS = (("jobs_per_s", lambda t: len(t) / sum(t), True),
-               ("job_p50_s", lambda t: float(np.median(t)), False),
-               ("job_tail_s", _tail, False))
+# the metrics that ``bench/run.py`` computes from one run's job times, and
+# whether higher is better
+HIGHER_IS_BETTER = {"jobs_per_s": True, "job_p50_s": False,
+                    "job_tail_s": False}
 
 
 class Worker:
@@ -131,12 +127,16 @@ def run_metrics(times: list, size: int) -> dict:
     """{metric: (this checkout's values, the other's)}, one value per run
     of ``size`` consecutive rounds of ``times`` (``ab_rounds``' last
     item); with fewer rounds, all of them make one run."""
+    tail = load_path("bench_run", ROOT / "bench" / "run.py").tail
     runs = [times[i:i + size] for i in range(0, len(times) - size + 1, size)]
     runs = runs or [times]
     sides = [[[t for rnd in run for t in rnd[side]] for run in runs]
              for side in (0, 1)]
+    metrics = {"jobs_per_s": lambda t: len(t) / sum(t),
+               "job_p50_s": statistics.median,
+               "job_tail_s": lambda t: tail(t)[0]}
     return {name: tuple([f(t) for t in side] for side in sides)
-            for name, f, _ in RUN_METRICS}
+            for name, f in metrics.items()}
 
 
 def main(argv=None) -> int:
@@ -154,9 +154,8 @@ def main(argv=None) -> int:
     for job, rs in per_job.items():
         print(f"  {np.median(rs):.3f}  {job}")
     size = _jobs_module().rounds_for(args.workload, 40)
-    for (name, _, higher), (mine, theirs) in zip(
-            RUN_METRICS, run_metrics(times, size).values()):
-        wins = sum((x > y) if higher else (x < y)
+    for name, (mine, theirs) in run_metrics(times, size).items():
+        wins = sum((x > y) if HIGHER_IS_BETTER[name] else (x < y)
                    for x, y in zip(mine, theirs))
         this_q, other_q = (np.percentile(v, [25, 50, 75])
                            for v in (mine, theirs))
