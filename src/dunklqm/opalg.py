@@ -163,7 +163,7 @@ class Poly:
         while nums and not nums[-1]:
             nums.pop()
         g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
-        self.nums = tuple(x // g for x in nums) if g != 1 else tuple(nums)
+        self.nums = tuple([x // g for x in nums]) if g != 1 else tuple(nums)
         self.den = den // g
 
     @staticmethod
@@ -458,8 +458,10 @@ def _back_substitute(matrix, lam, n: int) -> Poly:
         row = rows[k][0]
         # sum_j row[j] c_j = acc/(row_den den), so the row_den cancels in
         # c_k = -(acc/(row_den den)) / (diag[k]/(row_den ld))
-        acc = sum(row[j]*nums[j]*(den // dens[j])
-                  for j in range(k + 1, n + 1) if row[j] and nums[j])
+        acc = 0
+        for j in range(k + 1, n + 1):
+            if row[j] and nums[j]:
+                acc += row[j]*nums[j]*(den // dens[j])
         if acc:
             den *= diag[k]
             nums[k] = -acc*ld

@@ -11,8 +11,8 @@ read-only) for workload W; both workers run the same round, one after the
 other, with the order flipped each round so that a slow phase of the
 machine falls on both sides alike. Each job is ``dunklqm.cli.main(argv)``
 with its output discarded. Prints the median and quartiles of the ratio of
-round times, this checkout over the other, each job's median ratio, and
-each job that raised, with the side it raised on.
+round times, this checkout over the other, the same for each job's time,
+and each job that raised, with the side it raised on.
 
 It also cuts the rounds into runs of ``rounds_for(W, 40)`` rounds, the
 rounds of a 40-second ``bench/run.py`` run (fewer rounds make one short
@@ -152,7 +152,8 @@ def main(argv=None) -> int:
     print(f"round-time ratio this/other over {len(ratios)} rounds: "
           f"median {q50:.3f} [q25 {q25:.3f}, q75 {q75:.3f}]")
     for job, rs in per_job.items():
-        print(f"  {np.median(rs):.3f}  {job}")
+        j25, j50, j75 = np.percentile(rs, [25, 50, 75])
+        print(f"  {j50:.3f} [q25 {j25:.3f}, q75 {j75:.3f}]  {job}")
     size = _jobs_module().rounds_for(args.workload, 40)
     for name, (mine, theirs) in run_metrics(times, size).items():
         wins = sum((x > y) if HIGHER_IS_BETTER[name] else (x < y)

@@ -15,8 +15,10 @@ def test_one_round_against_this_checkout(capsys):
     jobs = ab_rounds._jobs_module().VERIFY_ERRATA_ROUND
     assert lines[0].startswith("round-time ratio this/other over 1 rounds: ")
     per_job, metrics = lines[1:1 + len(jobs)], lines[1 + len(jobs):]
-    assert sorted(line.split(None, 1)[1] for line in per_job) == sorted(jobs)
-    assert all(float(line.split()[0]) > 0 for line in per_job)
+    # "  median [q25 ..., q75 ...]  job", the ratios this/other
+    assert sorted(line.split("]  ", 1)[1] for line in per_job) == sorted(jobs)
+    assert all(float(line.split()[0]) > 0 and line.split()[1] == "[q25"
+               for line in per_job)
     # one short run of the one round, each metric for both sides
     assert [line.split()[0] for line in metrics] == [
         "jobs_per_s", "job_p50_s", "job_tail_s"]
