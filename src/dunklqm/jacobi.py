@@ -117,7 +117,7 @@ class Jacobi1Params(OrthogonalFamily):
         return eigenvalue(n, self)
 
     def next_moment(self, lower: list) -> Fraction:
-        """c_{2m} = c_{2m-1} = ((a+1)/2)_m / (c)_m."""
+        """c_{2m} = c_{2m-1} = ((a+1)/2)_m / (a/2+b/2+1)_m."""
         m = (len(lower) + 1) // 2
         t = _tables(self)
         a1, c = t.a1, t.c
