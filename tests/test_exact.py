@@ -277,10 +277,11 @@ def test_beta_num_against_half_integer_pairs(j, k):
 
 
 def test_scarf_ground_norm_at_a_large_alpha():
-    # N_0^2 = 1/B((a+1)/2, 2) = x (x + 1) at b = 3, x = (a+1)/2
+    # N_0^2 = 1/B((a+1)/2, 2) = x (x + 1) at b = 3, x = (a+1)/2 as the
+    # float that ground_state_norm_sq passes
     from dunklqm.susyqm import ScarfParams, ground_state_norm_sq
 
     for a in (10**10, 10**15, 10**17):
-        x = F(float(F(a) + 1)/2)
+        x = F((float(a) + 1)/2)
         norm = ground_state_norm_sq(ScarfParams(a, 3))
         assert abs(F(norm) - x*(x + 1)) <= 2*BETA_BOUND*x*(x + 1)
