@@ -451,14 +451,7 @@ def _add_choice(parser, option: str, table: dict, value_type, **kw) -> None:
     parser.set_defaults(choice_of=(option, table, names))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="dunklqm",
-        description="Exact and numerical verification toolkit for 1D "
-                    "supersymmetric quantum mechanics with reflections.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    fam = sub.add_parser("family", help="print an orthogonal family table")
+def _family_arguments(fam) -> None:
     _add_choice(fam, "kind", _KINDS, _rat, required=True)
     fam.add_argument("--degree", type=_int_at_least(0), default=6)
     fam.add_argument("--format", choices=["text", "json", "csv"],
@@ -466,12 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--out", type=_out_path)
     fam.set_defaults(fn=cmd_family)
 
-    ver = sub.add_parser("verify", help="run verification suites")
+
+def _verify_arguments(ver) -> None:
     _add_choice(ver, "suite", _SUITES, _int_at_least(2), default="all")
     ver.add_argument("--out", type=_out_path)
     ver.set_defaults(fn=cmd_verify)
 
-    spec = sub.add_parser("spectrum", help="grid spectra vs closed forms")
+
+def _spectrum_arguments(spec) -> None:
     _add_choice(spec, "system", _SYSTEMS, _rat, required=True)
     spec.add_argument("--levels", type=_int_at_least(1), default=3)
     spec.add_argument("--grids", type=_grid_list, default=[1024, 2048, 4096])
@@ -480,9 +475,56 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--out", type=_out_path)
     spec.set_defaults(fn=cmd_spectrum)
 
-    err = sub.add_parser("errata", help="emit the consolidated errata report")
+
+def _errata_arguments(err) -> None:
     err.add_argument("--out", type=_out_path)
     err.set_defaults(fn=cmd_errata)
+
+
+# subcommand -> (its help line, what adds its arguments)
+_COMMANDS = {
+    "family": ("print an orthogonal family table", _family_arguments),
+    "verify": ("run verification suites", _verify_arguments),
+    "spectrum": ("grid spectra vs closed forms", _spectrum_arguments),
+    "errata": ("emit the consolidated errata report", _errata_arguments),
+}
+
+
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments when it first parses.
+    argparse runs only the parser of the subcommand a command line names,
+    so the other subcommands' arguments are never added; the top parser's
+    usage, help and errors do not read them."""
+
+    def __init__(self, *args, arguments: Callable, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def fill(self) -> None:
+        """Add the arguments, once."""
+        if self._arguments is not None:
+            arguments, self._arguments = self._arguments, None
+            arguments(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.fill()
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser(whole: bool = True) -> argparse.ArgumentParser:
+    """The command-line parser. ``main`` builds a new one for each call
+    with ``whole`` False, so only the subcommand that parses gets its
+    arguments; with ``whole`` every subcommand has them."""
+    ap = argparse.ArgumentParser(
+        prog="dunklqm",
+        description="Exact and numerical verification toolkit for 1D "
+                    "supersymmetric quantum mechanics with reflections.")
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=_Subcommand)
+    for name, (text, arguments) in _COMMANDS.items():
+        parser = sub.add_parser(name, help=text, arguments=arguments)
+        if whole:
+            parser.fill()
     return ap
 
 
@@ -513,7 +555,7 @@ _ERRORS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = build_parser(whole=False)
     argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = ap.parse_args(argv)

@@ -13,11 +13,14 @@ that ordering, which one pair of maps alone states (``_pair_position``, node
 -> position, and its inverse ``_pair_node``); dense rows are gathered from the
 band only on request (:meth:`GridOperator.gather_rows`). A stencil operator is
 a list of terms, each a node shift, whether it acts after R, and a coefficient
-array, banded by one constructor that sums each element's terms in the listed
-order: that order keeps the bits of a dense construction. The Gegenbauer
-operator 2 Q @ Q + corrections, defined by a BLAS product, is banded straight
-from that product's blocks of rows (:meth:`GridOperator.composite`), 64 to 192
-rows each, in mirror pairs, so the N x N product is never held whole.
+array, banded by one constructor that scatters each term onto the band and
+sums each element's terms in the listed order: that order keeps the bits of
+a dense construction. The Gegenbauer operator 2 Q @ Q + corrections, defined
+by a BLAS product, is banded straight from that product's blocks of rows
+(:meth:`GridOperator.composite`), 64 to 192 rows each, in mirror pairs, so
+the N x N product is never held whole. The blocks' operands are written from
+Q's band into two buffers that one call allocates and every block reuses;
+each product keeps inner dimension N, the shape that fixes OpenBLAS's bits.
 
 Operators whose scalar potential carries an attractive ~ -c/x^2 core (the
 reflection families at alpha > 0) cannot be diagonalized from the directly
@@ -26,7 +29,9 @@ sampled potential: the discrete operator develops spurious states at -C/h^2
 those systems come from the square of the discrete symmetric supercharge
 (positive semidefinite by construction). Every solver takes an operator and
 a level count: :func:`eigen_lowest`, :func:`susy_squared_spectrum` (of the
-Q of :func:`supercharge_matrix`) and :func:`composite_spectrum`.
+Q of :func:`supercharge_matrix`) and :func:`composite_spectrum`, whose
+inverse iteration factors each shifted band once (LAPACK gbtrf) and solves
+with that factor three times (gbtrs), as three gbsv calls would, bit for bit.
 
 A convergence study's rungs are independent, and the rungs below the top of
 a doubling ladder are about a quarter of its work (a rung costs about four
@@ -56,7 +61,10 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 # grid calls no eigh: it stays bound only because bench/tracer.py rebinds
 # grid.eigh by name, with no fallback (ROADMAP item 15 lifts that pin)
-from scipy.linalg import eig_banded, eigh, eigh_tridiagonal, solve_banded
+from scipy.linalg import eig_banded, eigh, eigh_tridiagonal
+from scipy.linalg.lapack import dgbtrf as gbtrf
+from scipy.linalg.lapack import dgbtrs as gbtrs
+from scipy.linalg.lapack import dgtsv as gtsv
 
 from .refcalc import Grid, check_doubling_ladder, check_halfwidth, estimate_order
 
@@ -93,24 +101,14 @@ def _pair_position(nodes, n: int) -> np.ndarray:
 
 def _pair_node(positions, n: int) -> np.ndarray:
     """The nodes at ``positions`` of the mirror-pair ordering."""
-    return np.where(positions % 2, n - 1 - positions // 2, positions // 2)
+    return np.where(positions & 1, n - 1 - (positions >> 1), positions >> 1)
 
 
-def _pair_band(entry: Callable, n: int, bandwidth: int) -> np.ndarray:
-    """Upper-banded storage, in pair ordering, of the matrix whose element at
-    nodes (i, j) is ``entry(i, j)`` (index arrays in, values out).
-
-    Every element outside pair bandwidth ``bandwidth`` must be zero. Leading
-    superdiagonals that are entirely zero are dropped, so the storage has the
-    operator's true bandwidth.
-    """
-    nodes = _pair_node(np.arange(n), n)
-    bw = min(bandwidth, n - 1)
-    band = np.zeros((bw + 1, n))
-    for d in range(bw + 1):
-        band[bw - d, d:] = entry(nodes[:n - d], nodes[d:])
+def _trimmed(band: np.ndarray) -> np.ndarray:
+    """``band`` without its leading superdiagonals that are entirely zero,
+    so the storage has the operator's true bandwidth."""
     top = 0
-    while top < bw and not band[top].any():
+    while top < band.shape[0] - 1 and not band[top].any():
         top += 1
     return band[top:]
 
@@ -161,67 +159,153 @@ class GridOperator:
         mirror pairs lo .. hi - 1 read only Q's rows of pairs lo - 2 ..
         hi + 1 (pair bandwidth 3), and their band entries lie in those
         pairs' columns: the block is Q[r0:r1] @ O, O those rows and columns
-        of Q and zeros in the other rows, so the inner dimension stays N and
-        a zero factor adds nothing. The window keeps node order and grows
-        to a multiple of 4 pairs where N allows, which kept OpenBLAS's bits
-        at every N tried (README). Each entry is 2.0 times its product,
-        plus diag[i] at column i, then plus refl[i] at column N - 1 - i.
+        of Q and zeros in the other rows, so a zero factor adds nothing.
+        The window keeps node order and grows to a multiple of 4 pairs
+        where N allows, which kept OpenBLAS's bits at every N tried
+        (README). The inner dimension stays N, because OpenBLAS's bits
+        depend on the product's shapes: a product over the window's rows
+        alone, Q[r0:r1, cols] @ O[cols], changed 1134, 1714 and 4018
+        entries of the product at N = 512, 1024 and 2048. Each entry is
+        2.0 times its product, plus diag[i] at column i, then plus refl[i]
+        at column N - 1 - i.
+
+        Within one call, two zeroed buffers hold the operands of every
+        block: the rows operand (the largest group's rows x N) and the
+        window operand (N x the widest window). Q's band entries are
+        written into them, the products taken, and those entries set back
+        to zero, so each product multiplies the arrays that a fresh
+        zero-filled construction gives, bit for bit. A block and its mirror
+        read one window and are one group. The flat indices of a group's
+        entries are built once per shape: a group away from both ends is
+        its shape's first group moved s rows on, and each index moves by s
+        times a fixed step. Nothing outlives the call.
         """
-        n = q.n
-        pos = _pair_position(np.arange(n), n)
+        n, half = q.n, q.n // 2
         bw = min(4, n - 1)
-        offsets = np.arange(-bw, bw + 1)
-        # near[i, bw + d] = M[i, node at pos[i] + d], zero past either end
-        near = np.zeros((n, 2 * bw + 1))
-        for r0, r1 in _row_blocks(n):
-            lo, hi = min(r0, n - r1), min(r1, n - r0, n // 2)
-            p0, p1 = max(lo - 2, 0), min(hi + 2, n // 2)
-            p1 = min(p1 + (p0 - p1) % 4, n // 2)
+        # a block and its mirror read the same window: each pair of blocks,
+        # then the middle block alone, is one group
+        blocks = _row_blocks(n)
+        groups = []
+        for i in range(0, len(blocks), 2):
+            r0, r1 = blocks[i]
+            lo, hi = min(r0, n - r1), min(r1, n - r0, half)
+            p0, p1 = max(lo - 2, 0), min(hi + 2, half)
+            p1 = min(p1 + (p0 - p1) % 4, half)
             p0 = max(p0 - (p0 - p1) % 4, 0)
-            p = np.arange(p0, p1)
-            cols = np.concatenate([p, n - 1 - p[::-1]])
-            o = np.zeros((n, len(cols)))
-            o[cols] = q.gather_rows(cols)[:, cols]
-            i = np.arange(r0, r1)
-            prod = q.gather_rows(i) @ o
-            # column of prod holding each node of the window
-            win = np.zeros(n, dtype=int)
-            win[cols] = np.arange(len(cols))
-            at = pos[i, None] + offsets
-            inside = (at >= 0) & (at < n)
-            node = _pair_node(np.where(inside, at, 0), n)
-            near[i] = np.where(inside, 2.0 * np.take_along_axis(
-                prod, win[node], axis=1), 0.0)
-            near[i, bw] += diag[i]
-            # the mirror N - 1 - i is after i in the lower half, else before
-            near[i, bw + np.where(i < n // 2, 1, -1)] += refl[i]
+            groups.append((blocks[i:i + 2], p0, p1))
+        # written in full here, so no product pays for first touching a page
+        rows = np.empty(max(sum(r1 - r0 for r0, r1 in g) for g, _, _ in groups)
+                        * n)
+        window = np.empty(max(p1 - p0 for _, p0, p1 in groups) * 2 * n)
+        rows.fill(0.0)
+        window.fill(0.0)
+        pos = _pair_position(np.arange(n), n)
+        offsets = np.arange(-bw, bw + 1)
+        width = 2 * bw + 1
+        # near[p, bw + d] = M[node at p, node at p + d], p a pair position
+        near = np.zeros((n, width))
 
-        def entry(i, j):
-            d = pos[j] - pos[i]
-            return 0.5 * (near[i, bw + d] + near[j, bw - d])
+        def layout(group, p0, p1):
+            """Flat indices of a group's entries. Q's band entries: into Q's
+            band, into the rows operand and into the window operand, each as
+            (index, step), for moving the group s rows on (its nodes by s,
+            its pair positions by 2 s) moves an index by s * step. Then,
+            block by block, the kept entries of the block's product: into
+            the product, and into near, where they move by 2 s rows."""
+            w = 2 * (p1 - p0)
 
-        return cls(_pair_band(entry, n, 4), q.grid)
+            def column(at):
+                """Column of O, in node order, of the node at pair position
+                ``at`` of the window: pairs p0 .. p1 - 1, then mirrors."""
+                return np.where(at & 1, 2 * p1 - 1 - p0 - (at >> 1),
+                                (at >> 1) - p0)
+
+            p = np.concatenate([pos[r0:r1] for r0, r1 in group])
+            k, at, a_band = q._entries(p, 0, n)
+            # the node at pair position ``at`` moves by 1 if at is even, -1
+            # if odd; a band column by 2
+            a_at = k * n + _pair_node(at, n), 1 - 2 * (at & 1)
+            at_rows = np.arange(2 * p0, 2 * p1)
+            k, at, o_band = q._entries(at_rows, 2 * p0, 2 * p1)
+            o_at = (_pair_node(at_rows[k], n) * w + column(at),
+                    w * (1 - 2 * (at_rows[k] & 1)))
+            at = p[:, None] + offsets
+            k, d = np.nonzero((at >= 0) & (at < n))
+            # row in its block's product, and where each block's rows start
+            row = np.concatenate([np.arange(r1 - r0) for r0, r1 in group])
+            cut = np.searchsorted(k, np.cumsum([r1 - r0 for r0, r1 in group]))
+            take = row[k] * w + column(at[k, d])
+            put = p[k] * width + d
+            kept = [(take[c0:c1], put[c0:c1])
+                    for c0, c1 in zip([0, *cut[:-1]], cut)]
+            return w, ((a_band, 2), a_at, (o_band, 2), o_at), kept
+
+        # a group whose entries all lie away from both ends is the
+        # translate, s rows on, of the first group of its shape (block
+        # heights and window): its indices are that group's, moved
+        reach = 2 * max(bw, q.band.shape[0] - 1)
+        layouts = {}
+        q_band, near_flat = q.band.reshape(-1), near.reshape(-1)
+        for group, p0, p1 in groups:
+            r0, r1 = group[0]
+            if 2 * r0 < reach or 2 * r1 + reach > n:
+                layouts.clear()     # an end group's shape does not recur
+                first, (w, operands, kept) = r0, layout(group, p0, p1)
+            else:
+                key = (tuple(b - a for a, b in group), p0 - r0, p1 - r0)
+                if key not in layouts:
+                    layouts[key] = r0, layout(group, p0, p1)
+                first, (w, operands, kept) = layouts[key]
+            s = r0 - first
+            a_band, a_at, o_band, o_at = (at + s * step if s else at
+                                          for at, step in operands)
+            rows[a_at] = q_band[a_band]
+            window[o_at] = q_band[o_band]
+            o = window[:n * w].reshape(n, w)
+            k0 = 0
+            for (b0, b1), (take, put) in zip(group, kept):
+                k1 = k0 + b1 - b0
+                prod = rows[k0 * n:k1 * n].reshape(k1 - k0, n) @ o
+                near_flat[put + 2 * width * s if s else put] = \
+                    2.0 * prod.reshape(-1)[take]
+                k0 = k1
+            rows[a_at] = 0.0
+            window[o_at] = 0.0
+        del rows, window    # the call's peak memory is the largest group's
+        near[pos, bw] += diag
+        # the mirror N - 1 - i is after i in the lower half, else before
+        near[pos, bw + 1 - 2 * (pos & 1)] += refl
+        band = np.zeros((bw + 1, n))
+        for d in range(bw + 1):
+            band[bw - d, d:] = 0.5 * (near[:n - d, bw + d] + near[d:, bw - d])
+        return cls(_trimmed(band), q.grid)
 
     @property
     def n(self) -> int:
         return self.grid.n
+
+    def _entries(self, p: np.ndarray, lo: int, hi: int):
+        """(k, at, flat): the band's entries of the rows at pair positions
+        ``p`` in the columns at pair positions ``lo`` <= at < ``hi``, k
+        indexing ``p``, and their flat indices into the band: (p, at) is
+        the upper-stored (min, max) element."""
+        bw, n = self.band.shape[0] - 1, self.n
+        at = p[:, None] + np.arange(-bw, bw + 1)
+        inside = (at >= lo) & (at < hi)
+        k = np.nonzero(inside)[0]
+        p, at = p[k], at[inside]
+        return k, at, (bw - np.abs(at - p)) * n + np.maximum(p, at)
 
     def gather_rows(self, nodes: np.ndarray) -> np.ndarray:
         """Rows ``nodes`` of the node-ordered N x N matrix, as a
         (len(nodes), N) array read straight from the band: the entries
         within the pair bandwidth hold the band's values bit for bit, every
         other entry is +0."""
-        n, bw = self.n, self.band.shape[0] - 1
+        n = self.n
         nodes = np.asarray(nodes)
-        p = _pair_position(nodes, n)[:, None]
-        at = p + np.arange(-bw, bw + 1)
-        inside = (at >= 0) & (at < n)
-        row = np.nonzero(inside)[0]
-        p, at = np.broadcast_to(p, at.shape)[inside], at[inside]
+        k, at, flat = self._entries(_pair_position(nodes, n), 0, n)
         out = np.zeros((len(nodes), n))
-        # (p, at) in pair ordering is the upper-stored (min, max) element
-        out[row, _pair_node(at, n)] = \
-            self.band[bw - np.abs(at - p), np.maximum(p, at)]
+        out[k, _pair_node(at, n)] = self.band.reshape(-1)[flat]
         return out
 
 
@@ -233,21 +317,33 @@ def _checked(values: np.ndarray, what: str) -> np.ndarray:
 
 def _stencil_band(terms: list, n: int, scale: float = 1.0,
                   symmetrize: bool = False) -> np.ndarray:
-    """``_pair_band`` storage of M / scale, or of (M + M^T) / (2 scale) if
-    ``symmetrize``, for the node-ordered M, the sum of the ``terms`` (s,
-    reflected, c): row i of a term reads node i + s of f, or of R f, times
-    c[i], so c[i] sits in column i + s, or N - 1 - i - s. Each element sums,
-    from 0.0, its terms' c[i] and 0.0 for every other term, in the listed
-    order. A term's pair bandwidth is 2|s|, plus one if reflected."""
-    def raw(i, j):
-        total = 0.0
-        for shift, reflected, coeff in terms:
-            k = n - 1 - j if reflected else j
-            total = total + np.where(k == i + shift, coeff[i], 0.0)
-        return total / scale
-
-    entry = (lambda i, j: 0.5 * (raw(i, j) + raw(j, i))) if symmetrize else raw
-    return _pair_band(entry, n, max(2 * abs(s) + r for s, r, _ in terms))
+    """Upper-banded storage, in pair ordering, of M / scale, or of
+    (M + M^T) / (2 scale) if ``symmetrize``, for the node-ordered M, the
+    sum of the ``terms`` (s, reflected, c): row i of a term reads node
+    i + s of f, or of R f, times c[i], so c[i] sits in column i + s, or
+    N - 1 - i - s. Each element sums, from 0.0, its terms' c[i] in the
+    listed order: the dense construction's sum, which also adds 0.0 for
+    every other term, and adding 0.0 to a sum that starts at +0.0 changes
+    no bit. A term's pair bandwidth is 2|s|, plus one if reflected; leading
+    superdiagonals that are entirely zero are dropped."""
+    bw = min(max(2 * abs(s) + r for s, r, _ in terms), n - 1)
+    rows = np.arange(n)
+    pos = _pair_position(rows, n)
+    # m[bw + d, p] = M[i, j] for i at pair position p and j at p + d
+    m = np.zeros((2 * bw + 1, n))
+    for shift, reflected, coeff in terms:
+        lo, hi = max(0, -shift), n - max(0, shift)    # the rows i with a j
+        i = rows[lo:hi]
+        j = n - 1 - shift - i if reflected else i + shift
+        p = pos[lo:hi]
+        m.reshape(-1)[(bw + pos[j] - p) * n + p] += coeff[lo:hi]
+    m /= scale
+    band = np.zeros((bw + 1, n))
+    for d in range(bw + 1):
+        upper = m[bw + d, :n - d]
+        band[bw - d, d:] = 0.5 * (upper + m[bw - d, d:]) if symmetrize \
+            else upper
+    return _trimmed(band)
 
 
 def assemble(scalar: Callable, refl_coeff: Callable, grid: Grid) -> GridOperator:
@@ -359,6 +455,21 @@ def checkerboard_fraction(v: np.ndarray) -> float:
     return float(np.linalg.norm(v - av) / (2.0 * np.linalg.norm(v)))
 
 
+def _finite(a: np.ndarray) -> None:
+    """The check scipy's solvers make of their inputs."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _lapack_info(info: int) -> None:
+    """Raise for a LAPACK ``info`` as ``solve_banded`` does."""
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal "
+                         "gbsv/gtsv")
+
+
 def _inverse_iteration(band: np.ndarray,
                        w: np.ndarray) -> Iterator[np.ndarray]:
     """Eigenvectors (pair ordering) of an upper-banded symmetric matrix for
@@ -371,26 +482,54 @@ def _inverse_iteration(band: np.ndarray,
     the cluster's earlier vectors, so (near-)degenerate levels get
     independent vectors. A vector depends only on the ones before it, so a
     caller that stops early has the same vectors as a full run.
+
+    The solves are those of ``scipy.linalg.solve_banded``, bit for bit, with
+    each shift factored once: LAPACK's gbsv is gbtrf then gbtrs, so (A -
+    w_j I) is factored by gbtrf, in gbsv's layout (bw rows above the band,
+    which gbtrf fills in without reading), in one buffer that every level
+    reuses, then solved three times by gbtrs. A tridiagonal band (bw = 1)
+    takes gtsv, as ``solve_banded`` sends it. An exactly singular shift
+    raises LinAlgError("singular matrix") and a non-finite input
+    ValueError, as ``solve_banded`` does.
     """
     bw, n = band.shape[0] - 1, band.shape[1]
     full = np.zeros((2 * bw + 1, n))
     full[:bw + 1] = band
     for d in range(1, bw + 1):
         full[bw + d, :n - d] = band[bw - d, d:]
+    _finite(full)
     ortol = 1e-3 * np.abs(full).sum(axis=0).max()
     start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     vecs = np.empty((n, len(w)))
+    lu = np.zeros((3 * bw + 1, n), order="F")
     first = 0
     for j, lam in enumerate(w):
         if j and w[j] - w[j - 1] > ortol:
             first = j
-        shifted = full.copy()
-        shifted[bw] -= lam
+        shifted = full[bw] - lam
+        _finite(shifted)
+        if bw == 1:
+            def solve(b):
+                *_, x, info = gtsv(full[2, :-1], shifted, full[0, 1:], b)
+                _lapack_info(info)
+                return x
+        else:
+            lu[bw:] = full
+            lu[2 * bw] = shifted
+            _, piv, info = gbtrf(lu, bw, bw, overwrite_ab=True)
+            _lapack_info(info)
+
+            def solve(b):
+                x, info = gbtrs(lu, bw, bw, b, piv)
+                _lapack_info(info)
+                return x
         x = start
         for _ in range(3):
-            x = solve_banded((bw, bw), shifted, x)
-            cluster = vecs[:, first:j]
-            x -= cluster @ (cluster.T @ x)
+            _finite(x)
+            x = solve(x)
+            if j > first:   # an empty cluster would subtract +0.0: no bit
+                cluster = vecs[:, first:j]
+                x -= cluster @ (cluster.T @ x)
             x /= np.linalg.norm(x)
         vecs[:, j] = x
         yield x

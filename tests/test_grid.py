@@ -974,6 +974,196 @@ def test_composite_filter_matches_dense_eigenvectors(mu, alpha, monkeypatch):
     assert np.array_equal(vals, w[dense < 0.5][:k])
 
 
+def _composite_parts(mu, alpha, n):
+    """(Q, diag, refl): what spectra hands to GridOperator.composite."""
+    system = SusySystem.gegenbauer(GegParams(mu, alpha))
+    g = Grid(n, system.halfwidth)
+    return (_supercharge_of(system, g), *system.corrections(g.nodes))
+
+
+def _per_block_composite_band(q, diag, refl):
+    """GridOperator.composite's band as it was built with a fresh operand
+    per block: a zero-filled gather_rows array for the block's rows, and a
+    (w x N) one for the window's rows, sliced to the window's columns and
+    placed in a zero-filled (N x w) array."""
+    n = q.n
+    pos = 2 * np.minimum(np.arange(n), n - 1 - np.arange(n)) \
+        + (np.arange(n) >= n // 2)
+
+    def node(p):
+        return np.where(p % 2, n - 1 - p // 2, p // 2)
+
+    def gather_rows(nodes):
+        bw = q.band.shape[0] - 1
+        p = pos[nodes][:, None]
+        at = p + np.arange(-bw, bw + 1)
+        inside = (at >= 0) & (at < n)
+        row = np.nonzero(inside)[0]
+        p, at = np.broadcast_to(p, at.shape)[inside], at[inside]
+        out = np.zeros((len(nodes), n))
+        out[row, node(at)] = q.band[bw - np.abs(at - p), np.maximum(p, at)]
+        return out
+
+    bw = min(4, n - 1)
+    offsets = np.arange(-bw, bw + 1)
+    near = np.zeros((n, 2 * bw + 1))
+    for r0, r1 in gridmod._row_blocks(n):
+        lo, hi = min(r0, n - r1), min(r1, n - r0, n // 2)
+        p0, p1 = max(lo - 2, 0), min(hi + 2, n // 2)
+        p1 = min(p1 + (p0 - p1) % 4, n // 2)
+        p0 = max(p0 - (p0 - p1) % 4, 0)
+        p = np.arange(p0, p1)
+        cols = np.concatenate([p, n - 1 - p[::-1]])
+        o = np.zeros((n, len(cols)))
+        o[cols] = gather_rows(cols)[:, cols]
+        i = np.arange(r0, r1)
+        prod = gather_rows(i) @ o
+        win = np.zeros(n, dtype=int)
+        win[cols] = np.arange(len(cols))
+        at = pos[i, None] + offsets
+        inside = (at >= 0) & (at < n)
+        near[i] = np.where(inside, 2.0 * np.take_along_axis(
+            prod, win[node(np.where(inside, at, 0))], axis=1), 0.0)
+        near[i, bw] += diag[i]
+        near[i, bw + np.where(i < n // 2, 1, -1)] += refl[i]
+    nodes = node(np.arange(n))
+    band = np.zeros((bw + 1, n))
+    for d in range(bw + 1):
+        i, j = nodes[:n - d], nodes[d:]
+        band[bw - d, d:] = 0.5 * (near[i, bw + d] + near[j, bw - d])
+    top = 0
+    while top < bw and not band[top].any():
+        top += 1
+    return band[top:]
+
+
+COMPOSITE_SETS = [(F(1, 2), F(1)), (F(1, 2), F(0)), (F(1, 3), F(2)),
+                  (F(20), F(20)), (F(0), F(1))]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 16, 64, 130, 386, 514, 1024,
+                               2048])
+@pytest.mark.parametrize("mu, alpha", COMPOSITE_SETS)
+def test_composite_band_equals_per_block_construction(mu, alpha, n):
+    # the operands written into buffers shared by every block are the
+    # arrays a fresh zero-filled construction gives, so the products keep
+    # their bits; the bytes compare the signs of zeros too
+    parts = _composite_parts(mu, alpha, n)
+    band = GridOperator.composite(*parts).band
+    assert band.tobytes() == _per_block_composite_band(*parts).tobytes()
+
+
+def test_composite_band_equals_per_block_construction_on_one_blas_thread():
+    out = _fresh_python(f"""
+        import sys
+        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+        from dunklqm.grid import GridOperator
+        from test_grid import (COMPOSITE_SETS, _composite_parts,
+                               _per_block_composite_band)
+
+        for mu, alpha in COMPOSITE_SETS:
+            parts = _composite_parts(mu, alpha, 2048)
+            print(GridOperator.composite(*parts).band.tobytes()
+                  == _per_block_composite_band(*parts).tobytes())
+        """, OPENBLAS_NUM_THREADS="1")
+    assert out.split() == ["True"] * len(COMPOSITE_SETS)
+
+
+def _three_solve_iteration(band, w):
+    """_inverse_iteration as it ran with three solve_banded calls per level,
+    each factoring (A - w_j I) again."""
+    from scipy.linalg import solve_banded
+
+    bw, n = band.shape[0] - 1, band.shape[1]
+    full = np.zeros((2 * bw + 1, n))
+    full[:bw + 1] = band
+    for d in range(1, bw + 1):
+        full[bw + d, :n - d] = band[bw - d, d:]
+    ortol = 1e-3 * np.abs(full).sum(axis=0).max()
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    vecs = np.empty((n, len(w)))
+    first = 0
+    for j, lam in enumerate(w):
+        if j and w[j] - w[j - 1] > ortol:
+            first = j
+        shifted = full.copy()
+        shifted[bw] -= lam
+        x = start
+        for _ in range(3):
+            x = solve_banded((bw, bw), shifted, x)
+            cluster = vecs[:, first:j]
+            x -= cluster @ (cluster.T @ x)
+            x /= np.linalg.norm(x)
+        vecs[:, j] = x
+        yield x
+
+
+def _yielded(vectors):
+    """The bytes of each vector a generator yields, then what it raised."""
+    out = []
+    try:
+        for v in vectors:
+            out.append(v.tobytes())
+    except Exception as exc:
+        out.append(repr(exc))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 4, 64, 130, 512, 1024, 2048])
+@pytest.mark.parametrize("mu, alpha", [(F(1, 2), F(1)), (F(1, 2), F(0))])
+def test_inverse_iteration_equals_three_solves_per_level(mu, alpha, n):
+    # gbtrf once, then gbtrs three times, is gbsv three times; at N = 2 the
+    # band has one superdiagonal and goes through gtsv. The exact levels of
+    # a 2 x 2 band are singular shifts, so N = 2 also runs shifts off them
+    band = GridOperator.composite(*_composite_parts(mu, alpha, n)).band
+    assert (band.shape[0] == 2) == (n == 2)
+    w = eig_banded(band, lower=False, eigvals_only=True, select="i",
+                   select_range=(0, min(20, n) - 1))
+    shifts = [w, w + 1e-3 * np.abs(w).max()] if n == 2 else [w]
+    for lam in shifts:
+        new = _yielded(gridmod._inverse_iteration(band, lam))
+        assert new == _yielded(_three_solve_iteration(band, lam))
+        assert len(new) == len(lam) or n == 2
+
+
+def test_inverse_iteration_refuses_what_solve_banded_refuses():
+    # an exactly singular shift, a non-finite band, and both through the
+    # banded (bw > 1) and the tridiagonal path
+    cases = [(np.array([[1.0, 2.0, 3.0]]), [2.0]),
+             (np.array([[0.0, 1.0], [1.0, 1.0]]), [0.0]),
+             (np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [2.0, 2.0, 2.0]]),
+              [np.inf]),
+             (np.array([[0.0, 1.0], [1.0, np.nan]]), [0.0])]
+    for band, w in cases:
+        new = _yielded(gridmod._inverse_iteration(band, np.asarray(w)))
+        assert new == _yielded(_three_solve_iteration(band, np.asarray(w)))
+        assert new[-1].startswith(("LinAlgError", "ValueError"))
+
+
+def test_singular_shift_is_the_same_method_limit(monkeypatch):
+    op = GridOperator.composite(*_composite_parts(F(1, 2), F(1), 2))
+    with pytest.raises(MethodLimitError) as new:
+        gridmod.composite_spectrum(op, 1)
+    monkeypatch.setattr(gridmod, "_inverse_iteration", _three_solve_iteration)
+    with pytest.raises(MethodLimitError) as old:
+        gridmod.composite_spectrum(op, 1)
+    assert str(new.value) == str(old.value)
+    assert "exactly singular shift (singular matrix)" in str(new.value)
+
+
+def test_composite_peak_memory_at_n_2048():
+    # the construction with fresh operands per block peaked at 4.65 MiB
+    # here; the two buffers shared by every block hold no more
+    parts = _composite_parts(F(1, 2), F(1), 2048)
+    tracemalloc.start()
+    try:
+        GridOperator.composite(*parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.65 * 2**20
+
+
 def test_non_gegenbauer_paths_hold_no_dense_matrix():
     # one 8192 x 8192 float64 matrix is 512 MB
     tracemalloc.start()
