@@ -451,7 +451,15 @@ def _add_choice(parser, option: str, table: dict, value_type, **kw) -> None:
     parser.set_defaults(choice_of=(option, table, names))
 
 
-def _family_arguments(fam) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command-line parser; ``main`` builds a new one per call."""
+    ap = argparse.ArgumentParser(
+        prog="dunklqm",
+        description="Exact and numerical verification toolkit for 1D "
+                    "supersymmetric quantum mechanics with reflections.")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    fam = sub.add_parser("family", help="print an orthogonal family table")
     _add_choice(fam, "kind", _KINDS, _rat, required=True)
     fam.add_argument("--degree", type=_int_at_least(0), default=6)
     fam.add_argument("--format", choices=["text", "json", "csv"],
@@ -459,14 +467,12 @@ def _family_arguments(fam) -> None:
     fam.add_argument("--out", type=_out_path)
     fam.set_defaults(fn=cmd_family)
 
-
-def _verify_arguments(ver) -> None:
+    ver = sub.add_parser("verify", help="run verification suites")
     _add_choice(ver, "suite", _SUITES, _int_at_least(2), default="all")
     ver.add_argument("--out", type=_out_path)
     ver.set_defaults(fn=cmd_verify)
 
-
-def _spectrum_arguments(spec) -> None:
+    spec = sub.add_parser("spectrum", help="grid spectra vs closed forms")
     _add_choice(spec, "system", _SYSTEMS, _rat, required=True)
     spec.add_argument("--levels", type=_int_at_least(1), default=3)
     spec.add_argument("--grids", type=_grid_list, default=[1024, 2048, 4096])
@@ -475,56 +481,9 @@ def _spectrum_arguments(spec) -> None:
     spec.add_argument("--out", type=_out_path)
     spec.set_defaults(fn=cmd_spectrum)
 
-
-def _errata_arguments(err) -> None:
+    err = sub.add_parser("errata", help="emit the consolidated errata report")
     err.add_argument("--out", type=_out_path)
     err.set_defaults(fn=cmd_errata)
-
-
-# subcommand -> (its help line, what adds its arguments)
-_COMMANDS = {
-    "family": ("print an orthogonal family table", _family_arguments),
-    "verify": ("run verification suites", _verify_arguments),
-    "spectrum": ("grid spectra vs closed forms", _spectrum_arguments),
-    "errata": ("emit the consolidated errata report", _errata_arguments),
-}
-
-
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser that adds its arguments when it first parses.
-    argparse runs only the parser of the subcommand a command line names,
-    so the other subcommands' arguments are never added; the top parser's
-    usage, help and errors do not read them."""
-
-    def __init__(self, *args, arguments: Callable, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._arguments = arguments
-
-    def fill(self) -> None:
-        """Add the arguments, once."""
-        if self._arguments is not None:
-            arguments, self._arguments = self._arguments, None
-            arguments(self)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self.fill()
-        return super().parse_known_args(args, namespace)
-
-
-def build_parser(whole: bool = True) -> argparse.ArgumentParser:
-    """The command-line parser. ``main`` builds a new one for each call
-    with ``whole`` False, so only the subcommand that parses gets its
-    arguments; with ``whole`` every subcommand has them."""
-    ap = argparse.ArgumentParser(
-        prog="dunklqm",
-        description="Exact and numerical verification toolkit for 1D "
-                    "supersymmetric quantum mechanics with reflections.")
-    sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=_Subcommand)
-    for name, (text, arguments) in _COMMANDS.items():
-        parser = sub.add_parser(name, help=text, arguments=arguments)
-        if whole:
-            parser.fill()
     return ap
 
 
@@ -555,7 +514,7 @@ _ERRORS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser(whole=False)
+    ap = build_parser()
     argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = ap.parse_args(argv)

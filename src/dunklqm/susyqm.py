@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import refcalc as refc
-from .exact import beta_num, pochhammer
+from .exact import DomainError, beta_num, pochhammer
 from .gegenbauer import GegParams, HermiteParams, oscillator_energy
 from .jacobi import Jacobi1Params, supercharge_eigenvalue_scaled
 from .opalg import (
@@ -212,9 +212,20 @@ class SusySystem:
 
     def wavefunction(self, n: int) -> Callable:
         """Vectorized psi_n as (c_n g(x)) P_n(y(x)), c_n = 1/sqrt(||g||^2
-        ||P_n||^2), with no domain check; n = 0 gives c_0 g bit for bit."""
+        ||P_n||^2), with no domain check on x; n = 0 gives c_0 g bit for bit.
+        Where ||P_n||^2 or ||g||^2 ||P_n||^2 is not a normal float (high n:
+        subnormal, zero or beyond float range) it raises DomainError."""
         values, norm_sq = self.polynomials(n)
-        scale = 1.0 / math.sqrt(self.ground_norm_sq * float(norm_sq))
+        try:
+            norms = (float(norm_sq), self.ground_norm_sq * float(norm_sq))
+        except OverflowError:
+            norms = (math.inf,)
+        if not all(np.finfo(float).tiny <= v < math.inf for v in norms):
+            record = " ".join([self.name, *(f"{k}={v}" for k, v
+                                            in self.params.items())])
+            raise DomainError(f"{record}: psi_{n}'s norm ||g||^2 ||P_{n}||^2 "
+                              "is not a normal float")
+        scale = 1.0 / math.sqrt(norms[1])
         return lambda x: scale * self.ground(np.asarray(x, dtype=float)) \
             * values(x)[n]
 

@@ -967,44 +967,6 @@ def _float_layers_loaded(statement):
     return ast.literal_eval(_fresh_python("-c", script))
 
 
-def _subcommand_options(parser):
-    """Each subcommand's option strings in ``parser``."""
-    import argparse
-
-    sub, = [a for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction)]
-    return {name: [s for a in p._actions for s in a.option_strings]
-            for name, p in sub.choices.items()}
-
-
-@pytest.mark.parametrize("argv, named", [
-    (["spectrum", "--system", "oscillator", "--grids", "64,128,256"],
-     "spectrum"),
-    (["-1", "verify", "--suite", "exact"], None),
-    (["nosuch"], None),
-    (["--help"], None),
-])
-def test_main_adds_only_the_named_subcommands_arguments(argv, named, capsys):
-    # main builds a new parser per call; a subcommand that does not parse
-    # keeps only its -h, and what parses (or refuses) reads as the whole
-    # tree does
-    from dunklqm import cli
-
-    lazy, whole = cli.build_parser(whole=False), cli.build_parser()
-    results = []
-    for parser in (lazy, whole):
-        try:
-            results.append(vars(parser.parse_args(argv)))
-        except SystemExit as exc:
-            results.append(exc.code)
-        results.append(capsys.readouterr())
-    assert results[:2] == results[2:]
-    full = _subcommand_options(whole)
-    assert _subcommand_options(lazy) == {
-        name: full[name] if name == named else ["-h", "--help"]
-        for name in full}
-
-
 def test_parser_shape():
     # option strings per subcommand and the order of each choice set, as the
     # usage and "invalid choice" messages show them

@@ -194,15 +194,16 @@ GAPS = [
     # cos^(b/2) x -> cos^(b/2 + 1/100) x in the ground factor. Only the
     # relations suite's eigenfunction probe and errata's evidence read it:
     # the operator identities hold on any probe, and errata's verdicts are
-    # typed by hand. Closed by ROADMAP items 9 (eigenfunctions on the grid)
-    # and 11 (computed errata verdicts).
+    # typed by hand. Closed by ROADMAP items 26 (the row re-expressed on the
+    # stated exponent) and 28b (the exact gauge check).
     pytest.param(_record(
         "scarf", "ground", lambda g: lambda x: g(x) * np.cos(x) ** float(EPS)),
         ("verify", "errata"), id="scarf-ground-exponent"),
     # The same factor cos^(1/100) x on the Gegenbauer ground state: no
     # command evaluates that record's ground factor, and its spectrum reads
     # only the potential, the corrections and the targets. Closed by ROADMAP
-    # items 26 (the ground state checked against its indicial roots) and 9.
+    # items 26 (the ground state checked against its indicial roots) and 28b
+    # (the exact gauge check), with item 9 (eigenfunctions) on the grid.
     pytest.param(_record(
         "gegenbauer", "ground",
         lambda g: lambda x: g(x) * np.cos(x) ** float(EPS)),
@@ -211,7 +212,7 @@ GAPS = [
         id="gegenbauer-ground"),
     # e^(-x^2/2) -> e^(-x^2/2 - x^2/100) in the oscillator's ground factor:
     # only errata's evidence reads it, and its verdicts are typed by hand.
-    # Closed by ROADMAP items 26 and 9.
+    # Closed by ROADMAP items 26 and 28b, with item 9 on the grid.
     pytest.param(_record(
         "oscillator", "ground",
         lambda g: lambda x: g(x) * np.exp(-x * x * float(EPS))),
@@ -230,7 +231,8 @@ GAPS = [
                  id="scarf-ground-norm"),
     # The derived U0 plus 1/100: only errata's printed-minus-derived
     # evidence reads `geg_potentials`, and the grid reads the record's
-    # corrections instead. Closed by ROADMAP items 11 and 27.
+    # corrections instead. Closed by ROADMAP items 28b (the derived constants
+    # read from the exact ring) and 27.
     pytest.param(_wrapped("geg_potentials", lambda u, params, x, variant:
                           (u[0] + float(EPS), u[1]) if variant == "derived"
                           else u, gegenbauer, errata),

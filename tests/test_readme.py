@@ -1,7 +1,7 @@
 """README's examples stay true: its Python example runs, every ``dunklqm …``
-command line it shows is accepted by the command's parser, and its "reads /
-defaults" table lists every family kind and spectrum system as the CLI
-tables state them."""
+command line it shows is accepted by the command's parser and exits 0, and
+its "reads / defaults" table lists every family kind and spectrum system as
+the CLI tables state them."""
 
 import re
 import shlex
@@ -24,10 +24,13 @@ def test_readme_python_example_runs(capsys):
 
 @pytest.mark.parametrize("line", [
     line for line in README.splitlines() if line.startswith("dunklqm ")])
-def test_readme_command_line_parses(line, capsys):
+def test_readme_command_line_parses(line, tmp_path, monkeypatch, capsys):
     argv = cli._attach_negative_values(shlex.split(line)[1:])
     args = cli.build_parser().parse_args(argv)
     cli._refuse_unread(args)        # raises on a parameter left unread
+    # README's comments promise exit 0 for each line; --out lands in tmp_path
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(shlex.split(line)[1:]) == cli.EXIT_OK
 
 
 def test_readme_reads_table_matches_the_cli_tables():

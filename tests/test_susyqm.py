@@ -12,7 +12,7 @@ import pytest
 
 from dunklqm import grid as gridmod
 from dunklqm import refcalc as refc
-from dunklqm.exact import hyp_terms, pochhammer
+from dunklqm.exact import DomainError, hyp_terms, pochhammer
 from dunklqm.gegenbauer import (
     GegParams,
     HermiteParams,
@@ -302,6 +302,35 @@ def test_wavefunction_high_level_matches_exact_polynomial(a, b, n):
     system = SusySystem.scarf(p)
     got = system.wavefunction(n)(x) / (ratio * system.wavefunction(0)(x))
     assert np.abs(got - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+_HIGH_LEVEL_SYSTEMS = {
+    "scarf alpha=1 beta=3": lambda: SusySystem.scarf(pars(1, 3)),
+    "oscillator": SusySystem.oscillator,
+}
+
+
+@pytest.mark.parametrize("record, n", [("scarf alpha=1 beta=3", 520),
+                                       ("scarf alpha=1 beta=3", 540),
+                                       ("oscillator", 197)])
+def test_wavefunction_refuses_a_norm_outside_the_normal_floats(record, n):
+    # ||P_n||^2 at Scarf (1, 3) is subnormal at n = 511-536 (3.35e-314 at
+    # 520, off by 6e-11 relative) and 0.0 from 537 on; the oscillator's
+    # leaves float range at n = 197
+    with pytest.raises(DomainError, match=f"^{record}: psi_{n}'s norm "):
+        _HIGH_LEVEL_SYSTEMS[record]().wavefunction(n)
+
+
+@pytest.mark.parametrize("record, n", [("scarf alpha=1 beta=3", 510),
+                                       ("oscillator", 196)])
+def test_wavefunction_keeps_its_bits_at_the_last_normal_norm(record, n):
+    system = _HIGH_LEVEL_SYSTEMS[record]()
+    values, norm_sq = system.polynomials(n)
+    scale = 1.0 / math.sqrt(system.ground_norm_sq * float(norm_sq))
+    x = np.linspace(-1.5, 1.5, 41) + 0.013
+    ref = scale * system.ground(x) * values(x)[n]
+    assert np.isfinite(ref).all() and ref.any()
+    assert system.wavefunction(n)(x).tobytes() == ref.tobytes()
 
 
 def test_unchecked_scarf_params_continue_the_family_past_its_domain():
