@@ -213,19 +213,19 @@ class SusySystem:
     def wavefunction(self, n: int) -> Callable:
         """Vectorized psi_n as (c_n g(x)) P_n(y(x)), c_n = 1/sqrt(||g||^2
         ||P_n||^2), with no domain check on x; n = 0 gives c_0 g bit for bit.
-        Where ||P_n||^2 or ||g||^2 ||P_n||^2 is not a normal float (high n:
-        subnormal, zero or beyond float range) it raises DomainError."""
+        Where ||g||^2 ||P_n||^2 is not a normal float (at high n: subnormal,
+        zero or beyond float range) it raises DomainError."""
         values, norm_sq = self.polynomials(n)
         try:
-            norms = (float(norm_sq), self.ground_norm_sq * float(norm_sq))
+            norm = self.ground_norm_sq * float(norm_sq)
         except OverflowError:
-            norms = (math.inf,)
-        if not all(np.finfo(float).tiny <= v < math.inf for v in norms):
+            norm = math.inf
+        if not np.finfo(float).tiny <= norm < math.inf:
             record = " ".join([self.name, *(f"{k}={v}" for k, v
                                             in self.params.items())])
             raise DomainError(f"{record}: psi_{n}'s norm ||g||^2 ||P_{n}||^2 "
                               "is not a normal float")
-        scale = 1.0 / math.sqrt(norms[1])
+        scale = 1.0 / math.sqrt(norm)
         return lambda x: scale * self.ground(np.asarray(x, dtype=float)) \
             * values(x)[n]
 

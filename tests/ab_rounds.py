@@ -22,7 +22,9 @@ and quartiles over those runs of ``jobs_per_s``, ``job_p50_s`` and
 run's job times, with the number of runs in which this checkout's value
 is the better one. It states no bound.
 Both workers run under the same environment, so a BLAS thread-count
-setting applies to both alike.
+setting applies to both alike. Read a per-job ratio against that job's
+quartiles from a run of this checkout against itself (A/A), on the same
+workload and rounds: a ratio inside them is not a difference.
 """
 
 from __future__ import annotations
