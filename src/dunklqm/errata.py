@@ -378,7 +378,7 @@ def build_errata() -> list:
     """Compute all errata entries with live evidence."""
     corrected, printed = verify_raising(_RAISING_PARAMS, 12)
     geg = spectrum_problem(SusySystem.gegenbauer(_GEG_PARAMS), 3)
-    geg_spectrum = [float(v) for v in geg.compute(1024)]
+    geg_spectrum = [float(v) for v in geg.levels(1024)]
     psi0 = SusySystem.scarf(_GROUND_PARAMS).wavefunction(0)
     return [
         _odd_explicit_prefactor(),

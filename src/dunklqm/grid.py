@@ -36,14 +36,17 @@ with that factor three times (gbtrs), as three gbsv calls would, bit for bit.
 A convergence study's rungs are independent, and the rungs below the top of
 a doubling ladder are about a quarter of its work (a rung costs about four
 times the one below it). scipy's banded drivers hold the GIL, so threads
-cannot overlap two solves; for a :class:`Problem` marked ``single_core``,
-one forked child solves the lower rungs, in order, while this process
-solves the top rung, and pickles their values back through a pipe. The
-child runs the same code on the same inputs, so every value keeps its bits.
-The top rung stays here, so this process's peak RSS and any tracer still
-see the dominant solve; a tracer sees none of the child's rungs. A path
-whose BLAS products already run threads on every core (``spectra``'s
-composite path) is left unmarked: splitting it slowed its ladders.
+cannot overlap two solves. A :class:`Problem` is a build step (N -> the
+rung's operator) and a per-rung solve. :func:`convergence_study` first
+builds every rung's operator here, in order, so that each BLAS product (the
+Gegenbauer ``GridOperator.composite``) runs before any fork and never beside
+another; then one forked child solves the lower rungs, in order, while this
+process solves the top rung, and the child pickles its values back through
+a pipe. The child runs the same code on the same operators, so every value
+keeps its bits. The top rung stays here, so this process's peak RSS and any
+tracer still see the dominant solve; a tracer sees none of the child's
+solves. A ladder whose top operator is tridiagonal in node ordering is
+solved here whole: its ``eigh_tridiagonal`` rungs cost less than a fork.
 """
 
 from __future__ import annotations
@@ -545,6 +548,10 @@ def composite_spectrum(op: GridOperator, k: int) -> np.ndarray:
     forms a dense N x N transformation at O(N^3) cost. A shift that makes
     the banded solve exactly singular (seen on N = 2) is a method limit.
     """
+    # pinned: eig_banded's bits depend on select_range; asking for fewer
+    # than 20 values (k = 3) changed some of the values that both requests
+    # share in each of 16 (mu, alpha, N) cases tried, so a smaller scan
+    # would move the printed levels
     n_scan = 4 * k + 8
     n = op.n
     w = eig_banded(op.band, lower=False, eigvals_only=True,
@@ -681,28 +688,33 @@ def extrapolate_sequence(values: Sequence[float],
 
 @dataclass(frozen=True)
 class Problem:
-    """A spectrum computation: grid size -> its lowest levels, one per target.
+    """A spectrum computation: on an N-point grid, an operator and its lowest
+    levels, one per target.
 
+    ``build``: N -> the rung's operator; :func:`convergence_study` runs it
+    here, in order, so it may run BLAS products on every core.
+    ``compute``: the per-rung solve, operator -> np.ndarray of the
+    len(targets) lowest levels; a pure function that keeps one core busy,
+    which :func:`convergence_study` may run in a forked child.
     ``tolerance``: the largest accepted error of an extrapolated level.
     ``exponents``: known error-power schedule for Richardson elimination.
-    ``single_core``: ``compute`` is a pure function of N that keeps one core
-    busy, so :func:`convergence_study` may solve the lower rungs in a forked
-    child. Left False, every rung runs here, side effects included;
-    ``spectra`` sets it for its banded paths, not for the composite path,
-    whose BLAS product already runs threads on every core.
     """
 
     name: str
     params: dict
     targets: tuple
-    compute: Callable  # N -> np.ndarray of the len(targets) lowest levels
+    build: Callable
+    compute: Callable
     tolerance: float
     exponents: tuple
-    single_core: bool = False
 
     def __post_init__(self):
         if not self.targets:
             raise ValueError(f"{self.name}: a spectrum needs at least one level")
+
+    def levels(self, n: int) -> np.ndarray:
+        """The levels on the N-point grid, all computed here."""
+        return self.compute(self.build(n))
 
 
 @dataclass
@@ -747,15 +759,32 @@ class SpectrumReport:
 
 
 def _solve_ladder(problem: Problem, n_list: list) -> list:
-    """``[problem.compute(n) for n in n_list]``: its values and its
+    """``[problem.levels(n) for n in n_list]``: its values and its
     exception, split as :func:`convergence_study` describes."""
-    *lower, top = n_list
-    if not (problem.single_core and lower):
-        return [problem.compute(n) for n in n_list]
+    ops, failed = [], None
+    for n in n_list:
+        try:
+            ops.append(problem.build(n))
+        except Exception as exc:
+            failed = exc
+            break
+    values = _solve_rungs(problem, ops)
+    if failed is not None:
+        raise failed
+    return values
+
+
+def _solve_rungs(problem: Problem, ops: list) -> list:
+    """``[problem.compute(op) for op in ops]``, the rungs below the top in
+    a forked child unless the top operator is node-tridiagonal."""
+    if len(ops) < 2 or (isinstance(ops[-1], GridOperator)
+                        and _node_tridiagonal(ops[-1]) is not None):
+        return [problem.compute(op) for op in ops]
+    *lower, top = ops
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
-        return [problem.compute(n) for n in n_list]
+        return [problem.compute(op) for op in ops]
     pid = payload = None
     try:
         try:
@@ -766,7 +795,7 @@ def _solve_ladder(problem: Problem, n_list: list) -> list:
             try:
                 os.close(read_fd)
                 try:
-                    result = [problem.compute(n) for n in lower]
+                    result = [problem.compute(op) for op in lower]
                 except BaseException as exc:
                     result = exc
                 data = memoryview(pickle.dumps(result))
@@ -792,7 +821,7 @@ def _solve_ladder(problem: Problem, n_list: list) -> list:
     try:
         values = pickle.loads(payload)
     except Exception:  # the child sent nothing, or what it sent is broken
-        values = [problem.compute(n) for n in lower]
+        values = [problem.compute(op) for op in lower]
     if isinstance(values, BaseException):
         raise values
     if isinstance(top_value, Exception):
@@ -807,14 +836,16 @@ def convergence_study(problem: Problem, n_list: Sequence[int]) -> SpectrumReport
     still reported); a level whose order cannot be estimated (e.g. a
     non-monotone ladder) has ``converged`` None, unknown.
 
-    The rungs run in this process unless ``problem.single_core``; then the
-    top rung runs here and the lower ones, in order, in one forked child
-    (module docstring), with the values and the exceptions of the sequential
-    loop. The child sends back its values, or the exception of its first
-    failing rung, which is raised before this process's own. If the child
-    cannot start, dies, or cannot pickle what it has, this process solves
-    the lower rungs itself. The child leaves by ``os._exit``, so no atexit
-    handler runs and no stdio buffer is flushed twice; it inherits the
+    Every rung's operator is built here first, in order; then the top rung
+    is solved here and the lower ones, in order, in one forked child (module
+    docstring), unless the top operator is node-tridiagonal, when every rung
+    is solved here. The values and the exceptions are the sequential loop's:
+    a build that fails is raised after the rungs below it are solved, and
+    the child sends back its values, or the exception of its first failing
+    rung, which is raised before this process's own. If the child cannot
+    start, dies, or cannot pickle what it has, this process solves the lower
+    rungs itself. The child leaves by ``os._exit``, so no atexit handler
+    runs and no stdio buffer is flushed twice; it inherits the
     floating-point error state, is killed if this process is interrupted,
     and is reaped on every path."""
     n_list = check_doubling_ladder(n_list)

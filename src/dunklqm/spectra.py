@@ -1,18 +1,19 @@
 """The grid oracle's one spectrum problem constructor, for every
 ``susyqm.SusySystem``: targets, tolerance and schedule come from the record,
 and the solver path from its grid data, as one pair of an operator builder
-and a ``grid`` solver: compute(N) = solve(build(grid), k). With no reflection
-core (the oscillator, alpha = 0 Scarf) H's coefficients are assembled
-directly (``eigen_lowest``); with one (alpha > 0 Scarf) the discrete
-supercharge from U and V is squared (``susy_squared_spectrum``; see the grid
-notes on the fall-to-center artifact of the sampled potential). With
-``corrections`` (Gegenbauer) 2 Q^2 plus those terms is banded straight from
-row blocks of the BLAS product (``GridOperator.composite``: each block times
-only the columns of Q that its band reads; O(N^2) work, O(N) memory, bit for
-bit), and checkerboard filtered (``composite_spectrum``). The two banded
-paths run on one core, so their problems are marked ``single_core``: a
-convergence study solves their lower rungs in a forked child (see ``grid``).
-The composite path's BLAS product already keeps both cores busy.
+and a ``grid`` solver, the ``Problem``'s build (N -> the operator on the
+record's N-point grid) and its per-rung solve (the operator -> its k lowest
+levels). With no reflection core (the oscillator, alpha = 0 Scarf) H's
+coefficients are assembled directly (``eigen_lowest``); with one (alpha > 0
+Scarf) the discrete supercharge from U and V is squared
+(``susy_squared_spectrum``; see the grid notes on the fall-to-center
+artifact of the sampled potential). With ``corrections`` (Gegenbauer) 2 Q^2
+plus those terms is banded straight from row blocks of the BLAS product
+(``GridOperator.composite``: each block times only the columns of Q that its
+band reads; O(N^2) work, O(N) memory, bit for bit), and checkerboard
+filtered (``composite_spectrum``). A convergence study builds every rung
+here before it forks a child for the lower rungs' solves, so every path's
+ladder splits by one rule (see ``grid``).
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ def spectrum_problem(system: SusySystem, k: int) -> gridmod.Problem:
         build = partial(gridmod.supercharge_matrix, pot.u.f, pot.v.f)
         solve = gridmod.susy_squared_spectrum
 
-    def compute(n):
-        return solve(build(Grid(n, system.halfwidth)), k)
+    def build_rung(n):
+        return build(Grid(n, system.halfwidth))
+
+    def compute(op):
+        return solve(op, k)
 
     return gridmod.Problem(name=system.name, params=system.params,
-                           targets=targets, compute=compute,
+                           targets=targets, build=build_rung, compute=compute,
                            tolerance=system.tolerance,
-                           exponents=system.exponents,
-                           single_core=system.corrections is None)
+                           exponents=system.exponents)

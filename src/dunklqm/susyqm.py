@@ -179,7 +179,7 @@ class SusySystem:
         ||F0||^2 = B(mu + 1/2, alpha + 1), and E_n = -lambda_n; on the grid
         2 H at Scarf (2 mu, 0) plus ``_gegenbauer_corrections``."""
         mu, al = float(params.mu), float(params.alpha)
-        norm = cache(lambda: math.sqrt(beta_num(mu + 0.5, al + 1)))
+        norm = cache(lambda: math.sqrt(_gegenbauer_norm_sq(params)))
 
         def ground(x):
             return np.abs(np.sin(x)) ** mu * np.cos(x) ** (al + 0.5) / norm()
@@ -210,12 +210,14 @@ class SusySystem:
         return (lambda x: _recurrence_values(
             coeffs[:m], self.gauge(np.asarray(x, dtype=float)))), norm_sq
 
-    def wavefunction(self, n: int) -> Callable:
-        """Vectorized psi_n as (c_n g(x)) P_n(y(x)), c_n = 1/sqrt(||g||^2
-        ||P_n||^2), with no domain check on x; n = 0 gives c_0 g bit for bit.
-        Where ||g||^2 ||P_n||^2 is not a normal float (at high n: subnormal,
-        zero or beyond float range) it raises DomainError."""
-        values, norm_sq = self.polynomials(n)
+    def normalization(self, n: int) -> float:
+        """c_n = 1/sqrt(||g||^2 ||P_n||^2), psi_n's factor, within 1e-15
+        relative of its exact value (||g||^2 is exact, or sqrt(pi) to half
+        an ulp); DomainError where ||g||^2 ||P_n||^2 is not a normal float
+        (at high n: subnormal, zero or beyond float range)."""
+        return self._normalization(n, self.polynomials(n)[1])
+
+    def _normalization(self, n: int, norm_sq: Fraction) -> float:
         try:
             norm = self.ground_norm_sq * float(norm_sq)
         except OverflowError:
@@ -225,7 +227,14 @@ class SusySystem:
                                             in self.params.items())])
             raise DomainError(f"{record}: psi_{n}'s norm ||g||^2 ||P_{n}||^2 "
                               "is not a normal float")
-        scale = 1.0 / math.sqrt(norm)
+        return 1.0 / math.sqrt(norm)
+
+    def wavefunction(self, n: int) -> Callable:
+        """Vectorized psi_n as (c_n g(x)) P_n(y(x)), c_n the
+        ``normalization``, with no domain check on x; n = 0 gives c_0 g bit
+        for bit."""
+        values, norm_sq = self.polynomials(n)
+        scale = self._normalization(n, norm_sq)
         return lambda x: scale * self.ground(np.asarray(x, dtype=float)) \
             * values(x)[n]
 
@@ -245,9 +254,20 @@ def scarf_H_parts_explicit(params: ScarfParams):
 
 
 def ground_state_norm_sq(params: ScarfParams) -> float:
-    """N_0^2 = 1 / B((a+1)/2, (b+1)/2), from the Beta integral directly."""
-    return 1.0 / beta_num((float(params.alpha) + 1) / 2,
-                          (float(params.beta) + 1) / 2)
+    """N_0^2 = 1 / B((a+1)/2, (b+1)/2), from the Beta integral directly,
+    within 1e-12 relative of its exact value. The Beta arguments are
+    rounded from their exact values: a float a + 1 cancels near a = -1
+    (8e-7 off at a = -1 + 1e-10)."""
+    return 1.0 / beta_num(float((params.alpha + 1) / 2),
+                          float((params.beta + 1) / 2))
+
+
+def _gegenbauer_norm_sq(params: GegParams) -> float:
+    """||F0||^2 = B(mu + 1/2, alpha + 1), the Gegenbauer ground constant,
+    within 1e-12 relative of its exact value; the Beta arguments are
+    rounded from their exact values, as in ``ground_state_norm_sq``."""
+    return beta_num(float(params.mu + Fraction(1, 2)),
+                    float(params.alpha + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +348,36 @@ def _probes(params: ScarfParams, grids: list, operators: dict) -> list:
     return probes
 
 
-def _residual_norms(relation: refc.Relation, probes: list) -> list:
-    norms = []
+def _once(stencil: Callable) -> Callable:
+    """``stencil`` that returns, for an input array it has seen (the same
+    object), the array it gave then. It holds each input, so that no other
+    array takes that input's id while the memo lives."""
+    seen = {}
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        hit = seen.get(id(u))
+        if hit is None:
+            hit = seen[id(u)] = (u, stencil(u))
+        return hit[1]
+
+    return apply
+
+
+def _residual_norms(relations: list, probes: list) -> list:
+    """Per relation, the max |residual| over the test functions at each
+    grid's interior nodes. On one grid the relations share their chains'
+    prefixes (Q on a probe, X on Q of it, ...), so each operator applies its
+    stencil once per distinct input, and a grid's results are dropped before
+    the next grid's are made."""
+    norms = [[] for _ in relations]
     for _, mask, fns, stencils in probes:
-        residual = relation.stencil(stencils)
-        worst = 0.0
-        for f in fns.values():
-            worst = max(worst, float(np.abs(residual(f)[mask]).max()))
-        norms.append(worst)
+        stencils = {op: _once(s) for op, s in stencils.items()}
+        for relation, out in zip(relations, norms):
+            residual = relation.stencil(stencils)
+            worst = 0.0
+            for f in fns.values():
+                worst = max(worst, float(np.abs(residual(f)[mask]).max()))
+            out.append(worst)
     return norms
 
 
@@ -442,17 +484,18 @@ def verify_operator_relations(params: ScarfParams, grids: tuple) -> list:
     doubling ladder ``grids``, whose norms shrink at second order when the
     identity holds (``_fd_order``). ``verdict`` is "identity" for a residual
     below 1e-8, else "defect"; ``expected`` is the predicted verdict. Each
-    stencil is built once per grid and the probe's Psi_0 and P_2 once."""
+    stencil is built once per grid and applied once per distinct input
+    there, and the probe's Psi_0 and P_2 are built once."""
     grids = refc.check_doubling_ladder(grids)
     relations = scarf_relations(params)
     operators = dict.fromkeys(op for *_, rel in relations
                               for chain in rel.lhs + rel.rhs for op in chain.ops)
     probes = _probes(params, grids, operators)
-    residuals = exact_residual([relation for *_, relation in relations],
-                               probes[-1][0])
+    checked = [relation for *_, relation in relations]
+    residuals = exact_residual(checked, probes[-1][0])
     results = []
-    for (name, variant, expected, relation), resid in zip(relations, residuals):
-        norms = _residual_norms(relation, probes)
+    for (name, variant, expected, _), resid, norms in zip(
+            relations, residuals, _residual_norms(checked, probes)):
         results.append({
             "relation": name, "variant": variant, "fd_norms": norms,
             "order": _fd_order(norms), "residual": resid,

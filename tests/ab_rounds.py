@@ -22,9 +22,16 @@ and quartiles over those runs of ``jobs_per_s``, ``job_p50_s`` and
 run's job times, with the number of runs in which this checkout's value
 is the better one. It states no bound.
 Both workers run under the same environment, so a BLAS thread-count
-setting applies to both alike. Read a per-job ratio against that job's
-quartiles from a run of this checkout against itself (A/A), on the same
-workload and rounds: a ratio inside them is not a difference.
+setting applies to both alike. Both also run with
+``OPENBLAS_THREAD_TIMEOUT=4``, OpenBLAS's shortest spin before an idle BLAS
+thread sleeps: the two workers are alive at once, so after a BLAS-threaded
+job (the Gegenbauer ladders) the idle worker's threads would otherwise keep
+spinning on a core that the other worker, and its forked child, needs.
+``bench/run.py`` runs one worker with OpenBLAS's default spin, so a claim on
+its metrics is shown with its own runs, not with this tool. Read a per-job
+ratio against that job's quartiles from a run of this checkout against
+itself (A/A), on the same workload and rounds: a ratio inside them is not a
+difference.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ class Worker:
 
     def __init__(self, checkout: Path):
         env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"),
-                   PYTHONDONTWRITEBYTECODE="1")
+                   PYTHONDONTWRITEBYTECODE="1", OPENBLAS_THREAD_TIMEOUT="4")
         self.proc = subprocess.Popen(
             [sys.executable, "-c", WORKER], env=env, text=True,
             stdin=subprocess.PIPE, stdout=subprocess.PIPE)

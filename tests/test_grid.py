@@ -304,6 +304,7 @@ def test_convergence_study_reports():
 def test_convergence_flag_true_false_or_unknown(ladder, order, converged):
     values = dict(zip((8, 16, 32), ladder))
     prob = gridmod.Problem(name="stub", params={}, targets=(ladder[-1],),
+                           build=lambda n: n,
                            compute=lambda n: np.array([values[n]]),
                            tolerance=1e-6, exponents=(2.0, 2.0))
     rep = convergence_study(prob, [8, 16, 32])
@@ -316,10 +317,11 @@ def test_convergence_flag_true_false_or_unknown(ladder, order, converged):
     assert json.loads(rep.to_json())["levels"][0]["converged"] is converged
 
 
-SPLIT_SYSTEMS = {
+LADDER_SYSTEMS = {
     "scarf-1-3": (SusySystem.scarf(ScarfParams(F(1), F(3))), 3),
     "scarf-0-2": (SusySystem.scarf(ScarfParams(F(0), F(2))), 3),
     "oscillator": (SusySystem.oscillator(), 5),
+    "gegenbauer": (SusySystem.gegenbauer(GegParams(F(1, 2), F(1))), 3),
 }
 
 
@@ -333,37 +335,100 @@ def no_leftovers():
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
-def _stub(compute, single_core=True):
+def _stub(compute, build=lambda n: n):
     return gridmod.Problem(name="stub", params={}, targets=(0.0,),
-                           compute=compute, tolerance=1.0,
-                           exponents=(2.0, 2.0), single_core=single_core)
+                           build=build, compute=compute, tolerance=1.0,
+                           exponents=(2.0, 2.0))
 
 
-@pytest.mark.parametrize("name", SPLIT_SYSTEMS)
-def test_split_ladder_keeps_every_bit(name, no_leftovers):
-    system, k = SPLIT_SYSTEMS[name]
+def _counted_fork(monkeypatch, at_fork=lambda: None):
+    """Patch ``os.fork`` to record ``at_fork()`` at each call, then fork;
+    returns the list of records."""
+    forks, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(at_fork()) or real())
+    return forks
+
+
+@pytest.mark.parametrize("name", LADDER_SYSTEMS)
+def test_split_ladder_keeps_every_bit(name, no_leftovers, monkeypatch):
+    # every path splits but alpha = 0 Scarf's, whose top operator is
+    # node-tridiagonal
+    system, k = LADDER_SYSTEMS[name]
     prob = spectrum_problem(system, k)
     ladder = [256, 512, 1024]
+    forks = _counted_fork(monkeypatch)
     rep = convergence_study(prob, ladder)
     values = np.asarray([lv["values"] for lv in rep.levels]).T
-    assert prob.single_core
+    assert len(forks) == (name != "scarf-0-2")
     assert values.tobytes() == \
-        np.asarray([prob.compute(n) for n in ladder]).tobytes()
+        np.asarray([prob.levels(n) for n in ladder]).tobytes()
 
 
-@pytest.mark.parametrize("single_core", [True, False])
-def test_only_the_top_rung_of_a_split_ladder_runs_here(single_core,
-                                                       no_leftovers):
-    prob = _stub(lambda n: np.array([float(os.getpid())]), single_core)
+def test_only_the_top_rung_of_a_split_ladder_runs_here(no_leftovers):
+    prob = _stub(lambda n: np.array([float(os.getpid())]))
     pids = gridmod._solve_ladder(prob, [8, 16, 32])
     here = [float(pid[0]) == os.getpid() for pid in pids]
-    assert here == ([False, False, True] if single_core else [True] * 3)
+    assert here == [False, False, True]
 
 
-def test_composite_ladder_runs_every_rung_here():
-    # its BLAS product already keeps every core busy
-    geg = SusySystem.gegenbauer(GegParams(F(1, 2), F(1)))
-    assert not spectrum_problem(geg, 3).single_core
+def test_every_rung_is_built_here_before_the_fork(no_leftovers, monkeypatch):
+    built = []
+    forks = _counted_fork(monkeypatch, lambda: list(built))
+    prob = _stub(lambda n: np.array([float(n)]),
+                 lambda n: built.append((n, os.getpid())) or n)
+    gridmod._solve_ladder(prob, [8, 16, 32])
+    here = os.getpid()
+    assert forks == [[(8, here), (16, here), (32, here)]]
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_gegenbauer_ladder_forks_after_its_blas_products(threads):
+    # the (1/2, 1) 256-1024 ladder: all three GridOperator.composite
+    # products run before the one fork, this process solves only the top
+    # rung, and the values are the sequential loop's bytes
+    out = _fresh_python("""
+        import dataclasses, os
+        from fractions import Fraction
+        import numpy as np
+        from dunklqm import grid
+        from dunklqm.gegenbauer import GegParams
+        from dunklqm.spectra import spectrum_problem
+        from dunklqm.susyqm import SusySystem
+
+        products, at_fork, solved = [], [], []
+        composite = grid.GridOperator.composite.__func__
+        grid.GridOperator.composite = classmethod(
+            lambda cls, *args: products.append(1) or composite(cls, *args))
+        fork = os.fork
+        os.fork = lambda: at_fork.append(len(products)) or fork()
+        prob = spectrum_problem(SusySystem.gegenbauer(
+            GegParams(Fraction(1, 2), Fraction(1))), 3)
+        compute = prob.compute
+        prob = dataclasses.replace(
+            prob, compute=lambda op: solved.append(op.n) or compute(op))
+        ladder = [256, 512, 1024]
+        rep = grid.convergence_study(prob, ladder)
+        print(at_fork, len(products), solved)
+        split = np.asarray([lv["values"] for lv in rep.levels]).T
+        sequential = np.asarray([prob.levels(n) for n in ladder])
+        print(split.tobytes() == sequential.tobytes())
+        """, OPENBLAS_NUM_THREADS=threads)
+    assert out.splitlines() == ["[3] 3 [1024]", "True"]
+
+
+@pytest.mark.parametrize("ladder", [[256, 512, 1024], [1024, 2048, 4096]])
+def test_node_tridiagonal_ladder_starts_no_child(ladder, monkeypatch):
+    # eigh_tridiagonal rungs cost less than a fork and its copy-on-write
+    # faults
+    def no_fork():
+        raise AssertionError("forked")
+
+    prob = spectrum_problem(SusySystem.scarf(ScarfParams(F(0), F(2))), 3)
+    sequential = np.asarray([prob.levels(n) for n in ladder])
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert np.asarray(gridmod._solve_ladder(prob, ladder)).tobytes() == \
+        sequential.tobytes()
 
 
 def _raise_at(rungs, exc_type=ValueError):
@@ -383,6 +448,24 @@ def test_split_ladder_raises_what_the_sequential_loop_raises(rungs, raised,
                                                              no_leftovers):
     with pytest.raises(ValueError, match=f"^{raised}$"):
         convergence_study(_stub(_raise_at(rungs)), [8, 16, 32])
+
+
+@pytest.mark.parametrize("solves, builds, raised", [
+    (set(), {32}, "build 32"),
+    (set(), {8, 16}, "build 8"),
+    ({16}, {32}, "rung 16"),  # a lower rung's solve fails before the build
+    ({8}, {16}, "rung 8"),
+    ({32}, {16}, "build 16"),  # rung 32 is never built, so never solved
+])
+def test_failed_build_is_raised_after_the_rungs_below_are_solved(
+        solves, builds, raised, no_leftovers):
+    def build(n):
+        if n in builds:
+            raise ValueError(f"build {n}")
+        return n
+
+    with pytest.raises(ValueError, match=f"^{raised}$"):
+        convergence_study(_stub(_raise_at(solves), build), [8, 16, 32])
 
 
 def test_unpicklable_lower_rung_exception_is_raised_here(no_leftovers):
@@ -481,7 +564,7 @@ def test_each_spectrum_path_solves_what_it_builds(system, build, solve,
     real = getattr(gridmod, solve)
     monkeypatch.setattr(gridmod, solve,
                         lambda op, kk: seen.append(op) or real(op, kk))
-    values = spectrum_problem(system, k).compute(n)
+    values = spectrum_problem(system, k).levels(n)
     op = build(system, Grid(n, system.halfwidth))
     assert [s.band.tobytes() for s in seen] == [op.band.tobytes()]
     assert values.tobytes() == real(op, k).tobytes()
@@ -491,7 +574,7 @@ def test_each_spectrum_path_solves_what_it_builds(system, build, solve,
                                     (8, 16, 64), (32, 16, 8)])
 def test_convergence_study_refuses_non_doubling_ladder(ladder):
     prob = gridmod.Problem(name="stub", params={}, targets=(1.0,),
-                           compute=lambda n: np.array([1.0]),
+                           build=lambda n: n, compute=lambda n: np.array([1.0]),
                            tolerance=1e-6, exponents=(2.0, 2.0))
     with pytest.raises(ValueError, match="double"):
         convergence_study(prob, ladder)
@@ -507,7 +590,7 @@ def test_scarf_convergence_smooth_order_window():
 
 def test_gegenbauer_composite_checkerboard_filtered():
     system = SusySystem.gegenbauer(GegParams(F(1, 2), F(1)))
-    vals = spectrum_problem(system, 6).compute(512)
+    vals = spectrum_problem(system, 6).levels(512)
     # all six smooth levels are physical: -lambda_n sorted
     targets = sorted(-float(v) for v in
                      [0, -8, -12, -24, -32, -48])[:6]
@@ -790,7 +873,7 @@ def _gegenbauer_operator(mu, alpha, n, k):
     real = gridmod.composite_spectrum
     gridmod.composite_spectrum = lambda op, kk: seen.append(op) or np.zeros(kk)
     try:
-        spectrum_problem(SusySystem.gegenbauer(GegParams(mu, alpha)), k).compute(n)
+        spectrum_problem(SusySystem.gegenbauer(GegParams(mu, alpha)), k).levels(n)
     finally:
         gridmod.composite_spectrum = real
     return seen[0]
@@ -913,7 +996,7 @@ def test_gegenbauer_compute_never_holds_the_product():
     tracemalloc.start()
     try:
         system = SusySystem.gegenbauer(GegParams(F(1, 2), F(1)))
-        spectrum_problem(system, 3).compute(n)
+        spectrum_problem(system, 3).levels(n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -941,11 +1024,11 @@ def test_gegenbauer_compute_resident_growth():
                 line = next(s for s in status if s.startswith("VmHWM:"))
             return int(line.split()[1]) * 1024
 
-        compute = spectrum_problem(SusySystem.gegenbauer(
-            GegParams(Fraction(1, 2), Fraction(1))), 3).compute
-        compute(256)
+        levels = spectrum_problem(SusySystem.gegenbauer(
+            GegParams(Fraction(1, 2), Fraction(1))), 3).levels
+        levels(256)
         before = peak()
-        compute({n})
+        levels({n})
         print(peak() - before)
         """)
     assert int(out) < 2 * n * n

@@ -300,9 +300,9 @@ def test_relation_residuals_match_hand_expanded_table_bitwise(ab, monkeypatch):
     relations = []
     real = susyqm._residual_norms
 
-    def recorded(relation, probes):
-        relations.append(relation)
-        return real(relation, probes)
+    def recorded(checked, probes):
+        relations.extend(checked)
+        return real(checked, probes)
 
     monkeypatch.setattr(susyqm, "_residual_norms", recorded)
     susyqm.verify_operator_relations(ScarfParams(*ab), grids=(64, 128, 256))

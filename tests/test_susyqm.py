@@ -2,13 +2,16 @@
 intertwiners, operator relations, and the oscillator."""
 
 import math
+import sys
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 from functools import reduce
 from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dunklqm import grid as gridmod
 from dunklqm import refcalc as refc
@@ -47,6 +50,7 @@ from dunklqm.susyqm import (
     SusyPotential,
     SusySystem,
     _TEST_FNS,
+    _gegenbauer_norm_sq,
     ground_state_norm_sq,
     intertwiner,
     osc_wavefunction,
@@ -331,6 +335,149 @@ def test_wavefunction_keeps_its_bits_at_the_last_normal_norm(record, n):
     ref = scale * system.ground(x) * values(x)[n]
     assert np.isfinite(ref).all() and ref.any()
     assert system.wavefunction(n)(x).tobytes() == ref.tobytes()
+
+
+# -- the float normalizations' contract, against exact references -------------
+
+NORM_BOUND = 1e-15      # the relative error SusySystem.normalization states
+GROUND_BOUND = 1e-12    # the relative error both ground constants state
+_PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944")
+
+
+def _decimal(x):
+    return Decimal(x.numerator) / Decimal(x.denominator) \
+        if isinstance(x, F) else x
+
+
+def _assert_within(compute, ref, bound, edge=None):
+    """compute() within ``bound`` relative of the positive exact ``ref`` (a
+    Fraction, or a Decimal to 60 digits), or refused with DomainError where
+    ``edge`` (by default ``ref``) is not a normal float; within 1e-9 of
+    either end of that range, both outcomes are allowed."""
+    ref = _decimal(ref)
+    edge = ref if edge is None else _decimal(edge)
+    lo, hi = Decimal(sys.float_info.min), Decimal(sys.float_info.max)
+    margin = Decimal("1e-9")
+    if lo * (1 + margin) < edge < hi * (1 - margin):
+        got = compute()
+        assert abs(Decimal(got) - ref) <= Decimal(bound) * ref, (got, ref)
+    elif not lo * (1 - margin) < edge < hi * (1 + margin):
+        with pytest.raises(DomainError):
+            compute()
+
+
+def _half_pair(j, k):
+    """B(1/2 + j, 1/2 + k) = pi (1/2)_j (1/2)_k / (j + k)!, to 60 digits."""
+    ratio = pochhammer(F(1, 2), j) * pochhammer(F(1, 2), k) \
+        / math.factorial(j + k)
+    return _PI * Decimal(ratio.numerator) / Decimal(ratio.denominator)
+
+
+# rationals as the CLI reads them: small ones with small denominators, large
+# integers, and values just above the lower edge -1 of the Scarf and
+# Gegenbauer alpha, where the float of alpha + 1 has cancelled
+_ABOVE_MINUS_ONE = st.one_of(
+    st.fractions(F(-1), F(60), max_denominator=60).filter(lambda a: a > -1),
+    st.integers(0, 10**18).map(F),
+    st.integers(1, 300).map(lambda k: F(-1) + F(1, 10**k)),
+    st.integers(1, 17).map(lambda k: F(-1) + F(1, 3 * 10**k)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_ABOVE_MINUS_ONE, st.integers(1, 40))
+@example(F(-1) + F(1, 10**10), 2)     # (a + 1)/2 cancelled: 8e-7 off
+@example(F(10**15), 2)
+@example(F(10**300), 2)               # B underflows: refused
+def test_scarf_ground_constant_at_an_odd_integer_beta(a, n):
+    # N_0^2 = 1/B(x, n) = (x)_n/(n - 1)! at b = 2n - 1, x = (a + 1)/2
+    with localcontext() as ctx:
+        ctx.prec = 60
+        _assert_within(lambda: ground_state_norm_sq(ScarfParams(a, 2 * n - 1)),
+                       pochhammer((a + 1) / 2, n) / math.factorial(n - 1),
+                       GROUND_BOUND)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_ABOVE_MINUS_ONE.map(lambda a: a / 2), st.integers(1, 40))
+@example(F(-1, 2) + F(1, 10**10), 2)  # mu + 1/2 cancelled
+@example(F(1, 2), 2)
+def test_gegenbauer_ground_constant_at_an_integer_alpha(mu, n):
+    # ||F0||^2 = B(mu + 1/2, n) = (n - 1)!/(mu + 1/2)_n at alpha = n - 1
+    with localcontext() as ctx:
+        ctx.prec = 60
+        _assert_within(lambda: _gegenbauer_norm_sq(GegParams(mu, n - 1)),
+                       math.factorial(n - 1) / pochhammer(mu + F(1, 2), n),
+                       GROUND_BOUND)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(0, 700), st.integers(0, 700))
+@example(0, 0)
+@example(600, 600)                    # below the normal range: refused
+def test_ground_constants_at_half_integer_pairs(j, k):
+    # Scarf (2j, 2k): N_0^2 = 1/B(1/2 + j, 1/2 + k); Gegenbauer (j, k -
+    # 1/2): ||F0||^2 = B(1/2 + j, 1/2 + k)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        beta = _half_pair(j, k)
+        _assert_within(lambda: ground_state_norm_sq(ScarfParams(2 * j, 2 * k)),
+                       1 / beta, GROUND_BOUND)
+        _assert_within(lambda: _gegenbauer_norm_sq(
+            GegParams(j, k - F(1, 2))), beta, GROUND_BOUND)
+
+
+def _geg_norm_sq(n, mu, al):
+    """||P_n||^2 = b_1 ... b_n of the monic generalized Gegenbauer family, from
+    the closed-form b_k of the weight |y|^(2 mu) (1 - y^2)^alpha."""
+    out, h = F(1), F(1, 2)
+    for k in range(1, n + 1):
+        m = k // 2
+        out *= (F(m) * (m + al) / ((2 * m + al + mu - h) * (2 * m + al + mu + h))
+                if k % 2 == 0 else
+                (m + mu + h) * (m + al + mu + h)
+                / ((2 * m + al + mu + h) * (2 * m + al + mu + 3 * h)))
+    return out
+
+
+_SMALL = st.fractions(F(-1), F(12), max_denominator=12).filter(lambda a: a > -1)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from(["scarf", "gegenbauer", "oscillator"]), _SMALL, _SMALL,
+       st.integers(0, 30))
+@example("scarf", F(1), F(3), 510)    # the last normal ||P_n||^2
+@example("scarf", F(1), F(3), 520)    # subnormal: refused
+@example("oscillator", F(0), F(0), 196)
+@example("oscillator", F(0), F(0), 197)   # beyond float range: refused
+def test_normalization_against_the_closed_form_norms(record, p, q, n):
+    # c_n = 1/sqrt(||g||^2 ||P_n||^2): ||g||^2 = 1 for the normalized Scarf
+    # and Gegenbauer grounds, sqrt(pi) for the oscillator's e^(-x^2/2);
+    # ||P_n||^2 from jacobi.norm_sq_closed, the Gegenbauer b_k and n!/2^n
+    if record == "scarf":
+        system, family = SusySystem.scarf(ScarfParams(p, q)), ScarfParams(p, q)
+    elif record == "gegenbauer":
+        mu = p / 2                        # mu > -1/2
+        system, family = SusySystem.gegenbauer(GegParams(mu, q)), None
+    else:
+        system, family = SusySystem.oscillator(), None
+    if system.family.eigenvalue(n) in {system.family.eigenvalue(m)
+                                       for m in range(n)}:
+        with pytest.raises(DegenerateSpectrumError):
+            system.normalization(n)
+        return
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if record == "scarf":
+            norm = norm_sq_closed(n, family)
+        elif record == "gegenbauer":
+            norm = _geg_norm_sq(n, mu, q)
+        else:
+            norm = F(math.factorial(n), 2**n)
+        norm = _decimal(norm)
+        if record == "oscillator":
+            norm *= _PI.sqrt()
+        _assert_within(lambda: system.normalization(n), 1 / norm.sqrt(),
+                       NORM_BOUND, norm)
 
 
 def test_unchecked_scarf_params_continue_the_family_past_its_domain():
@@ -703,7 +850,7 @@ def test_relation_checks_refuse_the_ladders_convergence_study_refuses(ladder):
     # the finite-difference order assumes N, 2N, 4N, ...; on (512, 1000,
     # 2048) or (2048, 1024, 512) it would be a wrong number, not nan
     prob = gridmod.Problem(name="stub", params={}, targets=(1.0,),
-                           compute=lambda n: np.array([1.0]),
+                           build=lambda n: n, compute=lambda n: np.array([1.0]),
                            tolerance=1e-6, exponents=(2.0, 2.0))
     with pytest.raises(ValueError) as study:
         gridmod.convergence_study(prob, ladder)

@@ -59,11 +59,11 @@ def test_traced_run_matches_untraced_and_uninstall_restores(capsys):
         tracer.uninstall()
     assert traced == untraced
     assert tracer.calls["grid.lapack"] > 0
-    # the three Gegenbauer composite rungs, the oscillator's top rung and
-    # errata's one Gegenbauer grid: the oscillator's two lower rungs run in
-    # a forked child, which the tracer cannot see (traced == untraced shows
+    # the oscillator's and the Gegenbauer ladder's top rungs and errata's
+    # one Gegenbauer grid: each ladder's two lower rungs are solved in a
+    # forked child, which the tracer cannot see (traced == untraced shows
     # that they ran)
-    assert tracer.calls["spectra.compute"] == 5
+    assert tracer.calls["spectra.compute"] == 3
     assert tracer.calls["refcalc"] > 0
     after = _bindings(tracer_mod)
     changed = [f"{getattr(owner, '__name__', owner)}.{attr}"
